@@ -2,8 +2,10 @@
 #
 #   make ci        gofmt + lint (repolint invariants + go vet) + build +
 #                  tests (race on the concurrency-sensitive packages,
-#                  including internal/obs/serve) + a quick instrumented
-#                  repro run + the bench regression gate
+#                  including internal/obs/serve) + the bench/ module's
+#                  tests + a quick instrumented repro run + the bench
+#                  regression gate
+#   make bench-test  the benchmark driver's own tests (bench/ module)
 #   make lint      repolint (internal/analysis invariant suite, including
 #                  the dataflow analyzers) + go vet, plus an advisory
 #                  govulncheck pass when the tool exists
@@ -19,9 +21,9 @@
 GO ?= go
 rev := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci fmt lint lint-fix fixcheck vet build test race repro-quick bench benchgate loadgen-smoke gobench repro clean
+.PHONY: ci fmt lint lint-fix fixcheck vet build test bench-test race repro-quick bench benchgate loadgen-smoke gobench repro clean
 
-ci: fmt lint fixcheck build race test benchgate loadgen-smoke
+ci: fmt lint fixcheck build race test bench-test benchgate loadgen-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -82,6 +84,11 @@ race:
 
 test:
 	$(GO) test ./...
+
+# The benchmark driver (bench/) is its own module, so `go test ./...` at
+# the root does not reach it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Quick instrumented end-to-end run: every experiment, JSONL journal and
 # BENCH_<rev>.json summary under /tmp.

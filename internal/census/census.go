@@ -190,8 +190,9 @@ type StreamStep struct {
 // with a lexicographic ordering chain, so each candidate multiset
 // corresponds to exactly one model and uniqueness can be decided with a
 // single extra solver call. It is the batch wrapper over
-// ReconstructBlockStream with no step callback: one solve over the full
-// instance.
+// ReconstructBlockStream with no step callback: one solve with every
+// table encoded, each person ranging over the block's table-consistent
+// cells only.
 func ReconstructBlock(bt BlockTables, cfg Config, maxConflicts int64) (BlockResult, error) {
 	return ReconstructBlockStream(bt, cfg, maxConflicts, nil, nil)
 }
@@ -205,9 +206,19 @@ func ReconstructBlock(bt BlockTables, cfg Config, maxConflicts int64) (BlockResu
 // activity scores and saved phases of the previous ones instead of
 // restarting cold; MaxConflicts budgets each individual solver call.
 //
-// With a nil onStep no intermediate solves happen and the behavior —
-// clause order, solver work, result — is exactly ReconstructBlock's. A
-// mid-stream Unsat means the cells consumed so far are already jointly
+// Each person is encoded as a one-hot choice over a domain of joint
+// cells. With a non-nil onStep the domain is every joint cell: a zero
+// count may only rule cells out once its table cell has been consumed.
+// With a nil onStep every table is known before the only solve, so the
+// domain is pruned to the table-consistent cells — those whose sex×age,
+// race×ethnicity and sex×race counts are all positive. The pruned cells
+// are exactly the ones the zero counts would force false at the root, so
+// the set of models, and with it Solved and Unique, is the same either
+// way; only a block with several consistent multisets may return a
+// different one. Domains keep cell-id order, so the lexicographic
+// symmetry breaking and the uniqueness check mean the same on both.
+//
+// A mid-stream Unsat means the cells consumed so far are already jointly
 // unsatisfiable; it surfaces as ErrInconsistentTables just like the
 // batch path. A mid-stream Unknown (budget exhausted) reports the step
 // with Solved false and continues.
@@ -219,10 +230,16 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 	}
 	sp := mBlockNS.Span()
 	defer sp.End()
-	cells := cfg.numCells()
+	var domain []Tuple
+	if onStep == nil {
+		domain = cfg.tableDomain(bt)
+	} else {
+		domain = cfg.fullDomain()
+	}
+	cells := len(domain)
 	s := sat.New()
 	s.MaxConflicts = maxConflicts
-	// x[p][c]: person p has joint cell c.
+	// x[p][c]: person p has the joint cell domain[c].
 	x := make([][]int, bt.Total)
 	for p := range x {
 		x[p] = make([]int, cells)
@@ -252,7 +269,7 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 		case sat.Sat:
 			st.Solved = true
 			if truth != nil {
-				st.Exact = MultisetIntersection(extractTuples(s, x, cfg), truth)
+				st.Exact = MultisetIntersection(extractTuples(s, x, domain), truth)
 			}
 			s.Backtrack()
 		}
@@ -261,26 +278,23 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 		return nil
 	}
 	// Published-count constraints. Each group is one published counting
-	// query the attacker consumes.
+	// query the attacker consumes, even when (in a pruned domain) a zero
+	// count has no cells left to constrain.
 	addGroup := func(members func(t Tuple) bool, count int) error {
 		mTableQueries.Add(1)
 		mCensusQueries.Add(1)
 		queries++
-		var vars []int
-		for p := range x {
-			for c := 0; c < cells; c++ {
-				if members(cfg.cellTuple(c)) {
-					vars = append(vars, x[p][c])
-				}
+		var in []int
+		for c, t := range domain {
+			if members(t) {
+				in = append(in, c)
 			}
 		}
-		if count == 0 {
-			for _, v := range vars {
-				if err := s.AddClause(-v); err != nil {
-					return err
-				}
+		vars := make([]int, 0, len(x)*len(in))
+		for p := range x {
+			for _, c := range in {
+				vars = append(vars, x[p][c])
 			}
-			return step()
 		}
 		if err := s.ExactlyK(vars, count); err != nil {
 			return err
@@ -311,8 +325,9 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 			}
 		}
 	}
-	// Symmetry breaking: cellid_p <= cellid_{p+1} via threshold chains.
-	// t[p][c] ⇔ cellid_p >= c, for c in 1..cells-1.
+	// Symmetry breaking: cellid_p <= cellid_{p+1} via threshold chains
+	// over domain positions, which are in cell-id order.
+	// t[p][c] ⇔ position_p >= c, for c in 1..cells-1.
 	if bt.Total > 1 {
 		thr := make([][]int, bt.Total)
 		for p := range thr {
@@ -358,7 +373,7 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 		return res, nil // budget exhausted; Solved stays false
 	}
 	res.Solved = true
-	res.Tuples = extractTuples(s, x, cfg)
+	res.Tuples = extractTuples(s, x, domain)
 	// Uniqueness: block this model over the x variables and re-solve. With
 	// lex ordering, any second model is a genuinely different multiset.
 	var xs []int
@@ -377,12 +392,38 @@ func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, trut
 	return res, nil
 }
 
-func extractTuples(s *sat.Solver, x [][]int, cfg Config) []Tuple {
+// fullDomain returns every joint cell in cell-id order.
+func (c Config) fullDomain() []Tuple {
+	out := make([]Tuple, c.numCells())
+	for id := range out {
+		out[id] = c.cellTuple(id)
+	}
+	return out
+}
+
+// tableDomain returns, in cell-id order, the joint cells the block's
+// tables allow: every one of the cell's three published counts is
+// positive.
+func (c Config) tableDomain(bt BlockTables) []Tuple {
+	var out []Tuple
+	for _, t := range c.fullDomain() {
+		if bt.SexAge[[2]int{t.Sex, t.AgeBucket}] > 0 &&
+			bt.RaceEt[[2]int{t.Race, t.Ethnicity}] > 0 &&
+			bt.SexRc[[2]int{t.Sex, t.Race}] > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// extractTuples reads each person's chosen cell off a Sat model, where
+// x[p][c] stands for person p having the cell domain[c].
+func extractTuples(s *sat.Solver, x [][]int, domain []Tuple) []Tuple {
 	out := make([]Tuple, 0, len(x))
 	for _, row := range x {
 		for c, v := range row {
 			if s.Value(v) {
-				out = append(out, cfg.cellTuple(c))
+				out = append(out, domain[c])
 				break
 			}
 		}

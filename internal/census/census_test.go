@@ -2,6 +2,7 @@ package census
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -393,6 +394,19 @@ func TestReconstructAllStreamMatchesBatch(t *testing.T) {
 	if steps != cellsPerBlock*nonEmpty {
 		t.Errorf("steps = %d, want %d (%d cells over %d non-empty blocks)", steps, cellsPerBlock*nonEmpty, cellsPerBlock, nonEmpty)
 	}
+	checkStreamMatchesBatch(t, tables, batch, streamed)
+}
+
+// checkStreamMatchesBatch compares the full-domain streaming results with
+// the pruned-domain batch results of the same tables: Solved and Unique
+// are properties of the constraint set, so they must agree per block;
+// unique blocks must return the same multiset, and every solved block's
+// tuples must re-tabulate to its published tables. It needs results
+// solved without a conflict budget, so that no block is Unknown. A block
+// whose total is zero returns before any encoding, whatever its other
+// tables say, so it is not re-tabulated.
+func checkStreamMatchesBatch(t *testing.T, tables []BlockTables, batch, streamed []BlockResult) {
+	t.Helper()
 	if len(streamed) != len(batch) {
 		t.Fatalf("streamed %d results, batch %d", len(streamed), len(batch))
 	}
@@ -401,12 +415,84 @@ func TestReconstructAllStreamMatchesBatch(t *testing.T) {
 		if b.Block != s.Block || b.Solved != s.Solved || b.Unique != s.Unique {
 			t.Errorf("block %d: streamed %+v, batch %+v", b.Block, s, b)
 		}
+		if b.Size == 0 {
+			continue
+		}
 		if s.Solved {
 			checkTabulatesTo(t, tables[i], s.Tuples)
+		}
+		if b.Solved {
+			checkTabulatesTo(t, tables[i], b.Tuples)
 		}
 		if b.Unique && (MultisetIntersection(b.Tuples, s.Tuples) != len(b.Tuples) || len(b.Tuples) != len(s.Tuples)) {
 			t.Errorf("block %d: unique block, but tuple multisets differ", b.Block)
 		}
+	}
+}
+
+// TestReconstructAllStreamMatchesBatchDefended runs the stream-vs-batch
+// comparison on swapped and DP-noised tables. Noised blocks are often
+// jointly unsatisfiable, and their zero counts differ from the truth's,
+// so they exercise the pruned batch domain where it differs most from
+// the streaming one.
+func TestReconstructAllStreamMatchesBatchDefended(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	pop, err := synth.Population(rng, synth.PopulationConfig{N: 40, ZIPs: 2, BlocksPerZIP: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	truth := TrueTuples(pop, cfg)
+	cases := []struct {
+		name   string
+		tables []BlockTables
+	}{
+		{"swapping 30%", Tabulate(SwapRecords(rng, pop, 0.3), cfg)},
+		{"ε=1 DP table noise", NoisyTables(rng, Tabulate(pop, cfg), 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, err := ReconstructAll(tc.tables, cfg, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := ReconstructAllStream(ctx, tc.tables, truth, cfg, 0, func(StreamStep) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStreamMatchesBatch(t, tc.tables, batch, streamed)
+			solved := 0
+			for _, r := range batch {
+				if r.Solved && r.Size > 0 {
+					solved++
+				}
+			}
+			if solved == 0 {
+				t.Error("no non-empty block solved; the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// TestReconstructEmptyDomain covers a block whose tables admit no joint
+// cell at all: the sex×age table holds only one sex and the sex×race
+// table only the other, so the batch path's pruned domain is empty.
+func TestReconstructEmptyDomain(t *testing.T) {
+	cfg := DefaultConfig()
+	bt := BlockTables{
+		Block: 9, Total: 2,
+		SexAge: map[[2]int]int{{1, 3}: 2},
+		RaceEt: map[[2]int]int{{2, 0}: 2},
+		SexRc:  map[[2]int]int{{0, 2}: 2},
+	}
+	if d := cfg.tableDomain(bt); len(d) != 0 {
+		t.Fatalf("table domain = %v, want empty", d)
+	}
+	if _, err := ReconstructBlock(bt, cfg, 0); !errors.Is(err, ErrInconsistentTables) {
+		t.Errorf("batch: err = %v, want ErrInconsistentTables", err)
+	}
+	if _, err := ReconstructBlockStream(bt, cfg, 0, nil, func(StreamStep) {}); !errors.Is(err, ErrInconsistentTables) {
+		t.Errorf("stream: err = %v, want ErrInconsistentTables", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package census
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"singlingout/internal/synth"
@@ -87,6 +88,19 @@ func TestSwappingDegradesConfirmedReidentification(t *testing.T) {
 	if swpLink.ConfirmedRate() >= rawLink.ConfirmedRate() {
 		t.Errorf("swapping should reduce confirmed re-identification: %v >= %v",
 			swpLink.ConfirmedRate(), rawLink.ConfirmedRate())
+	}
+}
+
+// TestNoisyTablesDeterministic pins the seeded-output contract: each
+// cell's noise must not depend on map iteration order.
+func TestNoisyTablesDeterministic(t *testing.T) {
+	pop, _ := synth.Population(rand.New(rand.NewSource(4)), synth.PopulationConfig{N: 200, ZIPs: 2, BlocksPerZIP: 6})
+	tables := Tabulate(pop, DefaultConfig())
+	want := NoisyTables(rand.New(rand.NewSource(5)), tables, 1)
+	for i := 0; i < 20; i++ {
+		if got := NoisyTables(rand.New(rand.NewSource(5)), tables, 1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: equal seeds gave different noisy tables", i)
+		}
 	}
 }
 

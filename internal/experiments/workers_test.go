@@ -21,12 +21,13 @@ func TestSetWorkersClamp(t *testing.T) {
 // TestWorkerCountInvariance is the determinism contract test for the
 // parallel harnesses: the same seed must render byte-identical tables at
 // -workers 1 and -workers 8. Every harness that fans out over
-// internal/par is covered (E01, E02, E13 grid points; E11 census blocks).
+// internal/par is covered (E01, E02, E13 grid points; E11 and E19 census
+// blocks, E19 with seeded DP table noise).
 func TestWorkerCountInvariance(t *testing.T) {
 	defer SetWorkers(0)
 	const seed = 7
 	runners := []Runner{}
-	for _, id := range []string{"E01", "E02", "E11", "E13"} {
+	for _, id := range []string{"E01", "E02", "E11", "E13", "E19"} {
 		r, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown experiment %s", id)

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -70,6 +71,66 @@ func TestTautologyDropped(t *testing.T) {
 	}
 	if s.Value(v[1]) {
 		t.Error("v1 should be false")
+	}
+}
+
+// lastClause returns the most recently attached clause as DIMACS literals.
+func lastClause(s *Solver) []int {
+	c := s.clauses[len(s.clauses)-1]
+	out := make([]int, len(c))
+	for i, l := range c {
+		out[i] = fromLit(l)
+	}
+	return out
+}
+
+func TestDuplicateLiteralsCollapse(t *testing.T) {
+	s := New()
+	v := newVars(s, 3)
+	mustAdd(t, s, v[0], -v[1], v[0], v[2], -v[1], v[2])
+	if s.NumClauses() != 1 {
+		t.Fatalf("NumClauses = %d, want 1", s.NumClauses())
+	}
+	if got, want := lastClause(s), []int{v[0], -v[1], v[2]}; !slices.Equal(got, want) {
+		t.Errorf("clause = %v, want %v (first occurrences, in order)", got, want)
+	}
+	// A duplicate before the complementary literal still makes a tautology.
+	mustAdd(t, s, v[0], v[1], v[0], -v[1])
+	if s.NumClauses() != 1 {
+		t.Errorf("tautology after a duplicate was attached: NumClauses = %d", s.NumClauses())
+	}
+}
+
+func TestRootFalseLiteralDropped(t *testing.T) {
+	s := New()
+	v := newVars(s, 4)
+	mustAdd(t, s, -v[0])
+	mustAdd(t, s, v[1], v[0], v[2], v[3])
+	if got, want := lastClause(s), []int{v[1], v[2], v[3]}; !slices.Equal(got, want) {
+		t.Errorf("clause = %v, want %v (root-false literal dropped)", got, want)
+	}
+	// Dropping the false literal of a binary clause leaves a unit, which
+	// is assigned at the root instead of attached.
+	mustAdd(t, s, v[0], -v[3])
+	if s.NumClauses() != 1 {
+		t.Errorf("NumClauses = %d, want 1", s.NumClauses())
+	}
+	if s.assign[v[3]-1] != 0 {
+		t.Error("v3 should be false at the root")
+	}
+}
+
+func TestRootTrueClauseDropped(t *testing.T) {
+	s := New()
+	v := newVars(s, 3)
+	mustAdd(t, s, v[0])
+	mustAdd(t, s, v[1], v[2], v[0])
+	mustAdd(t, s, -v[1], v[0])
+	if s.NumClauses() != 0 {
+		t.Errorf("clauses satisfied at the root were attached: NumClauses = %d", s.NumClauses())
+	}
+	if got := s.Solve(); got != Sat || !s.Value(v[0]) {
+		t.Errorf("Solve = %v, v0 = %v; want sat with v0 true", got, s.Value(v[0]))
 	}
 }
 

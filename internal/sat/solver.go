@@ -249,19 +249,24 @@ func (s *Solver) AddClause(lits ...int) error {
 	if len(s.trailLim) != 0 {
 		return errors.New("sat: AddClause only allowed at decision level 0")
 	}
-	// Translate, dedupe, drop tautologies and root-false literals.
-	var clause []int32
-	seen := map[int32]bool{}
+	// Translate, dedupe, drop tautologies and root-false literals. Scanning
+	// the literals kept so far is cheaper than a per-clause set: most
+	// clauses have two or three literals, and the long ones (one-hot rows,
+	// blocking clauses) are added once per solve.
+	clause := make([]int32, 0, len(lits))
+next:
 	for _, d := range lits {
 		l, err := s.toLit(d)
 		if err != nil {
 			return err
 		}
-		if seen[litNeg(l)] {
-			return nil // tautology
-		}
-		if seen[l] {
-			continue
+		for _, k := range clause {
+			switch k {
+			case litNeg(l):
+				return nil // tautology
+			case l:
+				continue next // duplicate
+			}
 		}
 		switch s.litValue(l) {
 		case 1:
@@ -269,7 +274,6 @@ func (s *Solver) AddClause(lits ...int) error {
 		case 0:
 			continue // falsified at root: drop the literal
 		}
-		seen[l] = true
 		clause = append(clause, l)
 	}
 	switch len(clause) {
