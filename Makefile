@@ -15,7 +15,9 @@
 #   make loadgen-smoke  sharded in-process qserver under injected
 #                  overload; requires the BENCH.qserver.* rows
 #                  (throughput/latency/shards/shed) to survive
-#   make gobench   the root go test -bench suite with work counters
+#   make gobench   the root go test -bench suite with work counters, then
+#                  the internal/pso microbenchmarks (prefix-descent trial,
+#                  IsolationCount, HashPrefix.Eval)
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
@@ -128,6 +130,7 @@ loadgen-smoke:
 
 gobench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
 
 repro:
 	$(GO) run ./cmd/repro

@@ -225,6 +225,15 @@ func ReconstructBlock(bt BlockTables, cfg Config, maxConflicts int64) (BlockResu
 func ReconstructBlockStream(bt BlockTables, cfg Config, maxConflicts int64, truth []Tuple, onStep func(StreamStep)) (BlockResult, error) {
 	res := BlockResult{Block: bt.Block, Size: bt.Total}
 	if bt.Total == 0 {
+		// Nobody to place: the empty block is the only reconstruction,
+		// and it exists only if no table publishes a resident.
+		for _, tab := range []map[[2]int]int{bt.SexAge, bt.RaceEt, bt.SexRc} {
+			for _, c := range tab {
+				if c != 0 {
+					return res, fmt.Errorf("census: block %d: %w", bt.Block, ErrInconsistentTables)
+				}
+			}
+		}
 		res.Solved, res.Unique = true, true
 		return res, nil
 	}

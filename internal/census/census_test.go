@@ -402,9 +402,7 @@ func TestReconstructAllStreamMatchesBatch(t *testing.T) {
 // are properties of the constraint set, so they must agree per block;
 // unique blocks must return the same multiset, and every solved block's
 // tuples must re-tabulate to its published tables. It needs results
-// solved without a conflict budget, so that no block is Unknown. A block
-// whose total is zero returns before any encoding, whatever its other
-// tables say, so it is not re-tabulated.
+// solved without a conflict budget, so that no block is Unknown.
 func checkStreamMatchesBatch(t *testing.T, tables []BlockTables, batch, streamed []BlockResult) {
 	t.Helper()
 	if len(streamed) != len(batch) {
@@ -414,9 +412,6 @@ func checkStreamMatchesBatch(t *testing.T, tables []BlockTables, batch, streamed
 		b, s := batch[i], streamed[i]
 		if b.Block != s.Block || b.Solved != s.Solved || b.Unique != s.Unique {
 			t.Errorf("block %d: streamed %+v, batch %+v", b.Block, s, b)
-		}
-		if b.Size == 0 {
-			continue
 		}
 		if s.Solved {
 			checkTabulatesTo(t, tables[i], s.Tuples)
@@ -493,6 +488,38 @@ func TestReconstructEmptyDomain(t *testing.T) {
 	}
 	if _, err := ReconstructBlockStream(bt, cfg, 0, nil, func(StreamStep) {}); !errors.Is(err, ErrInconsistentTables) {
 		t.Errorf("stream: err = %v, want ErrInconsistentTables", err)
+	}
+}
+
+// TestReconstructEmptyBlockInconsistent covers blocks whose total is
+// zero on both paths. Explicit zero cells still leave the empty multiset
+// as the one reconstruction; a block whose sex×age cells are all zero but
+// whose race×ethnicity table still publishes residents (as DP noise can
+// leave it) has no consistent microdata.
+func TestReconstructEmptyBlockInconsistent(t *testing.T) {
+	cfg := DefaultConfig()
+	zeros := BlockTables{
+		Block:  4,
+		SexAge: map[[2]int]int{{0, 1}: 0},
+		RaceEt: map[[2]int]int{{1, 0}: 0},
+	}
+	positive := BlockTables{
+		Block:  5,
+		SexAge: map[[2]int]int{{0, 1}: 0},
+		RaceEt: map[[2]int]int{{1, 0}: 2},
+	}
+	for name, run := range map[string]func(BlockTables) (BlockResult, error){
+		"batch": func(bt BlockTables) (BlockResult, error) { return ReconstructBlock(bt, cfg, 0) },
+		"stream": func(bt BlockTables) (BlockResult, error) {
+			return ReconstructBlockStream(bt, cfg, 0, nil, func(StreamStep) {})
+		},
+	} {
+		if r, err := run(zeros); err != nil || !r.Solved || !r.Unique || len(r.Tuples) != 0 {
+			t.Errorf("%s: all-zero block = %+v, %v; want solved, unique, no tuples", name, r, err)
+		}
+		if _, err := run(positive); !errors.Is(err, ErrInconsistentTables) {
+			t.Errorf("%s: err = %v, want ErrInconsistentTables", name, err)
+		}
 	}
 }
 

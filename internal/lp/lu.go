@@ -39,9 +39,10 @@ type luFactor struct {
 	// FTRANed entering column, e.pivot its value at e.pos.
 	etas []eta
 
-	work    []float64 // dense scratch, len m
+	work    []float64 // dense scratch, len m; all zero between calls
 	touched []int32
 	inWork  []bool
+	solve   []float64 // ftran/btran scratch in elimination order, len m
 }
 
 type eta struct {
@@ -68,6 +69,7 @@ func newLU(m int) *luFactor {
 		work:     make([]float64, m),
 		touched:  make([]int32, 0, m),
 		inWork:   make([]bool, m),
+		solve:    make([]float64, m),
 	}
 }
 
@@ -187,7 +189,7 @@ func (f *luFactor) ftran(v, out []float64) {
 	}
 	// Back-substitute U z = y, column-wise.
 	z := out // reuse out as the z buffer in elimination order via scatter below
-	tmp := make([]float64, m)
+	tmp := f.solve
 	for k := 0; k < m; k++ {
 		tmp[k] = v[f.rowOfPos[k]]
 	}
@@ -242,7 +244,7 @@ func (f *luFactor) btran(c, out []float64) {
 		c[et.pos] = (c[et.pos] - s) / et.pivot
 	}
 	// Uᵀ g = c (in elimination order), forward.
-	g := make([]float64, m)
+	g := f.solve
 	for k := 0; k < m; k++ {
 		s := c[f.colOrder[k]]
 		up, uv := f.uPos[k], f.uVals[k]

@@ -2,6 +2,7 @@ package pso
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"singlingout/internal/dataset"
@@ -105,27 +106,8 @@ func (r Result) IsolationRate() float64 {
 // predicate weight (factor-5 margin plus a three-sigma sampling band plus
 // an absolute 1% floor).
 func (r Result) PreventsPSO() bool {
-	sigma := 3 * sqrtf(r.BaselineRate*(1-r.BaselineRate)/float64(max(1, r.Trials)))
+	sigma := 3 * math.Sqrt(r.BaselineRate*(1-r.BaselineRate)/float64(max(1, r.Trials)))
 	return r.SuccessRate() <= 5*r.BaselineRate+sigma+0.01
-}
-
-func sqrtf(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton iterations suffice for a tolerance diagnostic.
-	x := v
-	for i := 0; i < 40; i++ {
-		x = 0.5 * (x + v/x)
-	}
-	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the result as a one-line report row.

@@ -98,6 +98,7 @@ type CountOracle struct {
 	noise func(rng *rand.Rand, trueCount int) float64
 	limit int
 	used  int
+	memo  hashMemo
 }
 
 // Count answers one predicate-count query.
@@ -109,7 +110,7 @@ func (o *CountOracle) Count(p Predicate) (float64, error) {
 	o.used++
 	mCountQueries.Add(1)
 	mOracleQueries.Add(1)
-	c := IsolationCount(p, o.d)
+	c := o.memo.count(p, o.d)
 	if o.noise == nil {
 		return float64(c), nil
 	}

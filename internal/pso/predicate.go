@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"singlingout/internal/dataset"
 	"singlingout/internal/kanon"
@@ -99,9 +100,11 @@ func (e Equality) Describe() string {
 }
 
 // hashRecord hashes a record's cells with a seed (FNV-1a over the int64
-// cells). Distinct records get independent-looking 64-bit labels; this is
-// the package's stand-in for the Leftover-Hash-Lemma predicates used in
-// Section 2.2 of the paper.
+// cells, least significant byte first). Distinct records get
+// independent-looking 64-bit labels; this is the package's stand-in for
+// the Leftover-Hash-Lemma predicates used in Section 2.2 of the paper.
+// The eight byte steps per cell are written out, since this is the
+// innermost loop of every hash-predicate count.
 func hashRecord(seed uint64, r dataset.Record) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -110,12 +113,50 @@ func hashRecord(seed uint64, r dataset.Record) uint64 {
 	h := uint64(offset) ^ (seed * prime)
 	for _, v := range r {
 		u := uint64(v)
-		for b := 0; b < 8; b++ {
-			h ^= (u >> uint(8*b)) & 0xff
-			h *= prime
-		}
+		h = (h ^ u&0xff) * prime
+		h = (h ^ u>>8&0xff) * prime
+		h = (h ^ u>>16&0xff) * prime
+		h = (h ^ u>>24&0xff) * prime
+		h = (h ^ u>>32&0xff) * prime
+		h = (h ^ u>>40&0xff) * prime
+		h = (h ^ u>>48&0xff) * prime
+		h = (h ^ u>>56) * prime
 	}
 	return h
+}
+
+// hashMemo holds one seed's hashes of a dataset's rows, so that a run of
+// HashPrefix queries under that seed (the prefix-descent attacks) hashes
+// each record once. The dataset must not change while the memo is in use;
+// the oracles own theirs.
+type hashMemo struct {
+	filled bool
+	seed   uint64
+	hashes []uint64
+}
+
+// count returns IsolationCount(p, d). A HashPrefix is counted over the
+// memo, which is re-filled only when its seed differs from the memo's;
+// every other predicate goes to IsolationCount.
+func (m *hashMemo) count(p Predicate, d *dataset.Dataset) int {
+	pre, ok := p.(HashPrefix)
+	if !ok {
+		return IsolationCount(p, d)
+	}
+	if !m.filled || m.seed != pre.Seed {
+		m.hashes = slices.Grow(m.hashes[:0], len(d.Rows))
+		for _, r := range d.Rows {
+			m.hashes = append(m.hashes, hashRecord(pre.Seed, r))
+		}
+		m.filled, m.seed = true, pre.Seed
+	}
+	n := 0
+	for _, h := range m.hashes {
+		if pre.matchHash(h) {
+			n++
+		}
+	}
+	return n
 }
 
 // HashPrefix is a pseudorandom predicate: true iff the top Depth bits of
@@ -129,11 +170,11 @@ type HashPrefix struct {
 }
 
 // Eval implements Predicate.
-func (h HashPrefix) Eval(r dataset.Record) bool {
-	if h.Depth == 0 {
-		return true
-	}
-	return hashRecord(h.Seed, r)>>(64-uint(h.Depth)) == h.Prefix
+func (h HashPrefix) Eval(r dataset.Record) bool { return h.matchHash(hashRecord(h.Seed, r)) }
+
+// matchHash reports whether a record whose seeded hash is x satisfies h.
+func (h HashPrefix) matchHash(x uint64) bool {
+	return h.Depth == 0 || x>>(64-uint(h.Depth)) == h.Prefix
 }
 
 // NominalWeight implements Predicate.

@@ -19,10 +19,11 @@ import (
 // ThresholdOracle is the released value of SVTCounts: a handle answering
 // adaptive "count ≥ 1?" queries through dp.SparseVector.
 type ThresholdOracle struct {
-	d   *dataset.Dataset
-	sv  *dp.SparseVector
-	lim int
-	n   int
+	d    *dataset.Dataset
+	sv   *dp.SparseVector
+	lim  int
+	n    int
+	memo hashMemo
 }
 
 // AtLeastOne answers whether at least one record satisfies p, noised per
@@ -34,7 +35,7 @@ func (o *ThresholdOracle) AtLeastOne(p Predicate) (bool, error) {
 		return false, ErrQueryLimit
 	}
 	o.lim--
-	return o.sv.Above(int64(IsolationCount(p, o.d)))
+	return o.sv.Above(int64(o.memo.count(p, o.d)))
 }
 
 // N returns the dataset size.
