@@ -81,8 +81,11 @@ build:
 # out through internal/par worker pools (diffix averages noisy-query
 # replicates in parallel, recon runs its solver fan-out there), so their
 # tests exercise the pool's sharing discipline under real load.
+# ./cmd/loadgen/... holds the only test (TestOverloadInjectionSheds) that
+# drives the sharded server's admission control and load shedding with
+# concurrent HTTP clients.
 race:
-	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/...
+	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/...
 
 test:
 	$(GO) test ./...

@@ -14,17 +14,17 @@
 //	        [-metrics journal.jsonl]
 //
 // -shards partitions the answer cache and privacy-loss ledger across
-// independent locks; -queue-depth bounds each shard's admission queue
-// (excess load is shed with a typed "overloaded" refusal). -wal makes
-// the ledger durable: every spend/refund/deny is appended to the file
-// before it takes effect, and a restart replays it — spent budget
-// survives the restart.
+// independent locks, hashing each query or analyst mod the shard count;
+// -queue-depth bounds each shard's admission queue (excess load is shed
+// with a typed "overloaded" refusal). -wal makes the ledger durable:
+// every spend/refund/deny is appended to the file before it takes
+// effect, and a restart replays it — spent budget survives the restart.
 //
 // Endpoints:
 //
 //	GET  /v1/meta                dataset/backends/budget metadata
 //	POST /v1/query/{backend}     answer a batch (backend: exact, laplace, diffix)
-//	GET  /v1/ledger (or /ledger) append-only privacy-loss ledger (?analyst= filters)
+//	GET  /v1/ledger              append-only privacy-loss ledger (?analyst= filters)
 //	GET  /metrics /snapshot /healthz /journal /trace /debug/pprof/   observability
 //
 // Attacks run against it with `reconstruct -remote http://host:port`; the
@@ -69,7 +69,7 @@ func run(args []string, ready func(addr string)) int {
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted query batch")
 	maxConcurrent := fs.Int("max-concurrent", 16, "concurrent request bound")
 	workers := fs.Int("workers", 0, "pool workers per fresh sub-batch (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "cache/ledger partitions (consistent hashing; answers are shard-count invariant)")
+	shards := fs.Int("shards", 1, "cache/ledger partitions (hash mod shards; answers are shard-count invariant)")
 	queueDepth := fs.Int("queue-depth", 64, "per-shard admission queue bound (-1 = no waiting room)")
 	walPath := fs.String("wal", "", "ledger write-ahead log file (durable budget accounting across restarts)")
 	walSync := fs.Bool("wal-sync", false, "fsync the ledger WAL after every entry")
@@ -77,6 +77,12 @@ func run(args []string, ready func(addr string)) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+
+	// Handle SIGTERM/SIGINT from here on, before the listener serves and
+	// before ready: a signal during startup must still shut down through
+	// the deferred Close that syncs the WAL, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	// The whole service is one long observation; metrics and span tracing
 	// are always on — /trace serves the collected server-side spans so a
@@ -114,12 +120,11 @@ func run(args []string, ready func(addr string)) int {
 	osrv := serve.New(obs.Default(), journal)
 	osrv.SetPhase("serving")
 
-	// One listener: the query API under /v1/ (plus the /ledger alias for
-	// the privacy-loss ledger), the observability surface (Prometheus
-	// /metrics, /snapshot, /healthz, SSE /journal, /trace, pprof) at /.
+	// One listener: the query API under /v1/, the observability surface
+	// (Prometheus /metrics, /snapshot, /healthz, SSE /journal, /trace,
+	// pprof) at /.
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", rsrv.Handler())
-	mux.Handle("/ledger", rsrv.Handler())
 	mux.Handle("/", osrv.Handler())
 
 	ln, err := net.Listen("tcp", *addr)
@@ -145,8 +150,6 @@ func run(args []string, ready func(addr string)) int {
 		ready(bound)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	status := 0
 	select {
 	case <-ctx.Done():

@@ -1,5 +1,5 @@
 // Command repro regenerates every experiment table in DESIGN.md's
-// per-experiment index (E01–E16 and the ablations A01–A05). Its full-size
+// per-experiment index (E01–E19 and the ablations A01–A06). Its full-size
 // output is what EXPERIMENTS.md archives.
 //
 // With -metrics it additionally records a structured JSONL run journal —

@@ -1,9 +1,9 @@
 // Package experiments contains one harness per experiment in DESIGN.md's
-// per-experiment index (E1–E16 plus ablations). Each harness generates its
-// workload, runs the attack/defense under test, and returns a Table whose
-// rows are the series the paper's corresponding claim predicts. The same
-// harnesses back the root-level benchmarks, the CLI tools, and
-// EXPERIMENTS.md.
+// per-experiment index (E01–E19 plus the ablations A01–A06). Each harness
+// generates its workload, runs the attack/defense under test, and returns
+// a Table whose rows are the series the paper's corresponding claim
+// predicts. The same harnesses back the root-level benchmarks, the CLI
+// tools, and EXPERIMENTS.md.
 //
 // Every harness takes a seed (bit-for-bit reproducibility) and a quick
 // flag: quick runs shrink sizes/trials for CI; full runs produce the

@@ -164,7 +164,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 
 	// Raw wire view of the shed.
 	resp, err := http.Post(ts.URL+"/v1/query/block", "application/json",
-		strings.NewReader(`{"v":1,"analyst":"alice","queries":[[1]]}`))
+		strings.NewReader(`{"v":2,"analyst":"alice","queries":[[1]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

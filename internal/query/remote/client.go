@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -62,7 +63,6 @@ type Oracle struct {
 	base   string
 	opts   Options
 	meta   Meta
-	v      int    // negotiated wire version, stamped on every request
 	trace  string // wire trace id, stable for the oracle's lifetime
 	tracer *obs.Tracer
 	lane   int
@@ -72,11 +72,8 @@ type Oracle struct {
 }
 
 // Dial fetches baseURL/v1/meta and returns an Oracle bound to that
-// server. It negotiates the wire version: the client asks for its newest
-// schema (/v1/meta?v=2) and falls back to the baseline request when the
-// server refuses the parameter; either way the server's answer names the
-// version it speaks, and every subsequent request is stamped with it. A
-// server outside the client's [1, VMax] range fails the dial. The meta
+// server. A server speaking a wire version other than V, or advertising
+// a non-positive dataset size or batch limit, fails the dial. The meta
 // fetch retries transient failures like any other request.
 func Dial(ctx context.Context, baseURL string, opts Options) (*Oracle, error) {
 	if opts.Backend == "" {
@@ -105,20 +102,17 @@ func Dial(ctx context.Context, baseURL string, opts Options) (*Oracle, error) {
 		retries: reg.Counter(MetricClientRetries),
 		backoff: reg.Histogram(MetricClientBackoff),
 	}
-	if err := o.getJSON(ctx, "/v1/meta?v="+strconv.Itoa(VMax), &o.meta); err != nil {
-		// A pre-negotiation server may refuse the ?v= parameter outright;
-		// re-ask in the baseline shape before giving up.
-		o.meta = Meta{}
-		if ferr := o.getJSON(ctx, "/v1/meta", &o.meta); ferr != nil {
-			return nil, fmt.Errorf("remote: dialing query server: %w", err)
-		}
+	if err := o.getJSON(ctx, "/v1/meta", &o.meta); err != nil {
+		return nil, fmt.Errorf("remote: dialing query server: %w", err)
 	}
-	if o.meta.V < V || o.meta.V > VMax {
-		return nil, fmt.Errorf("remote: server speaks wire version %d, client speaks 1..%d", o.meta.V, VMax)
+	if o.meta.V != V {
+		return nil, fmt.Errorf("remote: server speaks wire version %d, client speaks %d", o.meta.V, V)
 	}
-	o.v = o.meta.V
 	if o.meta.N <= 0 {
 		return nil, fmt.Errorf("remote: server advertises dataset size %d", o.meta.N)
+	}
+	if o.meta.MaxBatch <= 0 {
+		return nil, fmt.Errorf("remote: server advertises max_batch %d", o.meta.MaxBatch)
 	}
 	if opts.MaxBatch <= 0 || opts.MaxBatch > o.meta.MaxBatch {
 		o.opts.MaxBatch = o.meta.MaxBatch
@@ -127,11 +121,8 @@ func Dial(ctx context.Context, baseURL string, opts Options) (*Oracle, error) {
 }
 
 // Meta returns the server's advertised metadata (dataset seed/size,
-// backends, budget; plus serving topology when v2 was negotiated).
+// backends, budget, serving topology).
 func (o *Oracle) Meta() Meta { return o.meta }
-
-// WireVersion reports the wire schema version negotiated at Dial.
-func (o *Oracle) WireVersion() int { return o.v }
 
 // TraceID returns the oracle's wire trace id: 16 hex characters,
 // deterministically derived from (base URL, backend, analyst), stamped on
@@ -168,7 +159,7 @@ func (o *Oracle) FetchTrace(ctx context.Context) (obs.TraceDump, error) {
 func (o *Oracle) FetchLedger(ctx context.Context, analyst string) (LedgerResponse, error) {
 	path := "/v1/ledger"
 	if analyst != "" {
-		path += "?analyst=" + analyst
+		path += "?" + url.Values{"analyst": {analyst}}.Encode()
 	}
 	var lr LedgerResponse
 	if err := o.getJSON(ctx, path, &lr); err != nil {
@@ -225,8 +216,8 @@ func (o *Oracle) getOnce(ctx context.Context, path string, v any) (retryable boo
 // N implements query.Oracle.
 func (o *Oracle) N() int { return o.meta.N }
 
-// Answer implements query.Oracle: the batch is chunked to the negotiated
-// batch limit and submitted as POST /v1/query/{backend} requests.
+// Answer implements query.Oracle: the batch is chunked to the batch
+// limit and submitted as POST /v1/query/{backend} requests.
 // Transient failures (network errors, 5xx, overload sheds) are retried
 // with exponential backoff; refusals come back as the repository's
 // sentinel errors — errors.Is(err, query.ErrBudgetExhausted) on an
@@ -260,7 +251,7 @@ func (o *Oracle) Answer(ctx context.Context, queries [][]int) ([]float64, error)
 // overload shed counts as transient: the server said "later", and its
 // retry_after_ms hint stretches the backoff when longer.
 func (o *Oracle) submit(ctx context.Context, chunk [][]int) ([]float64, error) {
-	body, err := json.Marshal(QueryRequest{V: o.v, Analyst: o.opts.Analyst, Queries: chunk})
+	body, err := json.Marshal(QueryRequest{V: V, Analyst: o.opts.Analyst, Queries: chunk})
 	if err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
@@ -365,8 +356,8 @@ func (o *Oracle) post(ctx context.Context, body []byte, want int) (answers []flo
 	if err := json.Unmarshal(payload, &qr); err != nil {
 		return nil, false, 0, fmt.Errorf("remote: undecodable response: %w", err)
 	}
-	if qr.V != o.v {
-		return nil, false, 0, fmt.Errorf("remote: response wire version %d, want %d", qr.V, o.v)
+	if qr.V != V {
+		return nil, false, 0, fmt.Errorf("remote: response wire version %d, want %d", qr.V, V)
 	}
 	if len(qr.Answers) != want {
 		return nil, false, 0, fmt.Errorf("remote: %d answers for %d queries", len(qr.Answers), want)

@@ -17,10 +17,10 @@ import (
 // resource, and a flat counter cannot answer an auditor's "when did this
 // analyst cross half their budget, and on which queries?".
 //
-// Sharding: each analyst is pinned to exactly one shard (consistent
-// hashing on the analyst id), so one analyst's entries are serialized by
-// one shard lock — the per-analyst cumulative order ReplayLedger checks
-// is a per-shard property, and no lock spans shards. Sequence numbers
+// Sharding: each analyst is pinned to exactly one shard (shardOf on the
+// analyst id), so one analyst's entries are serialized by one shard
+// lock — the per-analyst cumulative order ReplayLedger checks is a
+// per-shard property, and no lock spans shards. Sequence numbers
 // come from a server-global atomic so the merged history has a total
 // order; they are timestamp-free by design — under a deterministic
 // (sequential) workload the whole ledger is byte-identical across runs,

@@ -94,6 +94,29 @@ func TestLedgerEndpointAndReplay(t *testing.T) {
 	}
 }
 
+// TestFetchLedgerEscapesAnalyst: an analyst id holding query-string
+// metacharacters still filters the ledger to exactly that analyst.
+func TestFetchLedgerEscapesAnalyst(t *testing.T) {
+	_, ts := newTestServer(t, remote.ServerConfig{Seed: 13})
+	analysts := []string{"a", "a&b", "x y", "p+q"}
+	for i, analyst := range analysts {
+		o := dialAnalyst(t, ts.URL, "exact", analyst)
+		if _, err := o.Answer(ctx, [][]int{{i}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	auditor := dialAnalyst(t, ts.URL, "exact", "auditor")
+	for _, analyst := range analysts {
+		lr, err := auditor.FetchLedger(ctx, analyst)
+		if err != nil {
+			t.Fatalf("FetchLedger(%q): %v", analyst, err)
+		}
+		if len(lr.Entries) != 1 || lr.Entries[0].Analyst != analyst {
+			t.Errorf("FetchLedger(%q) entries = %+v, want its one spend", analyst, lr.Entries)
+		}
+	}
+}
+
 func TestReplayLedgerDetectsTamper(t *testing.T) {
 	entries := []remote.LedgerEntry{
 		{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 3, Cumulative: 3},
@@ -195,7 +218,7 @@ func TestClientRetryTelemetry(t *testing.T) {
 	failuresLeft.Store(2)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/query/") && failuresLeft.Add(-1) >= 0 {
-			http.Error(w, `{"v":1,"error":{"code":"internal","message":"injected"}}`, http.StatusBadGateway)
+			http.Error(w, `{"v":2,"error":{"code":"internal","message":"injected"}}`, http.StatusBadGateway)
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)

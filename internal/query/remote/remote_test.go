@@ -108,7 +108,7 @@ func TestRetryOnTransient5xx(t *testing.T) {
 		if strings.HasPrefix(r.URL.Path, "/v1/query/") {
 			reqs.Add(1)
 			if failuresLeft.Add(-1) >= 0 {
-				http.Error(w, `{"v":1,"error":{"code":"internal","message":"injected"}}`, http.StatusBadGateway)
+				http.Error(w, `{"v":2,"error":{"code":"internal","message":"injected"}}`, http.StatusBadGateway)
 				return
 			}
 		}

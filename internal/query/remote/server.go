@@ -53,10 +53,10 @@ type ServerConfig struct {
 
 	// Shards partitions the answer cache (by canonical query) and the
 	// privacy-loss ledger + admission control (by analyst id) across
-	// independent locks via consistent hashing; 0 = 1. Reconstruction
-	// results are byte-identical at any shard count: every backend is
-	// deterministic per canonical query, so partitioning changes
-	// contention, never answers.
+	// independent locks, a key going to shard fnvKey(key) mod Shards;
+	// 0 = 1. Reconstruction results are byte-identical at any shard
+	// count: every backend is deterministic per canonical query, so
+	// partitioning changes contention, never answers.
 	Shards int
 	// QueueDepth bounds each shard's admission queue: requests admitted
 	// but waiting for an active slot. Beyond active+QueueDepth a request
@@ -64,9 +64,6 @@ type ServerConfig struct {
 	// 0 = default 64, negative = no waiting room (shed when all active
 	// slots are busy).
 	QueueDepth int
-	// RetryAfter is the backoff hint stamped on overload refusals
-	// (Retry-After header + retry_after_ms body field); 0 = 50ms.
-	RetryAfter time.Duration
 	// Delay injects an artificial per-request service time before the
 	// batch is processed — load/overload testing only (cmd/loadgen's
 	// -inject-delay uses it to make shedding reproducible); 0 = none.
@@ -90,8 +87,12 @@ type ServerConfig struct {
 
 	Registry *obs.Registry // nil = obs.Default()
 	Journal  *obs.Journal  // nil = no journal events
-	Tracer   *obs.Tracer   // nil = obs.DefaultTracer(); server-side spans when enabled
 }
+
+// retryAfter is the backoff hint stamped on overload refusals
+// (Retry-After header + retry_after_ms body field) and advertised in
+// /v1/meta.
+const retryAfter = 50 * time.Millisecond
 
 // Server answers statistical queries over HTTP. It owns the only copy of
 // the dataset; analysts see nothing but noisy (or exact, for the
@@ -111,7 +112,6 @@ type Server struct {
 	tracer   *obs.Tracer
 	lane     int // trace lane of the query handler
 
-	ring       *ring
 	caches     []cacheShard
 	cacheCount atomic.Int64 // distinct cached keys across shards
 	ledgers    []*ledger
@@ -172,17 +172,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	case cfg.QueueDepth < 0:
 		cfg.QueueDepth = 0
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 50 * time.Millisecond
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.Default()
 	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.DefaultTracer()
-	}
+	tracer := obs.DefaultTracer()
 	x := Dataset(cfg.Seed, cfg.N, cfg.P)
 	regs := cfg.Backends
 	if len(regs) == 0 {
@@ -198,7 +192,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		backends: backends,
 		tracer:   tracer,
 		lane:     tracer.NewLane("qserver http"),
-		ring:     newRing(cfg.Shards),
 
 		requests:       reg.Counter(MetricRequests),
 		batchQueries:   reg.Counter(MetricBatchQueries),
@@ -220,7 +213,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	sort.Strings(s.names)
 
 	// Replay the WAL (if any) before any shard exists, then partition the
-	// replayed history by the same ring the live path uses — entries
+	// replayed history with shardOf, as the live path does — entries
 	// written under one shard count load cleanly under another.
 	var replayed []LedgerEntry
 	if cfg.WALPath != "" {
@@ -251,7 +244,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		totals := make([]map[string]int, cfg.Shards)
 		maxSeq := int64(0)
 		for _, e := range replayed {
-			sh := s.ring.shard(ledgerKey(e.Analyst))
+			sh := shardOf(e.Analyst, cfg.Shards)
 			byShard[sh] = append(byShard[sh], e)
 			if totals[sh] == nil {
 				totals[sh] = map[string]int{}
@@ -276,7 +269,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.mux.HandleFunc("/v1/meta", s.handleMeta)
 	s.mux.HandleFunc("/v1/query/", s.handleQuery)
 	s.mux.HandleFunc("/v1/ledger", s.handleLedger)
-	s.mux.HandleFunc("/ledger", s.handleLedger)
 	return s, nil
 }
 
@@ -296,11 +288,10 @@ func (s *Server) Close() error {
 // on the same listener (see cmd/qserver).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Meta returns the full (v2) metadata; GET /v1/meta shapes it to the
-// negotiated version.
+// Meta returns the metadata GET /v1/meta serves.
 func (s *Server) Meta() Meta {
 	return Meta{
-		V:            VMax,
+		V:            V,
 		N:            s.cfg.N,
 		Seed:         s.cfg.Seed,
 		P:            s.cfg.P,
@@ -309,39 +300,17 @@ func (s *Server) Meta() Meta {
 		MaxBatch:     s.cfg.MaxBatch,
 		Shards:       s.cfg.Shards,
 		QueueDepth:   s.cfg.QueueDepth,
-		RetryAfterMs: int(s.cfg.RetryAfter / time.Millisecond),
+		RetryAfterMs: int(retryAfter / time.Millisecond),
 	}
-}
-
-// metaAt shapes the metadata to one wire version: a v1 view omits the
-// v2 topology/overload fields entirely, so pre-v2 clients decode exactly
-// the schema they were built against.
-func (s *Server) metaAt(v int) Meta {
-	m := s.Meta()
-	m.V = v
-	if v < V2 {
-		m.Shards, m.QueueDepth, m.RetryAfterMs = 0, 0, 0
-	}
-	return m
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.fail(w, V, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
+		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
 		return
 	}
 	s.requests.Add(1)
-	v := V
-	if raw := r.URL.Query().Get("v"); raw != "" {
-		parsed, err := strconv.Atoi(raw)
-		if err != nil || parsed < 1 || parsed > VMax {
-			s.fail(w, V, http.StatusBadRequest, CodeUnsupportedVersion,
-				fmt.Sprintf("requested wire version %q, server speaks 1..%d", raw, VMax))
-			return
-		}
-		v = parsed
-	}
-	writeJSON(w, http.StatusOK, s.metaAt(v))
+	writeJSON(w, http.StatusOK, s.Meta())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -349,7 +318,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer sp.End()
 	s.requests.Add(1)
 	if r.Method != http.MethodPost {
-		s.fail(w, V, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
+		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "POST only")
 		return
 	}
 	// Continue the client's trace: the span this handler records carries
@@ -373,23 +342,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/v1/query/")
 	backend, ok := s.backends[name]
 	if !ok {
-		s.fail(w, V, http.StatusNotFound, CodeUnknownBackend, fmt.Sprintf("no backend %q (have %s)", name, strings.Join(s.names, ", ")))
+		s.fail(w, http.StatusNotFound, CodeUnknownBackend, fmt.Sprintf("no backend %q (have %s)", name, strings.Join(s.names, ", ")))
 		return
 	}
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(&req); err != nil {
-		s.fail(w, V, http.StatusBadRequest, CodeBadRequest, "undecodable body: "+err.Error())
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "undecodable body: "+err.Error())
 		return
 	}
-	if req.V < V || req.V > VMax {
-		s.fail(w, V, http.StatusBadRequest, CodeUnsupportedVersion,
-			fmt.Sprintf("wire version %d, server speaks 1..%d", req.V, VMax))
+	if req.V != V {
+		s.fail(w, http.StatusBadRequest, CodeUnsupportedVersion,
+			fmt.Sprintf("wire version %d, server speaks %d", req.V, V))
 		return
 	}
-	v := req.V // responses echo the request's version
 	if len(req.Queries) > s.cfg.MaxBatch {
-		s.fail(w, v, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("batch of %d exceeds max_batch %d", len(req.Queries), s.cfg.MaxBatch))
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("batch of %d exceeds max_batch %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
 	analyst := req.Analyst
@@ -400,15 +368,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Admission control on the analyst's shard: claim a bounded queue
 	// slot or shed immediately — under overload the server answers
 	// "retry later" in microseconds instead of stacking requests.
-	shard := s.ring.shard(ledgerKey(analyst))
+	shard := shardOf(analyst, len(s.ledgers))
 	if err := s.admits[shard].enter(ctx); err != nil {
 		if errors.Is(err, errShed) {
 			s.shed.Add(1)
 			s.journal(name, analyst, trace, len(req.Queries), 0, 0, CodeOverloaded)
-			s.failOverloaded(w, v, fmt.Sprintf("shard %d admission queue full", shard))
+			s.failOverloaded(w, fmt.Sprintf("shard %d admission queue full", shard))
 			return
 		}
-		s.fail(w, v, http.StatusServiceUnavailable, CodeInternal, "cancelled while waiting for a slot")
+		s.fail(w, http.StatusServiceUnavailable, CodeInternal, "cancelled while waiting for a slot")
 		return
 	}
 	defer s.admits[shard].leave()
@@ -420,7 +388,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			s.fail(w, v, http.StatusServiceUnavailable, CodeInternal, "cancelled during injected delay")
+			s.fail(w, http.StatusServiceUnavailable, CodeInternal, "cancelled during injected delay")
 			return
 		case <-t.C:
 		}
@@ -437,7 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		cq := append([]int(nil), q...)
 		sort.Ints(cq)
 		if err := query.ValidateQuery(s.cfg.N, cq); err != nil {
-			s.fail(w, v, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("query %d: %v", i, err))
+			s.fail(w, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
 		canon[i] = cq
@@ -449,7 +417,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// budget — asking again is free.
 	byShard := make([][]int, len(s.caches))
 	for i, k := range keys {
-		sh := s.ring.shard(k)
+		sh := shardOf(k, len(s.caches))
 		byShard[sh] = append(byShard[sh], i)
 	}
 	cachedMask := make([]bool, len(keys))
@@ -499,7 +467,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		entry, ok, lerr := led.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
 		if lerr != nil {
 			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
-			s.fail(w, v, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
+			s.fail(w, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
 			return
 		}
 		if s.wal != nil {
@@ -509,7 +477,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			s.budgetDenied.Add(1)
 			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeBudgetExhausted)
-			s.fail(w, v, http.StatusTooManyRequests, CodeBudgetExhausted,
+			s.fail(w, http.StatusTooManyRequests, CodeBudgetExhausted,
 				fmt.Sprintf("analyst %q: %d fresh queries over budget (%d of %d spent)",
 					analyst, fresh, entry.Cumulative, s.cfg.Budget))
 			return
@@ -536,7 +504,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			re, rerr := led.refund(analyst, name, hash, trace, fresh)
 			if rerr != nil {
 				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
-				s.fail(w, v, http.StatusInternalServerError, CodeInternal,
+				s.fail(w, http.StatusInternalServerError, CodeInternal,
 					fmt.Sprintf("batch failed (%v) and the ledger refund did not persist: %v", err, rerr))
 				return
 			}
@@ -556,7 +524,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			status, code = http.StatusTooManyRequests, CodeBudgetExhausted
 		}
 		s.journal(name, analyst, trace, len(req.Queries), cached, fresh, code)
-		s.fail(w, v, status, code, err.Error())
+		s.fail(w, status, code, err.Error())
 		return
 	}
 
@@ -565,7 +533,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// one batch and repeated batches across analysts observe one value.
 	freshByShard := make([][]int, len(s.caches))
 	for i := range misses {
-		sh := s.ring.shard(misses[i].key)
+		sh := shardOf(misses[i].key, len(s.caches))
 		freshByShard[sh] = append(freshByShard[sh], i)
 	}
 	var newKeys int64
@@ -604,7 +572,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.journal(name, analyst, trace, len(req.Queries), cached, fresh, "")
-	writeJSON(w, http.StatusOK, QueryResponse{V: v, Answers: answers, Cached: cached, BudgetRemaining: remaining})
+	writeJSON(w, http.StatusOK, QueryResponse{V: V, Answers: answers, Cached: cached, BudgetRemaining: remaining})
 }
 
 // journal emits one run-journal event per query batch (when a journal is
@@ -647,10 +615,9 @@ func (s *Server) journalBudget(e LedgerEntry) {
 // handleLedger serves the append-only privacy-loss ledger (GET, optional
 // ?analyst= filter): the full spend/refund/deny history merged across
 // shards in sequence order, plus the current per-analyst net totals.
-// Mounted at both /v1/ledger and /ledger.
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.fail(w, V, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
+		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
 		return
 	}
 	s.requests.Add(1)
@@ -660,26 +627,25 @@ func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fail writes a refusal at the given wire version. v is V for failures
-// detected before the request's version is known.
-func (s *Server) fail(w http.ResponseWriter, v, status int, code, msg string) {
+// fail writes a typed refusal.
+func (s *Server) fail(w http.ResponseWriter, status int, code, msg string) {
 	s.errs.Add(1)
-	writeJSON(w, status, ErrorResponse{V: v, Err: ErrorBody{Code: code, Message: msg}})
+	writeJSON(w, status, ErrorResponse{V: V, Err: ErrorBody{Code: code, Message: msg}})
 }
 
 // failOverloaded writes the typed load-shedding refusal: 503 with the
 // retry hint both as the coarse Retry-After header (whole seconds,
 // minimum 1) and the precise retry_after_ms body field.
-func (s *Server) failOverloaded(w http.ResponseWriter, v int, msg string) {
+func (s *Server) failOverloaded(w http.ResponseWriter, msg string) {
 	s.errs.Add(1)
-	ms := int(s.cfg.RetryAfter / time.Millisecond)
+	ms := int(retryAfter / time.Millisecond)
 	secs := (ms + 999) / 1000
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
-		V:   v,
+		V:   V,
 		Err: ErrorBody{Code: CodeOverloaded, Message: msg, RetryAfterMs: ms},
 	})
 }
@@ -708,7 +674,7 @@ func queryKey(backend string, canonical []int) string {
 // BudgetSpent reports the fresh queries an analyst has net spent (test
 // and telemetry hook); it is the analyst's ledger-shard total.
 func (s *Server) BudgetSpent(analyst string) int {
-	return s.ledgers[s.ring.shard(ledgerKey(analyst))].total(analyst)
+	return s.ledgers[shardOf(analyst, len(s.ledgers))].total(analyst)
 }
 
 // Ledger returns the current entry history and totals (optionally

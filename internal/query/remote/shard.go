@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,66 +12,24 @@ import (
 
 // This file is the server's partitioning and admission layer. The answer
 // cache is partitioned by canonicalized query key and the privacy-loss
-// ledger by analyst id, both via one consistent-hash ring, so no lock in
-// the request path is global: two requests touching different analysts
-// and different queries never contend. Admission control is per ledger
-// shard — each shard owns a bounded queue in front of a bounded set of
-// active slots, and a request arriving at a full queue is shed with a
-// typed overload refusal instead of piling up unbounded goroutines.
+// ledger by analyst id, both with shardOf, so no lock in the request path
+// is global: two requests touching different analysts and different
+// queries never contend. Admission control is per ledger shard — each
+// shard owns a bounded queue in front of a bounded set of active slots,
+// and a request arriving at a full queue is shed with a typed overload
+// refusal instead of piling up unbounded goroutines.
 
-// ringReplicas is the virtual-node count per shard on the hash ring.
-// Enough points that key load spreads evenly at small shard counts.
-const ringReplicas = 64
+// shardOf maps a key to one of n shards (n >= 1). Nothing is ever
+// migrated between shard counts: the cache is not persisted, and a WAL
+// replay partitions every entry afresh, so plain hashing mod n is enough.
+func shardOf(key string, n int) int { return int(fnvKey(key) % uint64(n)) }
 
-// ring is a consistent-hash ring over shard ids: each shard contributes
-// ringReplicas virtual points, and a key maps to the shard owning the
-// first point clockwise from the key's hash. Consistent hashing (rather
-// than hash % shards) keeps most keys on their shard when the shard
-// count changes — a WAL written by a 2-shard server replays cleanly into
-// a 4-shard one because partitioning is recomputed per key, and the keys
-// that do move land exactly where the new ring says they live.
-type ring struct {
-	points []ringPoint // sorted by hash
-}
-
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
-// newRing builds the ring for `shards` shards. shards < 1 panics: the
-// server validates its config before building one.
-func newRing(shards int) *ring {
-	if shards < 1 {
-		panic(fmt.Sprintf("remote: newRing(%d): shard count must be positive", shards))
-	}
-	r := &ring{points: make([]ringPoint, 0, shards*ringReplicas)}
-	for s := 0; s < shards; s++ {
-		for v := 0; v < ringReplicas; v++ {
-			r.points = append(r.points, ringPoint{hash: fnvKey(fmt.Sprintf("shard-%d-vnode-%d", s, v)), shard: s})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return r
-}
-
-// shard maps a key to its owning shard: the first ring point at or after
-// the key's hash, wrapping to the first point past the top.
-func (r *ring) shard(key string) int {
-	h := fnvKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
-}
-
-// fnvKey is the ring's hash: FNV-1a over the key bytes (the same family
+// fnvKey is the shard hash: FNV-1a over the key bytes (the same family
 // the ledger's batch hash and the wire trace ids use), finished with a
 // splitmix64-style avalanche. FNV alone leaves similar short strings —
-// exactly what vnode labels and canonical query keys are — correlated in
-// the bits that decide ring order, starving some shards of arc length;
-// the finalizer spreads them uniformly.
+// exactly what canonical query keys and analyst ids are — correlated in
+// the low bits the modulus keeps, starving some shards; the finalizer
+// spreads them uniformly.
 func fnvKey(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -84,11 +41,6 @@ func fnvKey(key string) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// ledgerKey namespaces analyst ids on the ring so the ledger partition of
-// analyst "a" is decorrelated from the cache partition of a query whose
-// key happens to collide with the bare string "a".
-func ledgerKey(analyst string) string { return "ledger|" + analyst }
 
 // cacheShard is one partition of the answer cache, guarded by its own
 // lock. Answers are deterministic per (backend, canonical query), so a

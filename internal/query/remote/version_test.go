@@ -3,7 +3,6 @@ package remote_test
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -13,64 +12,46 @@ import (
 	"singlingout/internal/query/remote"
 )
 
-func getMeta(t *testing.T, url string) (remote.Meta, int, []byte) {
+func getMeta(t *testing.T, url string) (remote.Meta, int) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var m remote.Meta
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(body, &m); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return m, resp.StatusCode, body
+	return m, resp.StatusCode
 }
 
 func TestMetaVersionNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, remote.ServerConfig{Seed: 31, Shards: 2})
 
-	// Baseline request: v1 shape, no topology fields.
-	m, status, _ := getMeta(t, ts.URL+"/v1/meta")
-	if status != http.StatusOK || m.V != 1 || m.Shards != 0 || m.RetryAfterMs != 0 {
-		t.Fatalf("v1 meta = %+v (status %d), want V=1 without topology fields", m, status)
+	// Topology and overload semantics are always advertised, and query
+	// parameters such as ?v=1 change nothing.
+	for _, path := range []string{"/v1/meta", "/v1/meta?v=1"} {
+		m, status := getMeta(t, ts.URL+path)
+		if status != http.StatusOK || m.V != remote.V || m.Shards != 2 || m.QueueDepth != 64 || m.RetryAfterMs <= 0 {
+			t.Fatalf("GET %s = %+v (status %d)", path, m, status)
+		}
 	}
 
-	// v2 request: topology and overload semantics advertised.
-	m2, status, _ := getMeta(t, ts.URL+"/v1/meta?v=2")
-	if status != http.StatusOK || m2.V != 2 || m2.Shards != 2 || m2.QueueDepth != 64 || m2.RetryAfterMs <= 0 {
-		t.Fatalf("v2 meta = %+v (status %d)", m2, status)
-	}
-
-	// Future version: typed refusal.
-	_, status, body := getMeta(t, ts.URL+"/v1/meta?v=9")
-	if status != http.StatusBadRequest {
-		t.Fatalf("v9 meta status = %d, want 400", status)
-	}
-	var er remote.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Err.Code != remote.CodeUnsupportedVersion {
-		t.Fatalf("v9 meta body = %s, want code %q", body, remote.CodeUnsupportedVersion)
-	}
-
-	// Dial lands on v2 and sees the topology.
+	// Dial sees the topology.
 	o, err := remote.Dial(ctx, ts.URL, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.WireVersion() != 2 || o.Meta().Shards != 2 {
-		t.Fatalf("negotiated v%d with meta %+v, want v2 with shards", o.WireVersion(), o.Meta())
+	if o.Meta().V != remote.V || o.Meta().Shards != 2 {
+		t.Fatalf("dialed meta %+v, want v%d with shards", o.Meta(), remote.V)
 	}
 }
 
-// TestPostVersionEcho: the server accepts any version in [1, VMax] and
-// answers in the version the request spoke, so old clients keep decoding
-// exactly what they always did.
+// TestPostVersionEcho: the server answers a request of version V in V
+// and refuses every other version with a typed error.
 func TestPostVersionEcho(t *testing.T) {
 	_, ts := newTestServer(t, remote.ServerConfig{Seed: 37})
 	post := func(v int) (remote.QueryResponse, remote.ErrorResponse, int) {
@@ -89,51 +70,45 @@ func TestPostVersionEcho(t *testing.T) {
 		json.Unmarshal(payload.Bytes(), &er)
 		return qr, er, resp.StatusCode
 	}
-	if qr, _, status := post(1); status != http.StatusOK || qr.V != 1 {
-		t.Fatalf("v1 request answered with status %d v%d, want 200 v1", status, qr.V)
+	if qr, _, status := post(remote.V); status != http.StatusOK || qr.V != remote.V {
+		t.Fatalf("v%d request answered with status %d v%d, want 200 v%d", remote.V, status, qr.V, remote.V)
 	}
-	if qr, _, status := post(2); status != http.StatusOK || qr.V != 2 {
-		t.Fatalf("v2 request answered with status %d v%d, want 200 v2", status, qr.V)
-	}
-	if _, er, status := post(3); status != http.StatusBadRequest || er.Err.Code != remote.CodeUnsupportedVersion {
-		t.Fatalf("v3 request: status %d code %q, want 400 %q", status, er.Err.Code, remote.CodeUnsupportedVersion)
-	}
-	if _, er, status := post(0); status != http.StatusBadRequest || er.Err.Code != remote.CodeUnsupportedVersion {
-		t.Fatalf("v0 request: status %d code %q, want 400 %q", status, er.Err.Code, remote.CodeUnsupportedVersion)
-	}
-}
-
-// TestDialDowngradesToLegacyServer: a pre-negotiation server ignores the
-// ?v= parameter and answers the baseline schema; Dial settles on v1.
-func TestDialDowngradesToLegacyServer(t *testing.T) {
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/meta" {
-			http.NotFound(w, r)
-			return
+	for _, v := range []int{remote.V - 1, remote.V + 1, 0} {
+		if _, er, status := post(v); status != http.StatusBadRequest || er.Err.Code != remote.CodeUnsupportedVersion {
+			t.Fatalf("v%d request: status %d code %q, want 400 %q", v, status, er.Err.Code, remote.CodeUnsupportedVersion)
 		}
-		json.NewEncoder(w).Encode(remote.Meta{
-			V: 1, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: 64,
-		})
-	}))
-	defer legacy.Close()
-	o, err := remote.Dial(ctx, legacy.URL, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.WireVersion() != 1 {
-		t.Fatalf("negotiated v%d against a legacy server, want 1", o.WireVersion())
 	}
 }
 
-// TestDialRefusesFutureServer: a server whose advertised version is past
-// the client's range fails the dial instead of being misread.
+// TestDialRefusesFutureServer: a server advertising any wire version but
+// V, the next one or the retired previous one, fails the dial instead of
+// being misread.
 func TestDialRefusesFutureServer(t *testing.T) {
-	future := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(remote.Meta{V: 9, N: 16, Seed: 1, P: 0.5, MaxBatch: 64})
-	}))
-	defer future.Close()
-	if _, err := remote.Dial(ctx, future.URL, fastOpts()); err == nil {
-		t.Fatal("Dial should refuse a server speaking a future wire version")
+	for _, v := range []int{remote.V + 1, remote.V - 1} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(remote.Meta{V: v, N: 16, Seed: 1, P: 0.5, MaxBatch: 64})
+		}))
+		_, err := remote.Dial(ctx, srv.URL, fastOpts())
+		srv.Close()
+		if err == nil {
+			t.Fatalf("Dial should refuse a server speaking wire version %d", v)
+		}
+	}
+}
+
+// TestDialRefusesNonPositiveMaxBatch: a server advertising no usable
+// batch limit fails the dial, as a non-positive dataset size does;
+// accepting it would leave Answer posting empty chunks forever.
+func TestDialRefusesNonPositiveMaxBatch(t *testing.T) {
+	for _, maxBatch := range []int{0, -1} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(remote.Meta{V: remote.V, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: maxBatch})
+		}))
+		_, err := remote.Dial(ctx, srv.URL, fastOpts())
+		srv.Close()
+		if err == nil {
+			t.Fatalf("Dial should refuse max_batch %d", maxBatch)
+		}
 	}
 }
 
@@ -148,7 +123,7 @@ func TestGetRetriesTransient(t *testing.T) {
 			return
 		}
 		json.NewEncoder(w).Encode(remote.Meta{
-			V: 2, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: 64, Shards: 1,
+			V: remote.V, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: 64, Shards: 1,
 		})
 	}))
 	defer flaky.Close()
@@ -160,8 +135,8 @@ func TestGetRetriesTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial should outlast two transient failures: %v", err)
 	}
-	if o.WireVersion() != 2 {
-		t.Fatalf("negotiated v%d, want 2", o.WireVersion())
+	if o.Meta().V != remote.V {
+		t.Fatalf("dialed v%d, want %d", o.Meta().V, remote.V)
 	}
 	if got := reg.Counter(remote.MetricClientRetries).Value(); got != 2 {
 		t.Fatalf("remote.retries = %d, want 2", got)

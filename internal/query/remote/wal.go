@@ -36,8 +36,15 @@ type wal struct {
 // slightly out of global order; sorting by Seq restores the order
 // ReplayLedger validates (per-analyst order is already correct on disk,
 // because an analyst's entries are serialized by their shard's lock).
+//
+// Before the first append the file is cut back to end with its last
+// entry's line and a '\n': a torn tail that ReadWAL dropped is
+// truncated away, and a final entry that lost its newline gets one.
+// Appending straight onto either would glue the next entry to it in one
+// undecodable line, which the next ReadWAL drops as a torn tail —
+// refunding the spend it recorded — or refuses as mid-file corruption.
 func openWAL(path string, syncEach bool) (*wal, []LedgerEntry, error) {
-	entries, err := ReadWAL(path)
+	entries, tail, err := readWAL(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, nil, err
 	}
@@ -45,7 +52,33 @@ func openWAL(path string, syncEach bool) (*wal, []LedgerEntry, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("remote: opening ledger wal: %w", err)
 	}
+	if err := repairTail(f, tail); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("remote: repairing ledger wal tail: %w", err)
+	}
 	return &wal{f: f, syncEach: syncEach}, entries, nil
+}
+
+// repairTail makes f end right after its last entry's line, with that
+// line terminated, and syncs the repair. The two cases are exclusive: a
+// final line without '\n' ends the file.
+func repairTail(f *os.File, tail walTail) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	switch {
+	case st.Size() > tail.end:
+		err = f.Truncate(tail.end)
+	case tail.end > 0 && !tail.newline:
+		_, err = f.Write([]byte{'\n'})
+	default:
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // append durably records one entry. Called with the entry's shard-ledger
@@ -96,17 +129,44 @@ func (w *wal) Close() error {
 // middle must not silently replay to a smaller spend. Callers wanting
 // the cross-check run ReplayLedger over the result, as NewServer does.
 func ReadWAL(path string) ([]LedgerEntry, error) {
+	entries, _, err := readWAL(path)
+	return entries, err
+}
+
+// walTail locates the end of a log's last decoded entry: end is the
+// byte offset just past its line, and newline whether that line ends in
+// '\n'. A log without entries has end 0.
+type walTail struct {
+	end     int64
+	newline bool
+}
+
+// readWAL is ReadWAL plus the tail of the entries it kept.
+func readWAL(path string) ([]LedgerEntry, walTail, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("remote: ledger wal: %w", err)
+			return nil, walTail{}, fmt.Errorf("remote: ledger wal: %w", err)
 		}
-		return nil, fmt.Errorf("remote: reading ledger wal: %w", err)
+		return nil, walTail{}, fmt.Errorf("remote: reading ledger wal: %w", err)
 	}
 	defer f.Close()
 	var entries []LedgerEntry
+	var tail walTail
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// Track the byte offset past the current line, and whether the line
+	// ended in '\n' (the final line of a file may not).
+	var off int64
+	var newline bool
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			off += int64(adv)
+			newline = data[adv-1] == '\n'
+		}
+		return adv, tok, err
+	})
 	lineNo := 0
 	var pendingErr error
 	for sc.Scan() {
@@ -117,7 +177,7 @@ func ReadWAL(path string) ([]LedgerEntry, error) {
 		}
 		if pendingErr != nil {
 			// The bad line was NOT the final one: corruption, not a torn tail.
-			return nil, pendingErr
+			return nil, walTail{}, pendingErr
 		}
 		var e LedgerEntry
 		if err := json.Unmarshal(line, &e); err != nil {
@@ -125,17 +185,18 @@ func ReadWAL(path string) ([]LedgerEntry, error) {
 			continue
 		}
 		entries = append(entries, e)
+		tail = walTail{end: off, newline: newline}
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("remote: ledger wal line %d: %w", lineNo+1, err)
+			return nil, walTail{}, fmt.Errorf("remote: ledger wal line %d: %w", lineNo+1, err)
 		}
-		return nil, fmt.Errorf("remote: reading ledger wal: %w", err)
+		return nil, walTail{}, fmt.Errorf("remote: reading ledger wal: %w", err)
 	}
 	// pendingErr still set here means the undecodable line was the last
 	// one — a torn append from a crash; replay proceeds without it (the
 	// entry it would have recorded never took effect in memory either,
 	// since WAL append precedes the ledger append).
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
-	return entries, nil
+	return entries, tail, nil
 }

@@ -1,6 +1,7 @@
 package remote_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -125,42 +126,77 @@ func TestWALRestartRechargesCachedQueries(t *testing.T) {
 	}
 }
 
-// TestWALTornTailTolerated: a crash mid-append leaves a torn final line;
-// replay drops it (the entry never took effect in memory either) and the
-// server restarts cleanly on the intact prefix.
+// TestWALTornTailTolerated: a crash mid-append leaves a torn final line
+// (or an intact final entry that lost its newline); replay keeps the
+// intact prefix and the server restarts cleanly on it. The restarted
+// server repairs the tail before appending, so what it spends next
+// survives the restart after that.
 func TestWALTornTailTolerated(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "ledger.wal")
-	cfg := remote.ServerConfig{Seed: 7, Budget: 10, WALPath: walPath}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, walPath string)
+	}{
+		{"torn bytes", func(t *testing.T, walPath string) {
+			f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(`{"seq":99,"analyst":"carol","op":"spe`); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}},
+		{"missing newline", func(t *testing.T, walPath string) {
+			raw, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(walPath, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "ledger.wal")
+			cfg := remote.ServerConfig{Seed: 7, Budget: 10, WALPath: walPath}
 
-	srv, ts := newTestServer(t, cfg)
-	o := dialAnalyst(t, ts.URL, "exact", "carol")
-	if _, err := o.Answer(ctx, [][]int{{0}, {1}, {2}}); err != nil {
-		t.Fatal(err)
-	}
-	ts.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":99,"analyst":"carol","op":"spe`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			srv, ts := newTestServer(t, cfg)
+			o := dialAnalyst(t, ts.URL, "exact", "carol")
+			if _, err := o.Answer(ctx, [][]int{{0}, {1}, {2}}); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, walPath)
 
-	entries, err := remote.ReadWAL(walPath)
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("replayed %d entries, want the 1 intact one", len(entries))
-	}
-	srv2, ts2 := newTestServer(t, cfg)
-	_ = ts2
-	if got := srv2.BudgetSpent("carol"); got != 3 {
-		t.Fatalf("restart over torn tail remembers %d, want 3", got)
+			entries, err := remote.ReadWAL(walPath)
+			if err != nil {
+				t.Fatalf("torn tail should be tolerated: %v", err)
+			}
+			if len(entries) != 1 {
+				t.Fatalf("replayed %d entries, want the 1 intact one", len(entries))
+			}
+			srv2, ts2 := newTestServer(t, cfg)
+			if got := srv2.BudgetSpent("carol"); got != 3 {
+				t.Fatalf("restart over torn tail remembers %d, want 3", got)
+			}
+
+			// Spend on the repaired log, then restart again.
+			o2 := dialAnalyst(t, ts2.URL, "exact", "carol")
+			if _, err := o2.Answer(ctx, [][]int{{3}, {4}}); err != nil {
+				t.Fatal(err)
+			}
+			ts2.Close()
+			if err := srv2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			srv3, _ := newTestServer(t, cfg)
+			if got := srv3.BudgetSpent("carol"); got != 5 {
+				t.Fatalf("second restart remembers %d, want 5 — the spend after the first restart was refunded", got)
+			}
+		})
 	}
 }
 

@@ -15,23 +15,11 @@ import (
 	"singlingout/internal/synth"
 )
 
-// V is the baseline wire schema version. Every request and response
-// carries its version as "v"; an unsupported version is rejected with
-// code "unsupported_version" so incompatible clients fail loudly instead
-// of misinterpreting fields.
-//
-// V2 extends the schema with production-serving metadata: /v1/meta?v=2
-// additionally advertises the server's shard count, per-shard admission
-// queue depth and overload retry hint, and overload refusals carry a
-// retry_after_ms hint. The query/ledger bodies are unchanged — a v1
-// client interoperates with a v2 server (it simply never asks for the
-// extended meta), and a v2 client downgrades to v1 against a v1 server
-// (an old server ignores the ?v= parameter and answers with v:1).
-const (
-	V    = 1
-	V2   = 2
-	VMax = V2
-)
+// V is the wire schema version. Every request and response carries it
+// as "v"; the server refuses a request of any other version with code
+// "unsupported_version", and Dial refuses a server advertising another,
+// so incompatible peers fail loudly instead of misinterpreting fields.
+const V = 2
 
 // Error codes carried in ErrorResponse. The client maps the first three
 // back to the repository's sentinel errors (query.ErrInvalidQuery,
@@ -44,7 +32,7 @@ const (
 	CodeBadRequest         = "bad_request"         // 400: undecodable body, oversized batch
 	CodeInternal           = "internal"            // 500: server-side failure
 	CodeOverloaded         = "overloaded"          // 503: admission queue full, request shed; retry after the hint
-	CodeUnsupportedVersion = "unsupported_version" // 400: wire version outside [1, VMax]
+	CodeUnsupportedVersion = "unsupported_version" // 400: wire version other than V
 )
 
 // Trace-propagation headers. The client stamps every query POST with
@@ -89,10 +77,10 @@ type LedgerEntry struct {
 	Trace      string `json:"trace,omitempty"`
 }
 
-// LedgerResponse is the body of GET /v1/ledger (also mounted at /ledger):
-// the full entry history (optionally filtered with ?analyst=) plus the
-// current per-analyst net totals. ReplayLedger(Entries) == Totals always
-// holds for an unfiltered response.
+// LedgerResponse is the body of GET /v1/ledger: the full entry history
+// (optionally filtered with ?analyst=) plus the current per-analyst net
+// totals. ReplayLedger(Entries) == Totals always holds for an unfiltered
+// response.
 type LedgerResponse struct {
 	V       int            `json:"v"`
 	Budget  int            `json:"budget"` // configured per-analyst budget, 0 = unlimited
@@ -124,14 +112,10 @@ type QueryResponse struct {
 // Meta is the body of GET /v1/meta: everything a client needs to run an
 // attack. Seed/N/P let an evaluation harness regenerate the dataset
 // locally (remote.Dataset) to score reconstructions without the server
-// ever shipping the raw bits over a query endpoint.
-//
-// The trailing fields are v2 schema: GET /v1/meta?v=2 fills them, a v1
-// response omits them (Dial negotiates — Meta.V reports what the server
-// actually spoke). They describe the serving topology and overload
-// semantics: how many shards partition the answer cache and ledger, how
-// deep each shard's admission queue is, and how long a shed client
-// should back off before retrying.
+// ever shipping the raw bits over a query endpoint. The trailing fields
+// describe the serving topology and overload semantics: how many shards
+// partition the answer cache and ledger, how deep each shard's admission
+// queue is, and how long a shed client should back off before retrying.
 type Meta struct {
 	V        int      `json:"v"`
 	N        int      `json:"n"`
@@ -141,9 +125,9 @@ type Meta struct {
 	Budget   int      `json:"budget"`    // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch int      `json:"max_batch"` // largest accepted batch
 
-	Shards       int `json:"shards,omitempty"`         // v2: cache/ledger partitions
-	QueueDepth   int `json:"queue_depth,omitempty"`    // v2: per-shard admission queue bound
-	RetryAfterMs int `json:"retry_after_ms,omitempty"` // v2: suggested overload backoff
+	Shards       int `json:"shards"`         // cache/ledger partitions
+	QueueDepth   int `json:"queue_depth"`    // per-shard admission queue bound
+	RetryAfterMs int `json:"retry_after_ms"` // suggested overload backoff
 }
 
 // ErrorResponse is the body of every non-2xx response.
