@@ -17,7 +17,8 @@
 #                  (throughput/latency/shards/shed) to survive
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
-#                  IsolationCount, HashPrefix.Eval)
+#                  IsolationCount, HashPrefix.Eval) and the query server's
+#                  handler on cached and fresh batches (BenchmarkServeQuery)
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
@@ -134,6 +135,7 @@ loadgen-smoke:
 gobench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
+	$(GO) test -run '^$$' -bench BenchmarkServeQuery -benchmem ./internal/query/remote
 
 repro:
 	$(GO) run ./cmd/repro

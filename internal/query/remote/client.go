@@ -251,10 +251,11 @@ func (o *Oracle) Answer(ctx context.Context, queries [][]int) ([]float64, error)
 // overload shed counts as transient: the server said "later", and its
 // retry_after_ms hint stretches the backoff when longer.
 func (o *Oracle) submit(ctx context.Context, chunk [][]int) ([]float64, error) {
-	body, err := json.Marshal(QueryRequest{V: V, Analyst: o.opts.Analyst, Queries: chunk})
-	if err != nil {
-		return nil, fmt.Errorf("remote: %w", err)
+	size := 32 + len(o.opts.Analyst) // a guess: three digits and a comma per index
+	for _, q := range chunk {
+		size += 2 + 4*len(q)
 	}
+	body := appendQueryRequest(make([]byte, 0, size), QueryRequest{V: V, Analyst: o.opts.Analyst, Queries: chunk})
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		answers, retryable, hintMs, err := o.post(ctx, body, len(chunk))

@@ -152,11 +152,19 @@ func mergeSnapshots(shards []*ledger, analyst string) ([]LedgerEntry, map[string
 // journal events) must land exactly on the server's enforced state; the
 // per-entry Cumulative field is cross-checked so a tampered or reordered
 // history fails loudly instead of replaying to a plausible wrong total.
-// The server itself runs this over its WAL on startup — a restart that
-// cannot replay to a consistent state refuses to serve.
+// A history cannot hand spent budget back either: every entry's cost is
+// positive (the server writes no entry for a zero-cost batch, and a
+// denial records the cost it refused), and no cumulative goes negative
+// (a refund never exceeds the spend it reverses). The server itself runs
+// this over its WAL on startup — a restart that cannot replay to a
+// consistent state refuses to serve.
 func ReplayLedger(entries []LedgerEntry) (map[string]int, error) {
 	totals := map[string]int{}
 	for i, e := range entries {
+		if e.Cost <= 0 {
+			return nil, fmt.Errorf("remote: ledger entry %d (seq %d): %s of cost %d for %q, want a positive cost",
+				i, e.Seq, e.Op, e.Cost, e.Analyst)
+		}
 		switch e.Op {
 		case LedgerSpend:
 			totals[e.Analyst] += e.Cost
@@ -170,6 +178,10 @@ func ReplayLedger(entries []LedgerEntry) (map[string]int, error) {
 		if totals[e.Analyst] != e.Cumulative {
 			return nil, fmt.Errorf("remote: ledger entry %d (seq %d): replayed cumulative %d for %q, entry says %d",
 				i, e.Seq, totals[e.Analyst], e.Analyst, e.Cumulative)
+		}
+		if e.Cumulative < 0 {
+			return nil, fmt.Errorf("remote: ledger entry %d (seq %d): %q refunded past their spend, cumulative %d",
+				i, e.Seq, e.Analyst, e.Cumulative)
 		}
 	}
 	return totals, nil

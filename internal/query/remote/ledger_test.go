@@ -136,6 +136,37 @@ func TestReplayLedgerDetectsTamper(t *testing.T) {
 	if _, err := remote.ReplayLedger(unknown); err == nil {
 		t.Error("unknown op should fail replay")
 	}
+	// Histories whose cumulative chain is consistent but that hand spent
+	// budget back: a negative spend, a zero-cost entry, a refund larger
+	// than the analyst's spend.
+	for name, bad := range map[string][]remote.LedgerEntry{
+		"negative spend": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 3, Cumulative: 3},
+			{Seq: 2, Analyst: "a", Op: remote.LedgerSpend, Cost: -5, Cumulative: -2},
+		},
+		"negative spend within the spent total": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 8, Cumulative: 8},
+			{Seq: 2, Analyst: "a", Op: remote.LedgerSpend, Cost: -5, Cumulative: 3},
+		},
+		"zero-cost spend": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 0, Cumulative: 0},
+		},
+		"zero-cost deny": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerDeny, Cost: 0, Cumulative: 0},
+		},
+		"negative refund": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 3, Cumulative: 3},
+			{Seq: 2, Analyst: "a", Op: remote.LedgerRefund, Cost: -2, Cumulative: 5},
+		},
+		"refund beyond the spend": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 3, Cumulative: 3},
+			{Seq: 2, Analyst: "a", Op: remote.LedgerRefund, Cost: 7, Cumulative: -4},
+		},
+	} {
+		if _, err := remote.ReplayLedger(bad); err == nil {
+			t.Errorf("%s should fail replay", name)
+		}
+	}
 	if _, err := remote.ReplayLedger(nil); err != nil {
 		t.Errorf("empty history should replay: %v", err)
 	}

@@ -222,6 +222,41 @@ func TestCacheHitDoesNotSpendBudget(t *testing.T) {
 	}
 }
 
+// TestCacheKeyedByBackend: the answer cache keys on the backend as well as
+// the index set, so one query asked of exact and then of laplace gets
+// each backend's own answer and is charged on each.
+func TestCacheKeyedByBackend(t *testing.T) {
+	const seed, n = 53, 32
+	srv, ts := newTestServer(t, remote.ServerConfig{Seed: seed, N: n, Budget: 10})
+	q := [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}
+	x := remote.Dataset(seed, n, 0.5)
+	want := map[string]query.Oracle{
+		"exact":   &query.Exact{X: x},
+		"laplace": &query.StickyLaplace{X: x, Eps: 1, Seed: seed},
+	}
+	answers := map[string]float64{}
+	for _, backend := range []string{"exact", "laplace", "exact", "laplace"} {
+		got, err := dialAnalyst(t, ts.URL, backend, "alice").Answer(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := want[backend].Answer(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != exp[0] {
+			t.Fatalf("%s answered %v, want its own %v", backend, got[0], exp[0])
+		}
+		answers[backend] = got[0]
+	}
+	if answers["exact"] == answers["laplace"] {
+		t.Fatalf("exact and laplace both answered %v", answers["exact"])
+	}
+	if spent := srv.BudgetSpent("alice"); spent != 2 {
+		t.Fatalf("spent = %d, want 2: one charge per backend, repeats free", spent)
+	}
+}
+
 func TestSentinelMappings(t *testing.T) {
 	_, ts := newTestServer(t, remote.ServerConfig{Seed: 2, Threshold: 4})
 	// Malformed queries map to query.ErrInvalidQuery.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -216,12 +217,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	// replayed history with shardOf, as the live path does — entries
 	// written under one shard count load cleanly under another.
 	var replayed []LedgerEntry
+	var replayedTotals map[string]int
 	if cfg.WALPath != "" {
 		w, entries, err := openWAL(cfg.WALPath, cfg.WALSync)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := ReplayLedger(entries); err != nil {
+		if replayedTotals, err = ReplayLedger(entries); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("remote: wal %s does not replay: %w", cfg.WALPath, err)
 		}
@@ -242,24 +244,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if len(replayed) > 0 {
 		byShard := make([][]LedgerEntry, cfg.Shards)
 		totals := make([]map[string]int, cfg.Shards)
-		maxSeq := int64(0)
+		for i := range totals {
+			totals[i] = map[string]int{}
+		}
 		for _, e := range replayed {
 			sh := shardOf(e.Analyst, cfg.Shards)
 			byShard[sh] = append(byShard[sh], e)
-			if totals[sh] == nil {
-				totals[sh] = map[string]int{}
-			}
-			switch e.Op {
-			case LedgerSpend:
-				totals[sh][e.Analyst] += e.Cost
-			case LedgerRefund:
-				totals[sh][e.Analyst] -= e.Cost
-			}
-			if e.Seq > maxSeq {
-				maxSeq = e.Seq
-			}
 		}
-		s.seq.Store(maxSeq)
+		for a, v := range replayedTotals {
+			totals[shardOf(a, cfg.Shards)][a] = v
+		}
+		s.seq.Store(replayed[len(replayed)-1].Seq) // openWAL sorts by Seq
 		for i := range s.ledgers {
 			s.ledgers[i].seed(byShard[i], totals[i])
 		}
@@ -345,19 +340,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, CodeUnknownBackend, fmt.Sprintf("no backend %q (have %s)", name, strings.Join(s.names, ", ")))
 		return
 	}
-	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, CodeBadRequest, "undecodable body: "+err.Error())
 		return
 	}
-	if req.V != V {
-		s.fail(w, http.StatusBadRequest, CodeUnsupportedVersion,
-			fmt.Sprintf("wire version %d, server speaks %d", req.V, V))
-		return
+	req, err := decodeQueryRequest(body, s.cfg.MaxBatch)
+	if err == nil && req.V != V {
+		err = versionRefusal(req.V)
 	}
-	if len(req.Queries) > s.cfg.MaxBatch {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("batch of %d exceeds max_batch %d", len(req.Queries), s.cfg.MaxBatch))
+	if err != nil {
+		code := CodeBadRequest
+		var ref *refusal
+		if errors.As(err, &ref) {
+			code = ref.code
+		}
+		s.fail(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	analyst := req.Analyst
@@ -395,21 +393,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchQueries.Add(int64(len(req.Queries)))
 
-	// Canonicalize at the trust boundary: every query becomes a sorted
-	// copy and is validated once, here — the single place duplicate
-	// indices and out-of-range users are rejected for the whole service
-	// (backends still re-check, but no malformed query reaches them).
+	// Canonicalize at the trust boundary: every query is sorted in place
+	// (the decoder gave each its own slice) and validated once, here —
+	// the single place duplicate indices and out-of-range users are
+	// rejected for the whole service (backends still re-check, but no
+	// malformed query reaches them).
 	keys := make([]string, len(req.Queries))
-	canon := make([][]int, len(req.Queries))
+	var kb []byte
 	for i, q := range req.Queries {
-		cq := append([]int(nil), q...)
-		sort.Ints(cq)
-		if err := query.ValidateQuery(s.cfg.N, cq); err != nil {
+		if kb, err = canonicalize(kb[:0], name, s.cfg.N, q); err != nil {
 			s.fail(w, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
-		canon[i] = cq
-		keys[i] = queryKey(name, cq)
+		keys[i] = string(kb)
 	}
 
 	// Cache pass, one lock per touched cache shard: split the batch into
@@ -449,7 +445,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if !seen[k] {
 			seen[k] = true
-			misses = append(misses, missT{k, canon[i]})
+			misses = append(misses, missT{k, req.Queries[i]})
 			missKeys = append(missKeys, k)
 		}
 	}
@@ -654,21 +650,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// queryKey is the answer-cache key: backend name plus the canonical
-// (sorted) index set.
-func queryKey(backend string, canonical []int) string {
-	var b strings.Builder
-	b.WriteString(backend)
-	b.WriteByte('|')
-	for i, v := range canonical {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
-	return b.String()
 }
 
 // BudgetSpent reports the fresh queries an analyst has net spent (test

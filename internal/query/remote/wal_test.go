@@ -234,3 +234,29 @@ func TestWALTamperFailsReplay(t *testing.T) {
 		t.Fatal("a server must refuse a WAL whose cumulative chain does not replay")
 	}
 }
+
+// TestWALRefundingHistoryRefusesToServe: a WAL whose cumulative chain
+// replays cleanly but hands spent budget back — a negative-cost spend, a
+// refund beyond the analyst's spend — fails NewServer instead of
+// restarting the analyst with that budget returned.
+func TestWALRefundingHistoryRefusesToServe(t *testing.T) {
+	for name, content := range map[string]string{
+		"negative spend": `{"seq":1,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":8,"cumulative":8}
+{"seq":2,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":-5,"cumulative":3}
+`,
+		"refund beyond the spend": `{"seq":1,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":2,"cumulative":2}
+{"seq":2,"analyst":"a","op":"refund","backend":"exact","query_hash":"h","cost":6,"cumulative":-4}
+`,
+	} {
+		walPath := filepath.Join(t.TempDir(), "ledger.wal")
+		if err := os.WriteFile(walPath, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := remote.NewServer(remote.ServerConfig{N: 16, P: 0.5, Budget: 8, WALPath: walPath})
+		if err == nil {
+			spent := srv.BudgetSpent("a")
+			srv.Close()
+			t.Errorf("%s: the server started with %d of 8 spent; it must refuse the WAL", name, spent)
+		}
+	}
+}

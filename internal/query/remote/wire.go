@@ -91,7 +91,9 @@ type LedgerResponse struct {
 // QueryRequest is the body of POST /v1/query/{backend}: a batch of subset
 // queries from one analyst. Queries need not be sorted; the server
 // canonicalizes (sorts) each index set before validation, caching and
-// noise derivation.
+// noise derivation. The server parses the body strictly (see codec.go):
+// it accepts what json.Marshal writes for this type, with whitespace
+// between tokens, and refuses anything else as bad_request.
 type QueryRequest struct {
 	V       int     `json:"v"`
 	Analyst string  `json:"analyst,omitempty"`
