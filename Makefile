@@ -14,7 +14,8 @@
 #   make benchgate benchdiff against the committed BENCH_baseline.json
 #   make loadgen-smoke  sharded in-process qserver under injected
 #                  overload; requires the BENCH.qserver.* rows
-#                  (throughput/latency/shards/shed) to survive
+#                  (load, whose counters include qserver.shed; p50/p99
+#                  latency) to survive
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval) and the query server's
@@ -124,7 +125,10 @@ benchgate: repro-quick
 # in-process qserver, journaled into its own directory (the BENCH file is
 # named by revision, so it must not collide with repro's). The gate only
 # requires the BENCH.qserver.* rows to exist — sub-second latency rows sit
-# below the -min floor, so wall-clock noise never fails CI here.
+# below the -min floor, so wall-clock noise never fails CI here. The shed
+# count reaches the summary as the qserver.shed counter of the
+# BENCH.qserver.load row (cmd/loadgen's TestOverloadInjectionSheds checks
+# that it is non-zero under this kind of overload).
 loadgen-smoke:
 	mkdir -p /tmp/singlingout-loadgen
 	$(GO) run ./cmd/loadgen -analysts 4 -requests 16 -budget 100 \

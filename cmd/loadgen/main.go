@@ -20,8 +20,9 @@
 // -inject-delay adds artificial per-request service time to that server,
 // which together with a small -max-concurrent and -queue-depth -1 (no
 // waiting room) produces reproducible overload: shed requests surface in
-// the qserver.shed counter, the BENCH.qserver.shed row, and — when a
-// batch outlasts the client's retries — the workload table's shed column.
+// the qserver.shed counter, which the BENCH.qserver.load row carries, and
+// — when a batch outlasts the client's retries — the workload table's shed
+// column.
 //
 // The workload is precomputed deterministically from -seed (per-analyst
 // RNGs derive from (seed, analyst index)), and stdout carries only
@@ -276,7 +277,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ID:      "BENCH.qserver.load",
 			Seed:    *seed,
 			Seconds: elapsed.Seconds(),
-			Sizes:   map[string]int{"requests": totalRequests, "queries": totalQueries},
+			Sizes:   map[string]int{"requests": totalRequests, "queries": totalQueries, "shards": *shards},
 		}
 		if !delta.Empty() {
 			load.Metrics = &delta
@@ -284,10 +285,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_ = journal.Emit(load)
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p50", Seed: *seed, Seconds: p50.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p99", Seed: *seed, Seconds: p99.Seconds()})
-		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.shards", Seed: *seed,
-			Sizes: map[string]int{"shards": *shards}})
-		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.shed", Seed: *seed,
-			Sizes: map[string]int{"shed": shedTotal, "requests": totalRequests}})
 		_ = journal.Emit(obs.Event{Phase: "run_end", Seed: *seed, Seconds: elapsed.Seconds()})
 		if path, err := writeBench(*metricsPath); err != nil {
 			fmt.Fprintf(stderr, "loadgen: bench summary: %v\n", err)

@@ -85,8 +85,8 @@ func TestBudgetDenialsSurface(t *testing.T) {
 // server (one active slot per shard, no waiting room, injected service
 // time) with concurrent analysts: requests must be shed, the run must
 // still exit 0 with a replay-clean ledger (shedding never corrupts
-// budget accounting), and the bench summary must carry the shed/shards
-// rows the CI gate requires.
+// budget accounting), and the shed count must reach the bench summary as
+// the qserver.shed counter of its BENCH.qserver.load row.
 func TestOverloadInjectionSheds(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "loadgen.jsonl")
@@ -113,14 +113,17 @@ func TestOverloadInjectionSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]bool{}
-	for _, e := range sum.Experiments {
-		got[e.ID] = true
-	}
-	for _, id := range []string{"BENCH.qserver.shards", "BENCH.qserver.shed"} {
-		if !got[id] {
-			t.Errorf("bench summary missing row %s (have %v)", id, got)
+	var load *obs.BenchEntry
+	for i, e := range sum.Experiments {
+		if e.ID == "BENCH.qserver.load" {
+			load = &sum.Experiments[i]
 		}
+	}
+	if load == nil {
+		t.Fatalf("bench summary has no BENCH.qserver.load row: %+v", sum.Experiments)
+	}
+	if load.Counters[remote.MetricShed] <= 0 {
+		t.Errorf("BENCH.qserver.load counters %v: want %s > 0", load.Counters, remote.MetricShed)
 	}
 }
 

@@ -20,6 +20,9 @@
 //	      [-serve :8088] [-spans out.trace.json]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
+// -id runs one experiment; an unknown id lists the valid ids with their
+// descriptions on stderr and exits 1 before any experiment runs.
+//
 // -workers sizes the worker pool the parallel harnesses (E01, E02, E11,
 // E13, E19) fan out on (0 = GOMAXPROCS). Per-item randomness derives from
 // (seed, item index), so tables are byte-identical at every worker count.
@@ -284,7 +287,10 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 	if id != "" {
 		r, ok := experiments.ByID(id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "repro: unknown experiment %q\n", id)
+			fmt.Fprintf(os.Stderr, "repro: unknown experiment %q; valid ids:\n", id)
+			for _, e := range runners {
+				fmt.Fprintf(os.Stderr, "  %s  %s\n", e.ID, e.Desc)
+			}
 			return 1
 		}
 		runners = []experiments.Runner{r}

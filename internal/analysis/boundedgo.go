@@ -9,13 +9,14 @@ import (
 // internal/par. Unbounded fan-out breaks two guarantees at once: the
 // worker-count invariance of reconstruction tables (par derives per-item
 // RNGs and dispenses indices in order — a raw goroutine has neither) and
-// the qserver's bounded-concurrency contract (par.Gate). cmd/ packages
-// are exempt: a main owning its process may run an HTTP server or signal
-// loop on a raw goroutine.
+// the qserver's bounded-concurrency contract (each shard's admission
+// queue, sized by MaxConcurrent and QueueDepth). cmd/ packages are exempt:
+// a main owning its process may run an HTTP server or signal loop on a
+// raw goroutine.
 var BoundedGo = &Analyzer{
 	Name: "boundedgo",
 	Doc: "flag bare go statements in internal/ packages outside internal/par; " +
-		"fan-out must go through par.Pool/par.ForEach (deterministic) or par.Gate (bounded)",
+		"fan-out must go through par.ForEach",
 	Run: runBoundedGo,
 }
 
@@ -29,7 +30,7 @@ func runBoundedGo(pass *Pass) error {
 		}
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "bare go statement in %s: route fan-out through par.ForEach/par.Pool (deterministic) or par.Gate (bounded)", pass.Pkg.Path)
+				pass.Reportf(g.Pos(), "bare go statement in %s: route fan-out through par.ForEach", pass.Pkg.Path)
 			}
 			return true
 		})

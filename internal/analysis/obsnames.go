@@ -22,8 +22,7 @@ var obsNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$`)
 // trace lane titles are display strings and embed pool/worker ids by
 // design.
 var obsNameMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true, "StartSpan": true,
-	"Curve": true,
+	"Counter": true, "Gauge": true, "Histogram": true, "Curve": true,
 }
 
 // ObsNames requires metric and journal names passed to obs to be either
@@ -32,7 +31,7 @@ var obsNameMethods = map[string]bool{
 // the Prometheus endpoint, the JSONL journal, and the bench gate.
 var ObsNames = &Analyzer{
 	Name: "obsnames",
-	Doc: "require metric/journal names in obs calls (Counter/Gauge/Histogram/StartSpan, " +
+	Doc: "require metric/journal names in obs calls (Counter/Gauge/Histogram/Curve, " +
 		"Event.Phase, Metric* constants) to be lowercase dotted string literals; the " +
 		"Prometheus sanitization in internal/obs/serve and the benchdiff gate key on them",
 	Run: runObsNames,
@@ -65,11 +64,10 @@ func runObsNames(pass *Pass) error {
 
 // checkObsCall validates the name argument of reg.Counter(...)-shaped
 // calls. The receiver is not type-resolved (the framework is syntactic),
-// so any single-argument method named Counter/Gauge/Histogram/StartSpan
-// is held to the convention — the obs constructors take exactly the name,
-// which keeps same-named domain functions (e.g. dp.Histogram(rng, counts,
-// eps)) out of scope; a residual false positive can be suppressed with
-// lint:ignore.
+// so any single-argument method named Counter/Gauge/Histogram/Curve is
+// held to the convention — the obs constructors take exactly the name,
+// which keeps same-named domain functions with more arguments out of
+// scope; a residual false positive can be suppressed with lint:ignore.
 func checkObsCall(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !obsNameMethods[sel.Sel.Name] || len(call.Args) != 1 {

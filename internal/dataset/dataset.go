@@ -174,16 +174,6 @@ func (r Record) Equal(o Record) bool {
 	return true
 }
 
-// EqualOn reports whether two records agree on the given attribute indices.
-func (r Record) EqualOn(o Record, idx []int) bool {
-	for _, i := range idx {
-		if r[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key renders the projection of the record onto the given attribute indices
 // as a map key.
 func (r Record) Key(idx []int) string {
@@ -232,24 +222,6 @@ func (d *Dataset) Clone() *Dataset {
 		c.Rows[i] = r.Clone()
 	}
 	return c
-}
-
-// Project returns a new dataset containing only the given attribute
-// indices, with a schema restricted accordingly.
-func (d *Dataset) Project(idx []int) *Dataset {
-	attrs := make([]Attribute, len(idx))
-	for j, i := range idx {
-		attrs[j] = d.Schema.Attrs[i]
-	}
-	out := &Dataset{Schema: MustSchema(attrs...), Rows: make([]Record, len(d.Rows))}
-	for ri, r := range d.Rows {
-		row := make(Record, len(idx))
-		for j, i := range idx {
-			row[j] = r[i]
-		}
-		out.Rows[ri] = row
-	}
-	return out
 }
 
 // Count returns the number of records satisfying pred.

@@ -108,12 +108,6 @@ func TestRecordOps(t *testing.T) {
 	if r.Equal(Record{1, 2}) || r.Equal(Record{1, 2, 4}) {
 		t.Error("Equal should fail on mismatch")
 	}
-	if !r.EqualOn(Record{1, 9, 3}, []int{0, 2}) {
-		t.Error("EqualOn(0,2) should hold")
-	}
-	if r.EqualOn(Record{1, 9, 3}, []int{1}) {
-		t.Error("EqualOn(1) should fail")
-	}
 	if r.Key([]int{0, 2}) != "1|3|" {
 		t.Errorf("Key = %q", r.Key([]int{0, 2}))
 	}
@@ -145,19 +139,6 @@ func TestDatasetCloneIsDeep(t *testing.T) {
 	c.Rows[0][1] = 99
 	if d.Rows[0][1] != 55 {
 		t.Error("Clone should deep-copy rows")
-	}
-}
-
-func TestProject(t *testing.T) {
-	d := New(toySchema(t))
-	d.MustAppend(Record{23456, 55, 0, 0})
-	d.MustAppend(Record{12345, 30, 1, 1})
-	p := d.Project([]int{1, 2})
-	if len(p.Schema.Attrs) != 2 || p.Schema.Attrs[0].Name != "age" {
-		t.Fatalf("projected schema wrong: %+v", p.Schema.Attrs)
-	}
-	if !p.Rows[1].Equal(Record{30, 1}) {
-		t.Errorf("projected row = %v", p.Rows[1])
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package dist provides the probability distributions and probability
 // utilities used throughout the library: Laplace and two-sided geometric
-// noise for differential privacy, Zipf and binomial samplers for workload
-// generation, and closed forms for the isolation probabilities analyzed in
-// Section 2.2 of the paper.
+// noise for differential privacy, a Zipf sampler for workload generation,
+// and closed forms for the isolation probabilities analyzed in Section 2.2
+// of the paper.
 //
 // All samplers take an explicit *rand.Rand so that every experiment in the
 // repository is reproducible bit-for-bit from its seed.
@@ -63,24 +63,6 @@ func geometric(rng *rand.Rand, p float64) int64 {
 	u := rng.Float64()
 	// Inverse CDF of the geometric distribution.
 	return int64(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
-// Bernoulli returns true with probability p.
-func Bernoulli(rng *rand.Rand, p float64) bool {
-	return rng.Float64() < p
-}
-
-// Binomial samples the number of successes among n independent trials with
-// success probability p. It uses direct simulation, which is adequate for
-// the experiment sizes in this repository.
-func Binomial(rng *rand.Rand, n int, p float64) int {
-	k := 0
-	for i := 0; i < n; i++ {
-		if rng.Float64() < p {
-			k++
-		}
-	}
-	return k
 }
 
 // Zipf holds a precomputed Zipf(s) distribution over ranks 1..N, used to
@@ -152,27 +134,12 @@ func IsolationProbApprox(n int, w float64) float64 {
 	return nw * math.Exp(-nw)
 }
 
-// NegligibleThreshold returns the weight threshold 2^-lambda used by the
-// experiments as the concrete stand-in for "negligible in n". The
-// experiments sweep lambda alongside n to expose the asymptotic behaviour.
-func NegligibleThreshold(lambda int) float64 {
-	return math.Pow(2, -float64(lambda))
-}
-
 // LaplaceCDF evaluates the CDF of the Laplace(b) distribution at x.
 func LaplaceCDF(x, b float64) float64 {
 	if x < 0 {
 		return 0.5 * math.Exp(x/b)
 	}
 	return 1 - 0.5*math.Exp(-x/b)
-}
-
-// LaplaceTail returns Pr[|X| > t] for X ~ Laplace(b).
-func LaplaceTail(t, b float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	return math.Exp(-t / b)
 }
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
@@ -185,46 +152,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation of xs (0 for fewer than two
-// values).
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using nearest-rank on
-// a sorted copy. It returns 0 for an empty slice.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	insertionSort(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func insertionSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

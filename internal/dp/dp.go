@@ -1,7 +1,7 @@
 // Package dp is a self-contained differential privacy library implementing
 // Definition 1.2 and Theorem 1.3 of the paper: the Laplace mechanism for
-// counting, its integer-valued geometric analogue, randomized response,
-// noisy histograms, the exponential mechanism, and composition accounting.
+// counting, its integer-valued geometric analogue, and an empirical check
+// of a mechanism's privacy loss.
 //
 // Every mechanism takes an explicit *rand.Rand for reproducibility and an
 // epsilon > 0; mechanisms panic on non-positive epsilon (a programmer
@@ -30,145 +30,12 @@ func LaplaceCount(rng *rand.Rand, trueCount int64, eps float64) float64 {
 	return float64(trueCount) + dist.Laplace(rng, 1/eps)
 }
 
-// LaplaceSum releases a bounded-magnitude sum: each record contributes a
-// value in [lo, hi], so the sensitivity is hi-lo and the noise scale is
-// (hi-lo)/eps.
-func LaplaceSum(rng *rand.Rand, trueSum, lo, hi, eps float64) float64 {
-	validEps(eps)
-	if hi < lo {
-		panic("dp: LaplaceSum needs hi >= lo")
-	}
-	sens := hi - lo
-	if sens == 0 {
-		return trueSum
-	}
-	return trueSum + dist.Laplace(rng, sens/eps)
-}
-
 // GeometricCount releases an integer count with two-sided geometric noise;
 // the discrete analogue of the Laplace mechanism, also eps-DP for
 // sensitivity-1 counts.
 func GeometricCount(rng *rand.Rand, trueCount int64, eps float64) int64 {
 	validEps(eps)
 	return trueCount + dist.TwoSidedGeometric(rng, eps)
-}
-
-// RandomizedResponse flips the input bit with probability 1/(1+e^eps),
-// giving an eps-DP release of a single bit (Warner's classic design).
-func RandomizedResponse(rng *rand.Rand, bit bool, eps float64) bool {
-	validEps(eps)
-	pKeep := math.Exp(eps) / (1 + math.Exp(eps))
-	if rng.Float64() < pKeep {
-		return bit
-	}
-	return !bit
-}
-
-// RandomizedResponseEstimate debiases the mean of k randomized-response
-// bits: given the observed fraction of 1s, it returns an unbiased estimate
-// of the true fraction.
-func RandomizedResponseEstimate(observedFraction, eps float64) float64 {
-	validEps(eps)
-	p := math.Exp(eps) / (1 + math.Exp(eps))
-	return (observedFraction - (1 - p)) / (2*p - 1)
-}
-
-// Histogram releases a vector of disjoint-bucket counts with Laplace(1/eps)
-// noise per bucket. Because a single record changes exactly one bucket by
-// one, the whole histogram release is eps-DP.
-func Histogram(rng *rand.Rand, counts []int64, eps float64) []float64 {
-	validEps(eps)
-	out := make([]float64, len(counts))
-	for i, c := range counts {
-		out[i] = float64(c) + dist.Laplace(rng, 1/eps)
-	}
-	return out
-}
-
-// Exponential runs the exponential mechanism: it selects index i with
-// probability proportional to exp(eps·score[i]/(2·sensitivity)), an eps-DP
-// selection when scores have the stated sensitivity.
-func Exponential(rng *rand.Rand, scores []float64, eps, sensitivity float64) int {
-	validEps(eps)
-	if len(scores) == 0 {
-		panic("dp: Exponential needs at least one candidate")
-	}
-	if sensitivity <= 0 {
-		panic("dp: Exponential needs positive sensitivity")
-	}
-	// Shift by the max score for numerical stability.
-	maxS := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxS {
-			maxS = s
-		}
-	}
-	weights := make([]float64, len(scores))
-	total := 0.0
-	for i, s := range scores {
-		w := math.Exp(eps * (s - maxS) / (2 * sensitivity))
-		weights[i] = w
-		total += w
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(scores) - 1
-}
-
-// Accountant tracks cumulative privacy loss under basic composition: the
-// epsilons of sequential releases add. It is the bookkeeping device behind
-// the "privacy budget" language of Section 1.1.
-type Accountant struct {
-	budget float64
-	spent  float64
-}
-
-// NewAccountant creates an accountant with the given total budget.
-func NewAccountant(budget float64) *Accountant {
-	validEps(budget)
-	return &Accountant{budget: budget}
-}
-
-// Spend debits eps from the budget, reporting an error (and debiting
-// nothing) if the budget would be exceeded.
-func (a *Accountant) Spend(eps float64) error {
-	validEps(eps)
-	if a.spent+eps > a.budget+1e-12 {
-		return fmt.Errorf("dp: budget exceeded: spent %.4g + %.4g > %.4g", a.spent, eps, a.budget)
-	}
-	a.spent += eps
-	return nil
-}
-
-// Spent returns the cumulative privacy loss so far.
-func (a *Accountant) Spent() float64 { return a.spent }
-
-// Remaining returns the unspent budget.
-func (a *Accountant) Remaining() float64 { return a.budget - a.spent }
-
-// AdvancedComposition returns the total epsilon of k adaptive eps-DP
-// releases under (eps', delta)-advanced composition:
-//
-//	eps' = eps·sqrt(2k·ln(1/delta)) + k·eps·(e^eps - 1)
-//
-// (Dwork–Rothblum–Vadhan). For small eps and moderate k it is far below
-// the basic k·eps bound.
-func AdvancedComposition(eps float64, k int, delta float64) float64 {
-	validEps(eps)
-	if k <= 0 {
-		return 0
-	}
-	if !(delta > 0 && delta < 1) {
-		panic("dp: AdvancedComposition needs delta in (0,1)")
-	}
-	kf := float64(k)
-	return eps*math.Sqrt(2*kf*math.Log(1/delta)) + kf*eps*(math.Expm1(eps))
 }
 
 // EmpiricalEpsilon estimates the realized privacy loss of a real-valued
@@ -205,21 +72,4 @@ func EmpiricalEpsilon(rng *rand.Rand, mech func(*rand.Rand) float64, mechNeighbo
 		}
 	}
 	return worst
-}
-
-// GaussianCount releases a count with Gaussian noise calibrated for
-// (eps, delta)-differential privacy using the analytic calibration
-// sigma = sqrt(2·ln(1.25/delta)) / eps (valid for eps <= 1). Gaussian
-// noise composes more gracefully than Laplace over many releases, at the
-// price of the delta failure probability.
-func GaussianCount(rng *rand.Rand, trueCount int64, eps, delta float64) float64 {
-	validEps(eps)
-	if eps > 1 {
-		panic(fmt.Sprintf("dp: GaussianCount calibration requires eps <= 1, got %v", eps))
-	}
-	if !(delta > 0 && delta < 1) {
-		panic(fmt.Sprintf("dp: GaussianCount needs delta in (0,1), got %v", delta))
-	}
-	sigma := math.Sqrt(2*math.Log(1.25/delta)) / eps
-	return float64(trueCount) + rng.NormFloat64()*sigma
 }

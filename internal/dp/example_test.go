@@ -2,48 +2,26 @@ package dp_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"singlingout/internal/dp"
 )
 
-// ExampleLaplaceCount releases a count under ε-differential privacy and
-// tracks the budget with an accountant.
+// ExampleLaplaceCount releases a count under ε-differential privacy. The
+// noise has mean absolute value 1/ε, so a smaller ε hides the count better.
 func ExampleLaplaceCount() {
 	rng := rand.New(rand.NewSource(1))
-	acct := dp.NewAccountant(1.0)
-
 	trueCount := int64(1234)
-	for _, eps := range []float64{0.25, 0.25, 0.5} {
-		if err := acct.Spend(eps); err != nil {
-			panic(err)
+	for _, eps := range []float64{1, 0.1} {
+		var sumAbs float64
+		const releases = 10000
+		for i := 0; i < releases; i++ {
+			sumAbs += math.Abs(dp.LaplaceCount(rng, trueCount, eps) - float64(trueCount))
 		}
-		_ = dp.LaplaceCount(rng, trueCount, eps)
+		fmt.Printf("ε=%g: mean |error| ≈ %.0f\n", eps, sumAbs/releases)
 	}
-	fmt.Printf("budget spent: %.2f, remaining: %.2f\n", acct.Spent(), acct.Remaining())
-	// A fourth release would exceed the budget:
-	fmt.Println("overspend rejected:", acct.Spend(0.1) != nil)
 	// Output:
-	// budget spent: 1.00, remaining: 0.00
-	// overspend rejected: true
-}
-
-// ExampleRandomizedResponseEstimate shows local differential privacy:
-// individual answers are randomized, yet the population fraction is
-// recoverable.
-func ExampleRandomizedResponseEstimate() {
-	rng := rand.New(rand.NewSource(2))
-	eps := 1.0
-	trueFraction := 0.25
-	n := 200000
-	ones := 0
-	for i := 0; i < n; i++ {
-		truth := rng.Float64() < trueFraction
-		if dp.RandomizedResponse(rng, truth, eps) {
-			ones++
-		}
-	}
-	est := dp.RandomizedResponseEstimate(float64(ones)/float64(n), eps)
-	fmt.Printf("estimate within 0.01 of truth: %v\n", est > 0.24 && est < 0.26)
-	// Output: estimate within 0.01 of truth: true
+	// ε=1: mean |error| ≈ 1
+	// ε=0.1: mean |error| ≈ 10
 }

@@ -266,14 +266,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// StartSpan starts a timer into the named histogram (no-op when disabled).
-func (r *Registry) StartSpan(name string) Span {
-	if !r.enabled.Load() {
-		return Span{}
-	}
-	return r.Histogram(name).Span()
-}
-
 // Reset zeroes every registered metric (the metric pointers stay valid).
 func (r *Registry) Reset() {
 	r.mu.RLock()

@@ -61,12 +61,12 @@ func TestSpanRecordsDuration(t *testing.T) {
 	r := NewRegistry()
 
 	// Disabled: zero span, no observation.
-	if d := r.StartSpan("op_ns").End(); d != 0 {
+	if d := r.Histogram("op_ns").Span().End(); d != 0 {
 		t.Errorf("disabled span recorded %d", d)
 	}
 
 	r.SetEnabled(true)
-	sp := r.StartSpan("op_ns")
+	sp := r.Histogram("op_ns").Span()
 	time.Sleep(time.Millisecond)
 	if d := sp.End(); d <= 0 {
 		t.Errorf("span duration = %d", d)

@@ -34,10 +34,6 @@ type Config struct {
 	Tau float64
 	// Trials is the number of independent repetitions.
 	Trials int
-	// WeightCheckSamples, when positive, additionally Monte-Carlo
-	// estimates each output predicate's weight with this many samples so
-	// the nominal weights can be audited.
-	WeightCheckSamples int
 }
 
 // Validate reports configuration errors.
@@ -74,9 +70,6 @@ type Result struct {
 	AttackErrors int
 	// MeanNominalWeight averages the nominal weights of output predicates.
 	MeanNominalWeight float64
-	// MeanMeasuredWeight averages Monte Carlo weight estimates (present
-	// only when WeightCheckSamples > 0).
-	MeanMeasuredWeight float64
 	// BaselineRate is the apples-to-apples trivial success rate: the
 	// probability n·w̄·(1-w̄)^(n-1) that a release-independent predicate of
 	// the attacker's own mean nominal weight w̄ isolates. An attack only
@@ -127,8 +120,7 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 		Attacker:  a.Describe(),
 		Trials:    cfg.Trials,
 	}
-	var sumNominal, sumMeasured float64
-	measured := 0
+	var sumNominal float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		mTrials.Add(1)
 		sp := mTrialNS.Span()
@@ -150,10 +142,6 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 		}
 		w := p.NominalWeight()
 		sumNominal += w
-		if cfg.WeightCheckSamples > 0 {
-			sumMeasured += EstimateWeight(rng, p, cfg.Sample, cfg.WeightCheckSamples)
-			measured++
-		}
 		if Isolates(p, d) {
 			res.Isolations++
 			mIsolations.Add(1)
@@ -168,9 +156,6 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 	}
 	if n := cfg.Trials - res.AttackErrors; n > 0 {
 		res.MeanNominalWeight = sumNominal / float64(n)
-	}
-	if measured > 0 {
-		res.MeanMeasuredWeight = sumMeasured / float64(measured)
 	}
 	res.BaselineRate = dist.IsolationProb(cfg.N, res.MeanNominalWeight)
 	return res, nil

@@ -1,7 +1,6 @@
 package pso
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -104,29 +103,5 @@ func TestCountOracleMemoMatchesIsolationCount(t *testing.T) {
 	}
 	if hits < len(qs)/3 {
 		t.Errorf("only %d of %d queries count a record; the comparison is mostly vacuous", hits, len(qs))
-	}
-}
-
-// TestThresholdOracleMemoMatchesIsolationCount: AtLeastOne answers as a
-// twin sparse vector fed IsolationCount does, drawing the same noise.
-func TestThresholdOracleMemoMatchesIsolationCount(t *testing.T) {
-	d := memoDataset()
-	qs := memoQueries(d)
-	mech := SVTCounts{Limit: len(qs), MaxPositive: len(qs), Eps: 1e6}
-	y, err := mech.Release(rand.New(rand.NewSource(2)), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, err := mech.Release(rand.New(rand.NewSource(2)), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, ref := y.(*ThresholdOracle), twin.(*ThresholdOracle)
-	for i, p := range qs {
-		got, err := o.AtLeastOne(p)
-		want, wantErr := ref.sv.Above(int64(IsolationCount(p, d)))
-		if got != want || !errors.Is(err, wantErr) {
-			t.Fatalf("query %d [%s]: AtLeastOne = %v, %v; twin = %v, %v", i, p.Describe(), got, err, want, wantErr)
-		}
 	}
 }

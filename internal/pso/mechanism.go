@@ -45,23 +45,6 @@ func (c Count) Release(rng *rand.Rand, d *dataset.Dataset) (any, error) {
 // Describe implements Mechanism.
 func (c Count) Describe() string { return fmt.Sprintf("M#q exact count of [%s]", c.Q.Describe()) }
 
-// NoisyCount releases a count with Laplace(1/Eps) noise — the
-// ε-differentially private counterpart (Theorem 1.3).
-type NoisyCount struct {
-	Q   Predicate
-	Eps float64
-}
-
-// Release implements Mechanism.
-func (c NoisyCount) Release(rng *rand.Rand, d *dataset.Dataset) (any, error) {
-	return dp.LaplaceCount(rng, int64(IsolationCount(c.Q, d)), c.Eps), nil
-}
-
-// Describe implements Mechanism.
-func (c NoisyCount) Describe() string {
-	return fmt.Sprintf("ε=%g Laplace count of [%s]", c.Eps, c.Q.Describe())
-}
-
 // PostProcess wraps a mechanism with an arbitrary data-independent
 // post-processing function — the setting of Theorem 2.6.
 type PostProcess struct {
@@ -204,35 +187,4 @@ func (m KAnonymity) Describe() string {
 		alg = "full-domain"
 	}
 	return fmt.Sprintf("%d-anonymity (%s) over %d QIs", m.K, alg, len(m.QI))
-}
-
-// LaplaceHistogram releases an ε-DP histogram of a single attribute — a
-// richer DP mechanism for the Theorem 2.9 experiments than a lone count.
-type LaplaceHistogram struct {
-	Attr    int
-	Buckets int
-	Eps     float64
-}
-
-// Release implements Mechanism; the released value is []float64.
-func (m LaplaceHistogram) Release(rng *rand.Rand, d *dataset.Dataset) (any, error) {
-	if m.Buckets <= 0 {
-		return nil, fmt.Errorf("pso: LaplaceHistogram needs positive bucket count")
-	}
-	attr := d.Schema.Attrs[m.Attr]
-	lo, size := attr.Min, attr.DomainSize()
-	counts := make([]int64, m.Buckets)
-	for _, r := range d.Rows {
-		b := int((r[m.Attr] - lo) * int64(m.Buckets) / size)
-		if b >= m.Buckets {
-			b = m.Buckets - 1
-		}
-		counts[b]++
-	}
-	return dp.Histogram(rng, counts, m.Eps), nil
-}
-
-// Describe implements Mechanism.
-func (m LaplaceHistogram) Describe() string {
-	return fmt.Sprintf("ε=%g Laplace histogram of attr %d (%d buckets)", m.Eps, m.Attr, m.Buckets)
 }

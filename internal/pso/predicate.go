@@ -126,9 +126,9 @@ func hashRecord(seed uint64, r dataset.Record) uint64 {
 }
 
 // hashMemo holds one seed's hashes of a dataset's rows, so that a run of
-// HashPrefix queries under that seed (the prefix-descent attacks) hashes
+// HashPrefix queries under that seed (the prefix-descent attack) hashes
 // each record once. The dataset must not change while the memo is in use;
-// the oracles own theirs.
+// each CountOracle owns its own.
 type hashMemo struct {
 	filled bool
 	seed   uint64

@@ -1,6 +1,7 @@
 package pso
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -295,6 +296,42 @@ func TestCornerAttackApproaches100(t *testing.T) {
 	}
 }
 
+// failAtMechanism releases an exact count, except that its failAt-th
+// Release (1-based) fails with err.
+type failAtMechanism struct {
+	calls  int
+	failAt int
+	err    error
+}
+
+func (m *failAtMechanism) Release(rng *rand.Rand, d *dataset.Dataset) (any, error) {
+	m.calls++
+	if m.calls == m.failAt {
+		return nil, m.err
+	}
+	return IsolationCount(Equality{Attr: 0, Value: 1}, d), nil
+}
+
+func (m *failAtMechanism) Describe() string { return "fails one release" }
+
+// TestRunStopsOnMechanismFailure: a failing Release ends the game with the
+// mechanism's error and no further trials; an invalid config is refused.
+func TestRunStopsOnMechanismFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	errBackend := errors.New("mechanism backend unavailable")
+	mech := &failAtMechanism{failAt: 3, err: errBackend}
+	att := Birthday{Attr: 0, Min: 0, Domain: BirthdayDomain}
+	if _, err := Run(rng, BirthdayConfig(1e-6, 10), mech, att); !errors.Is(err, errBackend) {
+		t.Errorf("Run error = %v, want one wrapping %v", err, errBackend)
+	}
+	if mech.calls != 3 {
+		t.Errorf("Release called %d times, want 3: the game must stop at the failure", mech.calls)
+	}
+	if _, err := Run(rng, Config{}, mech, att); err == nil {
+		t.Error("zero Config should fail")
+	}
+}
+
 func TestAttackerErrorsAreCounted(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	cfg := BirthdayConfig(1e-6, 5)
@@ -336,25 +373,6 @@ func TestCountOracleLimit(t *testing.T) {
 	}
 	if _, err := (InteractiveCounts{}).Release(rng, d); err == nil {
 		t.Error("zero limit should be rejected at release")
-	}
-}
-
-func TestLaplaceHistogramMechanism(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	d := dataset.New(BirthdaySchema())
-	for i := 0; i < 100; i++ {
-		d.MustAppend(dataset.Record{int64(i % BirthdayDomain)})
-	}
-	y, err := LaplaceHistogram{Attr: 0, Buckets: 10, Eps: 1}.Release(rng, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := y.([]float64)
-	if len(h) != 10 {
-		t.Fatalf("buckets = %d", len(h))
-	}
-	if _, err := (LaplaceHistogram{Attr: 0, Buckets: 0, Eps: 1}).Release(rng, d); err == nil {
-		t.Error("zero buckets should fail")
 	}
 }
 
@@ -424,13 +442,11 @@ func TestMechanismDescriptions(t *testing.T) {
 	q := Equality{Attr: 0, Value: 1, Weight: 0.1}
 	for _, m := range []Mechanism{
 		Count{Q: q},
-		NoisyCount{Q: q, Eps: 1},
 		PostProcess{Inner: Count{Q: q}, Name: "f"},
 		InteractiveCounts{Limit: 3},
 		InteractiveCounts{Limit: 3, Eps: 1},
 		KAnonymity{K: 5},
 		KAnonymity{K: 5, Algorithm: UseFullDomain},
-		LaplaceHistogram{Eps: 1, Buckets: 4},
 	} {
 		if m.Describe() == "" {
 			t.Errorf("%T: empty description", m)
@@ -443,21 +459,6 @@ func TestMechanismDescriptions(t *testing.T) {
 		if a.Describe() == "" {
 			t.Errorf("%T: empty description", a)
 		}
-	}
-}
-
-func TestNoisyCountMechanism(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	d := dataset.New(BirthdaySchema())
-	for i := 0; i < 50; i++ {
-		d.MustAppend(dataset.Record{int64(i)})
-	}
-	y, err := NoisyCount{Q: Equality{Attr: 0, Value: 1}, Eps: 1}.Release(rng, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := y.(float64); math.Abs(v-1) > 15 {
-		t.Errorf("noisy count = %v wildly off", v)
 	}
 }
 

@@ -60,7 +60,8 @@ type Oracle interface {
 }
 
 // AnswerOne asks a single query — the thin helper for call sites that
-// genuinely issue one query at a time (averaging attacks, diagnostics).
+// genuinely issue one query at a time (the query server answers each cache
+// miss on its own).
 func AnswerOne(ctx context.Context, o Oracle, q []int) (float64, error) {
 	a, err := o.Answer(ctx, [][]int{q})
 	if err != nil {
@@ -308,53 +309,4 @@ func RandomSubsets(rng *rand.Rand, n, m int) [][]int {
 		qs[j] = q
 	}
 	return qs
-}
-
-// AllSubsets enumerates every subset of [n]; it panics if n > 24 to avoid
-// accidental exponential blow-ups. Used by the exhaustive attack (E1) at
-// small n.
-func AllSubsets(n int) [][]int {
-	if n > 24 {
-		panic("query: AllSubsets limited to n <= 24")
-	}
-	out := make([][]int, 0, 1<<uint(n))
-	for mask := 0; mask < 1<<uint(n); mask++ {
-		var q []int
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				q = append(q, i)
-			}
-		}
-		out = append(out, q)
-	}
-	return out
-}
-
-// MaxError reports the largest absolute deviation of the oracle's answers
-// from the true sums over the given workload. It is the empirical α. The
-// workload is submitted as one batch, so a budgeted oracle that cannot
-// cover it fails with ErrBudgetExhausted.
-func MaxError(ctx context.Context, o Oracle, x []int64, queries [][]int) (float64, error) {
-	answers, err := o.Answer(ctx, queries)
-	if err != nil {
-		return 0, err
-	}
-	worst := 0.0
-	for qi, q := range queries {
-		s, err := trueSum(x, q)
-		if err != nil {
-			return 0, err
-		}
-		if d := abs(answers[qi] - float64(s)); d > worst {
-			worst = d
-		}
-	}
-	return worst, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

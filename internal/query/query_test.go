@@ -218,56 +218,6 @@ func TestRandomSubsetsShape(t *testing.T) {
 	}
 }
 
-func TestAllSubsets(t *testing.T) {
-	qs := AllSubsets(3)
-	if len(qs) != 8 {
-		t.Fatalf("|subsets| = %d", len(qs))
-	}
-	seen := map[string]bool{}
-	for _, q := range qs {
-		key := ""
-		for _, i := range q {
-			key += string(rune('a' + i))
-		}
-		if seen[key] {
-			t.Fatalf("duplicate subset %q", key)
-		}
-		seen[key] = true
-	}
-}
-
-func TestAllSubsetsPanicsOnLargeN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	AllSubsets(25)
-}
-
-func TestMaxError(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := synth.BinaryDataset(rng, 64, 0.5)
-	queries := RandomSubsets(rng, 64, 200)
-	exactErr, err := MaxError(ctx, &Exact{X: x}, x, queries)
-	if err != nil || exactErr != 0 {
-		t.Errorf("exact oracle max error = %v, %v", exactErr, err)
-	}
-	noisyErr, err := MaxError(ctx, &BoundedNoise{X: x, Alpha: 2, Rng: rng}, x, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if noisyErr <= 0 || noisyErr > 2 {
-		t.Errorf("bounded oracle max error = %v, want in (0,2]", noisyErr)
-	}
-	// Budget exhaustion propagates: the workload is one batch of 200
-	// against a budget of 10.
-	b := &Budgeted{Inner: &Exact{X: x}, Limit: 10}
-	if _, err := MaxError(ctx, b, x, queries); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("expected budget error, got %v", err)
-	}
-}
-
 // TestDuplicateIndexRejected is the regression test for the duplicate-index
 // disagreement: trueSum used to count a repeated index twice while the
 // attacks' candidate evaluations collapsed it to one, so the attacker and

@@ -9,21 +9,6 @@ import "fmt"
 // 2005) of register width k, so a constraint over n variables with bound k
 // costs O(n·k) auxiliary variables and clauses.
 
-// ExactlyOne adds clauses forcing exactly one of the given variables true
-// (pairwise encoding; intended for small groups such as one-hot attribute
-// encodings).
-func (s *Solver) ExactlyOne(vars []int) error {
-	if len(vars) == 0 {
-		return fmt.Errorf("sat: ExactlyOne over empty set")
-	}
-	lits := make([]int, len(vars))
-	copy(lits, vars)
-	if err := s.AddClause(lits...); err != nil {
-		return err
-	}
-	return s.AtMostOnePairwise(vars)
-}
-
 // counter builds sequential-counter registers over lits with width k >= 1:
 // r[i][j] ⇔ at least j+1 of lits[0..i] are true (both implication
 // directions, so the registers are exact and usable for lower bounds).

@@ -259,27 +259,6 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestExactlyOne(t *testing.T) {
-	s := New()
-	v := newVars(s, 5)
-	if err := s.ExactlyOne(v); err != nil {
-		t.Fatal(err)
-	}
-	count, err := s.CountModels(v, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("ExactlyOne over 5 vars has %d models, want 5", count)
-	}
-}
-
-func TestExactlyOneEmpty(t *testing.T) {
-	if err := New().ExactlyOne(nil); err == nil {
-		t.Error("ExactlyOne over empty set should fail")
-	}
-}
-
 func binom(n, k int) int {
 	if k < 0 || k > n {
 		return 0
