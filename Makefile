@@ -6,6 +6,8 @@
 #                  tests + a quick instrumented repro run + the bench
 #                  regression gate
 #   make bench-test  the benchmark driver's own tests (bench/ module)
+#   make fuzz-smoke  five seconds of coverage-guided fuzzing per fuzz
+#                  target (plain `go test` runs only their seed corpora)
 #   make lint      repolint (internal/analysis invariant suite, including
 #                  the dataflow analyzers) + go vet, plus an advisory
 #                  govulncheck pass when the tool exists
@@ -25,9 +27,9 @@
 GO ?= go
 rev := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci fmt lint lint-fix fixcheck vet build test bench-test race repro-quick bench benchgate loadgen-smoke gobench repro clean
+.PHONY: ci fmt lint lint-fix fixcheck vet build test bench-test fuzz-smoke race repro-quick bench benchgate loadgen-smoke gobench repro clean
 
-ci: fmt lint fixcheck build race test bench-test benchgate loadgen-smoke
+ci: fmt lint fixcheck build race test fuzz-smoke bench-test benchgate loadgen-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -96,6 +98,21 @@ test:
 # the root does not reach it.
 bench-test:
 	cd bench && $(GO) test ./...
+
+# Every fuzz target for five seconds past its seed corpus: the parsers of
+# untrusted bytes (wire requests, WAL, CSV), the ledger replay, and the
+# two solvers against their oracles (SAT against brute force, the revised
+# simplex against the dense tableau). The short minimize time keeps the
+# engine from spending the whole budget shrinking one large new input
+# (FuzzDecodeQueryRequest's 20 KB nesting seed). A failing input is
+# written under the package's testdata/fuzz/ and fails the target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRevised$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/sat
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryRequest$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayLedger$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 
 # Quick instrumented end-to-end run: every experiment, JSONL journal and
 # BENCH_<rev>.json summary under /tmp.

@@ -162,6 +162,29 @@ func TestE19DefenseShape(t *testing.T) {
 	if solved*4 > blocks {
 		t.Errorf("DP tables should be mostly unsolvable: %s", dpSolved)
 	}
+	// Confirmed re-identification per resident: no DP row may expose
+	// more of the population than the raw tables do.
+	perResident := func(row []string) float64 {
+		var v float64
+		if _, err := fmt.Sscanf(row[3], "%f%%", &v); err != nil {
+			t.Fatalf("row %q: per-resident rate %q: %v", row[0], row[3], err)
+		}
+		return v
+	}
+	var raw float64
+	for _, row := range tab.Rows {
+		if row[0] == "none (raw tables)" {
+			raw = perResident(row)
+		}
+	}
+	if raw <= 0 {
+		t.Errorf("raw tables re-identify nobody:\n%s", tab)
+	}
+	for _, row := range tab.Rows {
+		if strings.Contains(row[0], "DP") && perResident(row) > raw {
+			t.Errorf("%s re-identifies %.1f%% of residents, raw tables %.1f%%", row[0], perResident(row), raw)
+		}
+	}
 }
 
 // TestTableWideRowRendering is a regression test for rows carrying more

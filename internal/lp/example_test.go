@@ -3,23 +3,25 @@ package lp_test
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"singlingout/internal/lp"
 )
 
-// ExampleSolve solves the classic two-variable production LP.
-func ExampleSolve() {
+// ExampleRevised solves the classic two-variable production LP, with the
+// x ≤ 4 capacity stated as an implicit upper bound instead of a row.
+func ExampleRevised() {
 	// maximize 3x + 5y  ⇔  minimize -3x - 5y
 	p := &lp.Problem{
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []lp.Constraint{
-			{Coeffs: []float64{1, 0}, Rel: lp.LE, RHS: 4},
 			{Coeffs: []float64{0, 2}, Rel: lp.LE, RHS: 12},
 			{Coeffs: []float64{3, 2}, Rel: lp.LE, RHS: 18},
 		},
+		Upper: []float64{4, math.Inf(1)},
 	}
-	s, err := lp.Solve(context.Background(), p)
+	s, err := lp.Revised(context.Background(), p, nil)
 	if err != nil {
 		panic(err)
 	}

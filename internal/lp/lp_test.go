@@ -22,14 +22,17 @@ func solveOK(t *testing.T, p *Problem) *Solution {
 	return s
 }
 
-// checkFeasible verifies x ≥ 0 and all constraints within the documented
-// feasibility slack of Solve.
+// checkFeasible verifies 0 ≤ x ≤ Upper and all constraints within the
+// documented feasibility slack of the solvers.
 func checkFeasible(t *testing.T, p *Problem, x []float64) {
 	t.Helper()
 	const eps = 2e-5
 	for j, v := range x {
 		if v < -eps {
 			t.Fatalf("x[%d] = %v < 0", j, v)
+		}
+		if p.Upper != nil && v > p.Upper[j]+eps {
+			t.Fatalf("x[%d] = %v > upper bound %v", j, v, p.Upper[j])
 		}
 	}
 	for i, c := range p.Constraints {

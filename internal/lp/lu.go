@@ -279,13 +279,21 @@ func (f *luFactor) appendEta(pos int, d []float64) bool {
 	if math.Abs(d[pos]) < etaPivotTol {
 		return false
 	}
-	e := eta{pos: pos, pivot: d[pos]}
+	// Refactorization truncates the file but keeps its entries, so their
+	// slices are reused here instead of reallocated every pivot.
+	if n := len(f.etas); n < cap(f.etas) {
+		f.etas = f.etas[:n+1]
+	} else {
+		f.etas = append(f.etas, eta{})
+	}
+	e := &f.etas[len(f.etas)-1]
+	e.pos, e.pivot = pos, d[pos]
+	e.rows, e.vals = e.rows[:0], e.vals[:0]
 	for i, v := range d {
 		if v != 0 {
 			e.rows = append(e.rows, int32(i))
 			e.vals = append(e.vals, v)
 		}
 	}
-	f.etas = append(f.etas, e)
 	return true
 }

@@ -30,7 +30,8 @@ func TestChooseLeavingTieChainDense(t *testing.T) {
 }
 
 // TestChooseLeavingTieChainRevised: the same tie chain through the
-// revised engine's ratio test.
+// revised engine's ratio test (entering from its lower bound, no upper
+// bound of its own).
 func TestChooseLeavingTieChainRevised(t *testing.T) {
 	e := &revised{
 		m:     4,
@@ -38,7 +39,7 @@ func TestChooseLeavingTieChainRevised(t *testing.T) {
 		xB:    []float64{0, 0.9 * tol, 1.8 * tol, 2.7 * tol},
 		basis: []int{10, 5, 3, 1},
 	}
-	if got, _ := e.chooseLeavingPrimal(); got != 1 {
+	if got, _, _ := e.chooseLeavingPrimal(1, math.Inf(1)); got != 1 {
 		t.Errorf("chooseLeavingPrimal = pos %d, want pos 1 (basis 5)", got)
 	}
 }

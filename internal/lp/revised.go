@@ -9,7 +9,7 @@ import (
 
 // ErrBasisMismatch is returned by Revised when the warm-start Basis was
 // produced on a different constraint matrix (the warm-start contract
-// covers RHS and objective changes only).
+// covers RHS, objective and bound changes only).
 var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the constraint structure")
 
 // ErrSingularBasis is returned when the engine cannot keep a numerically
@@ -18,19 +18,21 @@ var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the const
 var ErrSingularBasis = errors.New("lp: numerically singular basis")
 
 // Basis is an opaque warm-start handle: the basic column set at the end
-// of a Revised solve, tied by signature to the constraint matrix it was
-// produced on. Pass it to a later Revised call over the same constraint
-// matrix — same coefficients and relations; the RHS and objective may
-// differ — to start from that basis instead of from scratch.
+// of a Revised solve and the nonbasic columns that sat at their upper
+// bound, tied by signature to the constraint matrix it was produced on.
+// Pass it to a later Revised call over the same constraint matrix — same
+// coefficients and relations; the RHS, objective and bounds may differ —
+// to start from that basis instead of from scratch.
 type Basis struct {
-	sig  uint64
-	m    int
-	cols []int
+	sig   uint64
+	m     int
+	cols  []int
+	upper []int // nonbasic columns at their upper bound, ascending
 }
 
 const (
 	// feasTol is the feasibility tolerance on basic variable values and
-	// reduced costs in the revised engine.
+	// reduced costs.
 	feasTol = 1e-7
 	// refactorEvery bounds the eta file: after this many product-form
 	// updates the basis is refactorized from scratch, restoring both
@@ -40,12 +42,12 @@ const (
 	refactorEvery = 24
 	// dualBlandRun is the consecutive-degenerate-pivot threshold at which
 	// the dual simplex switches its leaving-row choice from Dantzig (most
-	// negative) to Bland's least-index rule. The primal side is protected
-	// by the ε-perturbation and blandAfter, but the dual ratio test runs
-	// on the unperturbed reduced costs, and on the massively degenerate
-	// L1-fitting LPs a warm start that tightens many rows at once can set
-	// Dantzig cycling; least-index selection (with the ratio test's
-	// existing lowest-column tie-break) is provably finite.
+	// infeasible) to Bland's least-index rule. The primal side is
+	// protected by the ε-perturbation and blandAfter, but the dual ratio
+	// test runs on the unperturbed reduced costs, and on the massively
+	// degenerate L1-fitting LPs a warm start that tightens many rows at
+	// once can set Dantzig cycling; least-index selection (with the ratio
+	// test's lowest-column tie-break) is provably finite.
 	dualBlandRun = 256
 )
 
@@ -55,13 +57,15 @@ type revised struct {
 	sf *standard
 	m  int
 
-	artSign []float64 // per-row artificial sign for this solve
-	artCols []spCol   // artificial singleton columns (factor access)
-	cost    []float64 // current phase objective, indexed by column id
-	basis   []int     // basis position -> column id
-	posOf   []int     // column id -> basis position, -1 if nonbasic
-	xB      []float64 // basic variable values by position
-	lu      *luFactor
+	artCols  []spCol   // artificial singleton columns (factor access)
+	cost     []float64 // current phase objective, indexed by column id
+	ub       []float64 // upper bound by column id (artificials +Inf)
+	canEnter []bool    // active, non-fixed structural or row-variable column
+	atUpper  []bool    // nonbasic column sits at its upper bound
+	basis    []int     // basis position -> column id
+	posOf    []int     // column id -> basis position, -1 if nonbasic
+	xB       []float64 // basic variable values by position
+	lu       *luFactor
 
 	pivots       int
 	phase1Pivots int
@@ -82,20 +86,29 @@ type revised struct {
 	dualD      []float64 // dual simplex's cached nonbasic reduced costs
 }
 
-// Revised solves p with the sparse revised simplex: column-wise sparse
-// constraint storage, an LU-factorized basis with product-form updates
-// between periodic refactorizations, candidate-list partial pricing, and
-// the same two-phase + Bland-fallback termination contract (and the same
-// ε-perturbation numerical contract) as the dense Solve.
+// Revised solves p with the sparse bounded-variable revised simplex:
+// column-wise sparse constraint storage, implicit bounds 0 ≤ x ≤ Upper,
+// an LU-factorized basis with product-form updates between periodic
+// refactorizations, candidate-list partial pricing, a singleton crash
+// that skips phase 1 whenever every row has a singleton column, and
+// Bland fallbacks for termination.
+//
+// Numerical contract: the engine relaxes each inequality by a tiny
+// anti-degeneracy perturbation, so the returned point may violate the
+// stated constraints by up to ~1e-5 for problems with up to ~1000 rows;
+// equalities are not perturbed.
 //
 // warm may be nil (cold start) or the Basis of a previous Revised solve
-// over the same constraint matrix. A usable warm basis skips phase 1
-// entirely: if it is still primal feasible under the new RHS the solve
-// resumes in phase 2, and if only dual feasible (the common case after an
-// RHS change at an optimum) the engine runs the dual simplex until primal
-// feasibility is restored. A warm basis that cannot be reused (singular
-// under the new data, or containing artificials) falls back to a cold
-// start; a basis from a *different* matrix is an ErrBasisMismatch error.
+// over the same constraint matrix. A usable warm basis skips the crash
+// and phase 1 entirely: if it is still primal feasible under the new
+// RHS and bounds the solve resumes in phase 2, and otherwise (the common
+// case after an RHS or bound change at an optimum) the engine places
+// each boxed nonbasic variable at the bound its reduced cost prefers and
+// runs the dual simplex until primal feasibility is restored. A warm
+// basis that cannot be reused (singular under the new data, containing
+// artificials, or dual infeasible on an unbounded column) falls back to
+// a cold start; a basis from a *different* matrix is an ErrBasisMismatch
+// error.
 //
 // The returned Solution carries the final Basis for Optimal solves. The
 // context is checked every ProgressEvery pivots.
@@ -123,22 +136,31 @@ func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 	sol.Phase1Pivots = e.phase1Pivots
 	sol.Warm = e.warm
 	if sol.Status == Optimal {
-		sol.Basis = &Basis{sig: sf.sig, m: sf.m, cols: append([]int(nil), e.basis...)}
+		b := &Basis{sig: sf.sig, m: sf.m, cols: append([]int(nil), e.basis...)}
+		for j := 0; j < sf.nCols; j++ {
+			if e.atUpper[j] {
+				b.upper = append(b.upper, j)
+			}
+		}
+		sol.Basis = b
 	}
 	return sol, nil
 }
 
 func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 	m := sf.m
+	total := sf.nCols + m
 	e := &revised{
 		p:             p,
 		sf:            sf,
 		m:             m,
-		artSign:       make([]float64, m),
 		artCols:       make([]spCol, m),
-		cost:          make([]float64, sf.nCols+m),
+		cost:          make([]float64, total),
+		ub:            make([]float64, total),
+		canEnter:      make([]bool, total),
+		atUpper:       make([]bool, total),
 		basis:         make([]int, m),
-		posOf:         make([]int, sf.nCols+m),
+		posOf:         make([]int, total),
 		xB:            make([]float64, m),
 		lu:            newLU(m),
 		ctx:           ctx,
@@ -152,12 +174,16 @@ func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 	if e.progressEvery <= 0 {
 		e.progressEvery = 4096
 	}
+	copy(e.ub, sf.ub)
+	for j := 0; j < sf.nCols; j++ {
+		e.canEnter[j] = sf.active[j] && sf.ub[j] > 0
+	}
 	for r := 0; r < m; r++ {
+		e.ub[sf.nCols+r] = math.Inf(1)
 		s := 1.0
 		if sf.b[r] < 0 {
 			s = -1
 		}
-		e.artSign[r] = s
 		e.artCols[r] = spCol{rows: []int32{int32(r)}, vals: []float64{s}}
 	}
 	for j := range e.posOf {
@@ -185,6 +211,7 @@ func (e *revised) run(warm *Basis) (*Solution, error) {
 func (e *revised) resetBasis() {
 	for j := range e.posOf {
 		e.posOf[j] = -1
+		e.atUpper[j] = false
 	}
 	e.pricePos = 0
 	e.warm = false
@@ -200,10 +227,12 @@ func (e *revised) colFor(j int) ([]int32, []float64) {
 	return c.rows, c.vals
 }
 
-// allowed reports whether column j may enter the basis: structural and
-// row-variable columns only — artificial columns never (re-)enter.
-func (e *revised) allowed(j int) bool {
-	return j < e.sf.nCols && e.sf.active[j]
+// nonbasicValue is the value of nonbasic column j: its upper bound or 0.
+func (e *revised) nonbasicValue(j int) float64 {
+	if e.atUpper[j] {
+		return e.ub[j]
+	}
+	return 0
 }
 
 func (e *revised) redCost(j int, y []float64) float64 {
@@ -216,15 +245,31 @@ func (e *revised) redCost(j int, y []float64) float64 {
 }
 
 // refactor rebuilds the LU factors from the current basis and recomputes
-// the basic values from the RHS.
+// the basic values.
 func (e *revised) refactor() error {
 	mRefactor.Add(1)
 	if !e.lu.factor(func(pos int) ([]int32, []float64) { return e.colFor(e.basis[pos]) }) {
 		return ErrSingularBasis
 	}
-	copy(e.rowScratch, e.sf.b)
-	e.lu.ftran(e.rowScratch, e.xB)
+	e.computeXB()
 	return nil
+}
+
+// computeXB sets x_B = B⁻¹(b − Σ u_j A_j) over the nonbasic columns at
+// their upper bound.
+func (e *revised) computeXB() {
+	copy(e.rowScratch, e.sf.b)
+	for j := 0; j < e.sf.nCols; j++ {
+		if !e.atUpper[j] {
+			continue
+		}
+		u := e.ub[j]
+		rows, vals := e.colFor(j)
+		for i, r := range rows {
+			e.rowScratch[r] -= u * vals[i]
+		}
+	}
+	e.lu.ftran(e.rowScratch, e.xB)
 }
 
 func (e *revised) setPhase1Cost() {
@@ -251,6 +296,15 @@ func (e *revised) btranCost() {
 	e.lu.btran(e.posScratch, e.y)
 }
 
+// btranRow computes ρ = Bᵀ⁻¹ e_pos into e.y: row pos of B⁻¹A is ρ·A.
+func (e *revised) btranRow(pos int) {
+	for i := range e.posScratch {
+		e.posScratch[i] = 0
+	}
+	e.posScratch[pos] = 1
+	e.lu.btran(e.posScratch, e.y)
+}
+
 // ftranCol computes d = B⁻¹ A_q into e.d.
 func (e *revised) ftranCol(q int) {
 	for i := range e.rowScratch {
@@ -271,27 +325,53 @@ func (e *revised) checkCtx() error {
 	return nil
 }
 
-// doPivot applies the basis exchange: entering column q replaces the
-// column at basis position r; the entering variable takes value theta.
-// e.d must hold B⁻¹A_q.
-func (e *revised) doPivot(q, r int, theta float64) error {
-	for i := 0; i < e.m; i++ {
-		if d := e.d[i]; d != 0 {
-			e.xB[i] -= theta * d
-		}
-	}
-	e.xB[r] = theta
-	e.posOf[e.basis[r]] = -1
-	e.basis[r] = q
-	e.posOf[q] = r
+// tick counts one simplex iteration and drives the Progress hook.
+func (e *revised) tick() {
 	e.pivots++
 	if e.progress != nil && e.pivots%e.progressEvery == 0 {
 		e.progress(Progress{Phase: e.phase, Pivots: e.pivots})
 	}
+}
+
+// moveEntering shifts the basic values for a change of delta in a
+// nonbasic column whose FTRANed column is in e.d.
+func (e *revised) moveEntering(delta float64) {
+	if delta == 0 {
+		return
+	}
+	for i := 0; i < e.m; i++ {
+		if d := e.d[i]; d != 0 {
+			e.xB[i] -= delta * d
+		}
+	}
+}
+
+// doPivot applies the basis exchange: entering column q, changed by
+// delta from its bound to enterVal, replaces the column at basis
+// position r. e.d must hold B⁻¹A_q, and the caller must already have
+// recorded the bound the leaving column leaves at.
+func (e *revised) doPivot(q, r int, delta, enterVal float64) error {
+	e.moveEntering(delta)
+	e.xB[r] = enterVal
+	e.posOf[e.basis[r]] = -1
+	e.basis[r] = q
+	e.posOf[q] = r
+	e.atUpper[q] = false
+	e.tick()
 	if len(e.lu.etas) >= refactorEvery || !e.lu.appendEta(r, e.d) {
 		return e.refactor()
 	}
 	return nil
+}
+
+// primalGain is the rate at which moving nonbasic column j off its bound
+// lowers the objective: −d_j from the lower bound, d_j from the upper.
+func (e *revised) primalGain(j int) float64 {
+	d := e.redCost(j, e.y)
+	if e.atUpper[j] {
+		return d
+	}
+	return -d
 }
 
 // chooseEnteringPrimal prices nonbasic columns: candidate-list partial
@@ -301,7 +381,7 @@ func (e *revised) chooseEnteringPrimal() int {
 	total := e.sf.nCols
 	if e.pivots >= blandAfter {
 		for j := 0; j < total; j++ {
-			if e.allowed(j) && e.posOf[j] < 0 && e.redCost(j, e.y) < -tol {
+			if e.canEnter[j] && e.posOf[j] < 0 && e.primalGain(j) > tol {
 				return j
 			}
 		}
@@ -312,7 +392,7 @@ func (e *revised) chooseEnteringPrimal() int {
 		section = 64
 	}
 	for scanned := 0; scanned < total; {
-		best, bestVal := -1, -tol
+		best, bestVal := -1, tol
 		for k := 0; k < section && scanned < total; k++ {
 			j := e.pricePos
 			e.pricePos++
@@ -320,10 +400,10 @@ func (e *revised) chooseEnteringPrimal() int {
 				e.pricePos = 0
 			}
 			scanned++
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if !e.canEnter[j] || e.posOf[j] >= 0 {
 				continue
 			}
-			if v := e.redCost(j, e.y); v < bestVal {
+			if v := e.primalGain(j); v > bestVal {
 				best, bestVal = j, v
 			}
 		}
@@ -339,36 +419,59 @@ func (e *revised) chooseEnteringPrimal() int {
 // accepted pivot can always be applied.
 const ratioPivTol = 1e-7
 
-// chooseLeavingPrimal runs the primal ratio test on e.d with the same
-// minimum-keeping tie-break as the dense engine (ties on ratio within tol
-// break by lowest basis column id; the accepted ratio never creeps above
-// the true minimum).
-func (e *revised) chooseLeavingPrimal() (int, float64) {
+// chooseLeavingPrimal runs the bounded primal ratio test on e.d for an
+// entering column moving in direction dir (+1 up from its lower bound,
+// −1 down from its upper) whose own bound range is uq. Each basic
+// variable blocks at 0 or at its upper bound; ties on ratio within tol
+// break by lowest basis column id, and the accepted ratio never creeps
+// above the true minimum. It returns the blocking position, the step
+// and whether the leaving variable stops at its upper bound; a position
+// of -1 means the entering column flips to its other bound (step uq),
+// or, with an infinite step, that the problem is unbounded.
+func (e *revised) chooseLeavingPrimal(dir, uq float64) (int, float64, bool) {
 	bestPos := -1
 	bestRatio := math.Inf(1)
+	bestUp := false
 	for i := 0; i < e.m; i++ {
-		di := e.d[i]
-		if di <= ratioPivTol {
+		di := dir * e.d[i]
+		var ratio float64
+		up := false
+		switch {
+		case di > ratioPivTol:
+			x := e.xB[i]
+			if x < 0 {
+				x = 0 // roundoff: degenerate, not improving
+			}
+			ratio = x / di
+		case di < -ratioPivTol:
+			u := e.ub[e.basis[i]]
+			if math.IsInf(u, 1) {
+				continue
+			}
+			room := u - e.xB[i]
+			if room < 0 {
+				room = 0
+			}
+			ratio, up = room/-di, true
+		default:
 			continue
 		}
-		x := e.xB[i]
-		if x < 0 {
-			x = 0 // roundoff: degenerate, not improving
-		}
-		ratio := x / di
 		switch {
 		case ratio < bestRatio-tol:
-			bestRatio, bestPos = ratio, i
+			bestRatio, bestPos, bestUp = ratio, i, up
 		case ratio < bestRatio+tol:
 			if ratio < bestRatio {
 				bestRatio = ratio
 			}
 			if bestPos < 0 || e.basis[i] < e.basis[bestPos] {
-				bestPos = i
+				bestPos, bestUp = i, up
 			}
 		}
 	}
-	return bestPos, bestRatio
+	if uq <= bestRatio {
+		return -1, uq, false
+	}
+	return bestPos, bestRatio, bestUp
 }
 
 // primal runs primal simplex iterations until optimality; phase1 solves
@@ -385,14 +488,29 @@ func (e *revised) primal(phase1 bool) error {
 			return nil // optimal
 		}
 		e.ftranCol(q)
-		r, theta := e.chooseLeavingPrimal()
-		if r < 0 {
-			if phase1 {
-				return fmt.Errorf("lp: phase-1 unbounded (internal error)")
-			}
-			return errUnbounded
+		dir := 1.0
+		if e.atUpper[q] {
+			dir = -1
 		}
-		if err := e.doPivot(q, r, theta); err != nil {
+		r, step, toUpper := e.chooseLeavingPrimal(dir, e.ub[q])
+		if r < 0 {
+			if math.IsInf(step, 1) {
+				if phase1 {
+					return fmt.Errorf("lp: phase-1 unbounded (internal error)")
+				}
+				return errUnbounded
+			}
+			// Bound flip: the entering column crosses its whole range
+			// before any basic variable blocks; the basis is unchanged.
+			e.moveEntering(dir * step)
+			e.atUpper[q] = !e.atUpper[q]
+			e.tick()
+			continue
+		}
+		leave := e.basis[r]
+		enterVal := e.nonbasicValue(q) + dir*step
+		e.atUpper[leave] = toUpper && e.ub[leave] > 0
+		if err := e.doPivot(q, r, dir*step, enterVal); err != nil {
 			return err
 		}
 	}
@@ -412,15 +530,11 @@ func (e *revised) driveOutArtificials() (bool, error) {
 		if math.Abs(e.xB[pos]) > feasTol {
 			return false, nil
 		}
-		// ρ = Bᵀ⁻¹ e_pos; any allowed nonbasic column with ρ·A_j ≠ 0 can
-		// replace the artificial in a zero-length pivot.
-		for i := range e.posScratch {
-			e.posScratch[i] = 0
-		}
-		e.posScratch[pos] = 1
-		e.lu.btran(e.posScratch, e.y)
+		// Any allowed nonbasic column with ρ·A_j ≠ 0 can replace the
+		// artificial in a zero-length pivot.
+		e.btranRow(pos)
 		for j := 0; j < e.sf.nCols; j++ {
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if !e.canEnter[j] || e.posOf[j] >= 0 {
 				continue
 			}
 			alpha := 0.0
@@ -435,7 +549,7 @@ func (e *revised) driveOutArtificials() (bool, error) {
 			if math.Abs(e.d[pos]) <= ratioPivTol {
 				continue
 			}
-			if err := e.doPivot(j, pos, 0); err != nil {
+			if err := e.doPivot(j, pos, 0, e.nonbasicValue(j)); err != nil {
 				return false, err
 			}
 			break
@@ -444,27 +558,51 @@ func (e *revised) driveOutArtificials() (bool, error) {
 	return true, nil
 }
 
-// coldPath is the two-phase solve from the crash basis (slack/surplus
-// where feasible at x=0, artificials elsewhere).
-func (e *revised) coldPath() (*Solution, error) {
+// crash sets the cold-start basis with every nonbasic column at 0: each
+// row is covered by the cheapest singleton column whose value b_r/a_rj
+// lies within its bounds — the row's slack/surplus or a structural
+// column appearing in that row only — with ties to the lowest column
+// id. Rows no such column covers get their artificial. It returns the
+// number of artificials.
+func (e *revised) crash() int {
+	sf := e.sf
+	for r := range e.basis {
+		e.basis[r] = -1
+	}
+	for j := 0; j < sf.nCols; j++ {
+		col := &sf.cols[j]
+		if !e.canEnter[j] || len(col.rows) != 1 {
+			continue
+		}
+		r := int(col.rows[0])
+		v := sf.b[r] / col.vals[0]
+		if v < 0 || v > e.ub[j] {
+			continue
+		}
+		if cur := e.basis[r]; cur < 0 || e.cost[j] < e.cost[cur] {
+			e.basis[r] = j
+			e.xB[r] = v
+		}
+	}
 	numArt := 0
-	for r := 0; r < e.m; r++ {
-		rv := e.sf.nStruct + r
-		b := e.sf.b[r]
-		switch {
-		case e.sf.rel[r] == LE && b >= 0:
-			e.basis[r] = rv
-			e.xB[r] = b
-		case e.sf.rel[r] == GE && b <= 0:
-			e.basis[r] = rv
-			e.xB[r] = -b
-		default:
-			e.basis[r] = e.sf.nCols + r
-			e.xB[r] = math.Abs(b)
+	for r, j := range e.basis {
+		if j < 0 {
+			e.basis[r] = sf.nCols + r
+			e.xB[r] = math.Abs(sf.b[r])
 			numArt++
 		}
 		e.posOf[e.basis[r]] = r
 	}
+	return numArt
+}
+
+// coldPath solves from the crash basis: phase 1 over the artificials of
+// uncovered rows, if any, then phase 2 — by the dual simplex from a
+// dual-feasible bound placement when the crash needed no artificials and
+// one exists, by the primal simplex otherwise.
+func (e *revised) coldPath() (*Solution, error) {
+	e.setPhase2Cost() // the crash prefers cheap singletons
+	numArt := e.crash()
 	if err := e.refactor(); err != nil {
 		return nil, err
 	}
@@ -497,12 +635,35 @@ func (e *revised) coldPath() (*Solution, error) {
 			mInfeasible.Add(1)
 			return &Solution{Status: Infeasible}, nil
 		}
+		e.setPhase2Cost()
 	}
 	e.phase = 2
 	if e.progress != nil {
 		e.progress(Progress{Phase: 2, Pivots: e.pivots})
 	}
-	e.setPhase2Cost()
+	// With no artificials, every column is at a bound or basic at a
+	// singleton, and the boxed columns can always be placed where their
+	// reduced costs are dual feasible: the dual simplex from there takes
+	// a fraction of the pivots primal phase 2 takes on the L1 decoding
+	// LPs, with no heavy tail.
+	if numArt == 0 && e.placeDualFeasible() {
+		if sol, err := e.dual(); sol != nil || err != nil {
+			return sol, err
+		}
+	}
+	return e.finish()
+}
+
+// finish runs primal phase 2 from a primal feasible basis (basic values
+// clamped into their bounds against drift) and extracts the solution.
+func (e *revised) finish() (*Solution, error) {
+	for i, v := range e.xB {
+		if u := e.ub[e.basis[i]]; v > u {
+			e.xB[i] = u
+		} else if v < 0 {
+			e.xB[i] = 0
+		}
+	}
 	if err := e.primal(false); err != nil {
 		if errors.Is(err, errUnbounded) {
 			mUnbounded.Add(1)
@@ -513,9 +674,21 @@ func (e *revised) coldPath() (*Solution, error) {
 	return e.extract(), nil
 }
 
+// primalFeasible reports whether every basic value lies within its
+// bounds (to feasTol).
+func (e *revised) primalFeasible() bool {
+	for i, v := range e.xB {
+		if v < -feasTol || v > e.ub[e.basis[i]]+feasTol {
+			return false
+		}
+	}
+	return true
+}
+
 // warmPath attempts to reuse a prior basis. ok=false means the basis was
 // structurally acceptable but numerically unusable (or contains
-// artificials) — the caller falls back to a cold start.
+// artificials, or is dual infeasible on an unbounded column) — the
+// caller falls back to a cold start.
 func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 	if len(warm.cols) != e.m {
 		return nil, false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
@@ -534,6 +707,12 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		e.basis[i] = j
 		e.posOf[j] = i
 	}
+	for _, j := range warm.upper {
+		// A column whose bound became infinite (or zero) drops to 0.
+		if e.posOf[j] < 0 && e.canEnter[j] && !math.IsInf(e.ub[j], 1) {
+			e.atUpper[j] = true
+		}
+	}
 	if err := e.refactor(); err != nil {
 		if errors.Is(err, ErrSingularBasis) {
 			return nil, false, nil
@@ -542,52 +721,63 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 	}
 	e.setPhase2Cost()
 	e.phase = 2
-	primalFeasible := true
-	for _, v := range e.xB {
-		if v < -feasTol {
-			primalFeasible = false
-			break
+	if !e.primalFeasible() {
+		// The usual warm case after an RHS or bound change at an optimum:
+		// still dual feasible once the boxed columns sit at the bounds
+		// their reduced costs prefer, so restore primal feasibility with
+		// the dual simplex instead of rerunning phase 1.
+		if !e.placeDualFeasible() {
+			return nil, false, nil
 		}
-	}
-	if !primalFeasible {
-		// The usual warm case after an RHS change at an optimum: still
-		// dual feasible, so restore primal feasibility with the dual
-		// simplex instead of rerunning phase 1.
-		e.refreshDualD()
-		for j := 0; j < e.sf.nCols; j++ {
-			if e.allowed(j) && e.posOf[j] < 0 && e.dualD[j] < -feasTol {
-				return nil, false, nil // neither primal nor dual feasible
-			}
-		}
-		mWarmStarts.Add(1)
-		e.warm = true
-		if e.progress != nil {
-			e.progress(Progress{Phase: 2, Pivots: e.pivots})
-		}
+		e.startWarm()
 		sol, err := e.dual()
 		if sol != nil || err != nil {
 			return sol, true, err
 		}
 	} else {
-		mWarmStarts.Add(1)
-		e.warm = true
-		if e.progress != nil {
-			e.progress(Progress{Phase: 2, Pivots: e.pivots})
-		}
+		e.startWarm()
 	}
-	for i, v := range e.xB {
-		if v < 0 {
-			e.xB[i] = 0
-		}
-	}
-	if err := e.primal(false); err != nil {
-		if errors.Is(err, errUnbounded) {
-			mUnbounded.Add(1)
-			return &Solution{Status: Unbounded}, true, nil
-		}
+	sol, err := e.finish()
+	if err != nil {
 		return nil, false, err
 	}
-	return e.extract(), true, nil
+	return sol, true, nil
+}
+
+func (e *revised) startWarm() {
+	mWarmStarts.Add(1)
+	e.warm = true
+	if e.progress != nil {
+		e.progress(Progress{Phase: 2, Pivots: e.pivots})
+	}
+}
+
+// placeDualFeasible refreshes the reduced costs and moves every boxed
+// nonbasic column to the bound its reduced cost prices it at — the upper
+// bound when d_j < 0, the lower when d_j > 0 — recomputing the basic
+// values if any moved. It reports false, and moves nothing, when an
+// unbounded column prices negative: then no bound placement makes the
+// basis dual feasible.
+func (e *revised) placeDualFeasible() bool {
+	e.refreshDualD()
+	for j := 0; j < e.sf.nCols; j++ {
+		if e.canEnter[j] && e.posOf[j] < 0 && e.dualD[j] < -feasTol && math.IsInf(e.ub[j], 1) {
+			return false
+		}
+	}
+	moved := false
+	for j := 0; j < e.sf.nCols; j++ {
+		if !e.canEnter[j] || e.posOf[j] >= 0 {
+			continue
+		}
+		if up := e.dualD[j] < 0; up != e.atUpper[j] && math.Abs(e.dualD[j]) > feasTol {
+			e.atUpper[j], moved = up, true
+		}
+	}
+	if moved {
+		e.computeXB()
+	}
+	return true
 }
 
 // refreshDualD recomputes the full nonbasic reduced-cost vector e.dualD
@@ -599,7 +789,7 @@ func (e *revised) refreshDualD() {
 	}
 	e.btranCost()
 	for j := 0; j < e.sf.nCols; j++ {
-		if e.allowed(j) && e.posOf[j] < 0 {
+		if e.canEnter[j] && e.posOf[j] < 0 {
 			e.dualD[j] = e.redCost(j, e.y)
 		} else {
 			e.dualD[j] = 0
@@ -607,52 +797,74 @@ func (e *revised) refreshDualD() {
 	}
 }
 
+// chooseLeavingDual picks the dual simplex's leaving row: the basic
+// variable furthest outside its bounds, or — in bland mode — the
+// infeasible one with the lowest column id. below reports whether it
+// lies under its lower bound (else above its upper); r = -1 means the
+// basis is primal feasible.
+func (e *revised) chooseLeavingDual(bland bool) (r int, below bool) {
+	r = -1
+	worst := feasTol
+	for i, v := range e.xB {
+		infeas, lo := -v, true
+		if u := e.ub[e.basis[i]]; v-u > infeas {
+			infeas, lo = v-u, false
+		}
+		if infeas <= feasTol {
+			continue
+		}
+		if bland {
+			if r < 0 || e.basis[i] < e.basis[r] {
+				r, below = i, lo
+			}
+		} else if infeas > worst {
+			worst, r, below = infeas, i, lo
+		}
+	}
+	return r, below
+}
+
+// dualCand is one eligible column of the dual ratio test: its
+// breakpoint (the dual step at which its reduced cost reaches zero) and
+// |α_j|, the rate at which moving it repairs the leaving row.
+type dualCand struct {
+	j         int
+	ratio, as float64
+}
+
 // dual runs dual simplex pivots until primal feasibility. It returns a
 // non-nil Solution only for a definitive terminal status (Infeasible).
 // e.dualD must be fresh (refreshDualD) on entry; each iteration costs one
-// BTRAN (the pivot row), one FTRAN (the entering column) and one pass
-// over A, with reduced costs updated in place from the pivot row.
+// BTRAN (the pivot row), one FTRAN (the entering column, plus one for
+// the bound flips of a long step) and one pass over A, with reduced
+// costs updated in place from the pivot row.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	alpha := make([]float64, e.sf.nCols)
+	var cands []dualCand
+	var flips []int
 	degenRun := 0 // consecutive pivots with no dual-objective progress
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.checkCtx(); err != nil {
 			return nil, err
 		}
-		// Leaving row: most negative basic value, or — after a degenerate
-		// run long enough to suggest cycling — the infeasible row whose
-		// basic variable has the lowest column id (Bland).
-		r := -1
-		if degenRun >= dualBlandRun {
-			for i := 0; i < e.m; i++ {
-				if e.xB[i] < -feasTol && (r < 0 || e.basis[i] < e.basis[r]) {
-					r = i
-				}
-			}
-		} else {
-			worst := -feasTol
-			for i := 0; i < e.m; i++ {
-				if e.xB[i] < worst {
-					worst, r = e.xB[i], i
-				}
-			}
-		}
+		bland := degenRun >= dualBlandRun
+		r, below := e.chooseLeavingDual(bland)
 		if r < 0 {
 			return nil, nil // primal feasible — optimal after drift check
 		}
-		// ρ = Bᵀ⁻¹ e_r gives row r of B⁻¹A; the ratio test runs on the
-		// cached reduced costs against that row.
-		for i := range e.posScratch {
-			e.posScratch[i] = 0
-		}
-		e.posScratch[r] = 1
-		e.lu.btran(e.posScratch, e.y)
 		leaveCol := e.basis[r]
-		q := -1
-		bestRatio := math.Inf(1)
+		target := 0.0
+		if !below {
+			target = e.ub[leaveCol]
+		}
+		// The ratio test runs on the cached reduced costs against row r
+		// of B⁻¹A. A column is eligible when moving it off its bound
+		// pushes the leaving variable back toward the violated bound.
+		e.btranRow(r)
+		cands = cands[:0]
 		for j := 0; j < e.sf.nCols; j++ {
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if !e.canEnter[j] || e.posOf[j] >= 0 {
 				alpha[j] = 0
 				continue
 			}
@@ -662,27 +874,28 @@ func (e *revised) dual() (*Solution, error) {
 				a += e.y[rr] * vals[i]
 			}
 			alpha[j] = a
-			if a >= -ratioPivTol {
+			s, dj := a, e.dualD[j]
+			if below {
+				s = -s
+			}
+			if e.atUpper[j] {
+				s, dj = -s, -dj
+			}
+			if s <= ratioPivTol {
 				continue
 			}
-			dj := e.dualD[j]
 			if dj < 0 {
 				dj = 0 // clamp drift: dual feasibility is an invariant here
 			}
-			ratio := dj / -a
-			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (q < 0 || j < q)) {
-				if ratio < bestRatio {
-					bestRatio = ratio
-				}
-				q = j
-			}
+			cands = append(cands, dualCand{j: j, ratio: dj / s, as: s})
 		}
+		q, ratio := e.longStep(cands, math.Abs(e.xB[r]-target), bland, &flips)
 		if q < 0 {
-			// Dual unbounded: the primal is infeasible under the new RHS.
+			// Dual unbounded: the primal is infeasible.
 			mInfeasible.Add(1)
 			return &Solution{Status: Infeasible}, nil
 		}
-		if bestRatio > tol {
+		if ratio > tol {
 			degenRun = 0
 		} else {
 			degenRun++
@@ -695,13 +908,40 @@ func (e *revised) dual() (*Solution, error) {
 			e.refreshDualD()
 			continue
 		}
-		theta := e.xB[r] / e.d[r]
+		if len(flips) > 0 {
+			// Move every passed boxed column to its other bound; their
+			// reduced costs change sign at this dual step, so the new
+			// bounds keep them dual feasible.
+			for i := range e.rowScratch {
+				e.rowScratch[i] = 0
+			}
+			for _, j := range flips {
+				step := e.ub[j]
+				if e.atUpper[j] {
+					step = -step
+				}
+				e.atUpper[j] = !e.atUpper[j]
+				rows, vals := e.colFor(j)
+				for i, rr := range rows {
+					e.rowScratch[rr] += step * vals[i]
+				}
+			}
+			e.lu.ftran(e.rowScratch, e.posScratch)
+			for i, w := range e.posScratch {
+				e.xB[i] -= w
+			}
+		}
+		// The entering column moves until the leaving variable reaches
+		// the bound it violated.
+		delta := (e.xB[r] - target) / e.d[r]
+		enterVal := e.nonbasicValue(q) + delta
 		// Reduced-cost update from the pivot row: d_j ← d_j − (d_q/α_q)·α_j
 		// for nonbasic j; the leaving variable re-enters the nonbasic set
 		// with cost −d_q/α_q.
 		thetaD := e.dualD[q] / alpha[q]
 		e.dualPivots++
-		if err := e.doPivot(q, r, theta); err != nil {
+		e.atUpper[leaveCol] = !below && target > 0
+		if err := e.doPivot(q, r, delta, enterVal); err != nil {
 			return nil, err
 		}
 		if len(e.lu.etas) == 0 {
@@ -715,15 +955,53 @@ func (e *revised) dual() (*Solution, error) {
 			}
 		}
 		e.dualD[q] = 0
-		if e.allowed(leaveCol) {
+		if leaveCol < e.sf.nCols && e.canEnter[leaveCol] {
 			e.dualD[leaveCol] = -thetaD
 		}
 	}
 	return nil, ErrIterationLimit
 }
 
+// longStep is the dual ratio test over the eligible columns (in
+// ascending column order), for a leaving row infeasible by infeas. The
+// textbook test enters the column with the smallest breakpoint — ties
+// within tol to the lowest id, with the accepted ratio kept at the true
+// minimum. The long-step (bound-flipping) test walks the breakpoints in
+// that order instead: while the row would stay infeasible with a boxed
+// column moved across its whole range, that column flips to its other
+// bound (appended to *flips) and the walk goes on, since the dual
+// objective still improves past its breakpoint. In bland mode no column
+// flips. It returns the entering column and its breakpoint, or q = -1
+// when the row cannot be repaired (the primal is infeasible).
+func (e *revised) longStep(cands []dualCand, infeas float64, bland bool, flips *[]int) (q int, ratio float64) {
+	*flips = (*flips)[:0]
+	// A step flips well under one column on average on the decoding LPs,
+	// so repeated selection beats sorting the breakpoints.
+	for len(cands) > 0 {
+		k, best := 0, cands[0].ratio
+		for i := 1; i < len(cands); i++ {
+			if r := cands[i].ratio; r < best-tol {
+				k, best = i, r
+			} else if r < best {
+				best = r
+			}
+		}
+		c := cands[k]
+		if u := e.ub[c.j]; bland || math.IsInf(u, 1) || infeas-c.as*u <= feasTol {
+			return c.j, best
+		}
+		infeas -= c.as * e.ub[c.j]
+		*flips = append(*flips, c.j)
+		cands = append(cands[:k], cands[k+1:]...)
+	}
+	return -1, 0
+}
+
 func (e *revised) extract() *Solution {
 	x := make([]float64, e.sf.nStruct)
+	for j := range x {
+		x[j] = e.nonbasicValue(j)
+	}
 	for pos, j := range e.basis {
 		if j < e.sf.nStruct {
 			x[j] = e.xB[pos]

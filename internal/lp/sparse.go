@@ -21,7 +21,8 @@ func (c *spCol) add(row int, v float64) {
 
 // standard is the revised engine's standard form of a Problem: Ax ⋈ b
 // rewritten as equalities with one row variable (slack or surplus) per
-// inequality row, stored column-wise sparse.
+// inequality row, stored column-wise sparse, with every column bounded
+// by 0 ≤ x_j ≤ ub[j].
 //
 // Column ids are stable across solves over the same constraint matrix —
 // the property the warm-start contract relies on:
@@ -41,10 +42,11 @@ type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m; artificial ids start here
 	cols       []spCol
-	active     []bool // false for the unused row-variable slot of EQ rows
+	active     []bool    // false for the unused row-variable slot of EQ rows
+	ub         []float64 // per-column upper bound (+Inf when unbounded)
 	rel        []Rel
 	b          []float64 // perturbed RHS
-	sig        uint64    // FNV-1a over the constraint structure (not RHS)
+	sig        uint64    // FNV-1a over the constraint structure (not RHS or bounds)
 }
 
 // buildStandard converts p. The same deterministic ε-perturbation as the
@@ -59,9 +61,14 @@ func buildStandard(p *Problem) *standard {
 		nCols:   p.NumVars + m,
 		cols:    make([]spCol, p.NumVars+m),
 		active:  make([]bool, p.NumVars+m),
+		ub:      make([]float64, p.NumVars+m),
 		rel:     make([]Rel, m),
 		b:       make([]float64, m),
 	}
+	for j := range s.ub {
+		s.ub[j] = math.Inf(1)
+	}
+	copy(s.ub, p.Upper)
 	for j := 0; j < p.NumVars; j++ {
 		s.active[j] = true
 	}
@@ -92,8 +99,8 @@ func buildStandard(p *Problem) *standard {
 }
 
 // signature hashes the constraint structure — dimensions, relations and
-// coefficients, but not the RHS or objective — so a warm-start Basis can
-// be checked against the matrix it was produced on.
+// coefficients, but not the RHS, objective or bounds — so a warm-start
+// Basis can be checked against the matrix it was produced on.
 func (s *standard) signature() uint64 {
 	h := uint64(1469598103934665603) // FNV offset basis
 	mix := func(v uint64) {

@@ -131,16 +131,26 @@ const (
 // Decoder is the batched LP-decoding entry point: it fixes a query set
 // once and decodes any number of answer vectors against it. The decoding
 // LP's constraint matrix depends only on the queries — the answers enter
-// only through the RHS — so the Decoder keeps the revised simplex basis
-// of its previous decode and warm-starts the next one from it. A Decoder
-// is not safe for concurrent use; each goroutine builds its own.
+// only through the RHS and the variable bounds — so the Decoder keeps the
+// revised simplex basis of its previous decode and warm-starts the next
+// one from it. A Decoder is not safe for concurrent use; each goroutine
+// builds its own.
+//
+// The L1Slack LP has one equality row per query q over x ∈ [0,1]^n:
+//
+//	Σ_{i∈q} x_i − e⁺_q + e⁻_q − f_q = a_q,   minimize Σ_q (e⁺_q + e⁻_q)
+//
+// with e± ≥ 0 the over- and under-shoot, and f_q a zero-cost absorber
+// fixed at 0 once q is answered (see StreamDecoder for why it exists).
+// The basis therefore has m rows, and e⁺_q/e⁻_q cover every row of the
+// cold-start crash, so no decode runs phase 1. Chebyshev shares one t
+// across all rows, so it keeps the two-row form
+// |Σ_{i∈q} x_i − a_q| ≤ t, again with 0 ≤ x ≤ 1 as bounds.
 type Decoder struct {
 	n         int
 	queries   [][]int
 	objective LPObjective
-	nv        int
-	obj       []float64
-	cons      []lp.Constraint // RHS of the first 2·len(queries) rows rewritten per decode
+	prob      lp.Problem // RHS and Upper rewritten per decode
 	basis     *lp.Basis
 }
 
@@ -162,44 +172,54 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 	var nv int
 	switch objective {
 	case L1Slack:
-		nv = n + m // x_0..x_{n-1}, e_0..e_{m-1}
+		nv = n + 3*m // x, then e⁺, e⁻ and f, one of each per query
 	case Chebyshev:
-		nv = n + 1 // x_0..x_{n-1}, t
+		nv = n + 1 // x, then t
 	default:
 		return nil, fmt.Errorf("recon: unknown objective %d", objective)
 	}
-	d := &Decoder{n: n, queries: queries, objective: objective, nv: nv}
-	d.obj = make([]float64, nv)
-	for j := n; j < nv; j++ {
-		d.obj[j] = 1
-	}
-	d.cons = make([]lp.Constraint, 0, 2*m+n)
-	slackCol := func(qi int) int {
-		if objective == L1Slack {
-			return n + qi
+	d := &Decoder{n: n, queries: queries, objective: objective}
+	p := &d.prob
+	p.NumVars = nv
+	p.Objective = make([]float64, nv)
+	p.Upper = make([]float64, nv)
+	for j := range p.Upper {
+		p.Upper[j] = 1
+		if j >= n {
+			p.Upper[j] = math.Inf(1)
 		}
-		return n
 	}
-	for qi, q := range queries {
-		// Σ_{i∈q} x_i - e <= a   and   -Σ_{i∈q} x_i - e <= -a; the RHS pair
-		// (a, -a) is filled in by Decode.
-		up := make([]float64, nv)
-		lo := make([]float64, nv)
-		for _, i := range q {
-			up[i] = 1
-			lo[i] = -1
+	switch objective {
+	case L1Slack:
+		p.Constraints = make([]lp.Constraint, m)
+		for qi, q := range queries {
+			row := make([]float64, nv)
+			for _, i := range q {
+				row[i] = 1
+			}
+			row[n+qi] = -1     // e⁺
+			row[n+m+qi] = 1    // e⁻
+			row[n+2*m+qi] = -1 // f
+			p.Constraints[qi] = lp.Constraint{Coeffs: row, Rel: lp.EQ}
+			p.Objective[n+qi], p.Objective[n+m+qi] = 1, 1
 		}
-		up[slackCol(qi)] = -1
-		lo[slackCol(qi)] = -1
-		d.cons = append(d.cons,
-			lp.Constraint{Coeffs: up, Rel: lp.LE},
-			lp.Constraint{Coeffs: lo, Rel: lp.LE},
-		)
-	}
-	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		row[i] = 1
-		d.cons = append(d.cons, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: 1})
+	case Chebyshev:
+		p.Objective[n] = 1
+		p.Constraints = make([]lp.Constraint, 0, 2*m)
+		for _, q := range queries {
+			// Σ_{i∈q} x_i − t ≤ a  and  −Σ_{i∈q} x_i − t ≤ −a.
+			up := make([]float64, nv)
+			lo := make([]float64, nv)
+			for _, i := range q {
+				up[i] = 1
+				lo[i] = -1
+			}
+			up[n], lo[n] = -1, -1
+			p.Constraints = append(p.Constraints,
+				lp.Constraint{Coeffs: up, Rel: lp.LE},
+				lp.Constraint{Coeffs: lo, Rel: lp.LE},
+			)
+		}
 	}
 	return d, nil
 }

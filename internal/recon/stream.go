@@ -15,12 +15,12 @@ import (
 var mStreamPushes = obs.Default().Counter("recon.stream_pushes")
 
 // mColdRestarts counts warm-started solves that exhausted the simplex
-// iteration budget and were retried cold. The L1 decoding LPs are
-// massively dual degenerate; a warm basis several chunks stale can strand
-// the dual simplex on a degenerate plateau where even its Bland backstop
-// grinds, and the cold two-phase path (whose ε-perturbation breaks the
-// degeneracy) is then the reliable route. A nonzero value is a
-// performance signal, never a correctness one.
+// iteration budget and were retried cold. A warm basis several chunks
+// stale can strand the dual simplex on a degenerate plateau of the L1
+// decoding LP, where even its Bland backstop grinds; the cold path (whose
+// ε-perturbation breaks the primal degeneracy) is then the reliable
+// route. A nonzero value is a performance signal, never a correctness
+// one.
 var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 
 // StreamDecoder is the anytime form of LP decoding: a session over the
@@ -30,17 +30,20 @@ var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 // each answered query instead of waiting for the full batch.
 //
 // The trick that makes each step cheap is that answering more queries
-// never changes the LP's constraint MATRIX, only its right-hand side.
-// Stream rewrites each unanswered query's two answer rows to
+// changes neither the LP's constraint MATRIX nor its objective, only the
+// RHS and the variable bounds. An unanswered L1Slack row reads
 //
-//	Σ_{i∈q} x_i - e <= n   and   -Σ_{i∈q} x_i - e <= 0
+//	Σ_{i∈q} x_i − e⁺_q + e⁻_q − f_q = 0,   0 ≤ f_q ≤ n
 //
-// which no x ∈ [0,1]^n can violate even with e = 0 — the rows are inert
-// and price to nothing — and Push tightens them to (a, -a) as answers
-// arrive. The matrix (and hence the lp.Basis structure signature) is
-// identical at every step, so each re-solve warm-starts from the
-// previous optimum via the dual simplex: the newly tightened rows are
-// the only violated ones.
+// so the zero-cost absorber f_q takes up any Σ_{i∈q} x_i and the row
+// prices to nothing; Push writes a_q into the RHS and fixes f_q at 0,
+// which leaves exactly the batch row. (An unanswered Chebyshev row pair
+// has RHS (n, 0), which no x ∈ [0,1]^n can violate even with t = 0.)
+// Reduced costs depend only on the basis and the costs, so the previous
+// optimum stays dual feasible after a push, and each re-solve
+// warm-starts from it via the dual simplex: the newly answered rows are
+// the only primal infeasibilities. Zeroing the e± costs of unanswered
+// rows instead would break that and turn every push into a cold solve.
 //
 // After the final push the LP is exactly the batch decoding LP, so the
 // finished stream reproduces the batch result (Decoder.Decode is itself
@@ -57,10 +60,30 @@ type StreamDecoder struct {
 // ingests answers in order via Push or PushOracle.
 func (d *Decoder) Stream() *StreamDecoder {
 	for qi := range d.queries {
-		d.cons[2*qi].RHS = float64(d.n)
-		d.cons[2*qi+1].RHS = 0
+		d.setRow(qi, 0, false)
 	}
 	return &StreamDecoder{d: d}
+}
+
+// setRow writes query qi's answer a into the LP (answered) or makes its
+// rows inert (not answered; a is ignored).
+func (d *Decoder) setRow(qi int, a float64, answered bool) {
+	p := &d.prob
+	switch d.objective {
+	case L1Slack:
+		f := d.n + 2*len(d.queries) + qi
+		if answered {
+			p.Constraints[qi].RHS, p.Upper[f] = a, 0
+		} else {
+			p.Constraints[qi].RHS, p.Upper[f] = 0, float64(d.n)
+		}
+	case Chebyshev:
+		if answered {
+			p.Constraints[2*qi].RHS, p.Constraints[2*qi+1].RHS = a, -a
+		} else {
+			p.Constraints[2*qi].RHS, p.Constraints[2*qi+1].RHS = float64(d.n), 0
+		}
+	}
 }
 
 // Answered returns how many of the workload's queries have been answered.
@@ -81,9 +104,7 @@ func (sd *StreamDecoder) Push(ctx context.Context, answers []float64) ([]int64, 
 		return nil, nil, fmt.Errorf("recon: stream push overruns workload: %d answers for %d unanswered queries", len(answers), sd.Remaining())
 	}
 	for i, a := range answers {
-		qi := sd.answered + i
-		sd.d.cons[2*qi].RHS = a
-		sd.d.cons[2*qi+1].RHS = -a
+		sd.d.setRow(sd.answered+i, a, true)
 	}
 	sd.answered += len(answers)
 	mStreamPushes.Add(1)
@@ -117,12 +138,11 @@ func (sd *StreamDecoder) PushOracle(ctx context.Context, o query.Oracle, k int) 
 // solve that runs out of simplex iterations is retried cold — see
 // mColdRestarts.
 func (d *Decoder) solve(ctx context.Context) ([]int64, []float64, error) {
-	prob := &lp.Problem{NumVars: d.nv, Objective: d.obj, Constraints: d.cons}
-	sol, err := lp.Revised(ctx, prob, d.basis)
+	sol, err := lp.Revised(ctx, &d.prob, d.basis)
 	if err != nil && d.basis != nil && errors.Is(err, lp.ErrIterationLimit) {
 		mColdRestarts.Add(1)
 		d.basis = nil
-		sol, err = lp.Revised(ctx, prob, nil)
+		sol, err = lp.Revised(ctx, &d.prob, nil)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("recon: LP solve: %w", err)

@@ -1,9 +1,12 @@
 package recon
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"singlingout/internal/lp"
+	"singlingout/internal/obs"
 	"singlingout/internal/query"
 	"singlingout/internal/synth"
 )
@@ -80,6 +83,69 @@ func TestStreamMatchesBatchDecode(t *testing.T) {
 	for i := range again {
 		if again[i] != batchGot[i] {
 			t.Fatalf("post-stream batch decode diverged at bit %d", i)
+		}
+	}
+}
+
+// TestStreamMatchesBatchDecodeNoisy is the noisy sibling of
+// TestStreamMatchesBatchDecode: under bounded noise at c = 0.5 the L1
+// optimum is degenerate, so the streamed and batch decodes may end on
+// different optimal vertices, but the finished stream must reach the
+// batch LP's optimal objective, and every push must warm-start (a push
+// changes only RHS values and bounds, which keeps the previous optimum
+// dual feasible) — lp.warm_miss must not grow.
+func TestStreamMatchesBatchDecodeNoisy(t *testing.T) {
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	warmMiss := reg.Counter("lp.warm_miss")
+
+	rng := rand.New(rand.NewSource(13))
+	n := 24
+	x := synth.BinaryDataset(rng, n, 0.5)
+	queries := query.RandomSubsets(rng, n, 4*n)
+	o := &query.BoundedNoise{X: x, Alpha: 0.5 * math.Sqrt(float64(n)), Rng: rng}
+	answers, err := o.Answer(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(n, queries, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// optimum re-solves the decoder's current LP from the basis its last
+	// solve ended on: an optimal basis restarts with zero pivots, so this
+	// reads back the objective of the vertex that solve found.
+	optimum := func() float64 {
+		t.Helper()
+		sol, err := lp.Revised(ctx, &dec.prob, dec.basis)
+		if err != nil || sol.Status != lp.Optimal || !sol.Warm || sol.Pivots != 0 {
+			t.Fatalf("re-solve from the final basis: %v, %+v", err, sol)
+		}
+		return sol.Objective
+	}
+	if _, _, err := dec.Decode(ctx, answers); err != nil {
+		t.Fatal(err)
+	}
+	batch := optimum()
+	for _, chunk := range []int{1, 7, 24, 96} {
+		sd := dec.Stream()
+		before := warmMiss.Value()
+		for sd.Remaining() > 0 {
+			k := chunk
+			if rem := sd.Remaining(); k > rem {
+				k = rem
+			}
+			if _, _, err := sd.Push(ctx, answers[sd.Answered():sd.Answered()+k]); err != nil {
+				t.Fatalf("chunk %d at %d answered: %v", chunk, sd.Answered(), err)
+			}
+		}
+		if missed := warmMiss.Value() - before; missed != 0 {
+			t.Errorf("chunk %d: %d pushes missed their warm start", chunk, missed)
+		}
+		if got := optimum(); math.Abs(got-batch) > 1e-6 {
+			t.Errorf("chunk %d: streamed LP objective %v, batch %v", chunk, got, batch)
 		}
 	}
 }
