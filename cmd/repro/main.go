@@ -28,9 +28,9 @@
 // (seed, item index), so tables are byte-identical at every worker count.
 // With -metrics, a sequential-vs-parallel census probe, a remote
 // query-throughput probe (loopback qserver, batch=1 vs batch=256) and an
-// LP-decoder probe (cold vs warm-started revised simplex) are also timed
-// and land as BENCH.census / BENCH.remote / BENCH.lp rows in the
-// BENCH_<rev>.json summary.
+// LP-decoder probe (a fresh decoder per solve vs one reused decoder) are
+// also timed and land as BENCH.census / BENCH.remote / BENCH.lp rows in
+// the BENCH_<rev>.json summary.
 //
 // Failing experiments no longer abort the run: every experiment is
 // attempted, failures are reported together at the end, and the exit
@@ -145,12 +145,13 @@ func benchRemoteProbe(emit func(obs.Event), seed int64) error {
 // benchLPProbe times the LP-decoding workhorse directly: one
 // reconstruction LP shape (n=64, m=4n random subset queries) decoded
 // against six noise levels, once with a fresh decoder per solve (cold)
-// and once through a single recon.Decoder that warm-starts every solve
-// after the first from the previous optimal basis (warm) — the access
-// pattern of the E02 harness. Both configurations decode identical answer
-// vectors. The metric deltas put lp.pivots / lp.warm_starts in the
-// BENCH.lp rows, so benchdiff gates the solver's pivot counts and the
-// warm-start machinery alongside wall clock.
+// and once through a single recon.Decoder (warm) — the access pattern of
+// the E02 harness. Both configurations decode identical answer vectors.
+// Each vector moves every query row, so the Decoder's start rule solves
+// every one of them cold: BENCH.lp.warm checks that rule, and must report
+// no lp.warm_starts and the lp.pivots of BENCH.lp.cold (1,758 at seed 1).
+// The metric deltas put lp.pivots / lp.warm_starts in the BENCH.lp rows,
+// so benchdiff gates the solver's pivot counts alongside wall clock.
 func benchLPProbe(emit func(obs.Event), seed int64) error {
 	const n = 64
 	rng := par.RNG(seed, 0)

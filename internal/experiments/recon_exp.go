@@ -76,10 +76,12 @@ func E02LPReconstruction(ctx context.Context, seed int64, quick bool) (*Table, e
 	// n=96 keeps a full sweep within minutes on a laptop; the shape is
 	// already stable from n≈32 (see the quick sizes). Parallelism is over
 	// the ns; within one n each trial draws its database and query set
-	// once and sweeps every noise level c over them, so the whole sweep
-	// shares one LP constraint matrix and every solve after the first
-	// warm-starts from the previous basis (recon.Decoder). Per-n RNGs keep
-	// the table identical at any worker count.
+	// once and sweeps every noise level c over them through one
+	// recon.Decoder, which builds the LP constraint matrix once. Each
+	// noise level's answers move every query row, so the Decoder solves
+	// each of them cold, which takes fewer pivots than a warm start from
+	// the previous level's optimum. Per-n RNGs keep the table identical
+	// at any worker count.
 	ns := []int{32, 64, 96}
 	trials := 2
 	if quick {

@@ -34,6 +34,9 @@ type luFactor struct {
 	uPos  [][]int32
 	uVals [][]float64
 	uDiag []float64
+	// uRows holds the same off-diagonal U entries row by row: row j
+	// lists the later positions k > j whose column has an entry at j.
+	uRows csr
 	// etas is the product-form update file: eta e replaces basis position
 	// e.pos; e.rows/e.vals are the position-indexed nonzeros of the
 	// FTRANed entering column, e.pivot its value at e.pos.
@@ -161,6 +164,7 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 		f.posOfRow[pivRow] = k
 		f.clearWork()
 	}
+	f.uRows.transpose(m, m, func(k int) ([]int32, []float64) { return f.uPos[k], f.uVals[k] })
 	return true
 }
 
@@ -187,15 +191,26 @@ func (f *luFactor) ftran(v, out []float64) {
 			v[r] -= lv[i] * t
 		}
 	}
-	// Back-substitute U z = y, column-wise.
+	// Back-substitute U z = y, column-wise, skipping z_k = 0.
 	z := out // reuse out as the z buffer in elimination order via scatter below
 	tmp := f.solve
 	for k := 0; k < m; k++ {
 		tmp[k] = v[f.rowOfPos[k]]
 	}
 	for k := m - 1; k >= 0; k-- {
-		zk := tmp[k] / f.uDiag[k]
+		s := tmp[k]
+		if s == 0 && math.Signbit(s) {
+			// See btran: replay the zero terms along row k.
+			u := &f.uRows
+			for i := u.start[k]; i < u.start[k+1]; i++ {
+				s -= u.val[i] * tmp[u.idx[i]]
+			}
+		}
+		zk := s / f.uDiag[k]
 		tmp[k] = zk
+		if zk == 0 {
+			continue
+		}
 		up, uv := f.uPos[k], f.uVals[k]
 		for i, p := range up {
 			tmp[p] -= uv[i] * zk
@@ -243,15 +258,32 @@ func (f *luFactor) btran(c, out []float64) {
 		}
 		c[et.pos] = (c[et.pos] - s) / et.pivot
 	}
-	// Uᵀ g = c (in elimination order), forward.
+	// Uᵀ g = c (in elimination order), forward: each solved g[k] is
+	// scattered down row k of U, skipping g[k] = 0. g[j] still takes its
+	// terms in ascending k, the order of a dot product with column j, and
+	// a skipped ±0 term leaves every partial sum but −0 unchanged. A sum
+	// still at −0 has had only +0 terms, and −0 − (−0) = +0, so it replays
+	// its column's terms (all ±0) to get the dot product's sign of zero.
 	g := f.solve
 	for k := 0; k < m; k++ {
-		s := c[f.colOrder[k]]
-		up, uv := f.uPos[k], f.uVals[k]
-		for i, p := range up {
-			s -= uv[i] * g[p]
+		g[k] = c[f.colOrder[k]]
+	}
+	for k := 0; k < m; k++ {
+		s := g[k]
+		if s == 0 && math.Signbit(s) {
+			for i, p := range f.uPos[k] {
+				s -= f.uVals[k][i] * g[p]
+			}
 		}
-		g[k] = s / f.uDiag[k]
+		gk := s / f.uDiag[k]
+		g[k] = gk
+		if gk == 0 {
+			continue
+		}
+		u := &f.uRows
+		for i := u.start[k]; i < u.start[k+1]; i++ {
+			g[u.idx[i]] -= u.val[i] * gk
+		}
 	}
 	// Lᵀ h = g, backward (rows in lRows have elimination positions > k).
 	for k := m - 1; k >= 0; k-- {

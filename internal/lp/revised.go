@@ -136,15 +136,20 @@ func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 	sol.Phase1Pivots = e.phase1Pivots
 	sol.Warm = e.warm
 	if sol.Status == Optimal {
-		b := &Basis{sig: sf.sig, m: sf.m, cols: append([]int(nil), e.basis...)}
-		for j := 0; j < sf.nCols; j++ {
-			if e.atUpper[j] {
-				b.upper = append(b.upper, j)
-			}
-		}
-		sol.Basis = b
+		sol.Basis = e.saveBasis()
 	}
 	return sol, nil
+}
+
+// saveBasis returns the warm-start handle of the current basis.
+func (e *revised) saveBasis() *Basis {
+	b := &Basis{sig: e.sf.sig, m: e.m, cols: append([]int(nil), e.basis...)}
+	for j := 0; j < e.sf.nCols; j++ {
+		if e.atUpper[j] {
+			b.upper = append(b.upper, j)
+		}
+	}
+	return b
 }
 
 func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
@@ -836,8 +841,9 @@ type dualCand struct {
 // non-nil Solution only for a definitive terminal status (Infeasible).
 // e.dualD must be fresh (refreshDualD) on entry; each iteration costs one
 // BTRAN (the pivot row), one FTRAN (the entering column, plus one for
-// the bound flips of a long step) and one pass over A, with reduced
-// costs updated in place from the pivot row.
+// the bound flips of a long step) and one pass over the rows of A where
+// the pivot row's ρ is nonzero, with reduced costs updated in place from
+// the pivot row.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	alpha := make([]float64, e.sf.nCols)
@@ -862,19 +868,14 @@ func (e *revised) dual() (*Solution, error) {
 		// of B⁻¹A. A column is eligible when moving it off its bound
 		// pushes the leaving variable back toward the violated bound.
 		e.btranRow(r)
+		e.sf.pivotRow(e.y, alpha)
 		cands = cands[:0]
 		for j := 0; j < e.sf.nCols; j++ {
 			if !e.canEnter[j] || e.posOf[j] >= 0 {
 				alpha[j] = 0
 				continue
 			}
-			a := 0.0
-			rows, vals := e.colFor(j)
-			for i, rr := range rows {
-				a += e.y[rr] * vals[i]
-			}
-			alpha[j] = a
-			s, dj := a, e.dualD[j]
+			s, dj := alpha[j], e.dualD[j]
 			if below {
 				s = -s
 			}

@@ -287,52 +287,55 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 120; trial++ {
-		rng := par.RNG(seed, trial)
-		n := 1 + rng.Intn(3)
-		m := 1 + rng.Intn(4)
-		// A random anchor point: half the trials build rows feasible at it,
-		// the other half use free RHS values (often infeasible).
-		anchored := trial%2 == 0
-		xStar := make([]float64, n)
-		for j := range xStar {
-			xStar[j] = rng.Float64() * 2
-		}
-		p := &Problem{NumVars: n, Objective: make([]float64, n)}
-		for j := range p.Objective {
-			p.Objective[j] = rng.NormFloat64()
-		}
-		for i := 0; i < m; i++ {
-			a := make([]float64, n)
-			s := 0.0
-			for j := range a {
-				a[j] = rng.NormFloat64()
-				s += a[j] * xStar[j]
-			}
-			rel := Rel(rng.Intn(3))
-			rhs := rng.NormFloat64() * 2
-			if anchored {
-				switch rel {
-				case LE:
-					rhs = s + rng.Float64()
-				case GE:
-					rhs = s - rng.Float64()
-				case EQ:
-					rhs = s
-				}
-			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: rel, RHS: rhs})
-		}
-		// Box rows rule out unboundedness, so status is Optimal/Infeasible.
-		for j := 0; j < n; j++ {
-			e := make([]float64, n)
-			e[j] = 1
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: e, Rel: LE, RHS: 3})
-		}
-		check(trial, p)
+		check(trial, boxedProblem(par.RNG(seed, trial), trial%2 == 0))
 	}
 	for trial := 120; trial < 360; trial++ {
 		check(trial, boundedProblem(par.RNG(seed, trial), trial%2 == 0))
 	}
+}
+
+// boxedProblem draws a small LP over n ≤ 3 variables with mixed
+// LE/GE/EQ rows and box rows at 3, which rule out unboundedness. anchored
+// trials build the rows feasible at a random point; the others use free
+// RHS values (often infeasible).
+func boxedProblem(rng *rand.Rand, anchored bool) *Problem {
+	n := 1 + rng.Intn(3)
+	m := 1 + rng.Intn(4)
+	xStar := make([]float64, n)
+	for j := range xStar {
+		xStar[j] = rng.Float64() * 2
+	}
+	p := &Problem{NumVars: n, Objective: make([]float64, n)}
+	for j := range p.Objective {
+		p.Objective[j] = rng.NormFloat64()
+	}
+	for i := 0; i < m; i++ {
+		a := make([]float64, n)
+		s := 0.0
+		for j := range a {
+			a[j] = rng.NormFloat64()
+			s += a[j] * xStar[j]
+		}
+		rel := Rel(rng.Intn(3))
+		rhs := rng.NormFloat64() * 2
+		if anchored {
+			switch rel {
+			case LE:
+				rhs = s + rng.Float64()
+			case GE:
+				rhs = s - rng.Float64()
+			case EQ:
+				rhs = s
+			}
+		}
+		p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: rel, RHS: rhs})
+	}
+	for j := 0; j < n; j++ {
+		e := make([]float64, n)
+		e[j] = 1
+		p.Constraints = append(p.Constraints, Constraint{Coeffs: e, Rel: LE, RHS: 3})
+	}
+	return p
 }
 
 // boundedProblem draws a small LP over nx ≤ 3 "data" variables with
@@ -541,17 +544,9 @@ func l1EqualityProblem(qRows [][]float64, answers []float64, open []bool) *Probl
 	return p
 }
 
-// TestWarmStartAfterBoundAndRHSChange is the warm-start contract for
-// implicit bounds: between solves over one matrix the RHS moves, rows
-// open and close through their absorber's bound, and data variables'
-// bounds tighten, loosen and pin to 0. Every warm solve must be a real
-// warm start (no phase 1) and reach the cold optimum's objective. A
-// bound loosened to +Inf under a column that prices negative leaves no
-// dual-feasible placement; that solve may fall back cold, but must still
-// reach the same optimum.
-func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
-	rng := par.RNG(5, 0)
-	n, m := 12, 48
+// subsetRows draws m random subset queries over n variables as 0/1
+// rows, and their exact answers on a random 0/1 database.
+func subsetRows(rng *rand.Rand, n, m int) ([][]float64, []float64) {
 	qRows := make([][]float64, m)
 	answers := make([]float64, m)
 	for k := range qRows {
@@ -563,6 +558,21 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 			}
 		}
 	}
+	return qRows, answers
+}
+
+// TestWarmStartAfterBoundAndRHSChange is the warm-start contract for
+// implicit bounds: between solves over one matrix the RHS moves, rows
+// open and close through their absorber's bound, and data variables'
+// bounds tighten, loosen and pin to 0. Every warm solve must be a real
+// warm start (no phase 1) and reach the cold optimum's objective. A
+// bound loosened to +Inf under a column that prices negative leaves no
+// dual-feasible placement; that solve may fall back cold, but must still
+// reach the same optimum.
+func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
+	rng := par.RNG(5, 0)
+	n, m := 12, 48
+	qRows, answers := subsetRows(rng, n, m)
 	open := make([]bool, m)
 	for k := range open {
 		open[k] = k >= m/2
@@ -637,6 +647,41 @@ func TestValidateUpper(t *testing.T) {
 	}
 }
 
+var fuzzRevisedSeeds = [][]byte{
+	{2, 2, 1, 0, 3, 1, 5, 0, 2, 4, 6, 3, 1, 0, 9},
+	{3, 3, 0, 1, 3, 2, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4, 3, 2, 1, 7, 7, 7, 0, 1, 2},
+	{1, 1, 2, 3, 0, 0},
+}
+
+// fuzzProblem builds FuzzRevised's LP from the fuzz bytes, and the RHS
+// shift of its warm re-solve.
+func fuzzProblem(data []byte) (*Problem, float64) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := int(data[0])
+		data = data[1:]
+		return v
+	}
+	n := 1 + next()%4
+	m := 1 + next()%4
+	p := &Problem{NumVars: n, Objective: make([]float64, n), Upper: make([]float64, n)}
+	for j := 0; j < n; j++ {
+		p.Objective[j] = float64(next()%7 - 3)
+		p.Upper[j] = []float64{0, 1, 2, math.Inf(1)}[next()%4]
+	}
+	for i := 0; i < m; i++ {
+		a := make([]float64, n)
+		for j := range a {
+			a[j] = float64(next()%7 - 3)
+		}
+		p.Constraints = append(p.Constraints,
+			Constraint{Coeffs: a, Rel: Rel(next() % 3), RHS: float64(next()%9 - 4)})
+	}
+	return p, float64(next()%5 - 2)
+}
+
 // FuzzRevised checks the bounded revised engine against the dense oracle
 // (bounds expanded into rows) on small LPs built from the fuzz bytes:
 // integer coefficients in [-3, 3], integer RHS, upper bounds from
@@ -645,33 +690,11 @@ func TestValidateUpper(t *testing.T) {
 // feasible. A second solve warm-started from the first basis under a
 // shifted RHS must agree with the oracle too.
 func FuzzRevised(f *testing.F) {
-	f.Add([]byte{2, 2, 1, 0, 3, 1, 5, 0, 2, 4, 6, 3, 1, 0, 9})
-	f.Add([]byte{3, 3, 0, 1, 3, 2, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4, 3, 2, 1, 7, 7, 7, 0, 1, 2})
-	f.Add([]byte{1, 1, 2, 3, 0, 0})
+	for _, seed := range fuzzRevisedSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int {
-			if len(data) == 0 {
-				return 0
-			}
-			v := int(data[0])
-			data = data[1:]
-			return v
-		}
-		n := 1 + next()%4
-		m := 1 + next()%4
-		p := &Problem{NumVars: n, Objective: make([]float64, n), Upper: make([]float64, n)}
-		for j := 0; j < n; j++ {
-			p.Objective[j] = float64(next()%7 - 3)
-			p.Upper[j] = []float64{0, 1, 2, math.Inf(1)}[next()%4]
-		}
-		for i := 0; i < m; i++ {
-			a := make([]float64, n)
-			for j := range a {
-				a[j] = float64(next()%7 - 3)
-			}
-			p.Constraints = append(p.Constraints,
-				Constraint{Coeffs: a, Rel: Rel(next() % 3), RHS: float64(next()%9 - 4)})
-		}
+		p, shift := fuzzProblem(data)
 		agree := func(s *Solution, what string) {
 			want, err := Solve(ctx, p)
 			if err != nil {
@@ -695,7 +718,6 @@ func FuzzRevised(f *testing.F) {
 		if cold.Status != Optimal {
 			return
 		}
-		shift := float64(next()%5 - 2)
 		for i := range p.Constraints {
 			p.Constraints[i].RHS += shift
 		}

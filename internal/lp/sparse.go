@@ -19,6 +19,52 @@ func (c *spCol) add(row int, v float64) {
 	c.vals = append(c.vals, v)
 }
 
+// csr is a row-wise copy of a column-wise sparse matrix: row i's column
+// ids, ascending, and values are idx/val[start[i]:start[i+1]].
+type csr struct {
+	start []int
+	idx   []int32
+	val   []float64
+}
+
+// transpose rebuilds c from the n columns col(0..n-1) of a matrix with m
+// rows, reusing c's storage.
+func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
+	if cap(c.start) < m+1 {
+		c.start = make([]int, m+1)
+	}
+	start := c.start[:m+1]
+	for i := range start {
+		start[i] = 0
+	}
+	for j := 0; j < n; j++ {
+		rows, _ := col(j)
+		for _, i := range rows {
+			start[i+1]++
+		}
+	}
+	for i := 0; i < m; i++ {
+		start[i+1] += start[i]
+	}
+	nnz := start[m]
+	if cap(c.idx) < nnz {
+		c.idx, c.val = make([]int32, nnz), make([]float64, nnz)
+	}
+	c.idx, c.val = c.idx[:nnz], c.val[:nnz]
+	// start[i] serves as row i's fill cursor, which leaves it at
+	// start[i+1]; shifting the array back restores it.
+	for j := 0; j < n; j++ {
+		rows, vals := col(j)
+		for k, i := range rows {
+			c.idx[start[i]], c.val[start[i]] = int32(j), vals[k]
+			start[i]++
+		}
+	}
+	copy(start[1:], start[:m])
+	start[0] = 0
+	c.start = start
+}
+
 // standard is the revised engine's standard form of a Problem: Ax ⋈ b
 // rewritten as equalities with one row variable (slack or surplus) per
 // inequality row, stored column-wise sparse, with every column bounded
@@ -47,6 +93,7 @@ type standard struct {
 	rel        []Rel
 	b          []float64 // perturbed RHS
 	sig        uint64    // FNV-1a over the constraint structure (not RHS or bounds)
+	rows       csr       // the same nonzeros row by row, for the pivot row
 }
 
 // buildStandard converts p. The same deterministic ε-perturbation as the
@@ -94,8 +141,29 @@ func buildStandard(p *Problem) *standard {
 			s.cols[j].add(r, v)
 		}
 	}
+	s.rows.transpose(m, len(s.cols), func(j int) ([]int32, []float64) { return s.cols[j].rows, s.cols[j].vals })
 	s.sig = s.signature()
 	return s
+}
+
+// pivotRow sets alpha[j] = ρ·A_j for every column j, row-wise over the
+// rows where ρ is nonzero, so a sparse ρ costs only the nonzeros of its
+// rows. Each alpha[j] still sums its terms in ascending row order, as a
+// column-wise dot product does, and a skipped term is an exact zero
+// added to a sum that starts at +0, so no bit of the result changes.
+func (s *standard) pivotRow(rho, alpha []float64) {
+	for j := range alpha {
+		alpha[j] = 0
+	}
+	rows := &s.rows
+	for r, y := range rho {
+		if y == 0 {
+			continue
+		}
+		for k := rows.start[r]; k < rows.start[r+1]; k++ {
+			alpha[rows.idx[k]] += y * rows.val[k]
+		}
+	}
 }
 
 // signature hashes the constraint structure — dimensions, relations and

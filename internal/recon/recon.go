@@ -132,9 +132,14 @@ const (
 // once and decodes any number of answer vectors against it. The decoding
 // LP's constraint matrix depends only on the queries — the answers enter
 // only through the RHS and the variable bounds — so the Decoder keeps the
-// revised simplex basis of its previous decode and warm-starts the next
-// one from it. A Decoder is not safe for concurrent use; each goroutine
-// builds its own.
+// revised simplex basis of its previous solve. The next solve
+// warm-starts from it unless every query row's answer state (RHS and
+// absorber bound) has changed since: a fresh answer vector moves every
+// row, and then a cold start is cheaper than the dual simplex walk from
+// another vector's optimum. So a verbatim replay and every streaming push
+// after a session's first warm-start, and a decode of new answers solves
+// cold. A Decoder is not safe for concurrent use; each goroutine builds
+// its own.
 //
 // The L1Slack LP has one equality row per query q over x ∈ [0,1]^n:
 //
@@ -152,6 +157,7 @@ type Decoder struct {
 	objective LPObjective
 	prob      lp.Problem // RHS and Upper rewritten per decode
 	basis     *lp.Basis
+	solved    [][2]float64 // per query, its rowState when basis was found
 }
 
 // NewDecoder validates the query set and precomputes the decoding LP's
@@ -178,7 +184,7 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 	default:
 		return nil, fmt.Errorf("recon: unknown objective %d", objective)
 	}
-	d := &Decoder{n: n, queries: queries, objective: objective}
+	d := &Decoder{n: n, queries: queries, objective: objective, solved: make([][2]float64, m)}
 	p := &d.prob
 	p.NumVars = nv
 	p.Objective = make([]float64, nv)
@@ -225,10 +231,12 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 }
 
 // Decode fits a fractional database to one answer vector for the
-// Decoder's query set and rounds it, warm-starting from the basis of the
-// previous decode when one exists. It is the batch wrapper over the
-// streaming path: one Stream session pushing the whole answer vector at
-// once (see StreamDecoder for the incremental, anytime form).
+// Decoder's query set and rounds it. It warm-starts from the previous
+// solve's basis only when that solve was given the same answer for at
+// least one query, and solves cold otherwise (see Decoder). It is the
+// batch wrapper over the streaming path: one Stream session pushing the
+// whole answer vector at once (see StreamDecoder for the incremental,
+// anytime form).
 func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []float64, error) {
 	if len(answers) != len(d.queries) {
 		return nil, nil, fmt.Errorf("recon: %d answers for %d queries", len(answers), len(d.queries))
@@ -254,8 +262,8 @@ func (d *Decoder) DecodeOracle(ctx context.Context, o query.Oracle) ([]int64, []
 // the oracle the given queries as one batch and solves a linear program
 // fitting a fractional database x ∈ [0,1]^n to the answers, then rounds.
 // It returns the rounded reconstruction and the fractional LP solution.
-// For repeated decodes over one query set, use a Decoder — it reuses the
-// simplex basis across solves.
+// For repeated decodes over one query set, use a Decoder — it builds the
+// constraint matrix once and reuses the simplex basis where that pays.
 func LPDecode(ctx context.Context, o query.Oracle, queries [][]int, objective LPObjective) ([]int64, []float64, error) {
 	d, err := NewDecoder(o.N(), queries, objective)
 	if err != nil {

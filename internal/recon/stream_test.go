@@ -198,3 +198,97 @@ func TestStreamPushOracleChunking(t *testing.T) {
 		t.Fatalf("k = %d, err = %v, remaining = %d, want the rest in one push", k, err, sd.Remaining())
 	}
 }
+
+// TestDecodeStartRule pins when a Decoder warm-starts, on lp-recon's
+// sweep: n = 48, m = 4n, bounded noise at c ∈ {0, ¼, ½, 1, 2}.
+//   - A Decode whose answers move every query row solves cold, so
+//     lp.warm_starts and lp.warm_miss do not move, and it reaches the
+//     objective of a solve forced to warm-start from the previous
+//     optimum in fewer pivots over the sweep.
+//   - A verbatim replay warm-starts and takes 0 pivots (E02.remote).
+//   - A stream session's first push of new answers solves cold and every
+//     later push warm-starts.
+func TestDecodeStartRule(t *testing.T) {
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	warmStarts, warmMiss := reg.Counter("lp.warm_starts"), reg.Counter("lp.warm_miss")
+	pivots := reg.Counter("lp.pivots")
+
+	rng := rand.New(rand.NewSource(1))
+	n := 48
+	x := synth.BinaryDataset(rng, n, 0.5)
+	queries := query.RandomSubsets(rng, n, 4*n)
+	dec, err := NewDecoder(n, queries, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := func(c float64) []float64 {
+		t.Helper()
+		answers, err := (&query.BoundedNoise{X: x, Alpha: c * math.Sqrt(float64(n)), Rng: rng}).Answer(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answers
+	}
+	var answers []float64
+	coldPivots, warmPivots := int64(0), 0
+	for _, c := range []float64{0, 0.25, 0.5, 1, 2} {
+		answers = noisy(c)
+		prev := dec.basis
+		ws, wm, pv := warmStarts.Value(), warmMiss.Value(), pivots.Value()
+		if _, _, err := dec.Decode(ctx, answers); err != nil {
+			t.Fatal(err)
+		}
+		if prev == nil {
+			continue
+		}
+		coldPivots += pivots.Value() - pv
+		if warmStarts.Value() != ws || warmMiss.Value() != wm {
+			t.Errorf("c=%v: decode moving every row warm-started (warm_starts +%d, warm_miss +%d)",
+				c, warmStarts.Value()-ws, warmMiss.Value()-wm)
+		}
+		cold, err := lp.Revised(ctx, &dec.prob, dec.basis)
+		if err != nil || cold.Status != lp.Optimal || cold.Pivots != 0 {
+			t.Fatalf("c=%v: re-solve from the final basis: %v, %+v", c, err, cold)
+		}
+		warm, err := lp.Revised(ctx, &dec.prob, prev)
+		if err != nil || warm.Status != lp.Optimal || !warm.Warm {
+			t.Fatalf("c=%v: forced warm solve: %v, %+v", c, err, warm)
+		}
+		warmPivots += warm.Pivots
+		if math.Abs(cold.Objective-warm.Objective) > 1e-6 {
+			t.Errorf("c=%v: cold objective %v, forced warm %v", c, cold.Objective, warm.Objective)
+		}
+	}
+	t.Logf("sweep after the first decode: %d pivots cold, %d forced warm", coldPivots, warmPivots)
+	if coldPivots >= int64(warmPivots) {
+		t.Errorf("cold decodes took %d pivots, forced warm %d: the rule should save pivots", coldPivots, warmPivots)
+	}
+
+	ws, pv := warmStarts.Value(), pivots.Value()
+	if _, _, err := dec.Decode(ctx, answers); err != nil {
+		t.Fatal(err)
+	}
+	if warmStarts.Value() != ws+1 || pivots.Value() != pv {
+		t.Errorf("verbatim replay: warm_starts +%d, pivots +%d, want a warm start with 0 pivots",
+			warmStarts.Value()-ws, pivots.Value()-pv)
+	}
+
+	answers = noisy(0.5)
+	sd := dec.Stream()
+	for k := 0; sd.Remaining() > 0; k++ {
+		ws, wm := warmStarts.Value(), warmMiss.Value()
+		if _, _, err := sd.Push(ctx, answers[sd.Answered():sd.Answered()+24]); err != nil {
+			t.Fatal(err)
+		}
+		want := int64(1)
+		if k == 0 {
+			want = 0
+		}
+		if got := warmStarts.Value() - ws; got != want || warmMiss.Value() != wm {
+			t.Errorf("push %d: warm_starts +%d, warm_miss +%d, want +%d and +0", k, got, warmMiss.Value()-wm, want)
+		}
+	}
+}
