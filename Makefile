@@ -87,9 +87,10 @@ build:
 # tests exercise the pool's sharing discipline under real load.
 # ./cmd/loadgen/... holds the only test (TestOverloadInjectionSheds) that
 # drives the sharded server's admission control and load shedding with
-# concurrent HTTP clients.
+# concurrent HTTP clients. ./cmd/reconstruct/...'s remote cases run an
+# in-process query server and the attacking client concurrently.
 race:
-	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/...
+	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/... ./cmd/reconstruct/...
 
 test:
 	$(GO) test ./...

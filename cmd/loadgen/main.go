@@ -46,7 +46,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -286,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p50", Seed: *seed, Seconds: p50.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p99", Seed: *seed, Seconds: p99.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "run_end", Seed: *seed, Seconds: elapsed.Seconds()})
-		if path, err := writeBench(*metricsPath); err != nil {
+		if path, err := obs.WriteBenchSummary(*metricsPath); err != nil {
 			fmt.Fprintf(stderr, "loadgen: bench summary: %v\n", err)
 			failed = true
 		} else {
@@ -373,20 +372,4 @@ func sampleQuantile(sorted []time.Duration, q float64) time.Duration {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// writeBench folds the finished journal into a BENCH_<rev>.json summary
-// written beside it.
-func writeBench(journalPath string) (string, error) {
-	f, err := os.Open(journalPath)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		return "", err
-	}
-	sum := obs.SummarizeEvents(obs.GitRev("."), events)
-	return sum.WriteFile(filepath.Dir(journalPath))
 }

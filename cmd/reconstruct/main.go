@@ -1,28 +1,33 @@
-// Command reconstruct runs the database-reconstruction attacks: the
-// Dinur–Nissim exhaustive and LP-decoding attacks (E01, E02), the
-// census-style SAT reconstruction with registry re-identification (E11),
-// and the Diffix-style LP reconstruction (E13).
+// Command reconstruct runs the two reconstruction attacks cmd/repro does
+// not: the anytime attacks, whose convergence curves show at which query
+// budget reconstruction crosses each accuracy threshold, and the
+// LP-decoding sweep against a live qserver. The in-process batch tables
+// of the same attacks (E01, E02, A01, E11, E13) are repro's: `repro -quick
+// -id E02`.
 //
 // Usage:
 //
-//	reconstruct [-attack all|exhaustive|lp|census|diffix] [-seed 1] [-full] [-stats]
-//	            [-stream] [-chunk N]
-//	            [-remote http://host:port] [-remote-backend exact] [-analyst name]
-//	            [-workers N] [-metrics out.jsonl] [-serve :8088] [-spans out.trace.json]
-//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
+//	reconstruct -stream [-attack all|lp|census] [-chunk N] [-seed 1] [-full] [-stats]
+//	reconstruct -remote http://host:port [-stream] [-chunk N] [-remote-backend exact]
+//	            [-analyst name] [-seed 1] [-full] [-stats]
+//
+// Both forms also take [-metrics out.jsonl] [-serve :8088]
+// [-spans out.trace.json] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+// [-trace trace.out]. Without -stream or -remote it exits 2.
 //
 // -stats appends an obs metrics footer (oracle queries, simplex pivots,
 // SAT conflicts, ...) to every table.
 //
 // -stream runs the attacks anytime: answers are consumed -chunk queries
 // at a time with an incremental re-decode after every chunk (LP warm
-// starts; SAT learned clauses retained), each step appending one point to
-// a convergence curve. With -serve the curve streams live over SSE at
-// /converge (and as attack.converge journal events on /journal); the
-// final table reports queries-to-X%-accuracy milestones, and the final
-// reconstruction is byte-identical to the batch path. In-process -stream
-// supports the lp and census attacks; with -remote it streams the
-// E02-style sweep's workload against the live qserver.
+// starts after the first; SAT learned clauses retained), each step
+// appending one point to a convergence curve. With -serve the curve
+// streams live over SSE at /converge (and as attack.converge journal
+// events on /journal); the final table reports queries-to-X%-accuracy
+// milestones, and the final reconstruction is byte-identical to the batch
+// path. In-process -stream supports the lp and census attacks; with
+// -remote it streams the E02-style sweep's workload against the live
+// qserver.
 //
 // -remote points the LP-decoding attack at a running qserver instead of an
 // in-process oracle: it dials the server, regenerates the ground truth
@@ -30,20 +35,17 @@
 // over the wire. -remote-backend selects the server oracle (exact,
 // laplace, diffix) and -analyst the budget-accounting identity. Against
 // the exact backend the table is byte-identical to the same sweep run
-// in-process at the same seed.
+// in-process at the same seed. A budget that runs out mid-sweep exits 1:
+// the defense held.
 //
 // -metrics records a JSONL run journal (one event per attack); -serve
 // exposes the live observability HTTP endpoint (Prometheus /metrics,
-// /snapshot, /healthz, SSE /journal, /debug/pprof/) while the attacks run;
-// -spans exports the worker pool's Chrome trace-event timeline. Combined
-// with -remote, the qserver's server-side spans are fetched from its
-// /trace endpoint after the sweep and merged into the same export as a
-// second Perfetto process, interleaved with the client's lanes and
+// /snapshot, /healthz, SSE /journal and /converge, /debug/pprof/) while
+// the attacks run; -spans exports the Chrome trace-event timeline.
+// Combined with -remote, the qserver's server-side spans are fetched from
+// its /trace endpoint after the sweep and merged into the same export as
+// a second Perfetto process, interleaved with the client's lanes and
 // filtered to this run's wire trace id.
-//
-// -workers sizes the worker pool the parallel harnesses fan out on
-// (0 = GOMAXPROCS). Per-item randomness derives from (seed, item index),
-// so tables are byte-identical at every worker count.
 package main
 
 import (
@@ -51,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -66,123 +69,186 @@ import (
 )
 
 func main() {
-	attack := flag.String("attack", "all", "attack to run: all, exhaustive, lp, census, diffix")
-	seed := flag.Int64("seed", 1, "random seed")
-	full := flag.Bool("full", false, "run publication-size experiments (slower)")
-	stats := flag.Bool("stats", false, "append an obs metrics footer to every table")
-	workers := flag.Int("workers", 0, "worker-pool size for parallel attacks (0 = GOMAXPROCS); output is identical at any value")
-	stream := flag.Bool("stream", false, "run the attack anytime: incremental decodes with a live convergence curve (lp/census attacks; also with -remote)")
-	chunk := flag.Int("chunk", 32, "answers ingested per streaming step with -stream (<= 0 picks n/4)")
-	remoteURL := flag.String("remote", "", "attack a running qserver at this base URL instead of in-process oracles")
-	remoteBackend := flag.String("remote-backend", "exact", "qserver backend to attack: exact, laplace, diffix")
-	analyst := flag.String("analyst", "", "budget-accounting identity sent to the qserver")
-	tool := serve.AddToolFlags(flag.CommandLine, "reconstruct")
-	flag.Parse()
-	experiments.SetWorkers(*workers)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reconstruct", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	attack := fs.String("attack", "all", "in-process attack to stream with -stream: all, lp, census")
+	seed := fs.Int64("seed", 1, "random seed")
+	full := fs.Bool("full", false, "run publication-size experiments (slower)")
+	stats := fs.Bool("stats", false, "append an obs metrics footer to every table")
+	stream := fs.Bool("stream", false, "run the attack anytime: incremental decodes with a live convergence curve (lp/census attacks; also with -remote)")
+	chunk := fs.Int("chunk", 32, "answers ingested per streaming step with -stream (<= 0 picks n/4)")
+	remoteURL := fs.String("remote", "", "attack a running qserver at this base URL instead of in-process oracles")
+	remoteBackend := fs.String("remote-backend", "exact", "qserver backend to attack: exact, laplace, diffix")
+	analyst := fs.String("analyst", "", "budget-accounting identity sent to the qserver")
+	tool := serve.AddToolFlags(fs, "reconstruct")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *remoteURL == "" && !*stream {
+		fmt.Fprintln(stderr, "reconstruct: pass -stream or -remote URL; the in-process batch tables are repro's (e.g. repro -quick -id E02)")
+		return 2
+	}
+	runners := streamRunners(*attack, *chunk)
+	if *remoteURL == "" && len(runners) == 0 {
+		fmt.Fprintf(stderr, "reconstruct: -stream supports the lp and census attacks (got -attack %q)\n", *attack)
+		return 2
+	}
 
 	if err := tool.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "reconstruct: %v\n", err)
+		return 1
 	}
 	// ^C / SIGTERM cancels the context threaded through the attack
 	// harnesses (and any in-flight remote batch), so an interrupted run
 	// still flushes its journal and profiles below.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	c := &cli{tool: tool, stdout: stdout, stderr: stderr, seed: *seed, quick: !*full, stats: *stats}
 	var status int
-	switch {
-	case *remoteURL != "":
-		status = runRemote(ctx, tool, *remoteURL, *remoteBackend, *analyst, *seed, *full, *stats, *stream, *chunk)
-	case *stream:
-		status = runStream(ctx, tool, *attack, *seed, *full, *stats, *chunk)
-	default:
-		status = run(ctx, tool, *attack, *seed, *full, *stats)
+	if *remoteURL != "" {
+		status = c.runRemote(ctx, *remoteURL, remote.Options{Backend: *remoteBackend, Analyst: *analyst}, *stream, *chunk)
+	} else {
+		c.announceConverge()
+		status = c.runAll(ctx, runners, map[string]int{"experiments": len(runners)})
 	}
 	stopSignals()
 	if err := tool.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
+		fmt.Fprintf(stderr, "reconstruct: %v\n", err)
 		if status == 0 {
 			status = 1
 		}
 	}
-	os.Exit(status)
+	return status
+}
+
+// streamRunners returns the in-process anytime attacks -attack selects:
+// the LP decoder over an exact oracle (E02.stream) and the census SAT
+// pipeline (E11.stream), each recording into the default curve set.
+func streamRunners(attack string, chunk int) []experiments.Runner {
+	var rs []experiments.Runner
+	if attack == "lp" || attack == "all" {
+		rs = append(rs, experiments.Runner{ID: "E02.stream", Run: func(ctx context.Context, seed int64, quick bool) (*experiments.Table, error) {
+			n := 128
+			if quick {
+				n = 48
+			}
+			x := synth.BinaryDataset(rand.New(rand.NewSource(seed)), n, 0.5)
+			tab, _, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, chunk, obs.DefaultCurves())
+			return tab, err
+		}})
+	}
+	if attack == "census" || attack == "all" {
+		rs = append(rs, experiments.Runner{ID: "E11.stream", Run: func(ctx context.Context, seed int64, quick bool) (*experiments.Table, error) {
+			tab, _, err := experiments.E11StreamConverge(ctx, seed, quick, obs.DefaultCurves())
+			return tab, err
+		}})
+	}
+	return rs
+}
+
+// cli is one reconstruct invocation: its observability plumbing, its
+// output streams and the settings every attack shares.
+type cli struct {
+	tool           *serve.Tool
+	stdout, stderr io.Writer
+	seed           int64
+	quick, stats   bool
+}
+
+// announceConverge points the operator at the live curve endpoint when
+// the observability server is up.
+func (c *cli) announceConverge() {
+	if addr := c.tool.Addr(); addr != "" {
+		fmt.Fprintf(c.stderr, "reconstruct: live convergence curve at http://%s/converge (SSE with Accept: text/event-stream)\n", addr)
+	}
 }
 
 // runRemote mounts the LP-decoding sweep against a qserver: ground truth
 // is regenerated locally from the server's advertised metadata, never
-// transmitted. With stream it runs the anytime variant instead — the
-// workload answered chunk queries at a time, the convergence curve
-// streaming over /converge while the attack runs.
-func runRemote(ctx context.Context, tool *serve.Tool, baseURL, backend, analyst string, seed int64, full, stats, stream bool, chunk int) int {
-	o, err := remote.Dial(ctx, baseURL, remote.Options{Backend: backend, Analyst: analyst})
+// transmitted. With stream it runs the anytime variant instead, the
+// workload answered chunk queries at a time.
+func (c *cli) runRemote(ctx context.Context, baseURL string, opts remote.Options, stream bool, chunk int) int {
+	o, err := remote.Dial(ctx, baseURL, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
+		fmt.Fprintf(c.stderr, "reconstruct: %v\n", err)
 		return 1
 	}
 	meta := o.Meta()
-	fmt.Fprintf(os.Stderr, "reconstruct: attacking %s backend %q (n=%d seed=%d budget=%d)\n",
-		baseURL, backend, meta.N, meta.Seed, meta.Budget)
-	id := "E02.remote"
-	if stream {
-		id = "E02.stream"
-		announceConverge(tool)
-	}
-	tool.SetPhase(id)
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": 1, "n": meta.N},
-	})
+	fmt.Fprintf(c.stderr, "reconstruct: attacking %s backend %q (n=%d seed=%d budget=%d)\n",
+		baseURL, opts.Backend, meta.N, meta.Seed, meta.Budget)
 	truth := remote.Dataset(meta.Seed, meta.N, meta.P)
-	reg := obs.Default()
-	instrumented := stats || tool.Observing()
-	if instrumented {
-		wasEnabled := reg.Enabled()
-		reg.SetEnabled(true)
-		defer reg.SetEnabled(wasEnabled)
-	}
-	start := time.Now()
-	before := reg.Snapshot()
-	var tab *experiments.Table
+	r := experiments.Runner{ID: "E02.remote", Run: func(ctx context.Context, seed int64, quick bool) (*experiments.Table, error) {
+		return experiments.E02OverOracle(ctx, o, truth, seed, quick)
+	}}
 	if stream {
-		tab, _, err = experiments.E02StreamOverOracle(ctx, o, truth, seed, chunk, obs.DefaultCurves())
-	} else {
-		tab, err = experiments.E02OverOracle(ctx, o, truth, seed, !full)
+		c.announceConverge()
+		r = experiments.Runner{ID: "E02.stream", Run: func(ctx context.Context, seed int64, _ bool) (*experiments.Table, error) {
+			tab, _, err := experiments.E02StreamOverOracle(ctx, o, truth, seed, chunk, obs.DefaultCurves())
+			return tab, err
+		}}
 	}
-	ev := obs.Event{
-		Phase:   "experiment",
-		ID:      id,
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(start).Seconds(),
+	status := c.runAll(ctx, []experiments.Runner{r}, map[string]int{"experiments": 1, "n": meta.N})
+	if status == 0 {
+		c.mergeServerTrace(ctx, o, baseURL)
 	}
-	if instrumented {
-		delta := reg.Snapshot().Delta(before)
+	return status
+}
+
+// runAll runs rs in order and journals them: run_start with sizes, one
+// experiment event per runner, run_end. Each table goes to stdout, its
+// metrics footer only with -stats. The first failure ends the run with
+// status 1; a server budget running out is reported as the defense
+// holding.
+func (c *cli) runAll(ctx context.Context, rs []experiments.Runner, sizes map[string]int) int {
+	c.tool.Emit(obs.Event{Phase: "run_start", Seed: c.seed, Quick: c.quick, Sizes: sizes})
+	runStart := time.Now()
+	for _, r := range rs {
+		c.tool.SetPhase(r.ID)
+		start := time.Now()
+		var tab *experiments.Table
+		var delta obs.Snapshot
+		var err error
+		if c.stats || c.tool.Observing() {
+			tab, delta, err = r.RunInstrumented(ctx, c.seed, c.quick)
+		} else {
+			tab, err = r.Run(ctx, c.seed, c.quick)
+		}
+		ev := obs.Event{Phase: "experiment", ID: r.ID, Seed: c.seed, Quick: c.quick, Seconds: time.Since(start).Seconds()}
 		if !delta.Empty() {
 			ev.Metrics = &delta
 		}
-		if tab != nil && stats {
-			tab.Metrics = delta
+		if err != nil {
+			ev.Error = err.Error()
+			c.tool.Emit(ev)
+			if errors.Is(err, query.ErrBudgetExhausted) {
+				fmt.Fprintf(c.stderr, "reconstruct: the server's query budget ran out mid-attack — the defense held: %v\n", err)
+			} else {
+				fmt.Fprintf(c.stderr, "reconstruct: %s: %v\n", r.ID, err)
+			}
+			return 1
+		}
+		c.tool.Emit(ev)
+		if !c.stats {
+			// The metrics footer stays opt-in via -stats even when a
+			// journal forced the instrumented path.
+			tab.Metrics = obs.Snapshot{}
+		}
+		if err := tab.Fprint(c.stdout); err != nil {
+			fmt.Fprintf(c.stderr, "reconstruct: %v\n", err)
+			return 1
 		}
 	}
-	if err != nil {
-		ev.Error = err.Error()
-		tool.Emit(ev)
-		if errors.Is(err, query.ErrBudgetExhausted) {
-			fmt.Fprintf(os.Stderr, "reconstruct: the server's query budget ran out mid-attack — the defense held: %v\n", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-		}
-		return 1
-	}
-	tool.Emit(ev)
-	if err := tab.Fprint(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-		return 1
-	}
-	mergeServerTrace(ctx, tool, o, baseURL)
-	tool.Emit(obs.Event{Phase: "run_end", Seed: seed, Quick: !full, Sizes: map[string]int{"experiments": 1}})
-	tool.SetPhase("done")
+	c.tool.Emit(obs.Event{
+		Phase:   "run_end",
+		Seed:    c.seed,
+		Quick:   c.quick,
+		Seconds: time.Since(runStart).Seconds(),
+		Sizes:   map[string]int{"experiments": len(rs)},
+	})
+	c.tool.SetPhase("done")
 	return 0
 }
 
@@ -192,13 +258,13 @@ func runRemote(ctx context.Context, tool *serve.Tool, baseURL, backend, analyst 
 // them as a second Perfetto process lane next to the client's own. A
 // server without the obs endpoint (or an older one) degrades to a
 // client-only trace with a note, never a failed run.
-func mergeServerTrace(ctx context.Context, tool *serve.Tool, o *remote.Oracle, baseURL string) {
-	if !tool.SpanExport() {
+func (c *cli) mergeServerTrace(ctx context.Context, o *remote.Oracle, baseURL string) {
+	if !c.tool.SpanExport() {
 		return
 	}
 	dump, err := o.FetchTrace(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: no server spans merged (%v); the trace will be client-only\n", err)
+		fmt.Fprintf(c.stderr, "reconstruct: no server spans merged (%v); the trace will be client-only\n", err)
 		return
 	}
 	kept := dump.Events[:0]
@@ -210,177 +276,6 @@ func mergeServerTrace(ctx context.Context, tool *serve.Tool, o *remote.Oracle, b
 	dump.Events = kept
 	dump.Process = "qserver " + baseURL
 	obs.DefaultTracer().AddProcess(dump)
-	fmt.Fprintf(os.Stderr, "reconstruct: merged %d server spans (trace %s) into the span export\n",
+	fmt.Fprintf(c.stderr, "reconstruct: merged %d server spans (trace %s) into the span export\n",
 		len(kept), o.TraceID())
-}
-
-func run(ctx context.Context, tool *serve.Tool, attack string, seed int64, full, stats bool) int {
-	byName := map[string][]string{
-		"exhaustive": {"E01"},
-		"lp":         {"E02", "A01"},
-		"census":     {"E11"},
-		"diffix":     {"E13"},
-		"all":        {"E01", "E02", "A01", "E11", "E13"},
-	}
-	ids, ok := byName[attack]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "reconstruct: unknown attack %q\n", attack)
-		return 1
-	}
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": len(ids)},
-	})
-	runStart := time.Now()
-	for _, id := range ids {
-		tool.SetPhase(id)
-		r, _ := experiments.ByID(id)
-		start := time.Now()
-		var tab *experiments.Table
-		var delta obs.Snapshot
-		var err error
-		if stats || tool.Observing() {
-			tab, delta, err = r.RunInstrumented(ctx, seed, !full)
-		} else {
-			tab, err = r.Run(ctx, seed, !full)
-		}
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      id,
-			Seed:    seed,
-			Quick:   !full,
-			Seconds: time.Since(start).Seconds(),
-		}
-		if !delta.Empty() {
-			ev.Metrics = &delta
-		}
-		if err != nil {
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			fmt.Fprintf(os.Stderr, "reconstruct: %s: %v\n", id, err)
-			return 1
-		}
-		tool.Emit(ev)
-		if !stats {
-			// The metrics footer stays opt-in via -stats even when a
-			// journal forced the instrumented path.
-			tab.Metrics = obs.Snapshot{}
-		}
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-			return 1
-		}
-	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(ids)},
-	})
-	tool.SetPhase("done")
-	return 0
-}
-
-// announceConverge points the operator at the live curve endpoints when
-// the observability server is up.
-func announceConverge(tool *serve.Tool) {
-	if addr := tool.Addr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "reconstruct: live convergence curve at http://%s/converge (SSE with Accept: text/event-stream)\n", addr)
-	}
-}
-
-// runStream runs the in-process attacks anytime: the LP decoder over an
-// exact oracle and/or the census SAT pipeline, each re-solving
-// incrementally and appending points to the default convergence curves
-// (journal attack.converge events; /converge when serving). The final
-// tables report queries-to-accuracy milestones; the reconstructions
-// match the batch path bit for bit.
-func runStream(ctx context.Context, tool *serve.Tool, attack string, seed int64, full, stats bool, chunk int) int {
-	type step struct {
-		id  string
-		run func(context.Context) (*experiments.Table, error)
-	}
-	var steps []step
-	if attack == "lp" || attack == "all" {
-		steps = append(steps, step{"E02.stream", func(ctx context.Context) (*experiments.Table, error) {
-			n := 48
-			if full {
-				n = 128
-			}
-			rng := rand.New(rand.NewSource(seed))
-			x := synth.BinaryDataset(rng, n, 0.5)
-			tab, _, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, chunk, obs.DefaultCurves())
-			return tab, err
-		}})
-	}
-	if attack == "census" || attack == "all" {
-		steps = append(steps, step{"E11.stream", func(ctx context.Context) (*experiments.Table, error) {
-			tab, _, err := experiments.E11StreamConverge(ctx, seed, !full, obs.DefaultCurves())
-			return tab, err
-		}})
-	}
-	if len(steps) == 0 {
-		fmt.Fprintf(os.Stderr, "reconstruct: -stream supports the lp and census attacks (got -attack %q)\n", attack)
-		return 1
-	}
-	announceConverge(tool)
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": len(steps)},
-	})
-	runStart := time.Now()
-	reg := obs.Default()
-	instrumented := stats || tool.Observing()
-	if instrumented {
-		wasEnabled := reg.Enabled()
-		reg.SetEnabled(true)
-		defer reg.SetEnabled(wasEnabled)
-	}
-	for _, st := range steps {
-		tool.SetPhase(st.id)
-		start := time.Now()
-		before := reg.Snapshot()
-		tab, err := st.run(ctx)
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      st.id,
-			Seed:    seed,
-			Quick:   !full,
-			Seconds: time.Since(start).Seconds(),
-		}
-		if instrumented {
-			delta := reg.Snapshot().Delta(before)
-			if !delta.Empty() {
-				ev.Metrics = &delta
-			}
-			if tab != nil && stats {
-				tab.Metrics = delta
-			}
-		}
-		if err != nil {
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			fmt.Fprintf(os.Stderr, "reconstruct: %s: %v\n", st.id, err)
-			return 1
-		}
-		tool.Emit(ev)
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-			return 1
-		}
-	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(steps)},
-	})
-	tool.SetPhase("done")
-	return 0
 }

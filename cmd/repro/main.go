@@ -46,7 +46,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -238,22 +237,6 @@ func benchConvergeProbe(emit func(obs.Event), seed int64) error {
 	return nil
 }
 
-// writeBench folds the finished journal back into a BENCH_<rev>.json
-// summary written beside it.
-func writeBench(journalPath string) (string, error) {
-	f, err := os.Open(journalPath)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		return "", err
-	}
-	sum := obs.SummarizeEvents(obs.GitRev("."), events)
-	return sum.WriteFile(filepath.Dir(journalPath))
-}
-
 func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "CI-size runs instead of publication sizes")
@@ -370,7 +353,7 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 	tool.SetPhase("done")
 
 	if path := tool.MetricsPath(); path != "" {
-		if benchPath, err := writeBench(path); err != nil {
+		if benchPath, err := obs.WriteBenchSummary(path); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		} else {
 			fmt.Printf("  [journal %s, summary %s]\n", path, benchPath)

@@ -32,7 +32,6 @@ func register(r registry, shard int) {
 	r.Counter("census.BlocksSolved")               // want `obs Counter name "census\.BlocksSolved" is not lowercase dotted`
 	r.Histogram(fmt.Sprintf("shard%d.lat", shard)) // want `obs Histogram name must be a constant`
 	r.Counter("obs.journal_dropped")
-	r.Counter("obs.curve_dropped")
 	r.Counter("converge.queries")
 	r.Curve("recon.lp.accuracy")
 	r.Curve("census.exact_fraction")

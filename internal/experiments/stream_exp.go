@@ -40,13 +40,15 @@ type StreamResult struct {
 // E02StreamOverOracle is the anytime form of E02OverOracle: it fixes one
 // m = 4n random-subset workload, answers it through the oracle chunk
 // queries at a time, and re-decodes after every chunk via the streaming
-// LP decoder (each step a warm-started re-solve, see recon.StreamDecoder).
+// LP decoder (every step after the first a warm-started re-solve, see
+// recon.StreamDecoder).
 // Each step appends one point to the "recon.lp.accuracy" curve in curves
-// (x = queries answered, y = fraction of rows recovered), which fans out
-// to /converge SSE tails and attack.converge journal events as the attack
-// runs. The returned table is the queries-to-X%-accuracy summary; the
-// final reconstruction in StreamResult equals the batch decode of the
-// same workload. chunk <= 0 defaults to n/4.
+// (x = queries answered, y = fraction of rows recovered), which a curve
+// set attached to a run journal mirrors as attack.converge events (the
+// /converge SSE tail) as the attack runs. The returned table is the
+// queries-to-X%-accuracy summary; the final reconstruction in
+// StreamResult equals the batch decode of the same workload. chunk <= 0
+// defaults to n/4.
 func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int64, chunk int, curves *obs.CurveSet) (*Table, *StreamResult, error) {
 	n := o.N()
 	if len(truth) != n {
@@ -93,7 +95,7 @@ func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, see
 		Title:  fmt.Sprintf("anytime LP reconstruction over a query oracle, n=%d, m=4n=%d, chunk=%d", n, m, chunk),
 		Header: []string{"accuracy milestone", "queries needed", "fraction of workload"},
 		Notes: []string{
-			fmt.Sprintf("final accuracy %s after all %d queries; every step is a warm-started LP re-solve (lp.warm_starts in the metrics)", f3(res.FinalAccuracy), m),
+			fmt.Sprintf("final accuracy %s after all %d queries; every push after the first is a warm-started LP re-solve (lp.warm_starts in the metrics)", f3(res.FinalAccuracy), m),
 			"curve recon.lp.accuracy carries the per-chunk points (journal attack.converge events, /converge endpoint)",
 		},
 	}

@@ -48,6 +48,22 @@ func SummarizeEvents(rev string, events []Event) BenchSummary {
 	return sum
 }
 
+// WriteBenchSummary folds a finished JSONL run journal into a
+// BENCH_<rev>.json summary written beside it (rev is the commit checked
+// out in the working directory) and returns the summary's path.
+func WriteBenchSummary(journalPath string) (string, error) {
+	f, err := os.Open(journalPath)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	events, err := ReadEvents(f)
+	if err != nil {
+		return "", err
+	}
+	return SummarizeEvents(GitRev("."), events).WriteFile(filepath.Dir(journalPath))
+}
+
 // WriteFile writes the summary as BENCH_<rev>.json in dir and returns the
 // path. Characters hostile to filenames in rev are replaced.
 func (b BenchSummary) WriteFile(dir string) (string, error) {

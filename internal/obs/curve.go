@@ -18,38 +18,23 @@ type CurvePoint struct {
 }
 
 // CurveSample is one curve point tagged with its curve name — the unit
-// fanned out to live subscribers, embedded in attack.converge journal
-// events, and streamed over the serve package's SSE /converge endpoint.
+// embedded in attack.converge journal events and streamed over the serve
+// package's SSE /converge endpoint.
 type CurveSample struct {
 	Name string `json:"curve"`
 	CurvePoint
 }
 
-// curveRing is how many recent samples a CurveSet retains for subscriber
-// replay (the SSE /converge tail). Full per-curve series are retained
-// separately and served by the JSON /converge snapshot.
-const curveRing = 4096
-
-// mCurveDropped counts samples dropped for slow curve subscribers, the
-// sibling of obs.journal_dropped: an SSE consumer comparing its received
-// sample count against this counter can detect gaps in a tailed curve.
-var mCurveDropped = Default().Counter("obs.curve_dropped")
-
 // CurveSet is a registry of named convergence curves. Attacks append
 // monotone (x, y) points while they run; the set retains the full series
-// per curve, fans samples out to live subscribers without ever blocking
-// the attack, and — when attached — mirrors every point into a run
-// journal as an attack.converge event and into a Tracer as a Chrome
-// counter event (a Perfetto counter lane climbing next to the span
-// timeline). Safe for concurrent use.
+// per curve and — when attached — mirrors every point into a run journal
+// as an attack.converge event (the journal's subscribers are the live
+// tail) and into a Tracer as a Chrome counter event (a Perfetto counter
+// lane climbing next to the span timeline). Safe for concurrent use.
 type CurveSet struct {
 	mu      sync.Mutex
 	order   []string
 	curves  map[string][]CurvePoint
-	recent  []CurveSample
-	subs    map[int]chan CurveSample
-	nextID  int
-	dropped int64
 	journal *Journal
 	tracer  *Tracer
 }
@@ -122,55 +107,12 @@ func (cs *CurveSet) Snapshot() map[string][]CurvePoint {
 	return out
 }
 
-// Dropped returns the number of samples dropped for slow subscribers.
-func (cs *CurveSet) Dropped() int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.dropped
-}
-
-// Reset discards every curve, retained sample, and drop count. Live
-// subscribers stay registered; journal and tracer attachments survive.
+// Reset discards every curve; journal and tracer attachments survive.
 func (cs *CurveSet) Reset() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.order = nil
 	cs.curves = map[string][]CurvePoint{}
-	cs.recent = nil
-	cs.dropped = 0
-}
-
-// Subscribe registers a live tail over every curve in the set: it returns
-// the retained recent samples (replay) and a channel carrying every
-// sample added from now on, with no gap or overlap between the two. The
-// channel buffers buf samples; when the subscriber falls behind, newer
-// samples are dropped for it (counted in Dropped and the
-// obs.curve_dropped metric) rather than blocking the attack. cancel
-// unregisters the subscriber and closes the channel.
-func (cs *CurveSet) Subscribe(buf int) (replay []CurveSample, ch <-chan CurveSample, cancel func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	c := make(chan CurveSample, buf)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	replay = append(replay, cs.recent...)
-	if cs.subs == nil {
-		cs.subs = map[int]chan CurveSample{}
-	}
-	id := cs.nextID
-	cs.nextID++
-	cs.subs[id] = c
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			cs.mu.Lock()
-			delete(cs.subs, id)
-			cs.mu.Unlock()
-			close(c)
-		})
-	}
-	return replay, c, cancel
 }
 
 // Curve is one named convergence series of its CurveSet. The zero Curve
@@ -203,18 +145,6 @@ func (c *Curve) AddStats(x int64, y float64, stats map[string]int64) {
 		panic(fmt.Sprintf("obs: curve %q x=%d is not after x=%d (points must be strictly increasing in x)", c.name, x, last))
 	}
 	cs.curves[c.name] = append(pts, sample.CurvePoint)
-	cs.recent = append(cs.recent, sample)
-	if len(cs.recent) > curveRing {
-		cs.recent = cs.recent[len(cs.recent)-curveRing:]
-	}
-	for _, ch := range cs.subs {
-		select {
-		case ch <- sample:
-		default:
-			cs.dropped++
-			mCurveDropped.Add(1)
-		}
-	}
 	journal, tracer := cs.journal, cs.tracer
 	cs.mu.Unlock()
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCurveAddAndSnapshot(t *testing.T) {
@@ -59,44 +58,6 @@ func TestCurveMonotonePanics(t *testing.T) {
 	if got := c.Len(); got != 1 {
 		t.Errorf("Len after rejected points = %d, want 1", got)
 	}
-}
-
-func TestCurveSubscribeReplayLiveAndDrop(t *testing.T) {
-	cs := NewCurveSet()
-	c := cs.Curve("recon.lp.accuracy")
-	c.Add(1, 0.5)
-
-	replay, ch, cancel := cs.Subscribe(8)
-	if len(replay) != 1 || replay[0].Name != "recon.lp.accuracy" || replay[0].X != 1 {
-		t.Fatalf("replay = %+v", replay)
-	}
-	c.Add(2, 0.6)
-	select {
-	case s := <-ch:
-		if s.X != 2 || s.Y != 0.6 {
-			t.Errorf("live sample = %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("live sample never arrived")
-	}
-
-	// A full subscriber buffer drops samples rather than blocking Add.
-	_, slow, cancelSlow := cs.Subscribe(1)
-	for i := int64(3); i < 8; i++ {
-		c.Add(i, 0.7)
-	}
-	if got := len(slow); got != 1 {
-		t.Errorf("slow subscriber buffered %d samples, want 1 (rest dropped)", got)
-	}
-	if got := cs.Dropped(); got != 4 {
-		t.Errorf("Dropped = %d, want 4", got)
-	}
-	cancelSlow()
-	cancel()
-	cancel() // idempotent
-	for range ch {
-	}
-	c.Add(100, 0.9) // must not panic with no subscribers
 }
 
 func TestCurveJournalMirror(t *testing.T) {
@@ -170,21 +131,15 @@ func TestCurveTracerCounterLane(t *testing.T) {
 func TestCurveReset(t *testing.T) {
 	cs := NewCurveSet()
 	cs.Curve("recon.lp.accuracy").Add(1, 0.5)
-	_, ch, cancel := cs.Subscribe(1)
-	defer cancel()
 	cs.Reset()
-	if len(cs.Names()) != 0 || cs.Dropped() != 0 {
-		t.Errorf("Reset left names %v dropped %d", cs.Names(), cs.Dropped())
+	if len(cs.Names()) != 0 {
+		t.Errorf("Reset left names %v", cs.Names())
 	}
-	// Subscribers survive a Reset and x restarts from scratch.
-	cs.Curve("recon.lp.accuracy").Add(1, 0.2)
-	select {
-	case s := <-ch:
-		if s.X != 1 || s.Y != 0.2 {
-			t.Errorf("post-Reset sample = %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("post-Reset sample never arrived")
+	// x starts over after a Reset.
+	c := cs.Curve("recon.lp.accuracy")
+	c.Add(1, 0.2)
+	if pts := c.Points(); len(pts) != 1 || pts[0].X != 1 || pts[0].Y != 0.2 {
+		t.Errorf("post-Reset points = %+v", pts)
 	}
 }
 

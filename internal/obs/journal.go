@@ -44,8 +44,10 @@ type Event struct {
 }
 
 // journalRing is how many recent events a journal retains for subscriber
-// replay (the SSE /journal tail).
-const journalRing = 256
+// replay (the SSE /journal and /converge tails): enough for a late
+// /converge subscriber to replay every attack.converge point of a
+// streamed run.
+const journalRing = 4096
 
 // mJournalDropped counts events dropped for slow journal subscribers: an
 // SSE consumer comparing its received-event count against this counter
@@ -54,8 +56,8 @@ const journalRing = 256
 var mJournalDropped = Default().Counter("obs.journal_dropped")
 
 // Journal writes Events as JSON lines and fans them out to live
-// subscribers (the serve package's SSE /journal endpoint). Safe for
-// concurrent use.
+// subscribers (the serve package's SSE /journal and /converge endpoints).
+// Safe for concurrent use.
 type Journal struct {
 	mu      sync.Mutex
 	w       io.Writer

@@ -100,6 +100,48 @@ func TestSummarizeEventsAndWriteFile(t *testing.T) {
 	}
 }
 
+// TestWriteBenchSummaryBesideJournal: the BENCH writer the cmd tools
+// share folds a finished journal file into a summary in the same
+// directory.
+func TestWriteBenchSummaryBesideJournal(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "run.jsonl")
+	f, err := os.Create(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := NewJournal(f)
+	pivots := Snapshot{Counters: map[string]int64{"lp.pivots": 7}}
+	for _, e := range []Event{
+		{Phase: "run_start", Seed: 5, Quick: true},
+		{Phase: "experiment", ID: "E02", Seconds: 0.25, Metrics: &pivots},
+	} {
+		if err := j.Emit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path, err := WriteBenchSummary(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Dir(path) != dir || !strings.HasPrefix(filepath.Base(path), "BENCH_") {
+		t.Errorf("summary written to %s, want BENCH_<rev>.json in %s", path, dir)
+	}
+	sum, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Seed != 5 || len(sum.Experiments) != 1 || sum.Experiments[0].Counters["lp.pivots"] != 7 {
+		t.Errorf("summary = %+v", sum)
+	}
+	if _, err := WriteBenchSummary(filepath.Join(dir, "missing.jsonl")); err == nil {
+		t.Error("a missing journal should fail")
+	}
+}
+
 func TestGitRev(t *testing.T) {
 	dir := t.TempDir()
 	git := filepath.Join(dir, ".git")

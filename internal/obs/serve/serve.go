@@ -7,7 +7,8 @@
 //	/healthz       run phase, uptime, journal event count
 //	/journal       Server-Sent Events tail of the live run journal
 //	/converge      attack convergence curves: full series as JSON, or a
-//	               replay + live SSE tail with Accept: text/event-stream
+//	               replay + live SSE tail of the journal's attack.converge
+//	               events with Accept: text/event-stream
 //	/debug/pprof/  the stdlib pprof handlers
 //
 // The cmd tools start it with -serve addr (wired through Tool, the shared
@@ -135,7 +136,7 @@ type Health struct {
 // with Close.
 type Server struct {
 	reg     *obs.Registry
-	journal *obs.Journal  // nil: /journal responds 404
+	journal *obs.Journal  // nil: the /journal and /converge SSE tails respond 404
 	tracer  *obs.Tracer   // never nil; /trace serves its dump
 	curves  *obs.CurveSet // never nil; /converge serves it
 	start   time.Time
@@ -146,7 +147,7 @@ type Server struct {
 }
 
 // New builds a server over reg (usually obs.Default()) and journal (may be
-// nil when no run journal exists; /journal then responds 404). The /trace
+// nil when no run journal exists; the SSE tails then respond 404). The /trace
 // endpoint serves the process-wide obs.DefaultTracer dump and /converge
 // the process-wide obs.DefaultCurves set (override with SetCurves).
 func New(reg *obs.Registry, journal *obs.Journal) *Server {
@@ -266,10 +267,49 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(h) //nolint:errcheck // client gone
 }
 
-// handleJournal streams the run journal as Server-Sent Events: the
-// retained recent events first, then every event as it is emitted, until
-// the client disconnects or the server closes.
+// handleJournal streams the run journal as Server-Sent Events.
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+	s.tail(w, r, "journal", func(e obs.Event) any { return e })
+}
+
+// convergeSnapshot is the JSON /converge response body.
+type convergeSnapshot struct {
+	// Curves maps curve name to its full (x, y) series so far.
+	Curves map[string][]obs.CurvePoint `json:"curves"`
+	// Dropped counts journal events dropped for slow SSE subscribers.
+	Dropped int64 `json:"dropped"`
+}
+
+// handleConverge serves the attack convergence curves. The default
+// response is a JSON snapshot of every curve's full series (the batch
+// view: plot it after the run). With Accept: text/event-stream it tails
+// the run journal instead, passing only attack.converge events; each SSE
+// frame is one obs.CurveSample.
+func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
+	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		snap := convergeSnapshot{Curves: s.curves.Snapshot()}
+		if s.journal != nil {
+			snap.Dropped = s.journal.Dropped()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(snap) //nolint:errcheck // client gone
+		return
+	}
+	s.tail(w, r, "converge", func(e obs.Event) any {
+		if e.Phase != "attack.converge" {
+			return nil
+		}
+		return e.Curve
+	})
+}
+
+// tail streams the run journal as Server-Sent Events named event: the
+// retained recent events first, then every event as it is emitted, until
+// the client disconnects or the server closes. Each frame's data is the
+// JSON of frame(e); events for which frame returns nil are skipped.
+func (s *Server) tail(w http.ResponseWriter, r *http.Request, event string, frame func(obs.Event) any) {
 	if s.journal == nil {
 		http.Error(w, "no run journal (start the tool with -metrics)", http.StatusNotFound)
 		return
@@ -283,10 +323,24 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	replay, ch, cancel := s.journal.Subscribe(64)
+	write := func(e obs.Event) error {
+		v := frame(e)
+		if v == nil {
+			return nil
+		}
+		line, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, line)
+		return err
+	}
+	// A client may fall 256 events behind before events are dropped for
+	// it (counted in obs.journal_dropped); the run itself never waits.
+	replay, ch, cancel := s.journal.Subscribe(256)
 	defer cancel()
 	for _, e := range replay {
-		if writeSSE(w, e) != nil {
+		if write(e) != nil {
 			return
 		}
 	}
@@ -298,82 +352,10 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		case <-s.done:
 			return
 		case e := <-ch:
-			if writeSSE(w, e) != nil {
+			if write(e) != nil {
 				return
 			}
 			fl.Flush()
 		}
 	}
-}
-
-func writeSSE(w io.Writer, e obs.Event) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: journal\ndata: %s\n\n", line)
-	return err
-}
-
-// convergeSnapshot is the JSON /converge response body.
-type convergeSnapshot struct {
-	// Curves maps curve name to its full (x, y) series so far.
-	Curves map[string][]obs.CurvePoint `json:"curves"`
-	// Dropped counts samples dropped for slow SSE subscribers.
-	Dropped int64 `json:"dropped"`
-}
-
-// handleConverge serves the attack convergence curves. The default
-// response is a JSON snapshot of every curve's full series (the batch
-// view: plot it after the run). With Accept: text/event-stream it
-// streams instead — the retained recent samples first, then every
-// sample as attacks add points, until the client disconnects or the
-// server closes. Each SSE frame is one obs.CurveSample.
-func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
-	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(convergeSnapshot{Curves: s.curves.Snapshot(), Dropped: s.curves.Dropped()}) //nolint:errcheck // client gone
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	replay, ch, cancel := s.curves.Subscribe(256)
-	defer cancel()
-	for _, sample := range replay {
-		if writeSSECurve(w, sample) != nil {
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.done:
-			return
-		case sample := <-ch:
-			if writeSSECurve(w, sample) != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
-func writeSSECurve(w io.Writer, sample obs.CurveSample) error {
-	line, err := json.Marshal(sample)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: converge\ndata: %s\n\n", line)
-	return err
 }

@@ -255,18 +255,22 @@ func TestJournalSSETail(t *testing.T) {
 }
 
 // readSSECurves reads SSE frames off a /converge stream until n curve
-// samples arrived or the deadline passes.
+// samples arrived or the deadline passes. Every frame must be a converge
+// frame carrying a named curve sample.
 func readSSECurves(t *testing.T, body io.Reader, n int) []obs.CurveSample {
 	t.Helper()
 	var out []obs.CurveSample
 	sc := bufio.NewScanner(body)
 	for sc.Scan() {
 		line := sc.Text()
+		if strings.HasPrefix(line, "event: ") && line != "event: converge" {
+			t.Fatalf("non-curve frame on /converge: %q", line)
+		}
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
 		var s obs.CurveSample
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &s); err != nil {
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &s); err != nil || s.Name == "" {
 			t.Fatalf("SSE data is not a CurveSample: %v (%q)", err, line)
 		}
 		out = append(out, s)
@@ -313,12 +317,30 @@ func TestConvergeJSONSnapshot(t *testing.T) {
 	}
 }
 
+// convergeTail connects an SSE client to the /converge endpoint at url.
+func convergeTail(t *testing.T, ctx context.Context, url string) *http.Response {
+	t.Helper()
+	req, _ := http.NewRequestWithContext(ctx, "GET", url+"/converge", nil)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		resp.Body.Close()
+		t.Fatalf("content type = %q", ct)
+	}
+	return resp
+}
+
 func TestConvergeSSETail(t *testing.T) {
+	journal := obs.NewJournal(io.Discard)
 	cs := obs.NewCurveSet()
+	cs.SetJournal(journal)
 	curve := cs.Curve("recon.lp.accuracy")
 	curve.Add(16, 0.5)
 
-	s := New(obs.NewRegistry(), nil)
+	s := New(obs.NewRegistry(), journal)
 	s.SetCurves(cs)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -326,21 +348,15 @@ func TestConvergeSSETail(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, "GET", srv.URL+"/converge", nil)
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := convergeTail(t, ctx, srv.URL)
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
 
-	// Add live points after the stream is connected.
+	// Add live points after the stream is connected, with a journal event
+	// between them that /converge must not pass.
 	go func() {
 		for i := int64(1); i <= 3; i++ {
 			curve.AddStats(16+16*i, 0.5+0.1*float64(i), map[string]int64{"chunk": 16})
+			journal.Emit(obs.Event{Phase: "experiment", ID: "E02.stream"}) //nolint:errcheck
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
@@ -360,6 +376,43 @@ func TestConvergeSSETail(t *testing.T) {
 	for i := 1; i < len(samples); i++ {
 		if samples[i].X <= samples[i-1].X {
 			t.Errorf("curve tail not monotone: x[%d]=%d after x=%d", i, samples[i].X, samples[i-1].X)
+		}
+	}
+}
+
+// TestConvergeLateSubscriberReplaysRun: a /converge client that connects
+// after a run's 300 curve points, interleaved with as many other journal
+// events, replays every point and nothing else from the journal's ring.
+func TestConvergeLateSubscriberReplaysRun(t *testing.T) {
+	journal := obs.NewJournal(io.Discard)
+	cs := obs.NewCurveSet()
+	cs.SetJournal(journal)
+	curve := cs.Curve("census.exact_fraction")
+	const points = 300
+	for i := int64(1); i <= points; i++ {
+		journal.Emit(obs.Event{Phase: "experiment", ID: "E11.stream"}) //nolint:errcheck
+		curve.Add(i, float64(i)/points)
+	}
+
+	s := New(obs.NewRegistry(), journal)
+	s.SetCurves(cs)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	defer s.Close() //nolint:errcheck
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp := convergeTail(t, ctx, srv.URL)
+	defer resp.Body.Close()
+	// The tail subscribed before its response started, so a live
+	// non-curve event and one more point follow the replay: the next
+	// frame must be that point.
+	journal.Emit(obs.Event{Phase: "run_end"}) //nolint:errcheck
+	curve.Add(points+1, 1)
+	samples := readSSECurves(t, resp.Body, points+1)
+	for i, smp := range samples {
+		if smp.Name != "census.exact_fraction" || smp.X != int64(i+1) {
+			t.Fatalf("frame %d = %+v, want census.exact_fraction x=%d", i, smp, i+1)
 		}
 	}
 }

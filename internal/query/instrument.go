@@ -27,13 +27,10 @@ const (
 	MetricErrors = "query.errors"
 	// MetricBudgetDenied counts queries refused by an exhausted budget.
 	MetricBudgetDenied = "query.budget_denied"
-	// MetricBudgetUsed gauges the budget consumed by the innermost
-	// Budgeted oracle.
-	MetricBudgetUsed = "query.budget_used"
 )
 
 // Instrumented wraps an Oracle and records query counts, subset sizes,
-// batch latency and budget consumption into an obs.Registry. It is safe
+// batch latency and budget denials into an obs.Registry. It is safe
 // for concurrent use whenever the wrapped oracle is; all accounting is
 // atomic, so `go test -race` passes on concurrent workloads.
 type Instrumented struct {
@@ -44,7 +41,6 @@ type Instrumented struct {
 	budgetDenied *obs.Counter
 	subset       *obs.Histogram
 	latency      *obs.Histogram
-	budgetUsed   *obs.Gauge
 }
 
 // Instrument wraps o so every Answer batch is accounted in r (nil means
@@ -64,7 +60,6 @@ func Instrument(o Oracle, r *obs.Registry) *Instrumented {
 		budgetDenied: r.Counter(MetricBudgetDenied),
 		subset:       r.Histogram(MetricSubsetSize),
 		latency:      r.Histogram(MetricLatency),
-		budgetUsed:   r.Gauge(MetricBudgetUsed),
 	}
 }
 
@@ -83,8 +78,6 @@ func (in *Instrumented) Answer(ctx context.Context, queries [][]int) ([]float64,
 		if errors.Is(err, ErrBudgetExhausted) {
 			in.budgetDenied.Add(1)
 		}
-	} else if b, ok := in.Inner.(*Budgeted); ok {
-		in.budgetUsed.Set(float64(b.Used()))
 	}
 	return a, err
 }

@@ -3,26 +3,44 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"singlingout/internal/obs"
 )
 
-// TestBudgetExhaustedMidAttack drives a budgeted oracle past its limit the
-// way a single-query attack workload would and checks both the error
-// identity and the instrumented accounting of the denials.
+// refuseZero answers exactly but refuses, with ErrBudgetExhausted, every
+// batch holding a query that contains index 0: a stateless stand-in for a
+// query service whose budget has run out for part of the workload.
+type refuseZero struct{ Exact }
+
+func (r *refuseZero) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
+	for _, q := range queries {
+		if slices.Contains(q, 0) {
+			return nil, fmt.Errorf("query %v refused: %w", q, ErrBudgetExhausted)
+		}
+	}
+	return r.Exact.Answer(ctx, queries)
+}
+
+// TestBudgetExhaustedMidAttack drives an oracle that refuses part of the
+// workload the way a single-query attack workload would and checks both
+// the error identity and the instrumented accounting of the denials.
 func TestBudgetExhaustedMidAttack(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	x := []int64{1, 0, 1, 1, 0, 1}
-	b := &Budgeted{Inner: &Exact{X: x}, Limit: 3}
-	in := Instrument(b, reg)
+	in := Instrument(&refuseZero{Exact{X: x}}, reg)
 
 	qs := RandomSubsets(rand.New(rand.NewSource(7)), len(x), 10)
-	answered, denied := 0, 0
+	answered, denied, refusable := 0, 0, 0
 	for _, q := range qs {
+		if slices.Contains(q, 0) {
+			refusable++
+		}
 		_, err := AnswerOne(ctx, in, q)
 		switch {
 		case err == nil:
@@ -33,24 +51,21 @@ func TestBudgetExhaustedMidAttack(t *testing.T) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	if answered != 3 || denied != 7 {
-		t.Fatalf("answered %d denied %d, want 3/7", answered, denied)
+	if refusable == 0 || refusable == len(qs) {
+		t.Fatalf("workload has %d of %d queries with index 0; want some of each", refusable, len(qs))
 	}
-	if got := b.Used(); got != 3 {
-		t.Errorf("Used() = %d, want 3", got)
+	if denied != refusable || answered != len(qs)-refusable {
+		t.Fatalf("answered %d denied %d, want %d/%d", answered, denied, len(qs)-refusable, refusable)
 	}
 	s := reg.Snapshot()
 	if s.Counters[MetricQueries] != 10 {
 		t.Errorf("%s = %d, want 10 (denied queries still count as issued)", MetricQueries, s.Counters[MetricQueries])
 	}
-	if s.Counters[MetricBudgetDenied] != 7 {
-		t.Errorf("%s = %d, want 7", MetricBudgetDenied, s.Counters[MetricBudgetDenied])
+	if s.Counters[MetricBudgetDenied] != int64(denied) {
+		t.Errorf("%s = %d, want %d", MetricBudgetDenied, s.Counters[MetricBudgetDenied], denied)
 	}
-	if s.Counters[MetricErrors] != 7 {
-		t.Errorf("%s = %d, want 7", MetricErrors, s.Counters[MetricErrors])
-	}
-	if got := s.Gauges[MetricBudgetUsed]; got != 3 {
-		t.Errorf("%s = %v, want 3", MetricBudgetUsed, got)
+	if s.Counters[MetricErrors] != int64(denied) {
+		t.Errorf("%s = %d, want %d", MetricErrors, s.Counters[MetricErrors], denied)
 	}
 }
 
@@ -87,11 +102,10 @@ func TestAnswerOutOfRange(t *testing.T) {
 	x := []int64{1, 0, 1}
 	rng := rand.New(rand.NewSource(1))
 	oracles := map[string]Oracle{
-		"exact":    &Exact{X: x},
-		"bounded":  &BoundedNoise{X: x, Alpha: 1, Rng: rng},
-		"laplace":  &Laplace{X: x, Eps: 1, Rng: rng},
-		"sticky":   &StickyLaplace{X: x, Eps: 1, Seed: 3},
-		"budgeted": &Budgeted{Inner: &Exact{X: x}, Limit: 10},
+		"exact":   &Exact{X: x},
+		"bounded": &BoundedNoise{X: x, Alpha: 1, Rng: rng},
+		"laplace": &Laplace{X: x, Eps: 1, Rng: rng},
+		"sticky":  &StickyLaplace{X: x, Eps: 1, Seed: 3},
 		"instrumented": Instrument(&Exact{X: x},
 			func() *obs.Registry { r := obs.NewRegistry(); r.SetEnabled(true); return r }()),
 	}
@@ -142,26 +156,26 @@ func TestInstrumentNoDoubleWrap(t *testing.T) {
 	}
 }
 
-// TestInstrumentedConcurrent hammers one instrumented budgeted oracle from
-// many goroutines; run under -race this checks both the atomic budget and
-// the atomic metric accounting, and the totals must still balance.
+// TestInstrumentedConcurrent hammers one instrumented oracle, which
+// refuses part of the workload, from many goroutines; run under -race
+// this checks the atomic metric accounting, and the totals must still
+// balance.
 func TestInstrumentedConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	const (
 		workers = 8
 		perW    = 500
-		limit   = 1234
 	)
 	x := make([]int64, 32)
 	for i := range x {
 		x[i] = int64(i % 2)
 	}
-	b := &Budgeted{Inner: &Exact{X: x}, Limit: limit}
-	in := Instrument(b, reg)
+	in := Instrument(&refuseZero{Exact{X: x}}, reg)
 
 	var wg sync.WaitGroup
 	denials := make([]int, workers)
+	refusable := make([]int, workers)
 	for w := 0; w < workers; w++ {
 		w := w
 		wg.Add(1)
@@ -170,6 +184,9 @@ func TestInstrumentedConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perW; i++ {
 				q := RandomSubsets(rng, len(x), 1)[0]
+				if slices.Contains(q, 0) {
+					refusable[w]++
+				}
 				if _, err := AnswerOne(context.Background(), in, q); errors.Is(err, ErrBudgetExhausted) {
 					denials[w]++
 				} else if err != nil {
@@ -181,23 +198,21 @@ func TestInstrumentedConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	totalDenied := 0
-	for _, d := range denials {
-		totalDenied += d
+	totalDenied, wantDenied := 0, 0
+	for w := range denials {
+		totalDenied += denials[w]
+		wantDenied += refusable[w]
 	}
 	total := workers * perW
-	if b.Used() != limit {
-		t.Errorf("budget used %d, want exactly %d", b.Used(), limit)
-	}
-	if totalDenied != total-limit {
-		t.Errorf("denials %d, want %d", totalDenied, total-limit)
+	if wantDenied == 0 || totalDenied != wantDenied {
+		t.Errorf("denials %d, want %d (> 0)", totalDenied, wantDenied)
 	}
 	s := reg.Snapshot()
 	if s.Counters[MetricQueries] != int64(total) {
 		t.Errorf("%s = %d, want %d", MetricQueries, s.Counters[MetricQueries], total)
 	}
-	if s.Counters[MetricBudgetDenied] != int64(total-limit) {
-		t.Errorf("%s = %d, want %d", MetricBudgetDenied, s.Counters[MetricBudgetDenied], total-limit)
+	if s.Counters[MetricBudgetDenied] != int64(totalDenied) {
+		t.Errorf("%s = %d, want %d", MetricBudgetDenied, s.Counters[MetricBudgetDenied], totalDenied)
 	}
 	if h := s.Histograms[MetricLatency]; h.Count != int64(total) {
 		t.Errorf("latency count %d, want %d", h.Count, total)

@@ -22,14 +22,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"singlingout/internal/dist"
 )
 
 // ErrBudgetExhausted is the sentinel for a query refused because the
-// analyst's query budget is spent. Budgeted oracles and the remote client
-// wrap it, so call sites match with errors.Is rather than on error text.
+// analyst's query budget is spent. The remote client wraps it when the
+// query service refuses a batch, so call sites match with errors.Is
+// rather than on error text.
 var ErrBudgetExhausted = errors.New("query: query budget exhausted")
 
 // ErrInvalidQuery is the sentinel for a malformed query: an out-of-range
@@ -195,49 +195,6 @@ func StickySeed(seed int64, q []int) int64 {
 	}
 	return int64(h ^ mix)
 }
-
-// Budgeted wraps an oracle and fails once Limit queries are spent,
-// modeling the "limit the number of queries" defense discussed alongside
-// Theorem 1.1. A batch is debited as a unit: if the remaining budget
-// cannot cover the whole batch, nothing is debited and the batch is
-// refused with ErrBudgetExhausted; if the inner oracle then fails, the
-// reservation is refunded (refused queries were never answered). The
-// accounting is atomic, so a Budgeted oracle may be shared by concurrent
-// attackers (provided the inner oracle tolerates concurrency).
-type Budgeted struct {
-	Inner Oracle
-	Limit int
-	used  atomic.Int64
-}
-
-// Answer implements Oracle, debiting the whole batch from the budget.
-func (b *Budgeted) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
-	k := int64(len(queries))
-	if k == 0 {
-		return []float64{}, nil
-	}
-	for {
-		u := b.used.Load()
-		if u+k > int64(b.Limit) {
-			return nil, fmt.Errorf("batch of %d with %d of %d spent: %w", k, u, b.Limit, ErrBudgetExhausted)
-		}
-		if b.used.CompareAndSwap(u, u+k) {
-			break
-		}
-	}
-	a, err := b.Inner.Answer(ctx, queries)
-	if err != nil {
-		b.used.Add(-k)
-		return nil, err
-	}
-	return a, nil
-}
-
-// N implements Oracle.
-func (b *Budgeted) N() int { return b.Inner.N() }
-
-// Used returns the number of queries spent so far.
-func (b *Budgeted) Used() int { return int(b.used.Load()) }
 
 // ValidateQuery checks that q is a well-formed subset-sum query over a
 // dataset of n records: every index in range and no index repeated. This

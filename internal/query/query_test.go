@@ -147,56 +147,6 @@ func TestStickyLaplace(t *testing.T) {
 	}
 }
 
-func TestBudgetedOracle(t *testing.T) {
-	x := []int64{1, 1}
-	b := &Budgeted{Inner: &Exact{X: x}, Limit: 2}
-	if b.N() != 2 {
-		t.Fatalf("N = %d", b.N())
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := AnswerOne(ctx, b, []int{0}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := AnswerOne(ctx, b, []int{0}); !errors.Is(err, ErrBudgetExhausted) {
-		t.Errorf("expected budget exhaustion, got %v", err)
-	}
-	if b.Used() != 2 {
-		t.Errorf("Used = %d", b.Used())
-	}
-}
-
-func TestBudgetedBatchAllOrNothing(t *testing.T) {
-	b := &Budgeted{Inner: &Exact{X: []int64{1, 1, 0}}, Limit: 5}
-	// A batch larger than the remaining budget is refused whole and debits
-	// nothing.
-	big := [][]int{{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}}
-	if _, err := b.Answer(ctx, big); !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("oversized batch: want ErrBudgetExhausted, got %v", err)
-	}
-	if b.Used() != 0 {
-		t.Fatalf("refused batch debited budget: Used = %d", b.Used())
-	}
-	// A batch the inner oracle rejects is refunded.
-	if _, err := b.Answer(ctx, [][]int{{0}, {99}}); !errors.Is(err, ErrInvalidQuery) {
-		t.Fatalf("invalid batch: want ErrInvalidQuery, got %v", err)
-	}
-	if b.Used() != 0 {
-		t.Fatalf("failed batch kept its reservation: Used = %d", b.Used())
-	}
-	// A fitting batch spends exactly its size.
-	if _, err := b.Answer(ctx, big[:5]); err != nil {
-		t.Fatal(err)
-	}
-	if b.Used() != 5 {
-		t.Fatalf("Used = %d, want 5", b.Used())
-	}
-	// The empty batch is free.
-	if _, err := b.Answer(ctx, nil); err != nil {
-		t.Fatalf("empty batch should succeed: %v", err)
-	}
-}
-
 func TestRandomSubsetsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	qs := RandomSubsets(rng, 200, 50)
@@ -233,7 +183,6 @@ func TestDuplicateIndexRejected(t *testing.T) {
 		&BoundedNoise{X: x, Alpha: 1, Rng: rng},
 		&Laplace{X: x, Eps: 1, Rng: rng},
 		&StickyLaplace{X: x, Eps: 1, Seed: 1},
-		&Budgeted{Inner: &Exact{X: x}, Limit: 100},
 	} {
 		if _, err := AnswerOne(ctx, o, dup); !errors.Is(err, ErrInvalidQuery) {
 			t.Errorf("%T: duplicate-index query should fail with ErrInvalidQuery, got %v", o, err)

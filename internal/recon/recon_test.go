@@ -2,6 +2,7 @@ package recon
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -95,11 +96,18 @@ func (l *lyingOracle) Answer(_ context.Context, queries [][]int) ([]float64, err
 }
 func (l *lyingOracle) N() int { return l.n }
 
+// refusingOracle refuses every batch with query.ErrBudgetExhausted, as a
+// query service does once the analyst's budget is spent.
+type refusingOracle struct{ n int }
+
+func (r refusingOracle) Answer(context.Context, [][]int) ([]float64, error) {
+	return nil, query.ErrBudgetExhausted
+}
+func (r refusingOracle) N() int { return r.n }
+
 func TestExhaustivePropagatesOracleError(t *testing.T) {
-	x := []int64{1, 0, 1}
-	b := &query.Budgeted{Inner: &query.Exact{X: x}, Limit: 1}
-	if _, err := Exhaustive(ctx, b, [][]int{{0}, {1}}, 0); err == nil {
-		t.Error("budget exhaustion should propagate")
+	if _, err := Exhaustive(ctx, refusingOracle{n: 3}, [][]int{{0}, {1}}, 0); !errors.Is(err, query.ErrBudgetExhausted) {
+		t.Errorf("budget exhaustion should propagate, got %v", err)
 	}
 }
 
@@ -183,9 +191,8 @@ func TestLPDecodeErrors(t *testing.T) {
 	if _, _, err := LPDecode(ctx, &query.Exact{X: x}, [][]int{{0}}, LPObjective(99)); err == nil {
 		t.Error("unknown objective should fail")
 	}
-	b := &query.Budgeted{Inner: &query.Exact{X: x}, Limit: 0}
-	if _, _, err := LPDecode(ctx, b, [][]int{{0}}, L1Slack); err == nil {
-		t.Error("oracle error should propagate")
+	if _, _, err := LPDecode(ctx, refusingOracle{n: 2}, [][]int{{0}}, L1Slack); !errors.Is(err, query.ErrBudgetExhausted) {
+		t.Errorf("oracle error should propagate, got %v", err)
 	}
 }
 
