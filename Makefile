@@ -3,15 +3,15 @@
 #   make ci        gofmt + lint (repolint invariants + go vet) + build +
 #                  tests (race on the concurrency-sensitive packages,
 #                  including internal/obs/serve) + the bench/ module's
-#                  tests + a quick instrumented repro run + the bench
-#                  regression gate
-#   make bench-test  the benchmark driver's own tests (bench/ module)
+#                  vet and tests + a quick instrumented repro run + the
+#                  bench regression gate
+#   make bench-test  go vet and the tests of the benchmark (bench/
+#                  module)
 #   make fuzz-smoke  five seconds of coverage-guided fuzzing per fuzz
 #                  target (plain `go test` runs only their seed corpora)
 #   make lint      repolint (internal/analysis invariant suite, including
 #                  the dataflow analyzers) + go vet, plus an advisory
 #                  govulncheck pass when the tool exists
-#   make lint-fix  apply repolint's suggested fixes in place, then re-lint
 #   make bench     quick instrumented repro run producing BENCH_<rev>.json
 #   make benchgate benchdiff against the committed BENCH_baseline.json
 #   make loadgen-smoke  sharded in-process qserver under injected
@@ -27,9 +27,9 @@
 GO ?= go
 rev := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci fmt lint lint-fix fixcheck vet build test bench-test fuzz-smoke race repro-quick bench benchgate loadgen-smoke gobench repro clean
+.PHONY: ci fmt lint vet build test bench-test fuzz-smoke race repro-quick bench benchgate loadgen-smoke gobench repro clean
 
-ci: fmt lint fixcheck build race test fuzz-smoke bench-test benchgate loadgen-smoke
+ci: fmt lint build race test fuzz-smoke bench-test benchgate loadgen-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -49,26 +49,6 @@ lint:
 		govulncheck ./... || echo "govulncheck: advisory findings above (not gating)"; \
 	else \
 		echo "govulncheck not installed; skipping advisory vulnerability scan"; \
-	fi
-
-# Apply every machine fix repolint suggests (errors.Is rewrites, ctx
-# threading), gofmt-clean, then report what remains. Idempotent: running
-# it twice writes nothing the second time.
-lint-fix:
-	$(GO) run ./cmd/repolint -fix ./...
-
-# CI gate: repolint -fix at HEAD must be a no-op — a tree that still has
-# machine-fixable findings is a tree someone forgot to run `make lint-fix`
-# on. The rewritten files are left in place (they are the desired end
-# state); commit them to clear the gate.
-fixcheck:
-	@before="$$(git diff -- '*.go' | cksum)"; \
-	$(GO) run ./cmd/repolint -fix ./... >/dev/null; \
-	after="$$(git diff -- '*.go' | cksum)"; \
-	if [ "$$before" != "$$after" ]; then \
-		echo "repolint -fix produced a diff; review and commit it (or run 'make lint-fix'):"; \
-		git diff --stat -- '*.go'; \
-		exit 1; \
 	fi
 
 vet:
@@ -95,9 +75,10 @@ race:
 test:
 	$(GO) test ./...
 
-# The benchmark driver (bench/) is its own module, so `go test ./...` at
-# the root does not reach it.
+# The benchmark (bench/) is its own module, so `go vet ./...` and
+# `go test ./...` at the root do not reach it.
 bench-test:
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 
 # Every fuzz target for five seconds past its seed corpus: the parsers of

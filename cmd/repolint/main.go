@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	repolint [-only determinism,boundedgo] [-list] [-suppressed] [-json] [-fix] [patterns...]
+//	repolint [-suppressed] [patterns...]
 //
 // Patterns default to ./... resolved against the enclosing module.
 // Findings print as file:line:col: message (analyzer), sorted by
@@ -15,20 +15,15 @@
 // //lint:ignore <analyzer> <reason> on the offending line or the line
 // above; -suppressed shows what they hide.
 //
-// -json emits the findings as a JSON array (file/line/col/analyzer/
-// message/suppressed/fix) for tooling. -fix applies every suggested fix
-// (gofmt-clean), then re-runs the analysis and reports what remains;
-// running -fix on an already-fixed tree writes nothing.
+// Exit status: 0 when no unsuppressed finding remains, 1 when one does,
+// 2 on a usage or load error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"singlingout/internal/analysis"
 )
@@ -37,43 +32,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiag is the -json wire shape of one finding.
-type jsonDiag struct {
-	File       string                 `json:"file"`
-	Line       int                    `json:"line"`
-	Col        int                    `json:"col"`
-	Analyzer   string                 `json:"analyzer"`
-	Message    string                 `json:"message"`
-	Suppressed bool                   `json:"suppressed,omitempty"`
-	Fix        *analysis.SuggestedFix `json:"fix,omitempty"`
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	list := fs.Bool("list", false, "list available analyzers and exit")
 	showSuppressed := fs.Bool("suppressed", false, "also print findings hidden by lint:ignore directives")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	applyFix := fs.Bool("fix", false, "apply suggested fixes, then re-run and report what remains")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *only != "" {
-		picked, err := pickAnalyzers(analyzers, *only)
-		if err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
-		analyzers = picked
 	}
 
 	patterns := fs.Args()
@@ -90,44 +54,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
 		return 2
 	}
-	diags, npkgs, err := analyze(root, modPath, patterns, analyzers)
+	pkgs, err := analysis.Load(root, modPath, patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
 		return 2
 	}
-
-	if *applyFix {
-		fixed, nfixes, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
-		var files []string
-		for f := range fixed {
-			files = append(files, f)
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			if err := os.WriteFile(f, fixed[f], 0o644); err != nil {
-				fmt.Fprintf(stderr, "repolint: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stderr, "repolint: fixed %s\n", f)
-		}
-		if nfixes > 0 {
-			fmt.Fprintf(stderr, "repolint: applied %d fix(es) to %d file(s); re-running\n", nfixes, len(files))
-			// Re-analyze the rewritten tree: remaining findings (fixless
-			// ones, or anything a fix could not settle) still gate.
-			diags, npkgs, err = analyze(root, modPath, patterns, analyzers)
-			if err != nil {
-				fmt.Fprintf(stderr, "repolint: %v\n", err)
-				return 2
-			}
-		}
-	}
-
-	if *asJSON {
-		return emitJSON(stdout, stderr, diags, *showSuppressed)
+	diags, err := analysis.RunAll(analysis.All(), pkgs)
+	if err != nil {
+		fmt.Fprintf(stderr, "repolint: %v\n", err)
+		return 2
 	}
 
 	findings, suppressed := 0, 0
@@ -143,89 +78,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, d)
 	}
 	if findings > 0 {
-		fmt.Fprintf(stderr, "repolint: %d finding(s) across %d package(s)\n", findings, npkgs)
+		fmt.Fprintf(stderr, "repolint: %d finding(s) across %d package(s)\n", findings, len(pkgs))
 		return 1
 	}
 	if suppressed > 0 && !*showSuppressed {
 		fmt.Fprintf(stderr, "repolint: clean (%d suppressed by lint:ignore; rerun with -suppressed to view)\n", suppressed)
-	}
-	return 0
-}
-
-// analyze loads the patterns and runs the analyzers once.
-func analyze(root, modPath string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, int, error) {
-	pkgs, err := analysis.Load(root, modPath, patterns)
-	if err != nil {
-		return nil, 0, err
-	}
-	diags, err := analysis.RunAll(analyzers, pkgs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return diags, len(pkgs), nil
-}
-
-// pickAnalyzers resolves a comma-separated -only list, erroring with the
-// full set of valid names on any unknown one.
-func pickAnalyzers(all []*analysis.Analyzer, only string) ([]*analysis.Analyzer, error) {
-	want := map[string]bool{}
-	for _, name := range strings.Split(only, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			want[name] = true
-		}
-	}
-	var picked []*analysis.Analyzer
-	var valid []string
-	for _, a := range all {
-		valid = append(valid, a.Name)
-		if want[a.Name] {
-			picked = append(picked, a)
-			delete(want, a.Name)
-		}
-	}
-	if len(want) > 0 {
-		var unknown []string
-		for name := range want {
-			unknown = append(unknown, name)
-		}
-		sort.Strings(unknown)
-		return nil, fmt.Errorf("unknown analyzer(s) %s; valid analyzers: %s",
-			strings.Join(unknown, ", "), strings.Join(valid, ", "))
-	}
-	return picked, nil
-}
-
-// emitJSON prints the diagnostics as one JSON array. Suppressed findings
-// are included only with -suppressed (marked), and the exit code follows
-// the text mode: non-zero iff unsuppressed findings remain.
-func emitJSON(stdout, stderr io.Writer, diags []analysis.Diagnostic, showSuppressed bool) int {
-	out := []jsonDiag{} // non-nil: a clean run is [], not null
-	findings := 0
-	for _, d := range diags {
-		if d.Suppressed && !showSuppressed {
-			continue
-		}
-		if !d.Suppressed {
-			findings++
-		}
-		out = append(out, jsonDiag{
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Analyzer:   d.Analyzer,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-			Fix:        d.Fix,
-		})
-	}
-	enc := json.NewEncoder(stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(stderr, "repolint: %v\n", err)
-		return 2
-	}
-	if findings > 0 {
-		return 1
 	}
 	return 0
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +10,7 @@ import (
 
 // tmpModule writes a throwaway module with one package and chdirs into
 // it for the duration of the test, so run() resolves it as the root.
-func tmpModule(t *testing.T, files map[string]string) string {
+func tmpModule(t *testing.T, files map[string]string) {
 	t.Helper()
 	dir := t.TempDir()
 	files["go.mod"] = "module tmpmod\n\ngo 1.22\n"
@@ -32,7 +31,6 @@ func tmpModule(t *testing.T, files map[string]string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(old) })
-	return dir
 }
 
 const violationSrc = `package tmpmod
@@ -55,91 +53,6 @@ func classify(err error) string {
 }
 `
 
-// TestUnknownOnly pins the -only error contract: unknown names are
-// rejected with the full list of valid analyzers and exit code 2.
-func TestUnknownOnly(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-only=nosuchanalyzer"}, &stdout, &stderr)
-	if code != 2 {
-		t.Fatalf("want exit 2, got %d (stderr: %s)", code, stderr.String())
-	}
-	msg := stderr.String()
-	if !strings.Contains(msg, "unknown analyzer(s) nosuchanalyzer") {
-		t.Errorf("stderr does not name the bad analyzer: %s", msg)
-	}
-	for _, name := range []string{"determinism", "sentinelcmp", "rawdataflow", "budgetflow", "lockdiscipline", "walorder"} {
-		if !strings.Contains(msg, name) {
-			t.Errorf("stderr does not list valid analyzer %q: %s", name, msg)
-		}
-	}
-}
-
-// TestJSONRoundTrip runs -json on a module with two sentinel
-// comparisons and decodes the array back: every field must survive,
-// including the machine fix attached to each finding.
-func TestJSONRoundTrip(t *testing.T) {
-	tmpModule(t, map[string]string{"a.go": violationSrc})
-
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-only=sentinelcmp", "-json", "./..."}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("want exit 1 on findings, got %d (stderr: %s)", code, stderr.String())
-	}
-
-	var diags []jsonDiag
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(diags) != 2 {
-		t.Fatalf("want 2 findings, got %d: %s", len(diags), stdout.String())
-	}
-	for i, d := range diags {
-		if d.Analyzer != "sentinelcmp" {
-			t.Errorf("finding %d: analyzer = %q, want sentinelcmp", i, d.Analyzer)
-		}
-		if !strings.HasSuffix(d.File, "a.go") || d.Line == 0 || d.Col == 0 {
-			t.Errorf("finding %d: incomplete position %s:%d:%d", i, d.File, d.Line, d.Col)
-		}
-		if d.Message == "" {
-			t.Errorf("finding %d: empty message", i)
-		}
-		if d.Fix == nil || len(d.Fix.Edits) == 0 {
-			t.Errorf("finding %d: fix did not survive the round trip", i)
-		}
-	}
-	// Round trip: re-encode, decode, re-encode — the two serialized
-	// forms must be byte-identical.
-	again, err := json.Marshal(diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diags2 []jsonDiag
-	if err := json.Unmarshal(again, &diags2); err != nil {
-		t.Fatal(err)
-	}
-	again2, err := json.Marshal(diags2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, again2) {
-		t.Errorf("round trip changed the findings:\nfirst:  %s\nsecond: %s", again, again2)
-	}
-}
-
-// TestJSONCleanIsEmptyArray pins that a clean run emits [] (not null),
-// so downstream `jq length` style tooling never trips on null.
-func TestJSONCleanIsEmptyArray(t *testing.T) {
-	tmpModule(t, map[string]string{"a.go": "package tmpmod\n\nfunc ok() {}\n"})
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "./..."}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("want exit 0 on clean tree, got %d (stderr: %s)", code, stderr.String())
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
 // TestDeterministicOutput runs the full suite twice over the same tree:
 // the outputs must be byte-identical (diagnostics sort by file, line,
 // column, analyzer).
@@ -156,7 +69,7 @@ func eof(err error) bool { return err == os.ErrClosed }
 	outputs := make([]string, 2)
 	for i := range outputs {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-only=sentinelcmp", "./..."}, &stdout, &stderr)
+		code := run([]string{"./..."}, &stdout, &stderr)
 		if code != 1 {
 			t.Fatalf("run %d: want exit 1, got %d (stderr: %s)", i, code, stderr.String())
 		}
@@ -175,48 +88,89 @@ func eof(err error) bool { return err == os.ErrClosed }
 	}
 }
 
-// TestFixRewritesAndRerunsClean drives -fix end to end through the CLI:
-// the violations are rewritten in place and a second -fix pass is a
-// no-op (idempotence), leaving a clean exit.
-func TestFixRewritesAndRerunsClean(t *testing.T) {
-	dir := tmpModule(t, map[string]string{"a.go": violationSrc})
+// TestExitCodes pins repolint's contract with make lint: exit 1 while
+// any unsuppressed finding remains, 0 once only suppressed ones do (with
+// the count on stderr), 2 on a usage or load error. -suppressed prints
+// the hidden findings, marked.
+func TestExitCodes(t *testing.T) {
+	const finding = `package tmpmod
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-only=sentinelcmp", "-fix", "./..."}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("want exit 0 after fixing, got %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "applied 2 fix(es)") {
-		t.Errorf("stderr does not report the applied fixes: %s", stderr.String())
-	}
-	fixed, err := os.ReadFile(filepath.Join(dir, "a.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(fixed), "errors.Is(err, io.EOF)") {
-		t.Errorf("file not rewritten:\n%s", fixed)
-	}
+import "io"
 
-	// Idempotence: nothing left to fix, nothing rewritten.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-only=sentinelcmp", "-fix", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("second -fix pass: want exit 0, got %d (stderr: %s)", code, stderr.String())
-	}
-	if strings.Contains(stderr.String(), "applied") {
-		t.Errorf("second -fix pass rewrote files: %s", stderr.String())
-	}
-}
+func eof(err error) bool { return err == io.EOF }
+`
+	const suppressed = `package tmpmod
 
-// TestListNamesAllAnalyzers keeps -list in sync with the registry.
-func TestListNamesAllAnalyzers(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("want exit 0, got %d", code)
+import "io"
+
+//lint:ignore sentinelcmp the caller never wraps
+func bare(err error) bool { return err == io.EOF }
+`
+	cases := []struct {
+		name       string
+		files      map[string]string
+		args       []string
+		wantCode   int
+		wantStdout []string // suffix of each stdout line, in order
+		wantStderr string
+	}{
+		{
+			name:       "finding",
+			files:      map[string]string{"a.go": finding, "b.go": suppressed},
+			args:       []string{"./..."},
+			wantCode:   1,
+			wantStdout: []string{"a.go:5:35: io.EOF compared with ==: use errors.Is (sentinels may arrive wrapped) (sentinelcmp)"},
+			wantStderr: "repolint: 1 finding(s) across 1 package(s)",
+		},
+		{
+			name:       "suppressed only",
+			files:      map[string]string{"b.go": suppressed},
+			wantCode:   0,
+			wantStderr: "repolint: clean (1 suppressed by lint:ignore; rerun with -suppressed to view)",
+		},
+		{
+			name:       "show suppressed",
+			files:      map[string]string{"b.go": suppressed},
+			args:       []string{"-suppressed", "./..."},
+			wantCode:   0,
+			wantStdout: []string{"b.go:6:36: io.EOF compared with ==: use errors.Is (sentinels may arrive wrapped) (sentinelcmp) [suppressed]"},
+		},
+		{
+			name:     "unknown flag",
+			files:    map[string]string{"a.go": finding},
+			args:     []string{"-fix", "./..."},
+			wantCode: 2,
+		},
+		{
+			name:       "missing package",
+			files:      map[string]string{"a.go": finding},
+			args:       []string{"./nosuchdir"},
+			wantCode:   2,
+			wantStderr: "nosuchdir",
+		},
 	}
-	for _, name := range []string{"rawdataflow", "budgetflow", "lockdiscipline", "walorder"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list missing %q:\n%s", name, stdout.String())
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tmpModule(t, c.files)
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != c.wantCode {
+				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, c.wantCode, stdout.String(), stderr.String())
+			}
+			var lines []string
+			if out := strings.TrimSpace(stdout.String()); out != "" {
+				lines = strings.Split(out, "\n")
+			}
+			if len(lines) != len(c.wantStdout) {
+				t.Fatalf("stdout has %d line(s), want %d:\n%s", len(lines), len(c.wantStdout), stdout.String())
+			}
+			for i, want := range c.wantStdout {
+				if !strings.HasSuffix(lines[i], want) {
+					t.Errorf("stdout line %d = %q, want suffix %q", i, lines[i], want)
+				}
+			}
+			if !strings.Contains(stderr.String(), c.wantStderr) {
+				t.Errorf("stderr = %q, want it to contain %q", stderr.String(), c.wantStderr)
+			}
+		})
 	}
 }

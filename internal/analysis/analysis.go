@@ -10,14 +10,15 @@
 //     the determinism/sentinel/ctx/naming/goroutine invariants; and
 //   - dataflow analyzers, which request go/types information
 //     (Analyzer.NeedsTypes), build an intra-procedural CFG per function
-//     (cfg.go) and run a forward taint engine (taint.go) or a custom
-//     fixpoint over it — the privacy invariants (raw microdata never
-//     reaches the wire, budget spends always settle, WAL-append-before-
-//     apply, shard lock discipline) are path properties that no AST walk
-//     can express.
+//     (cfg.go) and solve a forward may-analysis over it with Forward,
+//     either through the taint engine (taint.go) or with a lattice of
+//     their own — the privacy invariants (raw microdata never reaches
+//     the wire, budget spends always settle, WAL-append-before-apply,
+//     shard lock discipline) are path properties that no AST walk can
+//     express.
 //
-// Analyzers may attach a machine-applicable SuggestedFix to a
-// Diagnostic; cmd/repolint -fix applies them (see fix.go).
+// Unlike x/tools, a Diagnostic carries no suggested fix: the suite only
+// reports.
 //
 // The enforced invariants — why each exists and how to suppress a false
 // positive — are documented in docs/INVARIANTS.md. Suppression uses a
@@ -44,7 +45,6 @@ import (
 // golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 
 	// NeedsTypes requests go/types information: before Run, the package
@@ -63,7 +63,6 @@ type SourceFile struct {
 	Path string // filesystem path, for diagnostics
 	Test bool   // *_test.go, or member of an external _test package
 	AST  *ast.File
-	Src  []byte // raw source, for SuggestedFix edits
 	// ignores maps a line number to the analyzer names a lint:ignore
 	// directive on that line suppresses. A directive covers its own line
 	// and the line immediately below it, so it works both trailing the
@@ -101,8 +100,7 @@ type Diagnostic struct {
 	Analyzer   string
 	Pos        token.Position
 	Message    string
-	Suppressed bool          // a lint:ignore directive covers this line
-	Fix        *SuggestedFix // optional machine-applicable fix (repolint -fix)
+	Suppressed bool // a lint:ignore directive covers this line
 }
 
 func (d Diagnostic) String() string {
@@ -130,38 +128,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportfFix records a finding carrying a machine-applicable fix.
-func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
-// Edit builds a TextEdit replacing [pos, end) with newText, resolved to
-// the byte offsets repolint -fix applies.
-func (p *Pass) Edit(pos, end token.Pos, newText string) TextEdit {
-	start := p.Fset.Position(pos)
-	stop := p.Fset.Position(end)
-	return TextEdit{File: start.Filename, Start: start.Offset, End: stop.Offset, NewText: newText}
-}
-
-// SourceText returns the source bytes of [pos, end), e.g. an operand's
-// exact spelling for use in a fix replacement. Empty when the range does
-// not fall inside a loaded file.
-func (p *Pass) SourceText(pos, end token.Pos) string {
-	start := p.Fset.Position(pos)
-	stop := p.Fset.Position(end)
-	for _, f := range p.Pkg.Files {
-		if f.Path == start.Filename && stop.Offset <= len(f.Src) && start.Offset <= stop.Offset {
-			return string(f.Src[start.Offset:stop.Offset])
-		}
-	}
-	return ""
 }
 
 // ImportName resolves the local name under which file f imports

@@ -15,9 +15,7 @@ import (
 // raw goroutine.
 var BoundedGo = &Analyzer{
 	Name: "boundedgo",
-	Doc: "flag bare go statements in internal/ packages outside internal/par; " +
-		"fan-out must go through par.ForEach",
-	Run: runBoundedGo,
+	Run:  runBoundedGo,
 }
 
 func runBoundedGo(pass *Pass) error {

@@ -32,9 +32,7 @@ import (
 // Reaching the function exit in spent via a non-error path is the
 // successful commit and is fine.
 var BudgetFlow = &Analyzer{
-	Name: "budgetflow",
-	Doc: "every control-flow path that performs a ledger spend must refund, be denied, " +
-		"or commit before returning an error — no path may leak spent budget",
+	Name:       "budgetflow",
 	NeedsTypes: true,
 	Wants:      wantsLedgerCallers,
 	Run:        runBudgetFlow,
@@ -57,7 +55,7 @@ func runBudgetFlow(pass *Pass) error {
 		if f.Test {
 			continue
 		}
-		for _, fb := range FuncBodies(f.AST, false) {
+		for _, fb := range FuncBodies(f.AST) {
 			checkBudgetFlow(pass, fb)
 		}
 	}
@@ -86,28 +84,16 @@ func checkBudgetFlow(pass *Pass, fb FuncBody) {
 	res := collectSpendResults(pass, fb.Body)
 	g := NewCFG(fb.Body)
 
-	// Forward fixpoint over path-state sets.
-	in := make([]uint8, len(g.Blocks))
-	in[g.Entry.Index] = bfClean
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := bfTransferBlock(pass, blk, in[blk.Index], nil)
-		for _, e := range blk.Succs {
-			next := bfRefine(pass, out, e, res)
-			if in[e.To.Index]|next != in[e.To.Index] {
-				in[e.To.Index] |= next
-				work = append(work, e.To)
-			}
-		}
-	}
+	in, reached := Forward(g, bfClean,
+		func(blk *Block, state uint8) uint8 { return bfTransferBlock(pass, blk, state, nil) },
+		func(state uint8, e Edge) uint8 { return bfRefine(pass, state, e, res) },
+		joinBits)
 
 	// Report pass at fixpoint: walk each block again, flagging error
 	// exits whose path-state set is exactly {spent}.
 	for _, blk := range g.Blocks {
-		if in[blk.Index] == 0 {
-			continue // unreachable
+		if !reached[blk.Index] {
+			continue
 		}
 		bfTransferBlock(pass, blk, in[blk.Index], func(n ast.Node, state uint8) {
 			if state == bfSpent {

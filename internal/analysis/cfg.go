@@ -22,6 +22,10 @@ import (
 // jumps to Exit), and panic/recover edges. Function literals are NOT
 // inlined — the literal appears as a node in the block where it is
 // created, and each engine decides how to treat its body.
+//
+// Forward is the one fixpoint solver the four passes share; each
+// supplies its lattice as an entry state, a block flow, an optional
+// edge refinement and a join (joinBits or joinKeys).
 
 // CFG is one function body's control-flow graph. Blocks[0] is the entry.
 type CFG struct {
@@ -61,22 +65,61 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	return b.g
 }
 
-// Reachable returns the set of blocks reachable from `from`, including
-// itself.
-func (g *CFG) Reachable(from *Block) map[*Block]bool {
-	seen := map[*Block]bool{from: true}
-	work := []*Block{from}
+// Forward solves a forward may-analysis over g to its least fixpoint
+// and returns each block's entry state and whether any path reaches
+// the block. entry is the state on entry to g.Entry; flow maps a
+// block's entry state to its exit state and must not modify its
+// argument; refine, when non-nil, narrows an exit state along one
+// edge; join merges a state into a successor's entry state (the zero S
+// when the successor was not yet reached) and reports whether it grew.
+// A block is (re)visited when first reached and whenever its entry
+// state grows, so with a monotone flow and a union join every path's
+// facts reach every block they can.
+func Forward[S any](g *CFG, entry S, flow func(*Block, S) S, refine func(S, Edge) S, join func(S, S) (S, bool)) (in []S, reached []bool) {
+	in = make([]S, len(g.Blocks))
+	reached = make([]bool, len(g.Blocks))
+	in[g.Entry.Index], reached[g.Entry.Index] = entry, true
+	work := []*Block{g.Entry}
 	for len(work) > 0 {
 		blk := work[len(work)-1]
 		work = work[:len(work)-1]
+		out := flow(blk, in[blk.Index])
 		for _, e := range blk.Succs {
-			if !seen[e.To] {
-				seen[e.To] = true
+			next := out
+			if refine != nil {
+				next = refine(out, e)
+			}
+			var grew bool
+			in[e.To.Index], grew = join(in[e.To.Index], next)
+			if grew || !reached[e.To.Index] {
+				reached[e.To.Index] = true
 				work = append(work, e.To)
 			}
 		}
 	}
-	return seen
+	return in, reached
+}
+
+// joinBits is the join of path-state bit sets (budgetflow, walorder).
+func joinBits(dst, src uint8) (uint8, bool) {
+	return dst | src, dst|src != dst
+}
+
+// joinKeys is the key-union join of map-valued sets (lockdiscipline,
+// the taint engine). It copies into dst, allocating it on first reach,
+// so a state flowing along several edges is never shared.
+func joinKeys[M ~map[K]V, K comparable, V any](dst, src M) (M, bool) {
+	if dst == nil {
+		dst = make(M, len(src))
+	}
+	grew := false
+	for k, v := range src {
+		if _, ok := dst[k]; !ok {
+			dst[k] = v
+			grew = true
+		}
+	}
+	return dst, grew
 }
 
 type labelTarget struct {
@@ -377,32 +420,20 @@ func InspectHead(n ast.Node, fn func(ast.Node) bool) {
 	ast.Inspect(n, fn)
 }
 
-// FuncBodies yields every function body in file f that has one —
-// declarations and, when inlineLits is set, function literals — paired
-// with the enclosing declaration name for diagnostics.
-func FuncBodies(f *ast.File, inlineLits bool) []FuncBody {
+// FuncBodies yields every function declaration in file f that has a
+// body, named for diagnostics.
+func FuncBodies(f *ast.File) []FuncBody {
 	var out []FuncBody
 	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		out = append(out, FuncBody{Name: fd.Name.Name, Decl: fd, Body: fd.Body})
-		if inlineLits {
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, FuncBody{Name: fd.Name.Name + ".func", Body: lit.Body})
-				}
-				return true
-			})
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+			out = append(out, FuncBody{Name: fd.Name.Name, Body: fd.Body})
 		}
 	}
 	return out
 }
 
-// FuncBody is one analyzable body: a declared function or a literal.
+// FuncBody is one analyzable body.
 type FuncBody struct {
 	Name string
-	Decl *ast.FuncDecl // nil for literals
 	Body *ast.BlockStmt
 }

@@ -22,6 +22,23 @@ func buildCFG(t *testing.T, body string) *analysis.CFG {
 	return analysis.NewCFG(fd.Body)
 }
 
+// exitReachable reports whether a path leads from g's entry to its exit.
+func exitReachable(g *analysis.CFG) bool {
+	seen := map[*analysis.Block]bool{g.Entry: true}
+	work := []*analysis.Block{g.Entry}
+	for len(work) > 0 {
+		blk := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, e := range blk.Succs {
+			if !seen[e.To] {
+				seen[e.To] = true
+				work = append(work, e.To)
+			}
+		}
+	}
+	return seen[g.Exit]
+}
+
 // edgeCount returns (total, conditional) edge counts.
 func edgeCount(g *analysis.CFG) (total, cond int) {
 	for _, b := range g.Blocks {
@@ -61,7 +78,7 @@ func TestCFGIf(t *testing.T) {
 	if neg != 1 {
 		t.Fatalf("if/else: want exactly 1 negated edge, got %d", neg)
 	}
-	if !g.Reachable(g.Entry)[g.Exit] {
+	if !exitReachable(g) {
 		t.Fatal("exit not reachable from entry")
 	}
 }
@@ -117,7 +134,7 @@ func TestCFGForLoop(t *testing.T) {
 	if !back {
 		t.Fatal("for loop: no back edge found")
 	}
-	if !g.Reachable(g.Entry)[g.Exit] {
+	if !exitReachable(g) {
 		t.Fatal("for loop: exit unreachable (cond-false edge missing)")
 	}
 }
@@ -136,10 +153,10 @@ func TestCFGSwitchDefault(t *testing.T) {
 	`)
 	// Both shapes must keep Exit reachable; the no-default switch does so
 	// via the implicit entry→after edge.
-	if !withDefault.Reachable(withDefault.Entry)[withDefault.Exit] {
+	if !exitReachable(withDefault) {
 		t.Fatal("switch with default: exit unreachable")
 	}
-	if !withoutDefault.Reachable(withoutDefault.Entry)[withoutDefault.Exit] {
+	if !exitReachable(withoutDefault) {
 		t.Fatal("switch without default: exit unreachable (implicit skip edge missing)")
 	}
 }

@@ -13,9 +13,7 @@ import (
 // are exempt, as are tests.
 var CtxBackground = &Analyzer{
 	Name: "ctxbackground",
-	Doc: "flag context.Background()/context.TODO() outside main packages and tests; " +
-		"library code must thread the caller's ctx so cancellation propagates",
-	Run: runCtxBackground,
+	Run:  runCtxBackground,
 }
 
 func runCtxBackground(pass *Pass) error {
@@ -53,15 +51,8 @@ func runCtxBackground(pass *Pass) error {
 			default:
 				return true
 			}
-			if param, ok := ctxParamInScope(stack, ctxName); ok {
-				var fix *SuggestedFix
-				if param != "" {
-					fix = &SuggestedFix{
-						Message: "use the in-scope " + param + " instead of a fresh root context",
-						Edits:   []TextEdit{pass.Edit(call.Pos(), call.End(), param)},
-					}
-				}
-				pass.ReportfFix(call.Pos(), fix, "%s in package %s: a ctx parameter is in scope — thread it instead of severing cancellation", which, pass.Pkg.Name)
+			if ctxParamInScope(stack, ctxName) {
+				pass.Reportf(call.Pos(), "%s in package %s: a ctx parameter is in scope — thread it instead of severing cancellation", which, pass.Pkg.Name)
 			} else {
 				pass.Reportf(call.Pos(), "%s in package %s: the enclosing function should accept a context.Context from its caller", which, pass.Pkg.Name)
 			}
@@ -72,10 +63,8 @@ func runCtxBackground(pass *Pass) error {
 }
 
 // ctxParamInScope reports whether an enclosing function declaration or
-// literal on the stack takes a context.Context parameter, returning the
-// innermost such parameter's name ("" when unnamed or blank, which
-// still diagnoses but cannot auto-fix).
-func ctxParamInScope(stack []ast.Node, ctxName string) (string, bool) {
+// literal on the stack takes a context.Context parameter.
+func ctxParamInScope(stack []ast.Node, ctxName string) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		var ft *ast.FuncType
 		switch v := stack[i].(type) {
@@ -90,16 +79,10 @@ func ctxParamInScope(stack []ast.Node, ctxName string) (string, bool) {
 			continue
 		}
 		for _, field := range ft.Params.List {
-			if !isPkgSel(field.Type, ctxName, "Context") {
-				continue
+			if isPkgSel(field.Type, ctxName, "Context") {
+				return true
 			}
-			for _, name := range field.Names {
-				if name.Name != "_" {
-					return name.Name, true
-				}
-			}
-			return "", true
 		}
 	}
-	return "", false
+	return false
 }

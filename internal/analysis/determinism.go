@@ -42,10 +42,7 @@ var clockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 // packages, where all randomness must flow from an injected *rand.Rand.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid time.Now/Since/Until, global math/rand functions, and crypto/rand " +
-		"in the attack/experiment packages; randomness must come from an injected *rand.Rand " +
-		"(par.RNG) so tables are byte-identical at any worker count",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {

@@ -140,11 +140,7 @@ func LoadDir(dir, importPath string) (*Package, error) {
 			continue
 		}
 		fp := filepath.Join(dir, e.Name())
-		src, err := os.ReadFile(fp)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: read %s: %w", fp, err)
-		}
-		f, err := parser.ParseFile(fset, fp, src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, fp, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: parse %s: %w", fp, err)
 		}
@@ -152,7 +148,6 @@ func LoadDir(dir, importPath string) (*Package, error) {
 			Path: fp,
 			Test: strings.HasSuffix(e.Name(), "_test.go") || strings.HasSuffix(f.Name.Name, "_test"),
 			AST:  f,
-			Src:  src,
 		}
 		sf.collectIgnores(fset)
 		pkg.Files = append(pkg.Files, sf)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -33,9 +34,7 @@ import (
 // the ledger shard's critical section — that ordering is what walorder
 // enforces — and the WAL is a local file, not a network round-trip.
 var LockDiscipline = &Analyzer{
-	Name: "lockdiscipline",
-	Doc: "no second lock acquisition, network I/O, or blocking channel operation while a " +
-		"shard mutex is held; the WAL file append is the one allowlisted blocking call",
+	Name:       "lockdiscipline",
 	NeedsTypes: true,
 	Wants:      wantsLockedCode,
 	Run:        runLockDiscipline,
@@ -52,8 +51,17 @@ func runLockDiscipline(pass *Pass) error {
 		if f.Test {
 			continue
 		}
-		for _, fb := range FuncBodies(f.AST, false) {
+		for _, fb := range FuncBodies(f.AST) {
 			checkLockDiscipline(pass, fb)
+			// A literal's body runs when it is called, not where it is
+			// created (ldTransferBlock skips it there), so check it as
+			// its own critical section, entered with no lock held.
+			ast.Inspect(fb.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					checkLockDiscipline(pass, FuncBody{Name: fb.Name + ".func", Body: lit.Body})
+				}
+				return true
+			})
 		}
 	}
 	return nil
@@ -63,14 +71,6 @@ func runLockDiscipline(pass *Pass) error {
 // receiver chain (object identity of the base + selector path), mapped
 // to a printable name for diagnostics.
 type lockSet map[string]string
-
-func (s lockSet) clone() lockSet {
-	c := make(lockSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 // selectComms classifies the comm statements (`case ch <- x:`,
 // `case v := <-ch:`) of every select in one function: a select with a
@@ -110,36 +110,14 @@ func collectSelectComms(body *ast.BlockStmt) selectComms {
 func checkLockDiscipline(pass *Pass, fb FuncBody) {
 	g := NewCFG(fb.Body)
 	sc := collectSelectComms(fb.Body)
-	in := make([]lockSet, len(g.Blocks))
-	in[g.Entry.Index] = lockSet{}
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := ldTransferBlock(pass, blk, sc, in[blk.Index].clone(), nil)
-		for _, e := range blk.Succs {
-			if in[e.To.Index] == nil {
-				in[e.To.Index] = out.clone()
-				work = append(work, e.To)
-				continue
-			}
-			changed := false
-			for k, v := range out { // may-held union join
-				if _, ok := in[e.To.Index][k]; !ok {
-					in[e.To.Index][k] = v
-					changed = true
-				}
-			}
-			if changed {
-				work = append(work, e.To)
-			}
-		}
-	}
+	in, reached := Forward(g, lockSet{},
+		func(blk *Block, held lockSet) lockSet { return ldTransferBlock(pass, blk, sc, maps.Clone(held), nil) },
+		nil, joinKeys[lockSet])
 	for _, blk := range g.Blocks {
-		if in[blk.Index] == nil {
-			continue // unreachable
+		if !reached[blk.Index] {
+			continue
 		}
-		ldTransferBlock(pass, blk, sc, in[blk.Index].clone(), func(n ast.Node, held lockSet, what string) {
+		ldTransferBlock(pass, blk, sc, maps.Clone(in[blk.Index]), func(n ast.Node, held lockSet, what string) {
 			pass.Reportf(n.Pos(), "%s while %s is held in %s: shard critical sections must not block (wal.append is the only allowlisted blocking call)",
 				what, heldNames(held), fb.Name)
 		})

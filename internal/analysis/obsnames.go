@@ -31,10 +31,7 @@ var obsNameMethods = map[string]bool{
 // the Prometheus endpoint, the JSONL journal, and the bench gate.
 var ObsNames = &Analyzer{
 	Name: "obsnames",
-	Doc: "require metric/journal names in obs calls (Counter/Gauge/Histogram/Curve, " +
-		"Event.Phase, Metric* constants) to be lowercase dotted string literals; the " +
-		"Prometheus sanitization in internal/obs/serve and the benchdiff gate key on them",
-	Run: runObsNames,
+	Run:  runObsNames,
 }
 
 func runObsNames(pass *Pass) error {

@@ -33,10 +33,7 @@ import (
 // else (e.g. cmd/anonymize's deliberate CSV export) documents itself
 // with a lint:ignore and a reason.
 var RawDataFlow = &Analyzer{
-	Name: "rawdataflow",
-	Doc: "forbid raw-microdata values (dataset.Dataset/Record, census.Tuple, remote.Dataset " +
-		"bit vectors) from reaching wire/JSON/journal/log sinks in the serving stack; " +
-		"the only sanctioned egress is (seed,n,p) regeneration",
+	Name:       "rawdataflow",
 	NeedsTypes: true,
 	Wants:      wantsServingStack,
 	Run:        runRawDataFlow,
@@ -84,7 +81,7 @@ func runRawDataFlow(pass *Pass) error {
 		if f.Test {
 			continue
 		}
-		for _, fb := range FuncBodies(f.AST, false) {
+		for _, fb := range FuncBodies(f.AST) {
 			g := NewCFG(fb.Body)
 			for _, finding := range RunTaint(pass.TypesInfo, g, spec) {
 				pass.Reportf(finding.Call.Pos(),

@@ -14,16 +14,13 @@ import (
 // is the only comparison that survives wrapping.
 var SentinelCmp = &Analyzer{
 	Name: "sentinelcmp",
-	Doc: "flag err == / err != comparisons against exported sentinel errors " +
-		"(ErrFoo, io.EOF); wrapped errors (%w) defeat identity comparison — use errors.Is",
-	Run: runSentinelCmp,
+	Run:  runSentinelCmp,
 }
 
 func runSentinelCmp(pass *Pass) error {
 	for _, f := range pass.Pkg.Files {
 		// Tests are in scope: assertions on wrapped sentinels are exactly
 		// where identity comparison bites hardest.
-		file := f
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			be, ok := n.(*ast.BinaryExpr)
 			if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
@@ -31,8 +28,7 @@ func runSentinelCmp(pass *Pass) error {
 			}
 			for _, side := range []ast.Expr{be.X, be.Y} {
 				if name, ok := sentinelName(side); ok {
-					pass.ReportfFix(be.Pos(), sentinelFix(pass, file.AST, be, side),
-						"%s compared with %s: use errors.Is (sentinels may arrive wrapped)", name, be.Op)
+					pass.Reportf(be.Pos(), "%s compared with %s: use errors.Is (sentinels may arrive wrapped)", name, be.Op)
 					break
 				}
 			}
@@ -40,41 +36,6 @@ func runSentinelCmp(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// sentinelFix rewrites `err == ErrFoo` to `errors.Is(err, ErrFoo)` (and
-// != to its negation), importing errors when the file doesn't already.
-// The rewrite is exact: operand spellings are copied from the source,
-// and the errors.Is call binds at least as tightly as the comparison it
-// replaces, so surrounding expressions keep their meaning.
-func sentinelFix(pass *Pass, f *ast.File, be *ast.BinaryExpr, sentinel ast.Expr) *SuggestedFix {
-	other := be.X
-	if other == sentinel {
-		other = be.Y
-	}
-	otherSrc := pass.SourceText(other.Pos(), other.End())
-	sentSrc := pass.SourceText(sentinel.Pos(), sentinel.End())
-	if otherSrc == "" || sentSrc == "" {
-		return nil
-	}
-	errorsName, imported := ImportName(f, "errors")
-	if !imported {
-		errorsName = "errors"
-	}
-	repl := errorsName + ".Is(" + otherSrc + ", " + sentSrc + ")"
-	if be.Op == token.NEQ {
-		repl = "!" + repl
-	}
-	fix := &SuggestedFix{
-		Message: "replace the identity comparison with " + errorsName + ".Is",
-		Edits:   []TextEdit{pass.Edit(be.Pos(), be.End(), repl)},
-	}
-	if !imported {
-		if imp, ok := pass.ImportEdit(f, "errors"); ok {
-			fix.Edits = append(fix.Edits, imp)
-		}
-	}
-	return fix
 }
 
 // sentinelName reports whether e denotes an exported error-sentinel

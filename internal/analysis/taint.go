@@ -4,9 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
-// This file is a forward taint engine over the CFG: a worklist fixpoint
+// This file is a forward taint engine over the CFG: a fixpoint (Forward)
 // tracking which variables (types.Objects) may hold values derived from
 // a source, reporting every sink call that receives one. It is
 // parameterized by TaintSpec, so one engine serves any
@@ -54,26 +55,6 @@ type TaintFinding struct {
 // objects.
 type taintState map[types.Object]bool
 
-func (s taintState) clone() taintState {
-	c := make(taintState, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func (s taintState) equal(o taintState) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
 type taintEngine struct {
 	info     *types.Info
 	spec     TaintSpec
@@ -88,49 +69,21 @@ type taintEngine struct {
 // noisy.
 func RunTaint(info *types.Info, g *CFG, spec TaintSpec) []TaintFinding {
 	e := &taintEngine{info: info, spec: spec, reported: map[token.Pos]bool{}}
-	in := make([]taintState, len(g.Blocks))
-	in[g.Entry.Index] = taintState{}
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		if in[blk.Index] == nil {
-			continue
-		}
-		out := in[blk.Index].clone()
+	flow := func(blk *Block, st taintState) taintState {
+		out := maps.Clone(st)
 		for _, n := range blk.Nodes {
 			e.transfer(n, out)
 		}
-		for _, succ := range blk.Succs {
-			cur := in[succ.To.Index]
-			if cur == nil {
-				in[succ.To.Index] = out.clone()
-				work = append(work, succ.To)
-				continue
-			}
-			changed := false
-			for k := range out {
-				if !cur[k] {
-					cur[k] = true
-					changed = true
-				}
-			}
-			if changed {
-				work = append(work, succ.To)
-			}
-		}
+		return out
 	}
+	in, reached := Forward(g, taintState{}, flow, nil, joinKeys[taintState])
 	// Re-run the transfer once per block at fixpoint to emit findings
 	// with final states (findings are deduped by call position).
 	e.findings = nil
 	e.reported = map[token.Pos]bool{}
 	for _, blk := range g.Blocks {
-		if in[blk.Index] == nil {
-			continue
-		}
-		st := in[blk.Index].clone()
-		for _, n := range blk.Nodes {
-			e.transfer(n, st)
+		if reached[blk.Index] {
+			flow(blk, in[blk.Index])
 		}
 	}
 	// Defers run at exit: check their calls in the exit state's

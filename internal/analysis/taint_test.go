@@ -84,7 +84,7 @@ func TestTaintEngine(t *testing.T) {
 		Carrier:   analysis.ScalarCarrier,
 	}
 
-	for _, fb := range analysis.FuncBodies(f, false) {
+	for _, fb := range analysis.FuncBodies(f) {
 		want, ok := wantFindings[fb.Name]
 		if !ok {
 			continue // the vocabulary functions themselves

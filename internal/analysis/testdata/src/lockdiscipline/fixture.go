@@ -86,6 +86,30 @@ func blockingSelect(s *shard, ch chan int) {
 	}
 }
 
+// closureHeld: a function literal's body is its own critical section,
+// checked where it is written rather than where it is created.
+func closureHeld(s *shard, ch chan int) func() {
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		ch <- 1 // want `channel send while s\.mu is held in closureHeld\.func`
+	}
+}
+
+// lockedOnOneBranch: the lock is taken on one arm of the if, so the
+// send in the loop past the merge may run under it. The merge block is
+// first reached with nothing held; the held set must still flow on
+// once the locking arm joins it.
+func lockedOnOneBranch(s *shard, ch chan int, locked bool) {
+	if locked {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	for i := 0; i < 2; i++ {
+		ch <- i // want `channel send while s\.mu is held in lockedOnOneBranch`
+	}
+}
+
 // acknowledged: the escape hatch documents itself.
 func acknowledged(s *shard, ch chan int) {
 	s.mu.Lock()

@@ -32,9 +32,7 @@ import (
 // append in sight (ledger.seed replaying already-durable entries) are
 // out of scope by construction.
 var WALOrder = &Analyzer{
-	Name: "walorder",
-	Doc: "in-memory ledger applies (entries/totals) must be dominated by a successful " +
-		"WAL append on every path — write-ahead, never write-behind",
+	Name:       "walorder",
 	NeedsTypes: true,
 	Wants:      wantsWALCode,
 	Run:        runWALOrder,
@@ -59,7 +57,7 @@ func runWALOrder(pass *Pass) error {
 		if f.Test {
 			continue
 		}
-		for _, fb := range FuncBodies(f.AST, false) {
+		for _, fb := range FuncBodies(f.AST) {
 			checkWALOrder(pass, fb)
 		}
 	}
@@ -87,23 +85,12 @@ func checkWALOrder(pass *Pass, fb FuncBody) {
 
 	errObjs := collectAppendErrs(pass, fb.Body)
 	g := NewCFG(fb.Body)
-	in := make([]uint8, len(g.Blocks))
-	in[g.Entry.Index] = woUnlogged
-	work := []*Block{g.Entry}
-	for len(work) > 0 {
-		blk := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := woTransferBlock(pass, blk, in[blk.Index], nil)
-		for _, e := range blk.Succs {
-			next := woRefine(pass, out, e, errObjs)
-			if in[e.To.Index]|next != in[e.To.Index] {
-				in[e.To.Index] |= next
-				work = append(work, e.To)
-			}
-		}
-	}
+	in, reached := Forward(g, woUnlogged,
+		func(blk *Block, state uint8) uint8 { return woTransferBlock(pass, blk, state, nil) },
+		func(state uint8, e Edge) uint8 { return woRefine(pass, state, e, errObjs) },
+		joinBits)
 	for _, blk := range g.Blocks {
-		if in[blk.Index] == 0 {
+		if !reached[blk.Index] {
 			continue
 		}
 		woTransferBlock(pass, blk, in[blk.Index], func(n ast.Node, state uint8, target string) {
