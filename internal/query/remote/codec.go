@@ -113,11 +113,16 @@ func decodeQueryRequest(body []byte, maxBatch int) (QueryRequest, error) {
 var errBatchLimit = errors.New("batch limit")
 
 // decoder scans a request body; i is the offset of the next unread byte.
+// arena is the block the queries' indices are appended to (see query).
 type decoder struct {
-	b       []byte
-	i       int
-	scratch []int // indices of the query being decoded
+	b     []byte
+	i     int
+	arena []int
 }
+
+// arenaBlock is the size, in indices, of the arena's first block and of
+// the step each later block adds.
+const arenaBlock = 256
 
 func (d *decoder) errorf(format string, args ...any) error {
 	return &refusal{CodeBadRequest, fmt.Sprintf("undecodable body: offset %d: ", d.i) + fmt.Sprintf(format, args...)}
@@ -126,9 +131,9 @@ func (d *decoder) errorf(format string, args ...any) error {
 // peek skips whitespace and returns the next byte, or 0 at the end.
 func (d *decoder) peek() byte {
 	for ; d.i < len(d.b); d.i++ {
-		switch c := d.b[d.i]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
+		// No whitespace byte is above ' ', so most bytes stop at the
+		// first comparison.
+		if c := d.b[d.i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
 			return c
 		}
 	}
@@ -224,7 +229,10 @@ func (d *decoder) slowString(start int) (string, error) {
 
 // int parses an integer in place: an optional minus, then 0 or a digit
 // string without a leading zero, fitting an int. A fraction or exponent
-// is refused, as encoding/json refuses it for an int.
+// is refused, as encoding/json refuses it for an int. The digit loop has
+// no overflow branch, and the common token — up to 18 digits, which
+// cannot overflow, without a leading zero and followed by ',' or ']' —
+// skips the checks that refuse the rest.
 func (d *decoder) int() (int, error) {
 	d.peek()
 	b, i := d.b, d.i
@@ -234,25 +242,27 @@ func (d *decoder) int() (int, error) {
 	}
 	start := i
 	var u uint64
-	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		if i-start == 19 { // more digits than any int64 has
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		u = u*10 + uint64(b[i]-'0')
+	}
+	digits := i - start
+	if common := uint(digits-1) < 18 && (b[start] != '0' || digits == 1) && i < len(b) && (b[i] == ',' || b[i] == ']'); !common {
+		switch {
+		case digits > 19: // more digits than any int64 has, so u may have wrapped
+			d.i = start
+			return 0, d.errorf("integer overflows int")
+		case digits == 0:
+			return 0, d.errorf("want an integer")
+		case b[start] == '0' && digits > 1:
+			d.i = start
+			return 0, d.errorf("leading zero")
+		case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
+			d.i = i
+			return 0, d.errorf("not an integer")
+		case !neg && u > math.MaxInt, neg && u > math.MaxInt+1:
 			d.i = start
 			return 0, d.errorf("integer overflows int")
 		}
-		u = u*10 + uint64(b[i]-'0')
-	}
-	switch {
-	case i == start:
-		return 0, d.errorf("want an integer")
-	case b[start] == '0' && i-start > 1:
-		d.i = start
-		return 0, d.errorf("leading zero")
-	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
-		d.i = i
-		return 0, d.errorf("not an integer")
-	case !neg && u > math.MaxInt, neg && u > math.MaxInt+1:
-		d.i = start
-		return 0, d.errorf("integer overflows int")
 	}
 	d.i = i
 	if neg {
@@ -262,8 +272,8 @@ func (d *decoder) int() (int, error) {
 }
 
 // queries reads the batch, stopping with errBatchLimit at query
-// maxBatch+1. Each query gets its own exactly sized slice, so the
-// handler can sort it in place.
+// maxBatch+1. Every query is a capped subslice of the arena, so the
+// handler can sort each in place without reaching its neighbours.
 func (d *decoder) queries(maxBatch int) ([][]int, error) {
 	d.peek()
 	if d.null() {
@@ -298,7 +308,12 @@ func (d *decoder) queries(maxBatch int) ([][]int, error) {
 	}
 }
 
-// query reads one query: null, or an array of ints.
+// query reads one query: null, or an array of ints, appended to the
+// arena. The arena grows as indices arrive, never from the body's size:
+// when its block is full, a block a quarter larger (plus arenaBlock)
+// takes over and only the query being read moves into it. Finished
+// queries stay in the blocks they were read into, so the blocks grow as
+// one appended slice would, without copying what is already decoded.
 func (d *decoder) query() ([]int, error) {
 	d.peek()
 	if d.null() {
@@ -307,23 +322,29 @@ func (d *decoder) query() ([]int, error) {
 	if err := d.expect('['); err != nil {
 		return nil, err
 	}
-	d.scratch = d.scratch[:0]
 	if d.peek() == ']' {
 		d.i++
 		return []int{}, nil
 	}
+	lo := len(d.arena)
 	for {
 		v, err := d.int()
 		if err != nil {
 			return nil, err
 		}
-		d.scratch = append(d.scratch, v)
+		if len(d.arena) == cap(d.arena) {
+			block := make([]int, len(d.arena)-lo, cap(d.arena)+cap(d.arena)/4+arenaBlock)
+			copy(block, d.arena[lo:])
+			d.arena, lo = block, 0
+		}
+		d.arena = append(d.arena, v)
 		switch d.peek() {
 		case ',':
 			d.i++
 		case ']':
 			d.i++
-			return append(make([]int, 0, len(d.scratch)), d.scratch...), nil
+			hi := len(d.arena)
+			return d.arena[lo:hi:hi], nil
 		default:
 			return nil, d.errorf("want ',' or ']'")
 		}
@@ -331,7 +352,8 @@ func (d *decoder) query() ([]int, error) {
 }
 
 // appendQueryRequest appends the body of req to dst: byte for byte what
-// json.Marshal(req) writes, without its reflection.
+// json.Marshal(req) writes, without its reflection. An index below 1000
+// is copied from the decimals table; any other goes to strconv.
 func appendQueryRequest(dst []byte, req QueryRequest) []byte {
 	dst = append(dst, `{"v":`...)
 	dst = strconv.AppendInt(dst, int64(req.V), 10)
@@ -357,7 +379,15 @@ func appendQueryRequest(dst []byte, req QueryRequest) []byte {
 				if j > 0 {
 					dst = append(dst, ',')
 				}
-				dst = strconv.AppendInt(dst, int64(v), 10)
+				if uint(v) >= uint(len(decimals)) {
+					dst = strconv.AppendInt(dst, int64(v), 10)
+					continue
+				}
+				// All three bytes of the entry go in, and the slice is
+				// cut back to its digits: no branch on the length.
+				e := decimals[v]
+				dst = append(dst, e[0], e[1], e[2])
+				dst = dst[:len(dst)-3+int(e[3])]
 			}
 			dst = append(dst, ']')
 		}
@@ -365,6 +395,17 @@ func appendQueryRequest(dst []byte, req QueryRequest) []byte {
 	}
 	return append(dst, '}')
 }
+
+// decimals holds the digits of 0 to 999, left-aligned in the first three
+// bytes of each entry, and their count in the fourth.
+var decimals = func() (t [1000][4]byte) {
+	for v := range t {
+		s := strconv.Itoa(v)
+		copy(t[v][:3], s)
+		t[v][3] = byte(len(s))
+	}
+	return t
+}()
 
 // appendJSONString appends s as json.Marshal quotes it. Printable ASCII
 // other than '"', '\\' and the HTML-escaped '<', '>', '&' is copied;
@@ -388,9 +429,14 @@ func appendJSONString(dst []byte, s string) []byte {
 // so distinct (backend, index set) pairs get distinct keys, and every
 // order of one set gets the same key.
 func canonicalize(dst []byte, backend string, n int, q []int) ([]byte, error) {
-	sort.Ints(q)
-	if err := query.ValidateQuery(n, q); err != nil {
-		return dst, err
+	// A query already in increasing order, as clients write them, is its
+	// own sort. Only a query that still fails the check once sorted goes
+	// to ValidateQuery, for the refusal that names the offending index.
+	if !sortedSubset(q, n) {
+		sort.Ints(q)
+		if !sortedSubset(q, n) {
+			return dst, query.ValidateQuery(n, q)
+		}
 	}
 	dst = append(dst, backend...)
 	dst = append(dst, '|')
@@ -400,4 +446,15 @@ func canonicalize(dst []byte, backend string, n int, q []int) ([]byte, error) {
 		prev = v
 	}
 	return dst, nil
+}
+
+// sortedSubset reports whether q lists distinct indices of [0, n) in
+// increasing order, in one pass: its first index is at least 0, each
+// index exceeds the one before and the last is below n.
+func sortedSubset(q []int, n int) bool {
+	ok := len(q) == 0 || q[0] >= 0 && q[len(q)-1] < n
+	for j := 1; ok && j < len(q); j++ {
+		ok = q[j] > q[j-1]
+	}
+	return ok
 }

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,14 +10,19 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"singlingout/internal/query"
 )
 
 // FuzzDecodeQueryRequest checks the request codec against encoding/json,
 // which it replaces on the query path. Whatever the strict decoder
 // accepts, encoding/json decodes to a deeply equal request (nil and
-// empty slices told apart); it may refuse more. For a request built
+// empty slices told apart); it may refuse more. Each accepted query,
+// sorted in place in the decoder's arena, gets the cache key or refusal
+// canonicalizeRef gives encoding/json's copy of it. For a request built
 // from the same bytes, the client encoder writes json.Marshal's bytes,
 // and the decoder reads them back as encoding/json does.
 func FuzzDecodeQueryRequest(f *testing.F) {
@@ -48,6 +54,8 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 		[]byte(`{"v":2,"queries":[[1]]}{}`),
 		[]byte(" {\"v\" : 2 ,\t\"queries\" : [ [ 1 , 2 ] ] }\r\n"),
 		canonical[:len(canonical)/2],
+		[]byte(`{"v":2,"queries":[[9,10,99,100,999],[1000],[999,9,100,10,99]]}`),
+		[]byte(`{"v":2,"queries":[[7,3,1000,3],[3,7]]}`),
 		[]byte(`{"v":2,"queries":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`),
 	} {
 		f.Add(seed)
@@ -60,6 +68,16 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("decoding %q: got %#v, encoding/json %#v", data, got, want)
+			}
+			for i, q := range got.Queries {
+				key, err := canonicalize(nil, "exact", keyN, q)
+				wantKey, wantErr := canonicalizeRef(nil, "exact", keyN, want.Queries[i])
+				if !bytes.Equal(key, wantKey) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("query %d of %q: key %x, err %v; want %x, %v", i, data, key, err, wantKey, wantErr)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sorting %q in place: got %#v, want %#v", data, got, want)
 			}
 		}
 
@@ -88,6 +106,28 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	})
 }
 
+// keyN is the dataset size FuzzDecodeQueryRequest keys queries against:
+// 999 is an index, 1000 is out of range.
+const keyN = 1000
+
+// canonicalizeRef is canonicalize as the server first keyed queries,
+// kept as its oracle: sort, query.ValidateQuery, then the uvarint
+// deltas of the sorted indices.
+func canonicalizeRef(dst []byte, backend string, n int, q []int) ([]byte, error) {
+	sort.Ints(q)
+	if err := query.ValidateQuery(n, q); err != nil {
+		return dst, err
+	}
+	dst = append(dst, backend...)
+	dst = append(dst, '|')
+	prev := 0
+	for _, v := range q {
+		dst = binary.AppendUvarint(dst, uint64(v-prev))
+		prev = v
+	}
+	return dst, nil
+}
+
 // requestFrom builds a request from fuzz bytes: the bytes themselves are
 // the analyst, a 0 byte closes the current query (nil when nothing
 // opened it), a 1 byte opens an empty one, and every other byte adds a
@@ -107,6 +147,25 @@ func requestFrom(data []byte) QueryRequest {
 		}
 	}
 	return req
+}
+
+// TestAppendQueryRequestDecimals: the encoder writes every index as
+// json.Marshal does, whether the decimals table holds it (0 to 999) or
+// strconv writes it (negatives, 1000 and up). The fuzz target's indices
+// miss most of the table: odd ones above 127 never occur.
+func TestAppendQueryRequestDecimals(t *testing.T) {
+	var q []int
+	for v := -100; v <= 1001; v++ {
+		q = append(q, v)
+	}
+	req := QueryRequest{V: V, Analyst: "a", Queries: [][]int{q, {math.MinInt, math.MaxInt}}}
+	want, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendQueryRequest(nil, req); !bytes.Equal(got, want) {
+		t.Fatalf("encoding -100..1001 and the int extremes:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestDecodeStopsAtBatchLimit: a body longer than max_batch is refused at

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"singlingout/internal/obs"
@@ -20,52 +21,62 @@ var (
 	sinkBytes  int
 )
 
+// The serving benchmark's request shape: 32-query batches of random
+// subsets of n = 256.
+const serveN, serveBatch = 256, 32
+
+// newServeHandler is the handler of a 2-shard, 2-worker server with a
+// WAL and an enabled registry, as the serving benchmark runs it.
+func newServeHandler(tb testing.TB) http.Handler {
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	srv, err := remote.NewServer(remote.ServerConfig{
+		N: serveN, P: 0.5, Seed: 1, Shards: 2, Workers: 2,
+		WALPath: filepath.Join(tb.TempDir(), "ledger.wal"), Registry: reg,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.Close() })
+	return srv.Handler()
+}
+
+// serveBodies returns count request bodies, each a batch of random
+// subsets drawn from seed.
+func serveBodies(tb testing.TB, seed int64, count int) [][]byte {
+	rng := par.RNG(seed, 0)
+	out := make([][]byte, count)
+	for i := range out {
+		body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "analyst0", Queries: query.RandomSubsets(rng, serveN, serveBatch)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[i] = body
+	}
+	return out
+}
+
+// post sends one body through h, without a network, and fails tb unless
+// it is answered.
+func post(tb testing.TB, h http.Handler, body []byte) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/exact", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	sinkStatus, sinkBytes = rec.Code, rec.Body.Len()
+}
+
 // BenchmarkServeQuery times one POST /v1/query/exact through
 // Server.Handler(), without a network, on the serving benchmark's
-// request shape: a 32-query batch of random subsets of n = 256, against
-// a 2-shard, 2-worker server with a WAL and an enabled registry.
-// cached repeats batches the server has answered, so every answer comes
-// from the cache; fresh sends never-seen batches, so every request
-// spends, appends to the WAL and runs the backend.
+// request shape against newServeHandler's server. cached repeats
+// batches the server has answered, so every answer comes from the
+// cache; fresh sends never-seen batches, so every request spends,
+// appends to the WAL and runs the backend.
 func BenchmarkServeQuery(b *testing.B) {
-	const n, batch = 256, 32
-	newServer := func(b *testing.B) http.Handler {
-		reg := obs.NewRegistry()
-		reg.SetEnabled(true)
-		srv, err := remote.NewServer(remote.ServerConfig{
-			N: n, P: 0.5, Seed: 1, Shards: 2, Workers: 2,
-			WALPath: filepath.Join(b.TempDir(), "ledger.wal"), Registry: reg,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { srv.Close() })
-		return srv.Handler()
-	}
-	bodies := func(seed int64, count int) [][]byte {
-		rng := par.RNG(seed, 0)
-		out := make([][]byte, count)
-		for i := range out {
-			body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "analyst0", Queries: query.RandomSubsets(rng, n, batch)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			out[i] = body
-		}
-		return out
-	}
-	post := func(b *testing.B, h http.Handler, body []byte) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/exact", bytes.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-		sinkStatus, sinkBytes = rec.Code, rec.Body.Len()
-	}
-
 	b.Run("cached", func(b *testing.B) {
-		h := newServer(b)
-		pool := bodies(1, 200)
+		h := newServeHandler(b)
+		pool := serveBodies(b, 1, 200)
 		for _, body := range pool {
 			post(b, h, body)
 		}
@@ -76,12 +87,48 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 	})
 	b.Run("fresh", func(b *testing.B) {
-		h := newServer(b)
-		fresh := bodies(2, b.N)
+		h := newServeHandler(b)
+		fresh := serveBodies(b, 2, b.N)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			post(b, h, fresh[i])
 		}
 	})
+}
+
+// TestServeQueryCachedAllocs bounds the allocations of a cached batch on
+// the benchmark's request shape, the request and recorder included: the
+// decoder's index arena, the batch's one key string and the cache pass
+// each allocate a fixed number of times, whatever the batch holds. The
+// bound, not equality: the race detector adds an allocation now and
+// then.
+func TestServeQueryCachedAllocs(t *testing.T) {
+	h := newServeHandler(t)
+	body := serveBodies(t, 1, 1)[0]
+	post(t, h, body)
+	if allocs := testing.AllocsPerRun(50, func() { post(t, h, body) }); allocs > 64 {
+		t.Fatalf("a cached %d-query batch allocates %v times, want at most 64", serveBatch, allocs)
+	}
+}
+
+// TestFalseContentLengthCostsLittle: the server sizes its read buffer
+// from a request's Content-Length only up to a fixed hint, so a header
+// that declares 64 MiB for a small body costs a small allocation, not
+// the declared size.
+func TestFalseContentLengthCostsLittle(t *testing.T) {
+	h := newServeHandler(t)
+	req := httptest.NewRequest(http.MethodPost, "/v1/query/exact", bytes.NewReader(serveBodies(t, 1, 1)[0]))
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("a request declaring 64 MiB allocated %d bytes, want at most 8 MiB", got)
+	}
 }

@@ -1,10 +1,10 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -340,7 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, CodeUnknownBackend, fmt.Sprintf("no backend %q (have %s)", name, strings.Join(s.names, ", ")))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, CodeBadRequest, "undecodable body: "+err.Error())
 		return
@@ -394,28 +394,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.batchQueries.Add(int64(len(req.Queries)))
 
 	// Canonicalize at the trust boundary: every query is sorted in place
-	// (the decoder gave each its own slice) and validated once, here —
-	// the single place duplicate indices and out-of-range users are
-	// rejected for the whole service (backends still re-check, but no
-	// malformed query reaches them).
-	keys := make([]string, len(req.Queries))
-	var kb []byte
+	// (the decoder gave each its own capped slice of the batch's index
+	// arena) and validated once, here — the single place duplicate
+	// indices and out-of-range users are rejected for the whole service
+	// (backends still re-check, but no malformed query reaches them).
+	// The batch's keys are written into one buffer, sized for one byte
+	// per delta, and cut from one string.
+	size := 0
+	for _, q := range req.Queries {
+		size += len(name) + 1 + len(q)
+	}
+	kb := make([]byte, 0, size)
+	ends := make([]int, len(req.Queries))
 	for i, q := range req.Queries {
-		if kb, err = canonicalize(kb[:0], name, s.cfg.N, q); err != nil {
+		if kb, err = canonicalize(kb, name, s.cfg.N, q); err != nil {
 			s.fail(w, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
-		keys[i] = string(kb)
+		ends[i] = len(kb)
+	}
+	all := string(kb)
+	keys := make([]string, len(req.Queries))
+	start := 0
+	for i, end := range ends {
+		keys[i], start = all[start:end], end
 	}
 
 	// Cache pass, one lock per touched cache shard: split the batch into
 	// hits and distinct misses. Only fresh (uncached) queries spend
 	// budget — asking again is free.
-	byShard := make([][]int, len(s.caches))
-	for i, k := range keys {
-		sh := shardOf(k, len(s.caches))
-		byShard[sh] = append(byShard[sh], i)
-	}
+	byShard := groupByShard(keys, len(s.caches))
 	cachedMask := make([]bool, len(keys))
 	for si := range byShard {
 		if len(byShard[si]) == 0 {
@@ -444,6 +452,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if !seen[k] {
+			// The cache keeps a fresh key in a string of its own, so it
+			// never pins the rest of the batch's key string.
+			k = strings.Clone(k)
 			seen[k] = true
 			misses = append(misses, missT{k, req.Queries[i]})
 			missKeys = append(missKeys, k)
@@ -527,11 +538,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Store the fresh answers into their cache shards, then read every
 	// answer back — all answers come from the cache, so repeated keys in
 	// one batch and repeated batches across analysts observe one value.
-	freshByShard := make([][]int, len(s.caches))
-	for i := range misses {
-		sh := shardOf(misses[i].key, len(s.caches))
-		freshByShard[sh] = append(freshByShard[sh], i)
-	}
+	freshByShard := groupByShard(missKeys, len(s.caches))
 	var newKeys int64
 	for si := range freshByShard {
 		if len(freshByShard[si]) == 0 {
@@ -569,6 +576,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	s.journal(name, analyst, trace, len(req.Queries), cached, fresh, "")
 	writeJSON(w, http.StatusOK, QueryResponse{V: V, Answers: answers, Cached: cached, BudgetRemaining: remaining})
+}
+
+// groupByShard returns, for each of n cache shards, the indices of the
+// keys that shard holds, in ascending order. Its four allocations do
+// not grow with the batch.
+func groupByShard(keys []string, n int) [][]int {
+	shard := make([]int, len(keys))
+	count := make([]int, n)
+	for i, k := range keys {
+		shard[i] = shardOf(k, n)
+		count[shard[i]]++
+	}
+	groups := make([][]int, n)
+	flat := make([]int, len(keys))
+	for si, c := range count {
+		groups[si], flat = flat[:0:c], flat[c:]
+	}
+	for i, sh := range shard {
+		groups[sh] = append(groups[sh], i)
+	}
+	return groups
+}
+
+// maxBody is the largest request body the server reads; a longer one is
+// refused as undecodable.
+const maxBody = 64 << 20
+
+// maxBodyHint caps the buffer a request's Content-Length sizes before
+// any byte arrives. A body past it grows the buffer as it is read, so a
+// false header costs at most maxBodyHint, far below maxBody.
+const maxBodyHint = 1 << 20
+
+// readBody reads r's body, at most maxBody bytes, into one buffer sized
+// from its Content-Length: a body that declares its length, up to
+// maxBodyHint, is read without growing the buffer.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyHint)) + bytes.MinRead)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	return buf.Bytes(), err
 }
 
 // journal emits one run-journal event per query batch (when a journal is
@@ -656,15 +703,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // and telemetry hook); it is the analyst's ledger-shard total.
 func (s *Server) BudgetSpent(analyst string) int {
 	return s.ledgers[shardOf(analyst, len(s.ledgers))].total(analyst)
-}
-
-// Ledger returns the current entry history and totals (optionally
-// filtered to one analyst), the same view GET /v1/ledger serves.
-func (s *Server) Ledger(analyst string) ([]LedgerEntry, map[string]int) {
-	return mergeSnapshots(s.ledgers, analyst)
-}
-
-// CacheLen reports the answer-cache population across all shards.
-func (s *Server) CacheLen() int {
-	return int(s.cacheCount.Load())
 }

@@ -23,10 +23,29 @@ import (
 // the conservative direction for a privacy ledger (an analyst can be
 // over-charged across restarts, never under-charged), and the sticky
 // backends still return byte-identical answers.
+//
+// The log is fail-stop: after a write or sync error it refuses every
+// later append until the process reopens it. A failed append may leave
+// part or all of its line on disk while the ledger stays unmoved, and an
+// entry appended after it would either glue onto the fragment — a line
+// the next replay drops as a torn tail, refunding that later spend — or
+// carry a cumulative that contradicts the line before it, which replay
+// refuses. Stopped, the log ends with the failed line: a fragment that
+// replay drops, as the ledger never applied it, or a whole entry that
+// replays as a charge the live ledger never made — an over-charge, never
+// a refund.
 type wal struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        walFile
 	syncEach bool
+	err      error // why the log stopped: a failed write or sync, or Close
+}
+
+// walFile is the file the WAL appends to, an *os.File outside tests.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // openWAL opens (creating if needed) the WAL at path for appending and
@@ -38,10 +57,10 @@ type wal struct {
 // because an analyst's entries are serialized by their shard's lock).
 //
 // Before the first append the file is cut back to end with its last
-// entry's line and a '\n': a torn tail that ReadWAL dropped is
+// entry's line and a '\n': a torn tail that readWAL dropped is
 // truncated away, and a final entry that lost its newline gets one.
 // Appending straight onto either would glue the next entry to it in one
-// undecodable line, which the next ReadWAL drops as a torn tail —
+// undecodable line, which the next readWAL drops as a torn tail —
 // refunding the spend it recorded — or refuses as mid-file corruption.
 func openWAL(path string, syncEach bool) (*wal, []LedgerEntry, error) {
 	entries, tail, err := readWAL(path)
@@ -83,7 +102,8 @@ func repairTail(f *os.File, tail walTail) error {
 
 // append durably records one entry. Called with the entry's shard-ledger
 // lock held, before the in-memory append — a failure here must leave the
-// ledger unmoved.
+// ledger unmoved. A failed write or sync stops the log: every later
+// append fails too.
 func (w *wal) append(e LedgerEntry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
@@ -92,16 +112,24 @@ func (w *wal) append(e LedgerEntry) error {
 	line = append(line, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return fmt.Errorf("remote: ledger wal stopped: %w", w.err)
+	}
 	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("remote: appending ledger wal entry: %w", err)
+		w.err = fmt.Errorf("remote: appending ledger wal entry: %w", err)
+		return w.err
 	}
 	if w.syncEach {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("remote: syncing ledger wal: %w", err)
+			w.err = fmt.Errorf("remote: syncing ledger wal: %w", err)
+			return w.err
 		}
 	}
 	return nil
 }
+
+// errWALClosed stops the appends that race a Close.
+var errWALClosed = errors.New("closed")
 
 // Close syncs and closes the WAL file.
 func (w *wal) Close() error {
@@ -112,6 +140,9 @@ func (w *wal) Close() error {
 	}
 	f := w.f
 	w.f = nil
+	if w.err == nil {
+		w.err = errWALClosed
+	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return fmt.Errorf("remote: syncing ledger wal: %w", err)
@@ -122,17 +153,6 @@ func (w *wal) Close() error {
 	return nil
 }
 
-// ReadWAL loads a ledger write-ahead log: one JSON LedgerEntry per line,
-// returned sorted by sequence number. A torn final line (the tail of a
-// crash mid-append) is dropped; an undecodable line anywhere else is
-// corruption and fails loudly — a privacy ledger with a hole in the
-// middle must not silently replay to a smaller spend. Callers wanting
-// the cross-check run ReplayLedger over the result, as NewServer does.
-func ReadWAL(path string) ([]LedgerEntry, error) {
-	entries, _, err := readWAL(path)
-	return entries, err
-}
-
 // walTail locates the end of a log's last decoded entry: end is the
 // byte offset just past its line, and newline whether that line ends in
 // '\n'. A log without entries has end 0.
@@ -141,7 +161,13 @@ type walTail struct {
 	newline bool
 }
 
-// readWAL is ReadWAL plus the tail of the entries it kept.
+// readWAL loads a ledger write-ahead log: one JSON LedgerEntry per line,
+// returned sorted by sequence number, and the tail of the entries it
+// kept. A torn final line (the tail of a crash mid-append) is dropped;
+// an undecodable line anywhere else is corruption and fails loudly — a
+// privacy ledger with a hole in the middle must not silently replay to
+// a smaller spend. openWAL's caller cross-checks the result with
+// ReplayLedger.
 func readWAL(path string) ([]LedgerEntry, walTail, error) {
 	f, err := os.Open(path)
 	if err != nil {
