@@ -4,7 +4,7 @@
 #                  tests (race on the concurrency-sensitive packages,
 #                  including internal/obs/serve) + the bench/ module's
 #                  vet and tests + a quick instrumented repro run + the
-#                  bench regression gate
+#                  work-counter regression gate + the loadgen smoke
 #   make bench-test  go vet and the tests of the benchmark (bench/
 #                  module)
 #   make fuzz-smoke  five seconds of coverage-guided fuzzing per fuzz
@@ -13,11 +13,12 @@
 #                  the dataflow analyzers) + go vet, plus an advisory
 #                  govulncheck pass when the tool exists
 #   make bench     quick instrumented repro run producing BENCH_<rev>.json
-#   make benchgate benchdiff against the committed BENCH_baseline.json
+#   make benchgate the quick run's rows, errors and work counters must
+#                  equal the committed BENCH_baseline.json's (seconds are
+#                  printed, never gated)
 #   make loadgen-smoke  sharded in-process qserver under injected
-#                  overload; requires the BENCH.qserver.* rows
-#                  (load, whose counters include qserver.shed; p50/p99
-#                  latency) to survive
+#                  overload; fails when an analyst errors or the ledger
+#                  does not replay
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval) and the query server's
@@ -109,31 +110,29 @@ bench:
 	cp /tmp/BENCH_$(rev).json BENCH_$(rev).json
 	@echo "wrote BENCH_$(rev).json"
 
-# Gate: fail if any quick-mode experiment regressed more than 50% in
-# wall clock against the committed baseline (experiments faster than
-# 0.25s in the baseline are skipped as timing noise), or if a required
-# probe row (the BENCH.remote.* query-service throughput rows, the
-# BENCH.lp.* solver rows carrying lp.pivots / lp.warm_starts, and the
-# BENCH.converge.* queries-to-accuracy rows, which gate on the
-# converge.queries counter — lower is better — instead of wall clock)
-# vanished from the new summary.
+# Gate: the quick run at seed 1 must produce exactly the baseline's rows,
+# each with the baseline's error text and exactly its work counters (LP
+# pivots, SAT propagations, oracle queries, PSO weight draws, ...). At one
+# seed those counters do not depend on timing or worker count
+# (docs/INVARIANTS.md), so a difference is a change in the work the code
+# does. Seconds are printed but never gated: bench/ measures speed against
+# the parent commit. A change that moves a counter on purpose re-baselines
+# in the same commit, with the reason in CHANGES.md.
 benchgate: repro-quick
-	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.remote.,BENCH.lp.,BENCH.converge. BENCH_baseline.json /tmp/BENCH_$(rev).json
+	@$(GO) run ./cmd/benchdiff BENCH_baseline.json /tmp/BENCH_$(rev).json || { \
+		echo "benchgate: if the change is meant to move these counters, re-baseline with"; \
+		echo "  make bench && cp BENCH_$(rev).json BENCH_baseline.json"; \
+		echo "and give the reason in CHANGES.md"; exit 1; }
 
 # Load-generator smoke: a small multi-analyst Zipf workload against an
-# in-process qserver, journaled into its own directory (the BENCH file is
-# named by revision, so it must not collide with repro's). The gate only
-# requires the BENCH.qserver.* rows to exist — sub-second latency rows sit
-# below the -min floor, so wall-clock noise never fails CI here. The shed
-# count reaches the summary as the qserver.shed counter of the
-# BENCH.qserver.load row (cmd/loadgen's TestOverloadInjectionSheds checks
-# that it is non-zero under this kind of overload).
+# in-process sharded qserver under injected overload. loadgen exits 1 when
+# an analyst fails with anything but a budget refusal or shedding, or when
+# the server's ledger does not replay to its totals. How many requests are
+# shed depends on timing, so nothing here compares counters with a file
+# (cmd/loadgen's TestOverloadInjectionSheds checks that some are shed).
 loadgen-smoke:
-	mkdir -p /tmp/singlingout-loadgen
 	$(GO) run ./cmd/loadgen -analysts 4 -requests 16 -budget 100 \
-		-shards 2 -max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4 \
-		-metrics /tmp/singlingout-loadgen/loadgen.jsonl
-	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.qserver. BENCH_loadgen_baseline.json /tmp/singlingout-loadgen/BENCH_$(rev).json
+		-shards 2 -max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4
 
 gobench:
 	$(GO) test -bench=. -benchmem .
@@ -145,4 +144,3 @@ repro:
 
 clean:
 	rm -f /tmp/singlingout-run.jsonl /tmp/singlingout-bench.jsonl /tmp/BENCH_*.json
-	rm -rf /tmp/singlingout-loadgen

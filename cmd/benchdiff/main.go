@@ -1,39 +1,38 @@
 // Command benchdiff compares two BENCH_<rev>.json performance summaries
-// (as written by cmd/repro -metrics) and prints a per-experiment delta
-// table: wall-clock seconds plus every work counter that moved (oracle
-// queries, simplex pivots, SAT conflicts, ...).
+// (as written by cmd/repro -metrics), prints a per-experiment delta table
+// — wall-clock seconds plus every work counter that moved (oracle
+// queries, simplex pivots, SAT propagations, PSO weight draws, ...) — and
+// gates on one rule: the new summary must hold exactly the baseline's
+// rows, each with the baseline's error text and exactly its counters.
 //
 // Usage:
 //
-//	benchdiff [-gate pct] [-min seconds] [-require prefixes] BENCH_base.json BENCH_new.json
+//	benchdiff BENCH_base.json BENCH_new.json
 //
-// With -gate, benchdiff exits nonzero when any experiment's wall-clock
-// regressed by more than pct percent against the baseline (or ran clean in
-// the baseline but errored in the new run). -min sets the baseline floor
-// below which an experiment is too fast to gate on (timing noise).
-// -require takes comma-separated id prefixes: any baseline row matching a
-// prefix must also appear in the new summary, so probe rows (e.g.
-// BENCH.remote.) cannot silently vanish from the trajectory. The Makefile
-// ci target runs the gate against the committed BENCH_baseline.json so the
-// repository's performance trajectory is enforced, not just recorded.
+// It exits 1 when the rule breaks, listing each breach by row and counter
+// on stderr, and 2 on a usage or read error. It takes no flags. Seconds
+// are printed but never gated: one run's wall clock on a shared host says
+// little, while at one seed a row's counters repeat exactly, so a moved
+// counter is a change in the work the code does. Speed is measured by the
+// bench/ benchmark against the parent commit. The Makefile's benchgate
+// target runs this against the committed BENCH_baseline.json.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"singlingout/internal/obs"
 )
 
 func main() {
-	gate := flag.Float64("gate", -1, "exit nonzero when any experiment regresses by more than this percent (negative: report only)")
-	min := flag.Float64("min", 0.05, "ignore regressions on experiments whose baseline wall-clock is below this many seconds")
-	require := flag.String("require", "", "comma-separated id prefixes; baseline rows matching one must also exist in the new summary")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff BENCH_base.json BENCH_new.json")
+	}
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintf(os.Stderr, "usage: benchdiff [-gate pct] [-min seconds] [-require prefixes] BENCH_base.json BENCH_new.json\n")
+		flag.Usage()
 		os.Exit(2)
 	}
 
@@ -53,30 +52,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	if *require != "" {
-		var prefixes []string
-		for _, p := range strings.Split(*require, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				prefixes = append(prefixes, p)
-			}
-		}
-		if missing := diff.MissingFromNew(prefixes); len(missing) > 0 {
-			fmt.Fprintf(os.Stderr, "benchdiff: %d required row(s) missing:\n", len(missing))
-			for _, m := range missing {
-				fmt.Fprintf(os.Stderr, "  %s\n", m)
-			}
-			os.Exit(1)
-		}
-	}
-	if *gate < 0 {
-		return
-	}
-	if violations := diff.Regressions(*gate, *min); len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond +%.1f%%:\n", len(violations), *gate)
+	if violations := diff.Violations(); len(violations) > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d difference(s) from the baseline's rows, errors and work counters:\n", len(violations))
 		for _, v := range violations {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("gate ok: no wall-clock regression beyond +%.1f%% (baseline floor %.2fs)\n", *gate, *min)
+	fmt.Printf("gate ok: all %d baseline rows present with the same errors and work counters\n", len(base.Experiments))
 }

@@ -19,10 +19,10 @@
 // drives that, so a single command smoke-tests the whole service stack.
 // -inject-delay adds artificial per-request service time to that server,
 // which together with a small -max-concurrent and -queue-depth -1 (no
-// waiting room) produces reproducible overload: shed requests surface in
-// the qserver.shed counter, which the BENCH.qserver.load row carries, and
-// — when a batch outlasts the client's retries — the workload table's shed
-// column.
+// waiting room) produces overload: shed requests surface in the
+// qserver.shed counter and — when a batch outlasts the client's retries —
+// the workload table's shed column. How many are shed depends on timing,
+// so that counter differs from run to run.
 //
 // The workload is precomputed deterministically from -seed (per-analyst
 // RNGs derive from (seed, analyst index)), and stdout carries only
@@ -31,9 +31,11 @@
 // with remote.ReplayLedger). At -concurrency 1 two runs with the same
 // flags produce byte-identical stdout. Wall-clock results — throughput
 // and exact-sample latency quantiles — go to stderr, and with -metrics
-// also to a JSONL journal plus a BENCH_<rev>.json summary beside it
-// (rows BENCH.qserver.load / BENCH.qserver.p50 / BENCH.qserver.p99,
-// gated by `make ci` via benchdiff -require).
+// also to a JSONL journal (experiment events BENCH.qserver.load, carrying
+// the run's metric delta, and BENCH.qserver.p50 / BENCH.qserver.p99).
+// The exit status is 1 when an analyst fails with anything but a budget
+// refusal or shedding, or when the server's ledger does not replay to its
+// totals.
 package main
 
 import (
@@ -98,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	queueDepth := fs.Int("queue-depth", 64, "in-process server: per-shard admission queue bound (-1 = no waiting room)")
 	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: total active-request bound across shards")
 	injectDelay := fs.Duration("inject-delay", 0, "in-process server: artificial per-request service time (overload testing)")
-	metricsPath := fs.String("metrics", "", "write a JSONL journal here and a BENCH_<rev>.json summary beside it")
+	metricsPath := fs.String("metrics", "", "write a JSONL journal here")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -285,12 +287,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p50", Seed: *seed, Seconds: p50.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p99", Seed: *seed, Seconds: p99.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "run_end", Seed: *seed, Seconds: elapsed.Seconds()})
-		if path, err := obs.WriteBenchSummary(*metricsPath); err != nil {
-			fmt.Fprintf(stderr, "loadgen: bench summary: %v\n", err)
-			failed = true
-		} else {
-			fmt.Fprintf(stderr, "loadgen: wrote %s\n", path)
-		}
 	}
 
 	// Deterministic results to stdout: the workload table and the

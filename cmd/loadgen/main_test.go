@@ -83,13 +83,11 @@ func TestBudgetDenialsSurface(t *testing.T) {
 
 // TestOverloadInjectionSheds drives a deliberately undersized sharded
 // server (one active slot per shard, no waiting room, injected service
-// time) with concurrent analysts: requests must be shed, the run must
-// still exit 0 with a replay-clean ledger (shedding never corrupts
-// budget accounting), and the shed count must reach the bench summary as
-// the qserver.shed counter of its BENCH.qserver.load row.
+// time) with concurrent analysts: requests must be shed, counted in the
+// qserver.shed counter, and the run must still exit 0 with a replay-clean
+// ledger (shedding never corrupts budget accounting).
 func TestOverloadInjectionSheds(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "loadgen.jsonl")
+	journal := filepath.Join(t.TempDir(), "loadgen.jsonl")
 	args := []string{"-analysts", "4", "-requests", "6", "-batch", "4",
 		"-shards", "2", "-max-concurrent", "1", "-queue-depth", "-1",
 		"-inject-delay", "10ms", "-concurrency", "4", "-metrics", journal}
@@ -104,59 +102,5 @@ func TestOverloadInjectionSheds(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "replay ok") {
 		t.Errorf("ledger did not replay cleanly under overload:\n%s", out.String())
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("bench summary files = %v (err %v), want exactly one", matches, err)
-	}
-	sum, err := obs.ReadBenchFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var load *obs.BenchEntry
-	for i, e := range sum.Experiments {
-		if e.ID == "BENCH.qserver.load" {
-			load = &sum.Experiments[i]
-		}
-	}
-	if load == nil {
-		t.Fatalf("bench summary has no BENCH.qserver.load row: %+v", sum.Experiments)
-	}
-	if load.Counters[remote.MetricShed] <= 0 {
-		t.Errorf("BENCH.qserver.load counters %v: want %s > 0", load.Counters, remote.MetricShed)
-	}
-}
-
-// TestBenchRowsWritten checks -metrics produces a journal and a
-// BENCH_<rev>.json summary carrying the BENCH.qserver.* rows the CI gate
-// requires.
-func TestBenchRowsWritten(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "loadgen.jsonl")
-	args := []string{"-analysts", "2", "-requests", "4", "-batch", "4",
-		"-metrics", journal}
-	var out bytes.Buffer
-	if code := run(args, &out, io.Discard); code != 0 {
-		t.Fatalf("run exited %d", code)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("bench summary files = %v (err %v), want exactly one", matches, err)
-	}
-	sum, err := obs.ReadBenchFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, e := range sum.Experiments {
-		got[e.ID] = true
-		if e.Error != "" {
-			t.Errorf("row %s carries error %q", e.ID, e.Error)
-		}
-	}
-	for _, id := range []string{"BENCH.qserver.load", "BENCH.qserver.p50", "BENCH.qserver.p99"} {
-		if !got[id] {
-			t.Errorf("bench summary missing row %s (have %v)", id, got)
-		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"singlingout/internal/experiments"
-	"singlingout/internal/obs"
 	"singlingout/internal/obs/serve"
 )
 
@@ -58,27 +57,5 @@ func TestUnknownIDListsExperiments(t *testing.T) {
 	}
 	if b, err := os.ReadFile(journal); err != nil || len(b) != 0 {
 		t.Errorf("journal after a refused id = %q, %v; want empty", b, err)
-	}
-}
-
-// TestLPProbeWarmRowSolvesCold: every answer vector of the LP probe moves
-// every query row, so the reused Decoder of BENCH.lp.warm solves each one
-// cold, exactly as BENCH.lp.cold's fresh decoders do.
-func TestLPProbeWarmRowSolvesCold(t *testing.T) {
-	reg := obs.Default()
-	wasEnabled := reg.Enabled()
-	reg.SetEnabled(true)
-	defer reg.SetEnabled(wasEnabled)
-	rows := map[string]map[string]int64{}
-	if err := benchLPProbe(func(ev obs.Event) { rows[ev.ID] = ev.Metrics.Counters }, 1); err != nil {
-		t.Fatal(err)
-	}
-	cold, warm := rows["BENCH.lp.cold"], rows["BENCH.lp.warm"]
-	if cold["lp.pivots"] != 1758 || warm["lp.pivots"] != 1758 {
-		t.Errorf("lp.pivots: cold %d, warm %d, want 1758 for both", cold["lp.pivots"], warm["lp.pivots"])
-	}
-	if cold["lp.warm_starts"] != 0 || warm["lp.warm_starts"] != 0 || warm["lp.warm_miss"] != 0 {
-		t.Errorf("warm starts: cold %d, warm %d (missed %d), want none",
-			cold["lp.warm_starts"], warm["lp.warm_starts"], warm["lp.warm_miss"])
 	}
 }

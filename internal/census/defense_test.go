@@ -3,6 +3,7 @@ package census
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"singlingout/internal/synth"
@@ -45,7 +46,7 @@ func TestSwapRecordsPreservesDemographics(t *testing.T) {
 	// Zero rate is a no-op.
 	same := SwapRecords(rng, pop, 0)
 	for i := range pop.Rows {
-		if !same.Rows[i].Equal(pop.Rows[i]) {
+		if !slices.Equal(same.Rows[i], pop.Rows[i]) {
 			t.Fatal("rate 0 must not move anything")
 		}
 	}

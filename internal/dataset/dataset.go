@@ -161,19 +161,6 @@ func (r Record) Clone() Record {
 	return c
 }
 
-// Equal reports whether two records agree on every cell.
-func (r Record) Equal(o Record) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for i := range r {
-		if r[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Key renders the projection of the record onto the given attribute indices
 // as a map key.
 func (r Record) Key(idx []int) string {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,12 +103,6 @@ func TestRecordOps(t *testing.T) {
 	if r[0] != 1 {
 		t.Error("Clone should not share storage")
 	}
-	if !r.Equal(Record{1, 2, 3}) {
-		t.Error("Equal should hold")
-	}
-	if r.Equal(Record{1, 2}) || r.Equal(Record{1, 2, 4}) {
-		t.Error("Equal should fail on mismatch")
-	}
 	if r.Key([]int{0, 2}) != "1|3|" {
 		t.Errorf("Key = %q", r.Key([]int{0, 2}))
 	}
@@ -154,7 +149,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != 2 || !back.Rows[0].Equal(d.Rows[0]) || !back.Rows[1].Equal(d.Rows[1]) {
+	if back.Len() != 2 || !slices.Equal(back.Rows[0], d.Rows[0]) || !slices.Equal(back.Rows[1], d.Rows[1]) {
 		t.Errorf("round trip mismatch: %v", back.Rows)
 	}
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,7 +37,7 @@ func FuzzReadCSV(f *testing.F) {
 			t.Fatalf("round trip changed length: %d != %d", back.Len(), d.Len())
 		}
 		for i := range d.Rows {
-			if !d.Rows[i].Equal(back.Rows[i]) {
+			if !slices.Equal(d.Rows[i], back.Rows[i]) {
 				t.Fatalf("round trip changed row %d", i)
 			}
 		}

@@ -159,27 +159,4 @@ func Attack(ctx context.Context, rng *rand.Rand, c *Cloak, m int) (AttackResult,
 	return res, guess, nil
 }
 
-// StickinessCheck verifies the averaging defense: issuing the same query
-// repeatedly must return the identical answer. It returns an error if two
-// answers differ (which would indicate the defense is broken).
-func StickinessCheck(ctx context.Context, c *Cloak, q []int, repeats int) error {
-	if repeats <= 0 {
-		return nil
-	}
-	batch := make([][]int, repeats)
-	for i := range batch {
-		batch[i] = q
-	}
-	answers, err := c.Answer(ctx, batch)
-	if err != nil {
-		return err
-	}
-	for _, a := range answers[1:] {
-		if a != answers[0] {
-			return fmt.Errorf("diffix: sticky noise broken: %v != %v", a, answers[0])
-		}
-	}
-	return nil
-}
-
 var _ query.Oracle = (*Cloak)(nil)

@@ -3,6 +3,7 @@ package diffix
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -124,4 +125,27 @@ func TestAttackValidation(t *testing.T) {
 	if _, _, err := Attack(ctx, rng, c, 0); err == nil {
 		t.Error("zero queries should fail")
 	}
+}
+
+// StickinessCheck verifies the averaging defense: issuing the same query
+// repeatedly must return the identical answer. It returns an error if two
+// answers differ (which would indicate the defense is broken).
+func StickinessCheck(ctx context.Context, c *Cloak, q []int, repeats int) error {
+	if repeats <= 0 {
+		return nil
+	}
+	batch := make([][]int, repeats)
+	for i := range batch {
+		batch[i] = q
+	}
+	answers, err := c.Answer(ctx, batch)
+	if err != nil {
+		return err
+	}
+	for _, a := range answers[1:] {
+		if a != answers[0] {
+			return fmt.Errorf("diffix: sticky noise broken: %v != %v", a, answers[0])
+		}
+	}
+	return nil
 }

@@ -105,14 +105,6 @@ func (z *Zipf) Sample(rng *rand.Rand) int {
 	return lo
 }
 
-// Prob returns the probability of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
 // IsolationProb is the closed form from Section 2.2 of the paper: the
 // probability that a predicate of weight w, chosen independently of the
 // data, evaluates to 1 on exactly one of n i.i.d. records:
@@ -132,14 +124,6 @@ func IsolationProb(n int, w float64) float64 {
 func IsolationProbApprox(n int, w float64) float64 {
 	nw := float64(n) * w
 	return nw * math.Exp(-nw)
-}
-
-// LaplaceCDF evaluates the CDF of the Laplace(b) distribution at x.
-func LaplaceCDF(x, b float64) float64 {
-	if x < 0 {
-		return 0.5 * math.Exp(x/b)
-	}
-	return 1 - 0.5*math.Exp(-x/b)
 }
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).

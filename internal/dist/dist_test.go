@@ -223,3 +223,19 @@ func TestSummaryStats(t *testing.T) {
 		t.Error("empty-slice mean should be 0")
 	}
 }
+
+// Prob returns the probability of rank i.
+func (z *Zipf) Prob(i int) float64 {
+	if i == 0 {
+		return z.cdf[0]
+	}
+	return z.cdf[i] - z.cdf[i-1]
+}
+
+// LaplaceCDF evaluates the CDF of the Laplace(b) distribution at x.
+func LaplaceCDF(x, b float64) float64 {
+	if x < 0 {
+		return 0.5 * math.Exp(x/b)
+	}
+	return 1 - 0.5*math.Exp(-x/b)
+}

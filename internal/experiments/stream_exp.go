@@ -15,14 +15,15 @@ import (
 )
 
 // ConvergeThresholds are the accuracy milestones the streaming harnesses
-// report: the queries-to-X%-accuracy table, and the source of the
-// BENCH.converge.qXX regression rows (q50 = queries to 50% accuracy).
+// report: the queries-to-X%-accuracy table, and the source of cmd/repro's
+// BENCH.converge.q50/q90 summary rows (q50 = queries to 50% accuracy).
 var ConvergeThresholds = []float64{0.5, 0.9, 0.95, 0.99}
 
 // StreamResult carries the anytime attack's outcome beyond the printable
 // table: the final reconstruction (so callers can verify the stream
 // reproduced the batch decode bit-for-bit) and the milestone crossings
-// behind the BENCH.converge rows.
+// that cmd/repro records as BENCH.converge rows, whose converge.queries
+// counters the bench gate compares like any other work counter.
 type StreamResult struct {
 	// Final is the reconstruction after the last chunk — byte-identical
 	// to decoding the full answer vector in one batch.

@@ -40,7 +40,7 @@ func TestE02StreamMonotoneCurveAndBatchIdentity(t *testing.T) {
 
 	// The curve must be monotone in x with one point per chunk, ending at
 	// the full workload.
-	pts := cs.Curve("recon.lp.accuracy").Points()
+	pts := cs.Snapshot()["recon.lp.accuracy"]
 	if want := res.Queries / chunk; len(pts) != want {
 		t.Fatalf("curve has %d points, want %d", len(pts), want)
 	}
@@ -98,7 +98,7 @@ func TestE11StreamConverge(t *testing.T) {
 	if res.Cells <= 0 || res.Persons != 250 {
 		t.Errorf("cells = %d persons = %d", res.Cells, res.Persons)
 	}
-	pts := cs.Curve("census.exact_fraction").Points()
+	pts := cs.Snapshot()["census.exact_fraction"]
 	if len(pts) == 0 {
 		t.Fatal("no curve points")
 	}

@@ -73,16 +73,6 @@ type Class struct {
 	Rows  []int
 }
 
-// Matches reports whether a raw record falls inside the class's cells.
-func (c *Class) Matches(r dataset.Record, qi []int) bool {
-	for j, cell := range c.Cells {
-		if !cell.Contains(r[qi[j]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Release is the output of a k-anonymizer.
 type Release struct {
 	Schema *dataset.Schema
@@ -105,19 +95,6 @@ func (r *Release) IsKAnonymous() bool {
 		}
 	}
 	return true
-}
-
-// ClassOf returns the index of the class containing the given original row,
-// or -1 if the row was suppressed.
-func (r *Release) ClassOf(row int) int {
-	for ci := range r.Classes {
-		for _, x := range r.Classes[ci].Rows {
-			if x == row {
-				return ci
-			}
-		}
-	}
-	return -1
 }
 
 // SplitPolicy selects the Mondrian variant.

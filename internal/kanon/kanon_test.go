@@ -339,9 +339,38 @@ func TestValueSetLabels(t *testing.T) {
 	if iv.Label() != "1-4" || iv.Size() != 4 {
 		t.Errorf("Interval range semantics broken: %+v", iv)
 	}
-	h := synth.DiseaseHierarchy()
+	// Organ systems over synth.Diseases: five PULM, three GI, three CARD, two ENDO.
+	h := dataset.MustTreeHierarchy([][]string{
+		{"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"},
+		{"GI", "*"}, {"GI", "*"}, {"GI", "*"},
+		{"CARD", "*"}, {"CARD", "*"}, {"CARD", "*"},
+		{"ENDO", "*"}, {"ENDO", "*"},
+	})
 	g := HierarchyGroup{H: h, Level: 1, Group: h.GroupOf(0, 1)}
 	if g.Label() != "PULM" || g.Size() != 5 || !g.Contains(4) || g.Contains(11) {
 		t.Errorf("HierarchyGroup semantics broken: %+v", g)
 	}
+}
+
+// Matches reports whether a raw record falls inside the class's cells.
+func (c *Class) Matches(r dataset.Record, qi []int) bool {
+	for j, cell := range c.Cells {
+		if !cell.Contains(r[qi[j]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// ClassOf returns the index of the class containing the given original row,
+// or -1 if the row was suppressed.
+func (r *Release) ClassOf(row int) int {
+	for ci := range r.Classes {
+		for _, x := range r.Classes[ci].Rows {
+			if x == row {
+				return ci
+			}
+		}
+	}
+	return -1
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
 // ReadBenchFile loads a BENCH_<rev>.json performance summary.
@@ -22,15 +21,16 @@ func ReadBenchFile(path string) (BenchSummary, error) {
 	return b, nil
 }
 
-// CounterDelta is one work counter compared across two revisions.
+// CounterDelta is one work counter that differs across two revisions. A
+// counter one side does not carry reads 0 there: run journals record only
+// counters that moved.
 type CounterDelta struct {
 	Name      string
 	Base, New int64
 }
 
 // BenchDelta is the per-experiment comparison of two bench summaries. An
-// experiment may exist in only one side (InBase/InNew) — a renamed probe
-// row or a newly added experiment.
+// experiment may exist in only one side (InBase/InNew).
 type BenchDelta struct {
 	ID            string
 	InBase, InNew bool
@@ -39,24 +39,7 @@ type BenchDelta struct {
 	BaseError     string
 	NewError      string
 	Counters      []CounterDelta // union of counter names, sorted; only entries that changed
-	// BaseCounters/NewCounters are each side's full counter maps (nil for
-	// a missing side): direction-aware gates like the BENCH.converge rows
-	// need a counter's value even when it did not change.
-	BaseCounters map[string]int64
-	NewCounters  map[string]int64
 }
-
-// ConvergeRowPrefix marks bench rows that measure queries-to-accuracy
-// (emitted by cmd/repro's converge probe). Unlike wall-clock rows, these
-// gate on the ConvergeCounter work counter, and lower is better: a larger
-// value means the attack needed more queries to reach the same accuracy —
-// the decoder got weaker — regardless of how fast the probe ran.
-const ConvergeRowPrefix = "BENCH.converge."
-
-// ConvergeCounter is the counter a BENCH.converge row is gated on: the
-// cumulative query count at which the row's accuracy milestone was
-// reached.
-const ConvergeCounter = "converge.queries"
 
 // SecondsPct returns the wall-clock change in percent relative to the
 // baseline (0 when the baseline is zero or a side is missing).
@@ -91,13 +74,12 @@ func DiffBench(base, cur BenchSummary) BenchDiff {
 			continue
 		}
 		seen[b.ID] = true
-		d := BenchDelta{ID: b.ID, InBase: true, BaseSeconds: b.Seconds, BaseError: b.Error, BaseCounters: b.Counters}
+		d := BenchDelta{ID: b.ID, InBase: true, BaseSeconds: b.Seconds, BaseError: b.Error}
 		if n, ok := newByID[b.ID]; ok {
 			d.InNew = true
 			d.NewSeconds = n.Seconds
 			d.NewError = n.Error
 			d.Counters = diffCounters(b.Counters, n.Counters)
-			d.NewCounters = n.Counters
 		}
 		diff.Rows = append(diff.Rows, d)
 	}
@@ -108,7 +90,7 @@ func DiffBench(base, cur BenchSummary) BenchDiff {
 		seen[n.ID] = true
 		diff.Rows = append(diff.Rows, BenchDelta{
 			ID: n.ID, InNew: true, NewSeconds: n.Seconds, NewError: n.Error,
-			Counters: diffCounters(nil, n.Counters), NewCounters: n.Counters,
+			Counters: diffCounters(nil, n.Counters),
 		})
 	}
 	return diff
@@ -135,9 +117,9 @@ func diffCounters(base, cur map[string]int64) []CounterDelta {
 }
 
 // Fprint renders the delta table: one row per experiment with baseline and
-// new wall-clock plus the percentage change, indented lines for every work
-// counter that moved (oracle queries, simplex pivots, SAT conflicts, ...),
-// and a TOTAL row.
+// new wall-clock plus the percentage change (for reading; Violations never
+// compares seconds), indented lines for every work counter that moved
+// (oracle queries, simplex pivots, SAT propagations, ...), and a TOTAL row.
 func (diff BenchDiff) Fprint(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "benchdiff %s -> %s (base seed %d quick=%v, new seed %d quick=%v)\n",
 		diff.Base.Rev, diff.New.Rev, diff.Base.Seed, diff.Base.Quick, diff.New.Seed, diff.New.Quick); err != nil {
@@ -183,76 +165,27 @@ func (diff BenchDiff) Fprint(w io.Writer) error {
 	return err
 }
 
-// MissingFromNew returns one violation per baseline experiment matching
-// any of the id prefixes that is absent from the new summary. Regressions
-// deliberately skips missing rows (probe ids may legitimately vary across
-// hosts — BENCH.census.workers=N depends on the core count), which means a
-// silently dropped probe would never trip the gate; requiring a prefix
-// closes that gap for rows whose ids are host-independent (e.g.
-// "BENCH.remote.").
-func (diff BenchDiff) MissingFromNew(prefixes []string) []string {
+// Violations applies the regression rule and returns one line per breach,
+// naming its row (and counter): the new summary must hold exactly the
+// baseline's rows, each with the baseline's error text and exactly its
+// work counters. Seconds are never compared; at one seed a quick-run
+// row's counters do not depend on timing or worker count
+// (docs/INVARIANTS.md), so a moved counter is a change in the work done.
+func (diff BenchDiff) Violations() []string {
 	var out []string
 	for _, d := range diff.Rows {
-		if !d.InBase || d.InNew {
+		switch {
+		case !d.InNew:
+			out = append(out, d.ID+": baseline row missing from the new summary")
 			continue
-		}
-		for _, p := range prefixes {
-			if strings.HasPrefix(d.ID, p) {
-				out = append(out, fmt.Sprintf("%s: required baseline row (prefix %q) missing from new summary", d.ID, p))
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Regressions returns one violation per experiment whose wall-clock grew
-// by more than pct percent over a baseline of at least minSeconds (the
-// floor keeps sub-noise experiments from tripping the gate), and per
-// experiment that ran clean in the baseline but errored in the new run.
-// Experiments missing from the new summary are reported by Fprint but are
-// not violations: probe rows like BENCH.census.workers=N legitimately
-// change id across hosts with different core counts.
-//
-// Rows under ConvergeRowPrefix invert the usual direction: they measure
-// queries-to-accuracy via the ConvergeCounter work counter (deterministic
-// per seed, so no noise floor applies) and regress when the counter GROWS
-// by more than pct percent — more queries for the same accuracy is a
-// weaker attack. Their wall clock (microseconds of probe time) is ignored.
-func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
-	var out []string
-	for _, d := range diff.Rows {
-		if !d.InBase || !d.InNew {
+		case !d.InBase:
+			out = append(out, d.ID+": row not in the baseline")
 			continue
+		case d.BaseError != d.NewError:
+			out = append(out, fmt.Sprintf("%s: error %q -> %q", d.ID, d.BaseError, d.NewError))
 		}
-		if d.BaseError == "" && d.NewError != "" {
-			out = append(out, fmt.Sprintf("%s: errored in new run: %s", d.ID, d.NewError))
-			continue
-		}
-		if d.BaseError != "" || d.NewError != "" {
-			continue
-		}
-		if strings.HasPrefix(d.ID, ConvergeRowPrefix) {
-			bq, nq := d.BaseCounters[ConvergeCounter], d.NewCounters[ConvergeCounter]
-			switch {
-			case bq <= 0:
-				// Baseline row without the counter: nothing to gate on.
-			case nq <= 0:
-				out = append(out, fmt.Sprintf("%s: %s counter missing from new run", d.ID, ConvergeCounter))
-			default:
-				if p := 100 * float64(nq-bq) / float64(bq); p > pct {
-					out = append(out, fmt.Sprintf("%s: queries-to-accuracy %d -> %d (%+.1f%%) exceeds +%.1f%% (lower is better)",
-						d.ID, bq, nq, p, pct))
-				}
-			}
-			continue
-		}
-		if d.BaseSeconds < minSeconds {
-			continue
-		}
-		if p := d.SecondsPct(); p > pct {
-			out = append(out, fmt.Sprintf("%s: %.3fs -> %.3fs (%+.1f%%) exceeds +%.1f%%",
-				d.ID, d.BaseSeconds, d.NewSeconds, p, pct))
+		for _, c := range d.Counters {
+			out = append(out, fmt.Sprintf("%s: %s %d -> %d", d.ID, c.Name, c.Base, c.New))
 		}
 	}
 	return out

@@ -13,7 +13,7 @@ func benchPair() (BenchSummary, BenchSummary) {
 			{ID: "E01", Seconds: 1.0, Counters: map[string]int64{"query.count": 1000, "sat.conflicts": 5}},
 			{ID: "E02", Seconds: 1.5, Counters: map[string]int64{"lp.pivots": 900}},
 			{ID: "E11", Seconds: 0.5},
-			{ID: "BENCH.census.workers=8", Seconds: 0.2},
+			{ID: "E20", Seconds: 0.2},
 			{ID: "E90", Seconds: 0.01},
 		},
 	}
@@ -21,45 +21,13 @@ func benchPair() (BenchSummary, BenchSummary) {
 		Rev: "bbbbbbbbbbbb", Seed: 1, Quick: true, TotalSeconds: 3.9,
 		Experiments: []BenchEntry{
 			{ID: "E01", Seconds: 1.0, Counters: map[string]int64{"query.count": 1000, "sat.conflicts": 5}},
-			{ID: "E02", Seconds: 2.4, Counters: map[string]int64{"lp.pivots": 1800}}, // +60% regression
+			{ID: "E02", Seconds: 2.4, Counters: map[string]int64{"lp.pivots": 1800}}, // +60%, counter doubled
 			{ID: "E11", Seconds: 0.5, Error: "boom"},
-			{ID: "BENCH.census.workers=16", Seconds: 0.1}, // probe renamed on a bigger host
-			{ID: "E90", Seconds: 0.02},                    // +100% but under the seconds floor
+			{ID: "E21", Seconds: 0.1},  // E20 dropped, E21 added
+			{ID: "E90", Seconds: 0.02}, // +100%, counters unchanged
 		},
 	}
 	return base, cur
-}
-
-func TestMissingFromNew(t *testing.T) {
-	base, cur := benchPair()
-	base.Experiments = append(base.Experiments,
-		BenchEntry{ID: "BENCH.remote.batch=1", Seconds: 0.1},
-		BenchEntry{ID: "BENCH.remote.batch=256", Seconds: 0.02},
-	)
-	cur.Experiments = append(cur.Experiments,
-		BenchEntry{ID: "BENCH.remote.batch=1", Seconds: 0.1},
-		// batch=256 silently dropped from the new run
-	)
-	diff := DiffBench(base, cur)
-	missing := diff.MissingFromNew([]string{"BENCH.remote."})
-	if len(missing) != 1 || !strings.Contains(missing[0], "BENCH.remote.batch=256") {
-		t.Errorf("missing = %v, want exactly the dropped batch=256 row", missing)
-	}
-	// The renamed census probe is not required, so it is not a violation —
-	// and no prefixes means nothing ever is.
-	if got := diff.MissingFromNew([]string{"BENCH.nonesuch."}); len(got) != 0 {
-		t.Errorf("unrelated prefix produced %v", got)
-	}
-	if got := diff.MissingFromNew(nil); len(got) != 0 {
-		t.Errorf("nil prefixes produced %v", got)
-	}
-	// Regressions still ignores missing rows (that is the gap -require
-	// closes), so the two checks compose rather than overlap.
-	for _, v := range diff.Regressions(1000, 0) {
-		if strings.Contains(v, "BENCH.remote.batch=256") {
-			t.Errorf("Regressions should not report missing rows: %v", v)
-		}
-	}
 }
 
 func TestDiffBenchRows(t *testing.T) {
@@ -69,7 +37,7 @@ func TestDiffBenchRows(t *testing.T) {
 	for _, d := range diff.Rows {
 		byID[d.ID] = d
 	}
-	if len(diff.Rows) != 6 { // 5 base rows + 1 new-only probe row
+	if len(diff.Rows) != 6 { // 5 base rows + 1 new-only row
 		t.Fatalf("rows = %d, want 6", len(diff.Rows))
 	}
 	if d := byID["E01"]; !d.InBase || !d.InNew || d.SecondsPct() != 0 || len(d.Counters) != 0 {
@@ -82,11 +50,11 @@ func TestDiffBenchRows(t *testing.T) {
 	if len(d.Counters) != 1 || d.Counters[0] != (CounterDelta{Name: "lp.pivots", Base: 900, New: 1800}) {
 		t.Errorf("E02 counters = %+v", d.Counters)
 	}
-	if d := byID["BENCH.census.workers=8"]; !d.InBase || d.InNew {
-		t.Errorf("renamed probe base row = %+v", d)
+	if d := byID["E20"]; !d.InBase || d.InNew {
+		t.Errorf("dropped base row = %+v", d)
 	}
-	if d := byID["BENCH.census.workers=16"]; d.InBase || !d.InNew {
-		t.Errorf("renamed probe new row = %+v", d)
+	if d := byID["E21"]; d.InBase || !d.InNew {
+		t.Errorf("added new row = %+v", d)
 	}
 }
 
@@ -111,38 +79,102 @@ func TestBenchDiffFprint(t *testing.T) {
 	}
 }
 
-// TestBenchDiffGate pins the regression gate: an injected +60% wall-clock
-// regression and a new error both trip it; renamed probe rows, sub-floor
-// experiments and unchanged experiments do not.
-func TestBenchDiffGate(t *testing.T) {
-	base, cur := benchPair()
-	diff := DiffBench(base, cur)
+// gateSummary is the baseline the rule tests edit: one row per counter
+// family the quick run is gated on.
+func gateSummary() BenchSummary {
+	return BenchSummary{Rev: "aaaaaaaaaaaa", Seed: 1, Quick: true, Experiments: []BenchEntry{
+		{ID: "E02", Seconds: 0.3, Counters: map[string]int64{"lp.pivots": 3921, "query.count": 4608}},
+		{ID: "E10", Seconds: 20, Counters: map[string]int64{"pso.weight_draws": 4612500}},
+		{ID: "E11", Seconds: 0.03, Counters: map[string]int64{"sat.propagations": 464436}},
+		{ID: "BENCH.converge.q90", Seconds: 0.2, Counters: map[string]int64{"converge.queries": 32}},
+	}}
+}
 
-	violations := diff.Regressions(50, 0.05)
-	if len(violations) != 2 {
-		t.Fatalf("violations = %v, want 2 (E02 regression + E11 error)", violations)
+// checkGate runs the rule on gateSummary edited by edit and wants one
+// violation per substring in want, in order; no want means a pass.
+func checkGate(t *testing.T, edit func(rows []BenchEntry) []BenchEntry, want ...string) {
+	t.Helper()
+	cur := gateSummary()
+	cur.Rev = "bbbbbbbbbbbb"
+	cur.Experiments = edit(cur.Experiments)
+	got := DiffBench(gateSummary(), cur).Violations()
+	if len(got) != len(want) {
+		t.Fatalf("violations = %q, want %d matching %q", got, len(want), want)
 	}
-	joined := strings.Join(violations, "\n")
-	if !strings.Contains(joined, "E02") || !strings.Contains(joined, "exceeds +50.0%") {
-		t.Errorf("E02 regression not reported: %v", violations)
-	}
-	if !strings.Contains(joined, "E11") || !strings.Contains(joined, "boom") {
-		t.Errorf("E11 error not reported: %v", violations)
-	}
-	for _, banned := range []string{"E90", "BENCH.census"} {
-		if strings.Contains(joined, banned) {
-			t.Errorf("%s must not trip the gate: %v", banned, violations)
+	for i, w := range want {
+		if !strings.Contains(got[i], w) {
+			t.Errorf("violation %d = %q, want it to contain %q", i, got[i], w)
 		}
 	}
+}
 
-	// A permissive threshold only reports the error regression.
-	if v := diff.Regressions(100, 0.05); len(v) != 1 || !strings.Contains(v[0], "E11") {
-		t.Errorf("gate at 100%% = %v, want only the E11 error", v)
+// TestBenchDiffGate pins the one regression rule: the new summary must
+// hold exactly the baseline's rows, each with the baseline's error text
+// and exactly its counters. Wall clock never counts, and every breach
+// names its row and counter.
+func TestBenchDiffGate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(rows []BenchEntry) []BenchEntry
+		want []string // one substring per expected violation, in order; none = pass
+	}{
+		{"equal counters at 10x the seconds", func(rows []BenchEntry) []BenchEntry {
+			for i := range rows {
+				rows[i].Seconds *= 10
+			}
+			return rows
+		}, nil},
+		{"moved counter", func(rows []BenchEntry) []BenchEntry {
+			rows[2].Counters["sat.propagations"] = 3237688
+			return rows
+		}, []string{"E11: sat.propagations 464436 -> 3237688"}},
+		{"counter on the new side only", func(rows []BenchEntry) []BenchEntry {
+			rows[0].Counters["lp.refactorizations"] = 168
+			return rows
+		}, []string{"E02: lp.refactorizations 0 -> 168"}},
+		{"counter on the baseline side only", func(rows []BenchEntry) []BenchEntry {
+			delete(rows[0].Counters, "query.count")
+			return rows
+		}, []string{"E02: query.count 4608 -> 0"}},
+		{"extra row", func(rows []BenchEntry) []BenchEntry {
+			return append(rows, BenchEntry{ID: "E20", Seconds: 0.1})
+		}, []string{"E20: row not in the baseline"}},
+		{"new error", func(rows []BenchEntry) []BenchEntry {
+			rows[1].Error = "boom"
+			delete(rows[1].Counters, "pso.weight_draws")
+			return rows
+		}, []string{`E10: error "" -> "boom"`, "E10: pso.weight_draws 4612500 -> 0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkGate(t, tc.edit, tc.want...) })
 	}
-	// Raising the floor above E02's baseline silences its regression too.
-	if v := diff.Regressions(50, 2.0); len(v) != 1 {
-		t.Errorf("gate with 2s floor = %v, want only the E11 error", v)
+}
+
+// TestMissingFromNew: every baseline row is required, so a row the new
+// run dropped fails by name, and only that row does.
+func TestMissingFromNew(t *testing.T) {
+	checkGate(t, func(rows []BenchEntry) []BenchEntry {
+		return append(rows[:1], rows[2:]...)
+	}, "E10: baseline row missing")
+}
+
+// TestConvergeRowsGateOnQueries: BENCH.converge rows are ordinary rows.
+// Their converge.queries counter must equal the baseline's whichever way
+// it moves, their seconds never count, and a row that lost the counter
+// fails.
+func TestConvergeRowsGateOnQueries(t *testing.T) {
+	converge := func(edit func(e *BenchEntry)) func(rows []BenchEntry) []BenchEntry {
+		return func(rows []BenchEntry) []BenchEntry {
+			edit(&rows[3])
+			return rows
+		}
 	}
+	checkGate(t, converge(func(e *BenchEntry) { e.Counters["converge.queries"] = 48 }),
+		"BENCH.converge.q90: converge.queries 32 -> 48")
+	checkGate(t, converge(func(e *BenchEntry) { e.Counters["converge.queries"] = 16 }),
+		"BENCH.converge.q90: converge.queries 32 -> 16")
+	checkGate(t, converge(func(e *BenchEntry) { e.Seconds *= 250 }))
+	checkGate(t, converge(func(e *BenchEntry) { e.Counters = nil }),
+		"BENCH.converge.q90: converge.queries 32 -> 0")
 }
 
 func TestReadBenchFileRoundTrip(t *testing.T) {
@@ -164,53 +196,5 @@ func TestReadBenchFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadBenchFile(filepath.Join(dir, "nope.json")); err == nil {
 		t.Error("missing file must error")
-	}
-}
-
-func TestConvergeRowsGateOnQueries(t *testing.T) {
-	row := func(q int64, seconds float64) BenchEntry {
-		return BenchEntry{ID: "BENCH.converge.q90", Seconds: seconds,
-			Counters: map[string]int64{ConvergeCounter: q}}
-	}
-	base := BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{row(80, 0.1)}}
-
-	// More queries to the same accuracy is a regression, regardless of the
-	// seconds floor (converge rows are deterministic counters, not noisy
-	// wall clock — minSeconds must not shield them).
-	cur := BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{row(112, 0.1)}}
-	got := DiffBench(base, cur).Regressions(10, 1.0)
-	if len(got) != 1 || !strings.Contains(got[0], "lower is better") || !strings.Contains(got[0], "80 -> 112") {
-		t.Errorf("query growth: %v, want one lower-is-better violation", got)
-	}
-
-	// Fewer (or equal) queries is an improvement, never a violation — even
-	// when the probe's wall clock explodes (it is microseconds of noise).
-	for _, q := range []int64{48, 80} {
-		cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{row(q, 50.0)}}
-		if got := DiffBench(base, cur).Regressions(10, 0); len(got) != 0 {
-			t.Errorf("queries %d: %v, want none (wall clock must be ignored)", q, got)
-		}
-	}
-
-	// A converge row that lost its counter cannot be gated — that is a
-	// violation in itself, not a silent pass.
-	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{{ID: "BENCH.converge.q90", Seconds: 0.1}}}
-	got = DiffBench(base, cur).Regressions(10, 0)
-	if len(got) != 1 || !strings.Contains(got[0], "counter missing") {
-		t.Errorf("missing counter: %v, want one violation", got)
-	}
-
-	// A baseline row without the counter has nothing to gate on.
-	base = BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{{ID: "BENCH.converge.q90", Seconds: 0.1}}}
-	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{row(999, 0.1)}}
-	if got := DiffBench(base, cur).Regressions(10, 0); len(got) != 0 {
-		t.Errorf("counterless baseline: %v, want none", got)
-	}
-
-	// Non-converge rows keep the wall-clock gate untouched.
-	base = BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{{ID: "E02", Seconds: 1.0}}}
-	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{{ID: "E02", Seconds: 2.0}}}
-	if got := DiffBench(base, cur).Regressions(10, 0); len(got) != 1 {
-		t.Errorf("wall-clock regression: %v, want one violation", got)
 	}
 }

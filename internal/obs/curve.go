@@ -164,10 +164,3 @@ func (c *Curve) Len() int {
 	defer c.set.mu.Unlock()
 	return len(c.set.curves[c.name])
 }
-
-// Points returns a copy of the curve's series.
-func (c *Curve) Points() []CurvePoint {
-	c.set.mu.Lock()
-	defer c.set.mu.Unlock()
-	return append([]CurvePoint(nil), c.set.curves[c.name]...)
-}

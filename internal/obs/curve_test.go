@@ -17,7 +17,7 @@ func TestCurveAddAndSnapshot(t *testing.T) {
 	if got := c.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
-	pts := c.Points()
+	pts := cs.Snapshot()[c.Name()]
 	if pts[1].X != 32 || pts[1].Y != 0.80 || pts[1].Stats["chunk"] != 16 {
 		t.Errorf("point 1 = %+v", pts[1])
 	}
@@ -36,7 +36,7 @@ func TestCurveAddAndSnapshot(t *testing.T) {
 	}
 	// Snapshot is a copy: mutating it must not touch the set.
 	snap["recon.lp.accuracy"][0].Y = -1
-	if got := c.Points()[0].Y; got != 0.55 {
+	if got := cs.Snapshot()[c.Name()][0].Y; got != 0.55 {
 		t.Errorf("snapshot mutation leaked into the set: y = %v", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestCurveReset(t *testing.T) {
 	// x starts over after a Reset.
 	c := cs.Curve("recon.lp.accuracy")
 	c.Add(1, 0.2)
-	if pts := c.Points(); len(pts) != 1 || pts[0].X != 1 || pts[0].Y != 0.2 {
+	if pts := cs.Snapshot()[c.Name()]; len(pts) != 1 || pts[0].X != 1 || pts[0].Y != 0.2 {
 		t.Errorf("post-Reset points = %+v", pts)
 	}
 }

@@ -149,7 +149,7 @@ type Server struct {
 // New builds a server over reg (usually obs.Default()) and journal (may be
 // nil when no run journal exists; the SSE tails then respond 404). The /trace
 // endpoint serves the process-wide obs.DefaultTracer dump and /converge
-// the process-wide obs.DefaultCurves set (override with SetCurves).
+// the process-wide obs.DefaultCurves set.
 func New(reg *obs.Registry, journal *obs.Journal) *Server {
 	s := &Server{
 		reg:     reg,
@@ -178,10 +178,6 @@ func New(reg *obs.Registry, journal *obs.Journal) *Server {
 
 // Handler returns the server's mux (for tests via httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// SetCurves points /converge at cs instead of the process-wide default
-// set (tests serve an isolated CurveSet this way). Call before Start.
-func (s *Server) SetCurves(cs *obs.CurveSet) { s.curves = cs }
 
 // SetPhase updates the run phase /healthz reports (e.g. "E02",
 // "bench_probe", "done").

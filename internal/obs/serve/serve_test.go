@@ -289,7 +289,7 @@ func TestConvergeJSONSnapshot(t *testing.T) {
 	cs.Curve("census.exact_fraction").Add(26, 0.25)
 
 	s := New(obs.NewRegistry(), nil)
-	s.SetCurves(cs)
+	s.curves = cs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -341,7 +341,7 @@ func TestConvergeSSETail(t *testing.T) {
 	curve.Add(16, 0.5)
 
 	s := New(obs.NewRegistry(), journal)
-	s.SetCurves(cs)
+	s.curves = cs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	defer s.Close() //nolint:errcheck
@@ -395,7 +395,7 @@ func TestConvergeLateSubscriberReplaysRun(t *testing.T) {
 	}
 
 	s := New(obs.NewRegistry(), journal)
-	s.SetCurves(cs)
+	s.curves = cs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	defer s.Close() //nolint:errcheck

@@ -104,17 +104,6 @@ func (t *Tracer) SetEnabled(on bool) {
 // Enabled reports whether the tracer is collecting.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// SetLimit caps the number of retained events (n <= 0 restores the
-// default). Events recorded beyond the cap are dropped and counted.
-func (t *Tracer) SetLimit(n int) {
-	if n <= 0 {
-		n = DefaultTraceLimit
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
-}
-
 // Dropped returns the number of events discarded by the retention limit.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()

@@ -94,7 +94,7 @@ func TestTracerHierarchyAndChromeExport(t *testing.T) {
 func TestTracerLimitDropsAndCounts(t *testing.T) {
 	tr := NewTracer()
 	tr.SetEnabled(true)
-	tr.SetLimit(3)
+	tr.limit = 3
 	for i := 0; i < 10; i++ {
 		tr.Begin("s", "c", MainLane, NoSpan).End()
 	}

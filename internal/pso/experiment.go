@@ -16,6 +16,7 @@ var (
 	mIsolations   = obs.Default().Counter("pso.isolations")
 	mSuccesses    = obs.Default().Counter("pso.successes")
 	mAttackErrors = obs.Default().Counter("pso.attack_errors")
+	mWeightDraws  = obs.Default().Counter("pso.weight_draws") // records drawn for Monte Carlo predicate weights
 	mTrialNS      = obs.Default().Histogram("pso.trial_ns")
 )
 

@@ -100,9 +100,6 @@ func (o *CountOracle) Count(p Predicate) (float64, error) {
 	return o.noise(o.rng, c), nil
 }
 
-// Used returns the number of queries spent.
-func (o *CountOracle) Used() int { return o.used }
-
 // N returns the dataset size.
 func (o *CountOracle) N() int { return o.d.Len() }
 

@@ -63,21 +63,6 @@ func Isolates(p Predicate, d *dataset.Dataset) bool {
 	return IsolationCount(p, d) == 1
 }
 
-// EstimateWeight Monte-Carlo-estimates w_D(p) = Pr_{x~D}[p(x)=1] with the
-// given number of samples.
-func EstimateWeight(rng *rand.Rand, p Predicate, sample func(*rand.Rand) dataset.Record, samples int) float64 {
-	if samples <= 0 {
-		panic("pso: EstimateWeight needs positive sample count")
-	}
-	hits := 0
-	for i := 0; i < samples; i++ {
-		if p.Eval(sample(rng)) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(samples)
-}
-
 // Equality is the trivial attacker's predicate from the paper's worked
 // example: p(x) = 1 iff x[Attr] = Value (e.g. "birthday is Apr-30").
 type Equality struct {
@@ -229,8 +214,10 @@ type ClassBox struct {
 	Weight float64 // product-of-marginals estimate of w_D(box)
 }
 
-// CellMarginal estimates Pr_{x~D}[cell contains x[attr]] by sampling.
+// CellMarginal estimates Pr_{x~D}[cell contains x[attr]] by sampling,
+// counting its draws in pso.weight_draws.
 func CellMarginal(rng *rand.Rand, cell kanon.ValueSet, attr int, sample func(*rand.Rand) dataset.Record, samples int) float64 {
+	mWeightDraws.Add(int64(samples))
 	hits := 0
 	for i := 0; i < samples; i++ {
 		if cell.Contains(sample(rng)[attr]) {

@@ -368,8 +368,8 @@ func TestCountOracleLimit(t *testing.T) {
 	if _, err := o.Count(p); err == nil {
 		t.Error("limit should be enforced")
 	}
-	if o.Used() != 2 {
-		t.Errorf("Used = %d", o.Used())
+	if o.used != 2 {
+		t.Errorf("used = %d", o.used)
 	}
 	if _, err := (InteractiveCounts{}).Release(rng, d); err == nil {
 		t.Error("zero limit should be rejected at release")
@@ -572,4 +572,19 @@ func TestKAnonClassAttackerOnFullDomainRelease(t *testing.T) {
 	if _, err := corner.Attack(rng, y, d.Len()); err == nil {
 		t.Error("corner attack should reject hierarchy-group cells")
 	}
+}
+
+// EstimateWeight Monte-Carlo-estimates w_D(p) = Pr_{x~D}[p(x)=1] with the
+// given number of samples.
+func EstimateWeight(rng *rand.Rand, p Predicate, sample func(*rand.Rand) dataset.Record, samples int) float64 {
+	if samples <= 0 {
+		panic("pso: EstimateWeight needs positive sample count")
+	}
+	hits := 0
+	for i := 0; i < samples; i++ {
+		if p.Eval(sample(rng)) {
+			hits++
+		}
+	}
+	return float64(hits) / float64(samples)
 }

@@ -469,8 +469,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// append failure moves nothing and fails the batch. Zero-cost batches
 	// (all cached) leave no entry.
 	led := s.ledgers[shard]
-	hash := batchHash(missKeys)
+	var hash string // names the batch in its spend and refund entries
 	if fresh > 0 {
+		hash = batchHash(missKeys)
 		entry, ok, lerr := led.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
 		if lerr != nil {
 			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)

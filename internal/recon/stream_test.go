@@ -202,7 +202,8 @@ func TestStreamPushOracleChunking(t *testing.T) {
 // TestDecodeStartRule pins when a Decoder warm-starts, on lp-recon's
 // sweep: n = 48, m = 4n, bounded noise at c ∈ {0, ¼, ½, 1, 2}.
 //   - A Decode whose answers move every query row solves cold, so
-//     lp.warm_starts and lp.warm_miss do not move, and it reaches the
+//     lp.warm_starts and lp.warm_miss do not move, it takes exactly the
+//     pivots of a fresh Decoder on the same answers, and it reaches the
 //     objective of a solve forced to warm-start from the previous
 //     optimum in fewer pivots over the sweep.
 //   - A verbatim replay warm-starts and takes 0 pivots (E02.remote).
@@ -244,10 +245,22 @@ func TestDecodeStartRule(t *testing.T) {
 		if prev == nil {
 			continue
 		}
-		coldPivots += pivots.Value() - pv
+		reused := pivots.Value() - pv
+		coldPivots += reused
 		if warmStarts.Value() != ws || warmMiss.Value() != wm {
 			t.Errorf("c=%v: decode moving every row warm-started (warm_starts +%d, warm_miss +%d)",
 				c, warmStarts.Value()-ws, warmMiss.Value()-wm)
+		}
+		fresh, err := NewDecoder(n, queries, L1Slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv = pivots.Value()
+		if _, _, err := fresh.Decode(ctx, answers); err != nil {
+			t.Fatal(err)
+		}
+		if got := pivots.Value() - pv; got != reused {
+			t.Errorf("c=%v: reused decoder took %d pivots, a fresh one %d", c, reused, got)
 		}
 		cold, err := lp.Revised(ctx, &dec.prob, dec.basis)
 		if err != nil || cold.Status != lp.Optimal || cold.Pivots != 0 {

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -524,4 +525,24 @@ func TestBacktrackIncrementalSolve(t *testing.T) {
 	if got := s.Solve(); got == Unknown {
 		t.Fatalf("post-block Solve = %v", got)
 	}
+}
+
+// CountModels enumerates satisfying assignments projected onto vars, up to
+// the given limit, by repeated solving with blocking clauses. It mutates
+// the solver (adds blocking clauses).
+func (s *Solver) CountModels(vars []int, limit int) (int, error) {
+	count := 0
+	for count < limit {
+		switch s.Solve() {
+		case Unsat:
+			return count, nil
+		case Unknown:
+			return count, errors.New("sat: conflict budget exhausted during enumeration")
+		}
+		count++
+		if err := s.BlockModel(vars); err != nil {
+			return count, err
+		}
+	}
+	return count, nil
 }

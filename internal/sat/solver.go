@@ -615,26 +615,6 @@ func (s *Solver) BlockModel(vars []int) error {
 	return s.AddClause(lits...)
 }
 
-// CountModels enumerates satisfying assignments projected onto vars, up to
-// the given limit, by repeated solving with blocking clauses. It mutates
-// the solver (adds blocking clauses).
-func (s *Solver) CountModels(vars []int, limit int) (int, error) {
-	count := 0
-	for count < limit {
-		switch s.Solve() {
-		case Unsat:
-			return count, nil
-		case Unknown:
-			return count, errors.New("sat: conflict budget exhausted during enumeration")
-		}
-		count++
-		if err := s.BlockModel(vars); err != nil {
-			return count, err
-		}
-	}
-	return count, nil
-}
-
 // NumClauses returns the number of attached (non-unit) clauses, including
 // learned clauses.
 func (s *Solver) NumClauses() int { return len(s.clauses) }

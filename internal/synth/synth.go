@@ -38,17 +38,6 @@ var Diseases = []string{
 	"Diabetes", "Thyroid", // ENDO
 }
 
-// DiseaseHierarchy returns the organ-system generalization hierarchy over
-// Diseases (levels: raw, system, *).
-func DiseaseHierarchy() *dataset.TreeHierarchy {
-	return dataset.MustTreeHierarchy([][]string{
-		{"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"},
-		{"GI", "*"}, {"GI", "*"}, {"GI", "*"},
-		{"CARD", "*"}, {"CARD", "*"}, {"CARD", "*"},
-		{"ENDO", "*"}, {"ENDO", "*"},
-	})
-}
-
 // Races is the categorical domain of the race attribute, mirroring the six
 // OMB categories used by the decennial census.
 var Races = []string{"White", "Black", "AIAN", "Asian", "NHPI", "Other"}
@@ -76,11 +65,6 @@ type PopulationConfig struct {
 	ZIPs int
 	// BlocksPerZIP is the number of census blocks within each ZIP.
 	BlocksPerZIP int
-}
-
-// DefaultPopulation is a laptop-sized configuration used by examples.
-func DefaultPopulation() PopulationConfig {
-	return PopulationConfig{N: 20000, ZIPs: 20, BlocksPerZIP: 40}
 }
 
 // PopulationSchema returns the schema of the generated population.

@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"singlingout/internal/dataset"
@@ -61,7 +62,7 @@ func TestPopulationIsDeterministic(t *testing.T) {
 	a, _ := Population(rand.New(rand.NewSource(7)), cfg)
 	b, _ := Population(rand.New(rand.NewSource(7)), cfg)
 	for i := range a.Rows {
-		if !a.Rows[i].Equal(b.Rows[i]) {
+		if !slices.Equal(a.Rows[i], b.Rows[i]) {
 			t.Fatalf("row %d differs between identical seeds", i)
 		}
 	}
@@ -204,7 +205,7 @@ func TestBinaryDataset(t *testing.T) {
 }
 
 func TestPopulationSchemaQuasiIdentifiers(t *testing.T) {
-	s := PopulationSchema(DefaultPopulation())
+	s := PopulationSchema(PopulationConfig{N: 20000, ZIPs: 20, BlocksPerZIP: 40})
 	qi := s.QuasiIdentifiers()
 	want := map[string]bool{AttrZIP: true, AttrBirthDate: true, AttrAge: true, AttrSex: true}
 	if len(qi) != len(want) {
@@ -267,7 +268,7 @@ func TestSurveySamplerDeterministic(t *testing.T) {
 	cfg := SurveyConfig{Questions: 4, Skew: 0.7}
 	a := SurveySampler(cfg)(rand.New(rand.NewSource(5)))
 	b := SurveySampler(cfg)(rand.New(rand.NewSource(5)))
-	if !a.Equal(b) {
+	if !slices.Equal(a, b) {
 		t.Error("same seed should give identical records")
 	}
 }
@@ -292,4 +293,15 @@ func TestIndividualSamplerPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	IndividualSampler(PopulationConfig{})
+}
+
+// DiseaseHierarchy returns the organ-system generalization hierarchy over
+// Diseases (levels: raw, system, *).
+func DiseaseHierarchy() *dataset.TreeHierarchy {
+	return dataset.MustTreeHierarchy([][]string{
+		{"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"},
+		{"GI", "*"}, {"GI", "*"}, {"GI", "*"},
+		{"CARD", "*"}, {"CARD", "*"}, {"CARD", "*"},
+		{"ENDO", "*"}, {"ENDO", "*"},
+	})
 }
