@@ -16,9 +16,9 @@
 #   make benchgate the quick run's rows, errors and work counters must
 #                  equal the committed BENCH_baseline.json's (seconds are
 #                  printed, never gated)
-#   make loadgen-smoke  sharded in-process qserver under injected
-#                  overload; fails when an analyst errors or the ledger
-#                  does not replay
+#   make loadgen-smoke  in-process qserver under injected overload;
+#                  fails when an analyst errors or the ledger does not
+#                  replay
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval) and the query server's
@@ -67,8 +67,8 @@ build:
 # replicates in parallel, recon runs its solver fan-out there), so their
 # tests exercise the pool's sharing discipline under real load.
 # ./cmd/loadgen/... holds the only test (TestOverloadInjectionSheds) that
-# drives the sharded server's admission control and load shedding with
-# concurrent HTTP clients. ./cmd/reconstruct/...'s remote cases run an
+# drives the server's admission gate and load shedding with concurrent
+# HTTP clients. ./cmd/reconstruct/...'s remote cases run an
 # in-process query server and the attacking client concurrently.
 race:
 	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/... ./cmd/reconstruct/...
@@ -125,10 +125,11 @@ benchgate: repro-quick
 		echo "and give the reason in CHANGES.md"; exit 1; }
 
 # Load-generator smoke: a small multi-analyst Zipf workload against an
-# in-process sharded qserver under injected overload. loadgen exits 1 when
-# an analyst fails with anything but a budget refusal or shedding, or when
-# the server's ledger does not replay to its totals. How many requests are
-# shed depends on timing, so nothing here compares counters with a file
+# in-process qserver (two cache shards, one active slot, no waiting
+# room) under injected overload. loadgen exits 1 when an analyst fails
+# with anything but a budget refusal or shedding, or when the server's
+# ledger does not replay to its totals. How many requests are shed
+# depends on timing, so nothing here compares counters with a file
 # (cmd/loadgen's TestOverloadInjectionSheds checks that some are shed).
 loadgen-smoke:
 	$(GO) run ./cmd/loadgen -analysts 4 -requests 16 -budget 100 \

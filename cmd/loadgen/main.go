@@ -14,9 +14,10 @@
 //	        [-inject-delay 0] [-metrics journal.jsonl]
 //
 // Without -url, loadgen starts an in-process qserver on a loopback
-// listener (sized by -n/-p/-budget at -seed, partitioned by -shards with
-// per-shard admission control from -queue-depth/-max-concurrent) and
-// drives that, so a single command smoke-tests the whole service stack.
+// listener (sized by -n/-p/-budget at -seed, its answer cache
+// partitioned by -shards, its one admission gate sized by
+// -max-concurrent and -queue-depth) and drives that, so a single command
+// smoke-tests the whole service stack.
 // -inject-delay adds artificial per-request service time to that server,
 // which together with a small -max-concurrent and -queue-depth -1 (no
 // waiting room) produces overload: shed requests surface in the
@@ -96,9 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 96, "in-process server: dataset size")
 	p := fs.Float64("p", 0.5, "in-process server: Bernoulli parameter")
 	budget := fs.Int("budget", 0, "in-process server: per-analyst fresh-query budget (0 = unlimited)")
-	shards := fs.Int("shards", 1, "in-process server: cache/ledger partitions")
-	queueDepth := fs.Int("queue-depth", 64, "in-process server: per-shard admission queue bound (-1 = no waiting room)")
-	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: total active-request bound across shards")
+	shards := fs.Int("shards", 1, "in-process server: answer-cache partitions")
+	queueDepth := fs.Int("queue-depth", 64, "in-process server: requests waiting for a slot (-1 = no waiting room)")
+	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: requests served at once")
 	injectDelay := fs.Duration("inject-delay", 0, "in-process server: artificial per-request service time (overload testing)")
 	metricsPath := fs.String("metrics", "", "write a JSONL journal here")
 	if err := fs.Parse(args); err != nil {

@@ -81,11 +81,12 @@ func TestBudgetDenialsSurface(t *testing.T) {
 	}
 }
 
-// TestOverloadInjectionSheds drives a deliberately undersized sharded
-// server (one active slot per shard, no waiting room, injected service
-// time) with concurrent analysts: requests must be shed, counted in the
-// qserver.shed counter, and the run must still exit 0 with a replay-clean
-// ledger (shedding never corrupts budget accounting).
+// TestOverloadInjectionSheds drives a deliberately undersized server
+// (two cache shards, one active slot for the whole server, no waiting
+// room, injected service time) with concurrent analysts: requests must
+// be shed, counted in the qserver.shed counter, and the run must still
+// exit 0 with a replay-clean ledger (shedding never corrupts budget
+// accounting).
 func TestOverloadInjectionSheds(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "loadgen.jsonl")
 	args := []string{"-analysts", "4", "-requests", "6", "-batch", "4",

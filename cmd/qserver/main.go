@@ -13,12 +13,14 @@
 //	        [-shards 1] [-queue-depth 64] [-wal ledger.wal] [-wal-sync]
 //	        [-metrics journal.jsonl]
 //
-// -shards partitions the answer cache and privacy-loss ledger across
-// independent locks, hashing each query or analyst mod the shard count;
-// -queue-depth bounds each shard's admission queue (excess load is shed
-// with a typed "overloaded" refusal). -wal makes the ledger durable:
-// every spend/refund/deny is appended to the file before it takes
-// effect, and a restart replays it — spent budget survives the restart.
+// -shards partitions the answer cache across independent locks, hashing
+// each canonical query mod the shard count; the privacy-loss ledger and
+// the admission gate are one per server. -max-concurrent bounds the
+// requests served at once and -queue-depth the ones waiting for a slot
+// (excess load is shed with a typed "overloaded" refusal). -wal makes
+// the ledger durable: every spend/refund/deny is appended to the file
+// before it takes effect, and a restart replays it — spent budget
+// survives the restart.
 //
 // Endpoints:
 //
@@ -67,10 +69,10 @@ func run(args []string, ready func(addr string)) int {
 	threshold := fs.Int("threshold", 8, "diffix backend: low-count suppression bound")
 	budget := fs.Int("budget", 0, "per-analyst fresh-query budget (0 = unlimited)")
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted query batch")
-	maxConcurrent := fs.Int("max-concurrent", 16, "concurrent request bound")
+	maxConcurrent := fs.Int("max-concurrent", 16, "requests served at once, server-wide")
 	workers := fs.Int("workers", 0, "pool workers per fresh sub-batch (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "cache/ledger partitions (hash mod shards; answers are shard-count invariant)")
-	queueDepth := fs.Int("queue-depth", 64, "per-shard admission queue bound (-1 = no waiting room)")
+	shards := fs.Int("shards", 1, "answer-cache partitions (hash mod shards; answers are shard-count invariant)")
+	queueDepth := fs.Int("queue-depth", 64, "requests waiting for a slot, server-wide (-1 = no waiting room)")
 	walPath := fs.String("wal", "", "ledger write-ahead log file (durable budget accounting across restarts)")
 	walSync := fs.Bool("wal-sync", false, "fsync the ledger WAL after every entry")
 	metricsPath := fs.String("metrics", "", "write a JSONL journal (one event per query batch) to this file")

@@ -14,7 +14,7 @@
 //     either through the taint engine (taint.go) or with a lattice of
 //     their own — the privacy invariants (raw microdata never reaches
 //     the wire, budget spends always settle, WAL-append-before-apply,
-//     shard lock discipline) are path properties that no AST walk can
+//     lock discipline) are path properties that no AST walk can
 //     express.
 //
 // Unlike x/tools, a Diagnostic carries no suggested fix: the suite only

@@ -9,8 +9,8 @@ import (
 // internal/par. Unbounded fan-out breaks two guarantees at once: the
 // worker-count invariance of reconstruction tables (par derives per-item
 // RNGs and dispenses indices in order — a raw goroutine has neither) and
-// the qserver's bounded-concurrency contract (each shard's admission
-// queue, sized by MaxConcurrent and QueueDepth). cmd/ packages are exempt:
+// the qserver's bounded-concurrency contract (its admission queue,
+// sized by MaxConcurrent and QueueDepth). cmd/ packages are exempt:
 // a main owning its process may run an HTTP server or signal loop on a
 // raw goroutine.
 var BoundedGo = &Analyzer{

@@ -9,13 +9,13 @@ import (
 	"strings"
 )
 
-// LockDiscipline keeps shard critical sections non-blocking. The query
-// server's scalability story is "no lock spans shards": each cache and
-// ledger shard has its own mutex, and the code holding one must not
-// acquire another lock, perform network I/O, or block on a channel —
-// any of those turns a shard lock into a convoy (or a deadlock) under
-// load, which shows up as tail latency in exactly the admission-control
-// measurements the loadgen gates on.
+// LockDiscipline keeps critical sections non-blocking. The query
+// server's cache shards and its ledger, and the obs registry, journal
+// and tracer, each guard their state with a mutex, and the code holding
+// one must not acquire another lock, perform network I/O, or block on a
+// channel — any of those turns the lock into a convoy (or a deadlock)
+// under load, which shows up as tail latency in exactly the
+// admission-control measurements the loadgen gates on.
 //
 // The analysis is an intra-procedural lock-set dataflow: sync.Mutex /
 // sync.RWMutex Lock/RLock calls add the receiver to the held set,
@@ -23,16 +23,16 @@ import (
 // which is the sanctioned pattern), and while the set is non-empty the
 // analyzer flags:
 //
-//   - acquiring any further mutex (second shard lock, or a self-deadlock
+//   - acquiring any further mutex (a second lock, or a self-deadlock
 //     on the same one);
 //   - channel sends, receives, and select statements;
 //   - known blockers: time.Sleep, sync.WaitGroup.Wait, sync.Cond.Wait;
 //   - network I/O (any call into net or net/http).
 //
-// The single allowlisted blocking call is the WAL file append
-// (wal.append): write-ahead durability REQUIRES the disk write inside
-// the ledger shard's critical section — that ordering is what walorder
-// enforces — and the WAL is a local file, not a network round-trip.
+// File I/O is not flagged: the ledger appends each entry to its WAL, a
+// local file, inside its critical section, because write-ahead
+// durability requires the disk write before the apply (the ordering
+// walorder enforces).
 var LockDiscipline = &Analyzer{
 	Name:       "lockdiscipline",
 	NeedsTypes: true,
@@ -118,7 +118,7 @@ func checkLockDiscipline(pass *Pass, fb FuncBody) {
 			continue
 		}
 		ldTransferBlock(pass, blk, sc, maps.Clone(in[blk.Index]), func(n ast.Node, held lockSet, what string) {
-			pass.Reportf(n.Pos(), "%s while %s is held in %s: shard critical sections must not block (wal.append is the only allowlisted blocking call)",
+			pass.Reportf(n.Pos(), "%s while %s is held in %s: critical sections must not block",
 				what, heldNames(held), fb.Name)
 		})
 	}
@@ -240,7 +240,7 @@ func receiverKey(pass *Pass, x ast.Expr) (key, name string) {
 	return base + "|" + name, name
 }
 
-// blockingCall classifies calls that must not run under a shard lock.
+// blockingCall classifies calls that must not run under a lock.
 func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	fn := pass.CalleeFunc(call)
 	if fn == nil {
@@ -248,8 +248,6 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	}
 	pkg, name, recv := FuncPkgPath(fn), fn.Name(), RecvNamed(fn)
 	switch {
-	case recv == "wal" && name == "append":
-		return "", false // the allowlisted WAL file append
 	case pkg == "time" && name == "Sleep":
 		return "time.Sleep", true
 	case pkg == "sync" && name == "Wait" && (recv == "WaitGroup" || recv == "Cond"):

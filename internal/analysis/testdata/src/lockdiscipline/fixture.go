@@ -58,12 +58,13 @@ func dialHeld(s *shard) {
 	net.LookupHost("example.com") // want `net\.LookupHost while s\.mu is held`
 }
 
-// walAppend: the one allowlisted blocking call — write-ahead durability
-// requires the disk append inside the ledger critical section.
+// walAppend: a call that is none of the flagged blockers is fine under
+// the lock, even a file append — write-ahead durability requires the
+// ledger's WAL append inside its critical section.
 func walAppend(s *shard, w *wal, b []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w.append(b) // ok: allowlisted WAL file append
+	w.append(b) // ok: not a lock, channel op, sleep, wait or network call
 }
 
 // nonBlockingSend: a select with default never blocks; dropping for

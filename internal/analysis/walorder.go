@@ -29,8 +29,8 @@ import (
 //
 // An append whose error is discarded outright (ExprStmt or assigned to
 // _) is reported at the call. Functions touching memory without any
-// append in sight (ledger.seed replaying already-durable entries) are
-// out of scope by construction.
+// append in sight (newLedger resuming already-durable entries) are out
+// of scope by construction.
 var WALOrder = &Analyzer{
 	Name:       "walorder",
 	NeedsTypes: true,

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"singlingout/internal/obs"
 	"singlingout/internal/query"
@@ -135,24 +137,44 @@ func (o *blockingOracle) Answer(ctx context.Context, qs [][]int) ([]float64, err
 // both halves of the contract: the wire carries a typed CodeOverloaded
 // refusal with retry hints, and the client surfaces query.ErrOverloaded
 // once retries are exhausted. Shedding is visible in qserver.shed.
+//
+// The gate is one per server, whatever the shard count: at 4 shards the
+// shed requests come from carol, an analyst that a gate split by
+// FNV-1a hash of the analyst id would put on another shard than alice
+// and admit. Every request has a timeout, so such a split fails the
+// test instead of hanging it.
 func TestOverloadShedsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		shards  int
+		analyst string // sends the requests that must be shed
+	}{{1, "alice"}, {4, "carol"}} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			testOverloadSheds(t, tc.shards, tc.analyst)
+		})
+	}
+}
+
+func testOverloadSheds(t *testing.T, shards int, analyst string) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	bb := blockingBackend{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	// Release on any exit path — a Fatalf before the explicit release must
-	// not leave the parked request holding the test server open forever.
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(bb.release) }) }
-	t.Cleanup(release)
 	cfg := remote.ServerConfig{
 		Seed:          29,
 		MaxConcurrent: 1,
-		Shards:        1,
+		Shards:        shards,
 		QueueDepth:    -1, // no waiting room: second request sheds immediately
 		Backends:      []remote.Backend{bb},
 		Registry:      reg,
 	}
 	_, ts := newTestServer(t, cfg)
+	// Release on any exit path — a Fatalf before the explicit release must
+	// not leave the parked request holding the test server open forever.
+	// Cleanups run last-registered first, so this one runs before the
+	// test server's Close, which waits for every request in flight.
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(bb.release) }) }
+	t.Cleanup(release)
+	client := &http.Client{Timeout: 5 * time.Second}
 
 	first := dialAnalyst(t, ts.URL, "block", "alice")
 	done := make(chan error, 1)
@@ -163,8 +185,8 @@ func TestOverloadShedsTyped(t *testing.T) {
 	<-bb.entered // the lone active slot is now held
 
 	// Raw wire view of the shed.
-	resp, err := http.Post(ts.URL+"/v1/query/block", "application/json",
-		strings.NewReader(`{"v":2,"analyst":"alice","queries":[[1]]}`))
+	resp, err := client.Post(ts.URL+"/v1/query/block", "application/json",
+		strings.NewReader(`{"v":2,"analyst":"`+analyst+`","queries":[[1]]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +208,9 @@ func TestOverloadShedsTyped(t *testing.T) {
 	// Client view: retries disabled, the sentinel surfaces directly.
 	opts := fastOpts()
 	opts.Backend = "block"
-	opts.Analyst = "alice"
+	opts.Analyst = analyst
 	opts.Retries = -1
+	opts.Client = client
 	second, err := remote.Dial(ctx, ts.URL, opts)
 	if err != nil {
 		t.Fatal(err)

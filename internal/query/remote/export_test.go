@@ -4,8 +4,9 @@ package remote
 // package.
 
 // ReadWAL loads a ledger write-ahead log as a restart reads it: the
-// entries sorted by sequence number, a torn final line dropped, and an
-// undecodable line anywhere else an error. ReplayLedger over the result
+// entries in file order, a torn final line dropped, and an undecodable
+// line anywhere else, or a sequence number that does not increase, an
+// error. ReplayLedger over the result
 // is the WAL tests' oracle for what a restart remembers.
 func ReadWAL(path string) ([]LedgerEntry, error) {
 	entries, _, err := readWAL(path)
@@ -15,7 +16,7 @@ func ReadWAL(path string) ([]LedgerEntry, error) {
 // Ledger returns the current entry history and totals (optionally
 // filtered to one analyst), the same view GET /v1/ledger serves.
 func (s *Server) Ledger(analyst string) ([]LedgerEntry, map[string]int) {
-	return mergeSnapshots(s.ledgers, analyst)
+	return s.ledger.snapshot(analyst)
 }
 
 // CacheLen reports the answer-cache population across all shards.

@@ -3,51 +3,52 @@ package remote
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// ledger is one shard of the server's append-only privacy-loss
-// accounting: every budget movement (spend, refund, denial) becomes an
-// immutable LedgerEntry, and the per-analyst totals the server enforces
-// are derived state — ReplayLedger over the entry history reconstructs
-// them exactly. This replaces the bare analyst->int budget map: the
-// paper's framing is that privacy loss is a quantifiable, accountable
-// resource, and a flat counter cannot answer an auditor's "when did this
-// analyst cross half their budget, and on which queries?".
+// ledger is the server's append-only privacy-loss accounting: every
+// budget movement (spend, refund, denial) becomes an immutable
+// LedgerEntry, and the per-analyst totals the server enforces are
+// derived state — ReplayLedger over the entry history reconstructs them
+// exactly. This replaces the bare analyst->int budget map: the paper's
+// framing is that privacy loss is a quantifiable, accountable resource,
+// and a flat counter cannot answer an auditor's "when did this analyst
+// cross half their budget, and on which queries?".
 //
-// Sharding: each analyst is pinned to exactly one shard (shardOf on the
-// analyst id), so one analyst's entries are serialized by one shard
-// lock — the per-analyst cumulative order ReplayLedger checks is a
-// per-shard property, and no lock spans shards. Sequence numbers
-// come from a server-global atomic so the merged history has a total
-// order; they are timestamp-free by design — under a deterministic
-// (sequential) workload the whole ledger is byte-identical across runs,
-// which is what lets cmd/loadgen pin its two-run invariance test on the
-// ledger summary.
+// One mutex serializes every entry: under it the ledger assigns the
+// entry's sequence number, appends its line to the WAL and applies it,
+// so the log is in sequence order by construction. Sequence numbers are
+// timestamp-free by design — under a deterministic (sequential) workload
+// the whole ledger is byte-identical across runs, which is what lets
+// cmd/loadgen pin its two-run invariance test on the ledger summary.
 //
 // Durability: when a wal is attached, an entry is appended to the log
 // BEFORE it is applied in memory. A failed disk write therefore leaves
 // the ledger unmoved and fails the request — the server refuses to move
 // budget it cannot account for durably.
 type ledger struct {
-	seq *atomic.Int64 // server-global sequence source, shared across shards
-	wal *wal          // nil = in-memory only
+	wal *wal // nil = in-memory only
 
 	mu      sync.Mutex
+	seq     int64 // the last entry's sequence number
 	entries []LedgerEntry
 	totals  map[string]int
 }
 
-func newLedger(seq *atomic.Int64, w *wal) *ledger {
-	return &ledger{seq: seq, wal: w, totals: map[string]int{}}
+// newLedger resumes a ledger from a replayed history and the totals
+// ReplayLedger folded from it.
+func newLedger(w *wal, entries []LedgerEntry, totals map[string]int) *ledger {
+	l := &ledger{wal: w, entries: entries, totals: totals}
+	if len(entries) > 0 {
+		l.seq = entries[len(entries)-1].Seq
+	}
+	return l
 }
 
 // add appends one entry under the held lock (WAL first) and returns it.
 func (l *ledger) add(op, analyst, backend, hash, trace string, cost, cumulative int) (LedgerEntry, error) {
 	e := LedgerEntry{
-		Seq: l.seq.Add(1), Analyst: analyst, Op: op, Backend: backend,
+		Seq: l.seq + 1, Analyst: analyst, Op: op, Backend: backend,
 		QueryHash: hash, Cost: cost, Cumulative: cumulative, Trace: trace,
 	}
 	if l.wal != nil {
@@ -55,17 +56,9 @@ func (l *ledger) add(op, analyst, backend, hash, trace string, cost, cumulative 
 			return LedgerEntry{}, err
 		}
 	}
+	l.seq = e.Seq
 	l.entries = append(l.entries, e)
 	return e, nil
-}
-
-// seed loads replayed WAL entries into this shard without re-logging
-// them; called once at construction, before the shard serves traffic.
-func (l *ledger) seed(entries []LedgerEntry, totals map[string]int) {
-	l.entries = append(l.entries, entries...)
-	for a, v := range totals {
-		l.totals[a] = v
-	}
 }
 
 // spend atomically checks the analyst's budget and appends either a spend
@@ -110,8 +103,8 @@ func (l *ledger) total(analyst string) int {
 	return l.totals[analyst]
 }
 
-// snapshot copies the shard's entry history (filtered to one analyst
-// when analyst != "") and current totals.
+// snapshot copies the entry history, in sequence order (filtered to one
+// analyst when analyst != ""), and the current totals.
 func (l *ledger) snapshot(analyst string) ([]LedgerEntry, map[string]int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -128,22 +121,15 @@ func (l *ledger) snapshot(analyst string) ([]LedgerEntry, map[string]int) {
 	return entries, totals
 }
 
-// mergeSnapshots folds per-shard snapshots into the single history and
-// totals view /v1/ledger serves: entries re-ordered by the global
-// sequence number, totals unioned (analyst partitioning makes the union
-// disjoint).
-func mergeSnapshots(shards []*ledger, analyst string) ([]LedgerEntry, map[string]int) {
-	var entries []LedgerEntry
-	totals := map[string]int{}
-	for _, l := range shards {
-		es, ts := l.snapshot(analyst)
-		entries = append(entries, es...)
-		for a, v := range ts {
-			totals[a] = v
-		}
+// close syncs and closes the WAL, if any. An append racing it waits for
+// the lock and then fails: the WAL is stopped.
+func (l *ledger) close() error {
+	if l.wal == nil {
+		return nil
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
-	return entries, totals
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.wal.Close()
 }
 
 // ReplayLedger folds an entry history back into the per-analyst net

@@ -49,19 +49,19 @@ type ServerConfig struct {
 
 	Budget        int // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch      int // largest accepted batch, 0 = default 4096
-	MaxConcurrent int // total active-request bound, split across shards; 0 = default 16
+	MaxConcurrent int // the server's active-request bound; 0 = default 16
 	Workers       int // pool workers per fresh sub-batch, 0 = GOMAXPROCS
 
-	// Shards partitions the answer cache (by canonical query) and the
-	// privacy-loss ledger + admission control (by analyst id) across
-	// independent locks, a key going to shard fnvKey(key) mod Shards;
-	// 0 = 1. Reconstruction results are byte-identical at any shard
-	// count: every backend is deterministic per canonical query, so
+	// Shards partitions the answer cache by canonical query across
+	// independent locks, a key going to shard shardOf(key, Shards);
+	// 0 = 1. The ledger and the admission gate are not partitioned.
+	// Answers and ledger entries are byte-identical at any shard count:
+	// every backend is deterministic per canonical query, so
 	// partitioning changes contention, never answers.
 	Shards int
-	// QueueDepth bounds each shard's admission queue: requests admitted
-	// but waiting for an active slot. Beyond active+QueueDepth a request
-	// is shed with CodeOverloaded instead of queuing unboundedly.
+	// QueueDepth bounds the server's admission queue: requests admitted
+	// but waiting for an active slot. Beyond MaxConcurrent+QueueDepth a
+	// request is shed with CodeOverloaded instead of queuing unboundedly.
 	// 0 = default 64, negative = no waiting room (shed when all active
 	// slots are busy).
 	QueueDepth int
@@ -99,11 +99,11 @@ const retryAfter = 50 * time.Millisecond
 // the dataset; analysts see nothing but noisy (or exact, for the
 // calibration backend) counting-query answers, per-analyst budget
 // accounting, and an answer cache that makes repeated queries free — the
-// reference architecture the paper's attacks are aimed at. State is
-// partitioned across shards (per-query cache shards, per-analyst ledger
-// and admission shards) so no lock in the request path is global, and
-// the ledger optionally writes ahead to a durable log so a restart never
-// forgets — and therefore never refunds — spent epsilon.
+// reference architecture the paper's attacks are aimed at. The answer
+// cache is partitioned into shards by query; the privacy-loss ledger and
+// the admission gate are one each, and the ledger optionally writes
+// ahead to a durable log so a restart never forgets — and therefore
+// never refunds — spent epsilon.
 type Server struct {
 	cfg      ServerConfig
 	x        []int64
@@ -115,11 +115,8 @@ type Server struct {
 
 	caches     []cacheShard
 	cacheCount atomic.Int64 // distinct cached keys across shards
-	ledgers    []*ledger
-	seq        atomic.Int64 // global ledger sequence, shared by all shards
-	wal        *wal         // nil without WALPath
-	admits     []*admission
-	waiting    atomic.Int64 // queued-not-active requests across shards
+	ledger     *ledger
+	admit      *admission
 
 	requests       *obs.Counter
 	batchQueries   *obs.Counter
@@ -213,51 +210,25 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	sort.Strings(s.names)
 
-	// Replay the WAL (if any) before any shard exists, then partition the
-	// replayed history with shardOf, as the live path does — entries
-	// written under one shard count load cleanly under another.
-	var replayed []LedgerEntry
-	var replayedTotals map[string]int
+	// Resume the ledger from the WAL (if any): the replayed history and
+	// totals, and the next sequence number after the last entry's.
+	var w *wal
+	var entries []LedgerEntry
+	totals := map[string]int{}
 	if cfg.WALPath != "" {
-		w, entries, err := openWAL(cfg.WALPath, cfg.WALSync)
-		if err != nil {
+		if w, entries, err = openWAL(cfg.WALPath, cfg.WALSync); err != nil {
 			return nil, err
 		}
-		if replayedTotals, err = ReplayLedger(entries); err != nil {
+		if totals, err = ReplayLedger(entries); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("remote: wal %s does not replay: %w", cfg.WALPath, err)
 		}
-		s.wal = w
-		replayed = entries
 	}
+	s.ledger = newLedger(w, entries, totals)
+	s.admit = newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, s.queueDepth)
 	s.caches = make([]cacheShard, cfg.Shards)
 	for i := range s.caches {
 		s.caches[i].m = make(map[string]float64)
-	}
-	perShard := (cfg.MaxConcurrent + cfg.Shards - 1) / cfg.Shards
-	s.ledgers = make([]*ledger, cfg.Shards)
-	s.admits = make([]*admission, cfg.Shards)
-	for i := range s.ledgers {
-		s.ledgers[i] = newLedger(&s.seq, s.wal)
-		s.admits[i] = newAdmission(perShard, cfg.QueueDepth, &s.waiting, s.queueDepth)
-	}
-	if len(replayed) > 0 {
-		byShard := make([][]LedgerEntry, cfg.Shards)
-		totals := make([]map[string]int, cfg.Shards)
-		for i := range totals {
-			totals[i] = map[string]int{}
-		}
-		for _, e := range replayed {
-			sh := shardOf(e.Analyst, cfg.Shards)
-			byShard[sh] = append(byShard[sh], e)
-		}
-		for a, v := range replayedTotals {
-			totals[shardOf(a, cfg.Shards)][a] = v
-		}
-		s.seq.Store(replayed[len(replayed)-1].Seq) // openWAL sorts by Seq
-		for i := range s.ledgers {
-			s.ledgers[i].seed(byShard[i], totals[i])
-		}
 	}
 
 	s.mux = http.NewServeMux()
@@ -271,12 +242,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // synced and closed (idempotent; a nil-WAL server closes trivially).
 // In-flight requests racing a Close may fail their ledger appends — the
 // batch then fails without moving budget, which is the safe side.
-func (s *Server) Close() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Close()
-}
+func (s *Server) Close() error { return s.ledger.close() }
 
 // Handler returns the /v1/* HTTP handler. Mount it alongside the obs
 // serve.Server handler to get /metrics, /snapshot, /healthz and /journal
@@ -363,21 +329,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		analyst = "anon"
 	}
 
-	// Admission control on the analyst's shard: claim a bounded queue
-	// slot or shed immediately — under overload the server answers
-	// "retry later" in microseconds instead of stacking requests.
-	shard := shardOf(analyst, len(s.ledgers))
-	if err := s.admits[shard].enter(ctx); err != nil {
+	// Admission control: claim a bounded queue slot or shed immediately
+	// — under overload the server answers "retry later" in microseconds
+	// instead of stacking requests.
+	if err := s.admit.enter(ctx); err != nil {
 		if errors.Is(err, errShed) {
 			s.shed.Add(1)
 			s.journal(name, analyst, trace, len(req.Queries), 0, 0, CodeOverloaded)
-			s.failOverloaded(w, fmt.Sprintf("shard %d admission queue full", shard))
+			s.failOverloaded(w, err.Error())
 			return
 		}
 		s.fail(w, http.StatusServiceUnavailable, CodeInternal, "cancelled while waiting for a slot")
 		return
 	}
-	defer s.admits[shard].leave()
+	defer s.admit.leave()
 
 	// Injected service time (overload testing): holds the active slot so
 	// concurrent load actually contends on admission.
@@ -463,22 +428,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	fresh := len(misses)
 
 	// Reserve the fresh queries all-or-nothing against the analyst's
-	// ledger shard: a granted reservation appends a spend entry, a
-	// refused one a deny entry — either way the movement hits the WAL
-	// (when durable) and the audit trail before any backend runs. A WAL
-	// append failure moves nothing and fails the batch. Zero-cost batches
-	// (all cached) leave no entry.
-	led := s.ledgers[shard]
+	// budget: a granted reservation appends a spend entry, a refused one
+	// a deny entry — either way the movement hits the WAL (when durable)
+	// and the audit trail before any backend runs. A WAL append failure
+	// moves nothing and fails the batch. Zero-cost batches (all cached)
+	// leave no entry.
 	var hash string // names the batch in its spend and refund entries
 	if fresh > 0 {
 		hash = batchHash(missKeys)
-		entry, ok, lerr := led.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
+		entry, ok, lerr := s.ledger.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
 		if lerr != nil {
 			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
 			s.fail(w, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
 			return
 		}
-		if s.wal != nil {
+		if s.ledger.wal != nil {
 			s.walAppends.Add(1)
 		}
 		s.journalBudget(entry)
@@ -509,14 +473,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// All-or-nothing: a failed batch spends nothing — the refund is
 		// its own ledger entry, so the audit trail shows the attempt.
 		if fresh > 0 {
-			re, rerr := led.refund(analyst, name, hash, trace, fresh)
+			re, rerr := s.ledger.refund(analyst, name, hash, trace, fresh)
 			if rerr != nil {
 				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
 				s.fail(w, http.StatusInternalServerError, CodeInternal,
 					fmt.Sprintf("batch failed (%v) and the ledger refund did not persist: %v", err, rerr))
 				return
 			}
-			if s.wal != nil {
+			if s.ledger.wal != nil {
 				s.walAppends.Add(1)
 			}
 			s.journalBudget(re)
@@ -572,7 +536,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	remaining := -1
 	if s.cfg.Budget > 0 {
-		remaining = s.cfg.Budget - led.total(analyst)
+		remaining = s.cfg.Budget - s.ledger.total(analyst)
 	}
 
 	s.journal(name, analyst, trace, len(req.Queries), cached, fresh, "")
@@ -657,15 +621,15 @@ func (s *Server) journalBudget(e LedgerEntry) {
 }
 
 // handleLedger serves the append-only privacy-loss ledger (GET, optional
-// ?analyst= filter): the full spend/refund/deny history merged across
-// shards in sequence order, plus the current per-analyst net totals.
+// ?analyst= filter): the full spend/refund/deny history in sequence
+// order, plus the current per-analyst net totals.
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
 		return
 	}
 	s.requests.Add(1)
-	entries, totals := mergeSnapshots(s.ledgers, r.URL.Query().Get("analyst"))
+	entries, totals := s.ledger.snapshot(r.URL.Query().Get("analyst"))
 	writeJSON(w, http.StatusOK, LedgerResponse{
 		V: V, Budget: s.cfg.Budget, Totals: totals, Entries: entries,
 	})
@@ -701,7 +665,5 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // BudgetSpent reports the fresh queries an analyst has net spent (test
-// and telemetry hook); it is the analyst's ledger-shard total.
-func (s *Server) BudgetSpent(analyst string) int {
-	return s.ledgers[shardOf(analyst, len(s.ledgers))].total(analyst)
-}
+// and telemetry hook): the analyst's ledger total.
+func (s *Server) BudgetSpent(analyst string) int { return s.ledger.total(analyst) }

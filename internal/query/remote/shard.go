@@ -3,43 +3,60 @@ package remote
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
 	"singlingout/internal/obs"
 )
 
-// This file is the server's partitioning and admission layer. The answer
-// cache is partitioned by canonicalized query key and the privacy-loss
-// ledger by analyst id, both with shardOf, so no lock in the request path
-// is global: two requests touching different analysts and different
-// queries never contend. Admission control is per ledger shard — each
-// shard owns a bounded queue in front of a bounded set of active slots,
-// and a request arriving at a full queue is shed with a typed overload
-// refusal instead of piling up unbounded goroutines.
+// This file is the server's cache partitioning and its admission gate.
+// The answer cache, the one structure a cached request locks per key, is
+// partitioned by canonicalized query key with shardOf, so two requests
+// touching different queries never contend on it. The privacy-loss
+// ledger and the admission gate are one per server: the gate is a
+// bounded queue in front of a bounded set of active slots, and a request
+// arriving at a full queue is shed with a typed overload refusal instead
+// of piling up unbounded goroutines.
 
-// shardOf maps a key to one of n shards (n >= 1). Nothing is ever
-// migrated between shard counts: the cache is not persisted, and a WAL
-// replay partitions every entry afresh, so plain hashing mod n is enough.
-func shardOf(key string, n int) int { return int(fnvKey(key) % uint64(n)) }
+// shardOf maps a cache key to one of n shards (n >= 1). Nothing persists
+// the choice — the cache lives in memory only — so the hash may change
+// between releases.
+func shardOf(key string, n int) int {
+	if n == 1 {
+		return 0
+	}
+	return int(keyHash(key) % uint64(n))
+}
 
-// fnvKey is the shard hash: FNV-1a over the key bytes (the same family
-// the ledger's batch hash and the wire trace ids use), finished with a
-// splitmix64-style avalanche. FNV alone leaves similar short strings —
-// exactly what canonical query keys and analyst ids are — correlated in
-// the low bits the modulus keeps, starving some shards; the finalizer
-// spreads them uniformly.
-func fnvKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// keyHash is the shard hash: the key's bytes are mixed in 8 at a time
+// (little-endian, the last word zero-padded, the length folded into the
+// start value), then finished with a splitmix64 avalanche. Canonical
+// query keys are similar strings that differ in a few bytes; the
+// finalizer spreads them uniformly over the low bits the modulus keeps.
+func keyHash(key string) uint64 {
+	const m1, m2 = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f
+	h := uint64(len(key)) * m1
+	for len(key) > 0 {
+		var w uint64
+		if len(key) >= 8 {
+			w = uint64(key[0]) | uint64(key[1])<<8 | uint64(key[2])<<16 | uint64(key[3])<<24 |
+				uint64(key[4])<<32 | uint64(key[5])<<40 | uint64(key[6])<<48 | uint64(key[7])<<56
+			key = key[8:]
+		} else {
+			for i := len(key) - 1; i >= 0; i-- {
+				w = w<<8 | uint64(key[i])
+			}
+			key = ""
+		}
+		h = (h ^ w*m2) * m1
+		h ^= h >> 32
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // cacheShard is one partition of the answer cache, guarded by its own
@@ -51,7 +68,7 @@ type cacheShard struct {
 	m  map[string]float64
 }
 
-// admission is one shard's overload gate: a bounded queue (admitted
+// admission is the server's overload gate: a bounded queue (admitted
 // requests, waiting or running) in front of a bounded active set. enter
 // either claims a queue slot immediately or sheds — it never blocks on a
 // full queue, which is the difference between load shedding and letting
@@ -59,7 +76,7 @@ type cacheShard struct {
 type admission struct {
 	queue   chan struct{} // cap = active + waiting room
 	active  chan struct{} // cap = concurrent requests actually served
-	waiting *atomic.Int64 // server-wide queued-not-active count
+	waiting atomic.Int64  // queued-not-active requests
 	depth   *obs.Gauge    // qserver.queue_depth mirror of waiting
 }
 
@@ -67,20 +84,13 @@ type admission struct {
 // CodeOverloaded wire refusal with the retry hint.
 var errShed = fmt.Errorf("admission queue full")
 
-// newAdmission builds a gate with `active` concurrent slots and `wait`
-// additional waiting slots (both >= 0; active < 1 is clamped to 1).
-func newAdmission(active, wait int, waiting *atomic.Int64, depth *obs.Gauge) *admission {
-	if active < 1 {
-		active = 1
-	}
-	if wait < 0 {
-		wait = 0
-	}
+// newAdmission builds a gate with `active` concurrent slots (>= 1) and
+// `wait` additional waiting slots (>= 0).
+func newAdmission(active, wait int, depth *obs.Gauge) *admission {
 	return &admission{
-		queue:   make(chan struct{}, active+wait),
-		active:  make(chan struct{}, active),
-		waiting: waiting,
-		depth:   depth,
+		queue:  make(chan struct{}, active+wait),
+		active: make(chan struct{}, active),
+		depth:  depth,
 	}
 }
 

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"sync"
 )
 
 // wal is the ledger's write-ahead log: one JSON-encoded LedgerEntry per
@@ -34,8 +32,10 @@ import (
 // replay drops, as the ledger never applied it, or a whole entry that
 // replays as a charge the live ledger never made — an over-charge, never
 // a refund.
+//
+// The wal has no lock of its own: the ledger's mutex serializes every
+// append and the Close, so lines reach the file in sequence order.
 type wal struct {
-	mu       sync.Mutex
 	f        walFile
 	syncEach bool
 	err      error // why the log stopped: a failed write or sync, or Close
@@ -49,12 +49,8 @@ type walFile interface {
 }
 
 // openWAL opens (creating if needed) the WAL at path for appending and
-// returns it together with the entries already on disk, sorted by
-// sequence number. Entry lines are written under one lock but sequence
-// numbers are assigned under per-shard ledger locks, so lines can land
-// slightly out of global order; sorting by Seq restores the order
-// ReplayLedger validates (per-analyst order is already correct on disk,
-// because an analyst's entries are serialized by their shard's lock).
+// returns it together with the entries already on disk, in file order,
+// which readWAL has checked is strictly increasing sequence order.
 //
 // Before the first append the file is cut back to end with its last
 // entry's line and a '\n': a torn tail that readWAL dropped is
@@ -100,18 +96,16 @@ func repairTail(f *os.File, tail walTail) error {
 	return f.Sync()
 }
 
-// append durably records one entry. Called with the entry's shard-ledger
-// lock held, before the in-memory append — a failure here must leave the
-// ledger unmoved. A failed write or sync stops the log: every later
-// append fails too.
+// append durably records one entry. Called with the ledger's lock held,
+// before the in-memory append — a failure here must leave the ledger
+// unmoved. A failed write or sync stops the log: every later append
+// fails too.
 func (w *wal) append(e LedgerEntry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("remote: encoding ledger wal entry: %w", err)
 	}
 	line = append(line, '\n')
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return fmt.Errorf("remote: ledger wal stopped: %w", w.err)
 	}
@@ -131,10 +125,9 @@ func (w *wal) append(e LedgerEntry) error {
 // errWALClosed stops the appends that race a Close.
 var errWALClosed = errors.New("closed")
 
-// Close syncs and closes the WAL file.
+// Close syncs and closes the WAL file. Called with the ledger's lock
+// held, or before the WAL serves any append.
 func (w *wal) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
@@ -162,11 +155,13 @@ type walTail struct {
 }
 
 // readWAL loads a ledger write-ahead log: one JSON LedgerEntry per line,
-// returned sorted by sequence number, and the tail of the entries it
-// kept. A torn final line (the tail of a crash mid-append) is dropped;
-// an undecodable line anywhere else is corruption and fails loudly — a
-// privacy ledger with a hole in the middle must not silently replay to
-// a smaller spend. openWAL's caller cross-checks the result with
+// in file order, and the tail of the entries it kept. A torn final line
+// (the tail of a crash mid-append) is dropped; an undecodable line
+// anywhere else is corruption and fails loudly — a privacy ledger with a
+// hole in the middle must not silently replay to a smaller spend. So is
+// an entry whose sequence number does not exceed the one before it: the
+// ledger writes its lines in sequence order, and a crash cannot reorder
+// whole lines. openWAL's caller cross-checks the result with
 // ReplayLedger.
 func readWAL(path string) ([]LedgerEntry, walTail, error) {
 	f, err := os.Open(path)
@@ -210,6 +205,9 @@ func readWAL(path string) ([]LedgerEntry, walTail, error) {
 			pendingErr = fmt.Errorf("remote: ledger wal line %d: undecodable entry: %w", lineNo, err)
 			continue
 		}
+		if n := len(entries); n > 0 && e.Seq <= entries[n-1].Seq {
+			return nil, walTail{}, fmt.Errorf("remote: ledger wal line %d: seq %d does not follow seq %d", lineNo, e.Seq, entries[n-1].Seq)
+		}
 		entries = append(entries, e)
 		tail = walTail{end: off, newline: newline}
 	}
@@ -223,6 +221,5 @@ func readWAL(path string) ([]LedgerEntry, walTail, error) {
 	// one — a torn append from a crash; replay proceeds without it (the
 	// entry it would have recorded never took effect in memory either,
 	// since WAL append precedes the ledger append).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
 	return entries, tail, nil
 }

@@ -2,11 +2,16 @@ package remote
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -44,18 +49,36 @@ func faultServer(t *testing.T, path string, sync bool, f *faultFile) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	f.File = srv.wal.f.(*os.File)
-	srv.wal.f = f
+	f.File = srv.ledger.wal.f.(*os.File)
+	srv.ledger.wal.f = f
 	return srv
 }
 
 // ask sends analyst a's batch of the one query {i} and returns the
 // response's status and body.
 func ask(srv *Server, i int) (int, string) {
-	body := fmt.Sprintf(`{"v":%d,"analyst":"a","queries":[[%d]]}`, V, i)
+	return post(srv, "exact", "a", fmt.Sprintf("[[%d]]", i))
+}
+
+// post sends analyst's batch of queries, a JSON array of index arrays,
+// to backend and returns the response's status and body.
+func post(srv *Server, backend, analyst, queries string) (int, string) {
+	body := fmt.Sprintf(`{"v":%d,"analyst":%q,"queries":%s}`, V, analyst, queries)
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/exact", bytes.NewReader([]byte(body))))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/"+backend, strings.NewReader(body)))
 	return rec.Code, rec.Body.String()
+}
+
+// getLedger returns what GET /v1/ledger serves.
+func getLedger(t *testing.T, srv *Server) LedgerResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/ledger", nil))
+	var lr LedgerResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &lr); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /v1/ledger: %d %s (%v)", rec.Code, rec.Body, err)
+	}
+	return lr
 }
 
 // spendUntilStopped spends one fresh query per batch: the first batch
@@ -135,5 +158,152 @@ func TestWALFailedSyncStops(t *testing.T) {
 	}
 	if totals["a"] < live {
 		t.Fatalf("the WAL replays to %d spent, under the %d the live ledger charged", totals["a"], live)
+	}
+}
+
+// TestWALCrashPointSweep cuts a recorded WAL at every byte offset, as a
+// crash mid-append may leave it, and restarts a server on each cut. The
+// server must start and serve exactly the entries whose lines, not
+// counting their '\n', end at or before the cut: a whole line that lost
+// only its newline is kept, any shorter fragment dropped. One more spend
+// after the restart must then read back after that prefix and replay.
+func TestWALCrashPointSweep(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ServerConfig{N: 16, P: 0.5, Seed: 1, Budget: 4, WALPath: filepath.Join(dir, "ledger.wal")}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two analysts' spends, a spend refunded when diffix suppresses its
+	// two-user query, and a batch denied over bob's budget.
+	for _, r := range []struct {
+		backend, analyst, queries string
+		code                      int
+	}{
+		{"exact", "alice", "[[0],[1]]", http.StatusOK},
+		{"exact", "bob", "[[2]]", http.StatusOK},
+		{"diffix", "alice", "[[3,4]]", http.StatusUnprocessableEntity},
+		{"exact", "bob", "[[5],[6],[7],[8]]", http.StatusTooManyRequests},
+	} {
+		if code, body := post(srv, r.backend, r.analyst, r.queries); code != r.code {
+			t.Fatalf("%s %s %s: %d %s, want %d", r.analyst, r.backend, r.queries, code, body, r.code)
+		}
+	}
+	live := getLedger(t, srv).Entries
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, e := range live {
+		ops = append(ops, e.Op)
+	}
+	if want := []string{LedgerSpend, LedgerSpend, LedgerSpend, LedgerRefund, LedgerDeny}; !slices.Equal(ops, want) {
+		t.Fatalf("recorded ops %v, want %v", ops, want)
+	}
+	data, err := os.ReadFile(cfg.WALPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // ends[i]: the offset just past entry i's line, before its '\n'
+	for off, b := range data {
+		if b == '\n' {
+			ends = append(ends, off)
+		}
+	}
+	if len(ends) != len(live) || len(data) != ends[len(ends)-1]+1 {
+		t.Fatalf("%d lines for %d entries in %q", len(ends), len(live), data)
+	}
+
+	cut := cfg
+	cut.WALPath = filepath.Join(dir, "cut.wal")
+	for off := 0; off <= len(data); off++ {
+		if err := os.WriteFile(cut.WALPath, data[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(cut)
+		if err != nil {
+			t.Fatalf("cut at %d: the server does not start: %v", off, err)
+		}
+		kept := 0
+		for kept < len(ends) && ends[kept] <= off {
+			kept++
+		}
+		want := live[:kept]
+		totals, err := ReplayLedger(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lr := getLedger(t, srv); !slices.Equal(lr.Entries, want) || !maps.Equal(lr.Totals, totals) {
+			t.Fatalf("cut at %d: ledger %+v totals %v, want the first %d entries %+v totals %v", off, lr.Entries, lr.Totals, kept, want, totals)
+		}
+
+		if code, body := post(srv, "exact", "alice", "[[9]]"); code != http.StatusOK {
+			t.Fatalf("cut at %d: spend after the restart: %d %s", off, code, body)
+		}
+		after := getLedger(t, srv).Entries
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != kept+1 || !slices.Equal(after[:kept], want) {
+			t.Fatalf("cut at %d: ledger after the spend %+v, want the first %d entries and one more", off, after, kept)
+		}
+		next := after[kept]
+		seq := int64(1)
+		if kept > 0 {
+			seq = want[kept-1].Seq + 1
+		}
+		if next.Seq != seq || next.Analyst != "alice" || next.Op != LedgerSpend || next.Cost != 1 || next.Cumulative != totals["alice"]+1 {
+			t.Fatalf("cut at %d: the new entry is %+v, want alice's spend of 1 at seq %d, cumulative %d", off, next, seq, totals["alice"]+1)
+		}
+		read, err := ReadWAL(cut.WALPath)
+		if err != nil {
+			t.Fatalf("cut at %d: reading the WAL after the spend: %v", off, err)
+		}
+		if !slices.Equal(read, after) {
+			t.Fatalf("cut at %d: the WAL reads %+v, want %+v", off, read, after)
+		}
+		if _, err := ReplayLedger(read); err != nil {
+			t.Fatalf("cut at %d: the WAL after the spend does not replay: %v", off, err)
+		}
+	}
+}
+
+// TestWALConcurrentSpendsInSeqOrder: analysts spending at once still
+// leave a log whose lines are in sequence order, because one mutex
+// assigns each entry's sequence number and appends its line. The log
+// must read back as exactly the ledger the server served.
+func TestWALConcurrentSpendsInSeqOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.wal")
+	srv, err := NewServer(ServerConfig{N: 64, P: 0.5, Seed: 1, Shards: 4, WALPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const analysts, batches = 4, 16
+	var wg sync.WaitGroup
+	for a := 0; a < analysts; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if code, body := post(srv, "exact", fmt.Sprint("analyst", a), fmt.Sprintf("[[%d]]", a*batches+b)); code != http.StatusOK {
+					t.Errorf("analyst %d batch %d: %d %s", a, b, code, body)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+	served := getLedger(t, srv).Entries
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(served) != analysts*batches {
+		t.Fatalf("served %d entries, want %d", len(served), analysts*batches)
+	}
+	read, err := ReadWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(read, served) {
+		t.Fatalf("the WAL reads %+v, the server served %+v", read, served)
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzWAL writes arbitrary bytes as a ledger WAL. Whatever ReadWAL
-// accepts must come back sorted by Seq and must stay appendable: an entry
-// appended through openWAL with the next Seq reads back after exactly the
-// entries that were there before.
+// accepts must come back sorted by Seq — it sorts nothing, so it must
+// refuse a log whose lines are out of order — and must stay appendable:
+// an entry appended through openWAL with the next Seq reads back after
+// exactly the entries that were there before.
 func FuzzWAL(f *testing.F) {
 	const (
 		e1       = `{"seq":1,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":1,"cumulative":1}`
@@ -27,6 +28,7 @@ func FuzzWAL(f *testing.F) {
 		e1 + "\nnot json at all\n" + e2 + "\n",          // mid-file garbage
 		e1 + "\n" + tampered + "\n",                     // tampered chain
 		"",                                              // empty file
+		e2 + "\n" + e1 + "\n",                           // swapped lines
 	} {
 		f.Add([]byte(seed))
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"singlingout/internal/query"
@@ -27,9 +28,8 @@ func dialAnalyst(t *testing.T, url, backend, analyst string) *remote.Oracle {
 
 // TestWALRestartKeepsSpentBudget is the restart-durability acceptance
 // test: epsilon spent before a restart is still spent after it. The
-// second server even runs a different shard count, proving the WAL is
-// portable across serving topologies (partitioning is recomputed per
-// analyst on replay).
+// second server even runs a different shard count: shards split only
+// the answer cache, so the WAL does not depend on them.
 func TestWALRestartKeepsSpentBudget(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "ledger.wal")
 	cfg := remote.ServerConfig{Seed: 3, Budget: 8, WALPath: walPath}
@@ -201,22 +201,37 @@ func TestWALTornTailTolerated(t *testing.T) {
 }
 
 // TestWALCorruptionRefusesToServe: an undecodable line in the middle of
-// the log is corruption, not a torn tail — replay and server
-// construction both fail loudly rather than serving a smaller spend.
+// the log is corruption, not a torn tail, and so are two intact lines in
+// the wrong order — the ledger writes its lines in sequence order, so
+// the reader sorts nothing. Replay and server construction both fail
+// loudly, naming the line, rather than serving from a log they cannot
+// verify.
 func TestWALCorruptionRefusesToServe(t *testing.T) {
-	walPath := filepath.Join(t.TempDir(), "ledger.wal")
-	content := `{"seq":1,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":1,"cumulative":1}
-not json at all
-{"seq":2,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":1,"cumulative":2}
-`
-	if err := os.WriteFile(walPath, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := remote.ReadWAL(walPath); err == nil {
-		t.Fatal("mid-file corruption must fail ReadWAL")
-	}
-	if _, err := remote.NewServer(remote.ServerConfig{N: 16, P: 0.5, WALPath: walPath}); err == nil {
-		t.Fatal("a server must refuse to start on a corrupt WAL")
+	const (
+		e1 = `{"seq":1,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":1,"cumulative":1}`
+		e2 = `{"seq":2,"analyst":"a","op":"spend","backend":"exact","query_hash":"h","cost":1,"cumulative":2}`
+	)
+	for _, tc := range []struct{ name, content string }{
+		{"mid-file garbage", e1 + "\nnot json at all\n" + e2 + "\n"},
+		{"swapped lines", e2 + "\n" + e1 + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walPath := filepath.Join(t.TempDir(), "ledger.wal")
+			if err := os.WriteFile(walPath, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := remote.ReadWAL(walPath); err == nil {
+				t.Fatal("a corrupt WAL must fail ReadWAL")
+			}
+			srv, err := remote.NewServer(remote.ServerConfig{N: 16, P: 0.5, WALPath: walPath})
+			if err == nil {
+				srv.Close()
+				t.Fatal("a server must refuse to start on a corrupt WAL")
+			}
+			if !strings.Contains(err.Error(), "line 2") {
+				t.Fatalf("refusal %q does not name line 2", err)
+			}
+		})
 	}
 }
 

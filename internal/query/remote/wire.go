@@ -116,8 +116,8 @@ type QueryResponse struct {
 // locally (remote.Dataset) to score reconstructions without the server
 // ever shipping the raw bits over a query endpoint. The trailing fields
 // describe the serving topology and overload semantics: how many shards
-// partition the answer cache and ledger, how deep each shard's admission
-// queue is, and how long a shed client should back off before retrying.
+// partition the answer cache, how deep the server's admission queue is,
+// and how long a shed client should back off before retrying.
 type Meta struct {
 	V        int      `json:"v"`
 	N        int      `json:"n"`
@@ -127,8 +127,8 @@ type Meta struct {
 	Budget   int      `json:"budget"`    // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch int      `json:"max_batch"` // largest accepted batch
 
-	Shards       int `json:"shards"`         // cache/ledger partitions
-	QueueDepth   int `json:"queue_depth"`    // per-shard admission queue bound
+	Shards       int `json:"shards"`         // answer-cache partitions
+	QueueDepth   int `json:"queue_depth"`    // the server's admission queue bound
 	RetryAfterMs int `json:"retry_after_ms"` // suggested overload backoff
 }
 
