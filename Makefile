@@ -86,9 +86,9 @@ bench-test:
 # untrusted bytes (wire requests, WAL, CSV), the ledger replay, and the
 # two solvers against their oracles (SAT against brute force, the revised
 # simplex against the dense tableau). The short minimize time keeps the
-# engine from spending the whole budget shrinking one large new input
-# (FuzzDecodeQueryRequest's 20 KB nesting seed). A failing input is
-# written under the package's testdata/fuzz/ and fails the target.
+# engine from spending the whole budget shrinking one large new input.
+# A failing input is written under the package's testdata/fuzz/ and
+# fails the target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRevised$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzSolver$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/sat

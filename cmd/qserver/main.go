@@ -14,7 +14,7 @@
 //	        [-metrics journal.jsonl]
 //
 // -shards partitions the answer cache across independent locks, hashing
-// each canonical query mod the shard count; the privacy-loss ledger and
+// each query's cache key mod the shard count; the privacy-loss ledger and
 // the admission gate are one per server. -max-concurrent bounds the
 // requests served at once and -queue-depth the ones waiting for a slot
 // (excess load is shed with a typed "overloaded" refusal). -wal makes

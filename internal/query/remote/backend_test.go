@@ -186,7 +186,7 @@ func testOverloadSheds(t *testing.T, shards int, analyst string) {
 
 	// Raw wire view of the shed.
 	resp, err := client.Post(ts.URL+"/v1/query/block", "application/json",
-		strings.NewReader(`{"v":2,"analyst":"`+analyst+`","queries":[[1]]}`))
+		strings.NewReader(`{"v":3,"analyst":"`+analyst+`","queries":["AgAAAA=="]}`)) // {1} over n = 32
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package remote
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -216,30 +217,30 @@ func (o *Oracle) getOnce(ctx context.Context, path string, v any) (retryable boo
 // N implements query.Oracle.
 func (o *Oracle) N() int { return o.meta.N }
 
-// Answer implements query.Oracle: the batch is chunked to the batch
-// limit and submitted as POST /v1/query/{backend} requests.
-// Transient failures (network errors, 5xx, overload sheds) are retried
-// with exponential backoff; refusals come back as the repository's
-// sentinel errors — errors.Is(err, query.ErrBudgetExhausted) on an
-// exhausted budget, query.ErrInvalidQuery on a malformed query,
-// diffix.ErrSuppressed on low-count suppression, query.ErrOverloaded on
-// a shed the retries could not outlast — so attack code handles remote
-// and in-process oracles identically.
+// Answer implements query.Oracle: every query is checked and written as
+// its bitmap before anything is sent, so a call holding an invalid query
+// fails with query.ErrInvalidQuery without posting, and spends nothing;
+// the batch is then chunked to the batch limit and submitted as POST
+// /v1/query/{backend} requests. Transient failures (network errors,
+// 5xx, overload sheds) are retried with exponential backoff; refusals
+// come back as the repository's sentinel errors — errors.Is(err,
+// query.ErrBudgetExhausted) on an exhausted budget,
+// query.ErrInvalidQuery on a malformed query, diffix.ErrSuppressed on
+// low-count suppression, query.ErrOverloaded on a shed the retries
+// could not outlast — so attack code handles remote and in-process
+// oracles identically.
 func (o *Oracle) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
-	out := make([]float64, 0, len(queries))
-	for start := 0; start < len(queries); start += o.opts.MaxBatch {
-		end := start + o.opts.MaxBatch
-		if end > len(queries) {
-			end = len(queries)
-		}
-		answers, err := o.submit(ctx, queries[start:end])
+	bms, err := bitmaps(o.meta.N, queries)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, 0, len(bms))
+	for start := 0; start < len(bms); start += o.opts.MaxBatch {
+		answers, err := o.submit(ctx, bms[start:min(start+o.opts.MaxBatch, len(bms))])
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, answers...)
-	}
-	if len(queries) == 0 {
-		return []float64{}, nil
 	}
 	return out, nil
 }
@@ -250,11 +251,10 @@ func (o *Oracle) Answer(ctx context.Context, queries [][]int) ([]float64, error)
 // query_retry event naming the attempt and the transient error. An
 // overload shed counts as transient: the server said "later", and its
 // retry_after_ms hint stretches the backoff when longer.
-func (o *Oracle) submit(ctx context.Context, chunk [][]int) ([]float64, error) {
-	size := 32 + len(o.opts.Analyst) // a guess: three digits and a comma per index
-	for _, q := range chunk {
-		size += 2 + 4*len(q)
-	}
+func (o *Oracle) submit(ctx context.Context, chunk [][]byte) ([]float64, error) {
+	// Room for the body, unless the analyst name needs escaping.
+	size := len(`{"v":,"analyst":"","queries":[]}`) + 8 + len(o.opts.Analyst) +
+		len(chunk)*(base64.StdEncoding.EncodedLen((o.meta.N+7)/8)+3)
 	body := appendQueryRequest(make([]byte, 0, size), QueryRequest{V: V, Analyst: o.opts.Analyst, Queries: chunk})
 	var lastErr error
 	for attempt := 0; ; attempt++ {

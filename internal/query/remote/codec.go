@@ -2,20 +2,21 @@ package remote
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 
 	"singlingout/internal/query"
 )
 
 // This file is the codec of the POST /v1/query/{backend} hot path: the
-// request body both ways and the answer-cache key. Everything else on the
-// wire (responses, /v1/meta, /v1/ledger) and the WAL stay encoding/json.
+// request body both ways, the queries' bitmaps and the answer-cache key.
+// Everything else on the wire (responses, /v1/meta, /v1/ledger) and the
+// WAL stay encoding/json.
 //
 // The server accepts exactly the bodies the client writes, which are
 // the bytes json.Marshal(QueryRequest) produces, plus JSON whitespace
@@ -23,12 +24,15 @@ import (
 //
 //	request = "{" [ member *( "," member ) ] "}"
 //	member  = `"v"` ":" int / `"analyst"` ":" string / `"queries"` ":" ( "null" / "[" [ query *( "," query ) ] "]" )
-//	query   = "null" / "[" [ int *( "," int ) ] "]"
+//	query   = string   ; the padded standard base64 of the query's ⌈n/8⌉-byte bitmap
 //	int     = [ "-" ] ( "0" / %x31-39 *%x30-39 )   ; within the range of an int
 //
 // with each key at most once and string a JSON string. Anything else —
 // an unknown or case-folded key, a fraction or exponent, null where an
-// int or string belongs, bytes after the object — is a bad_request.
+// int, string or query belongs, a query string holding any byte outside
+// the base64 alphabet, bytes after the object — is a bad_request. A
+// query whose bitmap is not ⌈n/8⌉ bytes, or sets a bit at or above n, is
+// an invalid_query.
 
 // refusal is a request the server refuses before admission control: the
 // wire code and message of its 400 response.
@@ -48,13 +52,15 @@ const (
 	keyQueries
 )
 
-// decodeQueryRequest parses a request body under the grammar above.
-// Every error it returns is a *refusal. A batch longer than maxBatch
-// stops the decode at query maxBatch+1, so decoding an oversized batch
-// costs no more than decoding an admissible one; the refusal is
-// unsupported_version when a "v" other than V preceded "queries", as
-// clients write it, and bad_request otherwise.
-func decodeQueryRequest(body []byte, maxBatch int) (QueryRequest, error) {
+// decodeQueryRequest parses a request body under the grammar above, for
+// a dataset of n records. Every error it returns is a *refusal. A "v"
+// other than V is refused as unsupported_version as soon as it is read,
+// so a body of another version, written "v" first as clients write it,
+// gets that refusal whatever follows; a body with no "v" gets it at the
+// end. A batch longer than maxBatch stops the decode at query
+// maxBatch+1, so decoding an oversized batch costs no more than decoding
+// an admissible one.
+func decodeQueryRequest(body []byte, maxBatch, n int) (QueryRequest, error) {
 	d := decoder{b: body}
 	var req QueryRequest
 	var seen [3]bool
@@ -78,17 +84,13 @@ func decodeQueryRequest(body []byte, maxBatch int) (QueryRequest, error) {
 			}
 			switch key {
 			case keyV:
-				req.V, err = d.int()
+				if req.V, err = d.int(); err == nil && req.V != V {
+					return req, versionRefusal(req.V)
+				}
 			case keyAnalyst:
 				req.Analyst, err = d.string()
 			case keyQueries:
-				req.Queries, err = d.queries(maxBatch)
-				if errors.Is(err, errBatchLimit) {
-					if seen[keyV] && req.V != V {
-						return req, versionRefusal(req.V)
-					}
-					return req, &refusal{CodeBadRequest, fmt.Sprintf("batch exceeds max_batch %d", maxBatch)}
-				}
+				req.Queries, err = d.queries(maxBatch, n)
 			}
 			if err != nil {
 				return req, err
@@ -105,24 +107,19 @@ func decodeQueryRequest(body []byte, maxBatch int) (QueryRequest, error) {
 	if d.peek(); d.i < len(d.b) {
 		return req, d.errorf("bytes after the object")
 	}
+	if req.V != V {
+		return req, versionRefusal(req.V)
+	}
 	return req, nil
 }
 
-// errBatchLimit is decoder.queries' signal at query maxBatch+1, which
-// decodeQueryRequest turns into a refusal.
-var errBatchLimit = errors.New("batch limit")
-
 // decoder scans a request body; i is the offset of the next unread byte.
-// arena is the block the queries' indices are appended to (see query).
+// arena holds the bitmaps decoded so far, end to end (see queries).
 type decoder struct {
 	b     []byte
 	i     int
-	arena []int
+	arena []byte
 }
-
-// arenaBlock is the size, in indices, of the arena's first block and of
-// the step each later block adds.
-const arenaBlock = 256
 
 func (d *decoder) errorf(format string, args ...any) error {
 	return &refusal{CodeBadRequest, fmt.Sprintf("undecodable body: offset %d: ", d.i) + fmt.Sprintf(format, args...)}
@@ -229,10 +226,7 @@ func (d *decoder) slowString(start int) (string, error) {
 
 // int parses an integer in place: an optional minus, then 0 or a digit
 // string without a leading zero, fitting an int. A fraction or exponent
-// is refused, as encoding/json refuses it for an int. The digit loop has
-// no overflow branch, and the common token — up to 18 digits, which
-// cannot overflow, without a leading zero and followed by ',' or ']' —
-// skips the checks that refuse the rest.
+// is refused, as encoding/json refuses it for an int.
 func (d *decoder) int() (int, error) {
 	d.peek()
 	b, i := d.b, d.i
@@ -245,24 +239,19 @@ func (d *decoder) int() (int, error) {
 	for ; i < len(b) && b[i]-'0' <= 9; i++ {
 		u = u*10 + uint64(b[i]-'0')
 	}
-	digits := i - start
-	if common := uint(digits-1) < 18 && (b[start] != '0' || digits == 1) && i < len(b) && (b[i] == ',' || b[i] == ']'); !common {
-		switch {
-		case digits > 19: // more digits than any int64 has, so u may have wrapped
-			d.i = start
-			return 0, d.errorf("integer overflows int")
-		case digits == 0:
-			return 0, d.errorf("want an integer")
-		case b[start] == '0' && digits > 1:
-			d.i = start
-			return 0, d.errorf("leading zero")
-		case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
-			d.i = i
-			return 0, d.errorf("not an integer")
-		case !neg && u > math.MaxInt, neg && u > math.MaxInt+1:
-			d.i = start
-			return 0, d.errorf("integer overflows int")
-		}
+	switch digits := i - start; {
+	case digits == 0:
+		return 0, d.errorf("want an integer")
+	case b[start] == '0' && digits > 1:
+		d.i = start
+		return 0, d.errorf("leading zero")
+	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
+		d.i = i
+		return 0, d.errorf("not an integer")
+	case digits > 19, !neg && u > math.MaxInt, neg && u > math.MaxInt+1:
+		// More than 19 digits may have wrapped u.
+		d.i = start
+		return 0, d.errorf("integer overflows int")
 	}
 	d.i = i
 	if neg {
@@ -271,10 +260,11 @@ func (d *decoder) int() (int, error) {
 	return int(u), nil
 }
 
-// queries reads the batch, stopping with errBatchLimit at query
-// maxBatch+1. Every query is a capped subslice of the arena, so the
-// handler can sort each in place without reaching its neighbours.
-func (d *decoder) queries(maxBatch int) ([][]int, error) {
+// queries reads the batch of bitmaps over n records, refusing it at
+// query maxBatch+1. Each query is decoded onto the end of the arena,
+// which thus grows by one bitmap per query decoded; the batch is cut
+// from it at the end, each query a capped subslice.
+func (d *decoder) queries(maxBatch, n int) ([][]byte, error) {
 	d.peek()
 	if d.null() {
 		return nil, nil
@@ -282,78 +272,153 @@ func (d *decoder) queries(maxBatch int) ([][]int, error) {
 	if err := d.expect('['); err != nil {
 		return nil, err
 	}
-	qs := make([][]int, 0) // [] is an empty batch, not a nil one, as in encoding/json
-	if d.peek() == ']' {
-		d.i++
-		return qs, nil
-	}
-	for {
-		if len(qs) == maxBatch {
-			return qs, errBatchLimit
+	count := 0
+	for ; d.peek() != ']'; count++ {
+		if count > 0 {
+			if err := d.expect(','); err != nil {
+				return nil, err
+			}
 		}
-		q, err := d.query()
-		if err != nil {
-			return qs, err
+		if count == maxBatch {
+			return nil, &refusal{CodeBadRequest, fmt.Sprintf("batch exceeds max_batch %d", maxBatch)}
 		}
-		qs = append(qs, q)
-		switch d.peek() {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			return qs, nil
-		default:
-			return qs, d.errorf("want ',' or ']'")
-		}
-	}
-}
-
-// query reads one query: null, or an array of ints, appended to the
-// arena. The arena grows as indices arrive, never from the body's size:
-// when its block is full, a block a quarter larger (plus arenaBlock)
-// takes over and only the query being read moves into it. Finished
-// queries stay in the blocks they were read into, so the blocks grow as
-// one appended slice would, without copying what is already decoded.
-func (d *decoder) query() ([]int, error) {
-	d.peek()
-	if d.null() {
-		return nil, nil
-	}
-	if err := d.expect('['); err != nil {
-		return nil, err
-	}
-	if d.peek() == ']' {
-		d.i++
-		return []int{}, nil
-	}
-	lo := len(d.arena)
-	for {
-		v, err := d.int()
-		if err != nil {
+		if err := d.bitmap(count, n); err != nil {
 			return nil, err
 		}
-		if len(d.arena) == cap(d.arena) {
-			block := make([]int, len(d.arena)-lo, cap(d.arena)+cap(d.arena)/4+arenaBlock)
-			copy(block, d.arena[lo:])
-			d.arena, lo = block, 0
-		}
-		d.arena = append(d.arena, v)
-		switch d.peek() {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			hi := len(d.arena)
-			return d.arena[lo:hi:hi], nil
-		default:
-			return nil, d.errorf("want ',' or ']'")
+	}
+	d.i++
+	w := (n + 7) / 8
+	qs := make([][]byte, count) // [] is an empty batch, not a nil one, as in encoding/json
+	for i := range qs {
+		qs[i] = d.arena[i*w : (i+1)*w : (i+1)*w]
+	}
+	return qs, nil
+}
+
+// bitmapEncoding decodes a query's bitmap. Strict refuses nonzero
+// padding bits, so each bitmap has exactly one string.
+var bitmapEncoding = base64.StdEncoding.Strict()
+
+// bitmap reads query i, a string holding the padded standard base64 of
+// its ⌈n/8⌉-byte bitmap, and decodes it onto the end of the arena. A
+// byte outside the base64 alphabet is refused before decoding, since
+// base64 skips CR and LF even in strict mode, and a string of the wrong
+// length is refused before it is decoded: the arena never grows by what
+// a string holds.
+func (d *decoder) bitmap(i, n int) error {
+	if err := d.expect('"'); err != nil {
+		return err
+	}
+	start := d.i
+	for ; d.i < len(d.b) && d.b[d.i] != '"'; d.i++ {
+		if c := d.b[d.i]; !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '+' || c == '/' || c == '=') {
+			return d.errorf("byte %q in a query, want standard base64", c)
 		}
 	}
+	if d.i == len(d.b) {
+		return d.errorf("unterminated string")
+	}
+	src := d.b[start:d.i]
+	d.i++
+	w := (n + 7) / 8
+	if want := bitmapEncoding.EncodedLen(w); len(src) != want {
+		return &refusal{CodeInvalidQuery, fmt.Sprintf("query %d: %d base64 bytes, want %d for a %d-byte bitmap of n = %d", i, len(src), want, w, n)}
+	}
+	// Decode writes up to DecodedLen bytes, two more than w when
+	// misplaced padding makes the string decode long.
+	off := len(d.arena)
+	d.arena = slices.Grow(d.arena, bitmapEncoding.DecodedLen(len(src)))
+	got, err := bitmapEncoding.Decode(d.arena[off:cap(d.arena)], src)
+	d.arena = d.arena[:off+got]
+	switch {
+	case err != nil:
+		d.i = start
+		return d.errorf("query %d: %v", i, err)
+	case got != w:
+		return &refusal{CodeInvalidQuery, fmt.Sprintf("query %d: %d-byte bitmap, want %d for n = %d", i, got, w, n)}
+	}
+	// Bits n and up of the last byte must be clear. At n%8 == 0 the
+	// shift is 8, which clears the byte.
+	if high := d.arena[off+w-1] >> (n - 8*(w-1)); high != 0 {
+		return &refusal{CodeInvalidQuery, fmt.Sprintf("query %d: index %d outside dataset of size %d", i, n+bits.TrailingZeros8(high), n)}
+	}
+	return nil
+}
+
+// bitmaps checks every query against a dataset of n records and returns
+// their bitmaps, each a capped slice of one array: an index outside
+// [0, n) or listed twice fails with query.ErrInvalidQuery, naming the
+// query and the index. Every order of one set gives one bitmap.
+func bitmaps(n int, queries [][]int) ([][]byte, error) {
+	w := (n + 7) / 8
+	arena := make([]byte, len(queries)*w)
+	out := make([][]byte, len(queries))
+	for i, q := range queries {
+		b := arena[i*w : (i+1)*w : (i+1)*w]
+		for _, v := range q {
+			if v < 0 || v >= n {
+				return nil, fmt.Errorf("remote: query %d: %w: index %d outside dataset of size %d", i, query.ErrInvalidQuery, v, n)
+			}
+			if b[v/8]&(1<<(v%8)) != 0 {
+				return nil, fmt.Errorf("remote: query %d: %w: duplicate index %d (a query is a subset of [n])", i, query.ErrInvalidQuery, v)
+			}
+			b[v/8] |= 1 << (v % 8)
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+// indices expands bitmaps into the increasing index lists the backends
+// take, each a capped slice of one array.
+func indices(bms [][]byte) [][]int {
+	size := 0
+	for _, b := range bms {
+		for _, c := range b {
+			size += bits.OnesCount8(c)
+		}
+	}
+	flat := make([]int, 0, size)
+	out := make([][]int, len(bms))
+	for i, b := range bms {
+		lo := len(flat)
+		for j, c := range b {
+			for ; c != 0; c &= c - 1 {
+				flat = append(flat, 8*j+bits.TrailingZeros8(c))
+			}
+		}
+		out[i] = flat[lo:len(flat):len(flat)]
+	}
+	return out
+}
+
+// batchKeys returns the answer-cache keys of a batch asked of backend:
+// the backend name, '|', then the query's bitmap, all cut from one
+// string. Every bitmap a server accepts is ⌈n/8⌉ bytes, so distinct
+// (backend, set) pairs get distinct keys.
+func batchKeys(backend string, qs [][]byte) []string {
+	size := 0
+	for _, q := range qs {
+		size += len(backend) + 1 + len(q)
+	}
+	kb := make([]byte, 0, size)
+	for _, q := range qs {
+		kb = append(kb, backend...)
+		kb = append(kb, '|')
+		kb = append(kb, q...)
+	}
+	all := string(kb)
+	keys := make([]string, len(qs))
+	for i, q := range qs {
+		k := len(backend) + 1 + len(q)
+		keys[i], all = all[:k], all[k:]
+	}
+	return keys
 }
 
 // appendQueryRequest appends the body of req to dst: byte for byte what
-// json.Marshal(req) writes, without its reflection. An index below 1000
-// is copied from the decimals table; any other goes to strconv.
+// json.Marshal(req) writes, without its reflection, for a request whose
+// bitmaps are all non-nil, as the client's are.
 func appendQueryRequest(dst []byte, req QueryRequest) []byte {
 	dst = append(dst, `{"v":`...)
 	dst = strconv.AppendInt(dst, int64(req.V), 10)
@@ -363,49 +428,19 @@ func appendQueryRequest(dst []byte, req QueryRequest) []byte {
 	}
 	dst = append(dst, `,"queries":`...)
 	if req.Queries == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, q := range req.Queries {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if q == nil {
-				dst = append(dst, "null"...)
-				continue
-			}
-			dst = append(dst, '[')
-			for j, v := range q {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				if uint(v) >= uint(len(decimals)) {
-					dst = strconv.AppendInt(dst, int64(v), 10)
-					continue
-				}
-				// All three bytes of the entry go in, and the slice is
-				// cut back to its digits: no branch on the length.
-				e := decimals[v]
-				dst = append(dst, e[0], e[1], e[2])
-				dst = dst[:len(dst)-3+int(e[3])]
-			}
-			dst = append(dst, ']')
+		return append(dst, "null}"...)
+	}
+	dst = append(dst, '[')
+	for i, q := range req.Queries {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
-		dst = append(dst, ']')
+		dst = append(dst, '"')
+		dst = base64.StdEncoding.AppendEncode(dst, q)
+		dst = append(dst, '"')
 	}
-	return append(dst, '}')
+	return append(dst, "]}"...)
 }
-
-// decimals holds the digits of 0 to 999, left-aligned in the first three
-// bytes of each entry, and their count in the fourth.
-var decimals = func() (t [1000][4]byte) {
-	for v := range t {
-		s := strconv.Itoa(v)
-		copy(t[v][:3], s)
-		t[v][3] = byte(len(s))
-	}
-	return t
-}()
 
 // appendJSONString appends s as json.Marshal quotes it. Printable ASCII
 // other than '"', '\\' and the HTML-escaped '<', '>', '&' is copied;
@@ -420,41 +455,4 @@ func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
-}
-
-// canonicalize sorts q in place, validates it against a dataset of n
-// records and appends its answer-cache key to dst: the backend name, '|',
-// then the uvarint deltas of the sorted indices, the first index being
-// its own delta. Uvarints are prefix-free and backend names hold no '|',
-// so distinct (backend, index set) pairs get distinct keys, and every
-// order of one set gets the same key.
-func canonicalize(dst []byte, backend string, n int, q []int) ([]byte, error) {
-	// A query already in increasing order, as clients write them, is its
-	// own sort. Only a query that still fails the check once sorted goes
-	// to ValidateQuery, for the refusal that names the offending index.
-	if !sortedSubset(q, n) {
-		sort.Ints(q)
-		if !sortedSubset(q, n) {
-			return dst, query.ValidateQuery(n, q)
-		}
-	}
-	dst = append(dst, backend...)
-	dst = append(dst, '|')
-	prev := 0
-	for _, v := range q {
-		dst = binary.AppendUvarint(dst, uint64(v-prev))
-		prev = v
-	}
-	return dst, nil
-}
-
-// sortedSubset reports whether q lists distinct indices of [0, n) in
-// increasing order, in one pass: its first index is at least 0, each
-// index exceeds the one before and the last is below n.
-func sortedSubset(q []int, n int) bool {
-	ok := len(q) == 0 || q[0] >= 0 && q[len(q)-1] < n
-	for j := 1; ok && j < len(q); j++ {
-		ok = q[j] > q[j-1]
-	}
-	return ok
 }

@@ -136,8 +136,9 @@ func (l *ledger) close() error {
 // totals: spends add their cost, refunds subtract it, denials move
 // nothing. An auditor replaying a /ledger response (or the budget.*
 // journal events) must land exactly on the server's enforced state; the
-// per-entry Cumulative field is cross-checked so a tampered or reordered
-// history fails loudly instead of replaying to a plausible wrong total.
+// per-entry Cumulative field is cross-checked, and sequence numbers must
+// strictly increase, so a tampered or reordered history fails loudly
+// instead of replaying to a plausible wrong total.
 // A history cannot hand spent budget back either: every entry's cost is
 // positive (the server writes no entry for a zero-cost batch, and a
 // denial records the cost it refused), and no cumulative goes negative
@@ -147,6 +148,9 @@ func (l *ledger) close() error {
 func ReplayLedger(entries []LedgerEntry) (map[string]int, error) {
 	totals := map[string]int{}
 	for i, e := range entries {
+		if i > 0 && e.Seq <= entries[i-1].Seq {
+			return nil, fmt.Errorf("remote: ledger entry %d (seq %d): does not follow seq %d", i, e.Seq, entries[i-1].Seq)
+		}
 		if e.Cost <= 0 {
 			return nil, fmt.Errorf("remote: ledger entry %d (seq %d): %s of cost %d for %q, want a positive cost",
 				i, e.Seq, e.Op, e.Cost, e.Analyst)

@@ -92,6 +92,14 @@ func TestLedgerEndpointAndReplay(t *testing.T) {
 	if len(lr.Totals) != 2 {
 		t.Errorf("filtered totals = %+v, want both analysts", lr.Totals)
 	}
+	// alice's history skips bob's sequence number and still replays.
+	lr, err = alice.FetchLedger(ctx, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if totals, err := remote.ReplayLedger(lr.Entries); err != nil || totals["alice"] != 5 {
+		t.Errorf("alice's history %+v replays to %v (%v), want alice 5", lr.Entries, totals, err)
+	}
 }
 
 // TestFetchLedgerEscapesAnalyst: an analyst id holding query-string
@@ -161,6 +169,15 @@ func TestReplayLedgerDetectsTamper(t *testing.T) {
 		"refund beyond the spend": {
 			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 3, Cumulative: 3},
 			{Seq: 2, Analyst: "a", Op: remote.LedgerRefund, Cost: 7, Cumulative: -4},
+		},
+		// Each analyst's chain is consistent; only the order is wrong.
+		"sequence numbers out of order": {
+			{Seq: 2, Analyst: "b", Op: remote.LedgerSpend, Cost: 1, Cumulative: 1},
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 1, Cumulative: 1},
+		},
+		"sequence number repeated": {
+			{Seq: 1, Analyst: "a", Op: remote.LedgerSpend, Cost: 1, Cumulative: 1},
+			{Seq: 1, Analyst: "b", Op: remote.LedgerSpend, Cost: 1, Cumulative: 1},
 		},
 	} {
 		if _, err := remote.ReplayLedger(bad); err == nil {

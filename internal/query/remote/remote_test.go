@@ -187,6 +187,29 @@ func TestBudgetExhaustionSentinel(t *testing.T) {
 	}
 }
 
+// TestInvalidQuerySpendsNothing: an Answer call holding an invalid query
+// is refused whole before anything is posted, so the chunks before it
+// spend nothing either.
+func TestInvalidQuerySpendsNothing(t *testing.T) {
+	srv, ts := newTestServer(t, remote.ServerConfig{Seed: 61})
+	opts := fastOpts()
+	opts.Analyst = "carol"
+	opts.MaxBatch = 2
+	o, err := remote.Dial(ctx, ts.URL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int{{4, 4}, {4, 32}, {-1}} {
+		_, err := o.Answer(ctx, [][]int{{0}, {1}, {2}, {3}, bad})
+		if !errors.Is(err, query.ErrInvalidQuery) || !strings.Contains(err.Error(), "query 4:") {
+			t.Errorf("batch ending in %v: err %v, want ErrInvalidQuery naming query 4", bad, err)
+		}
+	}
+	if entries, _ := srv.Ledger("carol"); srv.BudgetSpent("carol") != 0 || len(entries) != 0 || srv.CacheLen() != 0 {
+		t.Fatalf("refused calls spent %d, left ledger entries %+v and %d cached answers", srv.BudgetSpent("carol"), entries, srv.CacheLen())
+	}
+}
+
 func TestCacheHitDoesNotSpendBudget(t *testing.T) {
 	srv, ts := newTestServer(t, remote.ServerConfig{Seed: 9, Budget: 2})
 	opts := fastOpts()

@@ -47,11 +47,24 @@ func serveBodies(tb testing.TB, seed int64, count int) [][]byte {
 	rng := par.RNG(seed, 0)
 	out := make([][]byte, count)
 	for i := range out {
-		body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "analyst0", Queries: query.RandomSubsets(rng, serveN, serveBatch)})
+		body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "analyst0", Queries: bitmaps(serveN, query.RandomSubsets(rng, serveN, serveBatch)...)})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		out[i] = body
+	}
+	return out
+}
+
+// bitmaps writes each set as the wire does over n records: bit i%8 of
+// byte i/8 is set for each index i in the set.
+func bitmaps(n int, sets ...[]int) [][]byte {
+	out := make([][]byte, len(sets))
+	for j, set := range sets {
+		out[j] = make([]byte, (n+7)/8)
+		for _, i := range set {
+			out[j][i/8] |= 1 << (i % 8)
+		}
 	}
 	return out
 }
@@ -99,16 +112,16 @@ func BenchmarkServeQuery(b *testing.B) {
 
 // TestServeQueryCachedAllocs bounds the allocations of a cached batch on
 // the benchmark's request shape, the request and recorder included: the
-// decoder's index arena, the batch's one key string and the cache pass
-// each allocate a fixed number of times, whatever the batch holds. The
-// bound, not equality: the race detector adds an allocation now and
-// then.
+// batch's one key string and the cache pass each allocate a fixed number
+// of times, and the decoder's bitmap arena a few more as it grows. The
+// bound, not equality: 46 allocations plain, 55 or 56 under the race
+// detector.
 func TestServeQueryCachedAllocs(t *testing.T) {
 	h := newServeHandler(t)
 	body := serveBodies(t, 1, 1)[0]
 	post(t, h, body)
-	if allocs := testing.AllocsPerRun(50, func() { post(t, h, body) }); allocs > 64 {
-		t.Fatalf("a cached %d-query batch allocates %v times, want at most 64", serveBatch, allocs)
+	if allocs := testing.AllocsPerRun(50, func() { post(t, h, body) }); allocs > 60 {
+		t.Fatalf("a cached %d-query batch allocates %v times, want at most 60", serveBatch, allocs)
 	}
 }
 

@@ -52,7 +52,7 @@ type ServerConfig struct {
 	MaxConcurrent int // the server's active-request bound; 0 = default 16
 	Workers       int // pool workers per fresh sub-batch, 0 = GOMAXPROCS
 
-	// Shards partitions the answer cache by canonical query across
+	// Shards partitions the answer cache by query key across
 	// independent locks, a key going to shard shardOf(key, Shards);
 	// 0 = 1. The ledger and the admission gate are not partitioned.
 	// Answers and ledger entries are byte-identical at any shard count:
@@ -311,10 +311,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, CodeBadRequest, "undecodable body: "+err.Error())
 		return
 	}
-	req, err := decodeQueryRequest(body, s.cfg.MaxBatch)
-	if err == nil && req.V != V {
-		err = versionRefusal(req.V)
-	}
+	// The decoder refuses, before admission and before any budget moves,
+	// every query that is not a bitmap over the dataset's n records.
+	req, err := decodeQueryRequest(body, s.cfg.MaxBatch, s.cfg.N)
 	if err != nil {
 		code := CodeBadRequest
 		var ref *refusal
@@ -358,32 +357,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batchQueries.Add(int64(len(req.Queries)))
 
-	// Canonicalize at the trust boundary: every query is sorted in place
-	// (the decoder gave each its own capped slice of the batch's index
-	// arena) and validated once, here — the single place duplicate
-	// indices and out-of-range users are rejected for the whole service
-	// (backends still re-check, but no malformed query reaches them).
-	// The batch's keys are written into one buffer, sized for one byte
-	// per delta, and cut from one string.
-	size := 0
-	for _, q := range req.Queries {
-		size += len(name) + 1 + len(q)
-	}
-	kb := make([]byte, 0, size)
-	ends := make([]int, len(req.Queries))
-	for i, q := range req.Queries {
-		if kb, err = canonicalize(kb, name, s.cfg.N, q); err != nil {
-			s.fail(w, http.StatusBadRequest, CodeInvalidQuery, fmt.Sprintf("query %d: %v", i, err))
-			return
-		}
-		ends[i] = len(kb)
-	}
-	all := string(kb)
-	keys := make([]string, len(req.Queries))
-	start := 0
-	for i, end := range ends {
-		keys[i], start = all[start:end], end
-	}
+	// A set has one bitmap, so keying on the bitmap as sent gives every
+	// index order of a query one cache entry.
+	keys := batchKeys(name, req.Queries)
 
 	// Cache pass, one lock per touched cache shard: split the batch into
 	// hits and distinct misses. Only fresh (uncached) queries spend
@@ -403,12 +379,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		c.mu.Unlock()
 	}
-	type missT struct {
-		key string
-		q   []int
-	}
-	var misses []missT
 	var missKeys []string
+	var missQueries [][]byte
 	seen := make(map[string]bool)
 	cached := 0
 	for i, k := range keys {
@@ -421,11 +393,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// never pins the rest of the batch's key string.
 			k = strings.Clone(k)
 			seen[k] = true
-			misses = append(misses, missT{k, req.Queries[i]})
 			missKeys = append(missKeys, k)
+			missQueries = append(missQueries, req.Queries[i])
 		}
 	}
-	fresh := len(misses)
+	fresh := len(missKeys)
 
 	// Reserve the fresh queries all-or-nothing against the analyst's
 	// budget: a granted reservation appends a spend entry, a refused one
@@ -459,11 +431,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.cacheHits.Add(int64(cached))
 	s.cacheMisses.Add(int64(fresh))
 
-	// Answer the misses on the pool. The backends are sticky/deterministic
-	// per canonical query, so parallel order does not affect answers.
+	// Answer the misses on the pool, each expanded into the increasing
+	// index list the backends take. The backends are sticky/deterministic
+	// per query set, so parallel order does not affect answers.
+	missSets := indices(missQueries)
 	fresh64 := make([]float64, fresh)
 	if err := par.ForEach(s.cfg.Workers, fresh, func(i int) error {
-		a, err := query.AnswerOne(ctx, backend, misses[i].q)
+		a, err := query.AnswerOne(ctx, backend, missSets[i])
 		if err != nil {
 			return err
 		}
@@ -512,10 +486,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		c := &s.caches[si]
 		c.mu.Lock()
 		for _, i := range freshByShard[si] {
-			if _, ok := c.m[misses[i].key]; !ok {
+			if _, ok := c.m[missKeys[i]]; !ok {
 				newKeys++
 			}
-			c.m[misses[i].key] = fresh64[i]
+			c.m[missKeys[i]] = fresh64[i]
 		}
 		c.mu.Unlock()
 	}

@@ -11,7 +11,7 @@ import (
 
 // This file is the server's cache partitioning and its admission gate.
 // The answer cache, the one structure a cached request locks per key, is
-// partitioned by canonicalized query key with shardOf, so two requests
+// partitioned by query key with shardOf, so two requests
 // touching different queries never contend on it. The privacy-loss
 // ledger and the admission gate are one per server: the gate is a
 // bounded queue in front of a bounded set of active slots, and a request
@@ -30,8 +30,8 @@ func shardOf(key string, n int) int {
 
 // keyHash is the shard hash: the key's bytes are mixed in 8 at a time
 // (little-endian, the last word zero-padded, the length folded into the
-// start value), then finished with a splitmix64 avalanche. Canonical
-// query keys are similar strings that differ in a few bytes; the
+// start value), then finished with a splitmix64 avalanche. Query keys
+// are similar strings that differ in a few bytes; the
 // finalizer spreads them uniformly over the low bits the modulus keeps.
 func keyHash(key string) uint64 {
 	const m1, m2 = 0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f

@@ -51,12 +51,13 @@ func TestMetaVersionNegotiation(t *testing.T) {
 }
 
 // TestPostVersionEcho: the server answers a request of version V in V
-// and refuses every other version with a typed error.
+// and refuses every other version with a typed error, a v2 body of index
+// lists included.
 func TestPostVersionEcho(t *testing.T) {
 	_, ts := newTestServer(t, remote.ServerConfig{Seed: 37})
 	post := func(v int) (remote.QueryResponse, remote.ErrorResponse, int) {
 		t.Helper()
-		body, _ := json.Marshal(remote.QueryRequest{V: v, Queries: [][]int{{0}}})
+		body, _ := json.Marshal(remote.QueryRequest{V: v, Queries: bitmaps(32, []int{0})})
 		resp, err := http.Post(ts.URL+"/v1/query/exact", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -77,6 +78,10 @@ func TestPostVersionEcho(t *testing.T) {
 		if _, er, status := post(v); status != http.StatusBadRequest || er.Err.Code != remote.CodeUnsupportedVersion {
 			t.Fatalf("v%d request: status %d code %q, want 400 %q", v, status, er.Err.Code, remote.CodeUnsupportedVersion)
 		}
+	}
+	v2 := `{"v":2,"queries":[[0,3]]}`
+	if status, code := postRaw(t, ts.URL, v2); status != http.StatusBadRequest || code != remote.CodeUnsupportedVersion {
+		t.Fatalf("%s: status %d code %q, want 400 %q", v2, status, code, remote.CodeUnsupportedVersion)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -61,11 +60,20 @@ func ask(srv *Server, i int) (int, string) {
 }
 
 // post sends analyst's batch of queries, a JSON array of index arrays,
-// to backend and returns the response's status and body.
+// to backend as the client writes it, and returns the response's status
+// and body.
 func post(srv *Server, backend, analyst, queries string) (int, string) {
-	body := fmt.Sprintf(`{"v":%d,"analyst":%q,"queries":%s}`, V, analyst, queries)
+	var sets [][]int
+	if err := json.Unmarshal([]byte(queries), &sets); err != nil {
+		panic(err)
+	}
+	qs, err := bitmaps(srv.cfg.N, sets)
+	if err != nil {
+		panic(err)
+	}
+	body := appendQueryRequest(nil, QueryRequest{V: V, Analyst: analyst, Queries: qs})
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/"+backend, strings.NewReader(body)))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/"+backend, bytes.NewReader(body)))
 	return rec.Code, rec.Body.String()
 }
 

@@ -19,7 +19,7 @@ import (
 // as "v"; the server refuses a request of any other version with code
 // "unsupported_version", and Dial refuses a server advertising another,
 // so incompatible peers fail loudly instead of misinterpreting fields.
-const V = 2
+const V = 3
 
 // Error codes carried in ErrorResponse. The client maps the first three
 // back to the repository's sentinel errors (query.ErrInvalidQuery,
@@ -89,15 +89,19 @@ type LedgerResponse struct {
 }
 
 // QueryRequest is the body of POST /v1/query/{backend}: a batch of subset
-// queries from one analyst. Queries need not be sorted; the server
-// canonicalizes (sorts) each index set before validation, caching and
-// noise derivation. The server parses the body strictly (see codec.go):
-// it accepts what json.Marshal writes for this type, with whitespace
-// between tokens, and refuses anything else as bad_request.
+// queries from one analyst, each a bitmap over the server's n records.
+// Query q is ⌈n/8⌉ bytes: bit i%8 of byte i/8 is set iff record i is in
+// q, and every bit at or above n is zero. A set has exactly one bitmap,
+// so every index order of it is one query to the answer cache and the
+// budget. encoding/json writes each bitmap as a padded standard base64
+// string. The server parses the body strictly (see codec.go): it accepts
+// what json.Marshal writes for this type, with whitespace between
+// tokens, and refuses anything else as bad_request, or a bitmap of the
+// wrong length or with a bit at or above n as invalid_query.
 type QueryRequest struct {
-	V       int     `json:"v"`
-	Analyst string  `json:"analyst,omitempty"`
-	Queries [][]int `json:"queries"`
+	V       int      `json:"v"`
+	Analyst string   `json:"analyst,omitempty"`
+	Queries [][]byte `json:"queries"`
 }
 
 // QueryResponse answers a QueryRequest: one answer per query in request
