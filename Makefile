@@ -21,7 +21,9 @@
 #                  replay
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
-#                  IsolationCount, HashPrefix.Eval) and the query server's
+#                  IsolationCount, HashPrefix.Eval), the random-subset
+#                  generator at the serving and lp-recon shapes
+#                  (BenchmarkRandomSubsets) and the query server's
 #                  handler on cached and fresh batches (BenchmarkServeQuery)
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
@@ -138,6 +140,7 @@ loadgen-smoke:
 gobench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
+	$(GO) test -run '^$$' -bench BenchmarkRandomSubsets -benchmem ./internal/query
 	$(GO) test -run '^$$' -bench BenchmarkServeQuery -benchmem ./internal/query/remote
 
 repro:

@@ -122,12 +122,7 @@ func Attack(ctx context.Context, rng *rand.Rand, c *Cloak, m int) (AttackResult,
 	}
 	queries := make([][]int, 0, m)
 	for len(queries) < m {
-		var q []int
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				q = append(q, i)
-			}
-		}
+		q := query.RandomSubsets(rng, n, 1)[0]
 		if len(q) < c.Threshold {
 			continue // would be suppressed; the attacker skips it
 		}

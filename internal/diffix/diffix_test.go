@@ -21,15 +21,20 @@ func TestStickyNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A different query gets (almost surely) different noise.
-	a1, _ := query.AnswerOne(ctx, c, q)
-	a2, _ := query.AnswerOne(ctx, c, []int{0, 3, 7, 9, 12, 21})
-	if a1 == a2 {
+	a, err := c.Answer(ctx, [][]int{q, {0, 3, 7, 9, 12, 21}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[0] == a[1] {
 		t.Error("distinct queries returned identical answers (suspicious)")
 	}
 	// Different seeds decorrelate answers to the same query.
 	c2 := &Cloak{X: c.X, SD: 2, Threshold: 5, Seed: 8}
-	b1, _ := query.AnswerOne(ctx, c2, q)
-	if b1 == a1 {
+	b, err := c2.Answer(ctx, [][]int{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b[0] == a[0] {
 		t.Error("different cloak seeds returned identical noise")
 	}
 }
@@ -37,20 +42,20 @@ func TestStickyNoise(t *testing.T) {
 func TestSuppression(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c := &Cloak{X: synth.BinaryDataset(rng, 50, 0.5), SD: 1, Threshold: 10, Seed: 1}
-	_, err := query.AnswerOne(ctx, c, []int{1, 2, 3})
+	_, err := c.Answer(ctx, [][]int{{1, 2, 3}})
 	if !errors.Is(err, ErrSuppressed) {
 		t.Fatalf("want suppression, got %v", err)
 	}
 	if c.Suppressed() != 1 {
 		t.Errorf("Suppressed = %d", c.Suppressed())
 	}
-	if _, err := query.AnswerOne(ctx, c, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}); err != nil {
+	if _, err := c.Answer(ctx, [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}); err != nil {
 		t.Errorf("large query should be answered: %v", err)
 	}
 	if c.Queries() != 1 {
 		t.Errorf("Queries = %d", c.Queries())
 	}
-	if _, err := query.AnswerOne(ctx, c, make([]int, 11)); err == nil {
+	if _, err := c.Answer(ctx, [][]int{make([]int, 11)}); err == nil {
 		// all zeros: index 0 repeated — a malformed query the cloak must
 		// reject, like every other oracle (it would count user 0 eleven
 		// times while the LP decoder counts them once).
@@ -60,7 +65,7 @@ func TestSuppression(t *testing.T) {
 	}
 	bad := make([]int, 12)
 	bad[3] = 99
-	if _, err := query.AnswerOne(ctx, c, bad); err == nil {
+	if _, err := c.Answer(ctx, [][]int{bad}); err == nil {
 		t.Error("out-of-range user should fail")
 	}
 }

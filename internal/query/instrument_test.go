@@ -41,7 +41,7 @@ func TestBudgetExhaustedMidAttack(t *testing.T) {
 		if slices.Contains(q, 0) {
 			refusable++
 		}
-		_, err := AnswerOne(ctx, in, q)
+		_, err := answerOne(ctx, in, q)
 		switch {
 		case err == nil:
 			answered++
@@ -111,15 +111,15 @@ func TestAnswerOutOfRange(t *testing.T) {
 	}
 	for name, o := range oracles {
 		for _, q := range [][]int{{0, 3}, {-1}, {0, 1, 2, 99}} {
-			if _, err := AnswerOne(ctx, o, q); err == nil {
-				t.Errorf("%s: AnswerOne(%v) should fail", name, q)
+			if _, err := answerOne(ctx, o, q); err == nil {
+				t.Errorf("%s: answerOne(%v) should fail", name, q)
 			}
 		}
 		// A valid query must still work afterwards.
-		if got, err := AnswerOne(ctx, o, []int{0, 2}); err != nil {
+		if got, err := answerOne(ctx, o, []int{0, 2}); err != nil {
 			t.Errorf("%s: valid query failed: %v", name, err)
 		} else if got < 2-1.5 || got > 2+3 { // exact answer 2, generous noise margin
-			t.Errorf("%s: AnswerOne([0 2]) = %v, implausibly far from 2", name, got)
+			t.Errorf("%s: answerOne([0 2]) = %v, implausibly far from 2", name, got)
 		}
 	}
 }
@@ -130,10 +130,10 @@ func TestInstrumentedErrorCounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetEnabled(true)
 	in := Instrument(&Exact{X: []int64{1, 1}}, reg)
-	if _, err := AnswerOne(ctx, in, []int{5}); err == nil {
+	if _, err := answerOne(ctx, in, []int{5}); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
-	if _, err := AnswerOne(ctx, in, []int{0}); err != nil {
+	if _, err := answerOne(ctx, in, []int{0}); err != nil {
 		t.Fatalf("valid query failed: %v", err)
 	}
 	s := reg.Snapshot()
@@ -187,7 +187,7 @@ func TestInstrumentedConcurrent(t *testing.T) {
 				if slices.Contains(q, 0) {
 					refusable[w]++
 				}
-				if _, err := AnswerOne(context.Background(), in, q); errors.Is(err, ErrBudgetExhausted) {
+				if _, err := answerOne(context.Background(), in, q); errors.Is(err, ErrBudgetExhausted) {
 					denials[w]++
 				} else if err != nil {
 					t.Errorf("worker %d: %v", w, err)

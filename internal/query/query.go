@@ -13,14 +13,14 @@
 // The interface is batch-first and context-aware: an attack submits its
 // whole workload in one Answer call, which lets a remote oracle amortize
 // round trips and lets a server account, cache and parallelize the batch
-// as one unit. Call sites that genuinely ask one query at a time use the
-// AnswerOne helper.
+// as one unit.
 package query
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"singlingout/internal/dist"
@@ -57,20 +57,6 @@ type Oracle interface {
 	Answer(ctx context.Context, queries [][]int) ([]float64, error)
 	// N returns the number of records in the hidden dataset.
 	N() int
-}
-
-// AnswerOne asks a single query — the thin helper for call sites that
-// genuinely issue one query at a time (the query server answers each cache
-// miss on its own).
-func AnswerOne(ctx context.Context, o Oracle, q []int) (float64, error) {
-	a, err := o.Answer(ctx, [][]int{q})
-	if err != nil {
-		return 0, err
-	}
-	if len(a) != 1 {
-		return 0, fmt.Errorf("query: oracle returned %d answers for 1 query", len(a))
-	}
-	return a[0], nil
 }
 
 // answerEach is the shared batch loop of the in-process oracles: one
@@ -208,6 +194,9 @@ func StickySeed(seed int64, q []int) int64 {
 // malformed query over HTTP is rejected before it reaches any oracle.
 // Failures wrap ErrInvalidQuery.
 func ValidateQuery(n int, q []int) error {
+	if increasingBelow(n, q) {
+		return nil
+	}
 	if len(q) <= smallQuery {
 		// Quadratic scan: cheaper than allocating for the short queries the
 		// adaptive attacks issue.
@@ -236,6 +225,23 @@ func ValidateQuery(n int, q []int) error {
 	return nil
 }
 
+// increasingBelow reports whether q is strictly increasing with its
+// first index at least 0 and its last below n: the shape of every set
+// RandomSubsets draws and of every query the query service expands from
+// a bitmap. Such a query is well-formed, which one pass shows without
+// allocating; any other query takes ValidateQuery's full check, which
+// names the offending index.
+func increasingBelow(n int, q []int) bool {
+	prev := -1
+	for _, i := range q {
+		if i <= prev {
+			return false
+		}
+		prev = i
+	}
+	return prev < n
+}
+
 // smallQuery is the length under which duplicate detection scans
 // quadratically instead of allocating a seen-bitmap.
 const smallQuery = 16
@@ -253,17 +259,46 @@ func trueSum(x []int64, q []int) (int64, error) {
 
 // RandomSubsets draws m independent uniformly random subsets of [n] (each
 // element included with probability 1/2) — the standard workload of the
-// polynomial Dinur–Nissim attack.
+// polynomial Dinur–Nissim attack. Each set is strictly increasing.
+//
+// It draws as a loop of rng.Intn(2) calls over the m×n elements would:
+// one rng.Int63() per element, keeping bit 32, which is the bit Intn(2)
+// returns. A seed therefore gives the same sets and leaves rng in the
+// same state. The draws are packed into one bit array and counted first,
+// so the m sets are cut from one exactly sized array, each a capped
+// subslice, and an empty set is nil: a call allocates at most three
+// times, whatever n and m.
 func RandomSubsets(rng *rand.Rand, n, m int) [][]int {
 	qs := make([][]int, m)
+	if n <= 0 {
+		return qs
+	}
+	w := (n + 63) / 64 // words per set
+	words := make([]uint64, m*w)
+	size := 0
+	for j := 0; j < m; j++ {
+		for k := 0; k < w; k++ {
+			var x uint64
+			for b := 0; b < min(64, n-64*k); b++ {
+				x |= uint64(rng.Int63()>>32&1) << b
+			}
+			words[j*w+k] = x
+			size += bits.OnesCount64(x)
+		}
+	}
+	flat := make([]int, size)
+	end := 0
 	for j := range qs {
-		var q []int
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				q = append(q, i)
+		start := end
+		for k, x := range words[j*w : (j+1)*w] {
+			for ; x != 0; x &= x - 1 {
+				flat[end] = 64*k + bits.TrailingZeros64(x)
+				end++
 			}
 		}
-		qs[j] = q
+		if end > start {
+			qs[j] = flat[start:end:end]
+		}
 	}
 	return qs
 }

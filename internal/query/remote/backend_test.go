@@ -1,11 +1,13 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +98,58 @@ func TestBackendRegistryValidation(t *testing.T) {
 	defer srv.Close()
 	if got := srv.Meta().Backends; len(got) != 3 {
 		t.Fatalf("empty registry should fall back to builtins, got %v", got)
+	}
+}
+
+// shortBackend's oracle drops the last answer of every call: a backend
+// that breaks the one-answer-per-query contract.
+type shortBackend struct{}
+
+func (shortBackend) Name() string { return "short" }
+func (shortBackend) Open(_ remote.ServerConfig, x []int64) (query.Oracle, error) {
+	return shortOracle{&query.Exact{X: x}}, nil
+}
+
+type shortOracle struct{ query.Oracle }
+
+func (s shortOracle) Answer(ctx context.Context, qs [][]int) ([]float64, error) {
+	a, err := s.Oracle.Answer(ctx, qs)
+	if err != nil || len(a) == 0 {
+		return a, err
+	}
+	return a[:len(a)-1], nil
+}
+
+// TestShortBackendCallRefunds: a backend call that returns fewer answers
+// than it was asked fails the batch as internal, refunds the whole
+// reservation and caches nothing.
+func TestShortBackendCallRefunds(t *testing.T) {
+	const n = 16
+	srv, err := remote.NewServer(remote.ServerConfig{N: n, P: 0.5, Workers: 2, Backends: []remote.Backend{shortBackend{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "fay", Queries: bitmaps(n, []int{0}, []int{1}, []int{2})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/short", bytes.NewReader(body)))
+	var er remote.ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+		t.Fatalf("status %d, undecodable body %q", rec.Code, rec.Body)
+	}
+	// Two workers: shares {0} and {1, 2}; the first share's call decides.
+	if rec.Code != http.StatusInternalServerError || er.Err.Code != remote.CodeInternal || !strings.Contains(er.Err.Message, "returned 0 answers for 1 queries") {
+		t.Fatalf("got %d %s %q, want 500 %s naming the short call", rec.Code, er.Err.Code, er.Err.Message, remote.CodeInternal)
+	}
+	entries, _ := srv.Ledger("fay")
+	if len(entries) != 2 || entries[0].Op != "spend" || entries[0].Cost != 3 || entries[1].Op != "refund" || entries[1].Cost != 3 {
+		t.Fatalf("ledger %+v, want a spend of 3, then its refund", entries)
+	}
+	if srv.BudgetSpent("fay") != 0 || srv.CacheLen() != 0 {
+		t.Fatalf("the failed batch spent %d and cached %d answers", srv.BudgetSpent("fay"), srv.CacheLen())
 	}
 }
 

@@ -229,6 +229,11 @@ func (o *Oracle) N() int { return o.meta.N }
 // low-count suppression, query.ErrOverloaded on a shed the retries
 // could not outlast — so attack code handles remote and in-process
 // oracles identically.
+//
+// Each request is all-or-nothing on the server, but a call of several
+// requests is not: when a later request is refused, the call returns no
+// answers, while the earlier requests stay charged against the budget
+// and their answers stay cached, so asking for them again is free.
 func (o *Oracle) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
 	bms, err := bitmaps(o.meta.N, queries)
 	if err != nil {

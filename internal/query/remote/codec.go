@@ -299,6 +299,15 @@ func (d *decoder) queries(maxBatch, n int) ([][]byte, error) {
 // padding bits, so each bitmap has exactly one string.
 var bitmapEncoding = base64.StdEncoding.Strict()
 
+// base64Alphabet holds true for exactly the bytes a query string may
+// hold: the standard base64 alphabet and the padding byte '='.
+var base64Alphabet = func() (t [256]bool) {
+	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=") {
+		t[c] = true
+	}
+	return t
+}()
+
 // bitmap reads query i, a string holding the padded standard base64 of
 // its ⌈n/8⌉-byte bitmap, and decodes it onto the end of the arena. A
 // byte outside the base64 alphabet is refused before decoding, since
@@ -310,13 +319,14 @@ func (d *decoder) bitmap(i, n int) error {
 		return err
 	}
 	start := d.i
-	for ; d.i < len(d.b) && d.b[d.i] != '"'; d.i++ {
-		if c := d.b[d.i]; !('A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '+' || c == '/' || c == '=') {
-			return d.errorf("byte %q in a query, want standard base64", c)
-		}
+	for d.i < len(d.b) && base64Alphabet[d.b[d.i]] {
+		d.i++
 	}
-	if d.i == len(d.b) {
+	switch {
+	case d.i == len(d.b):
 		return d.errorf("unterminated string")
+	case d.b[d.i] != '"':
+		return d.errorf("byte %q in a query, want standard base64", d.b[d.i])
 	}
 	src := d.b[start:d.i]
 	d.i++
@@ -356,13 +366,15 @@ func bitmaps(n int, queries [][]int) ([][]byte, error) {
 	for i, q := range queries {
 		b := arena[i*w : (i+1)*w : (i+1)*w]
 		for _, v := range q {
-			if v < 0 || v >= n {
+			u := uint(v) // a negative v wraps above any n
+			if u >= uint(n) {
 				return nil, fmt.Errorf("remote: query %d: %w: index %d outside dataset of size %d", i, query.ErrInvalidQuery, v, n)
 			}
-			if b[v/8]&(1<<(v%8)) != 0 {
+			bit := byte(1) << (u & 7)
+			if b[u>>3]&bit != 0 {
 				return nil, fmt.Errorf("remote: query %d: %w: duplicate index %d (a query is a subset of [n])", i, query.ErrInvalidQuery, v)
 			}
-			b[v/8] |= 1 << (v % 8)
+			b[u>>3] |= bit
 		}
 		out[i] = b
 	}

@@ -1,7 +1,9 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
@@ -184,6 +186,77 @@ func TestBudgetExhaustionSentinel(t *testing.T) {
 	}
 	if _, err := ob.Answer(ctx, [][]int{{3}, {4}, {5}}); err != nil {
 		t.Fatalf("bob's budget is fresh: %v", err)
+	}
+}
+
+// TestChunkRefusalKeepsEarlierChunks: an Answer call longer than
+// MaxBatch goes out as several requests, each all-or-nothing on its own.
+// A chunk refused for budget returns no answers, but the chunks before it
+// stay charged and cached, so asking for them again spends nothing.
+func TestChunkRefusalKeepsEarlierChunks(t *testing.T) {
+	srv, ts := newTestServer(t, remote.ServerConfig{Seed: 7, Budget: 3})
+	opts := fastOpts()
+	opts.Analyst = "erin"
+	opts.MaxBatch = 2
+	o, err := remote.Dial(ctx, ts.URL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := o.Answer(ctx, [][]int{{0}, {1}, {2}, {3}}); !errors.Is(err, query.ErrBudgetExhausted) || a != nil {
+		t.Fatalf("second chunk over budget: got %v, %v; want no answers and ErrBudgetExhausted", a, err)
+	}
+	if spent := srv.BudgetSpent("erin"); spent != 2 {
+		t.Fatalf("spent = %d, want 2: the first chunk stays charged", spent)
+	}
+	if _, err := o.Answer(ctx, [][]int{{0}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	if spent := srv.BudgetSpent("erin"); spent != 2 {
+		t.Fatalf("spent = %d after asking the first chunk again, want 2", spent)
+	}
+}
+
+// TestSplitMissesLowestRefusalDecides: with two pool workers, a batch's
+// fresh misses are answered in two shares of one backend call each. When
+// a query in each share is suppressed, the lower-indexed one names the
+// refusal, and the whole reservation is refunded in one entry, every
+// time.
+func TestSplitMissesLowestRefusalDecides(t *testing.T) {
+	const n = 32
+	srv, err := remote.NewServer(remote.ServerConfig{N: n, P: 0.5, Seed: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Threshold 8: queries 1 (3 users, first share) and 3 (5 users,
+	// second share) are suppressed.
+	body, err := json.Marshal(remote.QueryRequest{V: remote.V, Analyst: "dora", Queries: bitmaps(n,
+		[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{0, 1, 2},
+		[]int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}, []int{20, 21, 22, 23, 24})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/diffix", bytes.NewReader(body)))
+		var er remote.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatalf("round %d: status %d, undecodable body %q", round, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusUnprocessableEntity || er.Err.Code != remote.CodeSuppressed || !strings.HasSuffix(er.Err.Message, ": 3 < 8") {
+			t.Fatalf("round %d: %d %s %q, want 422 %s naming the 3-user query", round, rec.Code, er.Err.Code, er.Err.Message, remote.CodeSuppressed)
+		}
+		entries, _ := srv.Ledger("dora")
+		if len(entries) != 2*(round+1) {
+			t.Fatalf("round %d: %d ledger entries, want %d", round, len(entries), 2*(round+1))
+		}
+		spend, refund := entries[2*round], entries[2*round+1]
+		if spend.Op != "spend" || spend.Cost != 4 || refund.Op != "refund" || refund.Cost != 4 || refund.Cumulative != 0 {
+			t.Fatalf("round %d: entries %+v, %+v; want a spend of 4, then its refund", round, spend, refund)
+		}
+	}
+	if spent, cached := srv.BudgetSpent("dora"), srv.CacheLen(); spent != 0 || cached != 0 {
+		t.Fatalf("refused batches spent %d and cached %d answers", spent, cached)
 	}
 }
 

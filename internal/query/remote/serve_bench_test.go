@@ -114,7 +114,7 @@ func BenchmarkServeQuery(b *testing.B) {
 // the benchmark's request shape, the request and recorder included: the
 // batch's one key string and the cache pass each allocate a fixed number
 // of times, and the decoder's bitmap arena a few more as it grows. The
-// bound, not equality: 46 allocations plain, 55 or 56 under the race
+// bound, not equality: 43 allocations plain, 52 to 54 under the race
 // detector.
 func TestServeQueryCachedAllocs(t *testing.T) {
 	h := newServeHandler(t)
@@ -122,6 +122,25 @@ func TestServeQueryCachedAllocs(t *testing.T) {
 	post(t, h, body)
 	if allocs := testing.AllocsPerRun(50, func() { post(t, h, body) }); allocs > 60 {
 		t.Fatalf("a cached %d-query batch allocates %v times, want at most 60", serveBatch, allocs)
+	}
+}
+
+// TestServeQueryFreshAllocs bounds the allocations of a fresh batch on
+// the benchmark's request shape, the request and recorder included: the
+// spend path adds the ledger entry and its WAL line, the expansion of the
+// misses into index lists, one backend call per pool worker and the
+// cache inserts. The bound, not equality: 71 allocations plain, 83 or 84
+// under the race detector; 209 plain (220 to 222) while each miss was
+// its own one-query backend call, each builtin backend checked every
+// query over 16 indices against a scratch bitmap and each fresh key was
+// copied into a string of its own.
+func TestServeQueryFreshAllocs(t *testing.T) {
+	const runs = 50
+	h := newServeHandler(t)
+	bodies := serveBodies(t, 2, runs+1) // AllocsPerRun calls once more to warm up
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() { post(t, h, bodies[i]); i++ }); allocs > 90 {
+		t.Fatalf("a fresh %d-query batch allocates %v times, want at most 90", serveBatch, allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,7 +51,11 @@ type ServerConfig struct {
 	Budget        int // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch      int // largest accepted batch, 0 = default 4096
 	MaxConcurrent int // the server's active-request bound; 0 = default 16
-	Workers       int // pool workers per fresh sub-batch, 0 = GOMAXPROCS
+
+	// Workers bounds the pool that answers a request's fresh misses:
+	// they are split into at most Workers contiguous shares, and each
+	// share is one backend Answer call. 0 = GOMAXPROCS.
+	Workers int
 
 	// Shards partitions the answer cache by query key across
 	// independent locks, a key going to shard shardOf(key, Shards);
@@ -366,6 +371,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// budget — asking again is free.
 	byShard := groupByShard(keys, len(s.caches))
 	cachedMask := make([]bool, len(keys))
+	cached := 0
 	for si := range byShard {
 		if len(byShard[si]) == 0 {
 			continue
@@ -375,28 +381,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		for _, i := range byShard[si] {
 			if _, ok := c.m[keys[i]]; ok {
 				cachedMask[i] = true
+				cached++
 			}
 		}
 		c.mu.Unlock()
 	}
-	var missKeys []string
-	var missQueries [][]byte
-	seen := make(map[string]bool)
-	cached := 0
+	missQueries := make([][]byte, 0, len(keys)-cached)
+	seen := make(map[string]bool, len(keys)-cached)
 	for i, k := range keys {
-		if cachedMask[i] {
-			cached++
-			continue
-		}
-		if !seen[k] {
-			// The cache keeps a fresh key in a string of its own, so it
-			// never pins the rest of the batch's key string.
-			k = strings.Clone(k)
+		if !cachedMask[i] && !seen[k] {
 			seen[k] = true
-			missKeys = append(missKeys, k)
 			missQueries = append(missQueries, req.Queries[i])
 		}
 	}
+	// The cache keeps the fresh keys in a string of their own, so it
+	// never pins the rest of the batch's key string.
+	missKeys := batchKeys(name, missQueries)
 	fresh := len(missKeys)
 
 	// Reserve the fresh queries all-or-nothing against the analyst's
@@ -431,22 +431,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.cacheHits.Add(int64(cached))
 	s.cacheMisses.Add(int64(fresh))
 
-	// Answer the misses on the pool, each expanded into the increasing
-	// index list the backends take. The backends are sticky/deterministic
-	// per query set, so parallel order does not affect answers.
-	missSets := indices(missQueries)
-	fresh64 := make([]float64, fresh)
-	if err := par.ForEach(s.cfg.Workers, fresh, func(i int) error {
-		a, err := query.AnswerOne(ctx, backend, missSets[i])
+	// Answer the fresh misses and store them into their cache shards,
+	// then read every answer back — all answers come from the cache, so
+	// repeated keys in one batch and repeated batches across analysts
+	// observe one value.
+	if fresh > 0 {
+		fresh64, err := s.answerMisses(ctx, backend, name, missQueries)
 		if err != nil {
-			return err
-		}
-		fresh64[i] = a
-		return nil
-	}); err != nil {
-		// All-or-nothing: a failed batch spends nothing — the refund is
-		// its own ledger entry, so the audit trail shows the attempt.
-		if fresh > 0 {
+			// All-or-nothing: a failed batch spends nothing — the refund is
+			// its own ledger entry, so the audit trail shows the attempt.
 			re, rerr := s.ledger.refund(analyst, name, hash, trace, fresh)
 			if rerr != nil {
 				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
@@ -459,42 +452,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			s.journalBudget(re)
 			s.budgetRefunded.Add(int64(fresh))
-		}
-		status, code := http.StatusInternalServerError, CodeInternal
-		switch {
-		case errors.Is(err, diffix.ErrSuppressed):
-			status, code = http.StatusUnprocessableEntity, CodeSuppressed
-		case errors.Is(err, query.ErrInvalidQuery):
-			status, code = http.StatusBadRequest, CodeInvalidQuery
-		case errors.Is(err, query.ErrBudgetExhausted):
-			status, code = http.StatusTooManyRequests, CodeBudgetExhausted
-		}
-		s.journal(name, analyst, trace, len(req.Queries), cached, fresh, code)
-		s.fail(w, status, code, err.Error())
-		return
-	}
-
-	// Store the fresh answers into their cache shards, then read every
-	// answer back — all answers come from the cache, so repeated keys in
-	// one batch and repeated batches across analysts observe one value.
-	freshByShard := groupByShard(missKeys, len(s.caches))
-	var newKeys int64
-	for si := range freshByShard {
-		if len(freshByShard[si]) == 0 {
-			continue
-		}
-		c := &s.caches[si]
-		c.mu.Lock()
-		for _, i := range freshByShard[si] {
-			if _, ok := c.m[missKeys[i]]; !ok {
-				newKeys++
+			status, code := http.StatusInternalServerError, CodeInternal
+			switch {
+			case errors.Is(err, diffix.ErrSuppressed):
+				status, code = http.StatusUnprocessableEntity, CodeSuppressed
+			case errors.Is(err, query.ErrInvalidQuery):
+				status, code = http.StatusBadRequest, CodeInvalidQuery
+			case errors.Is(err, query.ErrBudgetExhausted):
+				status, code = http.StatusTooManyRequests, CodeBudgetExhausted
 			}
-			c.m[missKeys[i]] = fresh64[i]
+			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, code)
+			s.fail(w, status, code, err.Error())
+			return
 		}
-		c.mu.Unlock()
-	}
-	if newKeys > 0 {
-		s.cacheSize.Set(float64(s.cacheCount.Add(newKeys)))
+		s.store(missKeys, fresh64)
 	}
 	answers := make([]float64, len(keys))
 	for si := range byShard {
@@ -515,6 +486,56 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	s.journal(name, analyst, trace, len(req.Queries), cached, fresh, "")
 	writeJSON(w, http.StatusOK, QueryResponse{V: V, Answers: answers, Cached: cached, BudgetRemaining: remaining})
+}
+
+// answerMisses answers a batch's fresh misses, expanded into the
+// increasing index lists the backends take, in at most Workers
+// contiguous shares on the pool: one backend call per share, which must
+// return one answer per query. The backends are deterministic per query
+// set, so the split does not affect answers. A call stops at its
+// share's first failing query and the pool reports the lowest failing
+// share, so the lowest failing query decides the error.
+func (s *Server) answerMisses(ctx context.Context, backend query.Oracle, name string, misses [][]byte) ([]float64, error) {
+	sets := indices(misses)
+	out := make([]float64, len(sets))
+	shares := par.Workers(s.cfg.Workers, len(sets))
+	err := par.ForEach(shares, shares, func(k int) error {
+		lo, hi := k*len(sets)/shares, (k+1)*len(sets)/shares
+		a, err := backend.Answer(ctx, sets[lo:hi])
+		if err != nil {
+			return err
+		}
+		if len(a) != hi-lo {
+			return fmt.Errorf("remote: backend %q returned %d answers for %d queries", name, len(a), hi-lo)
+		}
+		copy(out[lo:hi], a)
+		return nil
+	})
+	return out, err
+}
+
+// store puts fresh answers into their cache shards, one lock per touched
+// shard, and counts the keys that are new to the cache.
+func (s *Server) store(keys []string, answers []float64) {
+	byShard := groupByShard(keys, len(s.caches))
+	var newKeys int64
+	for si := range byShard {
+		if len(byShard[si]) == 0 {
+			continue
+		}
+		c := &s.caches[si]
+		c.mu.Lock()
+		for _, i := range byShard[si] {
+			if _, ok := c.m[keys[i]]; !ok {
+				newKeys++
+			}
+			c.m[keys[i]] = answers[i]
+		}
+		c.mu.Unlock()
+	}
+	if newKeys > 0 {
+		s.cacheSize.Set(float64(s.cacheCount.Add(newKeys)))
+	}
 }
 
 // groupByShard returns, for each of n cache shards, the indices of the

@@ -233,7 +233,7 @@ func TestDuplicateIndexQueryConsistency(t *testing.T) {
 	x := []int64{1, 1, 0, 1}
 	dup := [][]int{{0, 0, 1}}
 	// Oracle path rejects.
-	if _, err := query.AnswerOne(ctx, &query.Exact{X: x}, dup[0]); err == nil {
+	if _, err := (&query.Exact{X: x}).Answer(ctx, dup); err == nil {
 		t.Error("oracle should reject a duplicate-index query")
 	}
 	// Attacker paths reject the same query (before ever reaching an
