@@ -85,9 +85,10 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Every fuzz target for five seconds past its seed corpus: the parsers of
-# untrusted bytes (wire requests, WAL, CSV), the ledger replay, and the
-# two solvers against their oracles (SAT against brute force, the revised
-# simplex against the dense tableau). The short minimize time keeps the
+# untrusted bytes (wire requests, WAL, CSV), the ledger replay, the
+# query server's ledger under injected WAL faults against a reference
+# model, and the two solvers against their oracles (SAT against brute
+# force, the revised simplex against the dense tableau). The short minimize time keeps the
 # engine from spending the whole budget shrinking one large new input.
 # A failing input is written under the package's testdata/fuzz/ and
 # fails the target.
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWAL$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeQueryRequest$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLedger$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
+	$(GO) test -run '^$$' -fuzz '^FuzzLedgerModel$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 
 # Quick instrumented end-to-end run: every experiment, JSONL journal and
 # BENCH_<rev>.json summary under /tmp.

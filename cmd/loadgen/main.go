@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		hs := &http.Server{Handler: srv.Handler()}
-		//lint:ignore boundedgo HTTP accept loop; its lifetime is bounded by Close below
+		// The accept loop ends when Close below shuts the server.
 		go hs.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 		defer hs.Close()
 		base = "http://" + ln.Addr().String()
@@ -204,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for a := range work {
 		wg.Add(1)
 		sem <- struct{}{}
-		//lint:ignore boundedgo fan-out is bounded by the -concurrency semaphore and joined below
+		// The -concurrency semaphore bounds the fan-out; wg joins it below.
 		go func(a int) {
 			defer wg.Done()
 			defer func() { <-sem }()

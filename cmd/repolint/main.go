@@ -13,7 +13,9 @@
 // Findings print as file:line:col: message (analyzer), sorted by
 // position so the output is byte-deterministic. Suppressions use
 // //lint:ignore <analyzer> <reason> on the offending line or the line
-// above; -suppressed shows what they hide.
+// above; -suppressed shows what they hide. A directive missing its
+// reason is a finding, and so is each analyzer it names that reported
+// nothing on the directive's line or the next.
 //
 // Exit status: 0 when no unsuppressed finding remains, 1 when one does,
 // 2 on a usage or load error.

@@ -12,10 +12,8 @@
 //     (Analyzer.NeedsTypes), build an intra-procedural CFG per function
 //     (cfg.go) and solve a forward may-analysis over it with Forward,
 //     either through the taint engine (taint.go) or with a lattice of
-//     their own — the privacy invariants (raw microdata never reaches
-//     the wire, budget spends always settle, WAL-append-before-apply,
-//     lock discipline) are path properties that no AST walk can
-//     express.
+//     their own — raw microdata never reaching the wire and lock
+//     discipline are path properties that no AST walk can express.
 //
 // Unlike x/tools, a Diagnostic carries no suggested fix: the suite only
 // reports.
@@ -27,7 +25,8 @@
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
 // placed on the offending line or the line directly above it. The reason
-// is mandatory; a directive without one is itself reported.
+// is mandatory; a directive without one is itself reported, and so is
+// each listed analyzer that reported nothing the directive covers.
 package analysis
 
 import (
@@ -36,6 +35,7 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,11 +63,11 @@ type SourceFile struct {
 	Path string // filesystem path, for diagnostics
 	Test bool   // *_test.go, or member of an external _test package
 	AST  *ast.File
-	// ignores maps a line number to the analyzer names a lint:ignore
-	// directive on that line suppresses. A directive covers its own line
-	// and the line immediately below it, so it works both trailing the
-	// offending statement and on its own line above it.
-	ignores map[int][]string
+	// ignores holds the file's well-formed lint:ignore directives. A
+	// directive covers its own line and the line immediately below it,
+	// so it works both trailing the offending statement and on its own
+	// line above it.
+	ignores []directive
 	// badDirectives records malformed lint:ignore comments (missing
 	// analyzer list or reason); the driver reports them as findings.
 	badDirectives []Diagnostic
@@ -184,10 +184,22 @@ func ignoreDirective(text string) (analyzers []string, ok, malformed bool) {
 	return analyzers, true, len(analyzers) == 0
 }
 
+// directive is one well-formed lint:ignore comment: where it is and the
+// analyzer names it lists.
+type directive struct {
+	pos   token.Position
+	names []string
+}
+
+// covers reports whether name, one of d's names, silences a finding of
+// analyzer at line.
+func (d directive) covers(name, analyzer string, line int) bool {
+	return (line == d.pos.Line || line == d.pos.Line+1) && (name == analyzer || name == "all")
+}
+
 // collectIgnores scans a parsed file's comments for lint:ignore
 // directives, populating f.ignores and f.badDirectives.
 func (f *SourceFile) collectIgnores(fset *token.FileSet) {
-	f.ignores = map[int][]string{}
 	for _, cg := range f.AST.Comments {
 		for _, c := range cg.List {
 			names, ok, malformed := ignoreDirective(c.Text)
@@ -203,7 +215,7 @@ func (f *SourceFile) collectIgnores(fset *token.FileSet) {
 				})
 				continue
 			}
-			f.ignores[pos.Line] = append(f.ignores[pos.Line], names...)
+			f.ignores = append(f.ignores, directive{pos: pos, names: names})
 		}
 	}
 }
@@ -211,14 +223,37 @@ func (f *SourceFile) collectIgnores(fset *token.FileSet) {
 // suppressed reports whether a diagnostic from analyzer at line is
 // covered by a directive on that line or the line above.
 func (f *SourceFile) suppressed(analyzer string, line int) bool {
-	for _, l := range []int{line, line - 1} {
-		for _, name := range f.ignores[l] {
-			if name == analyzer || name == "all" {
+	for _, d := range f.ignores {
+		for _, name := range d.names {
+			if d.covers(name, analyzer, line) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// staleDirectives reports each name in f's directives that suppressed
+// none of diags, its package's findings: a directive for an analyzer
+// that does not run on f, that found nothing there, or that does not
+// exist would otherwise silently do nothing.
+func (f *SourceFile) staleDirectives(diags []Diagnostic) []Diagnostic {
+	var stale []Diagnostic
+	for _, d := range f.ignores {
+		for _, name := range d.names {
+			used := slices.ContainsFunc(diags, func(g Diagnostic) bool {
+				return g.Suppressed && g.Pos.Filename == f.Path && d.covers(name, g.Analyzer, g.Pos.Line)
+			})
+			if !used {
+				stale = append(stale, Diagnostic{
+					Analyzer: "repolint",
+					Pos:      d.pos,
+					Message:  fmt.Sprintf("stale lint:ignore %s: it suppresses no finding on this line or the next", name),
+				})
+			}
+		}
+	}
+	return stale
 }
 
 // Run applies one analyzer to one package and returns its diagnostics
@@ -251,20 +286,24 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 }
 
 // RunAll applies every analyzer to every package, appends malformed
-// lint:ignore directives as findings, and returns the result sorted by
-// position.
+// lint:ignore directives and each directive name that suppressed none
+// of the analyzers' findings as findings, and returns the result sorted
+// by position.
 func RunAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
+		var found []Diagnostic
 		for _, a := range analyzers {
 			diags, err := Run(a, pkg)
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, diags...)
+			found = append(found, diags...)
 		}
+		all = append(all, found...)
 		for _, f := range pkg.Files {
 			all = append(all, f.badDirectives...)
+			all = append(all, f.staleDirectives(found)...)
 		}
 	}
 	SortDiagnostics(all)
@@ -290,7 +329,7 @@ func SortDiagnostics(all []Diagnostic) {
 }
 
 // All returns the full repolint suite in stable order: the five
-// syntactic invariants, then the four type-aware dataflow invariants.
+// syntactic invariants, then the two type-aware dataflow invariants.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
@@ -299,8 +338,6 @@ func All() []*Analyzer {
 		ObsNames,
 		BoundedGo,
 		RawDataFlow,
-		BudgetFlow,
 		LockDiscipline,
-		WALOrder,
 	}
 }

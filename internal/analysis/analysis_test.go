@@ -69,7 +69,8 @@ import (
 
 // TestSuppression runs a real analyzer over an in-memory package and
 // checks that a directive covers its own line and the next, names the
-// right analyzer, and that malformed directives surface as findings.
+// right analyzer, and that malformed and stale directives surface as
+// findings.
 func TestSuppression(t *testing.T) {
 	dir := t.TempDir()
 	src := `package recon
@@ -106,11 +107,13 @@ func d() time.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var open, suppressed, malformed int
+	var open, suppressed, malformed, stale int
 	for _, d := range diags {
 		switch {
-		case d.Analyzer == "repolint":
+		case d.Analyzer == "repolint" && strings.HasPrefix(d.Message, "malformed"):
 			malformed++
+		case d.Analyzer == "repolint" && strings.HasPrefix(d.Message, "stale lint:ignore sentinelcmp"):
+			stale++
 		case d.Suppressed:
 			suppressed++
 		default:
@@ -118,9 +121,10 @@ func d() time.Time {
 		}
 	}
 	// a and b are suppressed; c names the wrong analyzer and d's directive
-	// is malformed (no reason), so both time.Now calls stay findings.
-	if suppressed != 2 || open != 2 || malformed != 1 {
-		t.Errorf("got open=%d suppressed=%d malformed=%d, want 2/2/1\n%v", open, suppressed, malformed, diags)
+	// is malformed (no reason), so both time.Now calls stay findings, and
+	// c's directive, which suppressed nothing, is reported as stale.
+	if suppressed != 2 || open != 2 || malformed != 1 || stale != 1 || len(diags) != 6 {
+		t.Errorf("got open=%d suppressed=%d malformed=%d stale=%d of %d, want 2/2/1/1 of 6\n%v", open, suppressed, malformed, stale, len(diags), diags)
 	}
 }
 

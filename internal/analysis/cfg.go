@@ -6,15 +6,11 @@ import (
 )
 
 // This file is a lightweight intra-procedural control-flow graph over
-// go/ast, built for the dataflow analyzers (taint.go, budgetflow,
-// lockdiscipline, walorder). It models exactly what those passes need:
+// go/ast, built for the dataflow analyzers (taint.go, which rawdataflow
+// runs, and lockdiscipline). It models exactly what those passes need:
 //
 //   - basic blocks of simple statements and the condition expressions
 //     that guard branches;
-//   - condition-labeled edges (Edge.Cond/Neg), so a pass can refine its
-//     state along the true vs false arm of `if err != nil` — the
-//     difference between "the spend failed, nothing moved" and "the
-//     spend stuck";
 //   - return edges into a synthetic Exit block, and the function's defer
 //     statements collected on the side (defers run at every exit).
 //
@@ -23,9 +19,8 @@ import (
 // inlined — the literal appears as a node in the block where it is
 // created, and each engine decides how to treat its body.
 //
-// Forward is the one fixpoint solver the four passes share; each
-// supplies its lattice as an entry state, a block flow, an optional
-// edge refinement and a join (joinBits or joinKeys).
+// Forward is the one fixpoint solver both passes share; each supplies
+// its lattice as an entry state, a block flow and a join (joinKeys).
 
 // CFG is one function body's control-flow graph. Blocks[0] is the entry.
 type CFG struct {
@@ -42,16 +37,7 @@ type CFG struct {
 type Block struct {
 	Index int
 	Nodes []ast.Node
-	Succs []Edge
-}
-
-// Edge is one control transfer. Cond, when non-nil, is the branch
-// condition the transfer depends on; Neg marks the edge taken when Cond
-// evaluates false.
-type Edge struct {
-	To   *Block
-	Cond ast.Expr
-	Neg  bool
+	Succs []*Block
 }
 
 // NewCFG builds the CFG of one function body.
@@ -69,13 +55,13 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 // and returns each block's entry state and whether any path reaches
 // the block. entry is the state on entry to g.Entry; flow maps a
 // block's entry state to its exit state and must not modify its
-// argument; refine, when non-nil, narrows an exit state along one
-// edge; join merges a state into a successor's entry state (the zero S
-// when the successor was not yet reached) and reports whether it grew.
+// argument; join merges a state into a successor's entry state (the
+// zero S when the successor was not yet reached) and reports whether it
+// grew.
 // A block is (re)visited when first reached and whenever its entry
 // state grows, so with a monotone flow and a union join every path's
 // facts reach every block they can.
-func Forward[S any](g *CFG, entry S, flow func(*Block, S) S, refine func(S, Edge) S, join func(S, S) (S, bool)) (in []S, reached []bool) {
+func Forward[S any](g *CFG, entry S, flow func(*Block, S) S, join func(S, S) (S, bool)) (in []S, reached []bool) {
 	in = make([]S, len(g.Blocks))
 	reached = make([]bool, len(g.Blocks))
 	in[g.Entry.Index], reached[g.Entry.Index] = entry, true
@@ -84,25 +70,16 @@ func Forward[S any](g *CFG, entry S, flow func(*Block, S) S, refine func(S, Edge
 		blk := work[len(work)-1]
 		work = work[:len(work)-1]
 		out := flow(blk, in[blk.Index])
-		for _, e := range blk.Succs {
-			next := out
-			if refine != nil {
-				next = refine(out, e)
-			}
+		for _, to := range blk.Succs {
 			var grew bool
-			in[e.To.Index], grew = join(in[e.To.Index], next)
-			if grew || !reached[e.To.Index] {
-				reached[e.To.Index] = true
-				work = append(work, e.To)
+			in[to.Index], grew = join(in[to.Index], out)
+			if grew || !reached[to.Index] {
+				reached[to.Index] = true
+				work = append(work, to)
 			}
 		}
 	}
 	return in, reached
-}
-
-// joinBits is the join of path-state bit sets (budgetflow, walorder).
-func joinBits(dst, src uint8) (uint8, bool) {
-	return dst | src, dst|src != dst
 }
 
 // joinKeys is the key-union join of map-valued sets (lockdiscipline,
@@ -145,15 +122,15 @@ func (b *cfgBuilder) newBlock() *Block {
 
 func (b *cfgBuilder) add(n ast.Node) { b.cur.Nodes = append(b.cur.Nodes, n) }
 
-// edge adds from→to with the given condition label.
-func (b *cfgBuilder) edge(from, to *Block, cond ast.Expr, neg bool) {
-	from.Succs = append(from.Succs, Edge{To: to, Cond: cond, Neg: neg})
+// edge adds from→to.
+func (b *cfgBuilder) edge(from, to *Block) {
+	from.Succs = append(from.Succs, to)
 }
 
 // jump ends the current block with an unconditional transfer and leaves
 // the builder in a fresh (possibly unreachable) block.
 func (b *cfgBuilder) jump(to *Block) {
-	b.edge(b.cur, to, nil, false)
+	b.edge(b.cur, to)
 	b.cur = b.newBlock()
 }
 
@@ -200,18 +177,18 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		cond := b.cur
 		then := b.newBlock()
 		after := b.newBlock()
-		b.edge(cond, then, s.Cond, false)
+		b.edge(cond, then)
 		b.cur = then
 		b.stmt(s.Body)
-		b.edge(b.cur, after, nil, false)
+		b.edge(b.cur, after)
 		if s.Else != nil {
 			els := b.newBlock()
-			b.edge(cond, els, s.Cond, true)
+			b.edge(cond, els)
 			b.cur = els
 			b.stmt(s.Else)
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		} else {
-			b.edge(cond, after, s.Cond, true)
+			b.edge(cond, after)
 		}
 		b.cur = after
 	case *ast.ForStmt:
@@ -228,23 +205,23 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			post = b.newBlock()
 			cont = post
 		}
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 		b.cur = head
 		if s.Cond != nil {
 			b.add(s.Cond)
-			b.edge(head, body, s.Cond, false)
-			b.edge(head, after, s.Cond, true)
+			b.edge(head, body)
+			b.edge(head, after)
 		} else {
-			b.edge(head, body, nil, false)
+			b.edge(head, body)
 		}
 		b.pushLoop(label, after, cont)
 		b.cur = body
 		b.stmt(s.Body)
-		b.edge(b.cur, cont, nil, false)
+		b.edge(b.cur, cont)
 		if post != nil {
 			b.cur = post
 			b.stmt(s.Post)
-			b.edge(post, head, nil, false)
+			b.edge(post, head)
 		}
 		b.popLoop(true)
 		b.cur = after
@@ -253,15 +230,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.newBlock()
 		body := b.newBlock()
 		after := b.newBlock()
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 		b.cur = head
 		b.add(s) // the whole range clause: X evaluation + Key/Value binding
-		b.edge(head, body, nil, false)
-		b.edge(head, after, nil, false)
+		b.edge(head, body)
+		b.edge(head, after)
 		b.pushLoop(label, after, head)
 		b.cur = body
 		b.stmt(s.Body)
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 		b.popLoop(true)
 		b.cur = after
 	case *ast.SwitchStmt:
@@ -292,7 +269,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
 			blk := b.newBlock()
-			b.edge(entry, blk, nil, false)
+			b.edge(entry, blk)
 			b.cur = blk
 			if comm.Comm != nil {
 				b.stmt(comm.Comm)
@@ -300,7 +277,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			for _, st := range comm.Body {
 				b.stmt(st)
 			}
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 		b.popLoop(false)
 		b.cur = after
@@ -370,7 +347,7 @@ func (b *cfgBuilder) caseClauses(label string, body *ast.BlockStmt, split func(*
 	hasDefault := false
 	for i, cc := range clauses {
 		blocks[i] = b.newBlock()
-		b.edge(entry, blocks[i], nil, false)
+		b.edge(entry, blocks[i])
 		if _, _, isDefault := split(cc); isDefault {
 			hasDefault = true
 		}
@@ -390,13 +367,13 @@ func (b *cfgBuilder) caseClauses(label string, body *ast.BlockStmt, split func(*
 			b.stmt(st)
 		}
 		if falls && i+1 < len(blocks) {
-			b.edge(b.cur, blocks[i+1], nil, false)
+			b.edge(b.cur, blocks[i+1])
 		} else {
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 	}
 	if !hasDefault {
-		b.edge(entry, after, nil, false)
+		b.edge(entry, after)
 	}
 	b.popLoop(false)
 	b.cur = after

@@ -7,7 +7,7 @@ import (
 	"singlingout/internal/analysis/analysistest"
 )
 
-// The four dataflow analyzers: each fixture pairs violations with the
+// The two dataflow analyzers: each fixture pairs violations with the
 // structurally-identical compliant shape (and a lint:ignore escape),
 // so the tests pin both directions — the finding fires, and the
 // sanctioned pattern stays quiet.
@@ -16,14 +16,6 @@ func TestRawDataFlow(t *testing.T) {
 	analysistest.Run(t, analysis.RawDataFlow, "rawdataflow")
 }
 
-func TestBudgetFlow(t *testing.T) {
-	analysistest.Run(t, analysis.BudgetFlow, "budgetflow")
-}
-
 func TestLockDiscipline(t *testing.T) {
 	analysistest.Run(t, analysis.LockDiscipline, "lockdiscipline")
-}
-
-func TestWALOrder(t *testing.T) {
-	analysistest.Run(t, analysis.WALOrder, "walorder")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"maps"
 	"sort"
 	"strings"
@@ -32,7 +33,8 @@ import (
 // File I/O is not flagged: the ledger appends each entry to its WAL, a
 // local file, inside its critical section, because write-ahead
 // durability requires the disk write before the apply (the ordering
-// walorder enforces).
+// FuzzLedgerModel in internal/query/remote checks under injected
+// faults).
 var LockDiscipline = &Analyzer{
 	Name:       "lockdiscipline",
 	NeedsTypes: true,
@@ -112,7 +114,7 @@ func checkLockDiscipline(pass *Pass, fb FuncBody) {
 	sc := collectSelectComms(fb.Body)
 	in, reached := Forward(g, lockSet{},
 		func(blk *Block, held lockSet) lockSet { return ldTransferBlock(pass, blk, sc, maps.Clone(held), nil) },
-		nil, joinKeys[lockSet])
+		joinKeys[lockSet])
 	for _, blk := range g.Blocks {
 		if !reached[blk.Index] {
 			continue
@@ -238,6 +240,18 @@ func receiverKey(pass *Pass, x ast.Expr) (key, name string) {
 	}
 	name = strings.Join(parts, ".")
 	return base + "|" + name, name
+}
+
+// objOfIdent resolves an identifier to its types.Object, nil when the
+// tolerant type-check left it unresolved.
+func objOfIdent(pass *Pass, id *ast.Ident) types.Object {
+	if pass.TypesInfo == nil {
+		return nil
+	}
+	if obj := pass.TypesInfo.Uses[id]; obj != nil {
+		return obj
+	}
+	return pass.TypesInfo.Defs[id]
 }
 
 // blockingCall classifies calls that must not run under a lock.

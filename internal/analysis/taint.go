@@ -76,7 +76,7 @@ func RunTaint(info *types.Info, g *CFG, spec TaintSpec) []TaintFinding {
 		}
 		return out
 	}
-	in, reached := Forward(g, taintState{}, flow, nil, joinKeys[taintState])
+	in, reached := Forward(g, taintState{}, flow, joinKeys[taintState])
 	// Re-run the transfer once per block at fixpoint to emit findings
 	// with final states (findings are deduped by call position).
 	e.findings = nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+
+	"singlingout/internal/obs"
 )
 
 // ledger is the server's append-only privacy-loss accounting: every
@@ -27,7 +29,8 @@ import (
 // the ledger unmoved and fails the request — the server refuses to move
 // budget it cannot account for durably.
 type ledger struct {
-	wal *wal // nil = in-memory only
+	wal        *wal         // nil = in-memory only
+	walAppends *obs.Counter // qserver.wal_appends: entries the wal took
 
 	mu      sync.Mutex
 	seq     int64 // the last entry's sequence number
@@ -36,9 +39,9 @@ type ledger struct {
 }
 
 // newLedger resumes a ledger from a replayed history and the totals
-// ReplayLedger folded from it.
-func newLedger(w *wal, entries []LedgerEntry, totals map[string]int) *ledger {
-	l := &ledger{wal: w, entries: entries, totals: totals}
+// ReplayLedger folded from it; appends counts the entries w takes.
+func newLedger(w *wal, appends *obs.Counter, entries []LedgerEntry, totals map[string]int) *ledger {
+	l := &ledger{wal: w, walAppends: appends, entries: entries, totals: totals}
 	if len(entries) > 0 {
 		l.seq = entries[len(entries)-1].Seq
 	}
@@ -55,6 +58,7 @@ func (l *ledger) add(op, analyst, backend, hash, trace string, cost, cumulative 
 		if err := l.wal.append(e); err != nil {
 			return LedgerEntry{}, err
 		}
+		l.walAppends.Add(1)
 	}
 	l.seq = e.Seq
 	l.entries = append(l.entries, e)

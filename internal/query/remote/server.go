@@ -132,7 +132,6 @@ type Server struct {
 	budgetRefunded *obs.Counter
 	errs           *obs.Counter
 	shed           *obs.Counter
-	walAppends     *obs.Counter
 	latency        *obs.Histogram
 	cacheSize      *obs.Gauge
 	queueDepth     *obs.Gauge
@@ -205,7 +204,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		budgetRefunded: reg.Counter(MetricBudgetRefunded),
 		errs:           reg.Counter(MetricErrors),
 		shed:           reg.Counter(MetricShed),
-		walAppends:     reg.Counter(MetricWALAppends),
 		latency:        reg.Histogram(MetricLatency),
 		cacheSize:      reg.Gauge(MetricCacheSize),
 		queueDepth:     reg.Gauge(MetricQueueDepth),
@@ -229,7 +227,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("remote: wal %s does not replay: %w", cfg.WALPath, err)
 		}
 	}
-	s.ledger = newLedger(w, entries, totals)
+	s.ledger = newLedger(w, reg.Counter(MetricWALAppends), entries, totals)
 	s.admit = newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, s.queueDepth)
 	s.caches = make([]cacheShard, cfg.Shards)
 	for i := range s.caches {
@@ -414,9 +412,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
 			return
 		}
-		if s.ledger.wal != nil {
-			s.walAppends.Add(1)
-		}
 		s.journalBudget(entry)
 		if !ok {
 			s.budgetDenied.Add(1)
@@ -446,9 +441,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				s.fail(w, http.StatusInternalServerError, CodeInternal,
 					fmt.Sprintf("batch failed (%v) and the ledger refund did not persist: %v", err, rerr))
 				return
-			}
-			if s.ledger.wal != nil {
-				s.walAppends.Add(1)
 			}
 			s.journalBudget(re)
 			s.budgetRefunded.Add(int64(fresh))

@@ -29,9 +29,11 @@ import (
 // the next replay drops as a torn tail, refunding that later spend — or
 // carry a cumulative that contradicts the line before it, which replay
 // refuses. Stopped, the log ends with the failed line: a fragment that
-// replay drops, as the ledger never applied it, or a whole entry that
-// replays as a charge the live ledger never made — an over-charge, never
-// a refund.
+// replay drops, as the ledger never applied it, or a whole entry the
+// live ledger never applied. A whole spend replays as an over-charge. A
+// whole refund, whose fsync failed, replays one refund below the stopped
+// live total: its batch failed and released nothing, so a restart never
+// lands below what the answers the server released cost.
 //
 // The wal has no lock of its own: the ledger's mutex serializes every
 // append and the Close, so lines reach the file in sequence order.

@@ -39,11 +39,10 @@ func (f *faultFile) Sync() error {
 	return f.File.Sync()
 }
 
-// faultServer starts a one-shard server with a WAL at path whose file
-// fails as f says.
-func faultServer(t *testing.T, path string, sync bool, f *faultFile) *Server {
+// faultServer starts a server on cfg, whose WAL file fails as f says.
+func faultServer(t *testing.T, cfg ServerConfig, f *faultFile) *Server {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{N: 16, P: 0.5, Seed: 1, WALPath: path, WALSync: sync})
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +70,12 @@ func post(srv *Server, backend, analyst, queries string) (int, string) {
 	if err != nil {
 		panic(err)
 	}
+	return postBitmaps(srv, backend, analyst, qs)
+}
+
+// postBitmaps sends analyst's batch of bitmap queries qs to backend and
+// returns the response's status and body.
+func postBitmaps(srv *Server, backend, analyst string, qs [][]byte) (int, string) {
 	body := appendQueryRequest(nil, QueryRequest{V: V, Analyst: analyst, Queries: qs})
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query/"+backend, bytes.NewReader(body)))
@@ -116,7 +121,7 @@ func spendUntilStopped(t *testing.T, srv *Server) {
 // and so does a restart.
 func TestWALShortWriteStops(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.wal")
-	srv := faultServer(t, path, false, &faultFile{writes: 2})
+	srv := faultServer(t, ServerConfig{N: 16, P: 0.5, Seed: 1, WALPath: path}, &faultFile{writes: 2})
 	spendUntilStopped(t, srv)
 	live := srv.BudgetSpent("a")
 	if err := srv.Close(); err != nil {
@@ -147,10 +152,11 @@ func TestWALShortWriteStops(t *testing.T) {
 // on disk while the ledger stays unmoved. Had the next spend been
 // appended, its cumulative would contradict that line and replay would
 // refuse the log. Stopped, the log replays, charging at least what the
-// live ledger charged: an over-charge, never an under-charge.
+// live ledger charged: the failed spend replays as an over-charge. (A
+// failed refund replays one refund below; FuzzLedgerModel covers it.)
 func TestWALFailedSyncStops(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.wal")
-	srv := faultServer(t, path, true, &faultFile{syncs: 2})
+	srv := faultServer(t, ServerConfig{N: 16, P: 0.5, Seed: 1, WALPath: path, WALSync: true}, &faultFile{syncs: 2})
 	spendUntilStopped(t, srv)
 	live := srv.BudgetSpent("a")
 	if err := srv.Close(); err != nil {
