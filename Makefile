@@ -21,10 +21,12 @@
 #                  replay
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
-#                  IsolationCount, HashPrefix.Eval), the random-subset
-#                  generator at the serving and lp-recon shapes
-#                  (BenchmarkRandomSubsets) and the query server's
-#                  handler on cached and fresh batches (BenchmarkServeQuery)
+#                  IsolationCount, HashPrefix.Eval), cold LP decodes at
+#                  the lp-recon shape (BenchmarkDecodeLPRecon, with
+#                  pivots/op), the random-subset generator at the serving
+#                  and lp-recon shapes (BenchmarkRandomSubsets) and the
+#                  query server's handler on cached and fresh batches
+#                  (BenchmarkServeQuery)
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
@@ -142,6 +144,7 @@ loadgen-smoke:
 gobench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
+	$(GO) test -run '^$$' -bench BenchmarkDecodeLPRecon -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench BenchmarkRandomSubsets -benchmem ./internal/query
 	$(GO) test -run '^$$' -bench BenchmarkServeQuery -benchmem ./internal/query/remote
 

@@ -110,7 +110,7 @@ func expandUpper(p *Problem) *Problem {
 		}
 		a := make([]float64, p.NumVars)
 		a[j] = 1
-		rows = append(rows, Constraint{Coeffs: a, Rel: LE, RHS: u})
+		rows = append(rows, dense(a, LE, u))
 	}
 	if rows == nil {
 		return p
@@ -178,8 +178,8 @@ func newTableau(p *Problem) *tableau {
 			sign = -1
 			rel = flip(rel)
 		}
-		for j, v := range c.Coeffs {
-			t.a[r][j] = sign * v
+		for k, j := range c.Vars {
+			t.a[r][j] = sign * c.Coeffs[k]
 		}
 		// ε-perturbation: strictly increasing tiny offsets keep basic
 		// solutions nondegenerate, preventing simplex stalling/cycling.

@@ -16,8 +16,8 @@ func ExampleRevised() {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []lp.Constraint{
-			{Coeffs: []float64{0, 2}, Rel: lp.LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: lp.LE, RHS: 18},
+			{Vars: []int{1}, Coeffs: []float64{2}, Rel: lp.LE, RHS: 12},
+			{Vars: []int{0, 1}, Coeffs: []float64{3, 2}, Rel: lp.LE, RHS: 18},
 		},
 		Upper: []float64{4, math.Inf(1)},
 	}

@@ -2,10 +2,102 @@ package lp
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"singlingout/internal/par"
 )
+
+// factorRef is luFactor.factor with its elimination looping over every
+// earlier step j < k, the reference that the reach-only loop must
+// reproduce bit for bit. It leaves f as factor does.
+func factorRef(f *luFactor, column func(pos int) ([]int32, []float64)) bool {
+	m := f.m
+	f.etas = f.etas[:0]
+	for i := 0; i < m; i++ {
+		f.posOfRow[i] = -1
+	}
+	refs := make([]colRef, m)
+	for i := 0; i < m; i++ {
+		rows, _ := column(i)
+		refs[i] = colRef{pos: i, nnz: len(rows)}
+	}
+	sort.Slice(refs, func(a, b int) bool {
+		if refs[a].nnz != refs[b].nnz {
+			return refs[a].nnz < refs[b].nnz
+		}
+		return refs[a].pos < refs[b].pos
+	})
+	for k := 0; k < m; k++ {
+		f.colOrder[k] = refs[k].pos
+		rows, vals := column(refs[k].pos)
+		f.touched = f.touched[:0]
+		for i, r := range rows {
+			f.work[r] = vals[i]
+			if !f.inWork[r] {
+				f.inWork[r] = true
+				f.touched = append(f.touched, r)
+			}
+		}
+		var uPos []int32
+		var uVals []float64
+		for j := 0; j < k; j++ {
+			t := f.work[f.rowOfPos[j]]
+			if t == 0 {
+				continue
+			}
+			uPos = append(uPos, int32(j))
+			uVals = append(uVals, t)
+			lr, lv := f.lIdx[j], f.lVals[j]
+			for i, r := range lr {
+				f.work[r] -= lv[i] * t
+				if !f.inWork[r] {
+					f.inWork[r] = true
+					f.touched = append(f.touched, r)
+				}
+			}
+		}
+		pivRow, pivAbs := -1, luMinPivot
+		for _, r := range f.touched {
+			if f.posOfRow[r] >= 0 {
+				continue
+			}
+			if a := math.Abs(f.work[r]); a > pivAbs {
+				pivAbs, pivRow = a, int(r)
+			}
+		}
+		if pivRow < 0 {
+			f.clearWork()
+			return false
+		}
+		piv := f.work[pivRow]
+		f.uDiag[k] = piv
+		f.uPos[k], f.uVals[k] = uPos, uVals
+		var lr []int32
+		var lv []float64
+		for _, r := range f.touched {
+			if f.posOfRow[r] >= 0 || int(r) == pivRow {
+				continue
+			}
+			if v := f.work[r]; v != 0 {
+				lr = append(lr, r)
+				lv = append(lv, v/piv)
+			}
+		}
+		f.lIdx[k], f.lVals[k] = lr, lv
+		f.rowOfPos[k] = pivRow
+		f.posOfRow[pivRow] = k
+		f.clearWork()
+	}
+	for k := range f.lIdx {
+		for i, r := range f.lIdx[k] {
+			f.lIdx[k][i] = int32(f.posOfRow[r])
+		}
+	}
+	f.uRows.transpose(m, m, func(k int) ([]int32, []float64) { return f.uPos[k], f.uVals[k] })
+	return true
+}
 
 // pivotRowRef is the dual ratio test's pivot row as a column-wise dot
 // product over every entry of A, zeros of ρ included: the reference
@@ -29,9 +121,6 @@ func btranRef(f *luFactor, c, out []float64) {
 		et := &f.etas[e]
 		s := 0.0
 		for i, p := range et.rows {
-			if int(p) == et.pos {
-				continue
-			}
 			s += et.vals[i] * c[p]
 		}
 		c[et.pos] = (c[et.pos] - s) / et.pivot
@@ -46,15 +135,12 @@ func btranRef(f *luFactor, c, out []float64) {
 		g[k] = s / f.uDiag[k]
 	}
 	for k := m - 1; k >= 0; k-- {
-		lr, lv := f.lRows[k], f.lVals[k]
+		lp, lv := f.lIdx[k], f.lVals[k]
 		s := g[k]
-		for i, r := range lr {
-			s -= lv[i] * g[f.posOfRow[r]]
+		for i, p := range lp {
+			s -= lv[i] * g[p]
 		}
 		g[k] = s
-	}
-	for i := range out {
-		out[i] = 0
 	}
 	for k := 0; k < m; k++ {
 		out[f.rowOfPos[k]] = g[k]
@@ -65,19 +151,19 @@ func btranRef(f *luFactor, c, out []float64) {
 // zeros included.
 func ftranRef(f *luFactor, v, out []float64) {
 	m := f.m
-	for k := 0; k < m; k++ {
-		t := v[f.rowOfPos[k]]
-		if t == 0 {
-			continue
-		}
-		lr, lv := f.lRows[k], f.lVals[k]
-		for i, r := range lr {
-			v[r] -= lv[i] * t
-		}
-	}
 	tmp := f.solve
 	for k := 0; k < m; k++ {
 		tmp[k] = v[f.rowOfPos[k]]
+	}
+	for k := 0; k < m; k++ {
+		t := tmp[k]
+		if t == 0 {
+			continue
+		}
+		lp, lv := f.lIdx[k], f.lVals[k]
+		for i, p := range lp {
+			tmp[p] -= lv[i] * t
+		}
 	}
 	for k := m - 1; k >= 0; k-- {
 		zk := tmp[k] / f.uDiag[k]
@@ -86,9 +172,6 @@ func ftranRef(f *luFactor, v, out []float64) {
 		for i, p := range up {
 			tmp[p] -= uv[i] * zk
 		}
-	}
-	for i := range out {
-		out[i] = 0
 	}
 	for k := 0; k < m; k++ {
 		out[f.colOrder[k]] = tmp[k]
@@ -103,6 +186,60 @@ func ftranRef(f *luFactor, v, out []float64) {
 type kernelChecker struct {
 	t              *testing.T
 	states, etaful int
+	// applied counts the earlier steps that eliminated into a column,
+	// scanned the steps factorRef's loop over every j < k looks at.
+	applied, scanned int
+}
+
+func (kc *kernelChecker) sameInts(what string, got, want []int32) {
+	kc.t.Helper()
+	if !slices.Equal(got, want) {
+		kc.t.Fatalf("%s: %v, reference %v", what, got, want)
+	}
+}
+
+// checkFactor factors the current basis with factor and with factorRef
+// and compares both orders, the diagonal and every L and U entry.
+func (kc *kernelChecker) checkFactor(e *revised) {
+	kc.t.Helper()
+	m := e.m
+	column := func(pos int) ([]int32, []float64) { return e.colFor(e.basis[pos]) }
+	got, want := newLU(m), newLU(m)
+	okGot, okWant := got.factor(column), factorRef(want, column)
+	if okGot != okWant {
+		kc.t.Fatalf("factor nonsingular = %v, reference %v", okGot, okWant)
+	}
+	if !okGot {
+		return
+	}
+	if !slices.Equal(got.rowOfPos, want.rowOfPos) || !slices.Equal(got.colOrder, want.colOrder) {
+		kc.t.Fatalf("factor orders: rows %v cols %v, reference rows %v cols %v",
+			got.rowOfPos, got.colOrder, want.rowOfPos, want.colOrder)
+	}
+	kc.sameBits("U diagonal", got.uDiag, want.uDiag)
+	for k := 0; k < m; k++ {
+		kc.sameInts("U positions", got.uPos[k], want.uPos[k])
+		kc.sameBits("U values", got.uVals[k], want.uVals[k])
+		kc.sameInts("L positions", got.lIdx[k], want.lIdx[k])
+		kc.sameBits("L values", got.lVals[k], want.lVals[k])
+		kc.applied += len(got.uPos[k])
+		kc.scanned += k
+	}
+}
+
+// checkEnter compares the engine's candidate list with a scan of every
+// column.
+func (kc *kernelChecker) checkEnter(e *revised) {
+	kc.t.Helper()
+	var want []int
+	for j := 0; j < e.sf.nCols; j++ {
+		if e.canEnter[j] && e.posOf[j] < 0 {
+			want = append(want, j)
+		}
+	}
+	if !slices.Equal(e.enter, want) {
+		kc.t.Fatalf("candidate list %v, full scan %v", e.enter, want)
+	}
 }
 
 func (kc *kernelChecker) sameBits(what string, got, want []float64) {
@@ -124,6 +261,8 @@ func (kc *kernelChecker) check(e *revised) {
 	if len(e.lu.etas) > 0 {
 		kc.etaful++
 	}
+	kc.checkFactor(e)
+	kc.checkEnter(e)
 	m, sf := e.m, e.sf
 	in, inRef := make([]float64, m), make([]float64, m)
 	out, outRef := make([]float64, m), make([]float64, m)
@@ -182,17 +321,20 @@ func (kc *kernelChecker) solve(p *Problem, warm *Basis) *Solution {
 		kc.t.Fatal(err)
 	}
 	kc.check(e)
+	sol.Pivots = e.pivots
 	if sol.Status == Optimal {
 		sol.Basis = e.saveBasis()
 	}
 	return sol
 }
 
-// TestSparseKernelsMatchReference: the row-wise pivot row and the
-// zero-skipping BTRAN and FTRAN reproduce the dense-order loops bit for
-// bit, on every basis the engine passes through for the property test's
-// LPs, the FuzzRevised seeds (cold and warm) and an L1 decoding LP
-// warm-started across noisy answer vectors.
+// TestSparseKernelsMatchReference: the reach-only factor, the row-wise
+// pivot row and the zero-skipping BTRAN and FTRAN reproduce the
+// dense-order loops bit for bit, and the candidate list matches a scan
+// of every column, on every basis the engine passes through for the
+// property test's LPs, the FuzzRevised seeds (cold and warm), an L1
+// decoding LP warm-started across noisy answer vectors and a cold
+// decoding LP of 96 rows.
 func TestSparseKernelsMatchReference(t *testing.T) {
 	kc := &kernelChecker{t: t}
 	for trial := 0; trial < 120; trial++ {
@@ -224,8 +366,18 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 		}
 		basis = kc.solve(l1EqualityProblem(qRows, noisy, open), basis).Basis
 	}
+	// A cold decode at n = 24, m = 4n: most basis columns are e± unit
+	// columns, which the reach loop skips.
+	qRows, answers = subsetRows(rng, 24, 96)
+	for k := range answers {
+		answers[k] += rng.Float64() - 0.5
+	}
+	if sol := kc.solve(l1EqualityProblem(qRows, answers, make([]bool, 96)), nil); sol.Pivots == 0 {
+		t.Fatal("the cold 96-row decode took no pivots")
+	}
 	if kc.etaful == 0 {
 		t.Fatalf("none of %d states had an eta file", kc.states)
 	}
-	t.Logf("%d states checked, %d with a non-empty eta file", kc.states, kc.etaful)
+	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update",
+		kc.states, kc.etaful, kc.applied, kc.scanned)
 }

@@ -5,8 +5,11 @@
 //
 // Problems are stated as: minimize c·x subject to linear constraints with
 // relations ≤, =, ≥ and bounds 0 ≤ x_j ≤ u_j (Problem.Upper; u_j = +Inf
-// allowed, and no bounds beyond x ≥ 0 when Upper is nil). Free variables
-// are encoded by the caller as differences of two nonnegative ones.
+// allowed, and no bounds beyond x ≥ 0 when Upper is nil). Each
+// constraint lists only its nonzeros, as variable indices and
+// coefficients. Free variables are encoded by the caller as differences
+// of two nonnegative ones. A non-finite objective entry, coefficient or
+// RHS, and a malformed row, are refused before any solve.
 //
 // Revised is the one engine: a sparse bounded-variable revised simplex —
 // column-wise sparse storage, an LU-factorized basis with product-form
@@ -16,6 +19,16 @@
 // objective and/or bounds restarts from it (dual simplex when only the
 // RHS or the bounds moved). Upper bounds are implicit: a nonbasic
 // variable sits at 0 or at u_j, so a box never costs a basis row.
+//
+// Each iteration touches only entries that can be nonzero, without
+// changing a result bit against the dense-order loops the tests keep as
+// references. The standard form's columns are filled from the sparse
+// rows in O(nnz). The LU factorization eliminates each column only by
+// the earlier steps whose pivot rows it reaches, and stores L by
+// elimination position, so FTRAN and BTRAN skip the row permutation
+// inside their L solves. The dual simplex keeps an ascending list of the
+// nonbasic columns that can enter, and its ratio test and reduced-cost
+// update run over that list rather than over every column.
 //
 // A cold start crashes each row onto a singleton column whose value lies
 // within its bounds — the row's slack or surplus, or a structural column
@@ -56,8 +69,13 @@ const (
 	EQ            // Σ a_j x_j = b
 )
 
-// Constraint is one dense row of the constraint system.
+// Constraint is one row of the constraint system, listed by its
+// nonzeros: Coeffs[k] multiplies variable Vars[k]. The two slices have
+// equal length, every index lies in [0, NumVars) and appears at most
+// once, and the order of the entries does not matter. A zero
+// coefficient is allowed and ignored.
 type Constraint struct {
+	Vars   []int
 	Coeffs []float64
 	Rel    Rel
 	RHS    float64
@@ -171,6 +189,9 @@ const (
 	perturb = 1e-8
 )
 
+// validate refuses a Problem the engine cannot solve: wrong lengths, a
+// malformed sparse row, an unknown relation, a non-finite objective
+// entry, coefficient or RHS, or a negative or NaN upper bound.
 func validate(p *Problem) error {
 	if p.NumVars <= 0 {
 		return fmt.Errorf("lp: NumVars = %d, want positive", p.NumVars)
@@ -178,9 +199,34 @@ func validate(p *Problem) error {
 	if len(p.Objective) != p.NumVars {
 		return fmt.Errorf("lp: objective length %d != NumVars %d", len(p.Objective), p.NumVars)
 	}
+	for j, c := range p.Objective {
+		if !finite(c) {
+			return fmt.Errorf("lp: objective entry %d = %v, want finite", j, c)
+		}
+	}
+	// seen[j] == i+1 marks variable j as listed by constraint i.
+	seen := make([]int, p.NumVars)
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) != p.NumVars {
-			return fmt.Errorf("lp: constraint %d width %d != NumVars %d", i, len(c.Coeffs), p.NumVars)
+		if len(c.Vars) != len(c.Coeffs) {
+			return fmt.Errorf("lp: constraint %d lists %d indices for %d coefficients", i, len(c.Vars), len(c.Coeffs))
+		}
+		if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
+			return fmt.Errorf("lp: constraint %d relation %d, want LE, GE or EQ", i, c.Rel)
+		}
+		if !finite(c.RHS) {
+			return fmt.Errorf("lp: constraint %d RHS = %v, want finite", i, c.RHS)
+		}
+		for k, j := range c.Vars {
+			if j < 0 || j >= p.NumVars {
+				return fmt.Errorf("lp: constraint %d index %d outside [0, %d)", i, j, p.NumVars)
+			}
+			if seen[j] == i+1 {
+				return fmt.Errorf("lp: constraint %d lists variable %d twice", i, j)
+			}
+			seen[j] = i + 1
+			if !finite(c.Coeffs[k]) {
+				return fmt.Errorf("lp: constraint %d coefficient of variable %d = %v, want finite", i, j, c.Coeffs[k])
+			}
 		}
 	}
 	if p.Upper != nil {
@@ -195,5 +241,7 @@ func validate(p *Problem) error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 var errUnbounded = errors.New("lp: unbounded")

@@ -4,10 +4,34 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
 var ctx = context.Background()
+
+// dense states a constraint by its full coefficient row: the sparse row
+// lists the nonzero entries.
+func dense(a []float64, rel Rel, rhs float64) Constraint {
+	c := Constraint{Rel: rel, RHS: rhs}
+	for j, v := range a {
+		if v != 0 {
+			c.Vars = append(c.Vars, j)
+			c.Coeffs = append(c.Coeffs, v)
+		}
+	}
+	return c
+}
+
+// lhs is c's left-hand side at x.
+func lhs(c Constraint, x []float64) float64 {
+	s := 0.0
+	for k, j := range c.Vars {
+		s += c.Coeffs[k] * x[j]
+	}
+	return s
+}
 
 func solveOK(t *testing.T, p *Problem) *Solution {
 	t.Helper()
@@ -36,10 +60,7 @@ func checkFeasible(t *testing.T, p *Problem, x []float64) {
 		}
 	}
 	for i, c := range p.Constraints {
-		lhs := 0.0
-		for j, a := range c.Coeffs {
-			lhs += a * x[j]
-		}
+		lhs := lhs(c, x)
 		switch c.Rel {
 		case LE:
 			if lhs > c.RHS+eps {
@@ -63,9 +84,9 @@ func TestTextbookLP(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, LE, 4),
+			dense([]float64{0, 2}, LE, 12),
+			dense([]float64{3, 2}, LE, 18),
 		},
 	}
 	s := solveOK(t, p)
@@ -83,9 +104,9 @@ func TestEqualityAndGE(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 3},
-			{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
+			dense([]float64{1, 1}, EQ, 10),
+			dense([]float64{1, 0}, GE, 3),
+			dense([]float64{0, 1}, GE, 2),
 		},
 	}
 	s := solveOK(t, p)
@@ -100,7 +121,7 @@ func TestNegativeRHS(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Rel: LE, RHS: -5},
+			dense([]float64{-1}, LE, -5),
 		},
 	}
 	s := solveOK(t, p)
@@ -114,8 +135,8 @@ func TestInfeasible(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1}, Rel: GE, RHS: 2},
+			dense([]float64{1}, LE, 1),
+			dense([]float64{1}, GE, 2),
 		},
 	}
 	s, err := Solve(ctx, p)
@@ -133,7 +154,7 @@ func TestUnbounded(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 1},
+			dense([]float64{0, 1}, LE, 1),
 		},
 	}
 	s, err := Solve(ctx, p)
@@ -151,9 +172,9 @@ func TestDegenerateLP(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{2, 0}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 3},
+			dense([]float64{1, 0}, LE, 0),
+			dense([]float64{2, 0}, LE, 0),
+			dense([]float64{1, 1}, LE, 3),
 		},
 	}
 	s := solveOK(t, p)
@@ -169,9 +190,9 @@ func TestRedundantEquality(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 3},
+			dense([]float64{1, 1}, EQ, 4),
+			dense([]float64{1, 1}, EQ, 4),
+			dense([]float64{1, 0}, LE, 3),
 		},
 	}
 	s := solveOK(t, p)
@@ -181,17 +202,106 @@ func TestRedundantEquality(t *testing.T) {
 	}
 }
 
+// TestValidation: each malformed Problem is refused by both engines
+// before any solve, with an error naming what is wrong.
 func TestValidation(t *testing.T) {
-	if _, err := Solve(ctx, &Problem{NumVars: 0}); err == nil {
-		t.Error("zero vars should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	two := func(cs ...Constraint) Problem {
+		return Problem{NumVars: 2, Objective: []float64{1, 1}, Constraints: cs}
 	}
-	if _, err := Solve(ctx, &Problem{NumVars: 2, Objective: []float64{1}}); err == nil {
-		t.Error("objective width mismatch should fail")
+	row := func(vars []int, coeffs []float64) Constraint {
+		return Constraint{Vars: vars, Coeffs: coeffs, Rel: LE, RHS: 1}
 	}
-	p := &Problem{NumVars: 2, Objective: []float64{1, 1},
-		Constraints: []Constraint{{Coeffs: []float64{1}, Rel: LE, RHS: 1}}}
-	if _, err := Solve(ctx, p); err == nil {
-		t.Error("constraint width mismatch should fail")
+	cases := []struct {
+		name string
+		p    Problem
+		want string
+	}{
+		{"no variables", Problem{NumVars: 0}, "NumVars = 0"},
+		{"objective length", Problem{NumVars: 2, Objective: []float64{1}}, "objective length 1"},
+		{"NaN objective", Problem{NumVars: 2, Objective: []float64{1, nan}}, "objective entry 1 = NaN"},
+		{"infinite objective", Problem{NumVars: 2, Objective: []float64{inf, 1}}, "objective entry 0 = +Inf"},
+		{"index and coefficient lengths", two(row([]int{0, 1}, []float64{1})), "constraint 0 lists 2 indices for 1 coefficients"},
+		{"negative index", two(row([]int{-1}, []float64{1})), "constraint 0 index -1 outside [0, 2)"},
+		{"index past NumVars", two(row(nil, nil), row([]int{2}, []float64{1})), "constraint 1 index 2 outside [0, 2)"},
+		{"repeated index", two(row([]int{1, 0, 1}, []float64{1, 1, 2})), "constraint 0 lists variable 1 twice"},
+		{"NaN coefficient", two(row([]int{0}, []float64{nan})), "coefficient of variable 0 = NaN"},
+		{"infinite coefficient", two(row([]int{1}, []float64{-inf})), "coefficient of variable 1 = -Inf"},
+		{"unknown relation", two(Constraint{Rel: EQ + 1}), "constraint 0 relation 3"},
+		{"NaN RHS", two(Constraint{Vars: []int{0}, Coeffs: []float64{1}, Rel: EQ, RHS: nan}), "constraint 0 RHS = NaN"},
+		{"infinite RHS", two(Constraint{Rel: GE, RHS: -inf}), "constraint 0 RHS = -Inf"},
+	}
+	engines := []struct {
+		name  string
+		solve func(*Problem) (*Solution, error)
+	}{
+		{"Revised", func(p *Problem) (*Solution, error) { return Revised(ctx, p, nil) }},
+		{"Solve", func(p *Problem) (*Solution, error) { return Solve(ctx, p) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, eng := range engines {
+				sol, err := eng.solve(&tc.p)
+				if err == nil {
+					t.Fatalf("%s: no error, solution %+v", eng.name, sol)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %q, want it to contain %q", eng.name, err, tc.want)
+				}
+			}
+		})
+	}
+	// Two rows may list the same variable.
+	ok := two(row([]int{0, 1}, []float64{1, 1}), row([]int{1}, []float64{1}))
+	if _, err := Revised(ctx, &ok, nil); err != nil {
+		t.Errorf("variable shared by two rows: %v", err)
+	}
+}
+
+// TestSparseRowOrderAndZeros: a row's entries may come in any order and
+// may include zeros; the engine sees the same matrix either way, so the
+// solve takes the same pivots to the same bits, and a basis from one
+// form warm-starts the other.
+func TestSparseRowOrderAndZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		p := boxedProblem(rng, true)
+		q := *p
+		q.Constraints = make([]Constraint, len(p.Constraints))
+		for i, c := range p.Constraints {
+			c.Vars = append([]int{}, c.Vars...)
+			c.Coeffs = append([]float64{}, c.Coeffs...)
+			for j := 0; j < p.NumVars; j++ {
+				if !slices.Contains(c.Vars, j) {
+					c.Vars = append(c.Vars, j)
+					c.Coeffs = append(c.Coeffs, 0)
+				}
+			}
+			rng.Shuffle(len(c.Vars), func(a, b int) {
+				c.Vars[a], c.Vars[b] = c.Vars[b], c.Vars[a]
+				c.Coeffs[a], c.Coeffs[b] = c.Coeffs[b], c.Coeffs[a]
+			})
+			q.Constraints[i] = c
+		}
+		a, err := Revised(ctx, p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Revised(ctx, &q, a.Basis)
+		if err != nil {
+			t.Fatalf("trial %d: the scrambled form refused the clean form's basis: %v", trial, err)
+		}
+		c, err := Revised(ctx, &q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Status != c.Status || a.Pivots != c.Pivots || math.Float64bits(a.Objective) != math.Float64bits(c.Objective) {
+			t.Fatalf("trial %d: clean %v in %d pivots (objective %v), scrambled %v in %d (%v)",
+				trial, a.Status, a.Pivots, a.Objective, c.Status, c.Pivots, c.Objective)
+		}
+		if a.Status == Optimal && (!b.Warm || b.Pivots != 0) {
+			t.Fatalf("trial %d: warm re-solve from the clean basis: warm %v, %d pivots", trial, b.Warm, b.Pivots)
+		}
 	}
 }
 
@@ -234,19 +344,19 @@ func TestL1Regression(t *testing.T) {
 		up := make([]float64, nv)
 		copy(up, row)
 		up[n+k] = -1
-		cons = append(cons, Constraint{Coeffs: up, Rel: LE, RHS: a})
+		cons = append(cons, dense(up, LE, a))
 		lo := make([]float64, nv)
 		for i := 0; i < n; i++ {
 			lo[i] = -row[i]
 		}
 		lo[n+k] = -1
-		cons = append(cons, Constraint{Coeffs: lo, Rel: LE, RHS: -a})
+		cons = append(cons, dense(lo, LE, -a))
 	}
 	// x_i <= 1.
 	for i := 0; i < n; i++ {
 		row := make([]float64, nv)
 		row[i] = 1
-		cons = append(cons, Constraint{Coeffs: row, Rel: LE, RHS: 1})
+		cons = append(cons, dense(row, LE, 1))
 	}
 	s := solveOK(t, &Problem{NumVars: nv, Objective: obj, Constraints: cons})
 	// Rounding the LP solution should recover most of the truth.
@@ -282,13 +392,13 @@ func TestRandomLPsAgainstFeasiblePoints(t *testing.T) {
 			for j := range row {
 				row[j] = math.Abs(rng.NormFloat64()) // nonneg coeffs keep it bounded
 			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 1 + rng.Float64()*5})
+			p.Constraints = append(p.Constraints, dense(row, LE, 1+rng.Float64()*5))
 		}
 		// Make the problem bounded even for negative objective entries.
 		for j := 0; j < n; j++ {
 			row := make([]float64, n)
 			row[j] = 1
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 10})
+			p.Constraints = append(p.Constraints, dense(row, LE, 10))
 		}
 		s, err := Solve(ctx, p)
 		if err != nil {
@@ -306,11 +416,7 @@ func TestRandomLPsAgainstFeasiblePoints(t *testing.T) {
 			}
 			feasible := true
 			for _, c := range p.Constraints {
-				lhs := 0.0
-				for j, a := range c.Coeffs {
-					lhs += a * x[j]
-				}
-				if lhs > c.RHS {
+				if lhs(c, x) > c.RHS {
 					feasible = false
 					break
 				}
@@ -346,9 +452,9 @@ func TestSolutionPivotsAndProgress(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 1},
-			{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 10},
+			dense([]float64{1, 0}, GE, 1),
+			dense([]float64{0, 1}, GE, 2),
+			dense([]float64{1, 1}, LE, 10),
 		},
 		ProgressEvery: 1,
 	}

@@ -2,7 +2,8 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // luFactor is a sparse LU factorization of the m×m basis matrix B with
@@ -25,9 +26,11 @@ type luFactor struct {
 	// colOrder[k] is the basis position whose column was factored at
 	// step k.
 	colOrder []int
-	// L columns (unit diagonal implicit): entries (original row, value)
-	// for rows not yet pivoted at their step.
-	lRows [][]int32
+	// L columns (unit diagonal implicit): the entries of column k lie in
+	// rows not yet pivoted at step k. While factor runs, lIdx holds their
+	// original rows; factor ends by rewriting each as the row's
+	// elimination position (always > k), the index FTRAN and BTRAN use.
+	lIdx  [][]int32
 	lVals [][]float64
 	// U columns: entries (elimination position j < k, value) and the
 	// diagonal.
@@ -39,13 +42,20 @@ type luFactor struct {
 	uRows csr
 	// etas is the product-form update file: eta e replaces basis position
 	// e.pos; e.rows/e.vals are the position-indexed nonzeros of the
-	// FTRANed entering column, e.pivot its value at e.pos.
+	// FTRANed entering column other than its pivot, e.pivot its value at
+	// e.pos.
 	etas []eta
 
 	work    []float64 // dense scratch, len m; all zero between calls
 	touched []int32
 	inWork  []bool
-	solve   []float64 // ftran/btran scratch in elimination order, len m
+	// reach is a bitset over elimination positions: while column k is
+	// factored, bit j < k is set when the pivot row of step j has been
+	// written in work, so the elimination visits only those steps. All
+	// zero between columns.
+	reach []uint64
+	refs  []colRef  // factor's column order scratch, len m
+	solve []float64 // ftran/btran scratch in elimination order, len m
 }
 
 type eta struct {
@@ -54,6 +64,9 @@ type eta struct {
 	rows  []int32
 	vals  []float64
 }
+
+// colRef is a basis position and its column's nonzero count.
+type colRef struct{ pos, nnz int }
 
 // luMinPivot is the singularity threshold for factorization pivots.
 const luMinPivot = 1e-10
@@ -64,7 +77,7 @@ func newLU(m int) *luFactor {
 		rowOfPos: make([]int, m),
 		posOfRow: make([]int, m),
 		colOrder: make([]int, m),
-		lRows:    make([][]int32, m),
+		lIdx:     make([][]int32, m),
 		lVals:    make([][]float64, m),
 		uPos:     make([][]int32, m),
 		uVals:    make([][]float64, m),
@@ -72,6 +85,8 @@ func newLU(m int) *luFactor {
 		work:     make([]float64, m),
 		touched:  make([]int32, 0, m),
 		inWork:   make([]bool, m),
+		reach:    make([]uint64, (m+63)/64),
+		refs:     make([]colRef, m),
 		solve:    make([]float64, m),
 	}
 }
@@ -79,6 +94,13 @@ func newLU(m int) *luFactor {
 // factor (re)builds the LU decomposition of the basis described by
 // column, a position→sparse-column accessor. It returns false when the
 // basis matrix is numerically singular. The eta file is cleared.
+//
+// The elimination is left-looking: column k is reduced by each earlier
+// step j whose pivot row holds a nonzero of the working column, in
+// ascending j. A step whose pivot row was never written holds an exact
+// zero there and would be skipped anyway, so visiting only the steps
+// the reach bitset marks applies the same updates in the same order as
+// a loop over every j < k, bit for bit.
 func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 	m := f.m
 	f.etas = f.etas[:0]
@@ -87,17 +109,16 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 	}
 	// Sparsest columns first: their pivots eliminate rows without creating
 	// fill for the denser columns factored later.
-	type colRef struct{ pos, nnz int }
-	refs := make([]colRef, m)
-	for i := 0; i < m; i++ {
+	refs := f.refs
+	for i := range refs {
 		rows, _ := column(i)
 		refs[i] = colRef{pos: i, nnz: len(rows)}
 	}
-	sort.Slice(refs, func(a, b int) bool {
-		if refs[a].nnz != refs[b].nnz {
-			return refs[a].nnz < refs[b].nnz
+	slices.SortFunc(refs, func(a, b colRef) int {
+		if a.nnz != b.nnz {
+			return a.nnz - b.nnz
 		}
-		return refs[a].pos < refs[b].pos
+		return a.pos - b.pos
 	})
 	for k := 0; k < m; k++ {
 		f.colOrder[k] = refs[k].pos
@@ -106,28 +127,28 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 		f.touched = f.touched[:0]
 		for i, r := range rows {
 			f.work[r] = vals[i]
-			if !f.inWork[r] {
-				f.inWork[r] = true
-				f.touched = append(f.touched, r)
-			}
+			f.touch(r)
 		}
-		// Left-looking elimination by the columns already factored.
+		// Left-looking elimination by the steps the column reaches. Each
+		// applied L column marks only later steps, so scanning the bitset
+		// upward, re-reading the current word, visits them in order.
 		uPos := f.uPos[k][:0]
 		uVals := f.uVals[k][:0]
-		for j := 0; j < k; j++ {
-			pr := f.rowOfPos[j]
-			t := f.work[pr]
-			if t == 0 {
-				continue
-			}
-			uPos = append(uPos, int32(j))
-			uVals = append(uVals, t)
-			lr, lv := f.lRows[j], f.lVals[j]
-			for i, r := range lr {
-				f.work[r] -= lv[i] * t
-				if !f.inWork[r] {
-					f.inWork[r] = true
-					f.touched = append(f.touched, r)
+		for w := range f.reach[:(k+63)/64] {
+			for f.reach[w] != 0 {
+				b := bits.TrailingZeros64(f.reach[w])
+				f.reach[w] &^= 1 << b
+				j := w<<6 | b
+				t := f.work[f.rowOfPos[j]]
+				if t == 0 {
+					continue
+				}
+				uPos = append(uPos, int32(j))
+				uVals = append(uVals, t)
+				lr, lv := f.lIdx[j], f.lVals[j]
+				for i, r := range lr {
+					f.work[r] -= lv[i] * t
+					f.touch(r)
 				}
 			}
 		}
@@ -148,7 +169,7 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 		piv := f.work[pivRow]
 		f.uDiag[k] = piv
 		f.uPos[k], f.uVals[k] = uPos, uVals
-		lr := f.lRows[k][:0]
+		lr := f.lIdx[k][:0]
 		lv := f.lVals[k][:0]
 		for _, r := range f.touched {
 			if f.posOfRow[r] >= 0 || int(r) == pivRow {
@@ -159,13 +180,31 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 				lv = append(lv, v/piv)
 			}
 		}
-		f.lRows[k], f.lVals[k] = lr, lv
+		f.lIdx[k], f.lVals[k] = lr, lv
 		f.rowOfPos[k] = pivRow
 		f.posOfRow[pivRow] = k
 		f.clearWork()
 	}
+	for _, lr := range f.lIdx {
+		for i, r := range lr {
+			lr[i] = int32(f.posOfRow[r])
+		}
+	}
 	f.uRows.transpose(m, m, func(k int) ([]int32, []float64) { return f.uPos[k], f.uVals[k] })
 	return true
+}
+
+// touch records that row r of work has been written: it joins the
+// touched list once, and if an earlier step pivoted on it, that step
+// joins the reach set.
+func (f *luFactor) touch(r int32) {
+	if !f.inWork[r] {
+		f.inWork[r] = true
+		f.touched = append(f.touched, r)
+	}
+	if p := f.posOfRow[r]; p >= 0 {
+		f.reach[p>>6] |= 1 << (p & 63)
+	}
 }
 
 func (f *luFactor) clearWork() {
@@ -176,55 +215,52 @@ func (f *luFactor) clearWork() {
 	f.touched = f.touched[:0]
 }
 
-// ftran solves B·x = v. v is indexed by original row and is consumed as
-// scratch; the result is written to out, indexed by basis position.
+// ftran solves B·x = v. v is indexed by original row and is left
+// unchanged; the result is written to out, indexed by basis position.
 func (f *luFactor) ftran(v, out []float64) {
 	m := f.m
-	// Forward: L y = P v.
+	// Forward: L y = P v, in elimination order.
+	y := f.solve
 	for k := 0; k < m; k++ {
-		t := v[f.rowOfPos[k]]
+		y[k] = v[f.rowOfPos[k]]
+	}
+	for k := 0; k < m; k++ {
+		t := y[k]
 		if t == 0 {
 			continue
 		}
-		lr, lv := f.lRows[k], f.lVals[k]
-		for i, r := range lr {
-			v[r] -= lv[i] * t
+		lp, lv := f.lIdx[k], f.lVals[k]
+		for i, p := range lp {
+			y[p] -= lv[i] * t
 		}
 	}
 	// Back-substitute U z = y, column-wise, skipping z_k = 0.
-	z := out // reuse out as the z buffer in elimination order via scatter below
-	tmp := f.solve
-	for k := 0; k < m; k++ {
-		tmp[k] = v[f.rowOfPos[k]]
-	}
 	for k := m - 1; k >= 0; k-- {
-		s := tmp[k]
+		s := y[k]
 		if s == 0 && math.Signbit(s) {
 			// See btran: replay the zero terms along row k.
 			u := &f.uRows
 			for i := u.start[k]; i < u.start[k+1]; i++ {
-				s -= u.val[i] * tmp[u.idx[i]]
+				s -= u.val[i] * y[u.idx[i]]
 			}
 		}
 		zk := s / f.uDiag[k]
-		tmp[k] = zk
+		y[k] = zk
 		if zk == 0 {
 			continue
 		}
 		up, uv := f.uPos[k], f.uVals[k]
 		for i, p := range up {
-			tmp[p] -= uv[i] * zk
+			y[p] -= uv[i] * zk
 		}
 	}
-	for i := range z {
-		z[i] = 0
-	}
+	// colOrder is a permutation, so the scatter writes every entry.
 	for k := 0; k < m; k++ {
-		z[f.colOrder[k]] = tmp[k]
+		out[f.colOrder[k]] = y[k]
 	}
 	// Replay the eta file.
 	for e := range f.etas {
-		f.applyEta(&f.etas[e], z)
+		f.applyEta(&f.etas[e], out)
 	}
 }
 
@@ -232,9 +268,6 @@ func (f *luFactor) applyEta(e *eta, v []float64) {
 	t := v[e.pos] / e.pivot
 	if v[e.pos] != 0 {
 		for i, p := range e.rows {
-			if int(p) == e.pos {
-				continue
-			}
 			v[p] -= e.vals[i] * t
 		}
 	}
@@ -251,9 +284,6 @@ func (f *luFactor) btran(c, out []float64) {
 		et := &f.etas[e]
 		s := 0.0
 		for i, p := range et.rows {
-			if int(p) == et.pos {
-				continue
-			}
 			s += et.vals[i] * c[p]
 		}
 		c[et.pos] = (c[et.pos] - s) / et.pivot
@@ -285,18 +315,16 @@ func (f *luFactor) btran(c, out []float64) {
 			g[u.idx[i]] -= u.val[i] * gk
 		}
 	}
-	// Lᵀ h = g, backward (rows in lRows have elimination positions > k).
+	// Lᵀ h = g, backward (L column k's entries lie at positions > k).
 	for k := m - 1; k >= 0; k-- {
-		lr, lv := f.lRows[k], f.lVals[k]
+		lp, lv := f.lIdx[k], f.lVals[k]
 		s := g[k]
-		for i, r := range lr {
-			s -= lv[i] * g[f.posOfRow[r]]
+		for i, p := range lp {
+			s -= lv[i] * g[p]
 		}
 		g[k] = s
 	}
-	for i := range out {
-		out[i] = 0
-	}
+	// rowOfPos is a permutation, so the scatter writes every entry.
 	for k := 0; k < m; k++ {
 		out[f.rowOfPos[k]] = g[k]
 	}
@@ -322,7 +350,7 @@ func (f *luFactor) appendEta(pos int, d []float64) bool {
 	e.pos, e.pivot = pos, d[pos]
 	e.rows, e.vals = e.rows[:0], e.vals[:0]
 	for i, v := range d {
-		if v != 0 {
+		if v != 0 && i != pos {
 			e.rows = append(e.rows, int32(i))
 			e.vals = append(e.vals, v)
 		}

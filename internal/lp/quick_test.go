@@ -23,13 +23,13 @@ func TestRandomBoundedLPsQuick(t *testing.T) {
 			for j := range row {
 				row[j] = rng.Float64() // nonnegative
 			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: rng.Float64() * 4})
+			p.Constraints = append(p.Constraints, dense(row, LE, rng.Float64()*4))
 		}
 		// Box to guarantee boundedness.
 		for j := 0; j < n; j++ {
 			row := make([]float64, n)
 			row[j] = 1
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 5})
+			p.Constraints = append(p.Constraints, dense(row, LE, 5))
 		}
 		s, err := Solve(ctx, p)
 		if err != nil || s.Status != Optimal {
@@ -42,11 +42,7 @@ func TestRandomBoundedLPsQuick(t *testing.T) {
 			}
 		}
 		for _, c := range p.Constraints {
-			lhs := 0.0
-			for j, a := range c.Coeffs {
-				lhs += a * s.X[j]
-			}
-			if lhs > c.RHS+slack {
+			if lhs(c, s.X) > c.RHS+slack {
 				return false
 			}
 		}

@@ -53,8 +53,8 @@ func driveOutProblem() *Problem {
 		NumVars:   2,
 		Objective: []float64{0, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1, 0}, Rel: EQ, RHS: 0},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 2},
+			dense([]float64{-1, 0}, EQ, 0),
+			dense([]float64{1, 1}, LE, 2),
 		},
 	}
 }
@@ -108,9 +108,9 @@ func TestSolveCancellation(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, LE, 4),
+			dense([]float64{0, 2}, LE, 12),
+			dense([]float64{3, 2}, LE, 18),
 		},
 		ProgressEvery: 1,
 	}

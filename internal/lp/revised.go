@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrBasisMismatch is returned by Revised when the warm-start Basis was
@@ -57,7 +58,10 @@ type revised struct {
 	sf *standard
 	m  int
 
-	artCols  []spCol   // artificial singleton columns (factor access)
+	// artRows/artVals hold the artificial singleton columns: artificial r
+	// is the one entry artRows[r] = r, artVals[r] = ±1.
+	artRows  []int32
+	artVals  []float64
 	cost     []float64 // current phase objective, indexed by column id
 	ub       []float64 // upper bound by column id (artificials +Inf)
 	canEnter []bool    // active, non-fixed structural or row-variable column
@@ -66,6 +70,10 @@ type revised struct {
 	posOf    []int     // column id -> basis position, -1 if nonbasic
 	xB       []float64 // basic variable values by position
 	lu       *luFactor
+	// enter lists the nonbasic columns that canEnter, ascending: the
+	// columns the dual's ratio test and reduced-cost update visit. It is
+	// rebuilt when the basis is set wholesale and kept by doPivot.
+	enter []int
 
 	pivots       int
 	phase1Pivots int
@@ -84,6 +92,7 @@ type revised struct {
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
 	dualD      []float64 // dual simplex's cached nonbasic reduced costs
+	alpha      []float64 // dual simplex's pivot row ρ·A, by column id
 }
 
 // Revised solves p with the sparse bounded-variable revised simplex:
@@ -159,7 +168,8 @@ func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 		p:             p,
 		sf:            sf,
 		m:             m,
-		artCols:       make([]spCol, m),
+		artRows:       make([]int32, m),
+		artVals:       make([]float64, m),
 		cost:          make([]float64, total),
 		ub:            make([]float64, total),
 		canEnter:      make([]bool, total),
@@ -189,7 +199,7 @@ func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 		if sf.b[r] < 0 {
 			s = -1
 		}
-		e.artCols[r] = spCol{rows: []int32{int32(r)}, vals: []float64{s}}
+		e.artRows[r], e.artVals[r] = int32(r), s
 	}
 	for j := range e.posOf {
 		e.posOf[j] = -1
@@ -228,8 +238,8 @@ func (e *revised) colFor(j int) ([]int32, []float64) {
 	if j < e.sf.nCols {
 		return e.sf.cols[j].rows, e.sf.cols[j].vals
 	}
-	c := &e.artCols[j-e.sf.nCols]
-	return c.rows, c.vals
+	r := j - e.sf.nCols
+	return e.artRows[r : r+1], e.artVals[r : r+1]
 }
 
 // nonbasicValue is the value of nonbasic column j: its upper bound or 0.
@@ -358,15 +368,39 @@ func (e *revised) moveEntering(delta float64) {
 func (e *revised) doPivot(q, r int, delta, enterVal float64) error {
 	e.moveEntering(delta)
 	e.xB[r] = enterVal
-	e.posOf[e.basis[r]] = -1
+	leave := e.basis[r]
+	e.posOf[leave] = -1
 	e.basis[r] = q
 	e.posOf[q] = r
 	e.atUpper[q] = false
+	e.swapEnter(q, leave)
 	e.tick()
 	if len(e.lu.etas) >= refactorEvery || !e.lu.appendEta(r, e.d) {
 		return e.refactor()
 	}
 	return nil
+}
+
+// rebuildEnter lists the nonbasic columns that can enter, ascending.
+func (e *revised) rebuildEnter() {
+	e.enter = e.enter[:0]
+	for j := 0; j < e.sf.nCols; j++ {
+		if e.canEnter[j] && e.posOf[j] < 0 {
+			e.enter = append(e.enter, j)
+		}
+	}
+}
+
+// swapEnter keeps e.enter in step with a basis exchange: q enters the
+// basis and leave leaves it, and the list stays ascending.
+func (e *revised) swapEnter(q, leave int) {
+	if i, ok := slices.BinarySearch(e.enter, q); ok {
+		e.enter = slices.Delete(e.enter, i, i+1)
+	}
+	if leave < e.sf.nCols && e.canEnter[leave] {
+		i, _ := slices.BinarySearch(e.enter, leave)
+		e.enter = slices.Insert(e.enter, i, leave)
+	}
 }
 
 // primalGain is the rate at which moving nonbasic column j off its bound
@@ -598,6 +632,7 @@ func (e *revised) crash() int {
 		}
 		e.posOf[e.basis[r]] = r
 	}
+	e.rebuildEnter()
 	return numArt
 }
 
@@ -712,6 +747,7 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		e.basis[i] = j
 		e.posOf[j] = i
 	}
+	e.rebuildEnter()
 	for _, j := range warm.upper {
 		// A column whose bound became infinite (or zero) drops to 0.
 		if e.posOf[j] < 0 && e.canEnter[j] && !math.IsInf(e.ub[j], 1) {
@@ -765,16 +801,13 @@ func (e *revised) startWarm() {
 // basis dual feasible.
 func (e *revised) placeDualFeasible() bool {
 	e.refreshDualD()
-	for j := 0; j < e.sf.nCols; j++ {
-		if e.canEnter[j] && e.posOf[j] < 0 && e.dualD[j] < -feasTol && math.IsInf(e.ub[j], 1) {
+	for _, j := range e.enter {
+		if e.dualD[j] < -feasTol && math.IsInf(e.ub[j], 1) {
 			return false
 		}
 	}
 	moved := false
-	for j := 0; j < e.sf.nCols; j++ {
-		if !e.canEnter[j] || e.posOf[j] >= 0 {
-			continue
-		}
+	for _, j := range e.enter {
 		if up := e.dualD[j] < 0; up != e.atUpper[j] && math.Abs(e.dualD[j]) > feasTol {
 			e.atUpper[j], moved = up, true
 		}
@@ -791,14 +824,12 @@ func (e *revised) placeDualFeasible() bool {
 func (e *revised) refreshDualD() {
 	if e.dualD == nil {
 		e.dualD = make([]float64, e.sf.nCols)
+	} else {
+		clear(e.dualD)
 	}
 	e.btranCost()
-	for j := 0; j < e.sf.nCols; j++ {
-		if e.canEnter[j] && e.posOf[j] < 0 {
-			e.dualD[j] = e.redCost(j, e.y)
-		} else {
-			e.dualD[j] = 0
-		}
+	for _, j := range e.enter {
+		e.dualD[j] = e.redCost(j, e.y)
 	}
 }
 
@@ -843,10 +874,13 @@ type dualCand struct {
 // BTRAN (the pivot row), one FTRAN (the entering column, plus one for
 // the bound flips of a long step) and one pass over the rows of A where
 // the pivot row's ρ is nonzero, with reduced costs updated in place from
-// the pivot row.
+// the pivot row. The ratio test and the update visit only e.enter.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
-	alpha := make([]float64, e.sf.nCols)
+	if e.alpha == nil {
+		e.alpha = make([]float64, e.sf.nCols)
+	}
+	alpha := e.alpha
 	var cands []dualCand
 	var flips []int
 	degenRun := 0 // consecutive pivots with no dual-objective progress
@@ -870,11 +904,7 @@ func (e *revised) dual() (*Solution, error) {
 		e.btranRow(r)
 		e.sf.pivotRow(e.y, alpha)
 		cands = cands[:0]
-		for j := 0; j < e.sf.nCols; j++ {
-			if !e.canEnter[j] || e.posOf[j] >= 0 {
-				alpha[j] = 0
-				continue
-			}
+		for _, j := range e.enter {
 			s, dj := alpha[j], e.dualD[j]
 			if below {
 				s = -s
@@ -950,8 +980,10 @@ func (e *revised) dual() (*Solution, error) {
 			e.refreshDualD()
 			continue
 		}
-		for j := 0; j < e.sf.nCols; j++ {
-			if aj := alpha[j]; aj != 0 && e.posOf[j] < 0 {
+		// e.enter now lacks q and holds leaveCol when it can enter; its
+		// update is overwritten below.
+		for _, j := range e.enter {
+			if aj := alpha[j]; aj != 0 {
 				e.dualD[j] -= thetaD * aj
 			}
 		}

@@ -34,34 +34,34 @@ func TestRevisedMatchesDenseFixtures(t *testing.T) {
 			NumVars:   2,
 			Objective: []float64{-3, -5},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-				{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-				{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+				dense([]float64{1, 0}, LE, 4),
+				dense([]float64{0, 2}, LE, 12),
+				dense([]float64{3, 2}, LE, 18),
 			},
 		},
 		{ // equality + GE rows force a real phase 1
 			NumVars:   2,
 			Objective: []float64{1, 1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 10},
-				{Coeffs: []float64{1, 0}, Rel: GE, RHS: 3},
-				{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
+				dense([]float64{1, 1}, EQ, 10),
+				dense([]float64{1, 0}, GE, 3),
+				dense([]float64{0, 1}, GE, 2),
 			},
 		},
 		{ // negative RHS keeps its orientation in the sparse form
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{-1}, Rel: LE, RHS: -5},
+				dense([]float64{-1}, LE, -5),
 			},
 		},
 		{ // degenerate corner
 			NumVars:   2,
 			Objective: []float64{-1, -1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 0}, Rel: LE, RHS: 0},
-				{Coeffs: []float64{2, 0}, Rel: LE, RHS: 0},
-				{Coeffs: []float64{1, 1}, Rel: LE, RHS: 3},
+				dense([]float64{1, 0}, LE, 0),
+				dense([]float64{2, 0}, LE, 0),
+				dense([]float64{1, 1}, LE, 3),
 			},
 		},
 	}
@@ -81,9 +81,9 @@ func TestRevisedRedundantRows(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 3},
+			dense([]float64{1, 1}, EQ, 4),
+			dense([]float64{1, 1}, EQ, 4),
+			dense([]float64{1, 0}, LE, 3),
 		},
 	}
 	want := solveOK(t, p)
@@ -98,8 +98,8 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1}, Rel: GE, RHS: 2},
+			dense([]float64{1}, LE, 1),
+			dense([]float64{1}, GE, 2),
 		},
 	}
 	s, err := Revised(ctx, infeas, nil)
@@ -116,7 +116,7 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 1},
+			dense([]float64{0, 1}, LE, 1),
 		},
 	}
 	s, err = Revised(ctx, unb, nil)
@@ -141,7 +141,11 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 	}
 	var rows []row
 	for _, c := range p.Constraints {
-		rows = append(rows, row{c.Coeffs, c.RHS})
+		a := make([]float64, n)
+		for k, j := range c.Vars {
+			a[j] = c.Coeffs[k]
+		}
+		rows = append(rows, row{a, c.RHS})
 	}
 	for j := 0; j < n; j++ {
 		e := make([]float64, n)
@@ -156,10 +160,7 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 			}
 		}
 		for _, c := range p.Constraints {
-			lhs := 0.0
-			for j, a := range c.Coeffs {
-				lhs += a * x[j]
-			}
+			lhs := lhs(c, x)
 			switch c.Rel {
 			case LE:
 				if lhs > c.RHS+eps {
@@ -328,12 +329,12 @@ func boxedProblem(rng *rand.Rand, anchored bool) *Problem {
 				rhs = s
 			}
 		}
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: rel, RHS: rhs})
+		p.Constraints = append(p.Constraints, dense(a, rel, rhs))
 	}
 	for j := 0; j < n; j++ {
 		e := make([]float64, n)
 		e[j] = 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: e, Rel: LE, RHS: 3})
+		p.Constraints = append(p.Constraints, dense(e, LE, 3))
 	}
 	return p
 }
@@ -383,7 +384,7 @@ func boundedProblem(rng *rand.Rand, anchored bool) *Problem {
 	for k := 0; k < ne; k++ {
 		a, s := row()
 		a[nx+2*k], a[nx+2*k+1] = -1, 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: EQ, RHS: s + rng.NormFloat64()})
+		p.Constraints = append(p.Constraints, dense(a, EQ, s+rng.NormFloat64()))
 	}
 	for i := 0; i < m; i++ {
 		a, s := row()
@@ -399,12 +400,12 @@ func boundedProblem(rng *rand.Rand, anchored bool) *Problem {
 				rhs = s
 			}
 		}
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: rel, RHS: rhs})
+		p.Constraints = append(p.Constraints, dense(a, rel, rhs))
 	}
 	for j := 0; j < nx; j++ {
 		a := make([]float64, n)
 		a[j] = 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: LE, RHS: 3})
+		p.Constraints = append(p.Constraints, dense(a, LE, 3))
 	}
 	return p
 }
@@ -432,13 +433,13 @@ func l1FitProblem(qRows [][]float64, answers []float64) *Problem {
 		up[n+k] = -1
 		lo[n+k] = -1
 		p.Constraints = append(p.Constraints,
-			Constraint{Coeffs: up, Rel: LE, RHS: answers[k]},
-			Constraint{Coeffs: lo, Rel: LE, RHS: -answers[k]})
+			dense(up, LE, answers[k]),
+			dense(lo, LE, -answers[k]))
 	}
 	for i := 0; i < n; i++ {
 		row := make([]float64, nv)
 		row[i] = 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 1})
+		p.Constraints = append(p.Constraints, dense(row, LE, 1))
 	}
 	return p
 }
@@ -539,7 +540,7 @@ func l1EqualityProblem(qRows [][]float64, answers []float64, open []bool) *Probl
 		if open[k] {
 			p.Upper[n+2*m+k], rhs = float64(n), 0
 		}
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: EQ, RHS: rhs})
+		p.Constraints = append(p.Constraints, dense(row, EQ, rhs))
 	}
 	return p
 }
@@ -640,7 +641,7 @@ func TestValidateUpper(t *testing.T) {
 		}
 	}
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}, Upper: []float64{0, math.Inf(1)},
-		Constraints: []Constraint{{Coeffs: []float64{1, 1}, Rel: LE, RHS: 4}}}
+		Constraints: []Constraint{dense([]float64{1, 1}, LE, 4)}}
 	s := revisedOK(t, p, nil)
 	if s.X[0] != 0 || math.Abs(s.X[1]-4) > 1e-6 {
 		t.Errorf("x = %v, want (0, 4): u = 0 fixes x_0 and +Inf leaves x_1 free", s.X)
@@ -677,7 +678,7 @@ func fuzzProblem(data []byte) (*Problem, float64) {
 			a[j] = float64(next()%7 - 3)
 		}
 		p.Constraints = append(p.Constraints,
-			Constraint{Coeffs: a, Rel: Rel(next() % 3), RHS: float64(next()%9 - 4)})
+			dense(a, Rel(next()%3), float64(next()%9-4)))
 	}
 	return p, float64(next()%5 - 2)
 }
@@ -736,9 +737,9 @@ func TestWarmStartNewObjective(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, LE, 4),
+			dense([]float64{0, 2}, LE, 12),
+			dense([]float64{3, 2}, LE, 18),
 		},
 	}
 	first := revisedOK(t, p, nil)
@@ -763,7 +764,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Rel: LE, RHS: 4},
+			dense([]float64{1, 2}, LE, 4),
 		},
 	}
 	s := revisedOK(t, p, nil)
@@ -771,7 +772,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 3}, Rel: LE, RHS: 4}, // different coefficient
+			dense([]float64{1, 3}, LE, 4), // different coefficient
 		},
 	}
 	if _, err := Revised(ctx, other, s.Basis); !errors.Is(err, ErrBasisMismatch) {
@@ -782,7 +783,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Rel: LE, RHS: 9},
+			dense([]float64{1, 2}, LE, 9),
 		},
 	}
 	if _, err := Revised(ctx, same, s.Basis); err != nil {
@@ -798,8 +799,8 @@ func TestWarmStartInfeasibleRHS(t *testing.T) {
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-				{Coeffs: []float64{-1}, Rel: LE, RHS: rhs},
+				dense([]float64{1}, LE, 1),
+				dense([]float64{-1}, LE, rhs),
 			},
 		}
 	}

@@ -100,15 +100,20 @@ type standard struct {
 // dense tableau is applied to the RHS — row r is relaxed by perturb·(r+1)
 // in the direction that grows the feasible region (LE up, GE down, EQ
 // untouched) — so both engines share one numerical contract.
+//
+// The columns are cut from one arena sized by a counting pass over the
+// rows' nonzeros, then filled row by row, so each column lists its rows
+// in ascending order whatever the order of entries within a row.
 func buildStandard(p *Problem) *standard {
 	m := len(p.Constraints)
+	nCols := p.NumVars + m
 	s := &standard{
 		m:       m,
 		nStruct: p.NumVars,
-		nCols:   p.NumVars + m,
-		cols:    make([]spCol, p.NumVars+m),
-		active:  make([]bool, p.NumVars+m),
-		ub:      make([]float64, p.NumVars+m),
+		nCols:   nCols,
+		cols:    make([]spCol, nCols),
+		active:  make([]bool, nCols),
+		ub:      make([]float64, nCols),
 		rel:     make([]Rel, m),
 		b:       make([]float64, m),
 	}
@@ -118,6 +123,29 @@ func buildStandard(p *Problem) *standard {
 	copy(s.ub, p.Upper)
 	for j := 0; j < p.NumVars; j++ {
 		s.active[j] = true
+	}
+	// count[j] is column j's nonzero count: a structural column's
+	// nonzero coefficients, and one for each inequality's row variable.
+	count := make([]int32, nCols)
+	nnz := 0
+	for r, c := range p.Constraints {
+		for k, j := range c.Vars {
+			if c.Coeffs[k] != 0 {
+				count[j]++
+				nnz++
+			}
+		}
+		if c.Rel != EQ {
+			count[p.NumVars+r]++
+			nnz++
+		}
+	}
+	rows, vals := make([]int32, nnz), make([]float64, nnz)
+	off := 0
+	for j, n := range count {
+		end := off + int(n)
+		s.cols[j] = spCol{rows: rows[off:off:end], vals: vals[off:off:end]}
+		off = end
 	}
 	for r, c := range p.Constraints {
 		s.rel[r] = c.Rel
@@ -134,11 +162,8 @@ func buildStandard(p *Problem) *standard {
 		case EQ:
 			s.b[r] = c.RHS
 		}
-	}
-	// Structural columns, gathered row-major from the dense input rows.
-	for r, c := range p.Constraints {
-		for j, v := range c.Coeffs {
-			s.cols[j].add(r, v)
+		for k, j := range c.Vars {
+			s.cols[j].add(r, c.Coeffs[k])
 		}
 	}
 	s.rows.transpose(m, len(s.cols), func(j int) ([]int32, []float64) { return s.cols[j].rows, s.cols[j].vals })

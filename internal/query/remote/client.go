@@ -35,9 +35,9 @@ type Options struct {
 	// MaxBatch caps queries per HTTP request (chunking larger Answer
 	// calls); 0 means the server's advertised max_batch.
 	MaxBatch int
-	// Retries is how many times a transient failure (network error, 5xx,
-	// or an overload shed) is retried per request; 0 means 3. Negative
-	// disables retries.
+	// Retries is how many times a transient failure (network error, 5xx
+	// other than ledger_stopped, or an overload shed) is retried per
+	// request; 0 means 3. Negative disables retries.
 	Retries int
 	// Backoff is the initial retry delay, doubled per attempt; 0 means
 	// 50ms. An overload refusal's retry_after_ms hint is used instead
@@ -222,7 +222,8 @@ func (o *Oracle) N() int { return o.meta.N }
 // fails with query.ErrInvalidQuery without posting, and spends nothing;
 // the batch is then chunked to the batch limit and submitted as POST
 // /v1/query/{backend} requests. Transient failures (network errors,
-// 5xx, overload sheds) are retried with exponential backoff; refusals
+// 5xx, overload sheds) are retried with exponential backoff, except the
+// ledger_stopped 500 of a server whose WAL stopped; refusals
 // come back as the repository's sentinel errors — errors.Is(err,
 // query.ErrBudgetExhausted) on an exhausted budget,
 // query.ErrInvalidQuery on a malformed query, diffix.ErrSuppressed on
@@ -318,7 +319,8 @@ func (o *Oracle) journalRetry(attempt, queries int, err error) {
 // post performs one HTTP attempt. retryable marks transient failures
 // (network errors, 5xx, overload sheds — hintMs carries the shed's
 // retry_after_ms); 4xx refusals are mapped to sentinels and never
-// retried — resubmitting an over-budget batch cannot succeed.
+// retried — resubmitting an over-budget batch cannot succeed — and
+// neither is the 500 ledger_stopped of a server whose WAL stopped.
 func (o *Oracle) post(ctx context.Context, body []byte, want int) (answers []float64, retryable bool, hintMs int, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		o.base+"/v1/query/"+o.opts.Backend, bytes.NewReader(body))
@@ -353,7 +355,10 @@ func (o *Oracle) post(ctx context.Context, body []byte, want int) (answers []flo
 			return nil, true, er.Err.RetryAfterMs,
 				fmt.Errorf("remote: %s: %w", er.Err.Message, query.ErrOverloaded)
 		}
-		return nil, true, 0, fmt.Errorf("remote: server error %s: %s", resp.Status, errMessage(payload))
+		// A stopped ledger WAL refuses every spend until the server
+		// restarts, so only that 5xx is not worth a retry.
+		retry := er.Err.Code != CodeLedgerStopped
+		return nil, retry, 0, fmt.Errorf("remote: server error %s: %s", resp.Status, errMessage(payload))
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, false, 0, refusalError(resp.StatusCode, payload)

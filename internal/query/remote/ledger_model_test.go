@@ -78,8 +78,8 @@ type ledgerModel struct {
 }
 
 // outcome is what a batch answers: its status, and its error code and
-// whether the refusal names the ledger wal, or, for a 200, how many
-// queries were cached and the budget it leaves.
+// whether the refusal names the ledger wal (exactly once), or, for a
+// 200, how many queries were cached and the budget it leaves.
 type outcome struct {
 	status    int
 	code      string
@@ -129,7 +129,7 @@ func (m *ledgerModel) batch(analyst string, qs [][]byte, mode int) outcome {
 	}
 	cost := len(miss)
 	ok := outcome{status: http.StatusOK, cached: cached, remaining: modelBudget - m.live[analyst]}
-	walDown := outcome{status: http.StatusInternalServerError, code: CodeInternal, wal: true}
+	walDown := outcome{status: http.StatusInternalServerError, code: CodeLedgerStopped, wal: true}
 	switch {
 	case cost == 0:
 		return ok
@@ -313,7 +313,7 @@ func postModel(t *testing.T, srv *Server, analyst string, qs [][]byte) outcome {
 	} else {
 		var er ErrorResponse
 		err = json.Unmarshal([]byte(body), &er)
-		got.code, got.wal = er.Err.Code, strings.Contains(er.Err.Message, "ledger wal")
+		got.code, got.wal = er.Err.Code, strings.Count(er.Err.Message, "ledger wal") == 1
 	}
 	if err != nil {
 		t.Fatalf("%d response %q: %v", code, body, err)

@@ -408,8 +408,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		hash = batchHash(missKeys)
 		entry, ok, lerr := s.ledger.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
 		if lerr != nil {
-			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
-			s.fail(w, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
+			code := ledgerErrCode(lerr)
+			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, code)
+			s.fail(w, http.StatusInternalServerError, code, lerr.Error())
 			return
 		}
 		s.journalBudget(entry)
@@ -437,9 +438,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// its own ledger entry, so the audit trail shows the attempt.
 			re, rerr := s.ledger.refund(analyst, name, hash, trace, fresh)
 			if rerr != nil {
-				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
-				s.fail(w, http.StatusInternalServerError, CodeInternal,
-					fmt.Sprintf("batch failed (%v) and the ledger refund did not persist: %v", err, rerr))
+				code := ledgerErrCode(rerr)
+				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, code)
+				s.fail(w, http.StatusInternalServerError, code,
+					fmt.Sprintf("batch failed (%v) and its refund did not persist: %v", err, rerr))
 				return
 			}
 			s.journalBudget(re)
@@ -588,6 +590,16 @@ func (s *Server) journal(backend, analyst, trace string, queries, cached, fresh 
 		e.Error = code
 	}
 	_ = s.cfg.Journal.Emit(e)
+}
+
+// ledgerErrCode is the error code of a ledger movement the WAL refused:
+// ledger_stopped once the log has stopped, which the client does not
+// retry, and internal otherwise.
+func ledgerErrCode(err error) string {
+	if errors.Is(err, errWALStopped) {
+		return CodeLedgerStopped
+	}
+	return CodeInternal
 }
 
 // journalBudget emits one budget.spend / budget.refund / budget.deny

@@ -98,6 +98,12 @@ func repairTail(f *os.File, tail walTail) error {
 	return f.Sync()
 }
 
+// errWALStopped marks the error of an append that failed to write or
+// sync, and of every append after it: the log refuses them all until
+// the process reopens it, so the request that met it cannot succeed on
+// a retry. Its text goes on the wire as the refusal's message.
+var errWALStopped = errors.New("ledger wal stopped")
+
 // append durably records one entry. Called with the ledger's lock held,
 // before the in-memory append — a failure here must leave the ledger
 // unmoved. A failed write or sync stops the log: every later append
@@ -109,15 +115,15 @@ func (w *wal) append(e LedgerEntry) error {
 	}
 	line = append(line, '\n')
 	if w.err != nil {
-		return fmt.Errorf("remote: ledger wal stopped: %w", w.err)
+		return w.err
 	}
 	if _, err := w.f.Write(line); err != nil {
-		w.err = fmt.Errorf("remote: appending ledger wal entry: %w", err)
+		w.err = fmt.Errorf("%w: appending an entry: %w", errWALStopped, err)
 		return w.err
 	}
 	if w.syncEach {
 		if err := w.f.Sync(); err != nil {
-			w.err = fmt.Errorf("remote: syncing ledger wal: %w", err)
+			w.err = fmt.Errorf("%w: syncing: %w", errWALStopped, err)
 			return w.err
 		}
 	}

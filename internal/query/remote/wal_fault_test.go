@@ -2,6 +2,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -10,9 +11,14 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
+
+	"singlingout/internal/obs"
 )
 
 // faultFile is the WAL's file with one injected failure: the writes-th
@@ -96,8 +102,8 @@ func getLedger(t *testing.T, srv *Server) LedgerResponse {
 
 // spendUntilStopped spends one fresh query per batch: the first batch
 // succeeds, the second hits the injected fault, and the third must fail
-// too, as the WAL stopped at the second. A cached answer is still
-// served.
+// too, as the WAL stopped at the second: both with the 500
+// ledger_stopped, naming the WAL once. A cached answer is still served.
 func spendUntilStopped(t *testing.T, srv *Server) {
 	t.Helper()
 	if code, body := ask(srv, 0); code != http.StatusOK {
@@ -105,8 +111,8 @@ func spendUntilStopped(t *testing.T, srv *Server) {
 	}
 	for i := 1; i <= 2; i++ {
 		code, body := ask(srv, i)
-		if code != http.StatusInternalServerError || !bytes.Contains([]byte(body), []byte(`"code":"internal"`)) || !bytes.Contains([]byte(body), []byte("ledger wal")) {
-			t.Fatalf("spend %d after the fault: %d %s, want a 500 internal naming the ledger wal", i+1, code, body)
+		if code != http.StatusInternalServerError || !strings.Contains(body, `"code":"ledger_stopped"`) || strings.Count(body, "ledger wal") != 1 {
+			t.Fatalf("spend %d after the fault: %d %s, want a 500 ledger_stopped naming the ledger wal once", i+1, code, body)
 		}
 	}
 	if code, body := ask(srv, 0); code != http.StatusOK {
@@ -145,6 +151,44 @@ func TestWALShortWriteStops(t *testing.T) {
 	defer again.Close()
 	if got := again.BudgetSpent("a"); got != live {
 		t.Fatalf("the restarted server remembers %d spent, the live ledger charged %d", got, live)
+	}
+}
+
+// TestClientDoesNotRetryStoppedWAL: the 500 ledger_stopped of a server
+// whose WAL stopped is final. A client allowed three retries sends one
+// POST for the batch that stops the WAL and one for the next, never
+// backs off, and reports the WAL once.
+func TestClientDoesNotRetryStoppedWAL(t *testing.T) {
+	srv := faultServer(t, ServerConfig{N: 16, P: 0.5, Seed: 1, WALPath: filepath.Join(t.TempDir(), "ledger.wal")}, &faultFile{writes: 2})
+	var posts atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			posts.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	reg := obs.NewRegistry()
+	reg.SetEnabled(true)
+	o, err := Dial(context.Background(), ts.URL, Options{Retries: 3, Backoff: time.Millisecond, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Answer(context.Background(), [][]int{{0}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		before := posts.Load()
+		_, err := o.Answer(context.Background(), [][]int{{i}})
+		if err == nil || !strings.Contains(err.Error(), "ledger_stopped") || strings.Count(err.Error(), "ledger wal") != 1 {
+			t.Fatalf("answer %d after the fault: %v, want ledger_stopped naming the ledger wal once", i, err)
+		}
+		if n := posts.Load() - before; n != 1 {
+			t.Errorf("answer %d after the fault: %d POSTs, want 1", i, n)
+		}
+	}
+	if n := reg.Snapshot().Counters[MetricClientRetries]; n != 0 {
+		t.Errorf("remote.retries = %d, want 0", n)
 	}
 }
 

@@ -31,6 +31,7 @@ const (
 	CodeUnknownBackend     = "unknown_backend"     // 404: no such oracle endpoint
 	CodeBadRequest         = "bad_request"         // 400: undecodable body, oversized batch
 	CodeInternal           = "internal"            // 500: server-side failure
+	CodeLedgerStopped      = "ledger_stopped"      // 500: the ledger's WAL refuses appends until a restart; never retried
 	CodeOverloaded         = "overloaded"          // 503: admission queue full, request shed; retry after the hint
 	CodeUnsupportedVersion = "unsupported_version" // 400: wire version other than V
 )

@@ -195,18 +195,37 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 			p.Upper[j] = math.Inf(1)
 		}
 	}
+	// Each row lists only its nonzeros: a query's members, then its error
+	// and absorber columns (L1Slack) or t (Chebyshev). All rows are cut
+	// from one index arena and one coefficient arena; each row's slices
+	// are capped at its end, so an append to one row cannot overwrite the
+	// next.
+	nnz := 0
+	for _, q := range queries {
+		nnz += len(q)
+	}
+	if objective == L1Slack {
+		nnz += 3 * m
+	} else {
+		nnz = 2 * (nnz + m)
+	}
+	vars, coeffs := make([]int, 0, nnz), make([]float64, 0, nnz)
+	addRow := func(q []int, sign float64, extra []int, extraCoeffs []float64, rel lp.Rel) {
+		start := len(vars)
+		vars = append(append(vars, q...), extra...)
+		for range q {
+			coeffs = append(coeffs, sign)
+		}
+		coeffs = append(coeffs, extraCoeffs...)
+		end := len(vars)
+		p.Constraints = append(p.Constraints, lp.Constraint{Vars: vars[start:end:end], Coeffs: coeffs[start:end:end], Rel: rel})
+	}
 	switch objective {
 	case L1Slack:
-		p.Constraints = make([]lp.Constraint, m)
+		p.Constraints = make([]lp.Constraint, 0, m)
 		for qi, q := range queries {
-			row := make([]float64, nv)
-			for _, i := range q {
-				row[i] = 1
-			}
-			row[n+qi] = -1     // e⁺
-			row[n+m+qi] = 1    // e⁻
-			row[n+2*m+qi] = -1 // f
-			p.Constraints[qi] = lp.Constraint{Coeffs: row, Rel: lp.EQ}
+			// e⁺, e⁻ and f.
+			addRow(q, 1, []int{n + qi, n + m + qi, n + 2*m + qi}, []float64{-1, 1, -1}, lp.EQ)
 			p.Objective[n+qi], p.Objective[n+m+qi] = 1, 1
 		}
 	case Chebyshev:
@@ -214,17 +233,8 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 		p.Constraints = make([]lp.Constraint, 0, 2*m)
 		for _, q := range queries {
 			// Σ_{i∈q} x_i − t ≤ a  and  −Σ_{i∈q} x_i − t ≤ −a.
-			up := make([]float64, nv)
-			lo := make([]float64, nv)
-			for _, i := range q {
-				up[i] = 1
-				lo[i] = -1
-			}
-			up[n], lo[n] = -1, -1
-			p.Constraints = append(p.Constraints,
-				lp.Constraint{Coeffs: up, Rel: lp.LE},
-				lp.Constraint{Coeffs: lo, Rel: lp.LE},
-			)
+			addRow(q, 1, []int{n}, []float64{-1}, lp.LE)
+			addRow(q, -1, []int{n}, []float64{-1}, lp.LE)
 		}
 	}
 	return d, nil
@@ -241,8 +251,22 @@ func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []flo
 	if len(answers) != len(d.queries) {
 		return nil, nil, fmt.Errorf("recon: %d answers for %d queries", len(answers), len(d.queries))
 	}
+	if err := checkFinite(answers, 0); err != nil {
+		return nil, nil, err
+	}
 	mLPDecodes.Add(1)
 	return d.Stream().Push(ctx, answers)
+}
+
+// checkFinite refuses a NaN or infinite answer, naming the first by its
+// query's index in the workload; answers[0] answers query first.
+func checkFinite(answers []float64, first int) error {
+	for i, a := range answers {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("recon: answer to query %d is %v, want a finite number", first+i, a)
+		}
+	}
+	return nil
 }
 
 // DecodeOracle asks the oracle the Decoder's query set as one batch and

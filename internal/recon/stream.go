@@ -99,13 +99,17 @@ func (sd *StreamDecoder) Remaining() int { return len(sd.d.queries) - sd.answere
 // workload (in workload order) and re-decodes, warm-starting from the
 // previous step's simplex basis (the first push of a session may solve
 // cold; see StreamDecoder). It returns the rounded reconstruction and the
-// fractional LP solution fitted to the answers seen so far.
+// fractional LP solution fitted to the answers seen so far. A NaN or
+// infinite answer is refused before anything is ingested.
 func (sd *StreamDecoder) Push(ctx context.Context, answers []float64) ([]int64, []float64, error) {
 	if len(answers) == 0 {
 		return nil, nil, fmt.Errorf("recon: stream push of 0 answers")
 	}
 	if got := sd.answered + len(answers); got > len(sd.d.queries) {
 		return nil, nil, fmt.Errorf("recon: stream push overruns workload: %d answers for %d unanswered queries", len(answers), sd.Remaining())
+	}
+	if err := checkFinite(answers, sd.answered); err != nil {
+		return nil, nil, err
 	}
 	for i, a := range answers {
 		sd.d.setRow(sd.answered+i, a, true)

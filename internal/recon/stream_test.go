@@ -1,8 +1,10 @@
 package recon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"singlingout/internal/lp"
@@ -184,6 +186,40 @@ func TestStreamPushErrors(t *testing.T) {
 	wrong := &query.Exact{X: make([]int64, o.N()+1)}
 	if _, _, _, err := dec.Stream().PushOracle(ctx, wrong, 8); err == nil {
 		t.Error("oracle size mismatch should fail")
+	}
+}
+
+// TestNonFiniteAnswersRefused: Decode and Push name the first NaN or
+// infinite answer by its query index and refuse it before any LP solve,
+// and a refused push ingests nothing.
+func TestNonFiniteAnswersRefused(t *testing.T) {
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	solves := reg.Counter("lp.solves")
+	_, _, answers, dec := buildWorkload(t, 4)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := append([]float64(nil), answers...)
+		a[5], a[9] = bad, bad
+		want := fmt.Sprintf("answer to query 5 is %v", bad)
+		before := solves.Value()
+		if _, _, err := dec.Decode(ctx, a); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode with answer 5 = %v: error %v, want %q", bad, err, want)
+		}
+		sd := dec.Stream()
+		if _, _, err := sd.Push(ctx, answers[:4]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sd.Push(ctx, a[4:8]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Push with answer 5 = %v: error %v, want %q", bad, err, want)
+		}
+		if sd.Answered() != 4 {
+			t.Errorf("a refused push left %d answered, want 4", sd.Answered())
+		}
+		if got := solves.Value() - before; got != 1 {
+			t.Errorf("%d LP solves, want 1: the accepted push", got)
+		}
 	}
 }
 
