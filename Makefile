@@ -24,9 +24,11 @@
 #                  IsolationCount, HashPrefix.Eval), cold LP decodes at
 #                  the lp-recon shape (BenchmarkDecodeLPRecon, with
 #                  pivots/op), the random-subset generator at the serving
-#                  and lp-recon shapes (BenchmarkRandomSubsets) and the
+#                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches
-#                  (BenchmarkServeQuery)
+#                  (BenchmarkServeQuery) and census reconstruction at
+#                  the census-sat shape (BenchmarkReconstructCensusSat,
+#                  with props/op)
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
@@ -147,6 +149,7 @@ gobench:
 	$(GO) test -run '^$$' -bench BenchmarkDecodeLPRecon -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench BenchmarkRandomSubsets -benchmem ./internal/query
 	$(GO) test -run '^$$' -bench BenchmarkServeQuery -benchmem ./internal/query/remote
+	$(GO) test -run '^$$' -bench BenchmarkReconstructCensusSat -benchtime 16x -benchmem ./internal/census
 
 repro:
 	$(GO) run ./cmd/repro

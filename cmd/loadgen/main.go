@@ -18,12 +18,15 @@
 // partitioned by -shards, its one admission gate sized by
 // -max-concurrent and -queue-depth) and drives that, so a single command
 // smoke-tests the whole service stack.
-// -inject-delay adds artificial per-request service time to that server,
-// which together with a small -max-concurrent and -queue-depth -1 (no
-// waiting room) produces overload: shed requests surface in the
-// qserver.shed counter and — when a batch outlasts the client's retries —
-// the workload table's shed column. How many are shed depends on timing,
-// so that counter differs from run to run.
+// -inject-delay registers that server's backends wrapped in an oracle
+// that waits the delay before answering, so every request with fresh
+// (uncached) queries holds its admission slot that much longer; a request
+// the cache answers whole is not delayed. With a small -max-concurrent
+// and -queue-depth -1 (no waiting room) this produces overload: shed
+// requests surface in the qserver.shed counter and — when a batch
+// outlasts the client's retries — the workload table's shed column. How
+// many are shed depends on timing, so that counter differs from run to
+// run.
 //
 // The workload is precomputed deterministically from -seed (per-analyst
 // RNGs derive from (seed, analyst index)), and stdout carries only
@@ -100,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 1, "in-process server: answer-cache partitions")
 	queueDepth := fs.Int("queue-depth", 64, "in-process server: requests waiting for a slot (-1 = no waiting room)")
 	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: requests served at once")
-	injectDelay := fs.Duration("inject-delay", 0, "in-process server: artificial per-request service time (overload testing)")
+	injectDelay := fs.Duration("inject-delay", 0, "in-process server: artificial backend service time, paid by requests with fresh queries (overload testing)")
 	metricsPath := fs.String("metrics", "", "write a JSONL journal here")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -128,11 +131,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx := context.Background()
 	base := *url
 	if base == "" {
-		srv, err := remote.NewServer(remote.ServerConfig{
+		cfg := remote.ServerConfig{
 			N: *n, Seed: *seed, P: *p, Budget: *budget,
 			Shards: *shards, QueueDepth: *queueDepth,
-			MaxConcurrent: *maxConcurrent, Delay: *injectDelay,
-		})
+			MaxConcurrent: *maxConcurrent,
+		}
+		if *injectDelay > 0 {
+			for _, b := range remote.Builtins() {
+				cfg.Backends = append(cfg.Backends, slowBackend{Backend: b, delay: *injectDelay})
+			}
+		}
+		srv, err := remote.NewServer(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "loadgen: %v\n", err)
 			return 1
@@ -307,6 +316,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// slowBackend is a backend whose oracle waits delay before answering.
+// The server calls a backend while it holds the request's admission
+// slot, so the delay makes concurrent requests contend for slots.
+type slowBackend struct {
+	remote.Backend
+	delay time.Duration
+}
+
+func (b slowBackend) Open(cfg remote.ServerConfig, x []int64) (query.Oracle, error) {
+	o, err := b.Backend.Open(cfg, x)
+	if err != nil {
+		return nil, err
+	}
+	return slowOracle{Oracle: o, delay: b.delay}, nil
+}
+
+// slowOracle answers through its inner oracle after waiting delay, or
+// fails with the context's error if the context ends first.
+type slowOracle struct {
+	query.Oracle
+	delay time.Duration
+}
+
+func (o slowOracle) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
+	t := time.NewTimer(o.delay)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-t.C:
+	}
+	return o.Oracle.Answer(ctx, queries)
 }
 
 // printLedger fetches the server's privacy-loss ledger, verifies it

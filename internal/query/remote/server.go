@@ -70,10 +70,6 @@ type ServerConfig struct {
 	// 0 = default 64, negative = no waiting room (shed when all active
 	// slots are busy).
 	QueueDepth int
-	// Delay injects an artificial per-request service time before the
-	// batch is processed — load/overload testing only (cmd/loadgen's
-	// -inject-delay uses it to make shedding reproducible); 0 = none.
-	Delay time.Duration
 
 	// WALPath makes the ledger durable: every entry is appended to this
 	// JSONL write-ahead log before it takes effect, and NewServer replays
@@ -345,19 +341,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.admit.leave()
-
-	// Injected service time (overload testing): holds the active slot so
-	// concurrent load actually contends on admission.
-	if s.cfg.Delay > 0 {
-		t := time.NewTimer(s.cfg.Delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			s.fail(w, http.StatusServiceUnavailable, CodeInternal, "cancelled during injected delay")
-			return
-		case <-t.C:
-		}
-	}
 	s.batchQueries.Add(int64(len(req.Queries)))
 
 	// A set has one bitmap, so keying on the bitmap as sent gives every

@@ -9,55 +9,54 @@ import "fmt"
 // 2005) of register width k, so a constraint over n variables with bound k
 // costs O(n·k) auxiliary variables and clauses.
 
-// counter builds sequential-counter registers over lits with width k >= 1:
-// r[i][j] ⇔ at least j+1 of lits[0..i] are true (both implication
-// directions, so the registers are exact and usable for lower bounds).
-func (s *Solver) counter(lits []int, k int) ([][]int, error) {
+// counter builds sequential-counter registers over lits with width k >= 1,
+// n·k variables in one slice, row by row: r[i*k+j] ⇔ at least j+1 of
+// lits[0..i] are true (both implication directions, so the registers are
+// exact and usable for lower bounds).
+func (s *Solver) counter(lits []int, k int) ([]int, error) {
 	n := len(lits)
-	r := make([][]int, n)
+	r := make([]int, n*k)
 	for i := range r {
-		r[i] = make([]int, k)
-		for j := range r[i] {
-			r[i][j] = s.NewVar()
-		}
+		r[i] = s.NewVar()
 	}
 	// Base case i = 0.
-	if err := s.AddClause(-lits[0], r[0][0]); err != nil {
+	if err := s.AddClause(-lits[0], r[0]); err != nil {
 		return nil, err
 	}
-	if err := s.AddClause(lits[0], -r[0][0]); err != nil {
+	if err := s.AddClause(lits[0], -r[0]); err != nil {
 		return nil, err
 	}
 	for j := 1; j < k; j++ {
-		if err := s.AddClause(-r[0][j]); err != nil {
+		if err := s.AddClause(-r[j]); err != nil {
 			return nil, err
 		}
 	}
 	for i := 1; i < n; i++ {
+		prev, cur := r[(i-1)*k:i*k], r[i*k:(i+1)*k]
 		for j := 0; j < k; j++ {
 			// Upward implications (r true when enough lits are true).
-			if err := s.AddClause(-r[i-1][j], r[i][j]); err != nil {
+			if err := s.AddClause(-prev[j], cur[j]); err != nil {
 				return nil, err
 			}
 			if j == 0 {
-				if err := s.AddClause(-lits[i], r[i][0]); err != nil {
+				if err := s.AddClause(-lits[i], cur[0]); err != nil {
 					return nil, err
 				}
 			} else {
-				if err := s.AddClause(-lits[i], -r[i-1][j-1], r[i][j]); err != nil {
+				if err := s.AddClause(-lits[i], -prev[j-1], cur[j]); err != nil {
 					return nil, err
 				}
 			}
 			// Downward implications (r true only with support).
 			if j == 0 {
-				if err := s.AddClause(-r[i][0], lits[i], r[i-1][0]); err != nil {
+				if err := s.AddClause(-cur[0], lits[i], prev[0]); err != nil {
 					return nil, err
 				}
 			} else {
-				if err := s.AddClause(-r[i][j], r[i-1][j], lits[i]); err != nil {
+				if err := s.AddClause(-cur[j], prev[j], lits[i]); err != nil {
 					return nil, err
 				}
-				if err := s.AddClause(-r[i][j], r[i-1][j], r[i-1][j-1]); err != nil {
+				if err := s.AddClause(-cur[j], prev[j], prev[j-1]); err != nil {
 					return nil, err
 				}
 			}
@@ -88,8 +87,9 @@ func (s *Solver) AtMostK(vars []int, k int) error {
 		return err
 	}
 	for i := 1; i < n; i++ {
-		// vars[i] ∧ (≥k among previous) → overflow.
-		if err := s.AddClause(-vars[i], -r[i-1][k-1]); err != nil {
+		// vars[i] ∧ (≥k among previous, the last register of row i-1) →
+		// overflow.
+		if err := s.AddClause(-vars[i], -r[i*k-1]); err != nil {
 			return err
 		}
 	}
@@ -117,7 +117,7 @@ func (s *Solver) AtLeastK(vars []int, k int) error {
 	if err != nil {
 		return err
 	}
-	return s.AddClause(r[n-1][k-1])
+	return s.AddClause(r[n*k-1])
 }
 
 // ExactlyK adds Σ vars = k using a single shared counter.
@@ -137,11 +137,11 @@ func (s *Solver) ExactlyK(vars []int, k int) error {
 		return err
 	}
 	for i := 1; i < n; i++ {
-		if err := s.AddClause(-vars[i], -r[i-1][k-1]); err != nil {
+		if err := s.AddClause(-vars[i], -r[i*k-1]); err != nil {
 			return err
 		}
 	}
-	return s.AddClause(r[n-1][k-1])
+	return s.AddClause(r[n*k-1])
 }
 
 // AtMostOnePairwise adds the naive pairwise at-most-one constraint, used

@@ -7,11 +7,25 @@
 // Variables are created with NewVar and referenced in clauses by
 // DIMACS-style signed integers: +v means "variable v is true", -v means
 // "variable v is false".
+//
+// The solver keeps its clauses and its watch lists in two arenas. Every
+// clause is stored in one []int32 as its length followed by its literals,
+// and is referenced by the offset of that length. Every watch list is a
+// segment of a second []int32; a full list moves to that arena's end with
+// twice the room. Building and solving an instance thus allocates a few
+// growing arrays instead of one object per clause and per watch list, and
+// leaves the garbage collector almost no pointers to scan. The layout must
+// not change the search by a single step: each clause keeps its literal
+// order and each watch list its watcher order, so decisions, propagations,
+// conflicts and learnt clauses, and with them the sat.* counters and the
+// E11, E19 and A04 tables, are bit for bit those of a solver that gives
+// every clause and every watch list a slice of its own.
 package sat
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"singlingout/internal/obs"
 )
@@ -48,13 +62,20 @@ const noReason = -1
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	nVars   int
-	clauses [][]int32 // first two literals of each clause are watched
-	watches [][]int32 // lit -> clause indices watching that lit
+	nVars int
+	// clauses is the clause arena: each clause is its length followed by
+	// its literals, the first two of which are watched. A clause
+	// reference (cref) is the offset of the length.
+	clauses  []int32
+	nClauses int
+	// watches[l] is literal l's watch list, the crefs of the clauses
+	// watching l, as a segment of watchArena.
+	watches    []watchList
+	watchArena []int32
 
-	assign   []int8 // var -> -1 unassigned / 0 false / 1 true
+	val      []int8 // lit -> 1 true / 0 false / -1 unassigned
 	level    []int32
-	reason   []int32
+	reason   []int32 // var -> cref of the clause that implied it, or noReason
 	trail    []int32 // assigned literals in order
 	trailLim []int32 // decision-level boundaries in trail
 	qhead    int
@@ -67,7 +88,8 @@ type Solver struct {
 	heap    []int32
 	heapPos []int32 // var -> index in heap, -1 if absent
 
-	seen []bool // scratch for analyze
+	seen []bool  // scratch for analyze
+	lits []int32 // scratch: the clause AddClause or analyze is building
 
 	rootUnsat bool
 
@@ -82,17 +104,16 @@ type Solver struct {
 	// MaxConflicts bounds the search effort of a single Solve call; zero
 	// means unlimited.
 	MaxConflicts int64
-
-	// Progress, when set, is invoked every ProgressEvery conflicts (default
-	// 10000) with the solver's cumulative statistics. It must be cheap; it
-	// runs inside the search loop.
-	Progress func(Stats)
-	// ProgressEvery overrides the conflict interval between Progress calls.
-	ProgressEvery int64
 }
 
-// Stats is a snapshot of the solver's cumulative search statistics, as
-// passed to the Progress hook.
+// watchList is one literal's watch list: watchArena[off : off+n], with
+// room up to off+cap.
+type watchList struct{ off, n, cap int32 }
+
+// minWatchCap is the room a watch list gets for its first watcher.
+const minWatchCap = 4
+
+// Stats is a snapshot of the solver's cumulative search statistics.
 type Stats struct {
 	Decisions    int64
 	Propagations int64
@@ -118,13 +139,13 @@ func New() *Solver {
 // NewVar allocates a fresh variable and returns its 1-based index.
 func (s *Solver) NewVar() int {
 	s.nVars++
-	s.assign = append(s.assign, -1)
+	s.val = append(s.val, -1, -1)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noReason)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(s.watches, watchList{}, watchList{})
 	s.heapPos = append(s.heapPos, -1)
 	s.heapPush(int32(s.nVars - 1))
 	return s.nVars
@@ -190,7 +211,7 @@ func (s *Solver) heapPop() (int32, bool) {
 		if len(s.heap) > 0 {
 			s.heapDown(0)
 		}
-		if s.assign[v] < 0 {
+		if s.val[2*v] < 0 {
 			return v, true
 		}
 	}
@@ -218,7 +239,6 @@ func (s *Solver) toLit(dimacs int) (int32, error) {
 
 func litVar(l int32) int32 { return l >> 1 }
 func litNeg(l int32) int32 { return l ^ 1 }
-func litSign(l int32) int8 { return int8(1 - l&1) } // value that makes the literal true
 func fromLit(l int32) int { // back to DIMACS for debugging
 	v := int(l>>1) + 1
 	if l&1 == 1 {
@@ -227,16 +247,9 @@ func fromLit(l int32) int { // back to DIMACS for debugging
 	return v
 }
 
-// litValue returns 1 if the literal is true, 0 if false, -1 if unassigned.
-func (s *Solver) litValue(l int32) int8 {
-	a := s.assign[litVar(l)]
-	if a < 0 {
-		return -1
-	}
-	if a == litSign(l) {
-		return 1
-	}
-	return 0
+// clause returns the literals of the clause at cref, aliasing the arena.
+func (s *Solver) clause(cref int32) []int32 {
+	return s.clauses[cref+1 : cref+1+s.clauses[cref]]
 }
 
 // AddClause adds a clause given as DIMACS literals. Tautologies are
@@ -253,14 +266,14 @@ func (s *Solver) AddClause(lits ...int) error {
 	// the literals kept so far is cheaper than a per-clause set: most
 	// clauses have two or three literals, and the long ones (one-hot rows,
 	// blocking clauses) are added once per solve.
-	clause := make([]int32, 0, len(lits))
+	s.lits = s.lits[:0]
 next:
 	for _, d := range lits {
 		l, err := s.toLit(d)
 		if err != nil {
 			return err
 		}
-		for _, k := range clause {
+		for _, k := range s.lits {
 			switch k {
 			case litNeg(l):
 				return nil // tautology
@@ -268,40 +281,66 @@ next:
 				continue next // duplicate
 			}
 		}
-		switch s.litValue(l) {
+		switch s.val[l] {
 		case 1:
 			return nil // already satisfied at root
 		case 0:
 			continue // falsified at root: drop the literal
 		}
-		clause = append(clause, l)
+		s.lits = append(s.lits, l)
 	}
-	switch len(clause) {
+	switch len(s.lits) {
 	case 0:
 		s.rootUnsat = true
 		return nil
 	case 1:
-		s.enqueue(clause[0], noReason)
+		s.enqueue(s.lits[0], noReason)
 		if s.propagate() != noConflict {
 			s.rootUnsat = true
 		}
 		return nil
 	}
-	s.attachClause(clause)
+	s.attachClause(s.lits)
 	return nil
 }
 
-func (s *Solver) attachClause(clause []int32) int32 {
-	idx := int32(len(s.clauses))
-	s.clauses = append(s.clauses, clause)
-	s.watches[clause[0]] = append(s.watches[clause[0]], idx)
-	s.watches[clause[1]] = append(s.watches[clause[1]], idx)
-	return idx
+// attachClause copies lits into the clause arena, watches its first two
+// literals and returns its cref.
+func (s *Solver) attachClause(lits []int32) int32 {
+	cref := int32(len(s.clauses))
+	s.clauses = append(s.clauses, int32(len(lits)))
+	s.clauses = append(s.clauses, lits...)
+	s.nClauses++
+	s.watch(lits[0], cref)
+	s.watch(lits[1], cref)
+	return cref
+}
+
+// watch appends cref to literal l's watch list. A full list moves to the
+// arena's end with twice the room, or grows in place when it already
+// ends the arena. Either way the arena may be reallocated, so a caller
+// must not hold a slice of it across watch.
+func (s *Solver) watch(l, cref int32) {
+	w := &s.watches[l]
+	if w.n == w.cap {
+		end := int32(len(s.watchArena))
+		room := max(2*w.cap, minWatchCap)
+		if w.off+w.cap == end {
+			s.watchArena = slices.Grow(s.watchArena, int(room-w.cap))[:w.off+room]
+		} else {
+			s.watchArena = slices.Grow(s.watchArena, int(room))[:end+room]
+			copy(s.watchArena[end:], s.watchArena[w.off:w.off+w.n])
+			w.off = end
+		}
+		w.cap = room
+	}
+	s.watchArena[w.off+w.n] = cref
+	w.n++
 }
 
 func (s *Solver) enqueue(l int32, reason int32) {
 	v := litVar(l)
-	s.assign[v] = litSign(l)
+	s.val[l], s.val[litNeg(l)] = 1, 0
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = reason
 	s.trail = append(s.trail, l)
@@ -309,35 +348,42 @@ func (s *Solver) enqueue(l int32, reason int32) {
 
 const noConflict = int32(-1)
 
-// propagate performs unit propagation; it returns the index of a
+// propagate performs unit propagation; it returns the cref of a
 // conflicting clause or noConflict.
+//
+// The watch list being scanned is compacted in place, by index into
+// s.watchArena: a clause that finds a new literal to watch is appended to
+// that literal's list, which can move the arena, so the arena is read
+// afresh after every append. The scanned list itself never moves, since
+// a clause's new watch is never the literal that just became false.
 func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
-		l := s.trail[s.qhead]
+		falseLit := litNeg(s.trail[s.qhead])
 		s.qhead++
-		falseLit := litNeg(l)
-		ws := s.watches[falseLit]
-		kept := ws[:0]
+		w := s.watches[falseLit]
+		off, end := w.off, w.off+w.n
+		kept := off // where the next watcher that stays is written
 		conflict := noConflict
-		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
+		for i := off; i < end; i++ {
+			cref := s.watchArena[i]
 			s.Propagations++
-			c := s.clauses[ci]
+			c := s.clause(cref)
 			// Normalize: watched false literal at position 1.
 			if c[0] == falseLit {
 				c[0], c[1] = c[1], c[0]
 			}
 			// If the other watch is true, clause is satisfied.
-			if s.litValue(c[0]) == 1 {
-				kept = append(kept, ci)
+			if s.val[c[0]] == 1 {
+				s.watchArena[kept] = cref
+				kept++
 				continue
 			}
 			// Find a new literal to watch.
 			moved := false
 			for k := 2; k < len(c); k++ {
-				if s.litValue(c[k]) != 0 {
+				if s.val[c[k]] != 0 {
 					c[1], c[k] = c[k], c[1]
-					s.watches[c[1]] = append(s.watches[c[1]], ci)
+					s.watch(c[1], cref)
 					moved = true
 					break
 				}
@@ -346,16 +392,17 @@ func (s *Solver) propagate() int32 {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, ci)
-			if s.litValue(c[0]) == 0 {
+			s.watchArena[kept] = cref
+			kept++
+			if s.val[c[0]] == 0 {
 				// Conflict: keep remaining watchers and bail.
-				kept = append(kept, ws[wi+1:]...)
-				conflict = ci
+				kept += int32(copy(s.watchArena[kept:end], s.watchArena[i+1:end]))
+				conflict = cref
 				break
 			}
-			s.enqueue(c[0], ci)
+			s.enqueue(c[0], cref)
 		}
-		s.watches[falseLit] = kept
+		s.watches[falseLit].n = kept - off
 		if conflict != noConflict {
 			s.qhead = len(s.trail)
 			return conflict
@@ -365,14 +412,15 @@ func (s *Solver) propagate() int32 {
 }
 
 // analyze performs 1UIP conflict analysis; it returns the learned clause
-// (with the asserting literal first) and the backjump level.
+// (with the asserting literal first) and the backjump level. The clause
+// is built in s.lits, so it is valid until the next AddClause or analyze.
 func (s *Solver) analyze(conflict int32) ([]int32, int32) {
-	learnt := []int32{0} // placeholder for asserting literal
+	learnt := append(s.lits[:0], 0) // placeholder for asserting literal
 	counter := 0
 	var p int32 = -1
 	idx := len(s.trail) - 1
 	curLevel := int32(len(s.trailLim))
-	reasonClause := s.clauses[conflict]
+	reasonClause := s.clause(conflict)
 	for {
 		start := 0
 		if p != -1 {
@@ -403,7 +451,7 @@ func (s *Solver) analyze(conflict int32) ([]int32, int32) {
 			learnt[0] = litNeg(p)
 			break
 		}
-		reasonClause = s.clauses[s.reason[v]]
+		reasonClause = s.clause(s.reason[v])
 		idx--
 	}
 	// Clear seen flags and compute backjump level.
@@ -424,6 +472,7 @@ func (s *Solver) analyze(conflict int32) ([]int32, int32) {
 		}
 		learnt[1], learnt[mi] = learnt[mi], learnt[1]
 	}
+	s.lits = learnt
 	return learnt, back
 }
 
@@ -448,9 +497,10 @@ func (s *Solver) cancelUntil(lvl int32) {
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= int(bound); i-- {
-		v := litVar(s.trail[i])
-		s.polarity[v] = s.assign[v] == 1
-		s.assign[v] = -1
+		l := s.trail[i]
+		v := litVar(l)
+		s.polarity[v] = l&1 == 0
+		s.val[l], s.val[litNeg(l)] = -1, -1
 		s.reason[v] = noReason
 		s.heapPush(v)
 	}
@@ -524,18 +574,11 @@ func (s *Solver) Solve() Result {
 	conflictsAtStart := s.Conflicts
 	budget := luby(restart) * 100
 	conflictsThisRestart := int64(0)
-	progressEvery := s.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 10000
-	}
 	for {
 		conflict := s.propagate()
 		if conflict != noConflict {
 			s.Conflicts++
 			conflictsThisRestart++
-			if s.Progress != nil && s.Conflicts%progressEvery == 0 {
-				s.Progress(s.Stats())
-			}
 			if len(s.trailLim) == 0 {
 				s.rootUnsat = true
 				return Unsat
@@ -545,8 +588,7 @@ func (s *Solver) Solve() Result {
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], noReason)
 			} else {
-				ci := s.attachClause(learnt)
-				s.enqueue(learnt[0], ci)
+				s.enqueue(learnt[0], s.attachClause(learnt))
 			}
 			s.varInc /= 0.95
 			if s.MaxConflicts > 0 && s.Conflicts-conflictsAtStart >= s.MaxConflicts {
@@ -573,7 +615,7 @@ func (s *Solver) Value(v int) bool {
 	if v < 1 || v > s.nVars {
 		panic(fmt.Sprintf("sat: Value(%d) out of range", v))
 	}
-	return s.assign[v-1] == 1
+	return s.val[2*(v-1)] == 1
 }
 
 // Model returns the current satisfying assignment as a []bool indexed by
@@ -581,7 +623,7 @@ func (s *Solver) Value(v int) bool {
 func (s *Solver) Model() []bool {
 	m := make([]bool, s.nVars)
 	for v := 0; v < s.nVars; v++ {
-		m[v] = s.assign[v] == 1
+		m[v] = s.val[2*v] == 1
 	}
 	return m
 }
@@ -605,7 +647,7 @@ func (s *Solver) BlockModel(vars []int) error {
 		if v < 1 || v > s.nVars {
 			return fmt.Errorf("%w: %d", ErrBadLiteral, v)
 		}
-		if s.assign[v-1] == 1 {
+		if s.val[2*(v-1)] == 1 {
 			lits = append(lits, -v)
 		} else {
 			lits = append(lits, v)
@@ -617,4 +659,4 @@ func (s *Solver) BlockModel(vars []int) error {
 
 // NumClauses returns the number of attached (non-unit) clauses, including
 // learned clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nClauses }
