@@ -23,7 +23,9 @@
 #                  the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval), cold LP decodes at
 #                  the lp-recon shape (BenchmarkDecodeLPRecon, with
-#                  pivots/op), the random-subset generator at the serving
+#                  pivots/op) and streaming sessions of 8 pushes there,
+#                  7 of them warm (BenchmarkStreamPush, with pivots/push),
+#                  the random-subset generator at the serving
 #                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches
 #                  (BenchmarkServeQuery) and census reconstruction at
@@ -146,7 +148,7 @@ loadgen-smoke:
 gobench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
-	$(GO) test -run '^$$' -bench BenchmarkDecodeLPRecon -benchmem ./internal/lp
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeLPRecon|BenchmarkStreamPush' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench BenchmarkRandomSubsets -benchmem ./internal/query
 	$(GO) test -run '^$$' -bench BenchmarkServeQuery -benchmem ./internal/query/remote
 	$(GO) test -run '^$$' -bench BenchmarkReconstructCensusSat -benchtime 16x -benchmem ./internal/census

@@ -9,6 +9,36 @@ import (
 	"testing"
 )
 
+// TestWantsScopes: each scoped analyzer's predicate admits its
+// production packages and rejects a package outside them, and the
+// fixture names too: analysistest.Run clears Wants, so fixtures need no
+// clause of their own.
+func TestWantsScopes(t *testing.T) {
+	cases := []struct {
+		analyzer string
+		wants    func(*Package) bool
+		admit    []string
+	}{
+		{"lockdiscipline", wantsLockedCode, []string{
+			"singlingout/internal/query/remote", "singlingout/internal/obs"}},
+		{"rawdataflow", wantsServingStack, []string{
+			"singlingout/internal/query/remote", "singlingout/internal/obs",
+			"singlingout/internal/obs/serve", "singlingout/cmd/qserver", "singlingout/cmd/reconstruct"}},
+	}
+	for _, c := range cases {
+		for _, path := range c.admit {
+			if !c.wants(&Package{Path: path}) {
+				t.Errorf("%s: %s is out of scope, want it in", c.analyzer, path)
+			}
+		}
+		for _, path := range []string{"singlingout/internal/lp", "lockdiscipline", "rawdataflow"} {
+			if c.wants(&Package{Path: path}) {
+				t.Errorf("%s: %s is in scope, want it out", c.analyzer, path)
+			}
+		}
+	}
+}
+
 // TestIgnoreDirective pins the staticcheck-style strictness: the
 // directive must start the comment, carry an analyzer list, and carry a
 // reason.

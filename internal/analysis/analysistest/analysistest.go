@@ -39,9 +39,13 @@ var wantRE = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 
 // Run loads each fixture package dir (relative to testdata/src, also
 // serving as its import path) and checks analyzer diagnostics against the
-// fixture's want annotations.
+// fixture's want annotations. The analyzer runs with its Wants scope
+// cleared, so a scoped analyzer's predicate names only production
+// packages and its fixtures run all the same.
 func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
+	unscoped := *a
+	unscoped.Wants = nil
 	for _, pkgPath := range pkgPaths {
 		dir := filepath.Join("testdata", "src", filepath.FromSlash(pkgPath))
 		pkg, err := analysis.LoadDir(dir, pkgPath)
@@ -54,7 +58,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgPaths ...string) {
 		// Type-aware analyzers resolve fixture imports (including stub
 		// packages standing in for module internals) against testdata/src.
 		pkg.Resolver = srcResolver(filepath.Join("testdata", "src"))
-		diags, err := analysis.Run(a, pkg)
+		diags, err := analysis.Run(&unscoped, pkg)
 		if err != nil {
 			t.Fatalf("%s: %v", pkgPath, err)
 		}

@@ -42,10 +42,11 @@ var LockDiscipline = &Analyzer{
 	Run:        runLockDiscipline,
 }
 
+// wantsLockedCode scopes the analyzer to the packages whose mutexes it
+// guards: the query server and the obs registry, journal and tracer.
 func wantsLockedCode(pkg *Package) bool {
 	return pkg.Path == "singlingout/internal/query/remote" ||
-		pkg.Path == "singlingout/internal/obs" ||
-		strings.HasPrefix(pkg.Path, "lockdiscipline")
+		pkg.Path == "singlingout/internal/obs"
 }
 
 func runLockDiscipline(pass *Pass) error {

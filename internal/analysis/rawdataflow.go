@@ -40,18 +40,12 @@ var RawDataFlow = &Analyzer{
 }
 
 // wantsServingStack scopes the analyzer to where the wire boundary
-// lives: the query service, the telemetry layer, every binary, and this
-// analyzer's fixtures.
+// lives: the query service, the telemetry layer and every binary.
 func wantsServingStack(pkg *Package) bool {
-	switch {
-	case pkg.Path == "singlingout/internal/query/remote",
-		pkg.Path == "singlingout/internal/obs",
-		strings.HasPrefix(pkg.Path, "singlingout/internal/obs/"),
-		strings.HasPrefix(pkg.Path, "singlingout/cmd/"),
-		strings.HasPrefix(pkg.Path, "rawdataflow"):
-		return true
-	}
-	return false
+	return pkg.Path == "singlingout/internal/query/remote" ||
+		pkg.Path == "singlingout/internal/obs" ||
+		strings.HasPrefix(pkg.Path, "singlingout/internal/obs/") ||
+		strings.HasPrefix(pkg.Path, "singlingout/cmd/")
 }
 
 // rawTypes lists the microdata types per declaring package path.

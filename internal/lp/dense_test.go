@@ -22,7 +22,10 @@ import (
 // stated constraints by up to ~1e-5 (for problems with up to ~1000 rows);
 // equalities are not perturbed.
 func Solve(ctx context.Context, p *Problem) (*Solution, error) {
-	if err := validate(p); err != nil {
+	if err := validateStructure(p); err != nil {
+		return nil, err
+	}
+	if err := validateData(p); err != nil {
 		return nil, err
 	}
 	p = expandUpper(p)

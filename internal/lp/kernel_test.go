@@ -189,6 +189,8 @@ type kernelChecker struct {
 	// applied counts the earlier steps that eliminated into a column,
 	// scanned the steps factorRef's loop over every j < k looks at.
 	applied, scanned int
+	// units counts the unit BTRANs checked, unitNZ their nonzeros.
+	units, unitNZ int
 }
 
 func (kc *kernelChecker) sameInts(what string, got, want []int32) {
@@ -252,9 +254,57 @@ func (kc *kernelChecker) sameBits(what string, got, want []float64) {
 	}
 }
 
+// checkUnit compares btranUnit's ρ = B⁻ᵀe_pos with btranRef's, outRef:
+// every nonzero bit for bit, the same nonzero pattern with its rows
+// listed once each, and the pivot row of each bit for bit, signed zeros
+// included. The zero entries' own signs are not compared: btranUnit
+// leaves +0 wherever btran's dense order computes a zero, and no
+// consumer of ρ reads that sign. It also checks that btranUnit left its
+// scratch all zero.
+func (kc *kernelChecker) checkUnit(e *revised, pos int, outRef []float64) {
+	kc.t.Helper()
+	f, sf := e.lu, e.sf
+	rho := make([]float64, e.m)
+	nz := f.btranUnit(pos, rho, nil)
+	listed := make([]bool, e.m)
+	for _, r := range nz {
+		if listed[r] {
+			kc.t.Fatalf("unit btran e_%d: row %d listed twice", pos, r)
+		}
+		listed[r] = true
+	}
+	for i, want := range outRef {
+		got := rho[i]
+		switch {
+		case want == 0 && got != 0:
+			kc.t.Fatalf("unit btran e_%d: entry %d = %v, reference zero", pos, i, got)
+		case want != 0 && math.Float64bits(got) != math.Float64bits(want):
+			kc.t.Fatalf("unit btran e_%d: entry %d = %v (%#x), reference %v (%#x)",
+				pos, i, got, math.Float64bits(got), want, math.Float64bits(want))
+		case listed[i] != (want != 0):
+			kc.t.Fatalf("unit btran e_%d: row %d listed %v, reference entry %v", pos, i, listed[i], want)
+		}
+	}
+	alpha, alphaRef := make([]float64, sf.nCols), make([]float64, sf.nCols)
+	sf.pivotRow(rho, alpha)
+	pivotRowRef(sf, outRef, alphaRef)
+	kc.sameBits("pivot row of the unit btran", alpha, alphaRef)
+	for _, scratch := range [][]float64{f.unitPos, f.unitStep} {
+		if i := slices.IndexFunc(scratch, func(v float64) bool { return v != 0 }); i >= 0 {
+			kc.t.Fatalf("unit btran e_%d left scratch entry %d = %v", pos, i, scratch[i])
+		}
+	}
+	if i := slices.IndexFunc(f.reach, func(w uint64) bool { return w != 0 }); i >= 0 {
+		kc.t.Fatalf("unit btran e_%d left reach word %d = %#x", pos, i, f.reach[i])
+	}
+	kc.units++
+	kc.unitNZ += len(nz)
+}
+
 // check runs BTRAN on every unit vector and on the basic costs, the
 // pivot row on each result, and FTRAN on each result (these carry −0
-// entries), on every column and on b.
+// entries), on every column and on b; and the hypersparse BTRAN on
+// every unit vector (checkUnit).
 func (kc *kernelChecker) check(e *revised) {
 	kc.t.Helper()
 	kc.states++
@@ -291,6 +341,9 @@ func (kc *kernelChecker) check(e *revised) {
 		sf.pivotRow(out, alpha)
 		pivotRowRef(sf, out, alphaRef)
 		kc.sameBits("pivot row", alpha, alphaRef)
+		if pos < m {
+			kc.checkUnit(e, pos, outRef)
+		}
 		copy(in, out)
 		ftran()
 	}
@@ -309,28 +362,28 @@ func (kc *kernelChecker) check(e *revised) {
 	}
 }
 
-// solve runs p through the engine, cold or warm, checking the kernels at
-// every pivot and at the end.
+// solve runs p through a new Solver, cold or warm, checking the kernels
+// at every pivot and at the end.
 func (kc *kernelChecker) solve(p *Problem, warm *Basis) *Solution {
 	kc.t.Helper()
-	e := newRevised(ctx, p, buildStandard(p))
-	e.progressEvery = 1
-	e.progress = func(Progress) { kc.check(e) }
-	sol, err := e.run(warm)
+	s, err := NewSolver(p)
 	if err != nil {
 		kc.t.Fatal(err)
 	}
-	kc.check(e)
-	sol.Pivots = e.pivots
-	if sol.Status == Optimal {
-		sol.Basis = e.saveBasis()
+	p.Progress, p.ProgressEvery = func(Progress) { kc.check(&s.e) }, 1
+	defer func() { p.Progress, p.ProgressEvery = nil, 0 }()
+	sol, err := s.Solve(ctx, warm)
+	if err != nil {
+		kc.t.Fatal(err)
 	}
+	kc.check(&s.e)
 	return sol
 }
 
 // TestSparseKernelsMatchReference: the reach-only factor, the row-wise
 // pivot row and the zero-skipping BTRAN and FTRAN reproduce the
-// dense-order loops bit for bit, and the candidate list matches a scan
+// dense-order loops bit for bit, the hypersparse unit BTRAN reproduces
+// every nonzero and the pivot row, and the candidate list matches a scan
 // of every column, on every basis the engine passes through for the
 // property test's LPs, the FuzzRevised seeds (cold and warm), an L1
 // decoding LP warm-started across noisy answer vectors and a cold
@@ -344,14 +397,12 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 		kc.solve(boundedProblem(par.RNG(11, trial), trial%2 == 0), nil)
 	}
 	for _, seed := range fuzzRevisedSeeds {
-		p, shift := fuzzProblem(seed)
+		p, change := fuzzProblem(seed)
 		cold := kc.solve(p, nil)
 		if cold.Status != Optimal {
 			continue
 		}
-		for i := range p.Constraints {
-			p.Constraints[i].RHS += shift
-		}
+		change(p)
 		kc.solve(p, cold.Basis)
 	}
 	rng := par.RNG(5, 0)
@@ -378,6 +429,6 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 	if kc.etaful == 0 {
 		t.Fatalf("none of %d states had an eta file", kc.states)
 	}
-	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update",
-		kc.states, kc.etaful, kc.applied, kc.scanned)
+	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update; %d unit BTRANs with %d nonzeros",
+		kc.states, kc.etaful, kc.applied, kc.scanned, kc.units, kc.unitNZ)
 }

@@ -11,7 +11,7 @@
 // of two nonnegative ones. A non-finite objective entry, coefficient or
 // RHS, and a malformed row, are refused before any solve.
 //
-// Revised is the one engine: a sparse bounded-variable revised simplex —
+// Solver is the one engine: a sparse bounded-variable revised simplex —
 // column-wise sparse storage, an LU-factorized basis with product-form
 // (eta-file) updates between periodic refactorizations, candidate-list
 // partial pricing, and a warm-start API: it returns an opaque Basis, and
@@ -19,6 +19,12 @@
 // objective and/or bounds restarts from it (dual simplex when only the
 // RHS or the bounds moved). Upper bounds are implicit: a nonbasic
 // variable sits at 0 or at u_j, so a box never costs a basis row.
+// NewSolver builds the engine for one constraint matrix once — the
+// standard form, the per-column arrays and the LU storage — and each
+// Solve reads only the problem's RHS, bounds and objective, so a caller
+// that solves one matrix many times (recon.Decoder) pays for the
+// structure once, and gets what a fresh engine would return, bit for
+// bit. Revised is NewSolver then Solve, for a one-off solve.
 //
 // Each iteration touches only entries that can be nonzero, without
 // changing a result bit against the dense-order loops the tests keep as
@@ -26,9 +32,11 @@
 // rows in O(nnz). The LU factorization eliminates each column only by
 // the earlier steps whose pivot rows it reaches, and stores L by
 // elimination position, so FTRAN and BTRAN skip the row permutation
-// inside their L solves. The dual simplex keeps an ascending list of the
-// nonbasic columns that can enter, and its ratio test and reduced-cost
-// update run over that list rather than over every column.
+// inside their L solves. The dual simplex solves its pivot row
+// ρ = B⁻ᵀe_r hypersparsely: the eta replay and the Uᵀ and Lᵀ solves
+// visit only the entries a nonzero of ρ reaches. It keeps an ascending
+// list of the nonbasic columns that can enter, and its ratio test and
+// reduced-cost update run over that list rather than over every column.
 //
 // A cold start crashes each row onto a singleton column whose value lies
 // within its bounds — the row's slack or surplus, or a structural column
@@ -189,20 +197,11 @@ const (
 	perturb = 1e-8
 )
 
-// validate refuses a Problem the engine cannot solve: wrong lengths, a
-// malformed sparse row, an unknown relation, a non-finite objective
-// entry, coefficient or RHS, or a negative or NaN upper bound.
-func validate(p *Problem) error {
+// validateStructure refuses a nonpositive NumVars, a malformed sparse
+// row, an unknown relation or a non-finite coefficient.
+func validateStructure(p *Problem) error {
 	if p.NumVars <= 0 {
 		return fmt.Errorf("lp: NumVars = %d, want positive", p.NumVars)
-	}
-	if len(p.Objective) != p.NumVars {
-		return fmt.Errorf("lp: objective length %d != NumVars %d", len(p.Objective), p.NumVars)
-	}
-	for j, c := range p.Objective {
-		if !finite(c) {
-			return fmt.Errorf("lp: objective entry %d = %v, want finite", j, c)
-		}
 	}
 	// seen[j] == i+1 marks variable j as listed by constraint i.
 	seen := make([]int, p.NumVars)
@@ -212,9 +211,6 @@ func validate(p *Problem) error {
 		}
 		if c.Rel != LE && c.Rel != GE && c.Rel != EQ {
 			return fmt.Errorf("lp: constraint %d relation %d, want LE, GE or EQ", i, c.Rel)
-		}
-		if !finite(c.RHS) {
-			return fmt.Errorf("lp: constraint %d RHS = %v, want finite", i, c.RHS)
 		}
 		for k, j := range c.Vars {
 			if j < 0 || j >= p.NumVars {
@@ -227,6 +223,26 @@ func validate(p *Problem) error {
 			if !finite(c.Coeffs[k]) {
 				return fmt.Errorf("lp: constraint %d coefficient of variable %d = %v, want finite", i, j, c.Coeffs[k])
 			}
+		}
+	}
+	return nil
+}
+
+// validateData refuses what a solve reads afresh each time: an objective
+// of the wrong length or with a non-finite entry, a non-finite RHS, and
+// upper bounds of the wrong length or with a negative or NaN entry.
+func validateData(p *Problem) error {
+	if len(p.Objective) != p.NumVars {
+		return fmt.Errorf("lp: objective length %d != NumVars %d", len(p.Objective), p.NumVars)
+	}
+	for j, c := range p.Objective {
+		if !finite(c) {
+			return fmt.Errorf("lp: objective entry %d = %v, want finite", j, c)
+		}
+	}
+	for i, c := range p.Constraints {
+		if !finite(c.RHS) {
+			return fmt.Errorf("lp: constraint %d RHS = %v, want finite", i, c.RHS)
 		}
 	}
 	if p.Upper != nil {

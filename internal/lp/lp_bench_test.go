@@ -12,18 +12,14 @@ import (
 	"singlingout/internal/synth"
 )
 
-// BenchmarkDecodeLPRecon times recon.Decoder.Decode on the lp-recon
-// benchmark's shape: the L1Slack decoding LP for n = 48 and m = 4n
-// random subset queries. Successive iterations decode different answer
-// vectors (two datasets, each at the noise levels c·√n for c in 0, 0.25,
-// 0.5, 1, 2), so every row moves between solves and each one runs cold
-// through lp.Revised. It reports the simplex pivots per decode.
-func BenchmarkDecodeLPRecon(b *testing.B) {
+// lpReconShape draws the lp-recon benchmark's shape at n = 48: m = 4n
+// random subset queries, and answer vectors for two datasets, each at
+// the noise levels c·√n for c in 0, 0.25, 0.5, 1, 2.
+func lpReconShape(b *testing.B) (n int, qs [][]int, pool [][]float64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
-	n := 48
-	qs := query.RandomSubsets(rng, n, 4*n)
-	var pool [][]float64
+	n = 48
+	qs = query.RandomSubsets(rng, n, 4*n)
 	for range 2 {
 		x := synth.BinaryDataset(rng, n, 0.5)
 		for _, c := range []float64{0, 0.25, 0.5, 1, 2} {
@@ -35,15 +31,32 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 			pool = append(pool, a)
 		}
 	}
+	return n, qs, pool
+}
+
+// counting enables the default registry for the benchmark and returns
+// its lp.pivots and lp.warm_starts counters.
+func counting(b *testing.B) (pivots, warm *obs.Counter) {
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	b.Cleanup(func() { reg.SetEnabled(wasEnabled) })
+	return reg.Counter("lp.pivots"), reg.Counter("lp.warm_starts")
+}
+
+// BenchmarkDecodeLPRecon times recon.Decoder.Decode on the lp-recon
+// benchmark's shape (lpReconShape). Successive iterations decode
+// different answer vectors, so every row moves between solves and each
+// one runs cold, on the decoder's one reused lp.Solver. It reports the
+// simplex pivots per decode.
+func BenchmarkDecodeLPRecon(b *testing.B) {
+	ctx := context.Background()
+	n, qs, pool := lpReconShape(b)
 	dec, err := recon.NewDecoder(n, qs, recon.L1Slack)
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := obs.Default()
-	wasEnabled := reg.Enabled()
-	reg.SetEnabled(true)
-	defer reg.SetEnabled(wasEnabled)
-	pivots, warm := reg.Counter("lp.pivots"), reg.Counter("lp.warm_starts")
+	pivots, warm := counting(b)
 	p0, w0 := pivots.Value(), warm.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -57,4 +70,38 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 		b.Fatalf("%d of %d decodes warm-started, want every one cold", w, b.N)
 	}
 	b.ReportMetric(float64(pivots.Value()-p0)/float64(b.N), "pivots/op")
+}
+
+// BenchmarkStreamPush times one streaming session on the lp-recon shape
+// (lpReconShape): 8 pushes of 24 answers each, the whole workload.
+// Successive sessions stream different answer vectors, so each first
+// push solves cold and the other 7 warm-start by the dual simplex, the
+// path an anytime attacker takes. It reports the simplex pivots per
+// push; compare its allocations too.
+func BenchmarkStreamPush(b *testing.B) {
+	const pushes, chunk = 8, 24
+	ctx := context.Background()
+	n, qs, pool := lpReconShape(b)
+	dec, err := recon.NewDecoder(n, qs, recon.L1Slack)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pivots, warm := counting(b)
+	p0, w0 := pivots.Value(), warm.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		answers := pool[i%len(pool)]
+		sd := dec.Stream()
+		for k := 0; k < pushes; k++ {
+			if _, _, err := sd.Push(ctx, answers[k*chunk:(k+1)*chunk]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if w, want := warm.Value()-w0, int64(b.N*(pushes-1)); w != want {
+		b.Fatalf("%d warm starts in %d sessions, want %d", w, b.N, want)
+	}
+	b.ReportMetric(float64(pivots.Value()-p0)/float64(b.N*pushes), "pivots/push")
 }

@@ -40,6 +40,13 @@ type luFactor struct {
 	// uRows holds the same off-diagonal U entries row by row: row j
 	// lists the later positions k > j whose column has an entry at j.
 	uRows csr
+	// lRows holds the L entries row by row: row p lists the steps k < p
+	// whose column has an entry at position p (values unused). It is the
+	// reach of btranUnit's Lᵀ solve.
+	lRows csr
+	// stepOf is colOrder's inverse: the step that factored basis
+	// position pos.
+	stepOf []int
 	// etas is the product-form update file: eta e replaces basis position
 	// e.pos; e.rows/e.vals are the position-indexed nonzeros of the
 	// FTRANed entering column other than its pivot, e.pivot its value at
@@ -51,11 +58,21 @@ type luFactor struct {
 	inWork  []bool
 	// reach is a bitset over elimination positions: while column k is
 	// factored, bit j < k is set when the pivot row of step j has been
-	// written in work, so the elimination visits only those steps. All
-	// zero between columns.
+	// written in work, so the elimination visits only those steps;
+	// btranUnit marks the steps its solves visit in it. All zero between
+	// columns and between calls.
 	reach []uint64
 	refs  []colRef  // factor's column order scratch, len m
 	solve []float64 // ftran/btran scratch in elimination order, len m
+
+	// btranUnit's scratch, all zero between calls: unitPos is indexed by
+	// basis position (the eta replay) and unitStep by elimination step
+	// (the Uᵀ and Lᵀ solves). unitNZ lists the entries of unitPos that
+	// may be nonzero, ascending; unitSteps the steps written in unitStep.
+	unitPos   []float64
+	unitStep  []float64
+	unitNZ    []int32
+	unitSteps []int32
 }
 
 type eta struct {
@@ -63,6 +80,10 @@ type eta struct {
 	pivot float64
 	rows  []int32
 	vals  []float64
+	// dense holds the same entries by position, zero elsewhere and at
+	// pos, so btranUnit's replay costs the nonzeros of its vector, not
+	// of the eta.
+	dense []float64
 }
 
 // colRef is a basis position and its column's nonzero count.
@@ -88,6 +109,9 @@ func newLU(m int) *luFactor {
 		reach:    make([]uint64, (m+63)/64),
 		refs:     make([]colRef, m),
 		solve:    make([]float64, m),
+		stepOf:   make([]int, m),
+		unitPos:  make([]float64, m),
+		unitStep: make([]float64, m),
 	}
 }
 
@@ -190,7 +214,11 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 			lr[i] = int32(f.posOfRow[r])
 		}
 	}
+	for k, pos := range f.colOrder {
+		f.stepOf[pos] = k
+	}
 	f.uRows.transpose(m, m, func(k int) ([]int32, []float64) { return f.uPos[k], f.uVals[k] })
+	f.lRows.transpose(m, m, func(k int) ([]int32, []float64) { return f.lIdx[k], f.lVals[k] })
 	return true
 }
 
@@ -330,6 +358,115 @@ func (f *luFactor) btran(c, out []float64) {
 	}
 }
 
+// btranUnit solves Bᵀ·y = e_pos, the dual simplex's pivot row,
+// hypersparsely. It writes y's nonzeros into out, indexed by original row
+// and all zero on entry, appends their rows to nz and returns it.
+//
+// Each stage visits only the entries a nonzero reaches, in btran's order:
+// the eta replay sums over the vector's nonzeros in ascending position,
+// the Uᵀ solve scans the reach bitset upward as factor does, and the Lᵀ
+// solve scans it downward, marking through lRows the steps whose dot
+// product a nonzero enters. What it leaves out are terms that are
+// products with an exact zero, and what it may change is the sign of a
+// zero; neither can move a nonzero sum or product. Every nonzero is
+// therefore btran's, bit for bit, and so is the nonzero pattern; only
+// the sign of a zero entry may differ (out keeps +0 there), which
+// neither pivotRow nor a dot product from +0 can see.
+func (f *luFactor) btranUnit(pos int, out []float64, nz []int32) []int32 {
+	c, cnz := f.unitPos, append(f.unitNZ[:0], int32(pos))
+	c[pos] = 1
+	for e := len(f.etas) - 1; e >= 0; e-- {
+		et := &f.etas[e]
+		s := 0.0
+		for _, p := range cnz {
+			if v := et.dense[p]; v != 0 {
+				s += v * c[p]
+			}
+		}
+		cp := c[et.pos]
+		if s == 0 && cp == 0 {
+			continue
+		}
+		c[et.pos] = (cp - s) / et.pivot
+		if i, ok := slices.BinarySearch(cnz, int32(et.pos)); !ok {
+			cnz = slices.Insert(cnz, i, int32(et.pos))
+		}
+	}
+	g := f.unitStep
+	for _, p := range cnz {
+		if v := c[p]; v != 0 {
+			k := f.stepOf[p]
+			g[k] = v
+			f.reach[k>>6] |= 1 << (k & 63)
+		}
+		c[p] = 0
+	}
+	f.unitNZ = cnz
+	// Uᵀ g = c forward, by the steps a nonzero reaches; a scatter only
+	// marks later steps, so the upward scan re-reads the current word.
+	steps := f.unitSteps[:0]
+	u := &f.uRows
+	for w := range f.reach {
+		for f.reach[w] != 0 {
+			b := bits.TrailingZeros64(f.reach[w])
+			f.reach[w] &^= 1 << b
+			k := w<<6 | b
+			steps = append(steps, int32(k))
+			gk := g[k]
+			if gk == 0 {
+				continue
+			}
+			gk /= f.uDiag[k]
+			g[k] = gk
+			if gk == 0 {
+				continue
+			}
+			for i := u.start[k]; i < u.start[k+1]; i++ {
+				p := u.idx[i]
+				g[p] -= u.val[i] * gk
+				f.reach[p>>6] |= 1 << (p & 63)
+			}
+		}
+	}
+	// Lᵀ h = g backward: step k is computed when g[k] is nonzero or its L
+	// column holds a position whose h is; marks go to earlier steps only.
+	for _, k := range steps {
+		if g[k] != 0 {
+			f.reach[k>>6] |= 1 << (k & 63)
+		}
+	}
+	l := &f.lRows
+	for w := len(f.reach) - 1; w >= 0; w-- {
+		for f.reach[w] != 0 {
+			b := 63 - bits.LeadingZeros64(f.reach[w])
+			f.reach[w] &^= 1 << b
+			k := w<<6 | b
+			lp, lv := f.lIdx[k], f.lVals[k]
+			s := g[k]
+			for i, p := range lp {
+				s -= lv[i] * g[p]
+			}
+			g[k] = s
+			steps = append(steps, int32(k))
+			if s == 0 {
+				continue
+			}
+			r := f.rowOfPos[k]
+			out[r] = s
+			nz = append(nz, int32(r))
+			for i := l.start[k]; i < l.start[k+1]; i++ {
+				j := l.idx[i]
+				f.reach[j>>6] |= 1 << (j & 63)
+			}
+		}
+	}
+	for _, k := range steps {
+		g[k] = 0
+	}
+	f.unitSteps = steps
+	return nz
+}
+
 // appendEta records the product-form update for a pivot at basis
 // position pos whose FTRANed entering column is d (position-indexed,
 // dense). It returns false when the pivot element is too small to update
@@ -347,12 +484,19 @@ func (f *luFactor) appendEta(pos int, d []float64) bool {
 		f.etas = append(f.etas, eta{})
 	}
 	e := &f.etas[len(f.etas)-1]
+	if e.dense == nil {
+		e.dense = make([]float64, f.m)
+	}
+	for _, p := range e.rows {
+		e.dense[p] = 0
+	}
 	e.pos, e.pivot = pos, d[pos]
 	e.rows, e.vals = e.rows[:0], e.vals[:0]
 	for i, v := range d {
 		if v != 0 && i != pos {
 			e.rows = append(e.rows, int32(i))
 			e.vals = append(e.vals, v)
+			e.dense[i] = v
 		}
 	}
 	return true

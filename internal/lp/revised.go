@@ -8,7 +8,7 @@ import (
 	"slices"
 )
 
-// ErrBasisMismatch is returned by Revised when the warm-start Basis was
+// ErrBasisMismatch is returned by Solve when the warm-start Basis was
 // produced on a different constraint matrix (the warm-start contract
 // covers RHS, objective and bound changes only).
 var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the constraint structure")
@@ -19,11 +19,11 @@ var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the const
 var ErrSingularBasis = errors.New("lp: numerically singular basis")
 
 // Basis is an opaque warm-start handle: the basic column set at the end
-// of a Revised solve and the nonbasic columns that sat at their upper
-// bound, tied by signature to the constraint matrix it was produced on.
-// Pass it to a later Revised call over the same constraint matrix — same
-// coefficients and relations; the RHS, objective and bounds may differ —
-// to start from that basis instead of from scratch.
+// of a solve and the nonbasic columns that sat at their upper bound, tied
+// by signature to the constraint matrix it was produced on. Pass it to a
+// later solve over the same constraint matrix — same coefficients and
+// relations; the RHS, objective and bounds may differ — on the same
+// Solver or any other, to start from that basis instead of from scratch.
 type Basis struct {
 	sig   uint64
 	m     int
@@ -52,7 +52,9 @@ const (
 	dualBlandRun = 256
 )
 
-// revised is the sparse revised-simplex engine state for one solve.
+// revised is the sparse revised-simplex engine of one constraint matrix:
+// its storage lives as long as the Solver, and reset readies it for each
+// solve.
 type revised struct {
 	p  *Problem
 	sf *standard
@@ -86,16 +88,58 @@ type revised struct {
 	progressEvery int
 	pricePos      int // partial-pricing cursor
 
-	// Scratch (reused across iterations).
+	// Scratch (reused across iterations and solves).
 	rowScratch []float64 // row-indexed FTRAN/BTRAN input
 	posScratch []float64 // position-indexed BTRAN input
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
-	dualD      []float64 // dual simplex's cached nonbasic reduced costs
-	alpha      []float64 // dual simplex's pivot row ρ·A, by column id
+	// rho is btranRow's output (row-indexed), zero but at the rows
+	// rhoNZ lists.
+	rho   []float64
+	rhoNZ []int32
+	dualD []float64 // dual simplex's cached nonbasic reduced costs
+	alpha []float64 // dual simplex's pivot row ρ·A, by column id
+	cands []dualCand
+	flips []int
 }
 
-// Revised solves p with the sparse bounded-variable revised simplex:
+// Solver is the revised simplex engine of one constraint matrix.
+// NewSolver reads the Problem's structure once — NumVars and every
+// constraint's Vars, Coeffs and Rel — and builds the standard form, the
+// engine's per-column arrays and the LU factor's storage. Each Solve then
+// reads only the RHS values, Upper, Objective and the progress hook,
+// which the caller may change between solves. So re-solving one matrix
+// under new answers, bounds or costs costs no rebuild, and a reused
+// Solver returns what a fresh one would, bit for bit. Changing the
+// structure after NewSolver is not supported: the Solver keeps the one it
+// read. A Solver is not safe for concurrent use.
+type Solver struct {
+	e revised
+}
+
+// NewSolver validates p's structure and builds its engine.
+func NewSolver(p *Problem) (*Solver, error) {
+	if err := validateStructure(p); err != nil {
+		return nil, err
+	}
+	s := &Solver{}
+	s.e.init(p, buildStandard(p))
+	return s, nil
+}
+
+// Revised solves p once on a new Solver: NewSolver(p), then Solve. A
+// caller that solves one constraint matrix more than once keeps the
+// Solver instead.
+func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
+	s, err := NewSolver(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(ctx, warm)
+}
+
+// Solve solves the Solver's problem under its current RHS, bounds and
+// objective with the sparse bounded-variable revised simplex:
 // column-wise sparse constraint storage, implicit bounds 0 ≤ x ≤ Upper,
 // an LU-factorized basis with product-form updates between periodic
 // refactorizations, candidate-list partial pricing, a singleton crash
@@ -107,8 +151,8 @@ type revised struct {
 // stated constraints by up to ~1e-5 for problems with up to ~1000 rows;
 // equalities are not perturbed.
 //
-// warm may be nil (cold start) or the Basis of a previous Revised solve
-// over the same constraint matrix. A usable warm basis skips the crash
+// warm may be nil (cold start) or the Basis of a previous solve over
+// the same constraint matrix. A usable warm basis skips the crash
 // and phase 1 entirely: if it is still primal feasible under the new
 // RHS and bounds the solve resumes in phase 2, and otherwise (the common
 // case after an RHS or bound change at an optimum) the engine places
@@ -121,19 +165,24 @@ type revised struct {
 //
 // The returned Solution carries the final Basis for Optimal solves. The
 // context is checked every ProgressEvery pivots.
-func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
-	if err := validate(p); err != nil {
+func (s *Solver) Solve(ctx context.Context, warm *Basis) (*Solution, error) {
+	e := &s.e
+	p, sf := e.p, e.sf
+	if p.NumVars != sf.nStruct || len(p.Constraints) != sf.m {
+		return nil, fmt.Errorf("lp: problem resized to %d variables and %d constraints, solver built for %d and %d",
+			p.NumVars, len(p.Constraints), sf.nStruct, sf.m)
+	}
+	if err := validateData(p); err != nil {
 		return nil, err
 	}
 	mSolves.Add(1)
 	sp := mSolveNS.Span()
 	defer sp.End()
-	sf := buildStandard(p)
 	if warm != nil && (warm.sig != sf.sig || warm.m != sf.m) {
 		return nil, fmt.Errorf("%w: basis for %d rows/sig %x, matrix has %d rows/sig %x",
 			ErrBasisMismatch, warm.m, warm.sig, sf.m, sf.sig)
 	}
-	e := newRevised(ctx, p, sf)
+	e.reset(ctx)
 	sol, err := e.run(warm)
 	mPivots.Add(int64(e.pivots))
 	mPhase1.Add(int64(e.phase1Pivots))
@@ -161,50 +210,69 @@ func (e *revised) saveBasis() *Basis {
 	return b
 }
 
-func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
+// init allocates the engine's storage for the standard form sf of p.
+func (e *revised) init(p *Problem, sf *standard) {
 	m := sf.m
 	total := sf.nCols + m
-	e := &revised{
-		p:             p,
-		sf:            sf,
-		m:             m,
-		artRows:       make([]int32, m),
-		artVals:       make([]float64, m),
-		cost:          make([]float64, total),
-		ub:            make([]float64, total),
-		canEnter:      make([]bool, total),
-		atUpper:       make([]bool, total),
-		basis:         make([]int, m),
-		posOf:         make([]int, total),
-		xB:            make([]float64, m),
-		lu:            newLU(m),
-		ctx:           ctx,
-		progress:      p.Progress,
-		progressEvery: p.ProgressEvery,
-		rowScratch:    make([]float64, m),
-		posScratch:    make([]float64, m),
-		d:             make([]float64, m),
-		y:             make([]float64, m),
+	*e = revised{
+		p:          p,
+		sf:         sf,
+		m:          m,
+		artRows:    make([]int32, m),
+		artVals:    make([]float64, m),
+		cost:       make([]float64, total),
+		ub:         make([]float64, total),
+		canEnter:   make([]bool, total),
+		atUpper:    make([]bool, total),
+		basis:      make([]int, m),
+		posOf:      make([]int, total),
+		xB:         make([]float64, m),
+		lu:         newLU(m),
+		rowScratch: make([]float64, m),
+		posScratch: make([]float64, m),
+		d:          make([]float64, m),
+		y:          make([]float64, m),
+		rho:        make([]float64, m),
+		dualD:      make([]float64, sf.nCols),
+		alpha:      make([]float64, sf.nCols),
 	}
-	if e.progressEvery <= 0 {
-		e.progressEvery = 4096
+	for r := range e.artRows {
+		e.artRows[r] = int32(r)
 	}
-	copy(e.ub, sf.ub)
+}
+
+// reset readies the engine for a solve of p's current data: the RHS
+// (into the standard form), the bounds and the progress hook, with no
+// basis, no column at its upper bound and every counter at zero — the
+// state a new engine starts in. Everything else a solve reads it writes
+// first: the crash or the warm basis sets the basis, the LU factor and
+// the basic values, and the phases set the costs.
+func (e *revised) reset(ctx context.Context) {
+	p, sf := e.p, e.sf
+	sf.setRHS(p)
+	for j := range e.ub {
+		e.ub[j] = math.Inf(1)
+	}
+	copy(e.ub, p.Upper)
 	for j := 0; j < sf.nCols; j++ {
-		e.canEnter[j] = sf.active[j] && sf.ub[j] > 0
+		e.canEnter[j] = sf.active[j] && e.ub[j] > 0
 	}
-	for r := 0; r < m; r++ {
-		e.ub[sf.nCols+r] = math.Inf(1)
-		s := 1.0
-		if sf.b[r] < 0 {
-			s = -1
+	for r, b := range sf.b {
+		e.artVals[r] = 1
+		if b < 0 {
+			e.artVals[r] = -1
 		}
-		e.artRows[r], e.artVals[r] = int32(r), s
 	}
 	for j := range e.posOf {
 		e.posOf[j] = -1
+		e.atUpper[j] = false
 	}
-	return e
+	e.pivots, e.phase1Pivots, e.dualPivots, e.phase = 0, 0, 0, 0
+	e.warm, e.pricePos = false, 0
+	e.ctx, e.progress, e.progressEvery = ctx, p.Progress, p.ProgressEvery
+	if e.progressEvery <= 0 {
+		e.progressEvery = 4096
+	}
 }
 
 func (e *revised) run(warm *Basis) (*Solution, error) {
@@ -311,13 +379,13 @@ func (e *revised) btranCost() {
 	e.lu.btran(e.posScratch, e.y)
 }
 
-// btranRow computes ρ = Bᵀ⁻¹ e_pos into e.y: row pos of B⁻¹A is ρ·A.
+// btranRow computes ρ = Bᵀ⁻¹ e_pos into e.rho, hypersparsely: row pos
+// of B⁻¹A is ρ·A.
 func (e *revised) btranRow(pos int) {
-	for i := range e.posScratch {
-		e.posScratch[i] = 0
+	for _, r := range e.rhoNZ {
+		e.rho[r] = 0
 	}
-	e.posScratch[pos] = 1
-	e.lu.btran(e.posScratch, e.y)
+	e.rhoNZ = e.lu.btranUnit(pos, e.rho, e.rhoNZ[:0])
 }
 
 // ftranCol computes d = B⁻¹ A_q into e.d.
@@ -579,7 +647,7 @@ func (e *revised) driveOutArtificials() (bool, error) {
 			alpha := 0.0
 			rows, vals := e.colFor(j)
 			for i, r := range rows {
-				alpha += e.y[r] * vals[i]
+				alpha += e.rho[r] * vals[i]
 			}
 			if math.Abs(alpha) <= ratioPivTol {
 				continue
@@ -822,11 +890,7 @@ func (e *revised) placeDualFeasible() bool {
 // from scratch (one BTRAN plus one pass over A). The dual simplex keeps
 // it incrementally updated between refactorizations.
 func (e *revised) refreshDualD() {
-	if e.dualD == nil {
-		e.dualD = make([]float64, e.sf.nCols)
-	} else {
-		clear(e.dualD)
-	}
+	clear(e.dualD)
 	e.btranCost()
 	for _, j := range e.enter {
 		e.dualD[j] = e.redCost(j, e.y)
@@ -877,12 +941,7 @@ type dualCand struct {
 // the pivot row. The ratio test and the update visit only e.enter.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
-	if e.alpha == nil {
-		e.alpha = make([]float64, e.sf.nCols)
-	}
 	alpha := e.alpha
-	var cands []dualCand
-	var flips []int
 	degenRun := 0 // consecutive pivots with no dual-objective progress
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.checkCtx(); err != nil {
@@ -902,8 +961,8 @@ func (e *revised) dual() (*Solution, error) {
 		// of B⁻¹A. A column is eligible when moving it off its bound
 		// pushes the leaving variable back toward the violated bound.
 		e.btranRow(r)
-		e.sf.pivotRow(e.y, alpha)
-		cands = cands[:0]
+		e.sf.pivotRow(e.rho, alpha)
+		cands := e.cands[:0]
 		for _, j := range e.enter {
 			s, dj := alpha[j], e.dualD[j]
 			if below {
@@ -920,7 +979,8 @@ func (e *revised) dual() (*Solution, error) {
 			}
 			cands = append(cands, dualCand{j: j, ratio: dj / s, as: s})
 		}
-		q, ratio := e.longStep(cands, math.Abs(e.xB[r]-target), bland, &flips)
+		e.cands = cands
+		q, ratio := e.longStep(cands, math.Abs(e.xB[r]-target), bland, &e.flips)
 		if q < 0 {
 			// Dual unbounded: the primal is infeasible.
 			mInfeasible.Add(1)
@@ -939,14 +999,14 @@ func (e *revised) dual() (*Solution, error) {
 			e.refreshDualD()
 			continue
 		}
-		if len(flips) > 0 {
+		if len(e.flips) > 0 {
 			// Move every passed boxed column to its other bound; their
 			// reduced costs change sign at this dual step, so the new
 			// bounds keep them dual feasible.
 			for i := range e.rowScratch {
 				e.rowScratch[i] = 0
 			}
-			for _, j := range flips {
+			for _, j := range e.flips {
 				step := e.ub[j]
 				if e.atUpper[j] {
 					step = -step

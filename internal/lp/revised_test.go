@@ -2,8 +2,11 @@ package lp
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"singlingout/internal/par"
@@ -24,6 +27,33 @@ func revisedOK(t *testing.T, p *Problem, warm *Basis) *Solution {
 		t.Fatal("Optimal revised solve returned nil Basis")
 	}
 	return s
+}
+
+// reuseMatchesFresh solves p on s, a Solver that has solved before, and
+// on a new Solver, both from warm (nil for a cold start), and fails
+// unless the two agree bit for bit: the error, or the status, X, the
+// objective, both pivot counts, Warm and the basis. It returns the
+// reused Solver's solution.
+func reuseMatchesFresh(t *testing.T, what string, s *Solver, p *Problem, warm *Basis) *Solution {
+	t.Helper()
+	got, err := s.Solve(ctx, warm)
+	want, wantErr := Revised(ctx, p, warm)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s: reused solver error %v, fresh %v", what, err, wantErr)
+	}
+	if err != nil {
+		return nil
+	}
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	if got.Status != want.Status || !sameBits(got.X, want.X) ||
+		math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
+		got.Pivots != want.Pivots || got.Phase1Pivots != want.Phase1Pivots || got.Warm != want.Warm ||
+		!reflect.DeepEqual(got.Basis, want.Basis) {
+		t.Fatalf("%s: reused solver %+v (basis %+v), fresh %+v (basis %+v)", what, got, got.Basis, want, want.Basis)
+	}
+	return got
 }
 
 // TestRevisedMatchesDenseFixtures reruns the dense engine's fixture LPs
@@ -249,16 +279,24 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 // upper bounds (0, finite and +Inf mixed; the oracles see them as rows)
 // and elastic equality rows with unbounded ±1 singleton columns — the
 // shape of the L1 decoding LP, which exercises the singleton crash and
-// the no-phase-1 dual cold start.
+// the no-phase-1 dual cold start. Each trial then changes the RHS, a
+// bound or the objective and solves again on the same Solver, warm and
+// cold, which must match a fresh Solver bit for bit and agree with the
+// dense simplex; so must a streamed L1 decoding LP and a Chebyshev
+// decoding LP, whose cold solves take phase 1, across answer changes.
 func TestSolverEquivalenceProperty(t *testing.T) {
 	const seed = 11
-	check := func(trial int, p *Problem) {
+	check := func(trial int, rng *rand.Rand, p *Problem) {
 		t.Helper()
 		ds, err := Solve(ctx, p)
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		rs, err := Revised(ctx, p, nil)
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatalf("trial %d: revised: %v", trial, err)
+		}
+		rs, err := s.Solve(ctx, nil)
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -286,13 +324,145 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 		case Unbounded:
 			t.Fatalf("trial %d: box-bounded LP reported unbounded", trial)
 		}
+		changeProblem(rng, p, trial%3)
+		if rs.Basis != nil {
+			what := fmt.Sprintf("trial %d: warm re-solve", trial)
+			agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, rs.Basis))
+		}
+		what := fmt.Sprintf("trial %d: cold re-solve", trial)
+		agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, nil))
 	}
 	for trial := 0; trial < 120; trial++ {
-		check(trial, boxedProblem(par.RNG(seed, trial), trial%2 == 0))
+		rng := par.RNG(seed, trial)
+		check(trial, rng, boxedProblem(rng, trial%2 == 0))
 	}
 	for trial := 120; trial < 360; trial++ {
-		check(trial, boundedProblem(par.RNG(seed, trial), trial%2 == 0))
+		rng := par.RNG(seed, trial)
+		check(trial, rng, boundedProblem(rng, trial%2 == 0))
 	}
+
+	// The decoder's L1 form, streamed: rows are answered 12 at a time
+	// through their RHS and absorber bound, each push warm from the last
+	// basis, then a fresh answer vector moves every row.
+	rng := par.RNG(seed, 360)
+	qRows, answers := subsetRows(rng, 12, 48)
+	open := make([]bool, len(qRows))
+	p := l1EqualityProblem(qRows, answers, open)
+	s, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var basis *Basis
+	for round := 0; round < 2; round++ {
+		for answered := 0; answered <= len(qRows); answered += 12 {
+			for k := range open {
+				open[k] = k >= answered
+			}
+			stream := l1EqualityProblem(qRows, answers, open)
+			for k, c := range stream.Constraints {
+				p.Constraints[k].RHS = c.RHS
+			}
+			copy(p.Upper, stream.Upper)
+			warm := reuseMatchesFresh(t, "L1 push", s, p, basis)
+			agreeDense(t, "L1 push", p, warm)
+			agreeDense(t, "L1 push, cold", p, reuseMatchesFresh(t, "L1 push, cold", s, p, nil))
+			basis = warm.Basis
+		}
+		for k := range answers {
+			answers[k] += rng.NormFloat64()
+		}
+	}
+
+	// Chebyshev decoding: the crash covers only the first row of each
+	// pair, so a cold solve runs phase 1, over 145 columns: more than one
+	// partial-pricing section, so where the pricing cursor starts counts.
+	qRows, answers = subsetRows(rng, 16, 64)
+	p = chebyshevProblem(qRows, answers)
+	if s, err = NewSolver(p); err != nil {
+		t.Fatal(err)
+	}
+	basis, phase1 := nil, 0
+	for round := 0; round < 4; round++ {
+		for k, a := range answers {
+			a += rng.NormFloat64() * float64(round)
+			p.Constraints[2*k].RHS, p.Constraints[2*k+1].RHS = a, -a
+		}
+		if basis != nil {
+			agreeDense(t, "Chebyshev warm", p, reuseMatchesFresh(t, "Chebyshev warm", s, p, basis))
+		}
+		cold := reuseMatchesFresh(t, "Chebyshev cold", s, p, nil)
+		agreeDense(t, "Chebyshev cold", p, cold)
+		phase1 += cold.Phase1Pivots
+		basis = cold.Basis
+	}
+	if phase1 == 0 {
+		t.Error("no cold Chebyshev solve ran phase 1")
+	}
+}
+
+// agreeDense fails unless s, a revised solve of p, has the dense
+// simplex's status and, when optimal, its objective and a feasible point.
+func agreeDense(t *testing.T, what string, p *Problem, s *Solution) {
+	t.Helper()
+	want, err := Solve(ctx, p)
+	if err != nil {
+		t.Fatalf("%s: dense: %v", what, err)
+	}
+	if s.Status != want.Status {
+		t.Fatalf("%s: revised %v, dense %v on %+v", what, s.Status, want.Status, p)
+	}
+	if s.Status == Optimal {
+		if math.Abs(s.Objective-want.Objective) > 1e-5*(1+math.Abs(want.Objective)) {
+			t.Fatalf("%s: revised obj %v, dense %v on %+v", what, s.Objective, want.Objective, p)
+		}
+		checkFeasible(t, p, s.X)
+	}
+}
+
+// changeProblem changes p's data in place, as a caller between solves of
+// one Solver may: kind 0 moves every RHS, kind 1 one variable's upper
+// bound (to 0, a finite value or +Inf), and kind 2 scales each objective
+// entry by a factor in [-0.5, 1.5), which can flip its sign.
+func changeProblem(rng *rand.Rand, p *Problem, kind int) {
+	switch kind {
+	case 0:
+		for i := range p.Constraints {
+			p.Constraints[i].RHS += rng.NormFloat64()
+		}
+	case 1:
+		if p.Upper == nil {
+			p.Upper = make([]float64, p.NumVars)
+			for j := range p.Upper {
+				p.Upper[j] = math.Inf(1)
+			}
+		}
+		p.Upper[rng.Intn(p.NumVars)] = []float64{0, 0.5 + 2*rng.Float64(), math.Inf(1)}[rng.Intn(3)]
+	case 2:
+		for j := range p.Objective {
+			p.Objective[j] *= 2*rng.Float64() - 0.5
+		}
+	}
+}
+
+// chebyshevProblem is the decoder's Chebyshev form: minimize t subject
+// to |Σ_{i∈q} x_i − a_k| ≤ t for each query k, as two LE rows, with
+// x ∈ [0,1].
+func chebyshevProblem(qRows [][]float64, answers []float64) *Problem {
+	n := len(qRows[0])
+	p := &Problem{NumVars: n + 1, Objective: make([]float64, n+1), Upper: make([]float64, n+1)}
+	for i := 0; i < n; i++ {
+		p.Upper[i] = 1
+	}
+	p.Objective[n], p.Upper[n] = 1, math.Inf(1)
+	for k, q := range qRows {
+		up, lo := make([]float64, n+1), make([]float64, n+1)
+		for i, v := range q {
+			up[i], lo[i] = v, -v
+		}
+		up[n], lo[n] = -1, -1
+		p.Constraints = append(p.Constraints, dense(up, LE, answers[k]), dense(lo, LE, -answers[k]))
+	}
+	return p
 }
 
 // boxedProblem draws a small LP over n ≤ 3 variables with mixed
@@ -652,11 +822,23 @@ var fuzzRevisedSeeds = [][]byte{
 	{2, 2, 1, 0, 3, 1, 5, 0, 2, 4, 6, 3, 1, 0, 9},
 	{3, 3, 0, 1, 3, 2, 6, 5, 4, 3, 2, 1, 0, 6, 5, 4, 3, 2, 1, 7, 7, 7, 0, 1, 2},
 	{1, 1, 2, 3, 0, 0},
+	// The three seeds above are not optimal, so they reach no warm
+	// re-solve. Minimize −2x₀ − x₁ over x₀ + x₁ ≤ 2, 2x₀ ≤ 3, x₀ ≤ 2,
+	// x₁ ≤ 1; then the RHS moves up by 1, x₁'s bound drops to 0 and c₀
+	// becomes 3, which leaves the old basis with no dual feasible bound
+	// placement, so the warm attempt falls back to a cold start.
+	{1, 1, 1, 2, 2, 1, 4, 4, 0, 6, 5, 3, 0, 7, 3, 3, 1, 0, 0, 6},
+	// Minimize x₀ + 2x₁ over x₀ + x₁ ≥ 1, x₁ + x₂ = 1, x₁ ≤ 2, x₂ ≤ 1,
+	// which the crash solves with no pivot; then c₁ becomes −3 and the
+	// warm re-solve runs primal phase 2.
+	{2, 1, 4, 3, 5, 2, 3, 1, 4, 4, 3, 1, 5, 3, 4, 4, 2, 5, 2, 2, 0, 0, 1, 0},
 }
 
-// fuzzProblem builds FuzzRevised's LP from the fuzz bytes, and the RHS
-// shift of its warm re-solve.
-func fuzzProblem(data []byte) (*Problem, float64) {
+// fuzzProblem builds FuzzRevised's LP from the fuzz bytes, and the data
+// change before its re-solves: an RHS shift, then, when the bytes after
+// it ask (bit 0 and bit 1 of the next byte), one variable's upper bound
+// and one objective entry.
+func fuzzProblem(data []byte) (*Problem, func(*Problem)) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -680,7 +862,21 @@ func fuzzProblem(data []byte) (*Problem, float64) {
 		p.Constraints = append(p.Constraints,
 			dense(a, Rel(next()%3), float64(next()%9-4)))
 	}
-	return p, float64(next()%5 - 2)
+	shift := float64(next()%5 - 2)
+	mode := next()
+	upperVar, upper := next()%n, []float64{0, 1, 2, math.Inf(1)}[next()%4]
+	objVar, obj := next()%n, float64(next()%7-3)
+	return p, func(p *Problem) {
+		for i := range p.Constraints {
+			p.Constraints[i].RHS += shift
+		}
+		if mode&1 != 0 {
+			p.Upper[upperVar] = upper
+		}
+		if mode&2 != 0 {
+			p.Objective[objVar] = obj
+		}
+	}
 }
 
 // FuzzRevised checks the bounded revised engine against the dense oracle
@@ -688,45 +884,30 @@ func fuzzProblem(data []byte) (*Problem, float64) {
 // integer coefficients in [-3, 3], integer RHS, upper bounds from
 // {0, 1, 2, +Inf}, any mix of LE/GE/EQ rows. Both must agree on status
 // and, when optimal, on the objective; the revised point must be
-// feasible. A second solve warm-started from the first basis under a
-// shifted RHS must agree with the oracle too.
+// feasible. The same Solver then solves again after an RHS shift and,
+// as the bytes ask, a bound and an objective change: warm from the
+// first basis and cold. Each re-solve must agree with the oracle and
+// match a fresh Solver's bit for bit.
 func FuzzRevised(f *testing.F) {
 	for _, seed := range fuzzRevisedSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, shift := fuzzProblem(data)
-		agree := func(s *Solution, what string) {
-			want, err := Solve(ctx, p)
-			if err != nil {
-				t.Fatalf("dense: %v", err)
-			}
-			if s.Status != want.Status {
-				t.Fatalf("%s: revised %v, dense %v on %+v", what, s.Status, want.Status, p)
-			}
-			if s.Status == Optimal {
-				if math.Abs(s.Objective-want.Objective) > 1e-5*(1+math.Abs(want.Objective)) {
-					t.Fatalf("%s: revised obj %v, dense %v on %+v", what, s.Objective, want.Objective, p)
-				}
-				checkFeasible(t, p, s.X)
-			}
-		}
-		cold, err := Revised(ctx, p, nil)
+		p, change := fuzzProblem(data)
+		s, err := NewSolver(p)
 		if err != nil {
 			t.Fatalf("revised: %v", err)
 		}
-		agree(cold, "cold")
-		if cold.Status != Optimal {
-			return
-		}
-		for i := range p.Constraints {
-			p.Constraints[i].RHS += shift
-		}
-		warm, err := Revised(ctx, p, cold.Basis)
+		cold, err := s.Solve(ctx, nil)
 		if err != nil {
-			t.Fatalf("warm revised: %v", err)
+			t.Fatalf("revised: %v", err)
 		}
-		agree(warm, "warm")
+		agreeDense(t, "cold", p, cold)
+		change(p)
+		if cold.Status == Optimal {
+			agreeDense(t, "warm", p, reuseMatchesFresh(t, "warm", s, p, cold.Basis))
+		}
+		agreeDense(t, "cold after the change", p, reuseMatchesFresh(t, "cold after the change", s, p, nil))
 	})
 }
 

@@ -68,7 +68,8 @@ func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
 // standard is the revised engine's standard form of a Problem: Ax ⋈ b
 // rewritten as equalities with one row variable (slack or surplus) per
 // inequality row, stored column-wise sparse, with every column bounded
-// by 0 ≤ x_j ≤ ub[j].
+// by 0 ≤ x_j ≤ u_j. The structure is built once per Solver; setRHS
+// rewrites b for each solve.
 //
 // Column ids are stable across solves over the same constraint matrix —
 // the property the warm-start contract relies on:
@@ -88,18 +89,14 @@ type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m; artificial ids start here
 	cols       []spCol
-	active     []bool    // false for the unused row-variable slot of EQ rows
-	ub         []float64 // per-column upper bound (+Inf when unbounded)
+	active     []bool // false for the unused row-variable slot of EQ rows
 	rel        []Rel
 	b          []float64 // perturbed RHS
 	sig        uint64    // FNV-1a over the constraint structure (not RHS or bounds)
 	rows       csr       // the same nonzeros row by row, for the pivot row
 }
 
-// buildStandard converts p. The same deterministic ε-perturbation as the
-// dense tableau is applied to the RHS — row r is relaxed by perturb·(r+1)
-// in the direction that grows the feasible region (LE up, GE down, EQ
-// untouched) — so both engines share one numerical contract.
+// buildStandard converts p's structure; b stays zero until setRHS.
 //
 // The columns are cut from one arena sized by a counting pass over the
 // rows' nonzeros, then filled row by row, so each column lists its rows
@@ -113,14 +110,9 @@ func buildStandard(p *Problem) *standard {
 		nCols:   nCols,
 		cols:    make([]spCol, nCols),
 		active:  make([]bool, nCols),
-		ub:      make([]float64, nCols),
 		rel:     make([]Rel, m),
 		b:       make([]float64, m),
 	}
-	for j := range s.ub {
-		s.ub[j] = math.Inf(1)
-	}
-	copy(s.ub, p.Upper)
 	for j := 0; j < p.NumVars; j++ {
 		s.active[j] = true
 	}
@@ -149,18 +141,13 @@ func buildStandard(p *Problem) *standard {
 	}
 	for r, c := range p.Constraints {
 		s.rel[r] = c.Rel
-		delta := perturb * float64(r+1)
 		switch c.Rel {
 		case LE:
-			s.b[r] = c.RHS + delta
 			s.cols[p.NumVars+r].add(r, 1)
 			s.active[p.NumVars+r] = true
 		case GE:
-			s.b[r] = c.RHS - delta
 			s.cols[p.NumVars+r].add(r, -1)
 			s.active[p.NumVars+r] = true
-		case EQ:
-			s.b[r] = c.RHS
 		}
 		for k, j := range c.Vars {
 			s.cols[j].add(r, c.Coeffs[k])
@@ -169,6 +156,24 @@ func buildStandard(p *Problem) *standard {
 	s.rows.transpose(m, len(s.cols), func(j int) ([]int32, []float64) { return s.cols[j].rows, s.cols[j].vals })
 	s.sig = s.signature()
 	return s
+}
+
+// setRHS writes p's RHS into b with the same deterministic
+// ε-perturbation as the dense tableau — row r is relaxed by perturb·(r+1)
+// in the direction that grows the feasible region (LE up, GE down, EQ
+// untouched) — so both engines share one numerical contract.
+func (s *standard) setRHS(p *Problem) {
+	for r, c := range p.Constraints {
+		delta := perturb * float64(r+1)
+		switch s.rel[r] {
+		case LE:
+			s.b[r] = c.RHS + delta
+		case GE:
+			s.b[r] = c.RHS - delta
+		case EQ:
+			s.b[r] = c.RHS
+		}
+	}
 }
 
 // pivotRow sets alpha[j] = ρ·A_j for every column j, row-wise over the

@@ -131,8 +131,9 @@ const (
 // Decoder is the batched LP-decoding entry point: it fixes a query set
 // once and decodes any number of answer vectors against it. The decoding
 // LP's constraint matrix depends only on the queries — the answers enter
-// only through the RHS and the variable bounds — so the Decoder keeps the
-// revised simplex basis of its previous solve. The next solve
+// only through the RHS and the variable bounds — so the Decoder builds
+// one lp.Solver for its whole life, which every Decode and stream Push
+// reuses, and keeps the basis of its previous solve. The next solve
 // warm-starts from it unless every query row's answer state (RHS and
 // absorber bound) has changed since: a fresh answer vector moves every
 // row, and then a cold start is cheaper than the dual simplex walk from
@@ -156,12 +157,13 @@ type Decoder struct {
 	queries   [][]int
 	objective LPObjective
 	prob      lp.Problem // RHS and Upper rewritten per decode
+	solver    *lp.Solver // built once over prob
 	basis     *lp.Basis
 	solved    [][2]float64 // per query, its rowState when basis was found
 }
 
-// NewDecoder validates the query set and precomputes the decoding LP's
-// constraint matrix for databases of size n.
+// NewDecoder validates the query set and builds the decoding LP's
+// constraint matrix, and its solver, for databases of size n.
 func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error) {
 	m := len(queries)
 	if m == 0 {
@@ -236,6 +238,10 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 			addRow(q, 1, []int{n}, []float64{-1}, lp.LE)
 			addRow(q, -1, []int{n}, []float64{-1}, lp.LE)
 		}
+	}
+	var err error
+	if d.solver, err = lp.NewSolver(p); err != nil {
+		return nil, fmt.Errorf("recon: %w", err)
 	}
 	return d, nil
 }

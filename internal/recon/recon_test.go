@@ -14,6 +14,48 @@ import (
 
 var ctx = context.Background()
 
+// TestDecodeAllocs bounds the allocations of a cold Decode on a reused
+// Decoder at lp-recon's shape, n = 48 and m = 4n. The decoder's one
+// lp.Solver keeps the standard form, the engine and the LU storage, so
+// a decode allocates little beyond what it returns: the solution, its
+// basis, and the fractional and rounded vectors. A decode made 11
+// allocations when this test was written; one that builds a new engine
+// per solve makes over 800.
+func TestDecodeAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	n := 48
+	qs := query.RandomSubsets(rng, n, 4*n)
+	x := synth.BinaryDataset(rng, n, 0.5)
+	var pool [][]float64
+	for _, c := range []float64{0, 0.25, 0.5, 1, 2} {
+		a, err := (&query.BoundedNoise{X: x, Alpha: c * math.Sqrt(float64(n)), Rng: rng}).Answer(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool = append(pool, a)
+	}
+	dec, err := NewDecoder(n, qs, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each answer vector moves every row, so every decode solves cold.
+	i := 0
+	decode := func() {
+		if _, _, err := dec.Decode(ctx, pool[i%len(pool)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range pool {
+		decode() // grow the engine's scratch to its working size
+	}
+	got := testing.AllocsPerRun(20, decode)
+	t.Logf("%.1f allocations a cold decode", got)
+	if got > 24 {
+		t.Errorf("a cold decode on a reused Decoder made %.1f allocations, want at most 24", got)
+	}
+}
+
 func TestHammingError(t *testing.T) {
 	if got := HammingError([]int64{1, 0, 1, 0}, []int64{1, 1, 1, 1}); got != 0.5 {
 		t.Errorf("HammingError = %v, want 0.5", got)

@@ -175,11 +175,11 @@ func (d *Decoder) solve(ctx context.Context) ([]int64, []float64, error) {
 	if warm != nil && d.movedEveryRow() {
 		warm = nil
 	}
-	sol, err := lp.Revised(ctx, &d.prob, warm)
+	sol, err := d.solver.Solve(ctx, warm)
 	if err != nil && warm != nil && errors.Is(err, lp.ErrIterationLimit) {
 		mColdRestarts.Add(1)
 		d.basis = nil
-		sol, err = lp.Revised(ctx, &d.prob, nil)
+		sol, err = d.solver.Solve(ctx, nil)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("recon: LP solve: %w", err)
