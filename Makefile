@@ -2,9 +2,9 @@
 #
 #   make ci        gofmt + lint (repolint invariants + go vet) + build +
 #                  tests (race on the concurrency-sensitive packages,
-#                  including internal/obs/serve) + the bench/ module's
-#                  vet and tests + a quick instrumented repro run + the
-#                  work-counter regression gate + the loadgen smoke
+#                  including internal/obs/serve; the tests include the
+#                  work-counter regression gate) + the bench/ module's
+#                  vet and tests + the loadgen smoke
 #   make bench-test  go vet and the tests of the benchmark (bench/
 #                  module)
 #   make fuzz-smoke  five seconds of coverage-guided fuzzing per fuzz
@@ -12,10 +12,7 @@
 #   make lint      repolint (internal/analysis invariant suite, including
 #                  the dataflow analyzers) + go vet, plus an advisory
 #                  govulncheck pass when the tool exists
-#   make bench     quick instrumented repro run producing BENCH_<rev>.json
-#   make benchgate the quick run's rows, errors and work counters must
-#                  equal the committed BENCH_baseline.json's (seconds are
-#                  printed, never gated)
+#   make repro-quick  every quick experiment with its JSONL journal
 #   make loadgen-smoke  in-process qserver under injected overload;
 #                  fails when an analyst errors or the ledger does not
 #                  replay
@@ -34,11 +31,10 @@
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
-rev := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)
 
-.PHONY: ci fmt lint vet build test bench-test fuzz-smoke race repro-quick bench benchgate loadgen-smoke gobench repro clean
+.PHONY: ci fmt lint vet build test bench-test fuzz-smoke race repro-quick loadgen-smoke gobench repro clean
 
-ci: fmt lint build race test fuzz-smoke bench-test benchgate loadgen-smoke
+ci: fmt lint build race test fuzz-smoke bench-test loadgen-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -81,6 +77,12 @@ build:
 race:
 	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/... ./cmd/reconstruct/...
 
+# Includes the work-counter regression gate, TestAllRunnersProduceTables
+# (internal/experiments): every quick run at seed 1 must record exactly
+# the counters of internal/experiments/testdata/quick_counters.json
+# (docs/INVARIANTS.md). A change that moves one on purpose replaces the
+# file with the JSON the failing test prints, with the reason in
+# CHANGES.md.
 test:
 	$(GO) test ./...
 
@@ -107,32 +109,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayLedger$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 	$(GO) test -run '^$$' -fuzz '^FuzzLedgerModel$$' -fuzztime 5s -fuzzminimizetime 2s ./internal/query/remote
 
-# Quick instrumented end-to-end run: every experiment, JSONL journal and
-# BENCH_<rev>.json summary under /tmp.
+# Quick instrumented end-to-end run: every experiment, with its JSONL
+# journal under /tmp.
 repro-quick:
 	$(GO) run ./cmd/repro -quick -metrics /tmp/singlingout-run.jsonl
-
-# Produce a bench summary for the current revision in the repo root.
-# Refresh the committed gate baseline with:
-#   make bench && cp BENCH_$(rev).json BENCH_baseline.json
-bench:
-	$(GO) run ./cmd/repro -quick -metrics /tmp/singlingout-bench.jsonl
-	cp /tmp/BENCH_$(rev).json BENCH_$(rev).json
-	@echo "wrote BENCH_$(rev).json"
-
-# Gate: the quick run at seed 1 must produce exactly the baseline's rows,
-# each with the baseline's error text and exactly its work counters (LP
-# pivots, SAT propagations, oracle queries, PSO weight draws, ...). At one
-# seed those counters do not depend on timing or worker count
-# (docs/INVARIANTS.md), so a difference is a change in the work the code
-# does. Seconds are printed but never gated: bench/ measures speed against
-# the parent commit. A change that moves a counter on purpose re-baselines
-# in the same commit, with the reason in CHANGES.md.
-benchgate: repro-quick
-	@$(GO) run ./cmd/benchdiff BENCH_baseline.json /tmp/BENCH_$(rev).json || { \
-		echo "benchgate: if the change is meant to move these counters, re-baseline with"; \
-		echo "  make bench && cp BENCH_$(rev).json BENCH_baseline.json"; \
-		echo "and give the reason in CHANGES.md"; exit 1; }
 
 # Load-generator smoke: a small multi-analyst Zipf workload against an
 # in-process qserver (two cache shards, one active slot, no waiting
@@ -157,4 +137,4 @@ repro:
 	$(GO) run ./cmd/repro
 
 clean:
-	rm -f /tmp/singlingout-run.jsonl /tmp/singlingout-bench.jsonl /tmp/BENCH_*.json
+	rm -f /tmp/singlingout-run.jsonl

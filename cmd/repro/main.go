@@ -2,10 +2,9 @@
 // per-experiment index (E01–E19 and the ablations A01–A06). Its full-size
 // output is what EXPERIMENTS.md archives.
 //
-// With -metrics it additionally records a structured JSONL run journal —
+// With -metrics it additionally records a structured JSONL run journal:
 // one event per experiment with timing and the obs metric delta (oracle
-// queries, simplex pivots, SAT conflicts, ...) — and writes a
-// machine-readable BENCH_<rev>.json summary next to the journal.
+// queries, simplex pivots, SAT conflicts, ...).
 //
 // With -serve the same observability is live: an HTTP endpoint exposes
 // Prometheus /metrics, the JSON /snapshot, /healthz (current experiment
@@ -26,10 +25,7 @@
 // -workers sizes the worker pool the parallel harnesses (E01, E02, E11,
 // E13, E19) fan out on (0 = GOMAXPROCS). Per-item randomness derives from
 // (seed, item index), so tables and work counters are identical at every
-// worker count. With -metrics, the anytime LP attack's queries-to-accuracy
-// probe also lands in the BENCH_<rev>.json summary as the
-// BENCH.converge.q50/q90 rows, which `make benchgate` compares with the
-// committed baseline like every experiment row.
+// worker count.
 //
 // Failing experiments no longer abort the run: every experiment is
 // attempted, failures are reported together at the end, and the exit
@@ -48,46 +44,7 @@ import (
 	"singlingout/internal/experiments"
 	"singlingout/internal/obs"
 	"singlingout/internal/obs/serve"
-	"singlingout/internal/par"
-	"singlingout/internal/query"
-	"singlingout/internal/synth"
 )
-
-// benchConvergeProbe measures the anytime LP attack's query efficiency:
-// one streamed n=64, m=4n, chunk=16 reconstruction over an exact oracle,
-// reporting the cumulative query count at which 50% and 90% accuracy
-// were first reached as BENCH.converge.q50/q90 rows. The workload and
-// oracle are deterministic per seed, so the converge.queries counter the
-// rows carry repeats exactly, and benchdiff holds it to the baseline's
-// value like any other work counter.
-func benchConvergeProbe(emit func(obs.Event), seed int64) error {
-	const n, chunk = 64, 16
-	x := synth.BinaryDataset(par.RNG(seed, 1), n, 0.5)
-	start := time.Now()
-	_, res, err := experiments.E02StreamOverOracle(context.Background(), &query.Exact{X: x}, x, seed, chunk, obs.NewCurveSet())
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start).Seconds()
-	for _, row := range []struct {
-		id string
-		th float64
-	}{{"BENCH.converge.q50", 0.5}, {"BENCH.converge.q90", 0.9}} {
-		q, ok := res.ToAccuracy[row.th]
-		if !ok {
-			return fmt.Errorf("accuracy %.0f%% never reached over %d queries", 100*row.th, res.Queries)
-		}
-		emit(obs.Event{
-			Phase:   "experiment",
-			ID:      row.id,
-			Seed:    seed,
-			Seconds: elapsed,
-			Sizes:   map[string]int{"n": n, "queries": res.Queries, "chunk": chunk},
-			Metrics: &obs.Snapshot{Counters: map[string]int64{"converge.queries": int64(q)}},
-		})
-	}
-	return nil
-}
 
 func main() {
 	seed := flag.Int64("seed", 1, "random seed")
@@ -180,12 +137,6 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 		}
 		fmt.Printf("  [%s completed in %s]\n\n", r.ID, elapsed.Round(time.Millisecond))
 	}
-	if tool.Observing() {
-		tool.SetPhase("bench_probe")
-		if err := benchConvergeProbe(tool.Emit, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: converge bench probe: %v\n", err)
-		}
-	}
 	tool.Emit(obs.Event{
 		Phase:   "run_end",
 		Seed:    seed,
@@ -194,14 +145,6 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 		Sizes:   map[string]int{"experiments": len(runners), "failures": len(failures)},
 	})
 	tool.SetPhase("done")
-
-	if path := tool.MetricsPath(); path != "" {
-		if benchPath, err := obs.WriteBenchSummary(path); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		} else {
-			fmt.Printf("  [journal %s, summary %s]\n", path, benchPath)
-		}
-	}
 
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments failed:\n", len(failures), len(runners))

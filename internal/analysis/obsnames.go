@@ -10,9 +10,10 @@ import (
 
 // obsNameRE is the lowercase dotted convention every metric name must
 // follow: the Prometheus renderer in internal/obs/serve maps dots to
-// underscores and assumes no further sanitization is needed, and
-// cmd/benchdiff keys regression rows by these names, so a stray uppercase
-// or formatted name silently forks a metric family.
+// underscores and assumes no further sanitization is needed, and the
+// work-counter gate (internal/experiments/testdata/quick_counters.json)
+// joins each row's counters by these names, so a stray uppercase or
+// formatted name silently forks a metric family.
 var obsNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$`)
 
 // obsNameMethods are the registry constructors whose first argument is a

@@ -1,6 +1,6 @@
 // Fixture for the obsnames analyzer: metric names must be lowercase
 // dotted string literals or Metric* constants so the Prometheus renderer
-// and the benchdiff gate key on stable names.
+// and the work-counter gate key on stable names.
 package metrics
 
 import "fmt"

@@ -224,48 +224,3 @@ func TestIntRangeHierarchyGroupConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTreeHierarchy(t *testing.T) {
-	h := MustTreeHierarchy([][]string{
-		{"PULM", "*"}, // COVID
-		{"PULM", "*"}, // CF
-		{"PULM", "*"}, // Asthma
-		{"GI", "*"},   // Crohn
-	})
-	if h.Levels() != 3 {
-		t.Fatalf("Levels = %d", h.Levels())
-	}
-	if h.GroupOf(2, 0) != 2 {
-		t.Error("level 0 identity")
-	}
-	if h.GroupOf(0, 1) != h.GroupOf(2, 1) {
-		t.Error("COVID and Asthma should share level-1 group")
-	}
-	if h.GroupOf(0, 1) == h.GroupOf(3, 1) {
-		t.Error("COVID and Crohn should differ at level 1")
-	}
-	if h.GroupOf(0, 2) != h.GroupOf(3, 2) {
-		t.Error("all categories share the top group")
-	}
-	if h.Label(h.GroupOf(3, 1), 1) != "GI" {
-		t.Errorf("label = %q", h.Label(h.GroupOf(3, 1), 1))
-	}
-	if h.GroupSize(h.GroupOf(0, 1), 1) != 3 {
-		t.Errorf("PULM size = %d", h.GroupSize(h.GroupOf(0, 1), 1))
-	}
-	if h.GroupSize(0, 0) != 1 {
-		t.Error("leaf groups have size 1")
-	}
-}
-
-func TestTreeHierarchyErrors(t *testing.T) {
-	if _, err := NewTreeHierarchy(nil); err == nil {
-		t.Error("empty hierarchy should fail")
-	}
-	if _, err := NewTreeHierarchy([][]string{{}}); err == nil {
-		t.Error("zero-depth paths should fail")
-	}
-	if _, err := NewTreeHierarchy([][]string{{"A", "*"}, {"B"}}); err == nil {
-		t.Error("ragged paths should fail")
-	}
-}

@@ -92,96 +92,3 @@ func (h *IntRangeHierarchy) GroupSize(group int64, level int) int64 {
 	lo, hi := h.Bounds(group, level)
 	return hi - lo + 1
 }
-
-// TreeHierarchy generalizes a categorical attribute along a tree given as a
-// fixed-length path of group names for every category, leaf first. All
-// paths must have the same length. For example, a disease hierarchy:
-//
-//	COVID  -> PULM -> *
-//	CF     -> PULM -> *
-//	Flu    -> PULM -> *
-//	Crohn  -> GI   -> *
-//
-// (three levels: raw, organ system, suppressed).
-type TreeHierarchy struct {
-	levels []map[string]int64 // group name -> id per level >= 1
-	names  [][]string         // group id -> name per level >= 1
-	groups [][]int64          // category -> group id per level >= 1
-	sizes  [][]int64          // group id -> #categories per level >= 1
-	nCats  int
-}
-
-// NewTreeHierarchy builds a tree hierarchy. paths[i] is the generalization
-// path of category i, excluding the raw value itself; paths[i][l] is the
-// group name of category i at level l+1.
-func NewTreeHierarchy(paths [][]string) (*TreeHierarchy, error) {
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("dataset: tree hierarchy needs at least one category")
-	}
-	depth := len(paths[0])
-	if depth == 0 {
-		return nil, fmt.Errorf("dataset: tree hierarchy paths must be non-empty")
-	}
-	h := &TreeHierarchy{nCats: len(paths)}
-	h.levels = make([]map[string]int64, depth)
-	h.names = make([][]string, depth)
-	h.groups = make([][]int64, depth)
-	h.sizes = make([][]int64, depth)
-	for l := 0; l < depth; l++ {
-		h.levels[l] = map[string]int64{}
-		h.groups[l] = make([]int64, len(paths))
-	}
-	for ci, path := range paths {
-		if len(path) != depth {
-			return nil, fmt.Errorf("dataset: category %d path depth %d, want %d", ci, len(path), depth)
-		}
-		for l, name := range path {
-			id, ok := h.levels[l][name]
-			if !ok {
-				id = int64(len(h.names[l]))
-				h.levels[l][name] = id
-				h.names[l] = append(h.names[l], name)
-				h.sizes[l] = append(h.sizes[l], 0)
-			}
-			h.groups[l][ci] = id
-			h.sizes[l][id]++
-		}
-	}
-	return h, nil
-}
-
-// MustTreeHierarchy is NewTreeHierarchy that panics on error.
-func MustTreeHierarchy(paths [][]string) *TreeHierarchy {
-	h, err := NewTreeHierarchy(paths)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
-// Levels implements Hierarchy.
-func (h *TreeHierarchy) Levels() int { return len(h.groups) + 1 }
-
-// GroupOf implements Hierarchy.
-func (h *TreeHierarchy) GroupOf(v int64, level int) int64 {
-	if level == 0 {
-		return v
-	}
-	return h.groups[level-1][v]
-}
-
-// Label implements Hierarchy.
-func (h *TreeHierarchy) Label(group int64, level int) string {
-	if level == 0 {
-		return fmt.Sprintf("cat#%d", group)
-	}
-	return h.names[level-1][group]
-}
-
-// GroupSize implements Hierarchy.
-func (h *TreeHierarchy) GroupSize(group int64, level int) int64 {
-	if level == 0 {
-		return 1
-	}
-	return h.sizes[level-1][group]
-}

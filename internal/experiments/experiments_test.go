@@ -2,19 +2,79 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"singlingout/internal/par"
+	"singlingout/internal/query"
+	"singlingout/internal/synth"
 )
 
-// TestAllRunnersProduceTables smoke-runs every registered experiment in
-// quick mode and checks the tables are well formed.
+// quickCounters holds the work counters of every quick run at seed 1.
+const quickCounters = "testdata/quick_counters.json"
+
+// counterRow is one row of quickCounters: a run's id and the work
+// counters it recorded, if any.
+type counterRow struct {
+	ID       string           `json:"id"`
+	Counters map[string]int64 `json:"counters,omitempty"`
+}
+
+// e02Stream is the E02.stream row: the anytime LP attack streamed over an
+// exact oracle at n = 64, m = 4n, in chunks of 16. Every push after the
+// first warm-starts, a solver path no quick experiment takes. Beside its
+// registry counters, the run writes into milestones the queries it needed
+// to reach 50% and 90% accuracy: more means the attack got weaker.
+func e02Stream(milestones map[string]int64) Runner {
+	return Runner{ID: "E02.stream", Run: func(ctx context.Context, seed int64, _ bool) (*Table, error) {
+		x := synth.BinaryDataset(par.RNG(seed, 1), 64, 0.5)
+		tab, res, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, 16, nil)
+		if err != nil {
+			return nil, err
+		}
+		if q, ok := res.ToAccuracy[0.5]; ok {
+			milestones["converge.q50_queries"] = int64(q)
+		}
+		if q, ok := res.ToAccuracy[0.9]; ok {
+			milestones["converge.q90_queries"] = int64(q)
+		}
+		return tab, nil
+	}}
+}
+
+// TestAllRunnersProduceTables runs every registered experiment in quick
+// mode at seed 1, then E02.stream, one at a time through RunInstrumented.
+// Each must produce a well-formed table, and the work counters each one
+// records must equal its row of testdata/quick_counters.json: the same
+// rows, counter names and values. This is the regression gate on the
+// work the attacks do (pivots, propagations, oracle queries, weight
+// draws). At one seed those counters do not depend on timing or worker
+// count (docs/INVARIANTS.md), so a moved counter is a change in the work
+// the code does. A change that moves one on purpose replaces the file
+// with the JSON the failing test prints, and says why in CHANGES.md.
 func TestAllRunnersProduceTables(t *testing.T) {
-	for _, r := range All() {
-		r := r
+	data, err := os.ReadFile(quickCounters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []counterRow
+	if err := json.Unmarshal(data, &rows); err != nil {
+		t.Fatalf("%s: %v", quickCounters, err)
+	}
+	milestones := map[string]int64{}
+	runners := append(All(), e02Stream(milestones))
+	extra := map[string]map[string]int64{"E02.stream": milestones}
+
+	var observed []counterRow
+	for _, r := range runners {
 		t.Run(r.ID, func(t *testing.T) {
-			t.Parallel()
-			tab, err := r.Run(context.Background(), 1, true)
+			tab, delta, err := r.RunInstrumented(context.Background(), 1, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,8 +92,145 @@ func TestAllRunnersProduceTables(t *testing.T) {
 			if tab.String() == "" {
 				t.Error("empty rendering")
 			}
+			maps.Copy(delta.Counters, extra[r.ID])
+			observed = append(observed, counterRow{r.ID, delta.Counters})
 		})
 	}
+
+	var ids []string
+	for _, r := range runners {
+		ids = append(ids, r.ID)
+	}
+	diffs := gateDiffs(rows, ids, observed)
+	if len(diffs) == 0 {
+		return
+	}
+	msg := fmt.Sprintf("work counters differ from %s (row: counter file -> run):\n  %s",
+		quickCounters, strings.Join(diffs, "\n  "))
+	if len(observed) == len(runners) {
+		js, err := json.MarshalIndent(observed, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg += "\nIf the change means to move them, replace the file with this run's counters and say why in CHANGES.md:\n" + string(js)
+	}
+	t.Error(msg)
+}
+
+// gateDiffs applies the gate's rule to the file's rows, the ids of every
+// run and the counters of the runs that ran (a -run filter may skip
+// some): one line per breach, naming its row and counter.
+func gateDiffs(rows []counterRow, ids []string, observed []counterRow) []string {
+	var diffs []string
+	want := map[string]map[string]int64{}
+	for _, row := range rows {
+		if _, dup := want[row.ID]; dup {
+			diffs = append(diffs, row.ID+": duplicate row")
+		}
+		want[row.ID] = row.Counters
+	}
+	known := map[string]bool{}
+	for _, id := range ids {
+		known[id] = true
+	}
+	for _, row := range rows {
+		if !known[row.ID] {
+			diffs = append(diffs, row.ID+": row names no experiment")
+		}
+	}
+	for _, got := range observed {
+		w, ok := want[got.ID]
+		if !ok {
+			diffs = append(diffs, got.ID+": no row in the file")
+			continue
+		}
+		diffs = append(diffs, counterDiffs(got.ID, w, got.Counters)...)
+	}
+	return diffs
+}
+
+// TestCounterGate pins the gate's rule on a small file: the runs must
+// record exactly the file's rows, counter names and values, and each
+// edit of the file below fails by row and counter.
+func TestCounterGate(t *testing.T) {
+	file := func() []counterRow {
+		return []counterRow{
+			{"E02", map[string]int64{"lp.pivots": 3921, "query.count": 4608}},
+			{"E03", nil},
+			{"E02.stream", map[string]int64{"converge.q90_queries": 32}},
+		}
+	}
+	ids := []string{"E02", "E03", "E02.stream"}
+	for _, tc := range []struct {
+		name string
+		edit func(rows []counterRow) []counterRow
+		want []string
+	}{
+		{"same counters", func(rows []counterRow) []counterRow { return rows }, nil},
+		{"moved counter", func(rows []counterRow) []counterRow {
+			rows[0].Counters["lp.pivots"] = 3922
+			return rows
+		}, []string{"E02: lp.pivots 3922 -> 3921"}},
+		{"counter in the file only", func(rows []counterRow) []counterRow {
+			rows[0].Counters["lp.warm_starts"] = 0
+			return rows
+		}, []string{"E02: lp.warm_starts 0 -> none"}},
+		{"counter in the run only", func(rows []counterRow) []counterRow {
+			delete(rows[0].Counters, "query.count")
+			return rows
+		}, []string{"E02: query.count none -> 4608"}},
+		{"moved milestone", func(rows []counterRow) []counterRow {
+			rows[2].Counters["converge.q90_queries"] = 48
+			return rows
+		}, []string{"E02.stream: converge.q90_queries 48 -> 32"}},
+		{"deleted row", func(rows []counterRow) []counterRow {
+			return append(rows[:1], rows[2:]...)
+		}, []string{"E03: no row in the file"}},
+		{"row naming no experiment", func(rows []counterRow) []counterRow {
+			return append(rows, counterRow{ID: "E20"})
+		}, []string{"E20: row names no experiment"}},
+		{"duplicate row", func(rows []counterRow) []counterRow {
+			return append(rows, counterRow{ID: "E03"})
+		}, []string{"E03: duplicate row"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := gateDiffs(tc.edit(file()), ids, file())
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("diffs = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// counterDiffs lists, by name, each counter on which want and got differ,
+// as "id: name want -> got". A counter one side lacks reads "none" there,
+// so a counter the file names at 0 still differs from an absent one.
+func counterDiffs(id string, want, got map[string]int64) []string {
+	var names []string
+	for name := range want {
+		names = append(names, name)
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	show := func(v int64, ok bool) string {
+		if !ok {
+			return "none"
+		}
+		return strconv.FormatInt(v, 10)
+	}
+	var out []string
+	for _, name := range names {
+		w, inWant := want[name]
+		g, inGot := got[name]
+		if inWant != inGot || w != g {
+			out = append(out, fmt.Sprintf("%s: %s %s -> %s", id, name, show(w, inWant), show(g, inGot)))
+		}
+	}
+	return out
 }
 
 func TestByID(t *testing.T) {

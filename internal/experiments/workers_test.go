@@ -23,9 +23,10 @@ func TestSetWorkersClamp(t *testing.T) {
 
 // TestWorkerCountInvariance is the determinism contract test for the
 // parallel harnesses: the same seed must render byte-identical tables and
-// record identical work counters at -workers 1 and -workers 8 (make
-// benchgate compares quick-run counters with a committed baseline and
-// relies on the latter). Every harness that fans out over internal/par is
+// record identical work counters at -workers 1 and -workers 8
+// (TestAllRunnersProduceTables holds the quick runs' counters to
+// testdata/quick_counters.json at any worker count, and relies on the
+// latter). Every harness that fans out over internal/par is
 // covered (E01, E02, E13 grid points; E11 and E19 census blocks, E19 with
 // seeded DP table noise).
 func TestWorkerCountInvariance(t *testing.T) {

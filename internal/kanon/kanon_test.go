@@ -339,16 +339,17 @@ func TestValueSetLabels(t *testing.T) {
 	if iv.Label() != "1-4" || iv.Size() != 4 {
 		t.Errorf("Interval range semantics broken: %+v", iv)
 	}
-	// Organ systems over synth.Diseases: five PULM, three GI, three CARD, two ENDO.
-	h := dataset.MustTreeHierarchy([][]string{
-		{"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"},
-		{"GI", "*"}, {"GI", "*"}, {"GI", "*"},
-		{"CARD", "*"}, {"CARD", "*"}, {"CARD", "*"},
-		{"ENDO", "*"}, {"ENDO", "*"},
-	})
-	g := HierarchyGroup{H: h, Level: 1, Group: h.GroupOf(0, 1)}
-	if g.Label() != "PULM" || g.Size() != 5 || !g.Contains(4) || g.Contains(11) {
+	// Ages 0–94 in decades: the last decade is clipped to the domain.
+	h, err := dataset.NewIntRangeHierarchy(0, 94, 10, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := HierarchyGroup{H: h, Level: 1, Group: h.GroupOf(92, 1)}
+	if g.Label() != "90-94" || g.Size() != 5 || !g.Contains(90) || !g.Contains(94) || g.Contains(89) {
 		t.Errorf("HierarchyGroup semantics broken: %+v", g)
+	}
+	if top := (HierarchyGroup{H: h, Level: 2, Group: h.GroupOf(92, 2)}); top.Label() != "*" || top.Size() != 95 || !top.Contains(0) {
+		t.Errorf("top HierarchyGroup semantics broken: %+v", top)
 	}
 }
 

@@ -83,13 +83,6 @@ func TestCurveJournalMirror(t *testing.T) {
 		t.Errorf("event curve sample = %+v", e.Curve)
 	}
 
-	// attack.converge events must not pollute bench summaries, which fold
-	// only run_start/experiment phases.
-	sum := SummarizeEvents("rev", events)
-	if len(sum.Experiments) != 0 {
-		t.Errorf("converge events leaked into bench summary: %+v", sum.Experiments)
-	}
-
 	cs.SetJournal(nil)
 	c.Add(64, 0.9)
 	if got := j.Events(); got != 1 {

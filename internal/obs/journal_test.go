@@ -52,96 +52,6 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSummarizeEventsAndWriteFile(t *testing.T) {
-	snap := Snapshot{Counters: map[string]int64{"lp.pivots": 900}}
-	events := []Event{
-		{Phase: "run_start", Time: "2026-08-05T00:00:00Z", Seed: 3, Quick: true},
-		{Phase: "experiment", ID: "E02", Seconds: 1.5, Metrics: &snap},
-		{Phase: "experiment", ID: "E11", Seconds: 0.5, Error: "nope"},
-		{Phase: "run_end"},
-	}
-	sum := SummarizeEvents("abc123abc123", events)
-	if sum.Seed != 3 || !sum.Quick || sum.Rev != "abc123abc123" {
-		t.Errorf("summary header: %+v", sum)
-	}
-	if len(sum.Experiments) != 2 || sum.TotalSeconds != 2 {
-		t.Errorf("summary body: %+v", sum)
-	}
-	if sum.Experiments[0].Counters["lp.pivots"] != 900 {
-		t.Errorf("counters not carried: %+v", sum.Experiments[0])
-	}
-	if sum.Experiments[1].Error != "nope" {
-		t.Errorf("error not carried: %+v", sum.Experiments[1])
-	}
-
-	dir := t.TempDir()
-	path, err := sum.WriteFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_abc123abc123.json" {
-		t.Errorf("path = %s", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"rev"`, `"E02"`, `"lp.pivots"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("summary file missing %s", want)
-		}
-	}
-
-	// A hostile rev must not escape the directory.
-	if p, err := (BenchSummary{Rev: "../weird rev"}).WriteFile(dir); err != nil {
-		t.Fatal(err)
-	} else if filepath.Dir(p) != dir || strings.ContainsAny(filepath.Base(p), "/ ") {
-		t.Errorf("unsanitized path %s", p)
-	}
-}
-
-// TestWriteBenchSummaryBesideJournal: the BENCH writer the cmd tools
-// share folds a finished journal file into a summary in the same
-// directory.
-func TestWriteBenchSummaryBesideJournal(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.jsonl")
-	f, err := os.Create(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := NewJournal(f)
-	pivots := Snapshot{Counters: map[string]int64{"lp.pivots": 7}}
-	for _, e := range []Event{
-		{Phase: "run_start", Seed: 5, Quick: true},
-		{Phase: "experiment", ID: "E02", Seconds: 0.25, Metrics: &pivots},
-	} {
-		if err := j.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path, err := WriteBenchSummary(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Dir(path) != dir || !strings.HasPrefix(filepath.Base(path), "BENCH_") {
-		t.Errorf("summary written to %s, want BENCH_<rev>.json in %s", path, dir)
-	}
-	sum, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Seed != 5 || len(sum.Experiments) != 1 || sum.Experiments[0].Counters["lp.pivots"] != 7 {
-		t.Errorf("summary = %+v", sum)
-	}
-	if _, err := WriteBenchSummary(filepath.Join(dir, "missing.jsonl")); err == nil {
-		t.Error("a missing journal should fail")
-	}
-}
-
 func TestGitRev(t *testing.T) {
 	dir := t.TempDir()
 	git := filepath.Join(dir, ".git")

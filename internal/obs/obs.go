@@ -1,8 +1,7 @@
 // Package obs is the repository's dependency-free observability layer: a
 // metrics registry (counters, gauges, histograms — all with atomic hot
 // paths), span timers, point-in-time snapshots with deltas, a structured
-// JSONL run journal, machine-readable benchmark summaries, and pprof/trace
-// flag helpers for the cmd tools.
+// JSONL run journal, and pprof/trace flag helpers for the cmd tools.
 //
 // Every quantitative claim the paper makes (Dinur–Nissim query complexity,
 // LP reconstruction cost, PSO success rates) is a statement about how much

@@ -179,8 +179,7 @@ func New(reg *obs.Registry, journal *obs.Journal) *Server {
 // Handler returns the server's mux (for tests via httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetPhase updates the run phase /healthz reports (e.g. "E02",
-// "bench_probe", "done").
+// SetPhase updates the run phase /healthz reports (e.g. "E02", "done").
 func (s *Server) SetPhase(phase string) { s.phase.Store(phase) }
 
 // Start binds addr (":0" picks a free port) and serves in the background,

@@ -103,9 +103,6 @@ func (t *Tool) SpanExport() bool { return *t.spansPath != "" }
 // Journal returns the run journal (nil when not observing).
 func (t *Tool) Journal() *obs.Journal { return t.journal }
 
-// MetricsPath returns the -metrics path ("" when none was given).
-func (t *Tool) MetricsPath() string { return *t.metricsPath }
-
 // Addr returns the bound live-endpoint address ("" when not serving).
 func (t *Tool) Addr() string { return t.boundAddr }
 

@@ -120,9 +120,6 @@ func TestToolServeOnlyStreamsJournal(t *testing.T) {
 	if !tool.Observing() {
 		t.Error("-serve alone must still create a journal for the SSE tail")
 	}
-	if tool.MetricsPath() != "" {
-		t.Errorf("MetricsPath = %q, want empty", tool.MetricsPath())
-	}
 	tool.Emit(obs.Event{Phase: "run_start", Seed: 1})
 	resp, err := http.Get("http://" + tool.Addr() + "/healthz")
 	if err != nil {

@@ -82,36 +82,6 @@ func TestPopulationZIPSkew(t *testing.T) {
 	}
 }
 
-func TestDiseaseHierarchyMatchesDiseases(t *testing.T) {
-	h := DiseaseHierarchy()
-	if h.Levels() != 3 {
-		t.Fatalf("Levels = %d", h.Levels())
-	}
-	// COVID (0) and TB (4) share PULM; Diabetes (11) is ENDO.
-	if h.GroupOf(0, 1) != h.GroupOf(4, 1) {
-		t.Error("COVID/TB should share a system")
-	}
-	if h.GroupOf(0, 1) == h.GroupOf(11, 1) {
-		t.Error("COVID/Diabetes should not share a system")
-	}
-	if got := h.Label(h.GroupOf(11, 1), 1); got != "ENDO" {
-		t.Errorf("Diabetes system = %q", got)
-	}
-	// Hierarchy covers exactly the disease list.
-	total := int64(0)
-	seen := map[int64]bool{}
-	for i := range Diseases {
-		g := h.GroupOf(int64(i), 1)
-		if !seen[g] {
-			seen[g] = true
-			total += h.GroupSize(g, 1)
-		}
-	}
-	if total != int64(len(Diseases)) {
-		t.Errorf("hierarchy covers %d categories, want %d", total, len(Diseases))
-	}
-}
-
 func TestRegistryCoverageAndTruth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pop, _ := Population(rng, PopulationConfig{N: 4000, ZIPs: 5, BlocksPerZIP: 2})
@@ -293,15 +263,4 @@ func TestIndividualSamplerPanicsOnBadConfig(t *testing.T) {
 		}
 	}()
 	IndividualSampler(PopulationConfig{})
-}
-
-// DiseaseHierarchy returns the organ-system generalization hierarchy over
-// Diseases (levels: raw, system, *).
-func DiseaseHierarchy() *dataset.TreeHierarchy {
-	return dataset.MustTreeHierarchy([][]string{
-		{"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"}, {"PULM", "*"},
-		{"GI", "*"}, {"GI", "*"}, {"GI", "*"},
-		{"CARD", "*"}, {"CARD", "*"}, {"CARD", "*"},
-		{"ENDO", "*"}, {"ENDO", "*"},
-	})
 }

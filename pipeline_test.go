@@ -1,7 +1,8 @@
 package singlingout
 
-// End-to-end integration tests exercising several subsystems together —
-// the same flows the examples demonstrate, asserted.
+// End-to-end integration tests exercising several subsystems together:
+// census reconstruction and linkage, a k-anonymized release audited for
+// PSO with its legal verdict, and anonymization against linkage.
 
 import (
 	"math/rand"
