@@ -18,10 +18,12 @@
 #                  replay
 #   make gobench   the root go test -bench suite with work counters, then
 #                  the internal/pso microbenchmarks (prefix-descent trial,
-#                  IsolationCount, HashPrefix.Eval), cold LP decodes at
-#                  the lp-recon shape (BenchmarkDecodeLPRecon, with
-#                  pivots/op) and streaming sessions of 8 pushes there,
-#                  7 of them warm (BenchmarkStreamPush, with pivots/push),
+#                  IsolationCount, HashPrefix.Eval), LP decodes of new
+#                  answer vectors at the lp-recon shape, each cold
+#                  (BenchmarkDecodeLPRecon, with pivots/op), and
+#                  streaming sessions of 8 pushes there, the first cold
+#                  and the 7 after it warm from the previous push's
+#                  basis (BenchmarkStreamPush, with pivots/push),
 #                  the random-subset generator at the serving
 #                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches

@@ -147,18 +147,22 @@ func run(tool *serve.Tool, o options) error {
 			SensitiveAttr: sens,
 		})
 	case "fulldomain":
-		hs := map[int]dataset.Hierarchy{}
+		hs := map[int]*dataset.IntRangeHierarchy{}
 		for _, a := range qi {
-			attr := d.Schema.Attrs[a]
+			attr := &d.Schema.Attrs[a]
+			// A categorical attribute has no Min or Max: its cells index
+			// its categories from 0.
+			size := attr.DomainSize()
+			lo, hi := attr.Min, attr.Min+size-1
 			switch attr.Name {
 			case synth.AttrZIP:
-				hs[a], err = dataset.NewIntRangeHierarchy(attr.Min, attr.Max, 10, 100, 1000, attr.Max-attr.Min+1)
+				hs[a], err = dataset.NewIntRangeHierarchy(lo, hi, 10, 100, 1000, size)
 			case synth.AttrBirthDate:
-				hs[a], err = dataset.NewIntRangeHierarchy(attr.Min, attr.Max, 365, 3650, attr.Max-attr.Min+1)
+				hs[a], err = dataset.NewIntRangeHierarchy(lo, hi, 365, 3650, size)
 			case synth.AttrAge:
-				hs[a], err = dataset.NewIntRangeHierarchy(attr.Min, attr.Max, 5, 20, attr.Max-attr.Min+1)
+				hs[a], err = dataset.NewIntRangeHierarchy(lo, hi, 5, 20, size)
 			default:
-				hs[a], err = dataset.NewIntRangeHierarchy(attr.Min, attr.Max, attr.Max-attr.Min+1)
+				hs[a], err = dataset.NewIntRangeHierarchy(lo, hi, size)
 			}
 			if err != nil {
 				return err

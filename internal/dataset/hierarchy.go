@@ -4,28 +4,11 @@ import (
 	"fmt"
 )
 
-// Hierarchy describes a value-generalization hierarchy for one attribute,
-// in the style used by full-domain generalization k-anonymizers (Samarati,
-// Sweeney, Datafly). Level 0 is the raw value; higher levels are coarser.
-// At the top level every value maps to a single group ("*").
-type Hierarchy interface {
-	// Levels returns the number of generalization levels, including the
-	// identity level 0. Levels() >= 1.
-	Levels() int
-	// GroupOf maps a raw cell value to its group id at the given level.
-	// Level 0 is the identity mapping.
-	GroupOf(v int64, level int) int64
-	// Label renders a group id at a level for display.
-	Label(group int64, level int) string
-	// GroupSize returns how many raw domain values map to the given group
-	// at the given level. It is the denominator of generalization-induced
-	// predicate weights.
-	GroupSize(group int64, level int) int64
-}
-
-// IntRangeHierarchy generalizes an integer attribute by snapping values to
-// aligned intervals of increasing width. Widths[l] is the interval width at
-// level l+1 (level 0 is raw). The final width should cover the whole
+// IntRangeHierarchy is the value-generalization hierarchy of one integer
+// attribute, in the style used by full-domain generalization
+// k-anonymizers (Samarati, Sweeney, Datafly): it snaps values to aligned
+// intervals of increasing width. Level 0 is the raw value; Widths[l] is
+// the interval width at level l+1. The final width should cover the whole
 // domain, producing the fully suppressed "*" level.
 type IntRangeHierarchy struct {
 	Min, Max int64
@@ -48,7 +31,8 @@ func NewIntRangeHierarchy(min, max int64, widths ...int64) (*IntRangeHierarchy, 
 	return &IntRangeHierarchy{Min: min, Max: max, Widths: widths}, nil
 }
 
-// Levels implements Hierarchy.
+// Levels returns the number of generalization levels, including the
+// identity level 0.
 func (h *IntRangeHierarchy) Levels() int { return len(h.Widths) + 1 }
 
 func (h *IntRangeHierarchy) width(level int) int64 {
@@ -58,7 +42,8 @@ func (h *IntRangeHierarchy) width(level int) int64 {
 	return h.Widths[level-1]
 }
 
-// GroupOf implements Hierarchy.
+// GroupOf maps a raw value to its group id at the given level; level 0
+// is the identity up to the offset Min.
 func (h *IntRangeHierarchy) GroupOf(v int64, level int) int64 {
 	return (v - h.Min) / h.width(level)
 }
@@ -75,7 +60,8 @@ func (h *IntRangeHierarchy) Bounds(group int64, level int) (lo, hi int64) {
 	return lo, hi
 }
 
-// Label implements Hierarchy.
+// Label renders a group id at a level for display: its interval, its
+// one value, or "*" for the whole domain.
 func (h *IntRangeHierarchy) Label(group int64, level int) string {
 	lo, hi := h.Bounds(group, level)
 	if lo == h.Min && hi == h.Max {
@@ -87,7 +73,9 @@ func (h *IntRangeHierarchy) Label(group int64, level int) string {
 	return fmt.Sprintf("%d-%d", lo, hi)
 }
 
-// GroupSize implements Hierarchy.
+// GroupSize returns how many raw domain values map to the given group
+// at the given level. It is the denominator of generalization-induced
+// predicate weights.
 func (h *IntRangeHierarchy) GroupSize(group int64, level int) int64 {
 	lo, hi := h.Bounds(group, level)
 	return hi - lo + 1

@@ -202,7 +202,7 @@ func A04CardinalityEncoding(ctx context.Context, seed int64, quick bool) (*Table
 		}
 		//lint:ignore determinism pairs with the time.Now above for the labelled wall-time column
 		elapsed := time.Since(start)
-		t.AddRow(enc.name, fmt.Sprintf("%d", s.NumClauses()), fmt.Sprintf("%d", s.Propagations), elapsed.Round(time.Millisecond).String())
+		t.AddRow(enc.name, fmt.Sprintf("%d", s.NumClauses()), fmt.Sprintf("%d", s.Stats().Propagations), elapsed.Round(time.Millisecond).String())
 	}
 	return t, nil
 }
@@ -237,7 +237,7 @@ func A06FullDomainSearch(ctx context.Context, seed int64, quick bool) (*Table, e
 	}
 	qi := []int{zipI, ageI, sexI}
 	opts := kanon.FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{zipI: zipH, ageI: ageH, sexI: sexH},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{zipI: zipH, ageI: ageH, sexI: sexH},
 		MaxSuppress: n / 20,
 	}
 	t := &Table{

@@ -48,8 +48,21 @@ func e02Stream(milestones map[string]int64) Runner {
 	}}
 }
 
+// e02Remote is the E02.remote row: the E02 sweep over an in-process exact
+// oracle at n = 64, on E02.stream's dataset. Its last table row decodes
+// the largest budget's answers again on the same decoder, a verbatim
+// replay: the one warm-started Decode of the product paths, which no
+// quick experiment takes.
+func e02Remote() Runner {
+	return Runner{ID: "E02.remote", Run: func(ctx context.Context, seed int64, quick bool) (*Table, error) {
+		x := synth.BinaryDataset(par.RNG(seed, 1), 64, 0.5)
+		return E02OverOracle(ctx, &query.Exact{X: x}, x, seed, quick)
+	}}
+}
+
 // TestAllRunnersProduceTables runs every registered experiment in quick
-// mode at seed 1, then E02.stream, one at a time through RunInstrumented.
+// mode at seed 1, then E02.stream and E02.remote, one at a time through
+// RunInstrumented.
 // Each must produce a well-formed table, and the work counters each one
 // records must equal its row of testdata/quick_counters.json: the same
 // rows, counter names and values. This is the regression gate on the
@@ -68,7 +81,7 @@ func TestAllRunnersProduceTables(t *testing.T) {
 		t.Fatalf("%s: %v", quickCounters, err)
 	}
 	milestones := map[string]int64{}
-	runners := append(All(), e02Stream(milestones))
+	runners := append(All(), e02Stream(milestones), e02Remote())
 	extra := map[string]map[string]int64{"E02.stream": milestones}
 
 	var observed []counterRow

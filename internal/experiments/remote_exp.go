@@ -64,7 +64,10 @@ func E02OverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int6
 	// workload from the previous optimal basis — the steady-state cost of
 	// a repeated attack. For a deterministic oracle the answers (and so
 	// the row) are identical to the cold decode; only the solver work
-	// shrinks (lp.warm_starts / lp.pivots in the metrics).
+	// shrinks (lp.warm_starts / lp.pivots in the metrics). The Decoder
+	// warm-starts only a Decode that repeats its previous one's answers,
+	// so a noisy oracle's replay solves cold. The counter gate's
+	// E02.remote row holds this replay's one warm start.
 	got, _, err := lastDec.DecodeOracle(ctx, query.Instrument(o, nil))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E02.remote warm replay at m=%d: %w", lastM, err)

@@ -11,7 +11,7 @@ import (
 type FullDomainOptions struct {
 	// Hierarchies maps each quasi-identifier attribute index to its value
 	// generalization hierarchy. Every QI must have one.
-	Hierarchies map[int]dataset.Hierarchy
+	Hierarchies map[int]*dataset.IntRangeHierarchy
 	// MaxSuppress is the largest number of rows that may be suppressed
 	// instead of generalizing further (Datafly's suppression allowance).
 	MaxSuppress int
@@ -23,9 +23,9 @@ type FullDomainOptions struct {
 // heuristic). Rows left in undersized groups are suppressed if the
 // allowance permits; otherwise generalization continues.
 //
-// Unlike Mondrian, the resulting class cells are hierarchy groups, so a
-// class can cover a non-contiguous set of raw values (e.g. all pulmonary
-// diseases).
+// Unlike Mondrian, which cuts each cell to the data, the resulting class
+// cells are hierarchy groups: the aligned intervals of each attribute's
+// hierarchy, at one level for every row.
 func FullDomain(d *dataset.Dataset, qi []int, k int, opts FullDomainOptions) (*Release, []int, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("kanon: k = %d, want >= 1", k)
@@ -34,7 +34,7 @@ func FullDomain(d *dataset.Dataset, qi []int, k int, opts FullDomainOptions) (*R
 		return nil, nil, fmt.Errorf("kanon: no quasi-identifiers given")
 	}
 	levels := make([]int, len(qi))
-	hs := make([]dataset.Hierarchy, len(qi))
+	hs := make([]*dataset.IntRangeHierarchy, len(qi))
 	for j, a := range qi {
 		h, ok := opts.Hierarchies[a]
 		if !ok {
@@ -76,7 +76,7 @@ func FullDomain(d *dataset.Dataset, qi []int, k int, opts FullDomainOptions) (*R
 	}
 }
 
-func countDistinct(d *dataset.Dataset, attr int, h dataset.Hierarchy, level int) int {
+func countDistinct(d *dataset.Dataset, attr int, h *dataset.IntRangeHierarchy, level int) int {
 	seen := map[int64]bool{}
 	for _, r := range d.Rows {
 		seen[h.GroupOf(r[attr], level)] = true
@@ -84,7 +84,7 @@ func countDistinct(d *dataset.Dataset, attr int, h dataset.Hierarchy, level int)
 	return len(seen)
 }
 
-func groupByLevels(d *dataset.Dataset, qi []int, hs []dataset.Hierarchy, levels []int) map[string][]int {
+func groupByLevels(d *dataset.Dataset, qi []int, hs []*dataset.IntRangeHierarchy, levels []int) map[string][]int {
 	groups := map[string][]int{}
 	for i, r := range d.Rows {
 		key := ""
@@ -96,7 +96,7 @@ func groupByLevels(d *dataset.Dataset, qi []int, hs []dataset.Hierarchy, levels 
 	return groups
 }
 
-func buildRelease(d *dataset.Dataset, qi []int, k int, hs []dataset.Hierarchy, levels []int, groups map[string][]int) *Release {
+func buildRelease(d *dataset.Dataset, qi []int, k int, hs []*dataset.IntRangeHierarchy, levels []int, groups map[string][]int) *Release {
 	rel := &Release{Schema: d.Schema, QI: qi, K: k}
 	keys := make([]string, 0, len(groups))
 	for key := range groups {

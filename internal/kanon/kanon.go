@@ -52,7 +52,7 @@ func (iv Interval) Label() string {
 
 // HierarchyGroup is a generalization-hierarchy cell (full-domain cells).
 type HierarchyGroup struct {
-	H     dataset.Hierarchy
+	H     *dataset.IntRangeHierarchy
 	Level int
 	Group int64
 }

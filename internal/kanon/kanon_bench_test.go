@@ -51,7 +51,7 @@ func BenchmarkFullDomain(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{zipI: zipH, ageI: ageH},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{zipI: zipH, ageI: ageH},
 		MaxSuppress: 100,
 	}
 	b.ResetTimer()

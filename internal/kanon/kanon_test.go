@@ -169,7 +169,7 @@ func TestFullDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel, levels, err := FullDomain(pop, []int{zipI, ageI}, 25, FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{zipI: zipH, ageI: ageH},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{zipI: zipH, ageI: ageH},
 		MaxSuppress: 20,
 	})
 	if err != nil {
@@ -221,7 +221,7 @@ func TestFullDomainExhaustedHierarchySuppresses(t *testing.T) {
 	d.MustAppend(dataset.Record{2})
 	h, _ := dataset.NewIntRangeHierarchy(0, 9, 10)
 	rel, _, err := FullDomain(d, []int{0}, 3, FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{0: h},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{0: h},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func OptimalFullDomain(d *dataset.Dataset, qi []int, k int, opts FullDomainOptio
 	if len(qi) == 0 {
 		return nil, nil, 0, fmt.Errorf("kanon: no quasi-identifiers given")
 	}
-	hs := make([]dataset.Hierarchy, len(qi))
+	hs := make([]*dataset.IntRangeHierarchy, len(qi))
 	maxLevels := make([]int, len(qi))
 	latticeSize := 1
 	for j, a := range qi {

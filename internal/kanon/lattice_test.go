@@ -33,7 +33,7 @@ func latticeFixture(t *testing.T) (*dataset.Dataset, []int, FullDomainOptions) {
 		t.Fatal(err)
 	}
 	opts := FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{zipI: zipH, ageI: ageH, sexI: sexH},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{zipI: zipH, ageI: ageH, sexI: sexH},
 		MaxSuppress: 40,
 	}
 	return pop, []int{zipI, ageI, sexI}, opts
@@ -88,7 +88,7 @@ func TestOptimalFullDomainErrors(t *testing.T) {
 	}
 	diseaseI := pop.Schema.MustIndex(synth.AttrDisease)
 	if _, _, _, err := OptimalFullDomain(pop, []int{qi[0], diseaseI}, 5, FullDomainOptions{
-		Hierarchies: map[int]dataset.Hierarchy{qi[0]: opts.Hierarchies[qi[0]]},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{qi[0]: opts.Hierarchies[qi[0]]},
 	}, MinimizeGenILoss); err == nil {
 		t.Error("missing hierarchy should fail")
 	}

@@ -14,8 +14,8 @@ import (
 
 // Solve runs the two-phase dense tableau simplex. It returns a Solution
 // whose Status is Optimal, Infeasible or Unbounded; X and Objective are
-// meaningful only for Optimal. The context is checked every
-// ProgressEvery pivots; cancellation aborts the solve with ctx.Err().
+// meaningful only for Optimal. The context is checked every ctxEvery
+// pivots; cancellation aborts the solve with ctx.Err().
 //
 // Numerical contract: the solver internally relaxes each inequality by a
 // tiny anti-degeneracy perturbation, so the returned point may violate the
@@ -34,11 +34,6 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	defer sp.End()
 	t := newTableau(p)
 	t.ctx = ctx
-	t.progress = p.Progress
-	t.progressEvery = p.ProgressEvery
-	if t.progressEvery <= 0 {
-		t.progressEvery = 4096
-	}
 	phase1Pivots := 0
 	defer func() {
 		mPivots.Add(int64(t.pivots))
@@ -50,11 +45,7 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		return s
 	}
 	// Phase 1: minimize the sum of artificials to find a feasible basis.
-	t.phase = 1
 	if t.numArt > 0 {
-		if t.progress != nil {
-			t.progress(Progress{Phase: 1, Pivots: 0})
-		}
 		t.setPhase1Objective()
 		if err := t.iterate(true); err != nil {
 			return nil, err
@@ -77,10 +68,6 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 	}
 	// Phase 2: original objective.
-	t.phase = 2
-	if t.progress != nil {
-		t.progress(Progress{Phase: 2, Pivots: t.pivots})
-	}
 	t.setPhase2Objective(p.Objective)
 	if err := t.iterate(false); err != nil {
 		if errors.Is(err, errUnbounded) {
@@ -134,10 +121,7 @@ type tableau struct {
 	basis                        []int
 	artStart                     int // first artificial column
 	pivots                       int
-	phase                        int
 	ctx                          context.Context
-	progress                     func(Progress)
-	progressEvery                int
 }
 
 func newTableau(p *Problem) *tableau {
@@ -294,10 +278,10 @@ func (t *tableau) isBasic(col int) bool {
 func (t *tableau) iterate(phase1 bool) error {
 	maxIter := 20000 + 50*(t.m+t.total)
 	for iter := 0; iter < maxIter; iter++ {
-		// Cancellation check at the progress cadence: a degenerate
+		// Cancellation check every ctxEvery pivots: a degenerate
 		// multi-second solve must honor the ctx threaded through every
 		// harness, not just return eventually.
-		if t.pivots%t.progressEvery == 0 {
+		if t.pivots%ctxEvery == 0 {
 			if err := t.ctx.Err(); err != nil {
 				return err
 			}
@@ -378,9 +362,6 @@ func (t *tableau) chooseLeaving(col int) int {
 
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	if t.progress != nil && t.pivots%t.progressEvery == 0 {
-		t.progress(Progress{Phase: t.phase, Pivots: t.pivots})
-	}
 	piv := t.a[row][col]
 	invPiv := 1 / piv
 	rowData := t.a[row]

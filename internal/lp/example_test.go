@@ -8,9 +8,11 @@ import (
 	"singlingout/internal/lp"
 )
 
-// ExampleRevised solves the classic two-variable production LP, with the
-// x ≤ 4 capacity stated as an implicit upper bound instead of a row.
-func ExampleRevised() {
+// ExampleSolver solves the classic two-variable production LP, with the
+// x ≤ 4 capacity stated as an implicit upper bound instead of a row, then
+// raises the second capacity to 20 and solves again from the first
+// solve's basis.
+func ExampleSolver() {
 	// maximize 3x + 5y  ⇔  minimize -3x - 5y
 	p := &lp.Problem{
 		NumVars:   2,
@@ -21,10 +23,19 @@ func ExampleRevised() {
 		},
 		Upper: []float64{4, math.Inf(1)},
 	}
-	s, err := lp.Revised(context.Background(), p, nil)
+	s, err := lp.NewSolver(p)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%s: x=%.0f y=%.0f value=%.0f\n", s.Status, s.X[0], s.X[1], -s.Objective)
-	// Output: optimal: x=2 y=6 value=36
+	for _, warm := range []bool{false, true} {
+		sol, err := s.Solve(context.Background(), warm)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%s: x=%.2f y=%.0f value=%.0f warm=%v\n", sol.Status, sol.X[0], sol.X[1], -sol.Objective, sol.Warm)
+		p.Constraints[1].RHS = 20
+	}
+	// Output:
+	// optimal: x=2.00 y=6 value=36 warm=false
+	// optimal: x=2.67 y=6 value=38 warm=true
 }

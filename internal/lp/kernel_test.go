@@ -362,16 +362,21 @@ func (kc *kernelChecker) check(e *revised) {
 	}
 }
 
-// solve runs p through a new Solver, cold or warm, checking the kernels
-// at every pivot and at the end.
-func (kc *kernelChecker) solve(p *Problem, warm *Basis) *Solution {
+// solver builds p's Solver with the kernel check hooked to every pivot.
+func (kc *kernelChecker) solver(p *Problem) *Solver {
 	kc.t.Helper()
 	s, err := NewSolver(p)
 	if err != nil {
 		kc.t.Fatal(err)
 	}
-	p.Progress, p.ProgressEvery = func(Progress) { kc.check(&s.e) }, 1
-	defer func() { p.Progress, p.ProgressEvery = nil, 0 }()
+	s.e.onPivot = func() { kc.check(&s.e) }
+	return s
+}
+
+// solve runs s, a Solver from kc.solver, cold or warm, checking the
+// kernels at every pivot and at the end.
+func (kc *kernelChecker) solve(s *Solver, warm bool) *Solution {
+	kc.t.Helper()
 	sol, err := s.Solve(ctx, warm)
 	if err != nil {
 		kc.t.Fatal(err)
@@ -391,31 +396,33 @@ func (kc *kernelChecker) solve(p *Problem, warm *Basis) *Solution {
 func TestSparseKernelsMatchReference(t *testing.T) {
 	kc := &kernelChecker{t: t}
 	for trial := 0; trial < 120; trial++ {
-		kc.solve(boxedProblem(par.RNG(11, trial), trial%2 == 0), nil)
+		kc.solve(kc.solver(boxedProblem(par.RNG(11, trial), trial%2 == 0)), false)
 	}
 	for trial := 120; trial < 360; trial++ {
-		kc.solve(boundedProblem(par.RNG(11, trial), trial%2 == 0), nil)
+		kc.solve(kc.solver(boundedProblem(par.RNG(11, trial), trial%2 == 0)), false)
 	}
 	for _, seed := range fuzzRevisedSeeds {
 		p, change := fuzzProblem(seed)
-		cold := kc.solve(p, nil)
-		if cold.Status != Optimal {
+		s := kc.solver(p)
+		if cold := kc.solve(s, false); cold.Status != Optimal {
 			continue
 		}
 		change(p)
-		kc.solve(p, cold.Basis)
+		kc.solve(s, true)
 	}
 	rng := par.RNG(5, 0)
 	m := 48
 	qRows, answers := subsetRows(rng, 12, m)
 	open := make([]bool, m)
-	var basis *Basis
+	p := l1EqualityProblem(qRows, answers, open)
+	s := kc.solver(p)
 	for round := 0; round < 5; round++ {
 		noisy := make([]float64, m)
 		for k := range noisy {
 			noisy[k] = answers[k] + rng.NormFloat64()*float64(round)
 		}
-		basis = kc.solve(l1EqualityProblem(qRows, noisy, open), basis).Basis
+		setData(p, l1EqualityProblem(qRows, noisy, open))
+		kc.solve(s, round > 0)
 	}
 	// A cold decode at n = 24, m = 4n: most basis columns are e± unit
 	// columns, which the reach loop skips.
@@ -423,7 +430,7 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 	for k := range answers {
 		answers[k] += rng.Float64() - 0.5
 	}
-	if sol := kc.solve(l1EqualityProblem(qRows, answers, make([]bool, 96)), nil); sol.Pivots == 0 {
+	if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, answers, make([]bool, 96))), false); sol.Pivots == 0 {
 		t.Fatal("the cold 96-row decode took no pivots")
 	}
 	if kc.etaful == 0 {

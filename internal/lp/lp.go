@@ -14,17 +14,17 @@
 // Solver is the one engine: a sparse bounded-variable revised simplex —
 // column-wise sparse storage, an LU-factorized basis with product-form
 // (eta-file) updates between periodic refactorizations, candidate-list
-// partial pricing, and a warm-start API: it returns an opaque Basis, and
-// a follow-up solve over the same constraint matrix with a new RHS,
-// objective and/or bounds restarts from it (dual simplex when only the
-// RHS or the bounds moved). Upper bounds are implicit: a nonbasic
-// variable sits at 0 or at u_j, so a box never costs a basis row.
-// NewSolver builds the engine for one constraint matrix once — the
-// standard form, the per-column arrays and the LU storage — and each
-// Solve reads only the problem's RHS, bounds and objective, so a caller
-// that solves one matrix many times (recon.Decoder) pays for the
-// structure once, and gets what a fresh engine would return, bit for
-// bit. Revised is NewSolver then Solve, for a one-off solve.
+// partial pricing, and a warm start: a Solver keeps the basis its last
+// solve ended on when that solve was Optimal, and Solve(ctx, true)
+// restarts from it under a new RHS, objective and/or bounds (by the dual
+// simplex when only the RHS or the bounds moved). Upper bounds are
+// implicit: a nonbasic variable sits at 0 or at u_j, so a box never
+// costs a basis row. NewSolver builds the engine for one constraint
+// matrix once — the standard form, the per-column arrays and the LU
+// storage — and each Solve reads only the problem's RHS, bounds and
+// objective, so a caller that solves one matrix many times
+// (recon.Decoder) pays for the structure once, and gets what a fresh
+// engine would return, bit for bit.
 //
 // Each iteration touches only entries that can be nonzero, without
 // changing a result bit against the dense-order loops the tests keep as
@@ -96,25 +96,9 @@ type Problem struct {
 	Constraints []Constraint
 	// Upper holds the variables' upper bounds: nil for none, otherwise
 	// length NumVars with every entry ≥ 0 (+Inf for unbounded). Bounds
-	// are not part of the constraint structure, so a Basis stays valid
-	// when they change.
+	// are not part of the constraint structure, so a Solver's warm start
+	// stays valid when they change.
 	Upper []float64
-
-	// Progress, when set, is invoked at every phase transition and every
-	// ProgressEvery pivots (default 4096) — the attacker-side iteration
-	// hook for long reconstructions. It must be cheap; it runs inside the
-	// pivot loop.
-	Progress func(Progress)
-	// ProgressEvery overrides the pivot interval between Progress calls.
-	ProgressEvery int
-}
-
-// Progress describes the simplex state at a progress callback.
-type Progress struct {
-	// Phase is 1 during the feasibility search, 2 during optimization.
-	Phase int
-	// Pivots is the total pivot count so far (both phases).
-	Pivots int
 }
 
 // Status describes the outcome of a solve.
@@ -151,19 +135,18 @@ type Solution struct {
 	// feasibility-search share.
 	Pivots       int
 	Phase1Pivots int
-	// Basis is the warm-start handle of an Optimal solve: pass it to a
-	// later Revised call over the same constraint matrix. Warm reports
-	// whether this solve actually reused a caller-provided basis.
-	Basis *Basis
-	Warm  bool
+	// Warm reports whether this solve started from the basis of the
+	// Solver's previous solve.
+	Warm bool
 }
 
 // Metrics recorded into obs.Default(). lp.pivots counts every simplex
 // iteration across both phases — the paper's "solver iterations" cost of
 // an LP reconstruction attack. lp.refactorizations counts basis LU
-// (re)factorizations; lp.warm_starts counts solves that reused a
-// caller-provided basis (lp.warm_miss counts the ones that had to fall
-// back cold), and lp.dual_pivots the dual-simplex share of pivots.
+// (re)factorizations; lp.warm_starts counts solves that started from the
+// previous solve's basis (lp.warm_miss counts the warm requests that had
+// to fall back cold), and lp.dual_pivots the dual-simplex share of
+// pivots.
 var (
 	mSolves     = obs.Default().Counter("lp.solves")
 	mPivots     = obs.Default().Counter("lp.pivots")
@@ -193,8 +176,10 @@ const (
 	// applied to the RHS to break the massive degeneracy of L1-fitting
 	// LPs. Row r is relaxed by perturb·(r+1), so with up to ~1000 rows the
 	// returned point may violate original constraints by at most ~1e-5
-	// (the feasibility slack of Revised).
+	// (the feasibility slack of Solver.Solve).
 	perturb = 1e-8
+	// ctxEvery is the pivot cadence at which a solve checks its context.
+	ctxEvery = 4096
 )
 
 // validateStructure refuses a nonpositive NumVars, a malformed sparse

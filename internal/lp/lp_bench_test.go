@@ -46,8 +46,8 @@ func counting(b *testing.B) (pivots, warm *obs.Counter) {
 
 // BenchmarkDecodeLPRecon times recon.Decoder.Decode on the lp-recon
 // benchmark's shape (lpReconShape). Successive iterations decode
-// different answer vectors, so every row moves between solves and each
-// one runs cold, on the decoder's one reused lp.Solver. It reports the
+// different answer vectors, none a replay of the one before, so each
+// runs cold, on the decoder's one reused lp.Solver. It reports the
 // simplex pivots per decode.
 func BenchmarkDecodeLPRecon(b *testing.B) {
 	ctx := context.Background()
@@ -74,9 +74,9 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 
 // BenchmarkStreamPush times one streaming session on the lp-recon shape
 // (lpReconShape): 8 pushes of 24 answers each, the whole workload.
-// Successive sessions stream different answer vectors, so each first
-// push solves cold and the other 7 warm-start by the dual simplex, the
-// path an anytime attacker takes. It reports the simplex pivots per
+// Each session's first push solves cold and the other 7 warm-start by
+// the dual simplex from the previous push's basis, the path an anytime
+// attacker takes. It reports the simplex pivots per
 // push; compare its allocations too.
 func BenchmarkStreamPush(b *testing.B) {
 	const pushes, chunk = 8, 24

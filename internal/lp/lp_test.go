@@ -235,7 +235,7 @@ func TestValidation(t *testing.T) {
 		name  string
 		solve func(*Problem) (*Solution, error)
 	}{
-		{"Revised", func(p *Problem) (*Solution, error) { return Revised(ctx, p, nil) }},
+		{"Solver", solveFresh},
 		{"Solve", func(p *Problem) (*Solution, error) { return Solve(ctx, p) }},
 	}
 	for _, tc := range cases {
@@ -253,15 +253,14 @@ func TestValidation(t *testing.T) {
 	}
 	// Two rows may list the same variable.
 	ok := two(row([]int{0, 1}, []float64{1, 1}), row([]int{1}, []float64{1}))
-	if _, err := Revised(ctx, &ok, nil); err != nil {
+	if _, err := solveFresh(&ok); err != nil {
 		t.Errorf("variable shared by two rows: %v", err)
 	}
 }
 
 // TestSparseRowOrderAndZeros: a row's entries may come in any order and
 // may include zeros; the engine sees the same matrix either way, so the
-// solve takes the same pivots to the same bits, and a basis from one
-// form warm-starts the other.
+// solve takes the same pivots to the same bits.
 func TestSparseRowOrderAndZeros(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
@@ -283,24 +282,17 @@ func TestSparseRowOrderAndZeros(t *testing.T) {
 			})
 			q.Constraints[i] = c
 		}
-		a, err := Revised(ctx, p, nil)
+		a, err := solveFresh(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Revised(ctx, &q, a.Basis)
-		if err != nil {
-			t.Fatalf("trial %d: the scrambled form refused the clean form's basis: %v", trial, err)
-		}
-		c, err := Revised(ctx, &q, nil)
+		b, err := solveFresh(&q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Status != c.Status || a.Pivots != c.Pivots || math.Float64bits(a.Objective) != math.Float64bits(c.Objective) {
+		if a.Status != b.Status || a.Pivots != b.Pivots || math.Float64bits(a.Objective) != math.Float64bits(b.Objective) {
 			t.Fatalf("trial %d: clean %v in %d pivots (objective %v), scrambled %v in %d (%v)",
-				trial, a.Status, a.Pivots, a.Objective, c.Status, c.Pivots, c.Objective)
-		}
-		if a.Status == Optimal && (!b.Warm || b.Pivots != 0) {
-			t.Fatalf("trial %d: warm re-solve from the clean basis: warm %v, %d pivots", trial, b.Warm, b.Pivots)
+				trial, a.Status, a.Pivots, a.Objective, b.Status, b.Pivots, b.Objective)
 		}
 	}
 }
@@ -444,9 +436,9 @@ func TestZeroConstraintLP(t *testing.T) {
 	}
 }
 
-// TestSolutionPivotsAndProgress checks the solver reports its pivot counts
-// and drives the Progress hook through both phases.
-func TestSolutionPivotsAndProgress(t *testing.T) {
+// TestSolutionPivots checks that both engines report their pivot
+// counts and the phase-1 share of them.
+func TestSolutionPivots(t *testing.T) {
 	// A problem with GE rows forces a genuine phase 1.
 	p := &Problem{
 		NumVars:   2,
@@ -456,31 +448,23 @@ func TestSolutionPivotsAndProgress(t *testing.T) {
 			dense([]float64{0, 1}, GE, 2),
 			dense([]float64{1, 1}, LE, 10),
 		},
-		ProgressEvery: 1,
 	}
-	var events []Progress
-	p.Progress = func(pr Progress) { events = append(events, pr) }
-	s := solveOK(t, p)
-	if s.Pivots <= 0 {
-		t.Errorf("Pivots = %d, want positive", s.Pivots)
-	}
-	if s.Phase1Pivots <= 0 || s.Phase1Pivots > s.Pivots {
-		t.Errorf("Phase1Pivots = %d out of range (total %d)", s.Phase1Pivots, s.Pivots)
-	}
-	if len(events) == 0 {
-		t.Fatal("Progress hook never invoked")
-	}
-	sawPhase := map[int]bool{}
-	lastPivots := -1
-	for _, e := range events {
-		sawPhase[e.Phase] = true
-		if e.Pivots < lastPivots {
-			t.Errorf("pivot count went backwards: %v", events)
-			break
+	for _, eng := range []struct {
+		name  string
+		solve func(*Problem) (*Solution, error)
+	}{
+		{"dense", func(p *Problem) (*Solution, error) { return Solve(ctx, p) }},
+		{"revised", solveFresh},
+	} {
+		s, err := eng.solve(p)
+		if err != nil || s.Status != Optimal {
+			t.Fatalf("%s: %v, %+v", eng.name, err, s)
 		}
-		lastPivots = e.Pivots
-	}
-	if !sawPhase[1] || !sawPhase[2] {
-		t.Errorf("expected progress from both phases, saw %v", sawPhase)
+		if s.Pivots <= 0 {
+			t.Errorf("%s: Pivots = %d, want positive", eng.name, s.Pivots)
+		}
+		if s.Phase1Pivots <= 0 || s.Phase1Pivots > s.Pivots {
+			t.Errorf("%s: Phase1Pivots = %d out of range (total %d)", eng.name, s.Phase1Pivots, s.Pivots)
+		}
 	}
 }

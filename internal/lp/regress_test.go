@@ -61,26 +61,18 @@ func driveOutProblem() *Problem {
 
 // TestDriveOutPivotAccounting is the regression test for the pivot
 // accounting bug: pivots spent driving artificials out of the basis after
-// phase-1 optimality must be attributed to phase 1 and reported through
-// the Progress hook, not silently lumped into neither phase.
+// phase-1 optimality must be attributed to phase 1, not silently lumped
+// into neither phase.
 func TestDriveOutPivotAccounting(t *testing.T) {
 	for _, eng := range []struct {
 		name  string
 		solve func(p *Problem) (*Solution, error)
 	}{
 		{"dense", func(p *Problem) (*Solution, error) { return Solve(ctx, p) }},
-		{"revised", func(p *Problem) (*Solution, error) { return Revised(ctx, p, nil) }},
+		{"revised", solveFresh},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			p := driveOutProblem()
-			p.ProgressEvery = 1
-			var phase1Events int
-			p.Progress = func(pr Progress) {
-				if pr.Phase == 1 && pr.Pivots > 0 {
-					phase1Events++
-				}
-			}
-			s, err := eng.solve(p)
+			s, err := eng.solve(driveOutProblem())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,16 +85,13 @@ func TestDriveOutPivotAccounting(t *testing.T) {
 			if s.Phase1Pivots < 1 {
 				t.Errorf("Phase1Pivots = %d, want >= 1: drive-out pivot not attributed to phase 1", s.Phase1Pivots)
 			}
-			if phase1Events < s.Phase1Pivots {
-				t.Errorf("saw %d phase-1 progress events for %d phase-1 pivots: drive-out pivots not reported",
-					phase1Events, s.Phase1Pivots)
-			}
 		})
 	}
 }
 
-// TestSolveCancellation: both engines must honor context cancellation at
-// the progress cadence instead of running a degenerate solve to the end.
+// TestSolveCancellation: both engines check their context at their first
+// pivot and every ctxEvery after, so a cancelled context stops a solve
+// instead of running a degenerate one to the end.
 func TestSolveCancellation(t *testing.T) {
 	p := &Problem{
 		NumVars:   2,
@@ -112,20 +101,17 @@ func TestSolveCancellation(t *testing.T) {
 			dense([]float64{0, 2}, LE, 12),
 			dense([]float64{3, 2}, LE, 18),
 		},
-		ProgressEvery: 1,
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Solve(cancelled, p); !errors.Is(err, context.Canceled) {
 		t.Errorf("dense: err = %v, want context.Canceled", err)
 	}
-	if _, err := Revised(cancelled, p, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("revised: err = %v, want context.Canceled", err)
+	s, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cancellation mid-solve: cancel from the progress hook.
-	mid, cancelMid := context.WithCancel(context.Background())
-	p.Progress = func(Progress) { cancelMid() }
-	if _, err := Solve(mid, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("dense mid-solve: err = %v, want context.Canceled", err)
+	if _, err := s.Solve(cancelled, false); !errors.Is(err, context.Canceled) {
+		t.Errorf("revised: err = %v, want context.Canceled", err)
 	}
 }

@@ -8,28 +8,10 @@ import (
 	"slices"
 )
 
-// ErrBasisMismatch is returned by Solve when the warm-start Basis was
-// produced on a different constraint matrix (the warm-start contract
-// covers RHS, objective and bound changes only).
-var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the constraint structure")
-
 // ErrSingularBasis is returned when the engine cannot keep a numerically
 // nonsingular basis factorization (indicative of a pathological instance
 // or a bug).
 var ErrSingularBasis = errors.New("lp: numerically singular basis")
-
-// Basis is an opaque warm-start handle: the basic column set at the end
-// of a solve and the nonbasic columns that sat at their upper bound, tied
-// by signature to the constraint matrix it was produced on. Pass it to a
-// later solve over the same constraint matrix — same coefficients and
-// relations; the RHS, objective and bounds may differ — on the same
-// Solver or any other, to start from that basis instead of from scratch.
-type Basis struct {
-	sig   uint64
-	m     int
-	cols  []int
-	upper []int // nonbasic columns at their upper bound, ascending
-}
 
 const (
 	// feasTol is the feasibility tolerance on basic variable values and
@@ -80,13 +62,21 @@ type revised struct {
 	pivots       int
 	phase1Pivots int
 	dualPivots   int
-	phase        int
 	warm         bool
 
-	ctx           context.Context
-	progress      func(Progress)
-	progressEvery int
-	pricePos      int // partial-pricing cursor
+	ctx      context.Context
+	pricePos int // partial-pricing cursor
+	// onPivot, when set, runs after every pivot: the kernel tests'
+	// per-pivot check.
+	onPivot func()
+
+	// prevBasis and prevUpper are the warm start: the basis the last
+	// solve ended on, by position, and its nonbasic columns at their
+	// upper bound, ascending. havePrev is false when that solve did not
+	// end Optimal.
+	prevBasis []int
+	prevUpper []int
+	havePrev  bool
 
 	// Scratch (reused across iterations and solves).
 	rowScratch []float64 // row-indexed FTRAN/BTRAN input
@@ -107,12 +97,15 @@ type revised struct {
 // NewSolver reads the Problem's structure once — NumVars and every
 // constraint's Vars, Coeffs and Rel — and builds the standard form, the
 // engine's per-column arrays and the LU factor's storage. Each Solve then
-// reads only the RHS values, Upper, Objective and the progress hook,
-// which the caller may change between solves. So re-solving one matrix
-// under new answers, bounds or costs costs no rebuild, and a reused
-// Solver returns what a fresh one would, bit for bit. Changing the
-// structure after NewSolver is not supported: the Solver keeps the one it
-// read. A Solver is not safe for concurrent use.
+// reads only the RHS values, Upper and Objective, which the caller may
+// change between solves. So re-solving one matrix under new answers,
+// bounds or costs costs no rebuild. A Solver also keeps the basis of its
+// last solve, if that solve ended Optimal, as the start of a warm Solve.
+// A reused Solver returns what a fresh one would, bit for bit: on a cold
+// solve always, and on a warm one when the fresh Solver ran the same
+// previous solve. Changing the structure after NewSolver is not
+// supported: the Solver keeps the one it read. A Solver is not safe for
+// concurrent use.
 type Solver struct {
 	e revised
 }
@@ -125,17 +118,6 @@ func NewSolver(p *Problem) (*Solver, error) {
 	s := &Solver{}
 	s.e.init(p, buildStandard(p))
 	return s, nil
-}
-
-// Revised solves p once on a new Solver: NewSolver(p), then Solve. A
-// caller that solves one constraint matrix more than once keeps the
-// Solver instead.
-func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
-	s, err := NewSolver(p)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(ctx, warm)
 }
 
 // Solve solves the Solver's problem under its current RHS, bounds and
@@ -151,21 +133,20 @@ func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 // stated constraints by up to ~1e-5 for problems with up to ~1000 rows;
 // equalities are not perturbed.
 //
-// warm may be nil (cold start) or the Basis of a previous solve over
-// the same constraint matrix. A usable warm basis skips the crash
-// and phase 1 entirely: if it is still primal feasible under the new
-// RHS and bounds the solve resumes in phase 2, and otherwise (the common
-// case after an RHS or bound change at an optimum) the engine places
-// each boxed nonbasic variable at the bound its reduced cost prefers and
-// runs the dual simplex until primal feasibility is restored. A warm
-// basis that cannot be reused (singular under the new data, containing
-// artificials, or dual infeasible on an unbounded column) falls back to
-// a cold start; a basis from a *different* matrix is an ErrBasisMismatch
-// error.
+// With warm false, or when the Solver's last solve did not end Optimal,
+// the solve starts cold. Otherwise it starts from the basis that solve
+// ended on, which skips the crash and phase 1 entirely: if that basis is
+// still primal feasible under the new RHS and bounds the solve resumes
+// in phase 2, and otherwise (the common case after an RHS or bound
+// change at an optimum) the engine places each boxed nonbasic variable
+// at the bound its reduced cost prefers and runs the dual simplex until
+// primal feasibility is restored. A basis that cannot be reused
+// (singular under the new data, holding the artificial of a redundant
+// row, or dual infeasible on an unbounded column) falls back to a cold
+// start. Solution.Warm reports which start the solve took.
 //
-// The returned Solution carries the final Basis for Optimal solves. The
-// context is checked every ProgressEvery pivots.
-func (s *Solver) Solve(ctx context.Context, warm *Basis) (*Solution, error) {
+// The context is checked every 4,096 pivots.
+func (s *Solver) Solve(ctx context.Context, warm bool) (*Solution, error) {
 	e := &s.e
 	p, sf := e.p, e.sf
 	if p.NumVars != sf.nStruct || len(p.Constraints) != sf.m {
@@ -178,36 +159,33 @@ func (s *Solver) Solve(ctx context.Context, warm *Basis) (*Solution, error) {
 	mSolves.Add(1)
 	sp := mSolveNS.Span()
 	defer sp.End()
-	if warm != nil && (warm.sig != sf.sig || warm.m != sf.m) {
-		return nil, fmt.Errorf("%w: basis for %d rows/sig %x, matrix has %d rows/sig %x",
-			ErrBasisMismatch, warm.m, warm.sig, sf.m, sf.sig)
-	}
 	e.reset(ctx)
-	sol, err := e.run(warm)
+	sol, err := e.run(warm && e.havePrev)
 	mPivots.Add(int64(e.pivots))
 	mPhase1.Add(int64(e.phase1Pivots))
 	mDualPivots.Add(int64(e.dualPivots))
+	e.havePrev = err == nil && sol.Status == Optimal
 	if err != nil {
 		return nil, err
 	}
 	sol.Pivots = e.pivots
 	sol.Phase1Pivots = e.phase1Pivots
 	sol.Warm = e.warm
-	if sol.Status == Optimal {
-		sol.Basis = e.saveBasis()
+	if e.havePrev {
+		e.saveBasis()
 	}
 	return sol, nil
 }
 
-// saveBasis returns the warm-start handle of the current basis.
-func (e *revised) saveBasis() *Basis {
-	b := &Basis{sig: e.sf.sig, m: e.m, cols: append([]int(nil), e.basis...)}
+// saveBasis copies the current basis into the warm start.
+func (e *revised) saveBasis() {
+	copy(e.prevBasis, e.basis)
+	e.prevUpper = e.prevUpper[:0]
 	for j := 0; j < e.sf.nCols; j++ {
 		if e.atUpper[j] {
-			b.upper = append(b.upper, j)
+			e.prevUpper = append(e.prevUpper, j)
 		}
 	}
-	return b
 }
 
 // init allocates the engine's storage for the standard form sf of p.
@@ -225,6 +203,7 @@ func (e *revised) init(p *Problem, sf *standard) {
 		canEnter:   make([]bool, total),
 		atUpper:    make([]bool, total),
 		basis:      make([]int, m),
+		prevBasis:  make([]int, m),
 		posOf:      make([]int, total),
 		xB:         make([]float64, m),
 		lu:         newLU(m),
@@ -242,11 +221,11 @@ func (e *revised) init(p *Problem, sf *standard) {
 }
 
 // reset readies the engine for a solve of p's current data: the RHS
-// (into the standard form), the bounds and the progress hook, with no
-// basis, no column at its upper bound and every counter at zero — the
-// state a new engine starts in. Everything else a solve reads it writes
-// first: the crash or the warm basis sets the basis, the LU factor and
-// the basic values, and the phases set the costs.
+// (into the standard form) and the bounds, with no basis, no column at
+// its upper bound and every counter at zero — the state a new engine
+// starts in. Everything else a solve reads it writes first: the crash or
+// the warm start sets the basis, the LU factor and the basic values, and
+// the phases set the costs.
 func (e *revised) reset(ctx context.Context) {
 	p, sf := e.p, e.sf
 	sf.setRHS(p)
@@ -267,17 +246,13 @@ func (e *revised) reset(ctx context.Context) {
 		e.posOf[j] = -1
 		e.atUpper[j] = false
 	}
-	e.pivots, e.phase1Pivots, e.dualPivots, e.phase = 0, 0, 0, 0
-	e.warm, e.pricePos = false, 0
-	e.ctx, e.progress, e.progressEvery = ctx, p.Progress, p.ProgressEvery
-	if e.progressEvery <= 0 {
-		e.progressEvery = 4096
-	}
+	e.pivots, e.phase1Pivots, e.dualPivots = 0, 0, 0
+	e.warm, e.pricePos, e.ctx = false, 0, ctx
 }
 
-func (e *revised) run(warm *Basis) (*Solution, error) {
-	if warm != nil {
-		sol, ok, err := e.warmPath(warm)
+func (e *revised) run(warm bool) (*Solution, error) {
+	if warm {
+		sol, ok, err := e.warmPath()
 		if err != nil {
 			return nil, err
 		}
@@ -400,19 +375,19 @@ func (e *revised) ftranCol(q int) {
 	e.lu.ftran(e.rowScratch, e.d)
 }
 
-// checkCtx enforces the cancellation contract at the progress cadence.
+// checkCtx enforces the cancellation contract every ctxEvery pivots.
 func (e *revised) checkCtx() error {
-	if e.pivots%e.progressEvery == 0 {
+	if e.pivots%ctxEvery == 0 {
 		return e.ctx.Err()
 	}
 	return nil
 }
 
-// tick counts one simplex iteration and drives the Progress hook.
+// tick counts one simplex iteration.
 func (e *revised) tick() {
 	e.pivots++
-	if e.progress != nil && e.pivots%e.progressEvery == 0 {
-		e.progress(Progress{Phase: e.phase, Pivots: e.pivots})
+	if e.onPivot != nil {
+		e.onPivot()
 	}
 }
 
@@ -715,10 +690,6 @@ func (e *revised) coldPath() (*Solution, error) {
 		return nil, err
 	}
 	if numArt > 0 {
-		e.phase = 1
-		if e.progress != nil {
-			e.progress(Progress{Phase: 1, Pivots: e.pivots})
-		}
 		e.setPhase1Cost()
 		if err := e.primal(true); err != nil {
 			return nil, err
@@ -744,10 +715,6 @@ func (e *revised) coldPath() (*Solution, error) {
 			return &Solution{Status: Infeasible}, nil
 		}
 		e.setPhase2Cost()
-	}
-	e.phase = 2
-	if e.progress != nil {
-		e.progress(Progress{Phase: 2, Pivots: e.pivots})
 	}
 	// With no artificials, every column is at a bound or basic at a
 	// singleton, and the boxed columns can always be placed where their
@@ -793,30 +760,22 @@ func (e *revised) primalFeasible() bool {
 	return true
 }
 
-// warmPath attempts to reuse a prior basis. ok=false means the basis was
-// structurally acceptable but numerically unusable (or contains
-// artificials, or is dual infeasible on an unbounded column) — the
+// warmPath starts from the previous solve's basis. ok=false means that
+// basis cannot be reused — it holds the artificial of a redundant row,
+// is singular, or is dual infeasible on an unbounded column — and the
 // caller falls back to a cold start.
-func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
-	if len(warm.cols) != e.m {
-		return nil, false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
-	}
-	for _, j := range warm.cols {
-		if j < 0 || j >= e.sf.nCols || !e.sf.active[j] || e.posOf[j] >= 0 {
-			// Artificial, inactive or duplicated column: not reusable.
-			for k := range e.posOf {
-				e.posOf[k] = -1
-			}
-			return nil, false, nil
+func (e *revised) warmPath() (*Solution, bool, error) {
+	for _, j := range e.prevBasis {
+		if j >= e.sf.nCols {
+			return nil, false, nil // a redundant row's artificial
 		}
-		e.posOf[j] = 0 // mark for duplicate detection; fixed below
 	}
-	for i, j := range warm.cols {
-		e.basis[i] = j
+	copy(e.basis, e.prevBasis)
+	for i, j := range e.basis {
 		e.posOf[j] = i
 	}
 	e.rebuildEnter()
-	for _, j := range warm.upper {
+	for _, j := range e.prevUpper {
 		// A column whose bound became infinite (or zero) drops to 0.
 		if e.posOf[j] < 0 && e.canEnter[j] && !math.IsInf(e.ub[j], 1) {
 			e.atUpper[j] = true
@@ -829,7 +788,6 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		return nil, false, err
 	}
 	e.setPhase2Cost()
-	e.phase = 2
 	if !e.primalFeasible() {
 		// The usual warm case after an RHS or bound change at an optimum:
 		// still dual feasible once the boxed columns sit at the bounds
@@ -856,9 +814,6 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 func (e *revised) startWarm() {
 	mWarmStarts.Add(1)
 	e.warm = true
-	if e.progress != nil {
-		e.progress(Progress{Phase: 2, Pivots: e.pivots})
-	}
 }
 
 // placeDualFeasible refreshes the reduced costs and moves every boxed

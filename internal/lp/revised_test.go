@@ -1,43 +1,74 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
 	"singlingout/internal/par"
 )
 
-// revisedOK solves p with the revised engine and checks feasibility.
-func revisedOK(t *testing.T, p *Problem, warm *Basis) *Solution {
+// solveFresh solves p cold on a new Solver.
+func solveFresh(p *Problem) (*Solution, error) {
+	s, err := NewSolver(p)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(ctx, false)
+}
+
+// revisedOK solves p cold on a new Solver, checks that the solve is
+// optimal and feasible and that the Solver kept its basis as the next
+// warm start, and returns both.
+func revisedOK(t *testing.T, p *Problem) (*Solver, *Solution) {
 	t.Helper()
-	s, err := Revised(ctx, p, warm)
+	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", s.Status)
+	sol, err := s.Solve(ctx, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkFeasible(t, p, s.X)
-	if s.Basis == nil {
-		t.Fatal("Optimal revised solve returned nil Basis")
+	if sol.Status != Optimal {
+		t.Fatalf("status = %v, want optimal", sol.Status)
 	}
-	return s
+	checkFeasible(t, p, sol.X)
+	if !s.e.havePrev {
+		t.Fatal("an optimal solve left no warm start")
+	}
+	return s, sol
+}
+
+// setData writes src's RHS values, bounds and objective into dst, a
+// Problem over the same constraint matrix: the data a Solver built on
+// dst reads afresh at each solve.
+func setData(dst, src *Problem) {
+	for i := range dst.Constraints {
+		dst.Constraints[i].RHS = src.Constraints[i].RHS
+	}
+	dst.Upper, dst.Objective = src.Upper, src.Objective
 }
 
 // reuseMatchesFresh solves p on s, a Solver that has solved before, and
-// on a new Solver, both from warm (nil for a cold start), and fails
+// on a new Solver given the warm start s's last solve left (the only
+// state one solve hands the next), both warm or both cold, and fails
 // unless the two agree bit for bit: the error, or the status, X, the
-// objective, both pivot counts, Warm and the basis. It returns the
-// reused Solver's solution.
-func reuseMatchesFresh(t *testing.T, what string, s *Solver, p *Problem, warm *Basis) *Solution {
+// objective, both pivot counts, Warm and the warm start each Solver
+// keeps. It returns the reused Solver's solution.
+func reuseMatchesFresh(t *testing.T, what string, s *Solver, p *Problem, warm bool) *Solution {
 	t.Helper()
+	fresh, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(fresh.e.prevBasis, s.e.prevBasis)
+	fresh.e.prevUpper = slices.Clone(s.e.prevUpper)
+	fresh.e.havePrev = s.e.havePrev
 	got, err := s.Solve(ctx, warm)
-	want, wantErr := Revised(ctx, p, warm)
+	want, wantErr := fresh.Solve(ctx, warm)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("%s: reused solver error %v, fresh %v", what, err, wantErr)
 	}
@@ -49,9 +80,14 @@ func reuseMatchesFresh(t *testing.T, what string, s *Solver, p *Problem, warm *B
 	}
 	if got.Status != want.Status || !sameBits(got.X, want.X) ||
 		math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
-		got.Pivots != want.Pivots || got.Phase1Pivots != want.Phase1Pivots || got.Warm != want.Warm ||
-		!reflect.DeepEqual(got.Basis, want.Basis) {
-		t.Fatalf("%s: reused solver %+v (basis %+v), fresh %+v (basis %+v)", what, got, got.Basis, want, want.Basis)
+		got.Pivots != want.Pivots || got.Phase1Pivots != want.Phase1Pivots || got.Warm != want.Warm {
+		t.Fatalf("%s: reused solver %+v, fresh %+v", what, got, want)
+	}
+	a, b := &s.e, &fresh.e
+	if a.havePrev != b.havePrev || a.havePrev &&
+		(!slices.Equal(a.prevBasis, b.prevBasis) || !slices.Equal(a.prevUpper, b.prevUpper)) {
+		t.Fatalf("%s: reused solver keeps basis %v (upper %v, kept %v), fresh %v (upper %v, kept %v)",
+			what, a.prevBasis, a.prevUpper, a.havePrev, b.prevBasis, b.prevUpper, b.havePrev)
 	}
 	return got
 }
@@ -97,7 +133,7 @@ func TestRevisedMatchesDenseFixtures(t *testing.T) {
 	}
 	for i, p := range fixtures {
 		want := solveOK(t, p)
-		got := revisedOK(t, p, nil)
+		_, got := revisedOK(t, p)
 		if math.Abs(want.Objective-got.Objective) > 1e-6 {
 			t.Errorf("fixture %d: revised objective %v, dense %v", i, got.Objective, want.Objective)
 		}
@@ -117,12 +153,15 @@ func TestRevisedRedundantRows(t *testing.T) {
 		},
 	}
 	want := solveOK(t, p)
-	got := revisedOK(t, p, nil)
+	_, got := revisedOK(t, p)
 	if math.Abs(want.Objective-got.Objective) > 1e-6 {
 		t.Errorf("objective = %v, dense %v", got.Objective, want.Objective)
 	}
 }
 
+// TestRevisedInfeasibleAndUnbounded: both statuses are reported, and a
+// solve that ends in either leaves no warm start, so the next warm
+// request on the Solver solves cold.
 func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 	infeas := &Problem{
 		NumVars:   1,
@@ -132,16 +171,6 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 			dense([]float64{1}, GE, 2),
 		},
 	}
-	s, err := Revised(ctx, infeas, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Infeasible {
-		t.Errorf("status = %v, want infeasible", s.Status)
-	}
-	if s.Basis != nil {
-		t.Error("non-optimal solve should not return a Basis")
-	}
 	unb := &Problem{
 		NumVars:   2,
 		Objective: []float64{-1, 0},
@@ -149,12 +178,26 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 			dense([]float64{0, 1}, LE, 1),
 		},
 	}
-	s, err = Revised(ctx, unb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Status != Unbounded {
-		t.Errorf("status = %v, want unbounded", s.Status)
+	for _, tc := range []struct {
+		p    *Problem
+		want Status
+	}{{infeas, Infeasible}, {unb, Unbounded}} {
+		s, err := NewSolver(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, warm := range []bool{false, true} {
+			sol, err := s.Solve(ctx, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sol.Status != tc.want || sol.Warm {
+				t.Errorf("warm %v: status %v, Warm %v, want %v solved cold", warm, sol.Status, sol.Warm, tc.want)
+			}
+			if s.e.havePrev {
+				t.Errorf("a %v solve left a warm start", sol.Status)
+			}
+		}
 	}
 }
 
@@ -284,6 +327,8 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 // cold, which must match a fresh Solver bit for bit and agree with the
 // dense simplex; so must a streamed L1 decoding LP and a Chebyshev
 // decoding LP, whose cold solves take phase 1, across answer changes.
+// A warm re-solve starts from the basis of the Solver's previous solve,
+// which a fresh Solver is given to match.
 func TestSolverEquivalenceProperty(t *testing.T) {
 	const seed = 11
 	check := func(trial int, rng *rand.Rand, p *Problem) {
@@ -296,7 +341,7 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
-		rs, err := s.Solve(ctx, nil)
+		rs, err := s.Solve(ctx, false)
 		if err != nil {
 			t.Fatalf("trial %d: revised: %v", trial, err)
 		}
@@ -325,12 +370,12 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 			t.Fatalf("trial %d: box-bounded LP reported unbounded", trial)
 		}
 		changeProblem(rng, p, trial%3)
-		if rs.Basis != nil {
+		if rs.Status == Optimal {
 			what := fmt.Sprintf("trial %d: warm re-solve", trial)
-			agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, rs.Basis))
+			agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, true))
 		}
 		what := fmt.Sprintf("trial %d: cold re-solve", trial)
-		agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, nil))
+		agreeDense(t, what, p, reuseMatchesFresh(t, what, s, p, false))
 	}
 	for trial := 0; trial < 120; trial++ {
 		rng := par.RNG(seed, trial)
@@ -343,7 +388,7 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 
 	// The decoder's L1 form, streamed: rows are answered 12 at a time
 	// through their RHS and absorber bound, each push warm from the last
-	// basis, then a fresh answer vector moves every row.
+	// solve's basis, then a fresh answer vector moves every row.
 	rng := par.RNG(seed, 360)
 	qRows, answers := subsetRows(rng, 12, 48)
 	open := make([]bool, len(qRows))
@@ -352,21 +397,14 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var basis *Basis
 	for round := 0; round < 2; round++ {
 		for answered := 0; answered <= len(qRows); answered += 12 {
 			for k := range open {
 				open[k] = k >= answered
 			}
-			stream := l1EqualityProblem(qRows, answers, open)
-			for k, c := range stream.Constraints {
-				p.Constraints[k].RHS = c.RHS
-			}
-			copy(p.Upper, stream.Upper)
-			warm := reuseMatchesFresh(t, "L1 push", s, p, basis)
-			agreeDense(t, "L1 push", p, warm)
-			agreeDense(t, "L1 push, cold", p, reuseMatchesFresh(t, "L1 push, cold", s, p, nil))
-			basis = warm.Basis
+			setData(p, l1EqualityProblem(qRows, answers, open))
+			agreeDense(t, "L1 push", p, reuseMatchesFresh(t, "L1 push", s, p, true))
+			agreeDense(t, "L1 push, cold", p, reuseMatchesFresh(t, "L1 push, cold", s, p, false))
 		}
 		for k := range answers {
 			answers[k] += rng.NormFloat64()
@@ -381,19 +419,18 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 	if s, err = NewSolver(p); err != nil {
 		t.Fatal(err)
 	}
-	basis, phase1 := nil, 0
+	phase1 := 0
 	for round := 0; round < 4; round++ {
 		for k, a := range answers {
 			a += rng.NormFloat64() * float64(round)
 			p.Constraints[2*k].RHS, p.Constraints[2*k+1].RHS = a, -a
 		}
-		if basis != nil {
-			agreeDense(t, "Chebyshev warm", p, reuseMatchesFresh(t, "Chebyshev warm", s, p, basis))
+		if round > 0 {
+			agreeDense(t, "Chebyshev warm", p, reuseMatchesFresh(t, "Chebyshev warm", s, p, true))
 		}
-		cold := reuseMatchesFresh(t, "Chebyshev cold", s, p, nil)
+		cold := reuseMatchesFresh(t, "Chebyshev cold", s, p, false)
 		agreeDense(t, "Chebyshev cold", p, cold)
 		phase1 += cold.Phase1Pivots
-		basis = cold.Basis
 	}
 	if phase1 == 0 {
 		t.Error("no cold Chebyshev solve ran phase 1")
@@ -614,10 +651,10 @@ func l1FitProblem(qRows [][]float64, answers []float64) *Problem {
 	return p
 }
 
-// TestWarmStartAfterRHSChange is the warm-start contract test: re-solving
-// the same constraint matrix with a perturbed RHS from the previous basis
-// must give the dense-oracle optimum with no phase 1 and (far) fewer
-// pivots than the cold solve.
+// TestWarmStartAfterRHSChange is the warm-start contract test: a Solver
+// re-solving its constraint matrix under a perturbed RHS from its
+// previous basis must reach the dense-oracle optimum with no phase 1 and
+// (far) fewer pivots than a cold solve.
 func TestWarmStartAfterRHSChange(t *testing.T) {
 	rng := par.RNG(3, 0)
 	n, m := 16, 64
@@ -636,24 +673,18 @@ func TestWarmStartAfterRHSChange(t *testing.T) {
 			}
 		}
 	}
-	cold, err := Revised(ctx, l1FitProblem(qRows, answers), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Status != Optimal || cold.Basis == nil {
-		t.Fatalf("cold solve: status %v", cold.Status)
-	}
+	p := l1FitProblem(qRows, answers)
+	s, cold := revisedOK(t, p)
 	if cold.Warm {
 		t.Error("cold solve reported Warm")
 	}
-	basis := cold.Basis
 	for round := 0; round < 3; round++ {
 		noisy := make([]float64, m)
 		for k := range noisy {
 			noisy[k] = answers[k] + rng.NormFloat64()*float64(round+1)
 		}
-		p := l1FitProblem(qRows, noisy)
-		warm, err := Revised(ctx, p, basis)
+		setData(p, l1FitProblem(qRows, noisy))
+		warm, err := s.Solve(ctx, true)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -674,7 +705,7 @@ func TestWarmStartAfterRHSChange(t *testing.T) {
 		if math.Abs(warm.Objective-oracle.Objective) > 1e-4 {
 			t.Errorf("round %d: warm objective %v, dense oracle %v", round, warm.Objective, oracle.Objective)
 		}
-		coldAgain, err := Revised(ctx, p, nil)
+		coldAgain, err := solveFresh(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -682,7 +713,6 @@ func TestWarmStartAfterRHSChange(t *testing.T) {
 			t.Errorf("round %d: warm solve took %d pivots, cold %d — warm start saved nothing",
 				round, warm.Pivots, coldAgain.Pivots)
 		}
-		basis = warm.Basis
 	}
 }
 
@@ -733,7 +763,7 @@ func subsetRows(rng *rand.Rand, n, m int) ([][]float64, []float64) {
 }
 
 // TestWarmStartAfterBoundAndRHSChange is the warm-start contract for
-// implicit bounds: between solves over one matrix the RHS moves, rows
+// implicit bounds: between solves of one Solver the RHS moves, rows
 // open and close through their absorber's bound, and data variables'
 // bounds tighten, loosen and pin to 0. Every warm solve must be a real
 // warm start (no phase 1) and reach the cold optimum's objective. A
@@ -748,11 +778,11 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 	for k := range open {
 		open[k] = k >= m/2
 	}
-	first := revisedOK(t, l1EqualityProblem(qRows, answers, open), nil)
+	base := l1EqualityProblem(qRows, answers, open)
+	s, first := revisedOK(t, base)
 	if first.Phase1Pivots != 0 {
 		t.Errorf("cold equality-form solve ran %d phase-1 pivots, want 0", first.Phase1Pivots)
 	}
-	basis := first.Basis
 	for round := 0; round < 4; round++ {
 		noisy := make([]float64, m)
 		for k := range noisy {
@@ -768,7 +798,8 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 		case 3:
 			p.Upper[2] = 0
 		}
-		warm, err := Revised(ctx, p, basis)
+		setData(base, p)
+		warm, err := s.Solve(ctx, true)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -779,7 +810,7 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 			t.Errorf("round %d: warm solve ran %d phase-1 pivots", round, warm.Phase1Pivots)
 		}
 		checkFeasible(t, p, warm.X)
-		cold := revisedOK(t, p, nil)
+		_, cold := revisedOK(t, p)
 		if math.Abs(warm.Objective-cold.Objective) > 1e-6 {
 			t.Errorf("round %d: warm objective %v, cold %v", round, warm.Objective, cold.Objective)
 		}
@@ -787,17 +818,17 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 		if math.Abs(warm.Objective-oracle.Objective) > 1e-4 {
 			t.Errorf("round %d: warm objective %v, dense oracle %v", round, warm.Objective, oracle.Objective)
 		}
-		basis = warm.Basis
 	}
 	p := l1EqualityProblem(qRows, answers, open)
 	for i := 0; i < n; i++ {
 		p.Upper[i] = math.Inf(1)
 	}
-	loose, err := Revised(ctx, p, basis)
+	setData(base, p)
+	loose, err := s.Solve(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold := revisedOK(t, p, nil); loose.Status != Optimal || math.Abs(loose.Objective-cold.Objective) > 1e-6 {
+	if _, cold := revisedOK(t, p); loose.Status != Optimal || math.Abs(loose.Objective-cold.Objective) > 1e-6 {
 		t.Errorf("bounds loosened to +Inf: status %v objective %v, cold %v", loose.Status, loose.Objective, cold.Objective)
 	}
 }
@@ -806,13 +837,13 @@ func TestWarmStartAfterBoundAndRHSChange(t *testing.T) {
 func TestValidateUpper(t *testing.T) {
 	for _, upper := range [][]float64{{1}, {1, -1}, {1, math.NaN()}, {math.Inf(-1), 1}} {
 		p := &Problem{NumVars: 2, Objective: []float64{1, 1}, Upper: upper}
-		if _, err := Revised(ctx, p, nil); err == nil {
+		if _, err := solveFresh(p); err == nil {
 			t.Errorf("Upper %v: want a validation error", upper)
 		}
 	}
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}, Upper: []float64{0, math.Inf(1)},
 		Constraints: []Constraint{dense([]float64{1, 1}, LE, 4)}}
-	s := revisedOK(t, p, nil)
+	_, s := revisedOK(t, p)
 	if s.X[0] != 0 || math.Abs(s.X[1]-4) > 1e-6 {
 		t.Errorf("x = %v, want (0, 4): u = 0 fixes x_0 and +Inf leaves x_1 free", s.X)
 	}
@@ -886,8 +917,9 @@ func fuzzProblem(data []byte) (*Problem, func(*Problem)) {
 // and, when optimal, on the objective; the revised point must be
 // feasible. The same Solver then solves again after an RHS shift and,
 // as the bytes ask, a bound and an objective change: warm from the
-// first basis and cold. Each re-solve must agree with the oracle and
-// match a fresh Solver's bit for bit.
+// first solve's basis and cold. Each re-solve must agree with the
+// oracle and match a fresh Solver's bit for bit, the warm one a fresh
+// Solver given the first solve's basis.
 func FuzzRevised(f *testing.F) {
 	for _, seed := range fuzzRevisedSeeds {
 		f.Add(seed)
@@ -898,16 +930,16 @@ func FuzzRevised(f *testing.F) {
 		if err != nil {
 			t.Fatalf("revised: %v", err)
 		}
-		cold, err := s.Solve(ctx, nil)
+		cold, err := s.Solve(ctx, false)
 		if err != nil {
 			t.Fatalf("revised: %v", err)
 		}
 		agreeDense(t, "cold", p, cold)
 		change(p)
 		if cold.Status == Optimal {
-			agreeDense(t, "warm", p, reuseMatchesFresh(t, "warm", s, p, cold.Basis))
+			agreeDense(t, "warm", p, reuseMatchesFresh(t, "warm", s, p, true))
 		}
-		agreeDense(t, "cold after the change", p, reuseMatchesFresh(t, "cold after the change", s, p, nil))
+		agreeDense(t, "cold after the change", p, reuseMatchesFresh(t, "cold after the change", s, p, false))
 	})
 }
 
@@ -923,74 +955,39 @@ func TestWarmStartNewObjective(t *testing.T) {
 			dense([]float64{3, 2}, LE, 18),
 		},
 	}
-	first := revisedOK(t, p, nil)
-	p2 := &Problem{NumVars: 2, Objective: []float64{-5, -1}, Constraints: p.Constraints}
-	warm, err := Revised(ctx, p2, first.Basis)
+	s, _ := revisedOK(t, p)
+	p.Objective = []float64{-5, -1}
+	warm, err := s.Solve(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Status != Optimal || !warm.Warm {
 		t.Fatalf("status %v warm %v, want optimal warm solve", warm.Status, warm.Warm)
 	}
-	oracle := solveOK(t, p2)
+	oracle := solveOK(t, p)
 	if math.Abs(warm.Objective-oracle.Objective) > 1e-6 {
 		t.Errorf("objective %v, dense oracle %v", warm.Objective, oracle.Objective)
-	}
-}
-
-// TestWarmStartMismatch: a basis from a different constraint matrix must
-// be rejected, not silently misused.
-func TestWarmStartMismatch(t *testing.T) {
-	p := &Problem{
-		NumVars:   2,
-		Objective: []float64{1, 1},
-		Constraints: []Constraint{
-			dense([]float64{1, 2}, LE, 4),
-		},
-	}
-	s := revisedOK(t, p, nil)
-	other := &Problem{
-		NumVars:   2,
-		Objective: []float64{1, 1},
-		Constraints: []Constraint{
-			dense([]float64{1, 3}, LE, 4), // different coefficient
-		},
-	}
-	if _, err := Revised(ctx, other, s.Basis); !errors.Is(err, ErrBasisMismatch) {
-		t.Errorf("err = %v, want ErrBasisMismatch", err)
-	}
-	// Same matrix, new RHS: accepted.
-	same := &Problem{
-		NumVars:   2,
-		Objective: []float64{1, 1},
-		Constraints: []Constraint{
-			dense([]float64{1, 2}, LE, 9),
-		},
-	}
-	if _, err := Revised(ctx, same, s.Basis); err != nil {
-		t.Errorf("same-matrix warm solve: %v", err)
 	}
 }
 
 // TestWarmStartInfeasibleRHS: an RHS change can make the problem
 // infeasible; the dual simplex on the warm path must detect that.
 func TestWarmStartInfeasibleRHS(t *testing.T) {
-	mk := func(rhs float64) *Problem {
-		return &Problem{
-			NumVars:   1,
-			Objective: []float64{1},
-			Constraints: []Constraint{
-				dense([]float64{1}, LE, 1),
-				dense([]float64{-1}, LE, rhs),
-			},
-		}
+	p := &Problem{
+		NumVars:   1,
+		Objective: []float64{1},
+		Constraints: []Constraint{
+			dense([]float64{1}, LE, 1),
+			dense([]float64{-1}, LE, 0), // x >= 0: feasible
+		},
 	}
-	s := revisedOK(t, mk(0), nil)              // x >= 0: feasible
-	warm, err := Revised(ctx, mk(-2), s.Basis) // x >= 2 but x <= 1: infeasible
+	s, _ := revisedOK(t, p)
+	p.Constraints[1].RHS = -2 // x >= 2 but x <= 1: infeasible
+	warm, err := s.Solve(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Status != Infeasible {
-		t.Errorf("status = %v, want infeasible", warm.Status)
+	if warm.Status != Infeasible || !warm.Warm {
+		t.Errorf("status = %v, warm %v, want infeasible from the warm start", warm.Status, warm.Warm)
 	}
 }

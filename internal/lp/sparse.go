@@ -1,9 +1,5 @@
 package lp
 
-import (
-	"math"
-)
-
 // spCol is one column of a column-wise sparse matrix: parallel slices of
 // row indices (ascending) and values.
 type spCol struct {
@@ -71,8 +67,8 @@ func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
 // by 0 ≤ x_j ≤ u_j. The structure is built once per Solver; setRHS
 // rewrites b for each solve.
 //
-// Column ids are stable across solves over the same constraint matrix —
-// the property the warm-start contract relies on:
+// Column ids are stable across solves of one Solver — the property its
+// warm start relies on:
 //
 //	0 .. nStruct-1          structural variables
 //	nStruct+r               row variable of row r (slack +1 for LE,
@@ -83,8 +79,8 @@ func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
 // Unlike the dense tableau, rows are NOT sign-normalized by RHS sign:
 // negating a row is a diagonal ±1 scaling that changes neither which
 // column sets are valid bases nor the basic solution, and keeping the
-// original orientation keeps the matrix — and therefore a warm-start
-// Basis — valid when a new RHS crosses zero.
+// original orientation keeps the matrix — and therefore the warm start —
+// valid when a new RHS crosses zero.
 type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m; artificial ids start here
@@ -92,7 +88,6 @@ type standard struct {
 	active     []bool // false for the unused row-variable slot of EQ rows
 	rel        []Rel
 	b          []float64 // perturbed RHS
-	sig        uint64    // FNV-1a over the constraint structure (not RHS or bounds)
 	rows       csr       // the same nonzeros row by row, for the pivot row
 }
 
@@ -154,7 +149,6 @@ func buildStandard(p *Problem) *standard {
 		}
 	}
 	s.rows.transpose(m, len(s.cols), func(j int) ([]int32, []float64) { return s.cols[j].rows, s.cols[j].vals })
-	s.sig = s.signature()
 	return s
 }
 
@@ -194,29 +188,4 @@ func (s *standard) pivotRow(rho, alpha []float64) {
 			alpha[rows.idx[k]] += y * rows.val[k]
 		}
 	}
-}
-
-// signature hashes the constraint structure — dimensions, relations and
-// coefficients, but not the RHS, objective or bounds — so a warm-start
-// Basis can be checked against the matrix it was produced on.
-func (s *standard) signature() uint64 {
-	h := uint64(1469598103934665603) // FNV offset basis
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mix(uint64(s.m))
-	mix(uint64(s.nStruct))
-	for r, rel := range s.rel {
-		mix(uint64(r)<<2 | uint64(rel))
-	}
-	for j := 0; j < s.nStruct; j++ {
-		col := &s.cols[j]
-		for k, row := range col.rows {
-			mix(uint64(j))
-			mix(uint64(row))
-			mix(math.Float64bits(col.vals[k]))
-		}
-	}
-	return h
 }

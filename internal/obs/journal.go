@@ -156,8 +156,8 @@ func (j *Journal) Events() int {
 	return j.events
 }
 
-// ReadEvents parses a JSONL journal back into events (for tests and the
-// bench summarizer).
+// ReadEvents parses a JSONL journal back into events, as the tests of
+// every journal writer (the CLI tools' -metrics runs among them) do.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	dec := json.NewDecoder(r)

@@ -156,7 +156,7 @@ type KAnonymity struct {
 	Algorithm Anonymizer
 	Mondrian  kanon.MondrianOptions
 	// Hierarchies is required for UseFullDomain.
-	Hierarchies map[int]dataset.Hierarchy
+	Hierarchies map[int]*dataset.IntRangeHierarchy
 	// MaxSuppress is the full-domain suppression allowance.
 	MaxSuppress int
 }

@@ -482,7 +482,7 @@ func TestKAnonymityMechanismFullDomain(t *testing.T) {
 		QI:          []int{0, 1, 2, 3},
 		K:           5,
 		Algorithm:   UseFullDomain,
-		Hierarchies: map[int]dataset.Hierarchy{0: h, 1: binH, 2: binH, 3: binH},
+		Hierarchies: map[int]*dataset.IntRangeHierarchy{0: h, 1: binH, 2: binH, 3: binH},
 		MaxSuppress: 40,
 	}
 	y, err := mech.Release(rng, d)
@@ -547,7 +547,7 @@ func TestKAnonClassAttackerOnFullDomainRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := map[int]dataset.Hierarchy{0: regH}
+	hs := map[int]*dataset.IntRangeHierarchy{0: regH}
 	qi := []int{0}
 	for q := 1; q <= scfg.Questions; q++ {
 		hs[q] = binH

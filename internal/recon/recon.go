@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"singlingout/internal/lp"
 	"singlingout/internal/obs"
@@ -133,14 +134,15 @@ const (
 // LP's constraint matrix depends only on the queries — the answers enter
 // only through the RHS and the variable bounds — so the Decoder builds
 // one lp.Solver for its whole life, which every Decode and stream Push
-// reuses, and keeps the basis of its previous solve. The next solve
-// warm-starts from it unless every query row's answer state (RHS and
-// absorber bound) has changed since: a fresh answer vector moves every
-// row, and then a cold start is cheaper than the dual simplex walk from
-// another vector's optimum. So a verbatim replay and every streaming push
-// after a session's first warm-start, and a decode of new answers solves
-// cold. A Decoder is not safe for concurrent use; each goroutine builds
-// its own.
+// reuses, and which keeps the basis of its previous solve. A solve
+// warm-starts from that basis where the traffic makes it pay: every
+// stream push after its session's first, and a Decode whose answers
+// equal, entry for entry, those of the Decoder's previous Decode with no
+// push in between (a verbatim replay, which takes 0 pivots). Every other
+// solve is cold: a fresh answer vector moves every row, and then the
+// crash is cheaper than the dual simplex walk from another vector's
+// optimum. A Decoder is not safe for concurrent use; each goroutine
+// builds its own.
 //
 // The L1Slack LP has one equality row per query q over x ∈ [0,1]^n:
 //
@@ -158,8 +160,10 @@ type Decoder struct {
 	objective LPObjective
 	prob      lp.Problem // RHS and Upper rewritten per decode
 	solver    *lp.Solver // built once over prob
-	basis     *lp.Basis
-	solved    [][2]float64 // per query, its rowState when basis was found
+	// last holds the answers of the previous Decode; replay is true while
+	// the solver's last solve was that Decode's.
+	last   []float64
+	replay bool
 }
 
 // NewDecoder validates the query set and builds the decoding LP's
@@ -186,7 +190,7 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 	default:
 		return nil, fmt.Errorf("recon: unknown objective %d", objective)
 	}
-	d := &Decoder{n: n, queries: queries, objective: objective, solved: make([][2]float64, m)}
+	d := &Decoder{n: n, queries: queries, objective: objective}
 	p := &d.prob
 	p.NumVars = nv
 	p.Objective = make([]float64, nv)
@@ -247,12 +251,11 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 }
 
 // Decode fits a fractional database to one answer vector for the
-// Decoder's query set and rounds it. It warm-starts from the previous
-// solve's basis only when that solve was given the same answer for at
-// least one query, and solves cold otherwise (see Decoder). It is the
-// batch wrapper over the streaming path: one Stream session pushing the
-// whole answer vector at once (see StreamDecoder for the incremental,
-// anytime form).
+// Decoder's query set and rounds it. It warm-starts only when answers
+// equal those of the previous Decode and no stream push came between
+// them, and solves cold otherwise (see Decoder). It is the batch wrapper
+// over the streaming path: one Stream session pushing the whole answer
+// vector at once (see StreamDecoder for the incremental, anytime form).
 func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []float64, error) {
 	if len(answers) != len(d.queries) {
 		return nil, nil, fmt.Errorf("recon: %d answers for %d queries", len(answers), len(d.queries))
@@ -261,7 +264,10 @@ func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []flo
 		return nil, nil, err
 	}
 	mLPDecodes.Add(1)
-	return d.Stream().Push(ctx, answers)
+	warm := d.replay && slices.Equal(answers, d.last)
+	got, frac, err := d.Stream().push(ctx, answers, warm)
+	d.last, d.replay = append(d.last[:0], answers...), err == nil
+	return got, frac, err
 }
 
 // checkFinite refuses a NaN or infinite answer, naming the first by its

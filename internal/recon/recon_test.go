@@ -16,11 +16,10 @@ var ctx = context.Background()
 
 // TestDecodeAllocs bounds the allocations of a cold Decode on a reused
 // Decoder at lp-recon's shape, n = 48 and m = 4n. The decoder's one
-// lp.Solver keeps the standard form, the engine and the LU storage, so
-// a decode allocates little beyond what it returns: the solution, its
-// basis, and the fractional and rounded vectors. A decode made 11
-// allocations when this test was written; one that builds a new engine
-// per solve makes over 800.
+// lp.Solver keeps the standard form, the engine, the LU storage and its
+// warm start, so a decode allocates little beyond what it returns: the
+// solution and its point, and the fractional and rounded vectors (4
+// allocations). One that builds a new engine per solve makes over 800.
 func TestDecodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 48

@@ -44,9 +44,8 @@ var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 // warm-starts from it via the dual simplex: the newly answered rows are
 // the only primal infeasibilities. Zeroing the e± costs of unanswered
 // rows instead would break that and turn every push into a cold solve.
-// The exception is a session's first push after a full decode of other
-// answers: it moves every row (its rows get new answers, the rest turn
-// inert), so it solves cold, as Decoder does for any such change.
+// The exception is a session's first push, which solves cold: it moves
+// every row (its rows get new answers, the rest turn inert).
 //
 // After the final push the LP is exactly the batch decoding LP, so the
 // finished stream reproduces the batch result (Decoder.Decode is itself
@@ -97,11 +96,18 @@ func (sd *StreamDecoder) Remaining() int { return len(sd.d.queries) - sd.answere
 
 // Push ingests the answers to the next len(answers) queries of the
 // workload (in workload order) and re-decodes, warm-starting from the
-// previous step's simplex basis (the first push of a session may solve
-// cold; see StreamDecoder). It returns the rounded reconstruction and the
+// previous push's simplex basis (a session's first push solves cold; see
+// StreamDecoder). It returns the rounded reconstruction and the
 // fractional LP solution fitted to the answers seen so far. A NaN or
 // infinite answer is refused before anything is ingested.
 func (sd *StreamDecoder) Push(ctx context.Context, answers []float64) ([]int64, []float64, error) {
+	sd.d.replay = false
+	return sd.push(ctx, answers, sd.answered > 0)
+}
+
+// push is Push with the start chosen by the caller: warm from the
+// solver's previous basis, or cold.
+func (sd *StreamDecoder) push(ctx context.Context, answers []float64, warm bool) ([]int64, []float64, error) {
 	if len(answers) == 0 {
 		return nil, nil, fmt.Errorf("recon: stream push of 0 answers")
 	}
@@ -116,7 +122,7 @@ func (sd *StreamDecoder) Push(ctx context.Context, answers []float64) ([]int64, 
 	}
 	sd.answered += len(answers)
 	mStreamPushes.Add(1)
-	return sd.d.solve(ctx)
+	return sd.d.solve(ctx, warm)
 }
 
 // PushOracle asks the oracle the next k unanswered queries of the
@@ -141,55 +147,20 @@ func (sd *StreamDecoder) PushOracle(ctx context.Context, o query.Oracle, k int) 
 	return got, frac, k, err
 }
 
-// rowState is what a solve sees of query qi: the RHS and absorber bound
-// of its L1 row, or the RHS pair of its Chebyshev rows.
-func (d *Decoder) rowState(qi int) [2]float64 {
-	p := &d.prob
-	if d.objective == L1Slack {
-		return [2]float64{p.Constraints[qi].RHS, p.Upper[d.n+2*len(d.queries)+qi]}
-	}
-	return [2]float64{p.Constraints[2*qi].RHS, p.Constraints[2*qi+1].RHS}
-}
-
-// movedEveryRow reports whether every query row's state differs from
-// the one the current basis was found for.
-func (d *Decoder) movedEveryRow() bool {
-	for qi, st := range d.solved {
-		if d.rowState(qi) == st {
-			return false
-		}
-	}
-	return true
-}
-
-// solve runs the decoding LP over the decoder's current RHS state and
-// retains the optimal basis. It warm-starts from the previous basis
-// unless every query row's state differs from the one that basis was
-// found for: a new answer vector then moves every row, and the dual
-// simplex walk from the old optimum costs more pivots than the cold
-// start's crash, which covers every row with an error column at once.
-// A warm solve that runs out of simplex iterations is retried cold —
-// see mColdRestarts.
-func (d *Decoder) solve(ctx context.Context) ([]int64, []float64, error) {
-	warm := d.basis
-	if warm != nil && d.movedEveryRow() {
-		warm = nil
-	}
+// solve runs the decoding LP over the decoder's current RHS state, warm
+// from the solver's previous basis or cold. A warm solve that runs out of
+// simplex iterations is retried cold — see mColdRestarts.
+func (d *Decoder) solve(ctx context.Context, warm bool) ([]int64, []float64, error) {
 	sol, err := d.solver.Solve(ctx, warm)
-	if err != nil && warm != nil && errors.Is(err, lp.ErrIterationLimit) {
+	if warm && errors.Is(err, lp.ErrIterationLimit) {
 		mColdRestarts.Add(1)
-		d.basis = nil
-		sol, err = d.solver.Solve(ctx, nil)
+		sol, err = d.solver.Solve(ctx, false)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("recon: LP solve: %w", err)
 	}
 	if sol.Status != lp.Optimal {
 		return nil, nil, fmt.Errorf("recon: LP status %v", sol.Status)
-	}
-	d.basis = sol.Basis
-	for qi := range d.solved {
-		d.solved[qi] = d.rowState(qi)
 	}
 	frac := make([]float64, d.n)
 	copy(frac, sol.X[:d.n])

@@ -121,7 +121,7 @@ func TestStreamMatchesBatchDecodeNoisy(t *testing.T) {
 	// reads back the objective of the vertex that solve found.
 	optimum := func() float64 {
 		t.Helper()
-		sol, err := lp.Revised(ctx, &dec.prob, dec.basis)
+		sol, err := dec.solver.Solve(ctx, true)
 		if err != nil || sol.Status != lp.Optimal || !sol.Warm || sol.Pivots != 0 {
 			t.Fatalf("re-solve from the final basis: %v, %+v", err, sol)
 		}
@@ -237,14 +237,16 @@ func TestStreamPushOracleChunking(t *testing.T) {
 
 // TestDecodeStartRule pins when a Decoder warm-starts, on lp-recon's
 // sweep: n = 48, m = 4n, bounded noise at c ∈ {0, ¼, ½, 1, 2}.
-//   - A Decode whose answers move every query row solves cold, so
-//     lp.warm_starts and lp.warm_miss do not move, it takes exactly the
-//     pivots of a fresh Decoder on the same answers, and it reaches the
-//     objective of a solve forced to warm-start from the previous
-//     optimum in fewer pivots over the sweep.
+//   - A Decode of a new answer vector solves cold, so lp.warm_starts and
+//     lp.warm_miss do not move and it takes exactly the pivots of a
+//     fresh Decoder on the same answers; and it reaches the objective of
+//     a solve forced to warm-start from the previous optimum in fewer
+//     pivots over the sweep.
 //   - A verbatim replay warm-starts and takes 0 pivots (E02.remote).
-//   - A stream session's first push of new answers solves cold and every
-//     later push warm-starts.
+//   - A stream push between two Decodes of the same answers makes the
+//     second one cold.
+//   - A stream session's first push solves cold and every later push
+//     warm-starts.
 func TestDecodeStartRule(t *testing.T) {
 	reg := obs.Default()
 	wasEnabled := reg.Enabled()
@@ -269,60 +271,81 @@ func TestDecodeStartRule(t *testing.T) {
 		}
 		return answers
 	}
-	var answers []float64
-	coldPivots, warmPivots := int64(0), 0
-	for _, c := range []float64{0, 0.25, 0.5, 1, 2} {
-		answers = noisy(c)
-		prev := dec.basis
-		ws, wm, pv := warmStarts.Value(), warmMiss.Value(), pivots.Value()
+	// decode runs dec.Decode and returns the warm starts, warm misses and
+	// pivots it took.
+	decode := func(answers []float64) (ws, wm, pv int64) {
+		t.Helper()
+		ws, wm, pv = warmStarts.Value(), warmMiss.Value(), pivots.Value()
 		if _, _, err := dec.Decode(ctx, answers); err != nil {
 			t.Fatal(err)
 		}
-		if prev == nil {
-			continue
-		}
-		reused := pivots.Value() - pv
-		coldPivots += reused
-		if warmStarts.Value() != ws || warmMiss.Value() != wm {
-			t.Errorf("c=%v: decode moving every row warm-started (warm_starts +%d, warm_miss +%d)",
-				c, warmStarts.Value()-ws, warmMiss.Value()-wm)
-		}
+		return warmStarts.Value() - ws, warmMiss.Value() - wm, pivots.Value() - pv
+	}
+	// coldPivots returns the pivots of a fresh Decoder's decode.
+	coldPivots := func(answers []float64) int64 {
+		t.Helper()
 		fresh, err := NewDecoder(n, queries, L1Slack)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv = pivots.Value()
+		pv := pivots.Value()
 		if _, _, err := fresh.Decode(ctx, answers); err != nil {
 			t.Fatal(err)
 		}
-		if got := pivots.Value() - pv; got != reused {
-			t.Errorf("c=%v: reused decoder took %d pivots, a fresh one %d", c, reused, got)
+		return pivots.Value() - pv
+	}
+	var answers []float64
+	sweepCold, sweepWarm := int64(0), 0
+	for i, c := range []float64{0, 0.25, 0.5, 1, 2} {
+		answers = noisy(c)
+		var forced *lp.Solution
+		if i > 0 {
+			// Write the new answers into the LP and solve it warm from
+			// the previous optimum, as the rule declines to.
+			dec.Stream()
+			for qi, a := range answers {
+				dec.setRow(qi, a, true)
+			}
+			forced, err = dec.solver.Solve(ctx, true)
+			if err != nil || forced.Status != lp.Optimal || !forced.Warm {
+				t.Fatalf("c=%v: forced warm solve: %v, %+v", c, err, forced)
+			}
 		}
-		cold, err := lp.Revised(ctx, &dec.prob, dec.basis)
+		ws, wm, pv := decode(answers)
+		if ws != 0 || wm != 0 {
+			t.Errorf("c=%v: decode of a new vector warm-started (warm_starts +%d, warm_miss +%d)", c, ws, wm)
+		}
+		if fresh := coldPivots(answers); pv != fresh {
+			t.Errorf("c=%v: reused decoder took %d pivots, a fresh one %d", c, pv, fresh)
+		}
+		if forced == nil {
+			continue
+		}
+		sweepCold += pv
+		sweepWarm += forced.Pivots
+		cold, err := dec.solver.Solve(ctx, true)
 		if err != nil || cold.Status != lp.Optimal || cold.Pivots != 0 {
 			t.Fatalf("c=%v: re-solve from the final basis: %v, %+v", c, err, cold)
 		}
-		warm, err := lp.Revised(ctx, &dec.prob, prev)
-		if err != nil || warm.Status != lp.Optimal || !warm.Warm {
-			t.Fatalf("c=%v: forced warm solve: %v, %+v", c, err, warm)
-		}
-		warmPivots += warm.Pivots
-		if math.Abs(cold.Objective-warm.Objective) > 1e-6 {
-			t.Errorf("c=%v: cold objective %v, forced warm %v", c, cold.Objective, warm.Objective)
+		if math.Abs(cold.Objective-forced.Objective) > 1e-6 {
+			t.Errorf("c=%v: cold objective %v, forced warm %v", c, cold.Objective, forced.Objective)
 		}
 	}
-	t.Logf("sweep after the first decode: %d pivots cold, %d forced warm", coldPivots, warmPivots)
-	if coldPivots >= int64(warmPivots) {
-		t.Errorf("cold decodes took %d pivots, forced warm %d: the rule should save pivots", coldPivots, warmPivots)
+	t.Logf("sweep after the first decode: %d pivots cold, %d forced warm", sweepCold, sweepWarm)
+	if sweepCold >= int64(sweepWarm) {
+		t.Errorf("cold decodes took %d pivots, forced warm %d: the rule should save pivots", sweepCold, sweepWarm)
 	}
 
-	ws, pv := warmStarts.Value(), pivots.Value()
-	if _, _, err := dec.Decode(ctx, answers); err != nil {
+	if ws, _, pv := decode(answers); ws != 1 || pv != 0 {
+		t.Errorf("verbatim replay: warm_starts +%d, pivots +%d, want a warm start with 0 pivots", ws, pv)
+	}
+
+	if _, _, err := dec.Stream().Push(ctx, answers[:24]); err != nil {
 		t.Fatal(err)
 	}
-	if warmStarts.Value() != ws+1 || pivots.Value() != pv {
-		t.Errorf("verbatim replay: warm_starts +%d, pivots +%d, want a warm start with 0 pivots",
-			warmStarts.Value()-ws, pivots.Value()-pv)
+	if ws, wm, pv := decode(answers); ws != 0 || wm != 0 || pv != coldPivots(answers) {
+		t.Errorf("Decode after a push: warm_starts +%d, warm_miss +%d, %d pivots, want a cold decode's %d",
+			ws, wm, pv, coldPivots(answers))
 	}
 
 	answers = noisy(0.5)

@@ -60,7 +60,7 @@ func FuzzSolver(f *testing.F) {
 				t.Fatalf("Solve = %v on %v, brute force says %v", got, clauses, want)
 			}
 			if got == Sat && !satisfies(clauses, s.Value) {
-				t.Fatalf("model %v violates a clause of %v", s.Model(), clauses)
+				t.Fatalf("model %v violates a clause of %v", model(s), clauses)
 			}
 			return got
 		}

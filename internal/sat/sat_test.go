@@ -75,6 +75,15 @@ func TestTautologyDropped(t *testing.T) {
 	}
 }
 
+// model returns the solver's current assignment indexed by variable-1.
+func model(s *Solver) []bool {
+	m := make([]bool, s.nVars)
+	for v := range m {
+		m[v] = s.Value(v + 1)
+	}
+	return m
+}
+
 // lastClause returns the most recently attached clause as DIMACS literals.
 func lastClause(s *Solver) []int {
 	var last int32
@@ -215,7 +224,7 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d (n=%d m=%d): got %v want %v", trial, n, m, got, want)
 		}
 		if got == Sat && !satisfies(clauses, s.Value) {
-			t.Fatalf("trial %d: returned model %v violates a clause of %v", trial, s.Model(), clauses)
+			t.Fatalf("trial %d: returned model %v violates a clause of %v", trial, model(s), clauses)
 		}
 	}
 }
@@ -366,7 +375,7 @@ func TestStatisticsAdvance(t *testing.T) {
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("Solve = %v", got)
 	}
-	if s.Propagations == 0 {
+	if s.Stats().Propagations == 0 {
 		t.Error("expected some propagations")
 	}
 }
@@ -450,7 +459,7 @@ func TestBacktrackIncrementalSolve(t *testing.T) {
 			t.Fatalf("%s Solve = %v", what, got)
 		}
 		if !satisfies(added, s.Value) {
-			t.Fatalf("%s Solve: model %v violates an added clause", what, s.Model())
+			t.Fatalf("%s Solve: model %v violates an added clause", what, model(s))
 		}
 	}
 	addPlanted(60)

@@ -93,14 +93,8 @@ type Solver struct {
 
 	rootUnsat bool
 
-	// Conflicts counts total conflicts across Solve calls (statistic).
-	Conflicts int64
-	// Propagations counts total unit propagations (statistic).
-	Propagations int64
-	// Decisions counts total branching decisions across Solve calls.
-	Decisions int64
-	// Restarts counts total Luby restarts across Solve calls.
-	Restarts int64
+	stats Stats // cumulative across Solve calls; read by Stats
+
 	// MaxConflicts bounds the search effort of a single Solve call; zero
 	// means unlimited.
 	MaxConflicts int64
@@ -113,7 +107,9 @@ type watchList struct{ off, n, cap int32 }
 // minWatchCap is the room a watch list gets for its first watcher.
 const minWatchCap = 4
 
-// Stats is a snapshot of the solver's cumulative search statistics.
+// Stats is a snapshot of the solver's cumulative search statistics,
+// across every Solve call: branching decisions, unit propagations,
+// conflicts and Luby restarts.
 type Stats struct {
 	Decisions    int64
 	Propagations int64
@@ -122,14 +118,7 @@ type Stats struct {
 }
 
 // Stats returns the solver's cumulative search statistics.
-func (s *Solver) Stats() Stats {
-	return Stats{
-		Decisions:    s.Decisions,
-		Propagations: s.Propagations,
-		Conflicts:    s.Conflicts,
-		Restarts:     s.Restarts,
-	}
-}
+func (s *Solver) Stats() Stats { return s.stats }
 
 // New returns an empty solver.
 func New() *Solver {
@@ -366,7 +355,7 @@ func (s *Solver) propagate() int32 {
 		conflict := noConflict
 		for i := off; i < end; i++ {
 			cref := s.watchArena[i]
-			s.Propagations++
+			s.stats.Propagations++
 			c := s.clause(cref)
 			// Normalize: watched false literal at position 1.
 			if c[0] == falseLit {
@@ -516,7 +505,7 @@ func (s *Solver) decide() bool {
 	if !ok {
 		return false
 	}
-	s.Decisions++
+	s.stats.Decisions++
 	s.trailLim = append(s.trailLim, int32(len(s.trail)))
 	l := best * 2
 	if !s.polarity[best] {
@@ -556,12 +545,12 @@ func (s *Solver) Solve() Result {
 	mSolves.Add(1)
 	sp := mSolveNS.Span()
 	defer sp.End()
-	before := s.Stats()
+	before := s.stats
 	defer func() {
-		mDecisions.Add(s.Decisions - before.Decisions)
-		mPropagations.Add(s.Propagations - before.Propagations)
-		mConflicts.Add(s.Conflicts - before.Conflicts)
-		mRestarts.Add(s.Restarts - before.Restarts)
+		mDecisions.Add(s.stats.Decisions - before.Decisions)
+		mPropagations.Add(s.stats.Propagations - before.Propagations)
+		mConflicts.Add(s.stats.Conflicts - before.Conflicts)
+		mRestarts.Add(s.stats.Restarts - before.Restarts)
 	}()
 	if s.rootUnsat {
 		return Unsat
@@ -571,13 +560,13 @@ func (s *Solver) Solve() Result {
 		return Unsat
 	}
 	var restart int64 = 1
-	conflictsAtStart := s.Conflicts
+	conflictsAtStart := s.stats.Conflicts
 	budget := luby(restart) * 100
 	conflictsThisRestart := int64(0)
 	for {
 		conflict := s.propagate()
 		if conflict != noConflict {
-			s.Conflicts++
+			s.stats.Conflicts++
 			conflictsThisRestart++
 			if len(s.trailLim) == 0 {
 				s.rootUnsat = true
@@ -591,13 +580,13 @@ func (s *Solver) Solve() Result {
 				s.enqueue(learnt[0], s.attachClause(learnt))
 			}
 			s.varInc /= 0.95
-			if s.MaxConflicts > 0 && s.Conflicts-conflictsAtStart >= s.MaxConflicts {
+			if s.MaxConflicts > 0 && s.stats.Conflicts-conflictsAtStart >= s.MaxConflicts {
 				s.cancelUntil(0)
 				return Unknown
 			}
 			if conflictsThisRestart >= budget {
 				restart++
-				s.Restarts++
+				s.stats.Restarts++
 				budget = luby(restart) * 100
 				conflictsThisRestart = 0
 				s.cancelUntil(0)
@@ -616,16 +605,6 @@ func (s *Solver) Value(v int) bool {
 		panic(fmt.Sprintf("sat: Value(%d) out of range", v))
 	}
 	return s.val[2*(v-1)] == 1
-}
-
-// Model returns the current satisfying assignment as a []bool indexed by
-// variable-1.
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.nVars)
-	for v := 0; v < s.nVars; v++ {
-		m[v] = s.val[2*v] == 1
-	}
-	return m
 }
 
 // Backtrack undoes every decision, returning the solver to level 0 while
