@@ -20,10 +20,11 @@
 #                  the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval), LP decodes of new
 #                  answer vectors at the lp-recon shape, each cold
-#                  (BenchmarkDecodeLPRecon, with pivots/op), and
-#                  streaming sessions of 8 pushes there, the first cold
-#                  and the 7 after it warm from the previous push's
-#                  basis (BenchmarkStreamPush, with pivots/push),
+#                  (BenchmarkDecodeLPRecon, with pivots/op and
+#                  ns/pivot), and streaming sessions of 8 pushes there,
+#                  the first cold and the 7 after it warm from the
+#                  previous push's basis (BenchmarkStreamPush, with
+#                  pivots/push and ns/pivot),
 #                  the random-subset generator at the serving
 #                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches

@@ -16,7 +16,8 @@ import (
 // population CSV, then anonymize it with full-domain generalization and
 // with ℓ-diverse Mondrian, each writing its release with -out. In each
 // release every group of rows with the same quasi-identifier labels must
-// hold at least k rows.
+// hold at least k rows, and the categorical sex column must read by
+// category name: F, M, or * for both.
 func TestGenerateThenAnonymize(t *testing.T) {
 	dir := t.TempDir()
 	tool := serve.AddToolFlags(flag.NewFlagSet("anonymize", flag.ContinueOnError), "anonymize")
@@ -50,8 +51,15 @@ func TestGenerateThenAnonymize(t *testing.T) {
 		for i, name := range rows[0] {
 			col[name] = i
 		}
+		sex, ok := col[synth.AttrSex]
+		if !ok {
+			t.Fatalf("-alg %s: no %q column in header %v", o.alg, synth.AttrSex, rows[0])
+		}
 		groups := map[string]int{}
 		for _, row := range rows[1:] {
+			if v := row[sex]; v != "F" && v != "M" && v != "*" {
+				t.Fatalf("-alg %s: %s cell %q, want F, M or *", o.alg, synth.AttrSex, v)
+			}
 			var key []string
 			for _, name := range qi {
 				i, ok := col[name]

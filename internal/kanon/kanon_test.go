@@ -2,6 +2,7 @@ package kanon
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"singlingout/internal/dataset"
@@ -350,6 +351,53 @@ func TestValueSetLabels(t *testing.T) {
 	}
 	if top := (HierarchyGroup{H: h, Level: 2, Group: h.GroupOf(92, 2)}); top.Label() != "*" || top.Size() != 95 || !top.Contains(0) {
 		t.Errorf("top HierarchyGroup semantics broken: %+v", top)
+	}
+}
+
+// TestWriteGeneralizedCSVCategoryNames: a released categorical cell
+// reads by category name, whether it is one category, a Mondrian
+// interval over some of them, or a full-domain group over all of them;
+// numeric cells keep their labels and other attributes are verbatim.
+func TestWriteGeneralizedCSVCategoryNames(t *testing.T) {
+	s := dataset.MustSchema(
+		dataset.Attribute{Name: "blood", Kind: dataset.Categorical, Categories: []string{"A", "B", "O"}, QuasiIdentifier: true},
+		dataset.Attribute{Name: "age", Kind: dataset.Int, Min: 0, Max: 99, QuasiIdentifier: true},
+		dataset.Attribute{Name: "disease", Kind: dataset.Categorical, Categories: []string{"CF", "Asthma"}, Sensitive: true},
+	)
+	d := dataset.New(s)
+	d.MustAppend(dataset.Record{0, 31, 0})
+	d.MustAppend(dataset.Record{1, 35, 1})
+	d.MustAppend(dataset.Record{2, 40, 1})
+	d.MustAppend(dataset.Record{2, 40, 0})
+	d.MustAppend(dataset.Record{0, 72, 0})
+	d.MustAppend(dataset.Record{2, 78, 1})
+	bloodH, err := dataset.NewIntRangeHierarchy(0, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ageH, err := dataset.NewIntRangeHierarchy(0, 99, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := &Release{Schema: s, QI: []int{0, 1}, K: 2, Classes: []Class{
+		{Cells: []ValueSet{Interval{Lo: 0, Hi: 1}, Interval{Lo: 31, Hi: 35}}, Rows: []int{0, 1}},
+		{Cells: []ValueSet{Interval{Lo: 2, Hi: 2}, Interval{Lo: 40, Hi: 40}}, Rows: []int{2, 3}},
+		{Cells: []ValueSet{HierarchyGroup{H: bloodH, Level: 1, Group: 0}, HierarchyGroup{H: ageH, Level: 1, Group: 7}}, Rows: []int{4, 5}},
+	}}
+	var out strings.Builder
+	if err := WriteGeneralizedCSV(&out, d, rel); err != nil {
+		t.Fatal(err)
+	}
+	want := `blood,age,disease
+A|B,31-35,CF
+A|B,31-35,Asthma
+O,40,Asthma
+O,40,CF
+*,70-79,CF
+*,70-79,Asthma
+`
+	if got := out.String(); got != want {
+		t.Errorf("release CSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 

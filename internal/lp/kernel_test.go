@@ -2,11 +2,14 @@ package lp
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 
 	"singlingout/internal/par"
+	"singlingout/internal/query"
+	"singlingout/internal/synth"
 )
 
 // factorRef is luFactor.factor with its elimination looping over every
@@ -113,6 +116,71 @@ func pivotRowRef(sf *standard, rho, alpha []float64) {
 	}
 }
 
+// pivotRowDense is standard.pivotRow on a dense ρ: it lists ρ's nonzero
+// rows, ascending, and starts from an all-zero alpha. It returns the
+// columns written.
+func pivotRowDense(sf *standard, rho, alpha []float64) []int32 {
+	var rows []int32
+	for r, y := range rho {
+		if y != 0 {
+			rows = append(rows, int32(r))
+		}
+	}
+	clear(alpha)
+	return sf.pivotRow(rho, rows, alpha, nil)
+}
+
+// dualCandsRef is the dual ratio test's eligible set found by a scan of
+// every column: each nonbasic column that can enter, with dualCands'
+// breakpoint and rate.
+func dualCandsRef(e *revised, alpha []float64, below bool) []dualCand {
+	var cands []dualCand
+	for j := 0; j < e.sf.nCols; j++ {
+		if !e.canEnter[j] || e.posOf[j] >= 0 {
+			continue
+		}
+		s, dj := alpha[j], e.dualD[j]
+		if below {
+			s = -s
+		}
+		if e.atUpper[j] {
+			s, dj = -s, -dj
+		}
+		if s <= ratioPivTol {
+			continue
+		}
+		if dj < 0 {
+			dj = 0
+		}
+		cands = append(cands, dualCand{j: j, ratio: dj / s, as: s})
+	}
+	return cands
+}
+
+// chooseLeavingDualRef is chooseLeavingDual reading each basic column's
+// upper bound through the basis, ub[basis[i]].
+func chooseLeavingDualRef(e *revised, bland bool) (r int, below bool) {
+	r = -1
+	worst := feasTol
+	for i, v := range e.xB {
+		infeas, lo := -v, true
+		if u := e.ub[e.basis[i]]; v-u > infeas {
+			infeas, lo = v-u, false
+		}
+		if infeas <= feasTol {
+			continue
+		}
+		if bland {
+			if r < 0 || e.basis[i] < e.basis[r] {
+				r, below = i, lo
+			}
+		} else if infeas > worst {
+			worst, r, below = infeas, i, lo
+		}
+	}
+	return r, below
+}
+
 // btranRef is btran with its Uᵀ solve as a dot product over each
 // column of U, zeros included.
 func btranRef(f *luFactor, c, out []float64) {
@@ -189,8 +257,14 @@ type kernelChecker struct {
 	// applied counts the earlier steps that eliminated into a column,
 	// scanned the steps factorRef's loop over every j < k looks at.
 	applied, scanned int
-	// units counts the unit BTRANs checked, unitNZ their nonzeros.
-	units, unitNZ int
+	// units counts the unit BTRANs checked, unitNZ their nonzeros and
+	// alphaCols the columns their pivot rows wrote.
+	units, unitNZ, alphaCols int
+	// cols counts the column FTRANs checked, unitCols those that took
+	// the O(1) path, and etafulUnit those of them replaying etas.
+	cols, unitCols, etafulUnit int
+	// cands is checkEligible's scratch.
+	cands []dualCand
 }
 
 func (kc *kernelChecker) sameInts(what string, got, want []int32) {
@@ -229,18 +303,146 @@ func (kc *kernelChecker) checkFactor(e *revised) {
 	}
 }
 
-// checkEnter compares the engine's candidate list with a scan of every
-// column.
-func (kc *kernelChecker) checkEnter(e *revised) {
+// checkLeaving checks the position-indexed bounds against the bounds
+// read through the basis, and compares the dual's leaving row, in both
+// modes, with a scan that reads them so.
+func (kc *kernelChecker) checkLeaving(e *revised) {
 	kc.t.Helper()
-	var want []int
-	for j := 0; j < e.sf.nCols; j++ {
-		if e.canEnter[j] && e.posOf[j] < 0 {
-			want = append(want, j)
+	for i, j := range e.basis {
+		if math.Float64bits(e.ubB[i]) != math.Float64bits(e.ub[j]) {
+			kc.t.Fatalf("basic bound at position %d = %v, column %d's bound %v", i, e.ubB[i], j, e.ub[j])
 		}
 	}
-	if !slices.Equal(e.enter, want) {
-		kc.t.Fatalf("candidate list %v, full scan %v", e.enter, want)
+	for _, bland := range []bool{false, true} {
+		r, below := e.chooseLeavingDual(bland)
+		rRef, belowRef := chooseLeavingDualRef(e, bland)
+		if r != rRef || below != belowRef {
+			kc.t.Fatalf("leaving row (bland %v) %d below %v, reference %d below %v", bland, r, below, rRef, belowRef)
+		}
+	}
+}
+
+// checkPivotRow compares the pivot row alpha that pivotRow wrote, with
+// its column list cols, against pivotRowRef's alphaRef: every column bit
+// for bit, and a list that is strictly ascending and holds every column
+// whose α_j is nonzero.
+func (kc *kernelChecker) checkPivotRow(what string, alpha, alphaRef []float64, cols []int32) {
+	kc.t.Helper()
+	kc.sameBits(what, alpha, alphaRef)
+	for i := 1; i < len(cols); i++ {
+		if cols[i] <= cols[i-1] {
+			kc.t.Fatalf("%s: column list %v is not strictly ascending", what, cols)
+		}
+	}
+	for j, a := range alphaRef {
+		if a == 0 {
+			continue
+		}
+		if _, ok := slices.BinarySearch(cols, int32(j)); !ok {
+			kc.t.Fatalf("%s: column %d has α = %v but is not listed", what, j, a)
+		}
+	}
+}
+
+// checkEligible checks that the dual ratio test's eligible set over the
+// columns cols of the pivot row alpha equals the set dualCandsRef's scan
+// of every column finds on the reference row alphaRef, on either side of
+// the leaving bound: the same columns in the same order, with the same
+// breakpoints and rates bit for bit.
+func (kc *kernelChecker) checkEligible(e *revised, alpha, alphaRef []float64, cols []int32) {
+	kc.t.Helper()
+	for _, below := range []bool{false, true} {
+		kc.cands = e.dualCands(alpha, cols, below, kc.cands[:0])
+		got, want := kc.cands, dualCandsRef(e, alphaRef, below)
+		if len(got) != len(want) {
+			kc.t.Fatalf("%d eligible columns (below %v), full scan %d", len(got), below, len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.j != w.j || math.Float64bits(g.ratio) != math.Float64bits(w.ratio) || math.Float64bits(g.as) != math.Float64bits(w.as) {
+				kc.t.Fatalf("eligible column %d (below %v) = %+v, full scan %+v", i, below, g, w)
+			}
+		}
+	}
+}
+
+// checkEngineLists checks the pivot-row state the engine keeps between
+// pivots, as its last btranRow and pivotRow left it: rhoNZ lists the
+// nonzero rows of ρ strictly ascending, and alpha is zero at every
+// column alphaCols, strictly ascending, omits (so that the next pivot
+// row need clear only those).
+func (kc *kernelChecker) checkEngineLists(e *revised) {
+	kc.t.Helper()
+	for _, list := range [][]int32{e.rhoNZ, e.alphaCols} {
+		for i := 1; i < len(list); i++ {
+			if list[i] <= list[i-1] {
+				kc.t.Fatalf("engine list %v is not strictly ascending", list)
+			}
+		}
+	}
+	listed := 0
+	for r, v := range e.rho {
+		if _, ok := slices.BinarySearch(e.rhoNZ, int32(r)); ok {
+			listed++
+			if v == 0 {
+				kc.t.Fatalf("ρ row %d is listed but zero", r)
+			}
+		} else if v != 0 {
+			kc.t.Fatalf("ρ row %d = %v is not listed", r, v)
+		}
+	}
+	if listed != len(e.rhoNZ) {
+		kc.t.Fatalf("ρ's row list %v holds rows out of range", e.rhoNZ)
+	}
+	for j, a := range e.alpha {
+		if _, ok := slices.BinarySearch(e.alphaCols, int32(j)); !ok && math.Float64bits(a) != 0 {
+			kc.t.Fatalf("pivot row column %d = %v is not listed", j, a)
+		}
+	}
+}
+
+// firstNonzeroDiff returns the first entry at which got and want differ
+// in a nonzero's bits or in being zero, or -1: a zero's sign is ignored.
+func firstNonzeroDiff(got, want []float64) int {
+	for i, w := range want {
+		if g := got[i]; (g == 0) != (w == 0) || w != 0 && math.Float64bits(g) != math.Float64bits(w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkFtranCol runs ftranCol on every column, artificials included,
+// against ftranRef on the column scattered into a dense vector: every
+// nonzero bit for bit and the same nonzero pattern. The zero entries'
+// signs are not compared: the O(1) path leaves +0 wherever the dense
+// U solve divides a zero by a negative diagonal, and no reader of an
+// FTRANed column sees that sign.
+func (kc *kernelChecker) checkFtranCol(e *revised) {
+	kc.t.Helper()
+	f, m := e.lu, e.m
+	in, out, outRef := make([]float64, m), make([]float64, m), make([]float64, m)
+	for j := 0; j < e.sf.nCols+m; j++ {
+		rows, vals := e.colFor(j)
+		clear(in)
+		for i, r := range rows {
+			in[r] = vals[i]
+		}
+		f.ftranCol(rows, vals, out)
+		ftranRef(f, in, outRef)
+		if i := firstNonzeroDiff(out, outRef); i >= 0 {
+			kc.t.Fatalf("ftran of column %d: entry %d = %v (%#x), reference %v (%#x)",
+				j, i, out[i], math.Float64bits(out[i]), outRef[i], math.Float64bits(outRef[i]))
+		}
+		kc.cols++
+		if len(rows) == 1 {
+			if k := f.posOfRow[rows[0]]; len(f.lIdx[k]) == 0 && len(f.uPos[k]) == 0 {
+				kc.unitCols++
+				if len(f.etas) > 0 {
+					kc.etafulUnit++
+				}
+			}
+		}
 	}
 }
 
@@ -256,11 +458,11 @@ func (kc *kernelChecker) sameBits(what string, got, want []float64) {
 
 // checkUnit compares btranUnit's ρ = B⁻ᵀe_pos with btranRef's, outRef:
 // every nonzero bit for bit, the same nonzero pattern with its rows
-// listed once each, and the pivot row of each bit for bit, signed zeros
-// included. The zero entries' own signs are not compared: btranUnit
-// leaves +0 wherever btran's dense order computes a zero, and no
-// consumer of ρ reads that sign. It also checks that btranUnit left its
-// scratch all zero.
+// listed once each, and the pivot row the dual forms from those rows,
+// sorted, against the reference's (checkPivotRow). The zero entries' own
+// signs are not compared: btranUnit leaves +0 wherever btran's dense
+// order computes a zero, and no consumer of ρ reads that sign. It also
+// checks that btranUnit left its scratch all zero.
 func (kc *kernelChecker) checkUnit(e *revised, pos int, outRef []float64) {
 	kc.t.Helper()
 	f, sf := e.lu, e.sf
@@ -286,9 +488,11 @@ func (kc *kernelChecker) checkUnit(e *revised, pos int, outRef []float64) {
 		}
 	}
 	alpha, alphaRef := make([]float64, sf.nCols), make([]float64, sf.nCols)
-	sf.pivotRow(rho, alpha)
+	slices.Sort(nz)
+	cols := sf.pivotRow(rho, nz, alpha, nil)
 	pivotRowRef(sf, outRef, alphaRef)
-	kc.sameBits("pivot row of the unit btran", alpha, alphaRef)
+	kc.checkPivotRow("pivot row of the unit btran", alpha, alphaRef, cols)
+	kc.checkEligible(e, alpha, alphaRef, cols)
 	for _, scratch := range [][]float64{f.unitPos, f.unitStep} {
 		if i := slices.IndexFunc(scratch, func(v float64) bool { return v != 0 }); i >= 0 {
 			kc.t.Fatalf("unit btran e_%d left scratch entry %d = %v", pos, i, scratch[i])
@@ -299,12 +503,15 @@ func (kc *kernelChecker) checkUnit(e *revised, pos int, outRef []float64) {
 	}
 	kc.units++
 	kc.unitNZ += len(nz)
+	kc.alphaCols += len(cols)
 }
 
 // check runs BTRAN on every unit vector and on the basic costs, the
 // pivot row on each result, and FTRAN on each result (these carry −0
-// entries), on every column and on b; and the hypersparse BTRAN on
-// every unit vector (checkUnit).
+// entries) and on b; the hypersparse BTRAN on every unit vector
+// (checkUnit); ftranCol on every column (checkFtranCol); the dual's
+// leaving row (checkLeaving); and the engine's own pivot-row lists
+// (checkEngineLists).
 func (kc *kernelChecker) check(e *revised) {
 	kc.t.Helper()
 	kc.states++
@@ -312,7 +519,9 @@ func (kc *kernelChecker) check(e *revised) {
 		kc.etaful++
 	}
 	kc.checkFactor(e)
-	kc.checkEnter(e)
+	kc.checkLeaving(e)
+	kc.checkEngineLists(e)
+	kc.checkFtranCol(e)
 	m, sf := e.m, e.sf
 	in, inRef := make([]float64, m), make([]float64, m)
 	out, outRef := make([]float64, m), make([]float64, m)
@@ -338,28 +547,17 @@ func (kc *kernelChecker) check(e *revised) {
 		e.lu.btran(in, out)
 		btranRef(e.lu, inRef, outRef)
 		kc.sameBits("btran", out, outRef)
-		sf.pivotRow(out, alpha)
+		cols := pivotRowDense(sf, out, alpha)
 		pivotRowRef(sf, out, alphaRef)
-		kc.sameBits("pivot row", alpha, alphaRef)
+		kc.checkPivotRow("pivot row", alpha, alphaRef, cols)
 		if pos < m {
 			kc.checkUnit(e, pos, outRef)
 		}
 		copy(in, out)
 		ftran()
 	}
-	for j := 0; j <= sf.nCols; j++ {
-		if j < sf.nCols {
-			for i := range in {
-				in[i] = 0
-			}
-			for i, r := range sf.cols[j].rows {
-				in[r] = sf.cols[j].vals[i]
-			}
-		} else {
-			copy(in, sf.b)
-		}
-		ftran()
-	}
+	copy(in, sf.b)
+	ftran()
 }
 
 // solver builds p's Solver with the kernel check hooked to every pivot.
@@ -385,14 +583,17 @@ func (kc *kernelChecker) solve(s *Solver, warm bool) *Solution {
 	return sol
 }
 
-// TestSparseKernelsMatchReference: the reach-only factor, the row-wise
-// pivot row and the zero-skipping BTRAN and FTRAN reproduce the
-// dense-order loops bit for bit, the hypersparse unit BTRAN reproduces
-// every nonzero and the pivot row, and the candidate list matches a scan
-// of every column, on every basis the engine passes through for the
-// property test's LPs, the FuzzRevised seeds (cold and warm), an L1
-// decoding LP warm-started across noisy answer vectors and a cold
-// decoding LP of 96 rows.
+// TestSparseKernelsMatchReference: the reach-only factor, the pivot row
+// over ρ's nonzero rows and the zero-skipping BTRAN and FTRAN reproduce
+// the dense-order loops bit for bit; the hypersparse unit BTRAN and the
+// column FTRAN, with its O(1) path for unit columns, reproduce every
+// nonzero; the ratio test's eligible set over the pivot row's columns
+// matches a scan of every column; and the leaving row read through the
+// position-indexed bounds matches one read through the basis. All on
+// every basis the engine passes through for the property test's LPs,
+// the FuzzRevised seeds (cold and warm), an L1 decoding LP warm-started
+// across noisy answer vectors, a cold decoding LP of 96 rows, and two
+// cold decodes at the lp-recon benchmark's shape.
 func TestSparseKernelsMatchReference(t *testing.T) {
 	kc := &kernelChecker{t: t}
 	for trial := 0; trial < 120; trial++ {
@@ -433,9 +634,74 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 	if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, answers, make([]bool, 96))), false); sol.Pivots == 0 {
 		t.Fatal("the cold 96-row decode took no pivots")
 	}
+	// Cold decodes at lp-recon's shape (n = 48, m = 4n) of answers with
+	// bounded noise at c·√n: their unit entering columns take the O(1)
+	// FTRAN with eta files of up to refactorEvery entries.
+	n := 48
+	rngQ := rand.New(rand.NewSource(1))
+	qs := query.RandomSubsets(rngQ, n, 4*n)
+	x := synth.BinaryDataset(rngQ, n, 0.5)
+	qRows = make([][]float64, len(qs))
+	for k, q := range qs {
+		qRows[k] = make([]float64, n)
+		for _, i := range q {
+			qRows[k][i] = 1
+		}
+	}
+	for _, c := range []float64{0.25, 2} {
+		o := &query.BoundedNoise{X: x, Alpha: c * math.Sqrt(float64(n)), Rng: rngQ}
+		a, err := o.Answer(ctx, qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, a, make([]bool, len(qs)))), false); sol.Pivots == 0 {
+			t.Fatalf("the cold lp-recon decode at c = %v took no pivots", c)
+		}
+	}
 	if kc.etaful == 0 {
 		t.Fatalf("none of %d states had an eta file", kc.states)
 	}
-	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update; %d unit BTRANs with %d nonzeros",
-		kc.states, kc.etaful, kc.applied, kc.scanned, kc.units, kc.unitNZ)
+	if kc.etafulUnit == 0 {
+		t.Fatalf("none of %d O(1) column FTRANs replayed an eta file", kc.unitCols)
+	}
+	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update; %d unit BTRANs with %d nonzeros, whose pivot rows wrote %d columns; %d column FTRANs, %d on the O(1) path (%d with etas)",
+		kc.states, kc.etaful, kc.applied, kc.scanned, kc.units, kc.unitNZ, kc.alphaCols, kc.cols, kc.unitCols, kc.etafulUnit)
+}
+
+// TestFtranColDenseBasis: on a dense basis, step 0 has an empty U
+// column but a full L column, so a unit column in its pivot row must
+// not take the O(1) path. ftranCol of every unit column, and of every
+// basis column, must match ftranRef's nonzeros.
+func TestFtranColDenseBasis(t *testing.T) {
+	rng := par.RNG(3, 0)
+	const m = 6
+	cols := make([]spCol, m)
+	for j := range cols {
+		for i := 0; i < m; i++ {
+			cols[j].add(i, 0.5+rng.Float64())
+		}
+	}
+	f := newLU(m)
+	if !f.factor(func(pos int) ([]int32, []float64) { return cols[pos].rows, cols[pos].vals }) {
+		t.Fatal("the dense basis factored as singular")
+	}
+	if len(f.uPos[0]) != 0 || len(f.lIdx[0]) != m-1 {
+		t.Fatalf("step 0 has %d U and %d L entries, want 0 and %d", len(f.uPos[0]), len(f.lIdx[0]), m-1)
+	}
+	in, out, outRef := make([]float64, m), make([]float64, m), make([]float64, m)
+	for j := 0; j < 2*m; j++ {
+		rows, vals := []int32{int32(j)}, []float64{1}
+		if j >= m {
+			rows, vals = cols[j-m].rows, cols[j-m].vals
+		}
+		clear(in)
+		for i, r := range rows {
+			in[r] = vals[i]
+		}
+		f.ftranCol(rows, vals, out)
+		ftranRef(f, in, outRef)
+		if i := firstNonzeroDiff(out, outRef); i >= 0 {
+			t.Fatalf("ftran of column %d: entry %d = %v, reference %v", j, i, out[i], outRef[i])
+		}
+	}
 }

@@ -27,16 +27,19 @@
 // engine would return, bit for bit.
 //
 // Each iteration touches only entries that can be nonzero, without
-// changing a result bit against the dense-order loops the tests keep as
-// references. The standard form's columns are filled from the sparse
+// changing a nonzero bit against the dense-order loops the tests keep
+// as references. The standard form's columns are filled from the sparse
 // rows in O(nnz). The LU factorization eliminates each column only by
 // the earlier steps whose pivot rows it reaches, and stores L by
 // elimination position, so FTRAN and BTRAN skip the row permutation
 // inside their L solves. The dual simplex solves its pivot row
 // ρ = B⁻ᵀe_r hypersparsely: the eta replay and the Uᵀ and Lᵀ solves
-// visit only the entries a nonzero of ρ reaches. It keeps an ascending
-// list of the nonbasic columns that can enter, and its ratio test and
-// reduced-cost update run over that list rather than over every column.
+// visit only the entries a nonzero of ρ reaches. It forms ρᵀA from
+// the rows where ρ is nonzero, and its ratio test and reduced-cost
+// update visit only the columns that pass wrote. FTRAN of an entering
+// unit column whose row was pivoted by a step with empty L and U
+// columns is one division before the eta replay; any other column's L
+// solve visits only the steps with an L column.
 //
 // A cold start crashes each row onto a singleton column whose value lies
 // within its bounds — the row's slack or surplus, or a structural column

@@ -44,11 +44,19 @@ func counting(b *testing.B) (pivots, warm *obs.Counter) {
 	return reg.Counter("lp.pivots"), reg.Counter("lp.warm_starts")
 }
 
+// reportPivots reports the simplex pivots per unit of work and the
+// timed nanoseconds per pivot, which reads a per-pivot gain apart from
+// a change in pivot counts. b's timer must be stopped.
+func reportPivots(b *testing.B, pivots int64, units int, unit string) {
+	b.ReportMetric(float64(pivots)/float64(units), "pivots/"+unit)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+}
+
 // BenchmarkDecodeLPRecon times recon.Decoder.Decode on the lp-recon
 // benchmark's shape (lpReconShape). Successive iterations decode
 // different answer vectors, none a replay of the one before, so each
 // runs cold, on the decoder's one reused lp.Solver. It reports the
-// simplex pivots per decode.
+// simplex pivots per decode and the time per pivot.
 func BenchmarkDecodeLPRecon(b *testing.B) {
 	ctx := context.Background()
 	n, qs, pool := lpReconShape(b)
@@ -69,7 +77,7 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 	if w := warm.Value() - w0; w != 0 {
 		b.Fatalf("%d of %d decodes warm-started, want every one cold", w, b.N)
 	}
-	b.ReportMetric(float64(pivots.Value()-p0)/float64(b.N), "pivots/op")
+	reportPivots(b, pivots.Value()-p0, b.N, "op")
 }
 
 // BenchmarkStreamPush times one streaming session on the lp-recon shape
@@ -77,7 +85,7 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 // Each session's first push solves cold and the other 7 warm-start by
 // the dual simplex from the previous push's basis, the path an anytime
 // attacker takes. It reports the simplex pivots per
-// push; compare its allocations too.
+// push and the time per pivot; compare its allocations too.
 func BenchmarkStreamPush(b *testing.B) {
 	const pushes, chunk = 8, 24
 	ctx := context.Background()
@@ -103,5 +111,5 @@ func BenchmarkStreamPush(b *testing.B) {
 	if w, want := warm.Value()-w0, int64(b.N*(pushes-1)); w != want {
 		b.Fatalf("%d warm starts in %d sessions, want %d", w, b.N, want)
 	}
-	b.ReportMetric(float64(pivots.Value()-p0)/float64(b.N*pushes), "pivots/push")
+	reportPivots(b, pivots.Value()-p0, b.N*pushes, "push")
 }

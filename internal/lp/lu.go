@@ -44,6 +44,9 @@ type luFactor struct {
 	// whose column has an entry at position p (values unused). It is the
 	// reach of btranUnit's Lᵀ solve.
 	lRows csr
+	// lSteps lists, ascending, the steps whose L column is non-empty: the
+	// only steps FTRAN's L solve can apply.
+	lSteps []int32
 	// stepOf is colOrder's inverse: the step that factored basis
 	// position pos.
 	stepOf []int
@@ -110,6 +113,7 @@ func newLU(m int) *luFactor {
 		refs:     make([]colRef, m),
 		solve:    make([]float64, m),
 		stepOf:   make([]int, m),
+		lSteps:   make([]int32, 0, m),
 		unitPos:  make([]float64, m),
 		unitStep: make([]float64, m),
 	}
@@ -209,9 +213,13 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 		f.posOfRow[pivRow] = k
 		f.clearWork()
 	}
-	for _, lr := range f.lIdx {
+	f.lSteps = f.lSteps[:0]
+	for k, lr := range f.lIdx {
 		for i, r := range lr {
 			lr[i] = int32(f.posOfRow[r])
+		}
+		if len(lr) > 0 {
+			f.lSteps = append(f.lSteps, int32(k))
 		}
 	}
 	for k, pos := range f.colOrder {
@@ -246,13 +254,50 @@ func (f *luFactor) clearWork() {
 // ftran solves B·x = v. v is indexed by original row and is left
 // unchanged; the result is written to out, indexed by basis position.
 func (f *luFactor) ftran(v, out []float64) {
-	m := f.m
-	// Forward: L y = P v, in elimination order.
-	y := f.solve
-	for k := 0; k < m; k++ {
-		y[k] = v[f.rowOfPos[k]]
+	for k, r := range f.rowOfPos {
+		f.solve[k] = v[r]
 	}
-	for k := 0; k < m; k++ {
+	f.ftranSolve(out)
+}
+
+// ftranCol solves B·x = a for the column a whose nonzeros rows and vals
+// list, by original row; the result is written to out, indexed by basis
+// position.
+//
+// A column with one nonzero, in the row that step k pivoted on, solves
+// in O(1) before the eta replay when step k's L and U columns are both
+// empty: the L solve then applies nothing, the U solve divides the entry
+// by the diagonal and scatters nothing, and every other entry stays 0.
+// That is ftran's arithmetic on the one nonzero, so the result is
+// ftran's bit for bit, but for the sign of a zero entry (ftran may leave
+// −0 where 0 is divided by a negative diagonal); no reader of an FTRANed
+// column tells the two apart. Any other column is scattered straight
+// into elimination order and takes ftran's path.
+func (f *luFactor) ftranCol(rows []int32, vals []float64, out []float64) {
+	if len(rows) == 1 {
+		if k := f.posOfRow[rows[0]]; len(f.lIdx[k]) == 0 && len(f.uPos[k]) == 0 {
+			clear(out)
+			out[f.colOrder[k]] = vals[0] / f.uDiag[k]
+			f.replayEtas(out)
+			return
+		}
+	}
+	y := f.solve
+	clear(y)
+	for i, r := range rows {
+		y[f.posOfRow[r]] = vals[i]
+	}
+	f.ftranSolve(out)
+}
+
+// ftranSolve finishes an FTRAN whose permuted input P·v is in f.solve,
+// by elimination position, writing the result to out by basis position.
+func (f *luFactor) ftranSolve(out []float64) {
+	m := f.m
+	// Forward: L y = P v, in elimination order, over the steps with an
+	// L column (the others apply nothing).
+	y := f.solve
+	for _, k := range f.lSteps {
 		t := y[k]
 		if t == 0 {
 			continue
@@ -286,9 +331,13 @@ func (f *luFactor) ftran(v, out []float64) {
 	for k := 0; k < m; k++ {
 		out[f.colOrder[k]] = y[k]
 	}
-	// Replay the eta file.
+	f.replayEtas(out)
+}
+
+// replayEtas applies the eta file to an FTRANed vector, oldest first.
+func (f *luFactor) replayEtas(v []float64) {
 	for e := range f.etas {
-		f.applyEta(&f.etas[e], out)
+		f.applyEta(&f.etas[e], v)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 )
 
 // ErrSingularBasis is returned when the engine cannot keep a numerically
@@ -53,11 +52,10 @@ type revised struct {
 	basis    []int     // basis position -> column id
 	posOf    []int     // column id -> basis position, -1 if nonbasic
 	xB       []float64 // basic variable values by position
-	lu       *luFactor
-	// enter lists the nonbasic columns that canEnter, ascending: the
-	// columns the dual's ratio test and reduced-cost update visit. It is
-	// rebuilt when the basis is set wholesale and kept by doPivot.
-	enter []int
+	// ubB is the upper bound of the basic column at each position:
+	// refactor fills it and doPivot keeps it current.
+	ubB []float64
+	lu  *luFactor
 
 	pivots       int
 	phase1Pivots int
@@ -84,13 +82,18 @@ type revised struct {
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
 	// rho is btranRow's output (row-indexed), zero but at the rows
-	// rhoNZ lists.
-	rho   []float64
-	rhoNZ []int32
-	dualD []float64 // dual simplex's cached nonbasic reduced costs
-	alpha []float64 // dual simplex's pivot row ρ·A, by column id
-	cands []dualCand
-	flips []int
+	// rhoNZ lists; rhoMark is btranRow's bitset over rows, all zero
+	// between calls.
+	rho     []float64
+	rhoNZ   []int32
+	rhoMark []uint64
+	dualD   []float64 // dual simplex's cached nonbasic reduced costs
+	// alpha is the dual simplex's pivot row ρ·A, by column id, zero but
+	// at the columns alphaCols lists, ascending.
+	alpha     []float64
+	alphaCols []int32
+	cands     []dualCand
+	flips     []int
 }
 
 // Solver is the revised simplex engine of one constraint matrix.
@@ -206,14 +209,17 @@ func (e *revised) init(p *Problem, sf *standard) {
 		prevBasis:  make([]int, m),
 		posOf:      make([]int, total),
 		xB:         make([]float64, m),
+		ubB:        make([]float64, m),
 		lu:         newLU(m),
 		rowScratch: make([]float64, m),
 		posScratch: make([]float64, m),
 		d:          make([]float64, m),
 		y:          make([]float64, m),
 		rho:        make([]float64, m),
+		rhoMark:    make([]uint64, (m+63)/64),
 		dualD:      make([]float64, sf.nCols),
 		alpha:      make([]float64, sf.nCols),
+		alphaCols:  make([]int32, 0, sf.nCols),
 	}
 	for r := range e.artRows {
 		e.artRows[r] = int32(r)
@@ -306,6 +312,9 @@ func (e *revised) redCost(j int, y []float64) float64 {
 // the basic values.
 func (e *revised) refactor() error {
 	mRefactor.Add(1)
+	for i, j := range e.basis {
+		e.ubB[i] = e.ub[j]
+	}
 	if !e.lu.factor(func(pos int) ([]int32, []float64) { return e.colFor(e.basis[pos]) }) {
 		return ErrSingularBasis
 	}
@@ -354,25 +363,24 @@ func (e *revised) btranCost() {
 	e.lu.btran(e.posScratch, e.y)
 }
 
-// btranRow computes ρ = Bᵀ⁻¹ e_pos into e.rho, hypersparsely: row pos
-// of B⁻¹A is ρ·A.
+// btranRow computes ρ = Bᵀ⁻¹ e_pos into e.rho, hypersparsely, and lists
+// its nonzero rows in e.rhoNZ, ascending (by a scan of the row bitset
+// e.rhoMark, cheaper than a sort): row pos of B⁻¹A is ρ·A.
 func (e *revised) btranRow(pos int) {
 	for _, r := range e.rhoNZ {
 		e.rho[r] = 0
 	}
-	e.rhoNZ = e.lu.btranUnit(pos, e.rho, e.rhoNZ[:0])
+	nz := e.lu.btranUnit(pos, e.rho, e.rhoNZ[:0])
+	for _, r := range nz {
+		e.rhoMark[r>>6] |= 1 << (r & 63)
+	}
+	e.rhoNZ = appendMarked(nz[:0], e.rhoMark)
 }
 
 // ftranCol computes d = B⁻¹ A_q into e.d.
 func (e *revised) ftranCol(q int) {
-	for i := range e.rowScratch {
-		e.rowScratch[i] = 0
-	}
 	rows, vals := e.colFor(q)
-	for i, r := range rows {
-		e.rowScratch[r] = vals[i]
-	}
-	e.lu.ftran(e.rowScratch, e.d)
+	e.lu.ftranCol(rows, vals, e.d)
 }
 
 // checkCtx enforces the cancellation contract every ctxEvery pivots.
@@ -411,39 +419,15 @@ func (e *revised) moveEntering(delta float64) {
 func (e *revised) doPivot(q, r int, delta, enterVal float64) error {
 	e.moveEntering(delta)
 	e.xB[r] = enterVal
-	leave := e.basis[r]
-	e.posOf[leave] = -1
-	e.basis[r] = q
+	e.posOf[e.basis[r]] = -1
+	e.basis[r], e.ubB[r] = q, e.ub[q]
 	e.posOf[q] = r
 	e.atUpper[q] = false
-	e.swapEnter(q, leave)
 	e.tick()
 	if len(e.lu.etas) >= refactorEvery || !e.lu.appendEta(r, e.d) {
 		return e.refactor()
 	}
 	return nil
-}
-
-// rebuildEnter lists the nonbasic columns that can enter, ascending.
-func (e *revised) rebuildEnter() {
-	e.enter = e.enter[:0]
-	for j := 0; j < e.sf.nCols; j++ {
-		if e.canEnter[j] && e.posOf[j] < 0 {
-			e.enter = append(e.enter, j)
-		}
-	}
-}
-
-// swapEnter keeps e.enter in step with a basis exchange: q enters the
-// basis and leave leaves it, and the list stays ascending.
-func (e *revised) swapEnter(q, leave int) {
-	if i, ok := slices.BinarySearch(e.enter, q); ok {
-		e.enter = slices.Delete(e.enter, i, i+1)
-	}
-	if leave < e.sf.nCols && e.canEnter[leave] {
-		i, _ := slices.BinarySearch(e.enter, leave)
-		e.enter = slices.Insert(e.enter, i, leave)
-	}
 }
 
 // primalGain is the rate at which moving nonbasic column j off its bound
@@ -675,7 +659,6 @@ func (e *revised) crash() int {
 		}
 		e.posOf[e.basis[r]] = r
 	}
-	e.rebuildEnter()
 	return numArt
 }
 
@@ -774,7 +757,6 @@ func (e *revised) warmPath() (*Solution, bool, error) {
 	for i, j := range e.basis {
 		e.posOf[j] = i
 	}
-	e.rebuildEnter()
 	for _, j := range e.prevUpper {
 		// A column whose bound became infinite (or zero) drops to 0.
 		if e.posOf[j] < 0 && e.canEnter[j] && !math.IsInf(e.ub[j], 1) {
@@ -823,15 +805,17 @@ func (e *revised) startWarm() {
 // unbounded column prices negative: then no bound placement makes the
 // basis dual feasible.
 func (e *revised) placeDualFeasible() bool {
+	// refreshDualD leaves e.dualD zero but at the nonbasic columns that
+	// can enter, so only those pass the tolerance tests below.
 	e.refreshDualD()
-	for _, j := range e.enter {
-		if e.dualD[j] < -feasTol && math.IsInf(e.ub[j], 1) {
+	for j, dj := range e.dualD {
+		if dj < -feasTol && math.IsInf(e.ub[j], 1) {
 			return false
 		}
 	}
 	moved := false
-	for _, j := range e.enter {
-		if up := e.dualD[j] < 0; up != e.atUpper[j] && math.Abs(e.dualD[j]) > feasTol {
+	for j, dj := range e.dualD {
+		if up := dj < 0; up != e.atUpper[j] && math.Abs(dj) > feasTol {
 			e.atUpper[j], moved = up, true
 		}
 	}
@@ -841,14 +825,17 @@ func (e *revised) placeDualFeasible() bool {
 	return true
 }
 
-// refreshDualD recomputes the full nonbasic reduced-cost vector e.dualD
-// from scratch (one BTRAN plus one pass over A). The dual simplex keeps
-// it incrementally updated between refactorizations.
+// refreshDualD recomputes the reduced costs e.dualD of the nonbasic
+// columns that can enter from scratch (one BTRAN plus one pass over A),
+// and zeroes every other entry. The dual simplex keeps it incrementally
+// updated between refactorizations.
 func (e *revised) refreshDualD() {
 	clear(e.dualD)
 	e.btranCost()
-	for _, j := range e.enter {
-		e.dualD[j] = e.redCost(j, e.y)
+	for j := range e.dualD {
+		if e.canEnter[j] && e.posOf[j] < 0 {
+			e.dualD[j] = e.redCost(j, e.y)
+		}
 	}
 }
 
@@ -862,7 +849,7 @@ func (e *revised) chooseLeavingDual(bland bool) (r int, below bool) {
 	worst := feasTol
 	for i, v := range e.xB {
 		infeas, lo := -v, true
-		if u := e.ub[e.basis[i]]; v-u > infeas {
+		if u := e.ubB[i]; v-u > infeas {
 			infeas, lo = v-u, false
 		}
 		if infeas <= feasTol {
@@ -889,11 +876,13 @@ type dualCand struct {
 
 // dual runs dual simplex pivots until primal feasibility. It returns a
 // non-nil Solution only for a definitive terminal status (Infeasible).
-// e.dualD must be fresh (refreshDualD) on entry; each iteration costs one
-// BTRAN (the pivot row), one FTRAN (the entering column, plus one for
-// the bound flips of a long step) and one pass over the rows of A where
-// the pivot row's ρ is nonzero, with reduced costs updated in place from
-// the pivot row. The ratio test and the update visit only e.enter.
+// e.dualD must be fresh (refreshDualD) on entry. Each iteration costs
+// one hypersparse BTRAN (the pivot row ρ), one pass over the rows of A
+// where ρ is nonzero, one FTRAN (the entering column, O(1) before the
+// eta replay for most unit columns, plus one for the bound flips of a
+// long step) and one scan of the basic values for the leaving row. The
+// ratio test and the reduced-cost update visit only the columns the
+// pivot row wrote.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	alpha := e.alpha
@@ -913,29 +902,11 @@ func (e *revised) dual() (*Solution, error) {
 			target = e.ub[leaveCol]
 		}
 		// The ratio test runs on the cached reduced costs against row r
-		// of B⁻¹A. A column is eligible when moving it off its bound
-		// pushes the leaving variable back toward the violated bound.
+		// of B⁻¹A.
 		e.btranRow(r)
-		e.sf.pivotRow(e.rho, alpha)
-		cands := e.cands[:0]
-		for _, j := range e.enter {
-			s, dj := alpha[j], e.dualD[j]
-			if below {
-				s = -s
-			}
-			if e.atUpper[j] {
-				s, dj = -s, -dj
-			}
-			if s <= ratioPivTol {
-				continue
-			}
-			if dj < 0 {
-				dj = 0 // clamp drift: dual feasibility is an invariant here
-			}
-			cands = append(cands, dualCand{j: j, ratio: dj / s, as: s})
-		}
-		e.cands = cands
-		q, ratio := e.longStep(cands, math.Abs(e.xB[r]-target), bland, &e.flips)
+		e.alphaCols = e.sf.pivotRow(e.rho, e.rhoNZ, alpha, e.alphaCols)
+		e.cands = e.dualCands(alpha, e.alphaCols, below, e.cands[:0])
+		q, ratio := e.longStep(e.cands, math.Abs(e.xB[r]-target), bland, &e.flips)
 		if q < 0 {
 			// Dual unbounded: the primal is infeasible.
 			mInfeasible.Add(1)
@@ -995,10 +966,10 @@ func (e *revised) dual() (*Solution, error) {
 			e.refreshDualD()
 			continue
 		}
-		// e.enter now lacks q and holds leaveCol when it can enter; its
-		// update is overwritten below.
-		for _, j := range e.enter {
-			if aj := alpha[j]; aj != 0 {
+		// Every other column has α_j = 0. q is basic now and leaveCol,
+		// if it can enter, nonbasic; its update is overwritten below.
+		for _, j := range e.alphaCols {
+			if aj := alpha[j]; aj != 0 && e.canEnter[j] && e.posOf[j] < 0 {
 				e.dualD[j] -= thetaD * aj
 			}
 		}
@@ -1008,6 +979,36 @@ func (e *revised) dual() (*Solution, error) {
 		}
 	}
 	return nil, ErrIterationLimit
+}
+
+// dualCands appends to cands the columns eligible for the dual ratio
+// test on the pivot row alpha, in the order cols lists them, for a
+// leaving variable below its lower bound (else above its upper): each
+// nonbasic column that can enter and whose move off its bound pushes
+// the leaving variable back toward the violated bound, by more than
+// ratioPivTol per unit. alpha must be zero at every column cols omits,
+// so that no such column is eligible.
+func (e *revised) dualCands(alpha []float64, cols []int32, below bool, cands []dualCand) []dualCand {
+	for _, j := range cols {
+		if !e.canEnter[j] || e.posOf[j] >= 0 {
+			continue
+		}
+		s, dj := alpha[j], e.dualD[j]
+		if below {
+			s = -s
+		}
+		if e.atUpper[j] {
+			s, dj = -s, -dj
+		}
+		if s <= ratioPivTol {
+			continue
+		}
+		if dj < 0 {
+			dj = 0 // clamp drift: dual feasibility is an invariant here
+		}
+		cands = append(cands, dualCand{j: int(j), ratio: dj / s, as: s})
+	}
+	return cands
 }
 
 // longStep is the dual ratio test over the eligible columns (in

@@ -1,5 +1,7 @@
 package lp
 
+import "math/bits"
+
 // spCol is one column of a column-wise sparse matrix: parallel slices of
 // row indices (ascending) and values.
 type spCol struct {
@@ -89,6 +91,8 @@ type standard struct {
 	rel        []Rel
 	b          []float64 // perturbed RHS
 	rows       csr       // the same nonzeros row by row, for the pivot row
+	// colMark is pivotRow's bitset over columns, all zero between calls.
+	colMark []uint64
 }
 
 // buildStandard converts p's structure; b stays zero until setRHS.
@@ -107,6 +111,7 @@ func buildStandard(p *Problem) *standard {
 		active:  make([]bool, nCols),
 		rel:     make([]Rel, m),
 		b:       make([]float64, m),
+		colMark: make([]uint64, (nCols+63)/64),
 	}
 	for j := 0; j < p.NumVars; j++ {
 		s.active[j] = true
@@ -170,22 +175,40 @@ func (s *standard) setRHS(p *Problem) {
 	}
 }
 
-// pivotRow sets alpha[j] = ρ·A_j for every column j, row-wise over the
-// rows where ρ is nonzero, so a sparse ρ costs only the nonzeros of its
-// rows. Each alpha[j] still sums its terms in ascending row order, as a
-// column-wise dot product does, and a skipped term is an exact zero
-// added to a sum that starts at +0, so no bit of the result changes.
-func (s *standard) pivotRow(rho, alpha []float64) {
-	for j := range alpha {
+// pivotRow sets alpha = ρᵀA from ρ's nonzero rows, which rows lists in
+// ascending order, and returns the columns it wrote, ascending, in
+// cols[:0]. On entry alpha must be zero but at the columns cols lists
+// (the previous call's result), which it clears first; every column it
+// does not return is left zero. Each alpha[j] sums its terms in
+// ascending row order, as a column-wise dot product does, and a skipped
+// term is an exact zero added to a sum that starts at +0, so no bit of
+// the result changes.
+func (s *standard) pivotRow(rho []float64, rows []int32, alpha []float64, cols []int32) []int32 {
+	for _, j := range cols {
 		alpha[j] = 0
 	}
-	rows := &s.rows
-	for r, y := range rho {
-		if y == 0 {
-			continue
-		}
-		for k := rows.start[r]; k < rows.start[r+1]; k++ {
-			alpha[rows.idx[k]] += y * rows.val[k]
+	a, mark := &s.rows, s.colMark
+	for _, r := range rows {
+		y := rho[r]
+		for k := a.start[r]; k < a.start[r+1]; k++ {
+			j := a.idx[k]
+			alpha[j] += y * a.val[k]
+			mark[j>>6] |= 1 << (j & 63)
 		}
 	}
+	return appendMarked(cols[:0], mark)
+}
+
+// appendMarked appends the indices of mark's set bits to dst, ascending,
+// and clears mark.
+func appendMarked(dst []int32, mark []uint64) []int32 {
+	for w, word := range mark {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << b
+			dst = append(dst, int32(w<<6|b))
+		}
+		mark[w] = 0
+	}
+	return dst
 }
