@@ -16,8 +16,7 @@
 #   make loadgen-smoke  in-process qserver under injected overload;
 #                  fails when an analyst errors or the ledger does not
 #                  replay
-#   make gobench   the root go test -bench suite with work counters, then
-#                  the internal/pso microbenchmarks (prefix-descent trial,
+#   make gobench   the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval), LP decodes of new
 #                  answer vectors at the lp-recon shape, each cold
 #                  (BenchmarkDecodeLPRecon, with pivots/op and
@@ -129,7 +128,6 @@ loadgen-smoke:
 		-shards 2 -max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4
 
 gobench:
-	$(GO) test -bench=. -benchmem .
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/pso
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeLPRecon|BenchmarkStreamPush' -benchmem ./internal/lp
 	$(GO) test -run '^$$' -bench BenchmarkRandomSubsets -benchmem ./internal/query

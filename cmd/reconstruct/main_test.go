@@ -3,26 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
-	"math/rand"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"singlingout/internal/experiments"
-	"singlingout/internal/obs"
 	"singlingout/internal/query"
 	"singlingout/internal/query/remote"
-	"singlingout/internal/synth"
 )
 
 // runCLI runs reconstruct with args and returns its status and output.
-// It resets the default curve set first: a curve's x must strictly
-// increase, so a second streamed run in one process would panic.
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
-	obs.DefaultCurves().Reset()
 	var stdout, stderr bytes.Buffer
 	status := run(args, &stdout, &stderr)
 	return status, stdout.String(), stderr.String()
@@ -42,15 +34,16 @@ func qserver(t *testing.T, budget int) string {
 	return ts.URL
 }
 
-// TestUsageErrorsExit2: without -stream or -remote, and with an attack
-// -stream cannot run, reconstruct exits 2 before any attack starts.
+// TestUsageErrorsExit2: without -remote, and with a flag reconstruct no
+// longer has, it exits 2 before any attack starts.
 func TestUsageErrorsExit2(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-attack", "lp"}, "repro -quick -id E02"},
-		{[]string{"-stream", "-attack", "diffix"}, `"diffix"`},
+		{nil, "repro -quick -id E02.stream"},
+		{[]string{"-stream"}, "repro -quick -id E02.stream"},
+		{[]string{"-remote", "http://127.0.0.1:1", "-chunk", "24"}, "-chunk"},
 	} {
 		status, stdout, stderr := runCLI(t, tc.args...)
 		if status != 2 || stdout != "" {
@@ -59,57 +52,6 @@ func TestUsageErrorsExit2(t *testing.T) {
 		if !strings.Contains(stderr, tc.want) {
 			t.Errorf("%v: stderr does not mention %s:\n%s", tc.args, tc.want, stderr)
 		}
-	}
-}
-
-// TestStreamLPPrintsHarnessTable: -stream -attack lp prints the table of
-// E02StreamOverOracle over the same exact oracle, and with -metrics
-// journals run_start, one attack.converge event per chunk, one
-// experiment event and run_end.
-func TestStreamLPPrintsHarnessTable(t *testing.T) {
-	x := synth.BinaryDataset(rand.New(rand.NewSource(1)), 48, 0.5)
-	want, _, err := experiments.E02StreamOverOracle(context.Background(), &query.Exact{X: x}, x, 1, 24, obs.NewCurveSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := filepath.Join(t.TempDir(), "run.jsonl")
-	for _, extra := range [][]string{nil, {"-metrics", journal}} {
-		status, stdout, stderr := runCLI(t, append([]string{"-stream", "-attack", "lp", "-chunk", "24"}, extra...)...)
-		if status != 0 {
-			t.Fatalf("%v: status %d: %s", extra, status, stderr)
-		}
-		if stdout != want.String() {
-			t.Errorf("%v: stdout:\n%s\nwant:\n%s", extra, stdout, want)
-		}
-	}
-
-	f, err := os.Open(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const chunks = 192 / 24
-	if len(events) != chunks+3 {
-		t.Fatalf("journal has %d events, want %d", len(events), chunks+3)
-	}
-	if e := events[0]; e.Phase != "run_start" || e.Sizes["experiments"] != 1 {
-		t.Errorf("first event = %+v, want run_start of 1 experiment", e)
-	}
-	for i, e := range events[1 : chunks+1] {
-		if e.Phase != "attack.converge" || e.Curve == nil || e.Curve.X != int64(24*(i+1)) {
-			t.Errorf("event %d = %+v, want attack.converge at x=%d", i+1, e, 24*(i+1))
-		}
-	}
-	if e := events[chunks+1]; e.Phase != "experiment" || e.ID != "E02.stream" || e.Error != "" ||
-		e.Metrics == nil || e.Metrics.Counters[query.MetricQueries] != 192 {
-		t.Errorf("experiment event = %+v, want E02.stream with 192 queries", e)
-	}
-	if e := events[chunks+2]; e.Phase != "run_end" || e.Sizes["experiments"] != 1 {
-		t.Errorf("last event = %+v, want run_end", e)
 	}
 }
 
@@ -123,7 +65,7 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, _, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: truth}, truth, 1, 24, obs.NewCurveSet())
+	stream, _, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: truth}, truth, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +74,7 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 		want *experiments.Table
 	}{
 		{nil, sweep},
-		{[]string{"-stream", "-chunk", "24"}, stream},
+		{[]string{"-stream"}, stream},
 	} {
 		status, stdout, stderr := runCLI(t, append([]string{"-remote", qserver(t, 0)}, tc.args...)...)
 		if status != 0 {

@@ -1,17 +1,22 @@
 // Command repro regenerates every experiment table in DESIGN.md's
-// per-experiment index (E01–E19 and the ablations A01–A06). Its full-size
-// output is what EXPERIMENTS.md archives.
+// per-experiment index (E01–E19, the ablations A01–A06 and the anytime
+// attacks E02.stream and E11.stream). Its full-size output is what
+// EXPERIMENTS.md archives.
 //
 // With -metrics it additionally records a structured JSONL run journal:
 // one event per experiment with timing and the obs metric delta (oracle
-// queries, simplex pivots, SAT conflicts, ...).
+// queries, simplex pivots, SAT conflicts, ...), and one attack.converge
+// event per convergence point of the anytime attacks (one per LP chunk of
+// n/4 queries for E02.stream, one per table cell for E11.stream).
 //
 // With -serve the same observability is live: an HTTP endpoint exposes
 // Prometheus /metrics, the JSON /snapshot, /healthz (current experiment
-// phase + uptime), an SSE /journal tail and the stdlib /debug/pprof/
-// handlers while the run executes. With -spans the worker pool's per-item
-// spans are exported as a Chrome trace-event JSON timeline (one lane per
-// pool worker; load it at ui.perfetto.dev).
+// phase + uptime), an SSE /journal tail, the convergence curves at
+// /converge (JSON, or an SSE tail with Accept: text/event-stream) and the
+// stdlib /debug/pprof/ handlers while the run executes. With -spans the
+// worker pool's per-item spans are exported as a Chrome trace-event JSON
+// timeline (one lane per pool worker, plus a counter lane per convergence
+// curve; load it at ui.perfetto.dev).
 //
 // Usage:
 //
@@ -19,8 +24,9 @@
 //	      [-serve :8088] [-spans out.trace.json]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
 //
-// -id runs one experiment; an unknown id lists the valid ids with their
-// descriptions on stderr and exits 1 before any experiment runs.
+// -id runs one experiment (e.g. -id E02.stream); an unknown id lists the
+// valid ids with their descriptions on stderr and exits 1 before any
+// experiment runs.
 //
 // -workers sizes the worker pool the parallel harnesses (E01, E02, E11,
 // E13, E19) fan out on (0 = GOMAXPROCS). Per-item randomness derives from

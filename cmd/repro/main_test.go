@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"maps"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,39 +72,14 @@ func TestUnknownIDListsExperiments(t *testing.T) {
 	}
 }
 
-// TestMetricsJournal drives the instrumented loop end to end: -id E01
-// -metrics journals one run_start, one E01 experiment event whose
-// counters equal E01's row of the experiments' counter file, and one
-// run_end, and writes nothing beside the journal.
+// TestMetricsJournal drives the instrumented loop end to end: -id X
+// -metrics journals one run_start, X's convergence points if it is an
+// anytime attack, one X experiment event whose counters equal X's row of
+// the experiments' counter file, and one run_end, and writes nothing
+// beside the journal. E02.stream's 16 points sit at x = 16, 32, …, 256
+// queries, and its event counts those 256 queries. With -serve, GET
+// /converge returns the same points, read back from the journal.
 func TestMetricsJournal(t *testing.T) {
-	dir := t.TempDir()
-	journal := filepath.Join(dir, "run.jsonl")
-	tool := startTool(t, "-metrics", journal)
-	status := run(context.Background(), tool, 1, true, "E01")
-	if err := tool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if status != 0 {
-		t.Fatalf("run -id E01 returned %d, want 0", status)
-	}
-
-	f, err := os.Open(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadEvents(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var phases []string
-	for _, e := range events {
-		phases = append(phases, e.Phase+" "+e.ID)
-	}
-	if want := []string{"run_start ", "experiment E01", "run_end "}; strings.Join(phases, "|") != strings.Join(want, "|") {
-		t.Fatalf("journal events = %q, want %q", phases, want)
-	}
-
 	data, err := os.ReadFile("../../internal/experiments/testdata/quick_counters.json")
 	if err != nil {
 		t.Fatal(err)
@@ -114,25 +91,95 @@ func TestMetricsJournal(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]int64
-	for _, row := range rows {
-		if row.ID == "E01" {
-			want = row.Counters
-		}
-	}
-	if got := events[1].Metrics; want == nil || got == nil || !maps.Equal(got.Counters, want) {
-		t.Errorf("E01 event metrics = %+v, want counters %v", got, want)
-	}
+	for _, tc := range []struct {
+		id      string
+		points  int // attack.converge events, x = 16·i
+		queries int64
+	}{
+		{"E01", 0, 2520},
+		{"E02.stream", 16, 256},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			dir := t.TempDir()
+			journal := filepath.Join(dir, "run.jsonl")
+			tool := startTool(t, "-metrics", journal, "-serve", "127.0.0.1:0")
+			status := run(context.Background(), tool, 1, true, tc.id)
+			resp, err := http.Get("http://" + tool.Addr() + "/converge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var converge struct{ Curves map[string][]obs.CurvePoint }
+			err = json.NewDecoder(resp.Body).Decode(&converge)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if status != 0 {
+				t.Fatalf("run -id %s returned %d, want 0", tc.id, status)
+			}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("files beside the journal: %q, want only run.jsonl", names)
+			f, err := os.Open(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			events, err := obs.ReadEvents(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var phases, want []string
+			for _, e := range events {
+				phase := e.Phase + " " + e.ID
+				if e.Curve != nil {
+					phase = fmt.Sprintf("%s %s x=%d", e.Phase, e.Curve.Name, e.Curve.X)
+				}
+				phases = append(phases, phase)
+			}
+			want = append(want, "run_start ")
+			for i := 1; i <= tc.points; i++ {
+				want = append(want, fmt.Sprintf("attack.converge recon.lp.accuracy x=%d", 16*i))
+			}
+			want = append(want, "experiment "+tc.id, "run_end ")
+			if strings.Join(phases, "|") != strings.Join(want, "|") {
+				t.Fatalf("journal events = %q, want %q", phases, want)
+			}
+			var served []string
+			for name, pts := range converge.Curves {
+				for _, p := range pts {
+					served = append(served, fmt.Sprintf("attack.converge %s x=%d", name, p.X))
+				}
+			}
+			if points := want[1 : 1+tc.points]; strings.Join(served, "|") != strings.Join(points, "|") {
+				t.Errorf("GET /converge = %q, want %q", served, points)
+			}
+
+			var counters map[string]int64
+			for _, row := range rows {
+				if row.ID == tc.id {
+					counters = row.Counters
+				}
+			}
+			got := events[len(events)-2].Metrics
+			if counters == nil || got == nil || !maps.Equal(got.Counters, counters) {
+				t.Errorf("%s event metrics = %+v, want counters %v", tc.id, got, counters)
+			} else if q := got.Counters["query.count"]; q != tc.queries {
+				t.Errorf("%s event query.count = %d, want %d", tc.id, q, tc.queries)
+			}
+
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				var names []string
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+				t.Errorf("files beside the journal: %q, want only run.jsonl", names)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@
 // legal-theorem layer.
 //
 // The implementation lives under internal/; runnable entry points are the
-// commands under cmd/ and the programs under examples/. The root-level
-// benchmarks (bench_test.go) regenerate every experiment table recorded
-// in EXPERIMENTS.md.
+// commands under cmd/ and the programs under examples/. cmd/repro
+// regenerates every experiment table recorded in EXPERIMENTS.md.
 package singlingout

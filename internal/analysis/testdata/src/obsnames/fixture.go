@@ -21,21 +21,27 @@ type registry struct{}
 func (registry) Counter(name string) int   { return len(name) }
 func (registry) Gauge(name string) int     { return len(name) }
 func (registry) Histogram(name string) int { return len(name) }
-func (registry) Curve(name string) int     { return len(name) }
+
+// curveSet stands in for *obs.CurveSet, whose Curve handle emits each
+// point as an attack.converge journal event named by the curve.
+type curveSet struct{}
+
+func (curveSet) Curve(name string) int { return len(name) }
 
 // Event mirrors obs.Event.
 type Event struct{ Phase string }
 
-func register(r registry, shard int) {
+func register(r registry, curves curveSet, shard int) {
 	r.Counter("census.blocks_solved")
 	r.Gauge(MetricGood)
 	r.Counter("census.BlocksSolved")               // want `obs Counter name "census\.BlocksSolved" is not lowercase dotted`
 	r.Histogram(fmt.Sprintf("shard%d.lat", shard)) // want `obs Histogram name must be a constant`
 	r.Counter("obs.journal_dropped")
 	r.Counter("converge.queries")
-	r.Curve("recon.lp.accuracy")
-	r.Curve("census.exact_fraction")
-	r.Curve("Recon.LP.Accuracy") // want `obs Curve name "Recon\.LP\.Accuracy" is not lowercase dotted`
+	curves.Curve("recon.lp.accuracy")
+	curves.Curve("census.exact_fraction")
+	curves.Curve("Recon.LP.Accuracy")                       // want `obs Curve name "Recon\.LP\.Accuracy" is not lowercase dotted`
+	curves.Curve(fmt.Sprintf("recon.lp.accuracy%d", shard)) // want `obs Curve name must be a constant`
 	_ = Event{Phase: "run_start"}
 	_ = Event{Phase: "budget.spend"} // dotted ledger phases are in-convention
 	_ = Event{Phase: "query_retry"}

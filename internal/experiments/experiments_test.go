@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"os"
 	"sort"
 	"strconv"
@@ -26,28 +25,6 @@ type counterRow struct {
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-// e02Stream is the E02.stream row: the anytime LP attack streamed over an
-// exact oracle at n = 64, m = 4n, in chunks of 16. Every push after the
-// first warm-starts, a solver path no quick experiment takes. Beside its
-// registry counters, the run writes into milestones the queries it needed
-// to reach 50% and 90% accuracy: more means the attack got weaker.
-func e02Stream(milestones map[string]int64) Runner {
-	return Runner{ID: "E02.stream", Run: func(ctx context.Context, seed int64, _ bool) (*Table, error) {
-		x := synth.BinaryDataset(par.RNG(seed, 1), 64, 0.5)
-		tab, res, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, 16, nil)
-		if err != nil {
-			return nil, err
-		}
-		if q, ok := res.ToAccuracy[0.5]; ok {
-			milestones["converge.q50_queries"] = int64(q)
-		}
-		if q, ok := res.ToAccuracy[0.9]; ok {
-			milestones["converge.q90_queries"] = int64(q)
-		}
-		return tab, nil
-	}}
-}
-
 // e02Remote is the E02.remote row: the E02 sweep over an in-process exact
 // oracle at n = 64, on E02.stream's dataset. Its last table row decodes
 // the largest budget's answers again on the same decoder, a verbatim
@@ -61,8 +38,7 @@ func e02Remote() Runner {
 }
 
 // TestAllRunnersProduceTables runs every registered experiment in quick
-// mode at seed 1, then E02.stream and E02.remote, one at a time through
-// RunInstrumented.
+// mode at seed 1, then E02.remote, one at a time through RunInstrumented.
 // Each must produce a well-formed table, and the work counters each one
 // records must equal its row of testdata/quick_counters.json: the same
 // rows, counter names and values. This is the regression gate on the
@@ -80,9 +56,7 @@ func TestAllRunnersProduceTables(t *testing.T) {
 	if err := json.Unmarshal(data, &rows); err != nil {
 		t.Fatalf("%s: %v", quickCounters, err)
 	}
-	milestones := map[string]int64{}
-	runners := append(All(), e02Stream(milestones), e02Remote())
-	extra := map[string]map[string]int64{"E02.stream": milestones}
+	runners := append(All(), e02Remote())
 
 	var observed []counterRow
 	for _, r := range runners {
@@ -105,7 +79,6 @@ func TestAllRunnersProduceTables(t *testing.T) {
 			if tab.String() == "" {
 				t.Error("empty rendering")
 			}
-			maps.Copy(delta.Counters, extra[r.ID])
 			observed = append(observed, counterRow{r.ID, delta.Counters})
 		})
 	}
@@ -170,10 +143,9 @@ func TestCounterGate(t *testing.T) {
 		return []counterRow{
 			{"E02", map[string]int64{"lp.pivots": 3921, "query.count": 4608}},
 			{"E03", nil},
-			{"E02.stream", map[string]int64{"converge.q90_queries": 32}},
 		}
 	}
-	ids := []string{"E02", "E03", "E02.stream"}
+	ids := []string{"E02", "E03"}
 	for _, tc := range []struct {
 		name string
 		edit func(rows []counterRow) []counterRow
@@ -192,12 +164,8 @@ func TestCounterGate(t *testing.T) {
 			delete(rows[0].Counters, "query.count")
 			return rows
 		}, []string{"E02: query.count none -> 4608"}},
-		{"moved milestone", func(rows []counterRow) []counterRow {
-			rows[2].Counters["converge.q90_queries"] = 48
-			return rows
-		}, []string{"E02.stream: converge.q90_queries 48 -> 32"}},
 		{"deleted row", func(rows []counterRow) []counterRow {
-			return append(rows[:1], rows[2:]...)
+			return rows[:1]
 		}, []string{"E03: no row in the file"}},
 		{"row naming no experiment", func(rows []counterRow) []counterRow {
 			return append(rows, counterRow{ID: "E20"})

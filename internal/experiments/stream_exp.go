@@ -21,8 +21,6 @@ var ConvergeThresholds = []float64{0.5, 0.9, 0.95, 0.99}
 // StreamResult carries the anytime attack's outcome beyond the printable
 // table: the final reconstruction (so callers can verify the stream
 // reproduced the batch decode bit-for-bit) and the milestone crossings.
-// The E02.stream row of testdata/quick_counters.json holds the queries to
-// 50% and 90% accuracy like any other work counter.
 type StreamResult struct {
 	// Final is the reconstruction after the last chunk — byte-identical
 	// to decoding the full answer vector in one batch.
@@ -37,32 +35,37 @@ type StreamResult struct {
 	ToAccuracy map[float64]int
 }
 
+// E02Stream is the registered anytime LP attack: E02StreamOverOracle over
+// an exact oracle on a fresh dataset of n = 64 records (quick) or 128
+// (full). Every push after the first warm-starts, a solver path no batch
+// experiment takes.
+func E02Stream(ctx context.Context, seed int64, quick bool) (*Table, error) {
+	n := 128
+	if quick {
+		n = 64
+	}
+	x := synth.BinaryDataset(par.RNG(seed, 1), n, 0.5)
+	t, _, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed)
+	return t, err
+}
+
 // E02StreamOverOracle is the anytime form of E02OverOracle: it fixes one
-// m = 4n random-subset workload, answers it through the oracle chunk
+// m = 4n random-subset workload, answers it through the oracle n/4
 // queries at a time, and re-decodes after every chunk via the streaming
 // LP decoder (every step after the first a warm-started re-solve, see
 // recon.StreamDecoder).
-// Each step appends one point to the "recon.lp.accuracy" curve in curves
-// (x = queries answered, y = fraction of rows recovered), which a curve
-// set attached to a run journal mirrors as attack.converge events (the
-// /converge SSE tail) as the attack runs. The returned table is the
+// Each step adds one point to the "recon.lp.accuracy" curve of
+// obs.DefaultCurves (x = queries answered, y = fraction of rows
+// recovered), which reaches the run journal as an attack.converge event
+// (the /converge views) as the attack runs. The returned table is the
 // queries-to-X%-accuracy summary; the final reconstruction in
-// StreamResult equals the batch decode of the same workload. chunk <= 0
-// defaults to n/4.
-func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int64, chunk int, curves *obs.CurveSet) (*Table, *StreamResult, error) {
+// StreamResult equals the batch decode of the same workload.
+func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int64) (*Table, *StreamResult, error) {
 	n := o.N()
 	if len(truth) != n {
 		return nil, nil, fmt.Errorf("experiments: truth has %d entries for an oracle over %d", len(truth), n)
 	}
-	if chunk <= 0 {
-		chunk = n / 4
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	if curves == nil {
-		curves = obs.NewCurveSet()
-	}
+	chunk := max(n/4, 1)
 	m := 4 * n
 	rng := par.RNG(seed, 0)
 	qs := query.RandomSubsets(rng, n, m)
@@ -71,7 +74,7 @@ func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, see
 		return nil, nil, fmt.Errorf("experiments: E02.stream: %w", err)
 	}
 	sd := dec.Stream()
-	curve := curves.Curve("recon.lp.accuracy")
+	curve := obs.DefaultCurves().Curve("recon.lp.accuracy")
 	inst := query.Instrument(o, nil)
 	res := &StreamResult{Queries: m, ToAccuracy: map[float64]int{}}
 	for sd.Remaining() > 0 {
@@ -110,21 +113,7 @@ func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, see
 	return t, res, nil
 }
 
-// CensusStreamResult summarizes an anytime census reconstruction.
-type CensusStreamResult struct {
-	// Cells is the total number of published table cells consumed.
-	Cells int
-	// Persons is the population size.
-	Persons int
-	// FinalExactFraction is the batch-scored fraction of records
-	// reconstructed exactly after all cells.
-	FinalExactFraction float64
-	// ToExact maps an exact-fraction threshold to the cumulative cell
-	// count at which the running fraction first reached it.
-	ToExact map[float64]int
-}
-
-// censusExactThresholds are the exact-fraction milestones E11Stream
+// censusExactThresholds are the exact-fraction milestones E11StreamConverge
 // reports (the census analogue of ConvergeThresholds; census exact
 // fractions plateau well below 100%, so the milestones sit lower).
 var censusExactThresholds = []float64{0.10, 0.25, 0.50}
@@ -132,13 +121,13 @@ var censusExactThresholds = []float64{0.10, 0.25, 0.50}
 // E11StreamConverge is the anytime form of the E11 census attack: blocks
 // are solved sequentially, each ingesting its published table cells one
 // at a time with an incremental SAT re-solve per cell (learned clauses
-// retained — see census.ReconstructBlockStream). Every step appends one
-// point to the "census.exact_fraction" curve (x = cumulative cells
-// consumed, y = running fraction of the whole population reconstructed
-// exactly) whose stats carry the block id and the solver's cumulative
-// decisions/restarts/conflicts, so the journal's attack.converge events
-// expose solver cost next to accuracy.
-func E11StreamConverge(ctx context.Context, seed int64, quick bool, curves *obs.CurveSet) (*Table, *CensusStreamResult, error) {
+// retained — see census.ReconstructBlockStream). Every step adds one
+// point to the "census.exact_fraction" curve of obs.DefaultCurves (x =
+// cumulative cells consumed, y = running fraction of the whole
+// population reconstructed exactly) whose stats carry the block id and
+// the solver's cumulative decisions/restarts/conflicts, so the journal's
+// attack.converge events expose solver cost next to accuracy.
+func E11StreamConverge(ctx context.Context, seed int64, quick bool) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 600
 	if quick {
@@ -146,17 +135,14 @@ func E11StreamConverge(ctx context.Context, seed int64, quick bool, curves *obs.
 	}
 	pop, err := synth.Population(rng, synth.PopulationConfig{N: n, ZIPs: 4, BlocksPerZIP: 20})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg := census.DefaultConfig()
 	tables := census.Tabulate(pop, cfg)
 	truth := census.TrueTuples(pop, cfg)
-	if curves == nil {
-		curves = obs.NewCurveSet()
-	}
-	curve := curves.Curve("census.exact_fraction")
+	curve := obs.DefaultCurves().Curve("census.exact_fraction")
 	cellsPerBlock := 2*cfg.Buckets() + 12 + 12
-	res := &CensusStreamResult{Persons: n, ToExact: map[float64]int{}}
+	toExact := map[float64]int{}
 	var (
 		seenBlock   bool
 		curBlock    int64
@@ -176,8 +162,8 @@ func E11StreamConverge(ctx context.Context, seed int64, quick bool, curves *obs.
 		x := cellsBefore + st.Queries
 		y := float64(exactDone+st.Exact) / float64(n)
 		for _, th := range censusExactThresholds {
-			if _, done := res.ToExact[th]; !done && y >= th-1e-12 {
-				res.ToExact[th] = x
+			if _, done := toExact[th]; !done && y >= th-1e-12 {
+				toExact[th] = x
 			}
 		}
 		curve.AddStats(int64(x), y, map[string]int64{
@@ -189,32 +175,31 @@ func E11StreamConverge(ctx context.Context, seed int64, quick bool, curves *obs.
 	}
 	results, err := census.ReconstructAllStream(ctx, tables, truth, cfg, 500000, onStep)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	res.Cells = cellsPerBlock * len(tables)
+	cells := cellsPerBlock * len(tables)
 	exact := 0
 	for _, r := range results {
 		if r.Solved {
 			exact += census.MultisetIntersection(truth[r.Block], r.Tuples)
 		}
 	}
-	res.FinalExactFraction = float64(exact) / float64(n)
 	t := &Table{
 		ID:     "E11.stream",
-		Title:  fmt.Sprintf("anytime census reconstruction, %d persons, %d blocks, %d table cells", n, len(tables), res.Cells),
+		Title:  fmt.Sprintf("anytime census reconstruction, %d persons, %d blocks, %d table cells", n, len(tables), cells),
 		Header: []string{"exact-fraction milestone", "table cells needed", "fraction of cells"},
 		Notes: []string{
-			fmt.Sprintf("final exact fraction %s after all %d cells; per-cell incremental SAT solves retain learned clauses", pct(res.FinalExactFraction), res.Cells),
+			fmt.Sprintf("final exact fraction %s after all %d cells; per-cell incremental SAT solves retain learned clauses", pct(float64(exact)/float64(n)), cells),
 			"curve census.exact_fraction carries the per-cell points with cumulative solver decisions/restarts/conflicts",
 		},
 	}
 	for _, th := range censusExactThresholds {
 		label := fmt.Sprintf("exact ≥ %g%%", 100*th)
-		if c, ok := res.ToExact[th]; ok {
-			t.AddRow(label, strconv.Itoa(c), pct(float64(c)/float64(res.Cells)))
+		if c, ok := toExact[th]; ok {
+			t.AddRow(label, strconv.Itoa(c), pct(float64(c)/float64(cells)))
 		} else {
 			t.AddRow(label, "not reached", "—")
 		}
 	}
-	return t, res, nil
+	return t, nil
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"singlingout/internal/obs"
@@ -12,16 +14,35 @@ import (
 	"singlingout/internal/synth"
 )
 
+// convergePoints attaches a journal to the default curve set for the rest
+// of the test and returns a reader of the points of the named curve
+// emitted since, in emission order.
+func convergePoints(t *testing.T) func(name string) []obs.CurvePoint {
+	t.Helper()
+	j := obs.NewJournal(io.Discard)
+	obs.DefaultCurves().SetJournal(j)
+	t.Cleanup(func() { obs.DefaultCurves().SetJournal(nil) })
+	return func(name string) []obs.CurvePoint {
+		var pts []obs.CurvePoint
+		for _, e := range j.Recent() {
+			if e.Phase == "attack.converge" && e.Curve.Name == name {
+				pts = append(pts, e.Curve.CurvePoint)
+			}
+		}
+		return pts
+	}
+}
+
 func TestE02StreamMonotoneCurveAndBatchIdentity(t *testing.T) {
 	ctx := context.Background()
 	const (
 		seed  = int64(3)
 		n     = 32
-		chunk = 16
+		chunk = n / 4
 	)
+	points := convergePoints(t)
 	x := synth.BinaryDataset(rand.New(rand.NewSource(seed)), n, 0.5)
-	cs := obs.NewCurveSet()
-	tab, res, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, chunk, cs)
+	tab, res, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +59,9 @@ func TestE02StreamMonotoneCurveAndBatchIdentity(t *testing.T) {
 		t.Errorf("ToAccuracy[0.99] = %d, %v", q, ok)
 	}
 
-	// The curve must be monotone in x with one point per chunk, ending at
-	// the full workload.
-	pts := cs.Snapshot()["recon.lp.accuracy"]
+	// The curve must be monotone in x with one point per chunk of n/4,
+	// ending at the full workload.
+	pts := points("recon.lp.accuracy")
 	if want := res.Queries / chunk; len(pts) != want {
 		t.Fatalf("curve has %d points, want %d", len(pts), want)
 	}
@@ -79,28 +100,60 @@ func TestE02StreamMonotoneCurveAndBatchIdentity(t *testing.T) {
 	}
 }
 
+// TestE02StreamRunnerTwice runs the registered E02.stream twice in one
+// process with a journal attached. Neither run may panic, each must emit
+// its own 16 points at x = 16, 32, …, 256, and both must print the same
+// table, whose seed-1 quick milestones are 16 queries to 50% accuracy
+// and 32 to 90%.
+func TestE02StreamRunnerTwice(t *testing.T) {
+	points := convergePoints(t)
+	r, ok := ByID("E02.stream")
+	if !ok {
+		t.Fatal("E02.stream not registered")
+	}
+	var tabs []string
+	for run := 0; run < 2; run++ {
+		tab, err := r.Run(context.Background(), 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q50, q90 := tab.Rows[0][1], tab.Rows[1][1]; q50 != "16" || q90 != "32" {
+			t.Errorf("run %d: queries to 50%% / 90%% accuracy = %s / %s, want 16 / 32", run, q50, q90)
+		}
+		tabs = append(tabs, tab.String())
+	}
+	if tabs[0] != tabs[1] {
+		t.Errorf("second run's table differs:\n%s\nfirst:\n%s", tabs[1], tabs[0])
+	}
+	const perRun = 256 / 16
+	pts := points("recon.lp.accuracy")
+	if len(pts) != 2*perRun {
+		t.Fatalf("journal holds %d points, want %d per run", len(pts), perRun)
+	}
+	for i, p := range pts {
+		if want := int64(16 * (i%perRun + 1)); p.X != want {
+			t.Errorf("run %d point %d: x = %d, want %d", i/perRun, i%perRun, p.X, want)
+		}
+	}
+}
+
 func TestE11StreamConverge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("census streaming solve is seconds-long")
 	}
-	ctx := context.Background()
-	cs := obs.NewCurveSet()
-	tab, res, err := E11StreamConverge(ctx, 1, true, cs)
+	points := convergePoints(t)
+	tab, err := E11StreamConverge(context.Background(), 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "E11.stream" {
-		t.Errorf("table = %s", tab.ID)
+	// At seed 1 the quick population has 68 blocks of 48 published cells.
+	const cells = 68 * 48
+	if tab.ID != "E11.stream" || !strings.Contains(tab.Title, "250 persons, 68 blocks, 3264 table cells") {
+		t.Errorf("table = %s — %s", tab.ID, tab.Title)
 	}
-	if res.FinalExactFraction <= 0 || res.FinalExactFraction > 1 {
-		t.Errorf("final exact fraction = %v", res.FinalExactFraction)
-	}
-	if res.Cells <= 0 || res.Persons != 250 {
-		t.Errorf("cells = %d persons = %d", res.Cells, res.Persons)
-	}
-	pts := cs.Snapshot()["census.exact_fraction"]
-	if len(pts) == 0 {
-		t.Fatal("no curve points")
+	pts := points("census.exact_fraction")
+	if len(pts) != cells {
+		t.Fatalf("curve has %d points, want one per cell (%d)", len(pts), cells)
 	}
 	for i, p := range pts {
 		if i > 0 && p.X <= pts[i-1].X {
@@ -113,7 +166,7 @@ func TestE11StreamConverge(t *testing.T) {
 			t.Errorf("point %d carries no solver stats: %v", i, p.Stats)
 		}
 	}
-	if last := pts[len(pts)-1]; int(last.X) != res.Cells {
-		t.Errorf("last x = %d, want all %d cells", last.X, res.Cells)
+	if last := pts[len(pts)-1]; last.X != cells || last.Y <= 0 {
+		t.Errorf("last point = %+v, want x = all %d cells and a positive exact fraction", last, cells)
 	}
 }

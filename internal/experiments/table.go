@@ -1,9 +1,9 @@
 // Package experiments contains one harness per experiment in DESIGN.md's
-// per-experiment index (E01–E19 plus the ablations A01–A06). Each harness
-// generates its workload, runs the attack/defense under test, and returns
-// a Table whose rows are the series the paper's corresponding claim
-// predicts. The same harnesses back the root-level benchmarks, the CLI
-// tools, and EXPERIMENTS.md.
+// per-experiment index (E01–E19, the ablations A01–A06 and the anytime
+// attacks E02.stream and E11.stream). Each harness generates its
+// workload, runs the attack/defense under test, and returns a Table whose
+// rows are the series the paper's corresponding claim predicts. The same
+// harnesses back the CLI tools, the work-counter gate and EXPERIMENTS.md.
 //
 // Every harness takes a seed (bit-for-bit reproducibility) and a quick
 // flag: quick runs shrink sizes/trials for CI; full runs produce the
@@ -175,6 +175,8 @@ func All() []Runner {
 		{"A04", "ablation: cardinality encoding", A04CardinalityEncoding},
 		{"A05", "ablation: integer noise (geometric vs Laplace)", A05IntegerNoise},
 		{"A06", "ablation: full-domain greedy vs lattice-optimal", A06FullDomainSearch},
+		{"E02.stream", "anytime LP reconstruction: queries to each accuracy milestone (Thm 1.1)", E02Stream},
+		{"E11.stream", "anytime census reconstruction: table cells to each exact-fraction milestone (§1)", E11StreamConverge},
 	}
 }
 

@@ -249,7 +249,9 @@ func (m *mondrian) trySplit(rows []int, attr int) (left, right []int, ok bool) {
 		return l, r, true
 	}
 	if m.opts.Policy == RelaxedBalanced {
-		// Scan candidate cuts outward from the median value.
+		// Try every other distinct value as the cut, in ascending order
+		// (the median already failed above); the first cut that passes
+		// wins.
 		values := distinctSorted(m.d, sorted, attr)
 		for _, cut := range values {
 			if cut == median {

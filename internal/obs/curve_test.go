@@ -7,73 +7,28 @@ import (
 	"testing"
 )
 
-func TestCurveAddAndSnapshot(t *testing.T) {
-	cs := NewCurveSet()
-	c := cs.Curve("recon.lp.accuracy")
-	c.Add(16, 0.55)
-	c.AddStats(32, 0.80, map[string]int64{"chunk": 16})
-	c.Add(48, 0.97)
-
-	if got := c.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	pts := cs.Snapshot()[c.Name()]
-	if pts[1].X != 32 || pts[1].Y != 0.80 || pts[1].Stats["chunk"] != 16 {
-		t.Errorf("point 1 = %+v", pts[1])
-	}
-	// Curve handles to the same name share the series.
-	if got := cs.Curve("recon.lp.accuracy").Len(); got != 3 {
-		t.Errorf("re-obtained curve Len = %d, want 3", got)
-	}
-
-	cs.Curve("census.exact_fraction").Add(1, 0.1)
-	if names := cs.Names(); len(names) != 2 || names[0] != "recon.lp.accuracy" || names[1] != "census.exact_fraction" {
-		t.Errorf("Names = %v", names)
-	}
-	snap := cs.Snapshot()
-	if len(snap["recon.lp.accuracy"]) != 3 || len(snap["census.exact_fraction"]) != 1 {
-		t.Errorf("Snapshot = %+v", snap)
-	}
-	// Snapshot is a copy: mutating it must not touch the set.
-	snap["recon.lp.accuracy"][0].Y = -1
-	if got := cs.Snapshot()[c.Name()][0].Y; got != 0.55 {
-		t.Errorf("snapshot mutation leaked into the set: y = %v", got)
-	}
-}
-
-func TestCurveMonotonePanics(t *testing.T) {
-	c := NewCurveSet().Curve("recon.lp.accuracy")
-	c.Add(10, 0.5)
-	for _, x := range []int64{10, 9} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Add(%d) after x=10 did not panic", x)
-				}
-			}()
-			c.Add(x, 0.6)
-		}()
-	}
-	// The offending point must not have been recorded.
-	if got := c.Len(); got != 1 {
-		t.Errorf("Len after rejected points = %d, want 1", got)
-	}
-}
-
+// TestCurveJournalMirror: a point becomes one attack.converge event in
+// the attached journal, which keeps it for the /converge views; the set
+// itself keeps nothing, so a second run's points may start over at a
+// lower x.
 func TestCurveJournalMirror(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(&buf)
-	cs := NewCurveSet()
+	cs := &CurveSet{}
 	cs.SetJournal(j)
 	c := cs.Curve("recon.lp.accuracy")
 	c.AddStats(32, 0.75, map[string]int64{"chunk": 32})
+	c.AddStats(16, 0.5, nil)
+	if got := j.Recent(); len(got) != 2 || got[0].Curve.X != 32 || got[1].Curve.X != 16 {
+		t.Errorf("retained events = %+v, want the points at x=32 and x=16", got)
+	}
 
 	events, err := ReadEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 {
-		t.Fatalf("journal events = %d, want 1", len(events))
+	if len(events) != 2 {
+		t.Fatalf("journal events = %d, want 2", len(events))
 	}
 	e := events[0]
 	if e.Phase != "attack.converge" || e.ID != "recon.lp.accuracy" {
@@ -84,19 +39,19 @@ func TestCurveJournalMirror(t *testing.T) {
 	}
 
 	cs.SetJournal(nil)
-	c.Add(64, 0.9)
-	if got := j.Events(); got != 1 {
-		t.Errorf("journal events after detach = %d, want 1", got)
+	c.AddStats(64, 0.9, nil)
+	if got := j.Events(); got != 2 {
+		t.Errorf("journal events after detach = %d, want 2", got)
 	}
 }
 
 func TestCurveTracerCounterLane(t *testing.T) {
 	tr := NewTracer()
 	tr.SetEnabled(true)
-	cs := NewCurveSet()
+	cs := &CurveSet{}
 	cs.SetTracer(tr)
-	cs.Curve("recon.lp.accuracy").Add(16, 0.5)
-	cs.Curve("recon.lp.accuracy").Add(32, 0.8)
+	cs.Curve("recon.lp.accuracy").AddStats(16, 0.5, nil)
+	cs.Curve("recon.lp.accuracy").AddStats(32, 0.8, nil)
 
 	events := tr.Events()
 	if len(events) != 2 {
@@ -118,21 +73,6 @@ func TestCurveTracerCounterLane(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"ph":"C"`) {
 		t.Errorf("Chrome trace export carries no counter events: %s", out.String())
-	}
-}
-
-func TestCurveReset(t *testing.T) {
-	cs := NewCurveSet()
-	cs.Curve("recon.lp.accuracy").Add(1, 0.5)
-	cs.Reset()
-	if len(cs.Names()) != 0 {
-		t.Errorf("Reset left names %v", cs.Names())
-	}
-	// x starts over after a Reset.
-	c := cs.Curve("recon.lp.accuracy")
-	c.Add(1, 0.2)
-	if pts := cs.Snapshot()[c.Name()]; len(pts) != 1 || pts[0].X != 1 || pts[0].Y != 0.2 {
-		t.Errorf("post-Reset points = %+v", pts)
 	}
 }
 

@@ -39,14 +39,15 @@ type Event struct {
 	Metrics *Snapshot `json:"metrics,omitempty"`
 	// Curve is the convergence sample for "attack.converge" events — one
 	// (x, y) point of a streaming attack's accuracy-vs-queries curve (see
-	// CurveSet). Nil on every other phase.
+	// CurveSet); the journal is the only store of these points. Nil on
+	// every other phase.
 	Curve *CurveSample `json:"curve,omitempty"`
 }
 
-// journalRing is how many recent events a journal retains for subscriber
-// replay (the SSE /journal and /converge tails): enough for a late
-// /converge subscriber to replay every attack.converge point of a
-// streamed run.
+// journalRing is how many recent events a journal retains for the serve
+// package's views (the SSE /journal and /converge replays and the JSON
+// /converge body): enough to hold every attack.converge point of a
+// streamed run, the 3,792 cells of a full E11.stream among them.
 const journalRing = 4096
 
 // mJournalDropped counts events dropped for slow journal subscribers: an
@@ -62,7 +63,7 @@ type Journal struct {
 	mu      sync.Mutex
 	w       io.Writer
 	events  int
-	recent  []Event // last journalRing events, for subscriber replay
+	recent  []Event // last journalRing events, for replay and Recent
 	subs    map[int]chan Event
 	nextID  int
 	dropped int64 // events dropped across all slow subscribers
@@ -139,6 +140,14 @@ func (j *Journal) Subscribe(buf int) (replay []Event, ch <-chan Event, cancel fu
 		})
 	}
 	return replay, c, cancel
+}
+
+// Recent returns a copy of the retained recent events, oldest first: what
+// a subscriber connecting now would be replayed.
+func (j *Journal) Recent() []Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return append([]Event(nil), j.recent...)
 }
 
 // Dropped returns the total number of events dropped across all slow

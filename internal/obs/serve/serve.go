@@ -6,9 +6,9 @@
 //	/snapshot      the raw obs.Snapshot as JSON
 //	/healthz       run phase, uptime, journal event count
 //	/journal       Server-Sent Events tail of the live run journal
-//	/converge      attack convergence curves: full series as JSON, or a
-//	               replay + live SSE tail of the journal's attack.converge
-//	               events with Accept: text/event-stream
+//	/converge      attack convergence curves: the journal's retained
+//	               attack.converge events as JSON, or their replay + live
+//	               SSE tail with Accept: text/event-stream
 //	/debug/pprof/  the stdlib pprof handlers
 //
 // The cmd tools start it with -serve addr (wired through Tool, the shared
@@ -136,9 +136,8 @@ type Health struct {
 // with Close.
 type Server struct {
 	reg     *obs.Registry
-	journal *obs.Journal  // nil: the /journal and /converge SSE tails respond 404
-	tracer  *obs.Tracer   // never nil; /trace serves its dump
-	curves  *obs.CurveSet // never nil; /converge serves it
+	journal *obs.Journal // nil: the /journal and /converge SSE tails respond 404
+	tracer  *obs.Tracer  // never nil; /trace serves its dump
 	start   time.Time
 	phase   atomic.Value // string
 	mux     *http.ServeMux
@@ -147,15 +146,14 @@ type Server struct {
 }
 
 // New builds a server over reg (usually obs.Default()) and journal (may be
-// nil when no run journal exists; the SSE tails then respond 404). The /trace
-// endpoint serves the process-wide obs.DefaultTracer dump and /converge
-// the process-wide obs.DefaultCurves set.
+// nil when no run journal exists; the SSE tails then respond 404 and the
+// JSON /converge view holds no curve). The /trace endpoint serves the
+// process-wide obs.DefaultTracer dump.
 func New(reg *obs.Registry, journal *obs.Journal) *Server {
 	s := &Server{
 		reg:     reg,
 		journal: journal,
 		tracer:  obs.DefaultTracer(),
-		curves:  obs.DefaultCurves(),
 		start:   time.Now(),
 		mux:     http.NewServeMux(),
 		done:    make(chan struct{}),
@@ -269,22 +267,29 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 
 // convergeSnapshot is the JSON /converge response body.
 type convergeSnapshot struct {
-	// Curves maps curve name to its full (x, y) series so far.
+	// Curves maps curve name to its points among the journal's retained
+	// events, in emission order.
 	Curves map[string][]obs.CurvePoint `json:"curves"`
 	// Dropped counts journal events dropped for slow SSE subscribers.
 	Dropped int64 `json:"dropped"`
 }
 
-// handleConverge serves the attack convergence curves. The default
-// response is a JSON snapshot of every curve's full series (the batch
-// view: plot it after the run). With Accept: text/event-stream it tails
-// the run journal instead, passing only attack.converge events; each SSE
-// frame is one obs.CurveSample.
+// handleConverge serves the attack convergence curves, all read from the
+// run journal, where each point is one attack.converge event (the only
+// events that carry a Curve). The default response is a JSON snapshot of
+// the points among the journal's retained events, grouped by curve. With
+// Accept: text/event-stream it tails the journal instead, passing only
+// the points; each SSE frame is one obs.CurveSample.
 func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		snap := convergeSnapshot{Curves: s.curves.Snapshot()}
+		snap := convergeSnapshot{Curves: map[string][]obs.CurvePoint{}}
 		if s.journal != nil {
 			snap.Dropped = s.journal.Dropped()
+			for _, e := range s.journal.Recent() {
+				if c := e.Curve; c != nil {
+					snap.Curves[c.Name] = append(snap.Curves[c.Name], c.CurvePoint)
+				}
+			}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -293,8 +298,8 @@ func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.tail(w, r, "converge", func(e obs.Event) any {
-		if e.Phase != "attack.converge" {
-			return nil
+		if e.Curve == nil {
+			return nil // a nil *CurveSample would reach tail as a non-nil any
 		}
 		return e.Curve
 	})

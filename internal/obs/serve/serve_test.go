@@ -282,18 +282,34 @@ func readSSECurves(t *testing.T, body io.Reader, n int) []obs.CurveSample {
 	return nil
 }
 
+// TestConvergeJSONSnapshot: plain GET /converge groups the points among
+// the journal's retained events by curve and skips every other event; a
+// server without a journal holds no curve.
 func TestConvergeJSONSnapshot(t *testing.T) {
-	cs := obs.NewCurveSet()
-	cs.Curve("recon.lp.accuracy").Add(32, 0.6)
-	cs.Curve("recon.lp.accuracy").Add(64, 0.9)
-	cs.Curve("census.exact_fraction").Add(26, 0.25)
+	journal := obs.NewJournal(io.Discard)
+	cs := new(obs.CurveSet)
+	cs.SetJournal(journal)
+	journal.Emit(obs.Event{Phase: "run_start"}) //nolint:errcheck
+	cs.Curve("recon.lp.accuracy").AddStats(32, 0.6, nil)
+	cs.Curve("census.exact_fraction").AddStats(26, 0.25, nil)
+	journal.Emit(obs.Event{Phase: "experiment", ID: "E02.stream"}) //nolint:errcheck
+	cs.Curve("recon.lp.accuracy").AddStats(64, 0.9, nil)
 
-	s := New(obs.NewRegistry(), nil)
-	s.curves = cs
-	srv := httptest.NewServer(s.Handler())
+	srv := httptest.NewServer(New(obs.NewRegistry(), journal).Handler())
 	defer srv.Close()
+	bare := httptest.NewServer(New(obs.NewRegistry(), nil).Handler())
+	defer bare.Close()
+	resp, err := http.Get(bare.URL + "/converge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty convergeSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&empty); err != nil || len(empty.Curves) != 0 {
+		t.Errorf("without a journal: %+v, %v; want no curve", empty, err)
+	}
+	resp.Body.Close()
 
-	resp, err := http.Get(srv.URL + "/converge")
+	resp, err = http.Get(srv.URL + "/converge")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +321,11 @@ func TestConvergeJSONSnapshot(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
+	if len(snap.Curves) != 2 {
+		t.Errorf("curves = %+v, want recon.lp.accuracy and census.exact_fraction", snap.Curves)
+	}
 	lp := snap.Curves["recon.lp.accuracy"]
-	if len(lp) != 2 || lp[1].X != 64 || lp[1].Y != 0.9 {
+	if len(lp) != 2 || lp[0].X != 32 || lp[1].X != 64 || lp[1].Y != 0.9 {
 		t.Errorf("lp curve = %+v", lp)
 	}
 	if got := snap.Curves["census.exact_fraction"]; len(got) != 1 || got[0].X != 26 {
@@ -335,13 +354,12 @@ func convergeTail(t *testing.T, ctx context.Context, url string) *http.Response 
 
 func TestConvergeSSETail(t *testing.T) {
 	journal := obs.NewJournal(io.Discard)
-	cs := obs.NewCurveSet()
+	cs := new(obs.CurveSet)
 	cs.SetJournal(journal)
 	curve := cs.Curve("recon.lp.accuracy")
-	curve.Add(16, 0.5)
+	curve.AddStats(16, 0.5, nil)
 
 	s := New(obs.NewRegistry(), journal)
-	s.curves = cs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	defer s.Close() //nolint:errcheck
@@ -385,17 +403,16 @@ func TestConvergeSSETail(t *testing.T) {
 // events, replays every point and nothing else from the journal's ring.
 func TestConvergeLateSubscriberReplaysRun(t *testing.T) {
 	journal := obs.NewJournal(io.Discard)
-	cs := obs.NewCurveSet()
+	cs := new(obs.CurveSet)
 	cs.SetJournal(journal)
 	curve := cs.Curve("census.exact_fraction")
 	const points = 300
 	for i := int64(1); i <= points; i++ {
 		journal.Emit(obs.Event{Phase: "experiment", ID: "E11.stream"}) //nolint:errcheck
-		curve.Add(i, float64(i)/points)
+		curve.AddStats(i, float64(i)/points, nil)
 	}
 
 	s := New(obs.NewRegistry(), journal)
-	s.curves = cs
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	defer s.Close() //nolint:errcheck
@@ -408,7 +425,7 @@ func TestConvergeLateSubscriberReplaysRun(t *testing.T) {
 	// non-curve event and one more point follow the replay: the next
 	// frame must be that point.
 	journal.Emit(obs.Event{Phase: "run_end"}) //nolint:errcheck
-	curve.Add(points+1, 1)
+	curve.AddStats(points+1, 1, nil)
 	samples := readSSECurves(t, resp.Body, points+1)
 	for i, smp := range samples {
 		if smp.Name != "census.exact_fraction" || smp.X != int64(i+1) {

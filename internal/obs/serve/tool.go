@@ -36,7 +36,7 @@ type Tool struct {
 func AddToolFlags(fs *flag.FlagSet, name string) *Tool {
 	t := &Tool{name: name}
 	t.metricsPath = fs.String("metrics", "", "write a JSONL run journal to this file")
-	t.serveAddr = fs.String("serve", "", "serve live observability HTTP on this address (/metrics, /snapshot, /healthz, /journal, /debug/pprof/); :0 picks a port")
+	t.serveAddr = fs.String("serve", "", "serve live observability HTTP on this address (/metrics, /snapshot, /healthz, /journal, /converge, /debug/pprof/); :0 picks a port")
 	t.spansPath = fs.String("spans", "", "write a Chrome trace-event JSON worker-span timeline to this file on exit (load at ui.perfetto.dev)")
 	t.prof = obs.AddProfileFlags(fs)
 	return t
@@ -78,13 +78,13 @@ func (t *Tool) Start() error {
 			return err
 		}
 		t.boundAddr = addr
-		fmt.Fprintf(os.Stderr, "%s: observability at http://%s/ (metrics, snapshot, healthz, journal, debug/pprof)\n", t.name, addr)
+		fmt.Fprintf(os.Stderr, "%s: observability at http://%s/ (metrics, snapshot, healthz, journal, converge, debug/pprof)\n", t.name, addr)
 	}
 	if t.journal != nil {
 		obs.Default().SetEnabled(true)
 		// Streaming attacks record convergence points into the default
-		// curve set; mirror them into the run journal as attack.converge
-		// events (and onto /converge when serving).
+		// curve set, which emits them into the run journal as
+		// attack.converge events (what /converge serves).
 		obs.DefaultCurves().SetJournal(t.journal)
 	}
 	return nil

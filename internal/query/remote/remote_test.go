@@ -423,9 +423,8 @@ func TestRemoteReconstructionInvariance(t *testing.T) {
 // exact oracle, and the milestone table must match too.
 func TestRemoteStreamInvariance(t *testing.T) {
 	const (
-		seed  = int64(42)
-		n     = 32
-		chunk = 16
+		seed = int64(42)
+		n    = 32
 	)
 	_, ts := newTestServer(t, remote.ServerConfig{N: n, Seed: seed, P: 0.5})
 	o, err := remote.Dial(ctx, ts.URL, fastOpts())
@@ -433,11 +432,11 @@ func TestRemoteStreamInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := remote.Dataset(seed, n, 0.5)
-	remoteTab, remoteRes, err := experiments.E02StreamOverOracle(ctx, o, truth, seed, chunk, nil)
+	remoteTab, remoteRes, err := experiments.E02StreamOverOracle(ctx, o, truth, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localTab, localRes, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: truth}, truth, seed, chunk, nil)
+	localTab, localRes, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: truth}, truth, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
