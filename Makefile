@@ -20,10 +20,11 @@
 #                  IsolationCount, HashPrefix.Eval), LP decodes of new
 #                  answer vectors at the lp-recon shape, each cold
 #                  (BenchmarkDecodeLPRecon, with pivots/op and
-#                  ns/pivot), and streaming sessions of 8 pushes there,
-#                  the first cold and the 7 after it warm from the
-#                  previous push's basis (BenchmarkStreamPush, with
-#                  pivots/push and ns/pivot),
+#                  ns/pivot), and streaming sessions there in 8 pushes
+#                  of 24 and at E02.stream's quick n = 64 in 16 pushes
+#                  of 16, each session's first push cold and the rest
+#                  warm from the previous push's basis
+#                  (BenchmarkStreamPush, with pivots/push and ns/pivot),
 #                  the random-subset generator at the serving
 #                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches

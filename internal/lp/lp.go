@@ -45,11 +45,17 @@
 // within its bounds — the row's slack or surplus, or a structural column
 // that appears in that row only (the e⁺/e⁻ error columns of an L1 fit).
 // When every row is covered, the solve needs no artificial variables and
-// no phase 1: each boxed nonbasic column is placed at the bound its
-// reduced cost prefers, and the dual simplex — with a long-step
-// (bound-flipping) ratio test — restores primal feasibility. Rows no
-// singleton covers get artificials and a phase-1 search, so general LPs
-// keep the two-phase path.
+// no phase 1. Each row's pick is then re-made at the centre of the box:
+// of the singletons that cost what the crash's pick costs, the row takes
+// one whose value lies within its bounds with every boxed non-singleton
+// column at its midpoint, so an L1 fit starts each row on the error
+// column of the side its RHS falls, which halves the decoder's pivots.
+// Each boxed nonbasic column is placed at the bound its reduced cost
+// prefers, and the dual simplex — with a long-step (bound-flipping)
+// ratio test — restores primal feasibility. A centred basis with no
+// dual-feasible placement goes back to the crash's, which is primal
+// feasible. Rows no singleton covers get artificials and a phase-1
+// search from the crash, so general LPs keep the two-phase path.
 //
 // Primal degeneracy is broken by a deterministic ε-perturbation of the
 // RHS: row r moves by perturb·(r+1) in the direction that grows the

@@ -2,6 +2,7 @@ package lp_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,13 +13,12 @@ import (
 	"singlingout/internal/synth"
 )
 
-// lpReconShape draws the lp-recon benchmark's shape at n = 48: m = 4n
-// random subset queries, and answer vectors for two datasets, each at
-// the noise levels c·√n for c in 0, 0.25, 0.5, 1, 2.
-func lpReconShape(b *testing.B) (n int, qs [][]int, pool [][]float64) {
+// lpReconShape draws the lp-recon benchmark's shape over n records (48
+// in lp-recon): m = 4n random subset queries, and answer vectors for two
+// datasets, each at the noise levels c·√n for c in 0, 0.25, 0.5, 1, 2.
+func lpReconShape(b *testing.B, n int) (qs [][]int, pool [][]float64) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
-	n = 48
 	qs = query.RandomSubsets(rng, n, 4*n)
 	for range 2 {
 		x := synth.BinaryDataset(rng, n, 0.5)
@@ -31,7 +31,7 @@ func lpReconShape(b *testing.B) (n int, qs [][]int, pool [][]float64) {
 			pool = append(pool, a)
 		}
 	}
-	return n, qs, pool
+	return qs, pool
 }
 
 // counting enables the default registry for the benchmark and returns
@@ -59,7 +59,8 @@ func reportPivots(b *testing.B, pivots int64, units int, unit string) {
 // simplex pivots per decode and the time per pivot.
 func BenchmarkDecodeLPRecon(b *testing.B) {
 	ctx := context.Background()
-	n, qs, pool := lpReconShape(b)
+	const n = 48
+	qs, pool := lpReconShape(b, n)
 	dec, err := recon.NewDecoder(n, qs, recon.L1Slack)
 	if err != nil {
 		b.Fatal(err)
@@ -80,16 +81,26 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 	reportPivots(b, pivots.Value()-p0, b.N, "op")
 }
 
-// BenchmarkStreamPush times one streaming session on the lp-recon shape
-// (lpReconShape): 8 pushes of 24 answers each, the whole workload.
-// Each session's first push solves cold and the other 7 warm-start by
-// the dual simplex from the previous push's basis, the path an anytime
-// attacker takes. It reports the simplex pivots per
-// push and the time per pivot; compare its allocations too.
+// BenchmarkStreamPush times one streaming session that pushes the
+// whole workload in equal chunks, on the lp-recon benchmark's shape
+// (lpReconShape) at two sizes: lp-recon's n = 48 in 8 pushes of 24
+// answers, and E02.stream's quick n = 64 in 16 pushes of 16. Each
+// session's first push solves cold and the others warm-start by the
+// dual simplex from the previous push's basis, the path an anytime
+// attacker takes. It reports the simplex pivots per push and the time
+// per pivot; compare its allocations too.
 func BenchmarkStreamPush(b *testing.B) {
-	const pushes, chunk = 8, 24
+	for _, c := range []struct{ n, chunk int }{{48, 24}, {64, 16}} {
+		b.Run(fmt.Sprintf("n=%d,chunk=%d", c.n, c.chunk), func(b *testing.B) {
+			benchStream(b, c.n, c.chunk)
+		})
+	}
+}
+
+func benchStream(b *testing.B, n, chunk int) {
 	ctx := context.Background()
-	n, qs, pool := lpReconShape(b)
+	qs, pool := lpReconShape(b, n)
+	pushes := len(qs) / chunk
 	dec, err := recon.NewDecoder(n, qs, recon.L1Slack)
 	if err != nil {
 		b.Fatal(err)

@@ -128,8 +128,9 @@ func NewSolver(p *Problem) (*Solver, error) {
 // column-wise sparse constraint storage, implicit bounds 0 ≤ x ≤ Upper,
 // an LU-factorized basis with product-form updates between periodic
 // refactorizations, candidate-list partial pricing, a singleton crash
-// that skips phase 1 whenever every row has a singleton column, and
-// Bland fallbacks for termination.
+// that skips phase 1 whenever every row has a singleton column (each
+// row's pick then re-made at the centre of the box, for a dual simplex
+// start nearer the optimum), and Bland fallbacks for termination.
 //
 // Numerical contract: the engine relaxes each inequality by a tiny
 // anti-degeneracy perturbation, so the returned point may violate the
@@ -629,7 +630,9 @@ func (e *revised) driveOutArtificials() (bool, error) {
 // lies within its bounds — the row's slack/surplus or a structural
 // column appearing in that row only — with ties to the lowest column
 // id. Rows no such column covers get their artificial. It returns the
-// number of artificials.
+// number of artificials. With none, the basis is primal feasible, so
+// primal phase 2 can start from it when no bound placement is dual
+// feasible; centre may then re-pick each row.
 func (e *revised) crash() int {
 	sf := e.sf
 	for r := range e.basis {
@@ -662,49 +665,119 @@ func (e *revised) crash() int {
 	return numArt
 }
 
+// centre re-picks the basic singleton of each row of a crash that
+// needed no artificials, for a start nearer the optimum: of the
+// singletons that cost what the crash's pick costs, it keeps one whose
+// value lies within its bounds when every boxed non-singleton column
+// sits at the midpoint of its range (and the rest at 0) — the crash's
+// pick if that one does, else the lowest column id, else the crash's
+// pick all the same. On an L1 fit that starts each row on the error
+// column of the side its RHS falls: e⁺ below the row's value at x = ½,
+// e⁻ above it. A row's lone singleton of its cost, such as the
+// zero-cost absorber of an open decoding row, stays. It reports whether
+// any row changed.
+func (e *revised) centre() bool {
+	sf := e.sf
+	res := e.rowScratch // each row's RHS less its boxed columns' midpoints
+	copy(res, sf.b)
+	for j := 0; j < sf.nCols; j++ {
+		col := &sf.cols[j]
+		if len(col.rows) == 1 || !e.canEnter[j] || math.IsInf(e.ub[j], 1) {
+			continue
+		}
+		h := e.ub[j] / 2
+		for k, r := range col.rows {
+			res[r] -= h * col.vals[k]
+		}
+	}
+	fits := func(j int) bool {
+		col := &sf.cols[j]
+		v := res[col.rows[0]] / col.vals[0]
+		return v >= 0 && v <= e.ub[j]
+	}
+	moved := false
+	for j := 0; j < sf.nCols; j++ {
+		col := &sf.cols[j]
+		if !e.canEnter[j] || len(col.rows) != 1 {
+			continue
+		}
+		r := int(col.rows[0])
+		cur := e.basis[r]
+		if cur == j || e.cost[j] != e.cost[cur] || fits(cur) || !fits(j) {
+			continue
+		}
+		e.posOf[cur], e.posOf[j] = -1, r
+		e.basis[r], moved = j, true
+	}
+	return moved
+}
+
 // coldPath solves from the crash basis: phase 1 over the artificials of
-// uncovered rows, if any, then phase 2 — by the dual simplex from a
-// dual-feasible bound placement when the crash needed no artificials and
-// one exists, by the primal simplex otherwise.
+// uncovered rows, if any, then the primal simplex; or, when the crash
+// needed no artificials, the dual simplex from the centred basis (see
+// centreDual).
 func (e *revised) coldPath() (*Solution, error) {
 	e.setPhase2Cost() // the crash prefers cheap singletons
-	numArt := e.crash()
+	if e.crash() == 0 {
+		return e.centreDual()
+	}
 	if err := e.refactor(); err != nil {
 		return nil, err
 	}
-	if numArt > 0 {
-		e.setPhase1Cost()
-		if err := e.primal(true); err != nil {
-			return nil, err
-		}
-		infeasSum := 0.0
-		for pos := 0; pos < e.m; pos++ {
-			if e.basis[pos] >= e.sf.nCols {
-				infeasSum += math.Abs(e.xB[pos])
-			}
-		}
-		if infeasSum > feasTol {
-			e.phase1Pivots = e.pivots
-			mInfeasible.Add(1)
-			return &Solution{Status: Infeasible}, nil
-		}
-		ok, err := e.driveOutArtificials()
-		e.phase1Pivots = e.pivots
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			mInfeasible.Add(1)
-			return &Solution{Status: Infeasible}, nil
-		}
-		e.setPhase2Cost()
+	e.setPhase1Cost()
+	if err := e.primal(true); err != nil {
+		return nil, err
 	}
-	// With no artificials, every column is at a bound or basic at a
-	// singleton, and the boxed columns can always be placed where their
-	// reduced costs are dual feasible: the dual simplex from there takes
-	// a fraction of the pivots primal phase 2 takes on the L1 decoding
-	// LPs, with no heavy tail.
-	if numArt == 0 && e.placeDualFeasible() {
+	infeasSum := 0.0
+	for pos := 0; pos < e.m; pos++ {
+		if e.basis[pos] >= e.sf.nCols {
+			infeasSum += math.Abs(e.xB[pos])
+		}
+	}
+	if infeasSum > feasTol {
+		e.phase1Pivots = e.pivots
+		mInfeasible.Add(1)
+		return &Solution{Status: Infeasible}, nil
+	}
+	ok, err := e.driveOutArtificials()
+	e.phase1Pivots = e.pivots
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		mInfeasible.Add(1)
+		return &Solution{Status: Infeasible}, nil
+	}
+	e.setPhase2Cost()
+	return e.finish()
+}
+
+// centreDual solves from a crash that covered every row. Every column
+// is then at a bound or basic at a singleton, so the boxed columns can
+// be placed where their reduced costs are dual feasible unless an
+// unbounded column prices negative, and the dual simplex from there
+// takes a fraction of the pivots primal phase 2 takes on the L1
+// decoding LPs, with no heavy tail. It starts from the centred basis,
+// which on the decoding LPs takes about half the crash's pivots. That
+// basis need not be primal feasible, so when it has no dual-feasible
+// placement the solve goes back to the crash's basis, which is.
+func (e *revised) centreDual() (*Solution, error) {
+	centred := e.centre()
+	if err := e.refactor(); err != nil {
+		return nil, err
+	}
+	placed := e.placeDualFeasible()
+	if !placed && centred {
+		for _, j := range e.basis {
+			e.posOf[j] = -1
+		}
+		e.crash()
+		if err := e.refactor(); err != nil {
+			return nil, err
+		}
+		placed = e.placeDualFeasible()
+	}
+	if placed {
 		if sol, err := e.dual(); sol != nil || err != nil {
 			return sol, err
 		}

@@ -863,6 +863,13 @@ var fuzzRevisedSeeds = [][]byte{
 	// which the crash solves with no pivot; then c₁ becomes −3 and the
 	// warm re-solve runs primal phase 2.
 	{2, 1, 4, 3, 5, 2, 3, 1, 4, 4, 3, 1, 5, 3, 4, 4, 2, 5, 2, 2, 0, 0, 1, 0},
+	// TestCentreFallsBackToCrash's failure in integers: minimize
+	// x₀ + e⁺ + e⁻ over 3x₀ − x₁ − e⁺ + e⁻ = 1, x₀ + x₁ ≤ 2, x₀ ≤ 2, with
+	// x₁ and e± unbounded; then the RHS moves up by 1. The centred start
+	// puts row 0 on e⁺, where x₁ prices at −1, so both cold solves fall
+	// back to the crash's basis; primal phase 2 from the centred one
+	// ended at objective 0, on a point that breaks row 0, against 1/3.
+	{3, 1, 4, 2, 3, 3, 4, 3, 4, 3, 6, 2, 2, 4, 2, 5, 4, 4, 3, 3, 0, 6, 3, 0},
 }
 
 // fuzzProblem builds FuzzRevised's LP from the fuzz bytes, and the data

@@ -140,9 +140,10 @@ const (
 // equal, entry for entry, those of the Decoder's previous Decode with no
 // push in between (a verbatim replay, which takes 0 pivots). Every other
 // solve is cold: a fresh answer vector moves every row, and then the
-// crash is cheaper than the dual simplex walk from another vector's
-// optimum. A Decoder is not safe for concurrent use; each goroutine
-// builds its own.
+// cold start, which starts each row on e⁺ where its answer lies below
+// |q|/2 and on e⁻ where it lies above, is cheaper than the dual simplex
+// walk from another vector's optimum. A Decoder is not safe for
+// concurrent use; each goroutine builds its own.
 //
 // The L1Slack LP has one equality row per query q over x ∈ [0,1]^n:
 //
