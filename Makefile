@@ -18,13 +18,12 @@
 #                  replay
 #   make gobench   the internal/pso microbenchmarks (prefix-descent trial,
 #                  IsolationCount, HashPrefix.Eval), LP decodes of new
-#                  answer vectors at the lp-recon shape, each cold
+#                  answer vectors at the lp-recon shape
 #                  (BenchmarkDecodeLPRecon, with pivots/op and
 #                  ns/pivot), and streaming sessions there in 8 pushes
 #                  of 24 and at E02.stream's quick n = 64 in 16 pushes
-#                  of 16, each session's first push cold and the rest
-#                  warm from the previous push's basis
-#                  (BenchmarkStreamPush, with pivots/push and ns/pivot),
+#                  of 16, every push cold (BenchmarkStreamPush, with
+#                  pivots/push and ns/pivot),
 #                  the random-subset generator at the serving
 #                  and lp-recon shapes (BenchmarkRandomSubsets), the
 #                  query server's handler on cached and fresh batches

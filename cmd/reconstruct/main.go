@@ -20,11 +20,11 @@
 // seed. A budget that runs out mid-sweep exits 1: the defense held.
 //
 // -stream runs E02.stream's anytime attack against the server instead:
-// one m = 4n workload answered n/4 queries at a time, with a warm-started
+// one m = 4n workload answered n/4 queries at a time, with a cold
 // re-decode after every chunk, each adding one point to the
 // recon.lp.accuracy convergence curve. The table reports
 // queries-to-X%-accuracy milestones, and the final reconstruction is
-// byte-identical to the batch decode of the same workload.
+// bit for bit the batch decode of the same workload.
 //
 // -stats appends an obs metrics footer (oracle queries, simplex pivots,
 // ...) to the table.

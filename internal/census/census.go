@@ -78,11 +78,6 @@ type Tuple struct {
 // numCells returns the joint domain size.
 func (c Config) numCells() int { return 2 * c.Buckets() * 6 * 2 }
 
-// cellID flattens a tuple.
-func (c Config) cellID(t Tuple) int {
-	return ((t.Sex*c.Buckets()+t.AgeBucket)*6+t.Race)*2 + t.Ethnicity
-}
-
 // cellTuple unflattens a cell id.
 func (c Config) cellTuple(id int) Tuple {
 	t := Tuple{Ethnicity: id % 2}

@@ -12,6 +12,11 @@ import (
 
 var ctx = context.Background()
 
+// cellID flattens a tuple: the inverse that cellTuple must match.
+func (c Config) cellID(t Tuple) int {
+	return ((t.Sex*c.Buckets()+t.AgeBucket)*6+t.Race)*2 + t.Ethnicity
+}
+
 func TestCellIDRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	f := func(sexRaw, buckRaw, raceRaw, ethRaw uint8) bool {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 
 	"singlingout/internal/query"
 	"singlingout/internal/recon"
@@ -28,8 +27,8 @@ var ErrSuppressed = errors.New("diffix: bucket suppressed (too few users)")
 // Cloak is the anonymizing query interface. It implements query.Oracle,
 // so the reconstruction attacks in package recon run against it unchanged
 // — in-process or behind the query service's diffix endpoint. Its answers
-// are deterministic in (Seed, query set) and the statistics counters are
-// atomic, so a Cloak may serve concurrent analysts.
+// are deterministic in (Seed, query set) and it holds no mutable state,
+// so a Cloak may serve concurrent analysts.
 type Cloak struct {
 	// X is the protected binary attribute per user.
 	X []int64
@@ -41,19 +40,10 @@ type Cloak struct {
 	Threshold int
 	// Seed keys the sticky-noise PRF.
 	Seed int64
-
-	queries    atomic.Int64
-	suppressed atomic.Int64
 }
 
 // N implements query.Oracle.
 func (c *Cloak) N() int { return len(c.X) }
-
-// Queries returns the number of answered queries (statistic).
-func (c *Cloak) Queries() int { return int(c.queries.Load()) }
-
-// Suppressed returns the number of refused queries (statistic).
-func (c *Cloak) Suppressed() int { return int(c.suppressed.Load()) }
 
 // Answer implements query.Oracle: each query is answered with the count
 // of flagged users among q plus sticky noise, or refused with a wrapped
@@ -77,7 +67,6 @@ func (c *Cloak) Answer(ctx context.Context, queries [][]int) ([]float64, error) 
 // answerOne is the per-query cloak: suppression, validation, sticky noise.
 func (c *Cloak) answerOne(q []int) (float64, error) {
 	if len(q) < c.Threshold {
-		c.suppressed.Add(1)
 		return 0, fmt.Errorf("%w: %d < %d", ErrSuppressed, len(q), c.Threshold)
 	}
 	// Same well-formedness contract as the query package's oracles: a
@@ -95,7 +84,6 @@ func (c *Cloak) answerOne(q []int) (float64, error) {
 		h ^= (uint64(i) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 		h *= 0x94d049bb133111eb
 	}
-	c.queries.Add(1)
 	// Sticky noise: deterministic in the query set.
 	rng := rand.New(rand.NewSource(int64(h)))
 	return float64(sum) + rng.NormFloat64()*c.SD, nil

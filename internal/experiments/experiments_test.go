@@ -26,10 +26,8 @@ type counterRow struct {
 }
 
 // e02Remote is the E02.remote row: the E02 sweep over an in-process exact
-// oracle at n = 64, on E02.stream's dataset. Its last table row decodes
-// the largest budget's answers again on the same decoder, a verbatim
-// replay: the one warm-started Decode of the product paths, which no
-// quick experiment takes.
+// oracle at n = 64, on E02.stream's dataset: the sweep `reconstruct
+// -remote` runs over the wire.
 func e02Remote() Runner {
 	return Runner{ID: "E02.remote", Run: func(ctx context.Context, seed int64, quick bool) (*Table, error) {
 		x := synth.BinaryDataset(par.RNG(seed, 1), 64, 0.5)
@@ -157,9 +155,9 @@ func TestCounterGate(t *testing.T) {
 			return rows
 		}, []string{"E02: lp.pivots 3922 -> 3921"}},
 		{"counter in the file only", func(rows []counterRow) []counterRow {
-			rows[0].Counters["lp.warm_starts"] = 0
+			rows[0].Counters["lp.refactorizations"] = 0
 			return rows
-		}, []string{"E02: lp.warm_starts 0 -> none"}},
+		}, []string{"E02: lp.refactorizations 0 -> none"}},
 		{"counter in the run only", func(rows []counterRow) []counterRow {
 			delete(rows[0].Counters, "query.count")
 			return rows

@@ -77,11 +77,9 @@ func E02LPReconstruction(ctx context.Context, seed int64, quick bool) (*Table, e
 	// already stable from n≈32 (see the quick sizes). Parallelism is over
 	// the ns; within one n each trial draws its database and query set
 	// once and sweeps every noise level c over them through one
-	// recon.Decoder, which builds the LP constraint matrix once. No
-	// noise level's answers repeat the previous level's, so the Decoder
-	// solves each of them cold, which takes fewer pivots than a warm
-	// start from the previous level's optimum. Per-n RNGs keep the table
-	// identical at any worker count.
+	// recon.Decoder, which builds the LP constraint matrix once and
+	// solves each level cold. Per-n RNGs keep the table identical at any
+	// worker count.
 	ns := []int{32, 64, 96}
 	trials := 2
 	if quick {

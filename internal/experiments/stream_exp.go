@@ -22,8 +22,9 @@ var ConvergeThresholds = []float64{0.5, 0.9, 0.95, 0.99}
 // table: the final reconstruction (so callers can verify the stream
 // reproduced the batch decode bit-for-bit) and the milestone crossings.
 type StreamResult struct {
-	// Final is the reconstruction after the last chunk — byte-identical
-	// to decoding the full answer vector in one batch.
+	// Final is the reconstruction after the last chunk — bit for bit the
+	// batch decode of the full answer vector, since the last push is the
+	// same cold solve on the same lp.Solver as recon.Decoder.Decode.
 	Final []int64
 	// Queries is the full workload size m.
 	Queries int
@@ -37,8 +38,8 @@ type StreamResult struct {
 
 // E02Stream is the registered anytime LP attack: E02StreamOverOracle over
 // an exact oracle on a fresh dataset of n = 64 records (quick) or 128
-// (full). Every push after the first warm-starts, a solver path no batch
-// experiment takes.
+// (full). Its pushes solve decoding LPs with most rows still open, whose
+// long degenerate dual runs no batch experiment takes.
 func E02Stream(ctx context.Context, seed int64, quick bool) (*Table, error) {
 	n := 128
 	if quick {
@@ -52,14 +53,15 @@ func E02Stream(ctx context.Context, seed int64, quick bool) (*Table, error) {
 // E02StreamOverOracle is the anytime form of E02OverOracle: it fixes one
 // m = 4n random-subset workload, answers it through the oracle n/4
 // queries at a time, and re-decodes after every chunk via the streaming
-// LP decoder (every step after the first a warm-started re-solve, see
+// LP decoder (each step a cold re-solve of the one decoding LP, see
 // recon.StreamDecoder).
 // Each step adds one point to the "recon.lp.accuracy" curve of
 // obs.DefaultCurves (x = queries answered, y = fraction of rows
 // recovered), which reaches the run journal as an attack.converge event
 // (the /converge views) as the attack runs. The returned table is the
 // queries-to-X%-accuracy summary; the final reconstruction in
-// StreamResult equals the batch decode of the same workload.
+// StreamResult equals the batch decode of the same workload, bit for
+// bit.
 func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int64) (*Table, *StreamResult, error) {
 	n := o.N()
 	if len(truth) != n {
@@ -98,7 +100,7 @@ func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, see
 		Title:  fmt.Sprintf("anytime LP reconstruction over a query oracle, n=%d, m=4n=%d, chunk=%d", n, m, chunk),
 		Header: []string{"accuracy milestone", "queries needed", "fraction of workload"},
 		Notes: []string{
-			fmt.Sprintf("final accuracy %s after all %d queries; every push after the first is a warm-started LP re-solve (lp.warm_starts in the metrics)", f3(res.FinalAccuracy), m),
+			fmt.Sprintf("final accuracy %s after all %d queries; each push re-solves the decoding LP cold (lp.solves and lp.pivots in the metrics)", f3(res.FinalAccuracy), m),
 			"curve recon.lp.accuracy carries the per-chunk points (journal attack.converge events, /converge endpoint)",
 		},
 	}

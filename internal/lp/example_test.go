@@ -10,8 +10,8 @@ import (
 
 // ExampleSolver solves the classic two-variable production LP, with the
 // x ≤ 4 capacity stated as an implicit upper bound instead of a row, then
-// raises the second capacity to 20 and solves again from the first
-// solve's basis.
+// raises the second capacity to 20 and solves again on the same Solver,
+// which reads the new RHS and rebuilds nothing.
 func ExampleSolver() {
 	// maximize 3x + 5y  ⇔  minimize -3x - 5y
 	p := &lp.Problem{
@@ -27,15 +27,15 @@ func ExampleSolver() {
 	if err != nil {
 		panic(err)
 	}
-	for _, warm := range []bool{false, true} {
-		sol, err := s.Solve(context.Background(), warm)
+	for range 2 {
+		sol, err := s.Solve(context.Background())
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%s: x=%.2f y=%.0f value=%.0f warm=%v\n", sol.Status, sol.X[0], sol.X[1], -sol.Objective, sol.Warm)
+		fmt.Printf("%s: x=%.2f y=%.0f value=%.0f\n", sol.Status, sol.X[0], sol.X[1], -sol.Objective)
 		p.Constraints[1].RHS = 20
 	}
 	// Output:
-	// optimal: x=2.00 y=6 value=36 warm=false
-	// optimal: x=2.67 y=6 value=38 warm=true
+	// optimal: x=2.00 y=6 value=36
+	// optimal: x=2.67 y=6 value=38
 }

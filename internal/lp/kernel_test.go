@@ -265,6 +265,41 @@ type kernelChecker struct {
 	cols, unitCols, etafulUnit int
 	// cands is checkEligible's scratch.
 	cands []dualCand
+	// dualPivots is the engine's dual pivot count at the last check, obj
+	// the objective there, and run the dual pivots since then that left
+	// the objective where it was (degenerate ones). longestRun is the
+	// longest such run seen, and blandPivots counts the pivots of a run
+	// past its first dualBlandRun, which the dual takes in Bland mode.
+	dualPivots, run, longestRun, blandPivots int
+	obj                                      float64
+}
+
+// trackDegenerate updates the run of degenerate dual pivots at a
+// pivot: one whose dual step left the objective at its last value, to
+// a relative 1e-9.
+func (kc *kernelChecker) trackDegenerate(e *revised) {
+	obj := 0.0
+	for i, j := range e.basis {
+		obj += e.cost[j] * e.xB[i]
+	}
+	for j, up := range e.atUpper {
+		if up {
+			obj += e.cost[j] * e.ub[j]
+		}
+	}
+	switch {
+	case e.dualPivots != kc.dualPivots+1:
+		kc.run = 0 // a new solve, or a primal pivot
+	case math.Abs(obj-kc.obj) <= 1e-9*(1+math.Abs(obj)):
+		kc.run++
+		if kc.run > dualBlandRun {
+			kc.blandPivots++
+		}
+		kc.longestRun = max(kc.longestRun, kc.run)
+	default:
+		kc.run = 0
+	}
+	kc.dualPivots, kc.obj = e.dualPivots, obj
 }
 
 func (kc *kernelChecker) sameInts(what string, got, want []int32) {
@@ -567,15 +602,19 @@ func (kc *kernelChecker) solver(p *Problem) *Solver {
 	if err != nil {
 		kc.t.Fatal(err)
 	}
-	s.e.onPivot = func() { kc.check(&s.e) }
+	s.e.onPivot = func() {
+		kc.trackDegenerate(&s.e)
+		kc.check(&s.e)
+	}
 	return s
 }
 
-// solve runs s, a Solver from kc.solver, cold or warm, checking the
-// kernels at every pivot and at the end.
-func (kc *kernelChecker) solve(s *Solver, warm bool) *Solution {
+// solve runs s, a Solver from kc.solver, checking the kernels at every
+// pivot and at the end.
+func (kc *kernelChecker) solve(s *Solver) *Solution {
 	kc.t.Helper()
-	sol, err := s.Solve(ctx, warm)
+	kc.dualPivots = -1
+	sol, err := s.Solve(ctx)
 	if err != nil {
 		kc.t.Fatal(err)
 	}
@@ -591,25 +630,25 @@ func (kc *kernelChecker) solve(s *Solver, warm bool) *Solution {
 // matches a scan of every column; and the leaving row read through the
 // position-indexed bounds matches one read through the basis. All on
 // every basis the engine passes through for the property test's LPs,
-// the FuzzRevised seeds (cold and warm), an L1 decoding LP warm-started
-// across noisy answer vectors, a cold decoding LP of 96 rows, and two
-// cold decodes at the lp-recon benchmark's shape.
+// the FuzzRevised seeds (solved, changed and re-solved on the same
+// Solver), an L1 decoding LP re-solved on one Solver across noisy
+// answer vectors, a decoding LP of 96 rows, two decodes at the lp-recon
+// benchmark's shape, and a streamed session whose pushes, with most
+// rows still open, take long degenerate dual runs in Bland mode.
 func TestSparseKernelsMatchReference(t *testing.T) {
 	kc := &kernelChecker{t: t}
 	for trial := 0; trial < 120; trial++ {
-		kc.solve(kc.solver(boxedProblem(par.RNG(11, trial), trial%2 == 0)), false)
+		kc.solve(kc.solver(boxedProblem(par.RNG(11, trial), trial%2 == 0)))
 	}
 	for trial := 120; trial < 360; trial++ {
-		kc.solve(kc.solver(boundedProblem(par.RNG(11, trial), trial%2 == 0)), false)
+		kc.solve(kc.solver(boundedProblem(par.RNG(11, trial), trial%2 == 0)))
 	}
 	for _, seed := range fuzzRevisedSeeds {
 		p, change := fuzzProblem(seed)
 		s := kc.solver(p)
-		if cold := kc.solve(s, false); cold.Status != Optimal {
-			continue
-		}
+		kc.solve(s)
 		change(p)
-		kc.solve(s, true)
+		kc.solve(s)
 	}
 	rng := par.RNG(5, 0)
 	m := 48
@@ -623,18 +662,18 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 			noisy[k] = answers[k] + rng.NormFloat64()*float64(round)
 		}
 		setData(p, l1EqualityProblem(qRows, noisy, open))
-		kc.solve(s, round > 0)
+		kc.solve(s)
 	}
-	// A cold decode at n = 24, m = 4n: most basis columns are e± unit
+	// A decode at n = 24, m = 4n: most basis columns are e± unit
 	// columns, which the reach loop skips.
 	qRows, answers = subsetRows(rng, 24, 96)
 	for k := range answers {
 		answers[k] += rng.Float64() - 0.5
 	}
-	if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, answers, make([]bool, 96))), false); sol.Pivots == 0 {
-		t.Fatal("the cold 96-row decode took no pivots")
+	if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, answers, make([]bool, 96)))); sol.Pivots == 0 {
+		t.Fatal("the 96-row decode took no pivots")
 	}
-	// Cold decodes at lp-recon's shape (n = 48, m = 4n) of answers with
+	// Decodes at lp-recon's shape (n = 48, m = 4n) of answers with
 	// bounded noise at c·√n: their unit entering columns take the O(1)
 	// FTRAN with eta files of up to refactorEvery entries.
 	n := 48
@@ -654,9 +693,41 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, a, make([]bool, len(qs)))), false); sol.Pivots == 0 {
-			t.Fatalf("the cold lp-recon decode at c = %v took no pivots", c)
+		if sol := kc.solve(kc.solver(l1EqualityProblem(qRows, a, make([]bool, len(qs))))); sol.Pivots == 0 {
+			t.Fatalf("the lp-recon decode at c = %v took no pivots", c)
 		}
+	}
+	// A streamed session of exact answers at n = 20, m = 4n, answered 2
+	// at a time, the open rows' absorbers at their bound n, every push on
+	// the one Solver. With few rows answered, many x price at exactly 0,
+	// and the dual runs on at breakpoint 0 until Bland's rule takes the
+	// leaving row: here in the third push (about 370 pivots, 106 of them
+	// in Bland mode). Seed 25 is the first at this size whose session
+	// does; the session takes about 1,100 pivots in all.
+	n = 20
+	rngQ = rand.New(rand.NewSource(25))
+	qs = query.RandomSubsets(rngQ, n, 4*n)
+	x = synth.BinaryDataset(rngQ, n, 0.5)
+	qRows, answers = make([][]float64, len(qs)), make([]float64, len(qs))
+	for k, q := range qs {
+		qRows[k] = make([]float64, n)
+		for _, i := range q {
+			qRows[k][i] = 1
+			answers[k] += float64(x[i])
+		}
+	}
+	open = make([]bool, len(qRows))
+	p = l1EqualityProblem(qRows, answers, open)
+	s = kc.solver(p)
+	for answered := 2; answered <= len(qRows); answered += 2 {
+		for k := range open {
+			open[k] = k >= answered
+		}
+		setData(p, l1EqualityProblem(qRows, answers, open))
+		kc.solve(s)
+	}
+	if kc.blandPivots == 0 {
+		t.Errorf("no dual run reached Bland mode: the longest took %d degenerate pivots, want more than %d", kc.longestRun, dualBlandRun)
 	}
 	if kc.etaful == 0 {
 		t.Fatalf("none of %d states had an eta file", kc.states)
@@ -664,8 +735,8 @@ func TestSparseKernelsMatchReference(t *testing.T) {
 	if kc.etafulUnit == 0 {
 		t.Fatalf("none of %d O(1) column FTRANs replayed an eta file", kc.unitCols)
 	}
-	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update; %d unit BTRANs with %d nonzeros, whose pivot rows wrote %d columns; %d column FTRANs, %d on the O(1) path (%d with etas)",
-		kc.states, kc.etaful, kc.applied, kc.scanned, kc.units, kc.unitNZ, kc.alphaCols, kc.cols, kc.unitCols, kc.etafulUnit)
+	t.Logf("%d states checked, %d with a non-empty eta file; %d of the %d elimination steps the reference scans applied an update; %d unit BTRANs with %d nonzeros, whose pivot rows wrote %d columns; %d column FTRANs, %d on the O(1) path (%d with etas); %d degenerate dual pivots in Bland mode, the longest degenerate run %d",
+		kc.states, kc.etaful, kc.applied, kc.scanned, kc.units, kc.unitNZ, kc.alphaCols, kc.cols, kc.unitCols, kc.etafulUnit, kc.blandPivots, kc.longestRun)
 }
 
 // TestFtranColDenseBasis: on a dense basis, step 0 has an empty U

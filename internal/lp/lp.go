@@ -13,18 +13,15 @@
 //
 // Solver is the one engine: a sparse bounded-variable revised simplex —
 // column-wise sparse storage, an LU-factorized basis with product-form
-// (eta-file) updates between periodic refactorizations, candidate-list
-// partial pricing, and a warm start: a Solver keeps the basis its last
-// solve ended on when that solve was Optimal, and Solve(ctx, true)
-// restarts from it under a new RHS, objective and/or bounds (by the dual
-// simplex when only the RHS or the bounds moved). Upper bounds are
-// implicit: a nonbasic variable sits at 0 or at u_j, so a box never
-// costs a basis row. NewSolver builds the engine for one constraint
-// matrix once — the standard form, the per-column arrays and the LU
-// storage — and each Solve reads only the problem's RHS, bounds and
-// objective, so a caller that solves one matrix many times
-// (recon.Decoder) pays for the structure once, and gets what a fresh
-// engine would return, bit for bit.
+// (eta-file) updates between periodic refactorizations and candidate-list
+// partial pricing. Upper bounds are implicit: a nonbasic variable sits at
+// 0 or at u_j, so a box never costs a basis row. NewSolver builds the
+// engine for one constraint matrix once — the standard form, the
+// per-column arrays and the LU storage — and each Solve reads only the
+// problem's RHS, bounds and objective, so a caller that solves one
+// matrix many times (recon.Decoder) pays for the structure once. Every
+// Solve starts cold, from the crash below, so a reused Solver returns
+// what a fresh engine would, bit for bit.
 //
 // Each iteration touches only entries that can be nonzero, without
 // changing a nonzero bit against the dense-order loops the tests keep
@@ -105,8 +102,8 @@ type Problem struct {
 	Constraints []Constraint
 	// Upper holds the variables' upper bounds: nil for none, otherwise
 	// length NumVars with every entry ≥ 0 (+Inf for unbounded). Bounds
-	// are not part of the constraint structure, so a Solver's warm start
-	// stays valid when they change.
+	// are not part of the constraint structure, so a Solver reads them
+	// afresh at each solve.
 	Upper []float64
 }
 
@@ -144,17 +141,12 @@ type Solution struct {
 	// feasibility-search share.
 	Pivots       int
 	Phase1Pivots int
-	// Warm reports whether this solve started from the basis of the
-	// Solver's previous solve.
-	Warm bool
 }
 
 // Metrics recorded into obs.Default(). lp.pivots counts every simplex
 // iteration across both phases — the paper's "solver iterations" cost of
 // an LP reconstruction attack. lp.refactorizations counts basis LU
-// (re)factorizations; lp.warm_starts counts solves that started from the
-// previous solve's basis (lp.warm_miss counts the warm requests that had
-// to fall back cold), and lp.dual_pivots the dual-simplex share of
+// (re)factorizations, and lp.dual_pivots the dual-simplex share of
 // pivots.
 var (
 	mSolves     = obs.Default().Counter("lp.solves")
@@ -164,8 +156,6 @@ var (
 	mUnbounded  = obs.Default().Counter("lp.unbounded")
 	mSolveNS    = obs.Default().Histogram("lp.solve_ns")
 	mRefactor   = obs.Default().Counter("lp.refactorizations")
-	mWarmStarts = obs.Default().Counter("lp.warm_starts")
-	mWarmMiss   = obs.Default().Counter("lp.warm_miss")
 	mDualPivots = obs.Default().Counter("lp.dual_pivots")
 )
 

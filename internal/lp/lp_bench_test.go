@@ -35,13 +35,13 @@ func lpReconShape(b *testing.B, n int) (qs [][]int, pool [][]float64) {
 }
 
 // counting enables the default registry for the benchmark and returns
-// its lp.pivots and lp.warm_starts counters.
-func counting(b *testing.B) (pivots, warm *obs.Counter) {
+// its lp.pivots counter.
+func counting(b *testing.B) *obs.Counter {
 	reg := obs.Default()
 	wasEnabled := reg.Enabled()
 	reg.SetEnabled(true)
 	b.Cleanup(func() { reg.SetEnabled(wasEnabled) })
-	return reg.Counter("lp.pivots"), reg.Counter("lp.warm_starts")
+	return reg.Counter("lp.pivots")
 }
 
 // reportPivots reports the simplex pivots per unit of work and the
@@ -54,9 +54,8 @@ func reportPivots(b *testing.B, pivots int64, units int, unit string) {
 
 // BenchmarkDecodeLPRecon times recon.Decoder.Decode on the lp-recon
 // benchmark's shape (lpReconShape). Successive iterations decode
-// different answer vectors, none a replay of the one before, so each
-// runs cold, on the decoder's one reused lp.Solver. It reports the
-// simplex pivots per decode and the time per pivot.
+// different answer vectors on the decoder's one reused lp.Solver. It
+// reports the simplex pivots per decode and the time per pivot.
 func BenchmarkDecodeLPRecon(b *testing.B) {
 	ctx := context.Background()
 	const n = 48
@@ -65,8 +64,8 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pivots, warm := counting(b)
-	p0, w0 := pivots.Value(), warm.Value()
+	pivots := counting(b)
+	p0 := pivots.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -75,20 +74,16 @@ func BenchmarkDecodeLPRecon(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if w := warm.Value() - w0; w != 0 {
-		b.Fatalf("%d of %d decodes warm-started, want every one cold", w, b.N)
-	}
 	reportPivots(b, pivots.Value()-p0, b.N, "op")
 }
 
 // BenchmarkStreamPush times one streaming session that pushes the
 // whole workload in equal chunks, on the lp-recon benchmark's shape
 // (lpReconShape) at two sizes: lp-recon's n = 48 in 8 pushes of 24
-// answers, and E02.stream's quick n = 64 in 16 pushes of 16. Each
-// session's first push solves cold and the others warm-start by the
-// dual simplex from the previous push's basis, the path an anytime
-// attacker takes. It reports the simplex pivots per push and the time
-// per pivot; compare its allocations too.
+// answers, and E02.stream's quick n = 64 in 16 pushes of 16, the path
+// an anytime attacker takes. Each push solves its LP cold. It reports
+// the simplex pivots per push and the time per pivot; compare its
+// allocations too.
 func BenchmarkStreamPush(b *testing.B) {
 	for _, c := range []struct{ n, chunk int }{{48, 24}, {64, 16}} {
 		b.Run(fmt.Sprintf("n=%d,chunk=%d", c.n, c.chunk), func(b *testing.B) {
@@ -105,8 +100,8 @@ func benchStream(b *testing.B, n, chunk int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pivots, warm := counting(b)
-	p0, w0 := pivots.Value(), warm.Value()
+	pivots := counting(b)
+	p0 := pivots.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,8 +114,5 @@ func benchStream(b *testing.B, n, chunk int) {
 		}
 	}
 	b.StopTimer()
-	if w, want := warm.Value()-w0, int64(b.N*(pushes-1)); w != want {
-		b.Fatalf("%d warm starts in %d sessions, want %d", w, b.N, want)
-	}
 	reportPivots(b, pivots.Value()-p0, b.N*pushes, "push")
 }

@@ -111,7 +111,7 @@ func TestSolveCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(cancelled, false); !errors.Is(err, context.Canceled) {
+	if _, err := s.Solve(cancelled); !errors.Is(err, context.Canceled) {
 		t.Errorf("revised: err = %v, want context.Canceled", err)
 	}
 }

@@ -26,10 +26,12 @@ const (
 	// the dual simplex switches its leaving-row choice from Dantzig (most
 	// infeasible) to Bland's least-index rule. The primal side is
 	// protected by the ε-perturbation and blandAfter, but the dual ratio
-	// test runs on the unperturbed reduced costs, and on the massively
-	// degenerate L1-fitting LPs a warm start that tightens many rows at
-	// once can set Dantzig cycling; least-index selection (with the ratio
-	// test's lowest-column tie-break) is provably finite.
+	// test runs on the unperturbed reduced costs, and the L1-fitting LPs
+	// are massively dual degenerate when few of their rows bind: a
+	// streamed push with most rows unanswered prices many x columns at
+	// exactly 0, with their breakpoints at 0, and Dantzig can cycle
+	// there. Least-index selection (with the ratio test's lowest-column
+	// tie-break) is provably finite.
 	dualBlandRun = 256
 )
 
@@ -60,21 +62,12 @@ type revised struct {
 	pivots       int
 	phase1Pivots int
 	dualPivots   int
-	warm         bool
 
 	ctx      context.Context
 	pricePos int // partial-pricing cursor
 	// onPivot, when set, runs after every pivot: the kernel tests'
 	// per-pivot check.
 	onPivot func()
-
-	// prevBasis and prevUpper are the warm start: the basis the last
-	// solve ended on, by position, and its nonbasic columns at their
-	// upper bound, ascending. havePrev is false when that solve did not
-	// end Optimal.
-	prevBasis []int
-	prevUpper []int
-	havePrev  bool
 
 	// Scratch (reused across iterations and solves).
 	rowScratch []float64 // row-indexed FTRAN/BTRAN input
@@ -102,13 +95,11 @@ type revised struct {
 // engine's per-column arrays and the LU factor's storage. Each Solve then
 // reads only the RHS values, Upper and Objective, which the caller may
 // change between solves. So re-solving one matrix under new answers,
-// bounds or costs costs no rebuild. A Solver also keeps the basis of its
-// last solve, if that solve ended Optimal, as the start of a warm Solve.
-// A reused Solver returns what a fresh one would, bit for bit: on a cold
-// solve always, and on a warm one when the fresh Solver ran the same
-// previous solve. Changing the structure after NewSolver is not
-// supported: the Solver keeps the one it read. A Solver is not safe for
-// concurrent use.
+// bounds or costs costs no rebuild. Every Solve starts cold, and no
+// solve hands the next anything but storage, so a reused Solver returns
+// what a fresh one would, bit for bit. Changing the structure after
+// NewSolver is not supported: the Solver keeps the one it read. A Solver
+// is not safe for concurrent use.
 type Solver struct {
 	e revised
 }
@@ -137,20 +128,8 @@ func NewSolver(p *Problem) (*Solver, error) {
 // stated constraints by up to ~1e-5 for problems with up to ~1000 rows;
 // equalities are not perturbed.
 //
-// With warm false, or when the Solver's last solve did not end Optimal,
-// the solve starts cold. Otherwise it starts from the basis that solve
-// ended on, which skips the crash and phase 1 entirely: if that basis is
-// still primal feasible under the new RHS and bounds the solve resumes
-// in phase 2, and otherwise (the common case after an RHS or bound
-// change at an optimum) the engine places each boxed nonbasic variable
-// at the bound its reduced cost prefers and runs the dual simplex until
-// primal feasibility is restored. A basis that cannot be reused
-// (singular under the new data, holding the artificial of a redundant
-// row, or dual infeasible on an unbounded column) falls back to a cold
-// start. Solution.Warm reports which start the solve took.
-//
 // The context is checked every 4,096 pivots.
-func (s *Solver) Solve(ctx context.Context, warm bool) (*Solution, error) {
+func (s *Solver) Solve(ctx context.Context) (*Solution, error) {
 	e := &s.e
 	p, sf := e.p, e.sf
 	if p.NumVars != sf.nStruct || len(p.Constraints) != sf.m {
@@ -164,32 +143,16 @@ func (s *Solver) Solve(ctx context.Context, warm bool) (*Solution, error) {
 	sp := mSolveNS.Span()
 	defer sp.End()
 	e.reset(ctx)
-	sol, err := e.run(warm && e.havePrev)
+	sol, err := e.coldPath()
 	mPivots.Add(int64(e.pivots))
 	mPhase1.Add(int64(e.phase1Pivots))
 	mDualPivots.Add(int64(e.dualPivots))
-	e.havePrev = err == nil && sol.Status == Optimal
 	if err != nil {
 		return nil, err
 	}
 	sol.Pivots = e.pivots
 	sol.Phase1Pivots = e.phase1Pivots
-	sol.Warm = e.warm
-	if e.havePrev {
-		e.saveBasis()
-	}
 	return sol, nil
-}
-
-// saveBasis copies the current basis into the warm start.
-func (e *revised) saveBasis() {
-	copy(e.prevBasis, e.basis)
-	e.prevUpper = e.prevUpper[:0]
-	for j := 0; j < e.sf.nCols; j++ {
-		if e.atUpper[j] {
-			e.prevUpper = append(e.prevUpper, j)
-		}
-	}
 }
 
 // init allocates the engine's storage for the standard form sf of p.
@@ -207,7 +170,6 @@ func (e *revised) init(p *Problem, sf *standard) {
 		canEnter:   make([]bool, total),
 		atUpper:    make([]bool, total),
 		basis:      make([]int, m),
-		prevBasis:  make([]int, m),
 		posOf:      make([]int, total),
 		xB:         make([]float64, m),
 		ubB:        make([]float64, m),
@@ -230,9 +192,9 @@ func (e *revised) init(p *Problem, sf *standard) {
 // reset readies the engine for a solve of p's current data: the RHS
 // (into the standard form) and the bounds, with no basis, no column at
 // its upper bound and every counter at zero — the state a new engine
-// starts in. Everything else a solve reads it writes first: the crash or
-// the warm start sets the basis, the LU factor and the basic values, and
-// the phases set the costs.
+// starts in. Everything else a solve reads it writes first: the crash
+// sets the basis, the LU factor and the basic values, and the phases set
+// the costs.
 func (e *revised) reset(ctx context.Context) {
 	p, sf := e.p, e.sf
 	sf.setRHS(p)
@@ -254,32 +216,7 @@ func (e *revised) reset(ctx context.Context) {
 		e.atUpper[j] = false
 	}
 	e.pivots, e.phase1Pivots, e.dualPivots = 0, 0, 0
-	e.warm, e.pricePos, e.ctx = false, 0, ctx
-}
-
-func (e *revised) run(warm bool) (*Solution, error) {
-	if warm {
-		sol, ok, err := e.warmPath()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return sol, nil
-		}
-		mWarmMiss.Add(1)
-		e.resetBasis()
-	}
-	return e.coldPath()
-}
-
-// resetBasis clears basis bookkeeping after a failed warm attempt.
-func (e *revised) resetBasis() {
-	for j := range e.posOf {
-		e.posOf[j] = -1
-		e.atUpper[j] = false
-	}
-	e.pricePos = 0
-	e.warm = false
+	e.pricePos, e.ctx = 0, ctx
 }
 
 // colFor returns the sparse entries of column id j (artificials live past
@@ -803,72 +740,6 @@ func (e *revised) finish() (*Solution, error) {
 		return nil, err
 	}
 	return e.extract(), nil
-}
-
-// primalFeasible reports whether every basic value lies within its
-// bounds (to feasTol).
-func (e *revised) primalFeasible() bool {
-	for i, v := range e.xB {
-		if v < -feasTol || v > e.ub[e.basis[i]]+feasTol {
-			return false
-		}
-	}
-	return true
-}
-
-// warmPath starts from the previous solve's basis. ok=false means that
-// basis cannot be reused — it holds the artificial of a redundant row,
-// is singular, or is dual infeasible on an unbounded column — and the
-// caller falls back to a cold start.
-func (e *revised) warmPath() (*Solution, bool, error) {
-	for _, j := range e.prevBasis {
-		if j >= e.sf.nCols {
-			return nil, false, nil // a redundant row's artificial
-		}
-	}
-	copy(e.basis, e.prevBasis)
-	for i, j := range e.basis {
-		e.posOf[j] = i
-	}
-	for _, j := range e.prevUpper {
-		// A column whose bound became infinite (or zero) drops to 0.
-		if e.posOf[j] < 0 && e.canEnter[j] && !math.IsInf(e.ub[j], 1) {
-			e.atUpper[j] = true
-		}
-	}
-	if err := e.refactor(); err != nil {
-		if errors.Is(err, ErrSingularBasis) {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	e.setPhase2Cost()
-	if !e.primalFeasible() {
-		// The usual warm case after an RHS or bound change at an optimum:
-		// still dual feasible once the boxed columns sit at the bounds
-		// their reduced costs prefer, so restore primal feasibility with
-		// the dual simplex instead of rerunning phase 1.
-		if !e.placeDualFeasible() {
-			return nil, false, nil
-		}
-		e.startWarm()
-		sol, err := e.dual()
-		if sol != nil || err != nil {
-			return sol, true, err
-		}
-	} else {
-		e.startWarm()
-	}
-	sol, err := e.finish()
-	if err != nil {
-		return nil, false, err
-	}
-	return sol, true, nil
-}
-
-func (e *revised) startWarm() {
-	mWarmStarts.Add(1)
-	e.warm = true
 }
 
 // placeDualFeasible refreshes the reduced costs and moves every boxed

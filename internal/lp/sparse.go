@@ -69,8 +69,7 @@ func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
 // by 0 ≤ x_j ≤ u_j. The structure is built once per Solver; setRHS
 // rewrites b for each solve.
 //
-// Column ids are stable across solves of one Solver — the property its
-// warm start relies on:
+// Column ids are fixed when the Solver is built:
 //
 //	0 .. nStruct-1          structural variables
 //	nStruct+r               row variable of row r (slack +1 for LE,
@@ -81,8 +80,8 @@ func (c *csr) transpose(m, n int, col func(j int) ([]int32, []float64)) {
 // Unlike the dense tableau, rows are NOT sign-normalized by RHS sign:
 // negating a row is a diagonal ±1 scaling that changes neither which
 // column sets are valid bases nor the basic solution, and keeping the
-// original orientation keeps the matrix — and therefore the warm start —
-// valid when a new RHS crosses zero.
+// original orientation keeps the matrix, built once per Solver, valid
+// when a new RHS crosses zero.
 type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m; artificial ids start here

@@ -53,15 +53,6 @@ func (cs *CurveSet) SetJournal(j *Journal) {
 	cs.journal = j
 }
 
-// SetTracer attaches (or with nil detaches) a tracer: every point added
-// after this call is also recorded as a Chrome trace counter event when
-// the tracer is enabled.
-func (cs *CurveSet) SetTracer(t *Tracer) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.tracer = t
-}
-
 // Curve returns the handle that adds points to the named curve. Names
 // follow the metric-name convention (lowercase dotted, e.g.
 // "recon.lp.accuracy"); repolint's obsnames analyzer holds Curve call

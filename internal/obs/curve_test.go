@@ -48,8 +48,7 @@ func TestCurveJournalMirror(t *testing.T) {
 func TestCurveTracerCounterLane(t *testing.T) {
 	tr := NewTracer()
 	tr.SetEnabled(true)
-	cs := &CurveSet{}
-	cs.SetTracer(tr)
+	cs := &CurveSet{tracer: tr}
 	cs.Curve("recon.lp.accuracy").AddStats(16, 0.5, nil)
 	cs.Curve("recon.lp.accuracy").AddStats(32, 0.8, nil)
 

@@ -98,12 +98,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Stat summarizes the histogram, including the bucket counts (trimmed of
 // trailing empty buckets) and the quantiles derived from them.
 func (h *Histogram) Stat() HistStat {
@@ -263,25 +257,4 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h.min.Store(math.MaxInt64)
 	r.hists[name] = h
 	return h
-}
-
-// Reset zeroes every registered metric (the metric pointers stay valid).
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range r.hists {
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.min.Store(math.MaxInt64)
-		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
-	}
 }

@@ -264,17 +264,6 @@ func (t *Tracer) Events() []TraceEvent {
 	return out
 }
 
-// Lanes returns a copy of the lane-name table (tid -> name).
-func (t *Tracer) Lanes() map[int]string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]string, len(t.lanes))
-	for tid, name := range t.lanes {
-		out[tid] = name
-	}
-	return out
-}
-
 // TraceDump is the transportable form of a tracer's collected state. The
 // serve package's /trace endpoint returns it and Tracer.AddProcess merges
 // a remote process's dump into a local export, which is how a

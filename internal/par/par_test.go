@@ -196,7 +196,7 @@ func TestForEachTraceWorkerLanes(t *testing.T) {
 	tr.SetEnabled(false)
 
 	workerLanes := map[int]string{}
-	for tid, name := range tr.Lanes() {
+	for tid, name := range tr.Dump("").Lanes {
 		if tid != obs.MainLane {
 			workerLanes[tid] = name
 		}

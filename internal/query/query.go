@@ -115,37 +115,13 @@ func (b *BoundedNoise) Answer(ctx context.Context, queries [][]int) ([]float64, 
 // N implements Oracle.
 func (b *BoundedNoise) N() int { return len(b.X) }
 
-// Laplace answers with the true sum plus Laplace(1/Eps) noise. Each answer
-// individually satisfies Eps-differential privacy (the subset-sum of a
-// binary dataset has sensitivity 1); callers issuing k queries consume
-// k·Eps of budget under basic composition.
-type Laplace struct {
-	X   []int64
-	Eps float64
-	Rng *rand.Rand
-}
-
-// Answer implements Oracle with fresh Laplace noise per query.
-func (l *Laplace) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
-	return answerEach(ctx, queries, func(q []int) (float64, error) {
-		s, err := trueSum(l.X, q)
-		if err != nil {
-			return 0, err
-		}
-		return float64(s) + dist.Laplace(l.Rng, 1/l.Eps), nil
-	})
-}
-
-// N implements Oracle.
-func (l *Laplace) N() int { return len(l.X) }
-
 // StickyLaplace answers with the true sum plus Laplace(1/Eps) noise that
 // is a deterministic function of (Seed, query set) — the "same query,
 // same answer" behavior of deployed statistical-query systems, which
 // blocks averaging attacks and makes answers cacheable. The noise is
 // order-independent in the query's indices, so {2,0} and {0,2} get the
-// same answer. Unlike Laplace it holds no mutable state, so it is safe
-// for concurrent use; the query service's laplace backend is built on it.
+// same answer. It holds no mutable state, so it is safe for concurrent
+// use; the query service's laplace backend is built on it.
 type StickyLaplace struct {
 	X    []int64
 	Eps  float64

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"singlingout/internal/dist"
 	"singlingout/internal/synth"
 )
 
@@ -91,6 +92,29 @@ func TestBoundedNoiseWithinAlpha(t *testing.T) {
 		}
 	}
 }
+
+// Laplace is a test oracle that answers with the true sum plus fresh
+// Laplace(1/Eps) noise drawn from Rng on every call. The product's
+// Laplace oracle is the sticky one, StickyLaplace.
+type Laplace struct {
+	X   []int64
+	Eps float64
+	Rng *rand.Rand
+}
+
+// Answer implements Oracle with fresh Laplace noise per query.
+func (l *Laplace) Answer(ctx context.Context, queries [][]int) ([]float64, error) {
+	return answerEach(ctx, queries, func(q []int) (float64, error) {
+		s, err := trueSum(l.X, q)
+		if err != nil {
+			return 0, err
+		}
+		return float64(s) + dist.Laplace(l.Rng, 1/l.Eps), nil
+	})
+}
+
+// N implements Oracle.
+func (l *Laplace) N() int { return len(l.X) }
 
 func TestLaplaceOracleNoiseScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"singlingout/internal/lp"
 	"singlingout/internal/obs"
@@ -134,16 +133,10 @@ const (
 // LP's constraint matrix depends only on the queries — the answers enter
 // only through the RHS and the variable bounds — so the Decoder builds
 // one lp.Solver for its whole life, which every Decode and stream Push
-// reuses, and which keeps the basis of its previous solve. A solve
-// warm-starts from that basis where the traffic makes it pay: every
-// stream push after its session's first, and a Decode whose answers
-// equal, entry for entry, those of the Decoder's previous Decode with no
-// push in between (a verbatim replay, which takes 0 pivots). Every other
-// solve is cold: a fresh answer vector moves every row, and then the
-// cold start, which starts each row on e⁺ where its answer lies below
-// |q|/2 and on e⁻ where it lies above, is cheaper than the dual simplex
-// walk from another vector's optimum. A Decoder is not safe for
-// concurrent use; each goroutine builds its own.
+// reuses. Every solve starts cold, which starts each answered row on e⁺
+// where its answer lies below |q|/2 and on e⁻ where it lies above, so a
+// reused Decoder returns what a fresh one would, bit for bit. A Decoder
+// is not safe for concurrent use; each goroutine builds its own.
 //
 // The L1Slack LP has one equality row per query q over x ∈ [0,1]^n:
 //
@@ -161,10 +154,6 @@ type Decoder struct {
 	objective LPObjective
 	prob      lp.Problem // RHS and Upper rewritten per decode
 	solver    *lp.Solver // built once over prob
-	// last holds the answers of the previous Decode; replay is true while
-	// the solver's last solve was that Decode's.
-	last   []float64
-	replay bool
 }
 
 // NewDecoder validates the query set and builds the decoding LP's
@@ -252,11 +241,9 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 }
 
 // Decode fits a fractional database to one answer vector for the
-// Decoder's query set and rounds it. It warm-starts only when answers
-// equal those of the previous Decode and no stream push came between
-// them, and solves cold otherwise (see Decoder). It is the batch wrapper
-// over the streaming path: one Stream session pushing the whole answer
-// vector at once (see StreamDecoder for the incremental, anytime form).
+// Decoder's query set and rounds it. It is the batch wrapper over the
+// streaming path: one Stream session pushing the whole answer vector at
+// once (see StreamDecoder for the incremental, anytime form).
 func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []float64, error) {
 	if len(answers) != len(d.queries) {
 		return nil, nil, fmt.Errorf("recon: %d answers for %d queries", len(answers), len(d.queries))
@@ -265,10 +252,7 @@ func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []flo
 		return nil, nil, err
 	}
 	mLPDecodes.Add(1)
-	warm := d.replay && slices.Equal(answers, d.last)
-	got, frac, err := d.Stream().push(ctx, answers, warm)
-	d.last, d.replay = append(d.last[:0], answers...), err == nil
-	return got, frac, err
+	return d.Stream().Push(ctx, answers)
 }
 
 // checkFinite refuses a NaN or infinite answer, naming the first by its
@@ -300,7 +284,7 @@ func (d *Decoder) DecodeOracle(ctx context.Context, o query.Oracle) ([]int64, []
 // fitting a fractional database x ∈ [0,1]^n to the answers, then rounds.
 // It returns the rounded reconstruction and the fractional LP solution.
 // For repeated decodes over one query set, use a Decoder — it builds the
-// constraint matrix once and reuses the simplex basis where that pays.
+// constraint matrix and its solver once.
 func LPDecode(ctx context.Context, o query.Oracle, queries [][]int, objective LPObjective) ([]int64, []float64, error) {
 	d, err := NewDecoder(o.N(), queries, objective)
 	if err != nil {

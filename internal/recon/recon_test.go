@@ -14,12 +14,12 @@ import (
 
 var ctx = context.Background()
 
-// TestDecodeAllocs bounds the allocations of a cold Decode on a reused
+// TestDecodeAllocs bounds the allocations of a Decode on a reused
 // Decoder at lp-recon's shape, n = 48 and m = 4n. The decoder's one
-// lp.Solver keeps the standard form, the engine, the LU storage and its
-// warm start, so a decode allocates little beyond what it returns: the
-// solution and its point, and the fractional and rounded vectors (4
-// allocations). One that builds a new engine per solve makes over 800.
+// lp.Solver keeps the standard form, the engine and the LU storage, so
+// a decode allocates little beyond what it returns: the solution and
+// its point, and the fractional and rounded vectors (4 allocations).
+// One that builds a new engine per solve makes over 800.
 func TestDecodeAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 48
@@ -37,7 +37,6 @@ func TestDecodeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each answer vector moves every row, so every decode solves cold.
 	i := 0
 	decode := func() {
 		if _, _, err := dec.Decode(ctx, pool[i%len(pool)]); err != nil {
@@ -49,9 +48,9 @@ func TestDecodeAllocs(t *testing.T) {
 		decode() // grow the engine's scratch to its working size
 	}
 	got := testing.AllocsPerRun(20, decode)
-	t.Logf("%.1f allocations a cold decode", got)
+	t.Logf("%.1f allocations a decode", got)
 	if got > 24 {
-		t.Errorf("a cold decode on a reused Decoder made %.1f allocations, want at most 24", got)
+		t.Errorf("a decode on a reused Decoder made %.1f allocations, want at most 24", got)
 	}
 }
 
@@ -254,7 +253,7 @@ func TestLPDecodeAgainstLaplaceOracle(t *testing.T) {
 	n := 48
 	x := synth.BinaryDataset(rng, n, 0.5)
 	queries := query.RandomSubsets(rng, n, 4*n)
-	o := &query.Laplace{X: x, Eps: 5, Rng: rng}
+	o := &query.StickyLaplace{X: x, Eps: 5, Seed: 7}
 	got, _, err := LPDecode(ctx, o, queries, L1Slack)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,27 +34,46 @@ func buildWorkload(t *testing.T, seed int64) ([]int64, *query.Exact, []float64, 
 	return x, o, answers, dec
 }
 
-func TestStreamMatchesBatchDecode(t *testing.T) {
-	x, _, answers, dec := buildWorkload(t, 7)
+// checkStreamMatchesBatch streams answers through dec at chunks of 1, 7,
+// 24 and 96 and requires each finished stream to return the batch
+// decode's fractional solution and LP objective bit for bit: every push
+// solves cold, so the last push is the same solve, on the same Solver,
+// as Decode. optimum reads the objective back by solving the decoder's
+// current LP again, which must return the same point.
+func checkStreamMatchesBatch(t *testing.T, dec *Decoder, answers []float64) {
+	t.Helper()
+	// firstDiff is the first index at which a and b differ in their
+	// bits, or -1.
+	firstDiff := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	optimum := func(frac []float64) float64 {
+		t.Helper()
+		sol, err := dec.solver.Solve(ctx)
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("re-solve: %v, %+v", err, sol)
+		}
+		if i := firstDiff(sol.X[:dec.n], frac); i >= 0 {
+			t.Fatalf("re-solve returned x[%d] = %v, the decode %v", i, sol.X[i], frac[i])
+		}
+		return sol.Objective
+	}
 	batchGot, batchFrac, err := dec.Decode(ctx, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := HammingError(x, batchGot); e > 0.05 {
-		t.Fatalf("batch reconstruction error = %v, want ~0", e)
-	}
-
-	// The finished stream must reproduce the batch decode bit-for-bit, at
-	// any chunking — including uneven final chunks.
+	batch := optimum(batchFrac)
 	for _, chunk := range []int{1, 7, 24, 96} {
 		sd := dec.Stream()
 		var got []int64
 		var frac []float64
 		for sd.Remaining() > 0 {
-			k := chunk
-			if rem := sd.Remaining(); k > rem {
-				k = rem
-			}
+			k := min(chunk, sd.Remaining())
 			got, frac, err = sd.Push(ctx, answers[sd.Answered():sd.Answered()+k])
 			if err != nil {
 				t.Fatalf("chunk %d at %d answered: %v", chunk, sd.Answered(), err)
@@ -62,47 +82,38 @@ func TestStreamMatchesBatchDecode(t *testing.T) {
 		if sd.Answered() != len(answers) || sd.Remaining() != 0 {
 			t.Fatalf("chunk %d: answered %d remaining %d", chunk, sd.Answered(), sd.Remaining())
 		}
-		for i := range got {
-			if got[i] != batchGot[i] {
-				t.Errorf("chunk %d: streamed bit %d = %d, batch %d", chunk, i, got[i], batchGot[i])
-			}
+		if i := firstDiff(frac, batchFrac); i >= 0 {
+			t.Errorf("chunk %d: streamed x[%d] = %v, batch %v", chunk, i, frac[i], batchFrac[i])
 		}
-		// The fractional interiors may sit on different (equally optimal)
-		// vertices of the degenerate LP, but only within the solver's
-		// documented ~1e-5 numerical slack.
-		for i := range frac {
-			if d := frac[i] - batchFrac[i]; d > 1e-5 || d < -1e-5 {
-				t.Errorf("chunk %d: streamed frac %d = %v, batch %v", chunk, i, frac[i], batchFrac[i])
-			}
+		if !slices.Equal(got, batchGot) {
+			t.Errorf("chunk %d: streamed bits %v, batch %v", chunk, got, batchGot)
+		}
+		if obj := optimum(frac); math.Float64bits(obj) != math.Float64bits(batch) {
+			t.Errorf("chunk %d: streamed LP objective %v, batch %v", chunk, obj, batch)
 		}
 	}
+}
 
-	// The decoder is reusable for plain batch decoding after a stream.
-	again, _, err := dec.Decode(ctx, answers)
+// TestStreamMatchesBatchDecode: over exact answers, every chunking's
+// finished stream returns the batch decode bit for bit, and the decoder
+// decodes the batch again after the streams.
+func TestStreamMatchesBatchDecode(t *testing.T) {
+	x, _, answers, dec := buildWorkload(t, 7)
+	checkStreamMatchesBatch(t, dec, answers)
+	got, _, err := dec.Decode(ctx, answers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range again {
-		if again[i] != batchGot[i] {
-			t.Fatalf("post-stream batch decode diverged at bit %d", i)
-		}
+	if e := HammingError(x, got); e > 0.05 {
+		t.Fatalf("batch reconstruction error = %v, want ~0", e)
 	}
 }
 
 // TestStreamMatchesBatchDecodeNoisy is the noisy sibling of
 // TestStreamMatchesBatchDecode: under bounded noise at c = 0.5 the L1
-// optimum is degenerate, so the streamed and batch decodes may end on
-// different optimal vertices, but the finished stream must reach the
-// batch LP's optimal objective, and every push must warm-start (a push
-// changes only RHS values and bounds, which keeps the previous optimum
-// dual feasible) — lp.warm_miss must not grow.
+// optimum is degenerate, yet every finished stream still ends on the
+// batch decode's vertex, bit for bit.
 func TestStreamMatchesBatchDecodeNoisy(t *testing.T) {
-	reg := obs.Default()
-	wasEnabled := reg.Enabled()
-	reg.SetEnabled(true)
-	defer reg.SetEnabled(wasEnabled)
-	warmMiss := reg.Counter("lp.warm_miss")
-
 	rng := rand.New(rand.NewSource(13))
 	n := 24
 	x := synth.BinaryDataset(rng, n, 0.5)
@@ -116,40 +127,7 @@ func TestStreamMatchesBatchDecodeNoisy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// optimum re-solves the decoder's current LP from the basis its last
-	// solve ended on: an optimal basis restarts with zero pivots, so this
-	// reads back the objective of the vertex that solve found.
-	optimum := func() float64 {
-		t.Helper()
-		sol, err := dec.solver.Solve(ctx, true)
-		if err != nil || sol.Status != lp.Optimal || !sol.Warm || sol.Pivots != 0 {
-			t.Fatalf("re-solve from the final basis: %v, %+v", err, sol)
-		}
-		return sol.Objective
-	}
-	if _, _, err := dec.Decode(ctx, answers); err != nil {
-		t.Fatal(err)
-	}
-	batch := optimum()
-	for _, chunk := range []int{1, 7, 24, 96} {
-		sd := dec.Stream()
-		before := warmMiss.Value()
-		for sd.Remaining() > 0 {
-			k := chunk
-			if rem := sd.Remaining(); k > rem {
-				k = rem
-			}
-			if _, _, err := sd.Push(ctx, answers[sd.Answered():sd.Answered()+k]); err != nil {
-				t.Fatalf("chunk %d at %d answered: %v", chunk, sd.Answered(), err)
-			}
-		}
-		if missed := warmMiss.Value() - before; missed != 0 {
-			t.Errorf("chunk %d: %d pushes missed their warm start", chunk, missed)
-		}
-		if got := optimum(); math.Abs(got-batch) > 1e-6 {
-			t.Errorf("chunk %d: streamed LP objective %v, batch %v", chunk, got, batch)
-		}
-	}
+	checkStreamMatchesBatch(t, dec, answers)
 }
 
 func TestStreamAccuracyReachesExact(t *testing.T) {
@@ -235,24 +213,19 @@ func TestStreamPushOracleChunking(t *testing.T) {
 	}
 }
 
-// TestDecodeStartRule pins when a Decoder warm-starts, on lp-recon's
-// sweep: n = 48, m = 4n, bounded noise at c ∈ {0, ¼, ½, 1, 2}.
-//   - A Decode of a new answer vector solves cold, so lp.warm_starts and
-//     lp.warm_miss do not move and it takes exactly the pivots of a
-//     fresh Decoder on the same answers; and it reaches the objective of
-//     a solve forced to warm-start from the previous optimum in fewer
-//     pivots over the sweep.
-//   - A verbatim replay warm-starts and takes 0 pivots (E02.remote).
-//   - A stream push between two Decodes of the same answers makes the
-//     second one cold.
-//   - A stream session's first push solves cold and every later push
-//     warm-starts.
+// TestDecodeStartRule pins the Decoder's one start rule on lp-recon's
+// sweep: n = 48, m = 4n, bounded noise at c ∈ {0, ¼, ½, 1, 2}. Every
+// solve starts cold, so a Decode on a reused Decoder takes exactly the
+// pivots, and returns exactly the fractional solution, of a fresh
+// Decoder's Decode of the same answers: for each new answer vector, for
+// a verbatim replay and for a Decode after a stream push. So does each
+// push of a stream session, against a fresh Decoder that pushes the
+// same answered prefix at once.
 func TestDecodeStartRule(t *testing.T) {
 	reg := obs.Default()
 	wasEnabled := reg.Enabled()
 	reg.SetEnabled(true)
 	defer reg.SetEnabled(wasEnabled)
-	warmStarts, warmMiss := reg.Counter("lp.warm_starts"), reg.Counter("lp.warm_miss")
 	pivots := reg.Counter("lp.pivots")
 
 	rng := rand.New(rand.NewSource(1))
@@ -263,104 +236,56 @@ func TestDecodeStartRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := func(c float64) []float64 {
+	// run returns the pivots push took and its fractional solution.
+	run := func(push func() ([]int64, []float64, error)) (int64, []float64) {
 		t.Helper()
-		answers, err := (&query.BoundedNoise{X: x, Alpha: c * math.Sqrt(float64(n)), Rng: rng}).Answer(ctx, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return answers
-	}
-	// decode runs dec.Decode and returns the warm starts, warm misses and
-	// pivots it took.
-	decode := func(answers []float64) (ws, wm, pv int64) {
-		t.Helper()
-		ws, wm, pv = warmStarts.Value(), warmMiss.Value(), pivots.Value()
-		if _, _, err := dec.Decode(ctx, answers); err != nil {
-			t.Fatal(err)
-		}
-		return warmStarts.Value() - ws, warmMiss.Value() - wm, pivots.Value() - pv
-	}
-	// coldPivots returns the pivots of a fresh Decoder's decode.
-	coldPivots := func(answers []float64) int64 {
-		t.Helper()
-		fresh, err := NewDecoder(n, queries, L1Slack)
-		if err != nil {
-			t.Fatal(err)
-		}
 		pv := pivots.Value()
-		if _, _, err := fresh.Decode(ctx, answers); err != nil {
+		_, frac, err := push()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return pivots.Value() - pv
+		return pivots.Value() - pv, frac
+	}
+	// fresh returns the pivots and fractional solution of a fresh
+	// Decoder's one push of answers, a prefix of the workload's.
+	fresh := func(answers []float64) (int64, []float64) {
+		t.Helper()
+		d, err := NewDecoder(n, queries, L1Slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run(func() ([]int64, []float64, error) { return d.Stream().Push(ctx, answers) })
+	}
+	check := func(what string, answers []float64, pv int64, frac []float64) {
+		t.Helper()
+		wantPv, wantFrac := fresh(answers)
+		if pv != wantPv || !slices.EqualFunc(frac, wantFrac, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("%s: reused decoder took %d pivots (frac %v), a fresh one %d (frac %v)", what, pv, frac, wantPv, wantFrac)
+		}
+	}
+	decode := func(what string, answers []float64) {
+		t.Helper()
+		pv, frac := run(func() ([]int64, []float64, error) { return dec.Decode(ctx, answers) })
+		check(what, answers, pv, frac)
 	}
 	var answers []float64
-	sweepCold, sweepWarm := int64(0), 0
-	for i, c := range []float64{0, 0.25, 0.5, 1, 2} {
-		answers = noisy(c)
-		var forced *lp.Solution
-		if i > 0 {
-			// Write the new answers into the LP and solve it warm from
-			// the previous optimum, as the rule declines to.
-			dec.Stream()
-			for qi, a := range answers {
-				dec.setRow(qi, a, true)
-			}
-			forced, err = dec.solver.Solve(ctx, true)
-			if err != nil || forced.Status != lp.Optimal || !forced.Warm {
-				t.Fatalf("c=%v: forced warm solve: %v, %+v", c, err, forced)
-			}
+	for _, c := range []float64{0, 0.25, 0.5, 1, 2} {
+		answers, err = (&query.BoundedNoise{X: x, Alpha: c * math.Sqrt(float64(n)), Rng: rng}).Answer(ctx, queries)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ws, wm, pv := decode(answers)
-		if ws != 0 || wm != 0 {
-			t.Errorf("c=%v: decode of a new vector warm-started (warm_starts +%d, warm_miss +%d)", c, ws, wm)
-		}
-		if fresh := coldPivots(answers); pv != fresh {
-			t.Errorf("c=%v: reused decoder took %d pivots, a fresh one %d", c, pv, fresh)
-		}
-		if forced == nil {
-			continue
-		}
-		sweepCold += pv
-		sweepWarm += forced.Pivots
-		cold, err := dec.solver.Solve(ctx, true)
-		if err != nil || cold.Status != lp.Optimal || cold.Pivots != 0 {
-			t.Fatalf("c=%v: re-solve from the final basis: %v, %+v", c, err, cold)
-		}
-		if math.Abs(cold.Objective-forced.Objective) > 1e-6 {
-			t.Errorf("c=%v: cold objective %v, forced warm %v", c, cold.Objective, forced.Objective)
-		}
+		decode(fmt.Sprintf("c=%v", c), answers)
 	}
-	t.Logf("sweep after the first decode: %d pivots cold, %d forced warm", sweepCold, sweepWarm)
-	if sweepCold >= int64(sweepWarm) {
-		t.Errorf("cold decodes took %d pivots, forced warm %d: the rule should save pivots", sweepCold, sweepWarm)
-	}
-
-	if ws, _, pv := decode(answers); ws != 1 || pv != 0 {
-		t.Errorf("verbatim replay: warm_starts +%d, pivots +%d, want a warm start with 0 pivots", ws, pv)
-	}
-
+	decode("verbatim replay", answers)
 	if _, _, err := dec.Stream().Push(ctx, answers[:24]); err != nil {
 		t.Fatal(err)
 	}
-	if ws, wm, pv := decode(answers); ws != 0 || wm != 0 || pv != coldPivots(answers) {
-		t.Errorf("Decode after a push: warm_starts +%d, warm_miss +%d, %d pivots, want a cold decode's %d",
-			ws, wm, pv, coldPivots(answers))
-	}
+	decode("Decode after a push", answers)
 
-	answers = noisy(0.5)
 	sd := dec.Stream()
-	for k := 0; sd.Remaining() > 0; k++ {
-		ws, wm := warmStarts.Value(), warmMiss.Value()
-		if _, _, err := sd.Push(ctx, answers[sd.Answered():sd.Answered()+24]); err != nil {
-			t.Fatal(err)
-		}
-		want := int64(1)
-		if k == 0 {
-			want = 0
-		}
-		if got := warmStarts.Value() - ws; got != want || warmMiss.Value() != wm {
-			t.Errorf("push %d: warm_starts +%d, warm_miss +%d, want +%d and +0", k, got, warmMiss.Value()-wm, want)
-		}
+	for sd.Remaining() > 0 {
+		end := sd.Answered() + 24
+		pv, frac := run(func() ([]int64, []float64, error) { return sd.Push(ctx, answers[sd.Answered():end]) })
+		check(fmt.Sprintf("push to %d answered", end), answers[:end], pv, frac)
 	}
 }

@@ -71,3 +71,12 @@ func dimacs(lits []int32) []int {
 	}
 	return out
 }
+
+// fromLit converts an internal literal back to DIMACS, for messages.
+func fromLit(l int32) int {
+	v := int(l>>1) + 1
+	if l&1 == 1 {
+		return -v
+	}
+	return v
+}

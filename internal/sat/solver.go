@@ -207,9 +207,6 @@ func (s *Solver) heapPop() (int32, bool) {
 	return 0, false
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 // toLit converts a DIMACS literal to the internal encoding 2v / 2v+1.
 func (s *Solver) toLit(dimacs int) (int32, error) {
 	v := dimacs
@@ -228,13 +225,6 @@ func (s *Solver) toLit(dimacs int) (int32, error) {
 
 func litVar(l int32) int32 { return l >> 1 }
 func litNeg(l int32) int32 { return l ^ 1 }
-func fromLit(l int32) int { // back to DIMACS for debugging
-	v := int(l>>1) + 1
-	if l&1 == 1 {
-		return -v
-	}
-	return v
-}
 
 // clause returns the literals of the clause at cref, aliasing the arena.
 func (s *Solver) clause(cref int32) []int32 {
